@@ -155,7 +155,8 @@ def sj_theta_asymptotic(frame, eps, prec=256):
     sum_nu phi(nu) = sqrt(eps/pi) e^(pi^2/(20 eps) - (sqrt5/2)(alpha^2-alpha+1/6) eps)
                      * theta(sqrt5 (2 alpha - 1) eps i / pi - 1/2; 8 sqrt5 eps i / pi)
     with alpha = 2 + nu0 + j.  The value is real; the imaginary part of the
-    theta evaluation is discarded after an internal sanity check.
+    theta evaluation is discarded once checked to be below 2^(-prec/2) of
+    the real part, and ArithmeticError is raised if it is not.
     """
     with workprec(prec + GUARD_BITS):
         eps = mpf(eps)
@@ -170,7 +171,8 @@ def sj_theta_asymptotic(frame, eps, prec=256):
             - mp.sqrt(5) / 2 * (alpha * alpha - alpha + mpf(1) / 6) * eps
         )
         val = pref * th
-        assert abs(val.imag) <= abs(val.real) * mpf(2) ** (-prec // 2)
+        if abs(val.imag) > abs(val.real) * mpf(2) ** (-prec // 2):
+            raise ArithmeticError(f"theta form is not real: {val}")
         val = val.real
     with workprec(prec):
         return +val

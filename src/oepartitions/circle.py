@@ -12,13 +12,14 @@ together with an empirical maximum.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
-import numpy
 from mpmath import mp, mpf, mpc, workprec
+from mpmath.calculus.quadrature import GaussLegendre
 
 from . import genfun
-from .series import evaluate_at
+from .series import SeriesError, evaluate_at
 from .specfun import (
     GUARD_BITS,
     DomainError,
@@ -26,6 +27,13 @@ from .specfun import (
     bessel_i,
     euler_eval,
 )
+
+# Gauss-Legendre rule with 3 * 2^(QUAD_DEGREE - 1) = 12 nodes per panel;
+# the rule object caches its nodes per precision
+_GAUSS = GaussLegendre(mp)
+QUAD_DEGREE = 3
+QUAD_CALL_BUDGET = 1 << 14
+SERIES_ORDER_BUDGET = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -99,7 +107,7 @@ def _bilateral_core(q, prec):
 
 
 def _oebar_eval_tau(tau, prec):
-    """Obar(e^(2 pi i tau)) by the product-sum route, eta products by inversion."""
+    """Obar(e^(2 pi i tau)) by the product-sum route, eta products by modular reduction."""
     p1 = euler_eval(tau, prec)
     p2 = euler_eval(2 * tau, prec)
     q = mp.e ** (2j * mp.pi * tau)
@@ -132,21 +140,25 @@ def oebar_eval(q_point=None, prec=256, method="product", tau=None):
             q = mp.e ** (2j * mp.pi * tau)
         if method == "series":
             growth_c = float(mp.pi / mp.sqrt(3))  # OEbar(k) <= e^(C sqrt k) dominant growth
-            # order large enough that the tail bound is below target
-            order = 64
+            # the tail bound converges only from the order N on where
+            # e^(C/(2 sqrt N)) |q| < 1; double from there until it is below target
+            order = max(64, int((growth_c / (2 * mp.log(1 / abs(q)))) ** 2) + 1)
             while True:
+                if order > SERIES_ORDER_BUDGET:
+                    raise QuadratureError(
+                        f"series order {order} needed at |q| = {mp.nstr(abs(q), 8)} "
+                        f"is over the budget of {SERIES_ORDER_BUDGET}"
+                    )
                 series = genfun.oebar_series_hypergeometric(order)
                 try:
                     res = evaluate_at(series, q, prec + GUARD_BITS, growth_c=growth_c)
-                except Exception:
+                except SeriesError:
                     order *= 2
                     continue
                 if res.tail_bound <= max(abs(res.value), mpf(1)) * mpf(2) ** (-prec):
                     val = res.value
                     break
                 order *= 2
-                if order > 1 << 22:
-                    raise QuadratureError("series order budget exhausted")
         elif method == "product":
             val = _oebar_eval_tau(tau, prec + GUARD_BITS)
         else:
@@ -220,89 +232,93 @@ def cauchy_full_integral(n, samples=None, prec=256, order=None):
         return nearest, +residual
 
 
-def _gauss_legendre_nodes(npts):
-    x, w = numpy.polynomial.legendre.leggauss(npts)
-    return [mpf(float(v)) for v in x], [mpf(float(v)) for v in w]
+def adaptive_quad(f, a, b, rel_target, prec):
+    """Globally adaptive composite Gauss-Legendre quadrature of f over [a, b].
 
-
-def _composite_quad(f, a, b, rel_target, nodes_per_panel=24, max_doublings=8,
-                    initial_panels=4):
-    """Composite Gauss-Legendre quadrature with panel doubling.
-
-    Doubles the panel count until two successive values agree to rel_target;
-    returns (value, estimated_error).
+    Each panel keeps the rule's value G on itself and on its two halves;
+    |G(panel) - G(left) - G(right)| estimates its error.  The panel with
+    the largest estimate is split, reusing its halves, until the summed
+    estimate is at most rel_target * max(|value|, 1), where value sums the
+    halves.  Nodes are computed at `prec` bits, and a target below 2^-prec
+    is refused.  Returns (value, error estimate); raises QuadratureError
+    rather than spend more than QUAD_CALL_BUDGET calls of f, so it never
+    returns an unconverged value.
     """
-    x0, w0 = _gauss_legendre_nodes(nodes_per_panel)
-    panels = initial_panels
-    prev = None
-    for _ in range(max_doublings):
-        h = (b - a) / panels
-        total = mpc(0)
-        for p in range(panels):
-            lo = a + p * h
-            mid = lo + h / 2
-            half = h / 2
-            for xi, wi in zip(x0, w0):
-                total += wi * f(mid + half * xi)
-            # scale at the end of each panel is uniform
-        total *= h / 2
-        if prev is not None:
-            err = abs(total - prev)
-            if err <= rel_target * max(abs(total), mpf(1)):
-                return total, err
-        prev = total
-        panels *= 2
-    return total, abs(total - prev) if prev is not total else mpf("inf")
+    if rel_target < mpf(2) ** -prec:
+        raise DomainError(f"rel_target {mp.nstr(rel_target, 3)} is below {prec}-bit precision")
+    nodes = _GAUSS.get_nodes(-1, 1, QUAD_DEGREE, prec)
+    calls = 0
+
+    def rule(lo, hi):
+        nonlocal calls
+        calls += len(nodes)
+        if calls > QUAD_CALL_BUDGET:
+            raise QuadratureError(
+                f"quadrature budget of {QUAD_CALL_BUDGET} calls exhausted before the "
+                f"error estimate reached {mp.nstr(rel_target, 3)} relative"
+            )
+        mid, half = (lo + hi) / 2, (hi - lo) / 2
+        return half * mp.fsum(w * f(mid + half * x) for x, w in nodes)
+
+    def panel(lo, hi, whole):
+        mid = (lo + hi) / 2
+        left, right = rule(lo, mid), rule(mid, hi)
+        return (-abs(whole - left - right), lo, hi, left, right)
+
+    heap = [panel(a, b, rule(a, b))]
+    while True:
+        value = mp.fsum(left + right for _, _, _, left, right in heap)
+        err = -mp.fsum(neg_err for neg_err, *_ in heap)
+        if err <= rel_target * max(abs(value), 1):
+            return value, err
+        _, lo, hi, left, right = heapq.heappop(heap)
+        mid = (lo + hi) / 2
+        heapq.heappush(heap, panel(lo, mid, left))
+        heapq.heappush(heap, panel(mid, hi, right))
+
+
+def _cauchy_integrand(n, y, prec):
+    """x -> Re[Obar(q) q^(-n)] at q = e^(2 pi i (x + i y)), the Cauchy integrand for OEbar(n).
+
+    Obar has real coefficients, so the integrand at -x is the conjugate of
+    the integrand at x: over a pair of mirrored intervals the integral is
+    real, and twice the integral of this real part over the right one.
+    """
+    amp = mp.e ** (2 * mp.pi * n * y)
+
+    def integrand(x):
+        return (_oebar_eval_tau(mpc(x, y), prec) * mp.expjpi(-2 * n * x)).real * amp
+
+    return integrand
 
 
 def major_arc_integral(geom, prec=128, rel_target=None):
-    """I_1: the major-arc piece of the Cauchy integral, by panel quadrature.
+    """I_1: the major-arc piece of the Cauchy integral, by adaptive quadrature.
 
-    I_1 = int_{|x| <= M y} Obar(e^(2 pi i x - 2 pi y)) e^(-2 pi i n x + pi sqrt n/(2 sqrt 3)) dx.
+    I_1 = int_{|x| <= M y} Obar(e^(2 pi i x - 2 pi y)) e^(-2 pi i n x + pi sqrt n/(2 sqrt 3)) dx,
+    which is real: twice the integral of the real part over [0, M y].
     """
     if rel_target is None:
         rel_target = mpf(10) ** -8
     with workprec(prec + GUARD_BITS):
-        n = geom.n
-        y = geom.y
-        w = geom.major_halfwidth
-        amp = mp.e ** (mp.pi * mp.sqrt(n) / (2 * mp.sqrt(3)))
-
-        def integrand(x):
-            v = _oebar_eval_tau(x + 1j * y, prec + GUARD_BITS)
-            return v * mp.e ** (-2j * mp.pi * n * x) * amp
-
-        # panels sized so each covers at most ~2 oscillations of e^(-2 pi i n x)
-        osc = max(4, int(2 * w * n) + 1)
-        val, err = _composite_quad(
-            integrand, -w, w, rel_target, initial_panels=osc
-        )
+        f = _cauchy_integrand(geom.n, geom.y, prec + GUARD_BITS)
+        half, _ = adaptive_quad(f, mpf(0), geom.major_halfwidth, rel_target / 2,
+                                prec + GUARD_BITS)
     with workprec(prec):
-        return +val
+        return 2 * half
 
 
 def minor_arc_integral(geom, prec=96, rel_target=None):
-    """I_2: the minor-arc remainder, integrated numerically on both sides."""
+    """I_2: the minor-arc remainder, the same integral over M y <= |x| <= 1/2,
+    as twice the integral of the real part over [M y, 1/2]."""
     if rel_target is None:
         rel_target = mpf(10) ** -6
     with workprec(prec + GUARD_BITS):
-        n = geom.n
-        y = geom.y
-        w = geom.major_halfwidth
-        amp = mp.e ** (mp.pi * mp.sqrt(n) / (2 * mp.sqrt(3)))
-
-        def integrand(x):
-            v = _oebar_eval_tau(x + 1j * y, prec + GUARD_BITS)
-            return v * mp.e ** (-2j * mp.pi * n * x) * amp
-
-        osc = max(4, int((mpf("0.5") - w) * n) + 1)
-        right, err_r = _composite_quad(integrand, w, mpf("0.5"), rel_target,
-                                       initial_panels=osc)
-        left, err_l = _composite_quad(integrand, mpf("-0.5"), -w, rel_target,
-                                      initial_panels=osc)
-        val = left + right
+        f = _cauchy_integrand(geom.n, geom.y, prec + GUARD_BITS)
+        half, _ = adaptive_quad(f, geom.major_halfwidth, mpf("0.5"), rel_target / 2,
+                                prec + GUARD_BITS)
     with workprec(prec):
-        return +val
+        return 2 * half
 
 
 def main_term(n, prec=256):

@@ -36,6 +36,14 @@ def _default_prec():
     return int(os.environ.get("OEPARTITIONS_PREC", "256"))
 
 
+def _parse_list(text, convert, option):
+    """A comma-separated option value, or a one-line usage error."""
+    try:
+        return [convert(s) for s in text.split(",")]
+    except ValueError:
+        raise SystemExit(f"{option} needs a comma-separated list of numbers, got {text!r}") from None
+
+
 def _emit(args, rows, header):
     if args.format == "json":
         text = json.dumps([dict(zip(header, r)) for r in rows], indent=2) + "\n"
@@ -63,6 +71,8 @@ def _emit_json(args, obj):
 
 def cmd_compute(args):
     n_max = args.n_max
+    if n_max < 0:
+        raise SystemExit("--n-max must be >= 0")
     if args.method == "enum" and n_max > ENUM_COST_GUARD and not args.force:
         raise SystemExit(
             f"enumeration beyond n={ENUM_COST_GUARD} is exponential; pass --force to insist"
@@ -87,9 +97,9 @@ def cmd_compute(args):
 
 
 def cmd_ratio(args):
-    ns = sorted(int(s) for s in args.n.split(","))
-    if not ns:
-        raise SystemExit("need at least one n")
+    ns = sorted(_parse_list(args.n, int, "--n"))
+    if ns[0] < 1:
+        raise SystemExit("--n values must be >= 1")
     order = max(ns)
     if order > args.max_order and not args.force:
         raise SystemExit(
@@ -112,9 +122,7 @@ def cmd_ratio(args):
 
 
 def cmd_gf_eval(args):
-    eps_grid = [mpf(s) for s in args.eps.split(",")]
-    if not eps_grid:
-        raise SystemExit("need at least one eps")
+    eps_grid = _parse_list(args.eps, mpf, "--eps")
     if min(eps_grid) < mpf("0.005") and not args.force:
         raise SystemExit("eps below 0.005 needs a very long series; pass --force")
     rows = []

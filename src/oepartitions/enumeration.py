@@ -32,10 +32,14 @@ class OEPartition:
 
     def __post_init__(self):
         up = self.parts[::-1]
-        if up:
-            assert all(a <= b for a, b in zip(up, up[1:]))
-            assert up[0] % 2 == 1
-            assert all((b - a) % 2 == 1 for a, b in zip(up, up[1:]))
+        if not up:
+            return
+        if not all(a <= b for a, b in zip(up, up[1:])):
+            raise ValueError(f"parts {self.parts} are not in nonincreasing order")
+        if up[0] % 2 != 1:
+            raise ValueError(f"smallest part of {self.parts} is not odd")
+        if not all((b - a) % 2 == 1 for a, b in zip(up, up[1:])):
+            raise ValueError(f"parts {self.parts} do not alternate in parity")
 
 
 @dataclass(frozen=True)

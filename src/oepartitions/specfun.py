@@ -9,6 +9,7 @@ relied on.  Conventions:
   bessel_i(l, x)      modified Bessel I_l by ascending series, integer order
   wright_p(s, u, M)   (1/2 pi i) int_{1-Mi}^{1+Mi} v^s e^(u(v+1/v)) dv
   eta_pochhammer_eval (q;q)_inf by direct product
+  euler_eval(tau)     (q;q)_inf at q = e^(2 pi i tau), after modular reduction
 
 The theta convention is the half-integer-characteristic one used in the
 odd-even asymptotics; theta(0;tau) = 0 identically for it.
@@ -169,27 +170,44 @@ def neg_pochhammer_eval(q_point, prec=256):
 
 
 def euler_eval(tau, prec=256):
-    """(q;q)_inf at q = e^(2 pi i tau), routed through the exact eta inversion.
+    """(q;q)_inf at q = e^(2 pi i tau), after full modular reduction of tau.
 
-    When Im(-1/tau) > Im(tau) the product is evaluated at q' = e^(-2 pi i/tau)
-    via (q;q)_inf = e^(-pi i tau/12 - pi i/(12 tau)) (q';q')_inf / sqrt(-i tau),
-    which keeps the factor count O(prec) even as q -> 1.  Both routes are
-    exact up to truncation below the precision target.
+    With eta(tau) = e^(pi i tau/12) (q;q)_inf, the two steps
+      tau -> tau - k, k = round(Re tau):  eta(tau) = e^(pi i k/12) eta(tau - k)
+      tau -> -1/tau:                      eta(tau) = eta(-1/tau) / sqrt(-i tau)
+    are repeated until |tau| >= 1 with |Re tau| <= 1/2, collecting the
+    multipliers on the way.  The reduced point has Im tau >= sqrt(3)/2, so
+    |q'| < 0.005 there, and the product (q';q')_inf needs at most about
+    prec/7.8 factors for every tau, however close q is to the unit circle.
+    Every step is an exact identity; the only truncation is that of the
+    short product, below the precision target.
     """
     with workprec(prec + GUARD_BITS):
         tau = mpc(tau)
         if tau.imag <= 0:
             raise DomainError("tau must lie in the upper half plane")
-        inv = -1 / tau
-        if inv.imag > tau.imag:
-            qp = mp.e ** (2j * mp.pi * inv)
-            val = (
-                mp.e ** (-mp.pi * 1j * tau / 12 - mp.pi * 1j / (12 * tau))
-                / mp.sqrt(-1j * tau)
-                * eta_pochhammer_eval(qp, prec + GUARD_BITS)
-            )
+        start = tau
+        turns = 0  # sum of the translations k
+        scale = mpc(1)  # product of the 1/sqrt(-i tau) multipliers
+        # after a translation |tau|^2 <= 1/4 + Im(tau)^2, so every inversion
+        # below Im tau = 1/2 at least doubles Im tau; from there two more
+        # inversions at most end the reduction, well inside this budget
+        for _ in range(8 + max(0, int(-mp.log(tau.imag, 2)))):
+            k = int(mp.nint(tau.real))
+            tau -= k
+            turns += k
+            if abs(tau) >= 1:
+                break
+            scale /= mp.sqrt(-1j * tau)
+            tau = -1 / tau
         else:
-            val = eta_pochhammer_eval(mp.e ** (2j * mp.pi * tau), prec + GUARD_BITS)
+            raise ArithmeticError(f"modular reduction of tau = {start} did not end")
+        qp = mp.expjpi(2 * tau)
+        val = (
+            mp.expjpi((turns % 24 + tau - start) / 12)
+            * scale
+            * eta_pochhammer_eval(qp, prec + GUARD_BITS)
+        )
     with workprec(prec):
         return +val
 

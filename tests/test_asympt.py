@@ -1,6 +1,7 @@
 import pytest
-from mpmath import mp, mpf, workprec, log, sqrt, pi, exp, floor
+from mpmath import mp, mpc, mpf, workprec, log, sqrt, pi, exp, floor
 
+from oepartitions import asympt
 from oepartitions.specfun import DomainError, dilog
 from oepartitions.asympt import (
     root_R,
@@ -143,6 +144,13 @@ class TestPhiAndTheta:
                 direct = phi_class_sum(frame, eps, prec)
                 theta = sj_theta_asymptotic(frame, eps, prec)
                 assert abs(direct - theta) < tol(prec, 32) * (1 + abs(direct))
+
+    def test_theta_form_rejects_complex_value(self, monkeypatch):
+        # the reality check is a raise, not an assert that python -O strips
+        monkeypatch.setattr(asympt, "jacobi_theta", lambda z, tau, prec: mpc(1, 1))
+        frame = NuFrame(nu0=nu0_for_eps(mpf("0.05"), 96), j=0)
+        with pytest.raises(ArithmeticError):
+            sj_theta_asymptotic(frame, mpf("0.05"), 96)
 
     def test_nu0_in_unit_interval(self):
         for eps in ("0.1", "0.01", "0.0033"):

@@ -1,10 +1,15 @@
-import pytest
-from mpmath import mp, mpf, mpc, workprec, sqrt, pi, exp
+import signal
+from contextlib import contextmanager
 
-from oepartitions.specfun import DomainError, wright_p
+import pytest
+from mpmath import mp, mpf, mpc, workprec, sqrt, pi, exp, cos, sin
+
+from oepartitions import circle
+from oepartitions.specfun import DomainError, QuadratureError, wright_p
 from oepartitions.genfun import oebar_series_hypergeometric
 from oepartitions.circle import (
     ArcGeometry,
+    adaptive_quad,
     m_threshold,
     exponent_saving,
     oebar_eval,
@@ -17,6 +22,25 @@ from oepartitions.circle import (
     minor_arc_empirical_max,
     circle_report,
 )
+
+
+class TimeLimitExpired(BaseException):
+    """Not an Exception, so no `except Exception` in the code under test swallows it."""
+
+
+@contextmanager
+def time_limit(seconds):
+    """Fail instead of hanging once `seconds` have passed."""
+    def expire(signum, frame):
+        raise TimeLimitExpired(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestGeometry:
@@ -87,6 +111,13 @@ class TestEvaluation:
         with pytest.raises(ValueError):
             oebar_eval(q_point=mpf("0.5"), prec=96, method="magic")
 
+    def test_series_route_refuses_points_near_one(self):
+        # at |q| = 0.9999 the tail bound needs order ~8e7, over the budget:
+        # the route must say so at once rather than build ever longer series
+        with time_limit(1.0):
+            with pytest.raises(QuadratureError):
+                oebar_eval(q_point=mpf("0.9999"), prec=96, method="series")
+
     def test_mock_theta_anchor(self):
         # f(q) -> 4/3 along the imaginary axis; deviation shrinks with y
         devs = []
@@ -110,6 +141,32 @@ class TestEvaluation:
         for c in cs:
             assert mpf("0.3") < c < mpf("0.5")
         assert max(cs) / min(cs) < mpf("1.1")
+
+
+class TestQuadrature:
+    def test_smooth_integral_to_working_precision(self):
+        # int_0^2 e^x cos 3x dx = [e^x (cos 3x + 3 sin 3x) / 10]_0^2; float64
+        # nodes would stall near 1e-16, nodes at working precision do not
+        prec = 128
+        with workprec(prec):
+            got, err = adaptive_quad(lambda x: exp(x) * cos(3 * x), mpf(0), mpf(2),
+                                     mpf(2) ** -100, prec)
+            want = (exp(2) * (cos(6) + 3 * sin(6)) - 1) / 10
+            assert abs(got - want) < mpf(2) ** -100 * abs(want)
+            assert err <= mpf(2) ** -100 * abs(got)
+
+    def test_budget_exhausted_raises(self, monkeypatch):
+        monkeypatch.setattr(circle, "QUAD_CALL_BUDGET", 40)
+        with workprec(64):
+            with pytest.raises(QuadratureError):
+                adaptive_quad(lambda x: cos(200 * x), mpf(0), mpf(1), mpf(10) ** -10, 64)
+
+    def test_target_below_precision_rejected(self):
+        # rounding can make the error estimate vanish, so a target finer
+        # than the working precision could be reported met without being met
+        with workprec(64):
+            with pytest.raises(DomainError):
+                adaptive_quad(lambda x: 1 / (1 + x * x), mpf(0), mpf(1), mpf(2) ** -200, 64)
 
 
 class TestCauchyRecovery:

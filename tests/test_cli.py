@@ -150,6 +150,21 @@ class TestCircleCommand:
         assert rep["clears_threshold"] is False
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["ratio", "--kind", "oe", "--n", ","],
+        ["ratio", "--kind", "oebar", "--n", "10,0"],
+        ["gf-eval", "--eps", "0.05,x"],
+        ["compute", "--kind", "oe", "--n-max", "-3"],
+    ])
+    def test_bad_input_exits_with_one_line(self, argv):
+        # SystemExit with a message: exit status 1 and that line on stderr
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        message = exc.value.code
+        assert isinstance(message, str) and message and "\n" not in message
+
+
 class TestPrecPlumbing:
     def test_env_var_default(self, monkeypatch):
         monkeypatch.setenv("OEPARTITIONS_PREC", "123")

@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
+
+import oepartitions
 
 from oepartitions.enumeration import (
     OEPartition,
@@ -123,5 +130,27 @@ class TestStructuralProperties:
             enum_oebar(-3)
 
     def test_validation_rejects_bad_chain(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError):
             OEPartition(parts=(3, 2))
+
+    @pytest.mark.parametrize("parts", [(2,), (1, 3), (5, 3, 1)])
+    def test_validation_rejects_bad_parts(self, parts):
+        with pytest.raises(ValueError):
+            OEPartition(parts=parts)
+
+    def test_validation_survives_optimize_flag(self):
+        # python -O strips assert statements; the checks must not be asserts
+        code = (
+            "from oepartitions.enumeration import OEPartition\n"
+            "try:\n"
+            "    OEPartition((2,))\n"
+            "except ValueError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit('OEPartition((2,)) was accepted')\n"
+        )
+        src = str(Path(oepartitions.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr

@@ -210,6 +210,18 @@ class TestEtaProducts:
             b = eta_pochhammer_eval(q, prec)
             assert abs(a - b) < tol(prec, 40) * (1 + abs(b))
 
+    @pytest.mark.parametrize("n", [13, 25, 1600])
+    @pytest.mark.parametrize("x", ["0.5", "-0.5", "0.499", "-0.49", "0.3333", "-0.33", "0.34"])
+    def test_euler_eval_near_cusps(self, n, x):
+        # Re tau near +-1/2 and +-1/3 on the circle-method radius y = 1/(4 sqrt(3n)),
+        # where |q| is close to 1 and a single inversion leaves |q'| close to 1 too
+        prec = 160
+        with workprec(prec + 64):
+            tau = mpc(mpf(x), 1 / (4 * sqrt(3 * n)))
+            want = mp.qp(exp(2j * pi * tau))
+        got = euler_eval(tau, prec)
+        assert abs(got - want) < tol(prec, 8) * abs(want)
+
     def test_q_outside_disc_rejected(self):
         with pytest.raises(DomainError):
             eta_pochhammer_eval(mpf("1.1"), 128)
