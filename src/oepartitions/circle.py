@@ -141,8 +141,10 @@ def oebar_eval(q_point=None, prec=256, method="product", tau=None):
         if method == "series":
             growth_c = float(mp.pi / mp.sqrt(3))  # OEbar(k) <= e^(C sqrt k) dominant growth
             # the tail bound converges only from the order N on where
-            # e^(C/(2 sqrt N)) |q| < 1; double from there until it is below target
-            order = max(64, int((growth_c / (2 * mp.log(1 / abs(q)))) ** 2) + 1)
+            # e^(C/(2 sqrt N)) |q| < 1: start at the first power of two (the
+            # orders the series cache sees) past it, double until below target
+            least = int((growth_c / (2 * mp.log(1 / abs(q)))) ** 2) + 1
+            order = max(64, 1 << (least - 1).bit_length())
             while True:
                 if order > SERIES_ORDER_BUDGET:
                     raise QuadratureError(
