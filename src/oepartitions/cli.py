@@ -123,6 +123,10 @@ def cmd_ratio(args):
 
 def cmd_gf_eval(args):
     eps_grid = _parse_list(args.eps, mpf, "--eps")
+    if min(eps_grid) <= 0:
+        raise SystemExit("--eps values must be > 0")
+    if args.order is not None and args.order < 0:
+        raise SystemExit("--order must be >= 0")
     if min(eps_grid) < mpf("0.005") and not args.force:
         raise SystemExit("eps below 0.005 needs a very long series; pass --force")
     rows = []
@@ -243,6 +247,8 @@ def _verify_circle(prec):
 
 
 def cmd_verify(args):
+    if args.order < 0:
+        raise SystemExit("--order must be >= 0")
     checks = []
     if args.suite in ("identities", "all"):
         checks += _verify_identities(args.order, args.prec)

@@ -10,10 +10,11 @@ their coefficient tuples agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, sub
 
 from mpmath import mp, mpf, mpc, workprec
 
-GUARD_BITS = 32
+from .specfun import GUARD_BITS
 
 
 class SeriesError(ValueError):
@@ -43,13 +44,6 @@ class PowerSeries:
     def one(cls, order):
         return cls((1,) + (0,) * order)
 
-    @classmethod
-    def monomial(cls, exponent, order, coefficient=1):
-        c = [0] * (order + 1)
-        if exponent <= order:
-            c[exponent] = coefficient
-        return cls(c)
-
     def coefficient(self, n):
         if not 0 <= n <= self.order:
             raise SeriesError(f"coefficient {n} not determined at order {self.order}")
@@ -59,13 +53,6 @@ class PowerSeries:
         if order >= self.order:
             return self
         return PowerSeries(self.coeffs[: order + 1])
-
-    def shift(self, k):
-        """Multiply by q^k, keeping the same order."""
-        if k == 0:
-            return self
-        n = self.order
-        return PowerSeries((0,) * min(k, n + 1) + self.coeffs[: n + 1 - k])
 
     def __eq__(self, other):
         return isinstance(other, PowerSeries) and self.coeffs == other.coeffs
@@ -87,15 +74,16 @@ class PowerSeries:
     def __mul__(self, other):
         if isinstance(other, int):
             return PowerSeries([other * c for c in self.coeffs])
-        # Schoolbook Cauchy product; O(N^2) is fine at the orders used here.
+        # Cauchy product with the sparser operand in the outer loop:
+        # O(nnz * N), which is O(N^1.5) against a pentagonal series.
         n = min(self.order, other.order)
-        a, b = self.coeffs, other.coeffs
+        a, b = self.coeffs[: n + 1], other.coeffs[: n + 1]
+        if len(a) - a.count(0) > len(b) - b.count(0):
+            a, b = b, a
         out = [0] * (n + 1)
-        for i in range(n + 1):
-            ai = a[i]
+        for i, ai in enumerate(a):
             if ai:
-                for j in range(n + 1 - i):
-                    out[i + j] += ai * b[j]
+                out[i:] = [x + ai * y for x, y in zip(out[i:], b)]
         return PowerSeries(out)
 
     __rmul__ = __mul__
@@ -161,17 +149,9 @@ def neg_pochhammer(start_exp, m, order):
     c[0] = 1
     j = 0
     e = start_exp
-    while m is None or m == float("inf") or j < m:
-        if e == 0:
-            for k in range(order + 1):
-                c[k] *= 2
-        elif e <= order:
-            _mul_one_plus_qk(c, e)
-        else:
-            if m is None or m == float("inf"):
-                break
-            # factor = 1 mod q^(order+1); skip the rest in one go
-            break
+    # the kernel doubles at e = 0; factors with exponent > order are = 1
+    while e <= order and (m is None or m == float("inf") or j < m):
+        _mul_one_plus_qk(c, e)
         j += 1
         e += 1
     return PowerSeries(c)
@@ -218,24 +198,40 @@ def evaluate_at(series, point, prec, growth_c=None):
 
 # ---------------------------------------------------------------------------
 # In-place coefficient kernels.  These implement multiplication/division by
-# the sparse binomials (1 +- q^k) in O(N) and are what keeps the generating
-# function builders at O(N^(3/2)) overall.
+# the sparse binomials (1 +- q^k) in O(N), and division by a sparse series in
+# O(N * nnz); they are what keeps the generating function builders at
+# O(N^(3/2)) overall.  A multiplication reads only old coefficients, so it is
+# one slice operation; a division by (1 +- q^k) runs in blocks of k, each of
+# which needs only the block before it.
 
 def _mul_one_minus_qk(c, k):
-    for i in range(len(c) - 1, k - 1, -1):
-        c[i] -= c[i - k]
+    c[k:] = map(sub, c[k:], c[: len(c) - k])
 
 
 def _mul_one_plus_qk(c, k):
-    for i in range(len(c) - 1, k - 1, -1):
-        c[i] += c[i - k]
+    # k = 0 doubles every coefficient: (1 + q^0) = 2
+    c[k:] = map(add, c[k:], c[: len(c) - k])
 
 
 def _div_one_minus_qk(c, k):
-    for i in range(k, len(c)):
-        c[i] += c[i - k]
+    for i in range(k, len(c), k):
+        c[i : i + k] = map(add, c[i : i + k], c[i - k : i])
 
 
 def _div_one_plus_qk(c, k):
-    for i in range(k, len(c)):
-        c[i] -= c[i - k]
+    for i in range(k, len(c), k):
+        c[i : i + k] = map(sub, c[i : i + k], c[i - k : i])
+
+
+def _div_sparse(c, d):
+    """c <- c / d for a series d with constant term 1, over d's nonzero terms."""
+    if not d or d[0] != 1:
+        raise SeriesError("sparse division needs a divisor with constant term 1")
+    terms = [(k, dk) for k, dk in enumerate(d[: len(c)]) if k and dk]
+    for i in range(1, len(c)):
+        acc = c[i]
+        for k, dk in terms:
+            if k > i:
+                break
+            acc -= dk * c[i - k]
+        c[i] = acc

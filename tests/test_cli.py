@@ -156,6 +156,9 @@ class TestUsageErrors:
         ["ratio", "--kind", "oebar", "--n", "10,0"],
         ["gf-eval", "--eps", "0.05,x"],
         ["compute", "--kind", "oe", "--n-max", "-3"],
+        ["gf-eval", "--eps", "0", "--force"],
+        ["gf-eval", "--eps", "-0.1", "--force"],
+        ["verify", "--order", "-1"],
     ])
     def test_bad_input_exits_with_one_line(self, argv):
         # SystemExit with a message: exit status 1 and that line on stderr

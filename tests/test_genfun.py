@@ -1,7 +1,8 @@
 import pytest
 
-from oepartitions.series import PowerSeries, qpochhammer, neg_pochhammer
+from oepartitions.series import PowerSeries, SeriesError, qpochhammer, neg_pochhammer
 from oepartitions.genfun import (
+    _pentagonal,
     oe_series,
     sj_series,
     parity_split,
@@ -79,6 +80,9 @@ class TestOEBarSeries:
         N = 60
         assert oebar_series_product(N) == neg_pochhammer(1, None, N) * f_mock_series(N)
 
+    def test_eta_quotient_route_at_depth(self):
+        assert oebar_series_product(3000) == oebar_series_hypergeometric(3000)
+
     def test_no_overpartition_of_two(self):
         assert oebar_series_hypergeometric(2).coefficient(2) == 0
 
@@ -100,6 +104,29 @@ class TestClassicalSuite:
         expect = {0: 1, 1: -1, 2: -1, 5: 1, 7: 1, 12: -1, 15: -1, 22: 1, 26: 1}
         for n in range(27):
             assert s.coefficient(n) == expect.get(n, 0)
+
+
+class TestPentagonal:
+    @pytest.mark.parametrize("s", [1, 2])
+    @pytest.mark.parametrize("order", [0, 1, 2, 7, 26, 301, 2000])
+    def test_matches_the_product(self, s, order):
+        assert _pentagonal(order, s) == qpochhammer(s, s, None, order)
+
+
+@pytest.mark.parametrize("builder", [
+    oe_series,
+    lambda order: sj_series(0, order),
+    parity_split,
+    oebar_series_hypergeometric,
+    oebar_series_product,
+    f_mock_series,
+    watson_core,
+    euler_phi_series,
+    classical_identity_suite,
+])
+def test_negative_order_is_refused(builder):
+    with pytest.raises(SeriesError):
+        builder(-1)
 
 
 class TestGrowth:

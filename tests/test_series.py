@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 from mpmath import mp, mpf, mpc, workprec
@@ -8,6 +10,11 @@ from oepartitions.series import (
     qpochhammer,
     neg_pochhammer,
     evaluate_at,
+    _div_one_minus_qk,
+    _div_one_plus_qk,
+    _div_sparse,
+    _mul_one_minus_qk,
+    _mul_one_plus_qk,
 )
 
 
@@ -76,6 +83,67 @@ class TestArithmetic:
     @given(unit_series)
     def test_invert_round_trip(self, a):
         assert a * a.invert() == PowerSeries.one(a.order)
+
+
+def schoolbook(a, b):
+    """Reference Cauchy product, truncated to the smaller order."""
+    n = min(len(a), len(b)) - 1
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(n + 1)]
+
+
+def sparse_and_dense(seed, sparse_order, dense_order):
+    rng = random.Random(seed)
+    sparse = [0] * (sparse_order + 1)
+    sparse[0] = 1
+    for k in rng.sample(range(1, sparse_order + 1), min(6, sparse_order)):
+        sparse[k] = rng.choice([-3, -1, 1, 2])
+    dense = [rng.randint(-50, 50) for _ in range(dense_order + 1)]
+    return sparse, dense
+
+
+def loop_kernel(c, k, sign, divide):
+    """Reference: c * (1 + sign q^k) or c / (1 + sign q^k), one coefficient at a time."""
+    c = list(c)
+    indices = range(k, len(c)) if divide else range(len(c) - 1, k - 1, -1)
+    for i in indices:
+        c[i] += (-sign if divide else sign) * c[i - k]
+    return c
+
+
+class TestSparseKernels:
+    @pytest.mark.parametrize("kernel,sign,divide", [
+        (_mul_one_minus_qk, -1, False),
+        (_mul_one_plus_qk, 1, False),
+        (_div_one_minus_qk, -1, True),
+        (_div_one_plus_qk, 1, True),
+    ])
+    @pytest.mark.parametrize("k", [1, 2, 5, 13, 30, 31])
+    def test_binomial_kernels_match_the_loop(self, kernel, sign, divide, k):
+        _, c = sparse_and_dense(k, 0, 30)
+        want = loop_kernel(c, k, sign, divide)
+        kernel(c, k)
+        assert c == want
+
+    @pytest.mark.parametrize("sparse_order,dense_order", [(40, 40), (60, 25), (25, 60), (0, 9)])
+    def test_mul_with_sparse_operand_on_either_side(self, sparse_order, dense_order):
+        sparse, dense = sparse_and_dense(sparse_order * 100 + dense_order, sparse_order, dense_order)
+        want = PowerSeries(schoolbook(sparse, dense))
+        assert PowerSeries(sparse) * PowerSeries(dense) == want
+        assert PowerSeries(dense) * PowerSeries(sparse) == want
+
+    @pytest.mark.parametrize("d_order,c_order", [(0, 0), (1, 1), (17, 17), (80, 80), (50, 20)])
+    def test_sparse_division_round_trip(self, d_order, c_order):
+        d, c = sparse_and_dense(d_order + c_order, d_order, c_order)
+        product = list((PowerSeries(c) * PowerSeries(d)).coeffs)
+        _div_sparse(product, d)
+        assert product == c
+
+    @pytest.mark.parametrize("head", [0, 2, -1])
+    def test_sparse_division_needs_constant_term_one(self, head):
+        c = [1, 2, 3]
+        with pytest.raises(SeriesError):
+            _div_sparse(c, [head, 1, 0])
+        assert c == [1, 2, 3]
 
 
 class TestPochhammer:
