@@ -20,31 +20,30 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from mpmath import mp, mpf, workprec
+from mpmath import mp, mpf
 
-from .specfun import GUARD_BITS, DomainError, jacobi_theta
+from .specfun import GUARD_BITS, DomainError, dilog, guarded, jacobi_theta
 
 
+@guarded
 def root_R(a_exponent, prec=256):
     """Unique root R in (0,1) of R + R^A = 1, by bisection plus Newton."""
-    with workprec(prec + GUARD_BITS):
-        a = mpf(a_exponent)
-        if a <= 0:
-            raise DomainError("exponent A must be > 0")
-        lo, hi = mpf(0), mpf(1)
-        for _ in range(60):
-            mid = (lo + hi) / 2
-            if mid + mid ** a < 1:
-                lo = mid
-            else:
-                hi = mid
-        r = (lo + hi) / 2
-        for _ in range(int(mp.log(prec + GUARD_BITS, 2)) + 3):
-            f = r + r ** a - 1
-            df = 1 + a * r ** (a - 1)
-            r -= f / df
-    with workprec(prec):
-        return +r
+    a = mpf(a_exponent)
+    if a <= 0:
+        raise DomainError("exponent A must be > 0")
+    lo, hi = mpf(0), mpf(1)
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        if mid + mid ** a < 1:
+            lo = mid
+        else:
+            hi = mid
+    r = (lo + hi) / 2
+    for _ in range(int(mp.log(prec + GUARD_BITS, 2)) + 3):
+        f = r + r ** a - 1
+        df = 1 + a * r ** (a - 1)
+        r -= f / df
+    return r
 
 
 @dataclass(frozen=True)
@@ -58,6 +57,7 @@ class ExpansionParams:
     nu: mpf
 
 
+@guarded
 def zagier_log_expansion(params, prec=256, dilog_value=None):
     """The four printed terms of Log(q^(A n^2/2 + B n) / (q;q)_n) at q = e^(-eps).
 
@@ -67,43 +67,36 @@ def zagier_log_expansion(params, prec=256, dilog_value=None):
       - ((A+R-AR)/(2(1-R)) nu^2 - (B + R/(2(1-R))) nu + (1+R)/(24(1-R))) eps.
     The omitted remainder is O(eps^2).
     """
-    from .specfun import dilog  # local import to avoid a cycle at module load
-
-    with workprec(prec + GUARD_BITS):
-        a = mpf(params.a)
-        b = mpf(params.b)
-        r = mpf(params.r)
-        eps = mpf(params.eps)
-        nu = mpf(params.nu)
-        if eps <= 0 or not 0 < r < 1:
-            raise DomainError("need eps > 0 and R in (0,1)")
-        li2 = dilog_value if dilog_value is not None else dilog(r, prec + GUARD_BITS)
-        lead = (mp.pi ** 2 / 6 - li2 - mp.log(r) * mp.log(1 - r) / 2) / eps
-        logterm = -mp.log(2 * mp.pi / eps) / 2
-        const = mp.log(r ** b / mp.sqrt(1 - r))
-        linear = -(
-            (a + r - a * r) / (2 * (1 - r)) * nu ** 2
-            - (b + r / (2 * (1 - r))) * nu
-            + (1 + r) / (24 * (1 - r))
-        ) * eps
-        total = lead + logterm + const + linear
-    with workprec(prec):
-        return +total
+    a = mpf(params.a)
+    b = mpf(params.b)
+    r = mpf(params.r)
+    eps = mpf(params.eps)
+    nu = mpf(params.nu)
+    if eps <= 0 or not 0 < r < 1:
+        raise DomainError("need eps > 0 and R in (0,1)")
+    li2 = dilog_value if dilog_value is not None else dilog(r, prec + GUARD_BITS)
+    lead = (mp.pi ** 2 / 6 - li2 - mp.log(r) * mp.log(1 - r) / 2) / eps
+    logterm = -mp.log(2 * mp.pi / eps) / 2
+    const = mp.log(r ** b / mp.sqrt(1 - r))
+    linear = -(
+        (a + r - a * r) / (2 * (1 - r)) * nu ** 2
+        - (b + r / (2 * (1 - r))) * nu
+        + (1 + r) / (24 * (1 - r))
+    ) * eps
+    return lead + logterm + const + linear
 
 
+@guarded
 def phi_nu(eps, nu, prec=256):
     """phi(nu): the exponentiated saddle approximation of a single OE summand."""
-    with workprec(prec + GUARD_BITS):
-        eps = mpf(eps)
-        nu = mpf(nu)
-        if eps <= 0:
-            raise DomainError("eps must be > 0")
-        val = mp.sqrt(eps / mp.pi) * mp.e ** (
-            mp.pi ** 2 / (20 * eps)
-            - mp.sqrt(5) / 2 * (nu * nu - nu + mpf(1) / 6) * eps
-        )
-    with workprec(prec):
-        return +val
+    eps = mpf(eps)
+    nu = mpf(nu)
+    if eps <= 0:
+        raise DomainError("eps must be > 0")
+    return mp.sqrt(eps / mp.pi) * mp.e ** (
+        mp.pi ** 2 / (20 * eps)
+        - mp.sqrt(5) / 2 * (nu * nu - nu + mpf(1) / 6) * eps
+    )
 
 
 @dataclass(frozen=True)
@@ -118,37 +111,35 @@ class NuFrame:
         return mpf(self.nu0) + 2 + self.j
 
 
+@guarded
 def nu0_for_eps(eps, prec=256):
     """Fractional part of Log(Q) / (2 Log(q)) at q = e^(-eps)."""
-    with workprec(prec + GUARD_BITS):
-        eps = mpf(eps)
-        q_big = (3 - mp.sqrt(5)) / 2
-        ratio = mp.log(q_big) / (2 * mp.log(mp.e ** (-eps)))
-        val = ratio - mp.floor(ratio)
-    with workprec(prec):
-        return +val
+    eps = mpf(eps)
+    q_big = (3 - mp.sqrt(5)) / 2
+    ratio = mp.log(q_big) / (2 * mp.log(mp.e ** (-eps)))
+    return ratio - mp.floor(ratio)
 
 
+@guarded
 def phi_class_sum(frame, eps, prec=256):
     """Direct sum of phi(nu) over nu = nu0 + j (mod 4): the oracle route.
 
     The cutoff keeps every omitted Gaussian term below the precision target.
     """
-    with workprec(prec + GUARD_BITS):
-        eps = mpf(eps)
-        if eps <= 0:
-            raise DomainError("eps must be > 0")
-        bits = (prec + GUARD_BITS + 8) * mp.ln(2)
-        # include all nu with (sqrt5/2) nu^2 eps <= bits * ln2 (plus slack)
-        cutoff = int(mp.ceil(mp.sqrt(2 * bits / (mp.sqrt(5) * eps)) / 4)) + 2
-        base = mpf(frame.nu0) + frame.j
-        total = mpf(0)
-        for n in range(-cutoff, cutoff + 1):
-            total += phi_nu(eps, base + 4 * n, prec + GUARD_BITS)
-    with workprec(prec):
-        return +total
+    eps = mpf(eps)
+    if eps <= 0:
+        raise DomainError("eps must be > 0")
+    bits = (prec + GUARD_BITS + 8) * mp.ln(2)
+    # include all nu with (sqrt5/2) nu^2 eps <= bits * ln2 (plus slack)
+    cutoff = int(mp.ceil(mp.sqrt(2 * bits / (mp.sqrt(5) * eps)) / 4)) + 2
+    base = mpf(frame.nu0) + frame.j
+    total = mpf(0)
+    for n in range(-cutoff, cutoff + 1):
+        total += phi_nu(eps, base + 4 * n, prec + GUARD_BITS)
+    return total
 
 
+@guarded
 def sj_theta_asymptotic(frame, eps, prec=256):
     """Class sum of phi via the Jacobi theta representation.
 
@@ -158,46 +149,41 @@ def sj_theta_asymptotic(frame, eps, prec=256):
     theta evaluation is discarded once checked to be below 2^(-prec/2) of
     the real part, and ArithmeticError is raised if it is not.
     """
-    with workprec(prec + GUARD_BITS):
-        eps = mpf(eps)
-        if eps <= 0:
-            raise DomainError("eps must be > 0")
-        alpha = mpf(frame.alpha)
-        z = mp.sqrt(5) * (2 * alpha - 1) * eps * 1j / mp.pi - mpf(1) / 2
-        tau = 8 * mp.sqrt(5) * eps * 1j / mp.pi
-        th = jacobi_theta(z, tau, prec + GUARD_BITS)
-        pref = mp.sqrt(eps / mp.pi) * mp.e ** (
-            mp.pi ** 2 / (20 * eps)
-            - mp.sqrt(5) / 2 * (alpha * alpha - alpha + mpf(1) / 6) * eps
-        )
-        val = pref * th
-        if abs(val.imag) > abs(val.real) * mpf(2) ** (-prec // 2):
-            raise ArithmeticError(f"theta form is not real: {val}")
-        val = val.real
-    with workprec(prec):
-        return +val
+    eps = mpf(eps)
+    if eps <= 0:
+        raise DomainError("eps must be > 0")
+    alpha = mpf(frame.alpha)
+    z = mp.sqrt(5) * (2 * alpha - 1) * eps * 1j / mp.pi - mpf(1) / 2
+    tau = 8 * mp.sqrt(5) * eps * 1j / mp.pi
+    th = jacobi_theta(z, tau, prec + GUARD_BITS)
+    pref = mp.sqrt(eps / mp.pi) * mp.e ** (
+        mp.pi ** 2 / (20 * eps)
+        - mp.sqrt(5) / 2 * (alpha * alpha - alpha + mpf(1) / 6) * eps
+    )
+    val = pref * th
+    if abs(val.imag) > abs(val.real) * mpf(2) ** (-prec // 2):
+        raise ArithmeticError(f"theta form is not real: {val}")
+    return val.real
 
 
+@guarded
 def gf_asymptotic(eps, which="full", prec=256):
     """Leading term of the generating function at q = e^(-eps).
 
     which="full":  sqrt(2/sqrt5) e^(pi^2/(20 eps))   (the full series O)
     which="even"/"odd":  (1/sqrt(2 sqrt5)) e^(pi^2/(20 eps))  (O_e and O_o)
     """
-    with workprec(prec + GUARD_BITS):
-        eps = mpf(eps)
-        if eps <= 0:
-            raise DomainError("eps must be > 0")
-        growth = mp.e ** (mp.pi ** 2 / (20 * eps))
-        if which == "full":
-            c = mp.sqrt(2 / mp.sqrt(5))
-        elif which in ("even", "odd"):
-            c = 1 / mp.sqrt(2 * mp.sqrt(5))
-        else:
-            raise ValueError("which must be 'full', 'even' or 'odd'")
-        val = c * growth
-    with workprec(prec):
-        return +val
+    eps = mpf(eps)
+    if eps <= 0:
+        raise DomainError("eps must be > 0")
+    growth = mp.e ** (mp.pi ** 2 / (20 * eps))
+    if which == "full":
+        c = mp.sqrt(2 / mp.sqrt(5))
+    elif which in ("even", "odd"):
+        c = 1 / mp.sqrt(2 * mp.sqrt(5))
+    else:
+        raise ValueError("which must be 'full', 'even' or 'odd'")
+    return c * growth
 
 
 @dataclass(frozen=True)
@@ -255,25 +241,19 @@ def halve_argument(law):
     return AsymptoticLaw(c=law.c * two ** law.p, p=law.p, k=law.k / two ** (one / 2))
 
 
+@guarded
 def oe_asymptotic(n, prec=256):
     """Leading asymptotic value e^(pi sqrt(n/5)) / (2 sqrt5 n^(3/4)) of OE(n)."""
-    with workprec(prec + GUARD_BITS):
-        if n < 1:
-            raise DomainError("n must be >= 1")
-        n = mpf(n)
-        val = mp.e ** (mp.pi * mp.sqrt(n / 5)) / (2 * mp.sqrt(5) * n ** mpf("0.75"))
-    with workprec(prec):
-        return +val
+    if n < 1:
+        raise DomainError("n must be >= 1")
+    n = mpf(n)
+    return mp.e ** (mp.pi * mp.sqrt(n / 5)) / (2 * mp.sqrt(5) * n ** mpf("0.75"))
 
 
+@guarded
 def oebar_asymptotic(n, prec=256):
     """Leading asymptotic value e^(pi sqrt(n/3)) / (3^(5/4) n^(3/4)) of OEbar(n)."""
-    with workprec(prec + GUARD_BITS):
-        if n < 1:
-            raise DomainError("n must be >= 1")
-        n = mpf(n)
-        val = mp.e ** (mp.pi * mp.sqrt(n / 3)) / (
-            mpf(3) ** mpf("1.25") * n ** mpf("0.75")
-        )
-    with workprec(prec):
-        return +val
+    if n < 1:
+        raise DomainError("n must be >= 1")
+    n = mpf(n)
+    return mp.e ** (mp.pi * mp.sqrt(n / 3)) / (mpf(3) ** mpf("1.25") * n ** mpf("0.75"))

@@ -15,17 +15,19 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from mpmath import mp, mpf, mpc, workprec
+from mpmath import mp, mpf, mpc
 from mpmath.calculus.quadrature import GaussLegendre
 
 from . import genfun
-from .series import SeriesError, evaluate_at
+from .asympt import oebar_asymptotic
+from .series import SeriesError, _horner, evaluate_at
 from .specfun import (
     GUARD_BITS,
     DomainError,
     QuadratureError,
     bessel_i,
     euler_eval,
+    guarded,
 )
 
 # Gauss-Legendre rule with 3 * 2^(QUAD_DEGREE - 1) = 12 nodes per panel;
@@ -69,15 +71,14 @@ class MinorArcBound:
     clears_threshold: bool
 
 
+@guarded
 def m_threshold(prec=256):
     """The critical M = sqrt((12/(12-pi^2))^2 - 1) = 5.543... above which the
     minor-arc bound is genuinely smaller than the major-arc main term."""
-    with workprec(prec + GUARD_BITS):
-        val = mp.sqrt((12 / (12 - mp.pi ** 2)) ** 2 - 1)
-    with workprec(prec):
-        return +val
+    return mp.sqrt((12 / (12 - mp.pi ** 2)) ** 2 - 1)
 
 
+@guarded
 def exponent_saving(big_m, prec=256):
     """delta(M) = (1/pi)(1 - 1/sqrt(1+M^2)) - pi/12.
 
@@ -85,11 +86,8 @@ def exponent_saving(big_m, prec=256):
     exactly when M is above the 5.543... threshold, and delta -> 1/pi - pi/12
     as M -> infinity.
     """
-    with workprec(prec + GUARD_BITS):
-        m2 = mpf(big_m) ** 2
-        val = (1 / mp.pi) * (1 - 1 / mp.sqrt(1 + m2)) - mp.pi / 12
-    with workprec(prec):
-        return +val
+    m2 = mpf(big_m) ** 2
+    return (1 / mp.pi) * (1 - 1 / mp.sqrt(1 + m2)) - mp.pi / 12
 
 
 def _bilateral_core(q, prec):
@@ -115,6 +113,7 @@ def _oebar_eval_tau(tau, prec):
     return 2 * (p2 / (p1 * p1)) * core  # 2 (-q)_inf/(q)_inf = 2 (q^2;q^2)_inf/(q)_inf^2
 
 
+@guarded
 def oebar_eval(q_point=None, prec=256, method="product", tau=None):
     """Evaluate Obar(q) for |q| < 1.
 
@@ -125,71 +124,46 @@ def oebar_eval(q_point=None, prec=256, method="product", tau=None):
     growth rate OEbar(k) <= e^(pi sqrt(k/3)) folded into a rigorous tail
     bound; used as the independent cross-check at moderate |q|.
     """
-    with workprec(prec + GUARD_BITS):
-        if tau is None:
-            q = mpc(q_point)
-            if abs(q) >= 1:
-                raise DomainError("need |q| < 1")
-            if q == 0:
-                return mpc(1)
-            tau = mp.log(q) / (2j * mp.pi)
-        else:
-            tau = mpc(tau)
-            if tau.imag <= 0:
-                raise DomainError("tau must lie in the upper half plane")
-            q = mp.e ** (2j * mp.pi * tau)
-        if method == "series":
-            growth_c = float(mp.pi / mp.sqrt(3))  # OEbar(k) <= e^(C sqrt k) dominant growth
-            # the tail bound converges only from the order N on where
-            # e^(C/(2 sqrt N)) |q| < 1: start at the first power of two (the
-            # orders the series cache sees) past it, double until below target
-            least = int((growth_c / (2 * mp.log(1 / abs(q)))) ** 2) + 1
-            order = max(64, 1 << (least - 1).bit_length())
-            while True:
-                if order > SERIES_ORDER_BUDGET:
-                    raise QuadratureError(
-                        f"series order {order} needed at |q| = {mp.nstr(abs(q), 8)} "
-                        f"is over the budget of {SERIES_ORDER_BUDGET}"
-                    )
-                series = genfun.oebar_series_hypergeometric(order)
-                try:
-                    res = evaluate_at(series, q, prec + GUARD_BITS, growth_c=growth_c)
-                except SeriesError:
-                    order *= 2
-                    continue
-                if res.tail_bound <= max(abs(res.value), mpf(1)) * mpf(2) ** (-prec):
-                    val = res.value
-                    break
-                order *= 2
-        elif method == "product":
-            val = _oebar_eval_tau(tau, prec + GUARD_BITS)
-        else:
-            raise ValueError("method must be 'product' or 'series'")
-    with workprec(prec):
-        return +val
-
-
-def f_near_one(tau, prec=256):
-    """Taylor anchor of the mock theta factor near q = 1.
-
-    Returns (4/3, |f(q) - 4/3|): the limiting value f(1) = sum 4^-n and the
-    measured deviation at q = e^(2 pi i tau).
-    """
-    with workprec(prec + GUARD_BITS):
+    if tau is None:
+        q = mpc(q_point)
+        if abs(q) >= 1:
+            raise DomainError("need |q| < 1")
+        if q == 0:
+            return mpc(1)
+        tau = mp.log(q) / (2j * mp.pi)
+    else:
         tau = mpc(tau)
         if tau.imag <= 0:
             raise DomainError("tau must lie in the upper half plane")
         q = mp.e ** (2j * mp.pi * tau)
-        anchor = mpf(4) / 3
-        # Watson: f(q) = (2/(q;q)_inf) sum_{n in Z} (-1)^n q^(n(3n+1)/2)/(1+q^n)
-        fval = 2 * _bilateral_core(q, prec + GUARD_BITS) / euler_eval(
-            tau, prec + GUARD_BITS
-        )
-        deviation = abs(fval - anchor)
-    with workprec(prec):
-        return +anchor, +deviation
+    if method == "series":
+        growth_c = float(mp.pi / mp.sqrt(3))  # OEbar(k) <= e^(C sqrt k) dominant growth
+        # the tail bound converges only from the order N on where
+        # e^(C/(2 sqrt N)) |q| < 1: start at the first power of two (the
+        # orders the series cache sees) past it, double until below target
+        least = int((growth_c / (2 * mp.log(1 / abs(q)))) ** 2) + 1
+        order = max(64, 1 << (least - 1).bit_length())
+        while True:
+            if order > SERIES_ORDER_BUDGET:
+                raise QuadratureError(
+                    f"series order {order} needed at |q| = {mp.nstr(abs(q), 8)} "
+                    f"is over the budget of {SERIES_ORDER_BUDGET}"
+                )
+            series = genfun.oebar_series_hypergeometric(order)
+            try:
+                res = evaluate_at(series, q, prec + GUARD_BITS, growth_c=growth_c)
+            except SeriesError:
+                order *= 2
+                continue
+            if res.tail_bound <= max(abs(res.value), mpf(1)) * mpf(2) ** (-prec):
+                return res.value
+            order *= 2
+    if method == "product":
+        return _oebar_eval_tau(tau, prec + GUARD_BITS)
+    raise ValueError("method must be 'product' or 'series'")
 
 
+@guarded
 def cauchy_full_integral(n, samples=None, prec=256, order=None):
     """Recover OEbar(n) from the Cauchy integral by DFT on the circle.
 
@@ -212,26 +186,21 @@ def cauchy_full_integral(n, samples=None, prec=256, order=None):
             samples *= 2
     if samples <= order:
         raise DomainError("need samples > series order for exact discrete recovery")
-    with workprec(prec + GUARD_BITS):
-        # only the radius is needed here, not the arc cut
-        y = 1 / (4 * mp.sqrt(3 * n))
-        r = mp.e ** (-2 * mp.pi * y)
-        total = mpc(0)
-        for k in range(samples):
-            z = r * mp.e ** (2j * mp.pi * k / samples)
-            acc = mpc(0)
-            for c in reversed(series.coeffs):
-                acc = acc * z + c
-            total += acc * mp.e ** (-2j * mp.pi * n * k / samples)
-        total = total / samples / r ** n
-        nearest = int(mp.nint(total.real))
-        residual = abs(total - nearest)
-        if residual > 0.25:
-            raise QuadratureError(
-                f"rounding residual {residual} too large: raise prec or order"
-            )
-    with workprec(prec):
-        return nearest, +residual
+    # only the radius is needed here, not the arc cut
+    y = 1 / (4 * mp.sqrt(3 * n))
+    r = mp.e ** (-2 * mp.pi * y)
+    total = mpc(0)
+    for k in range(samples):
+        z = r * mp.e ** (2j * mp.pi * k / samples)
+        total += _horner(series.coeffs, z) * mp.e ** (-2j * mp.pi * n * k / samples)
+    total = total / samples / r ** n
+    nearest = int(mp.nint(total.real))
+    residual = abs(total - nearest)
+    if residual > 0.25:
+        raise QuadratureError(
+            f"rounding residual {residual} too large: raise prec or order"
+        )
+    return nearest, residual
 
 
 def adaptive_quad(f, a, b, rel_target, prec):
@@ -294,6 +263,7 @@ def _cauchy_integrand(n, y, prec):
     return integrand
 
 
+@guarded
 def major_arc_integral(geom, prec=128, rel_target=None):
     """I_1: the major-arc piece of the Cauchy integral, by adaptive quadrature.
 
@@ -302,46 +272,41 @@ def major_arc_integral(geom, prec=128, rel_target=None):
     """
     if rel_target is None:
         rel_target = mpf(10) ** -8
-    with workprec(prec + GUARD_BITS):
-        f = _cauchy_integrand(geom.n, geom.y, prec + GUARD_BITS)
-        half, _ = adaptive_quad(f, mpf(0), geom.major_halfwidth, rel_target / 2,
-                                prec + GUARD_BITS)
-    with workprec(prec):
-        return 2 * half
+    f = _cauchy_integrand(geom.n, geom.y, prec + GUARD_BITS)
+    half, _ = adaptive_quad(f, mpf(0), geom.major_halfwidth, rel_target / 2,
+                            prec + GUARD_BITS)
+    return 2 * half
 
 
+@guarded
 def minor_arc_integral(geom, prec=96, rel_target=None):
     """I_2: the minor-arc remainder, the same integral over M y <= |x| <= 1/2,
     as twice the integral of the real part over [M y, 1/2]."""
     if rel_target is None:
         rel_target = mpf(10) ** -6
-    with workprec(prec + GUARD_BITS):
-        f = _cauchy_integrand(geom.n, geom.y, prec + GUARD_BITS)
-        half, _ = adaptive_quad(f, geom.major_halfwidth, mpf("0.5"), rel_target / 2,
-                                prec + GUARD_BITS)
-    with workprec(prec):
-        return 2 * half
+    f = _cauchy_integrand(geom.n, geom.y, prec + GUARD_BITS)
+    half, _ = adaptive_quad(f, geom.major_halfwidth, mpf("0.5"), rel_target / 2,
+                            prec + GUARD_BITS)
+    return 2 * half
 
 
+@guarded
 def main_term(n, prec=256):
     """Main term of I_1: returns (exponential form, Bessel form).
 
     exponential: e^(pi sqrt(n/3)) / (3^(5/4) n^(3/4))
     Bessel:      (pi sqrt2 / (3 sqrt(3n))) I_(-1)(pi sqrt n / sqrt 3)
     """
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    with workprec(prec + GUARD_BITS):
-        nn = mpf(n)
-        expo = mp.e ** (mp.pi * mp.sqrt(nn / 3)) / (mpf(3) ** mpf("1.25") * nn ** mpf("0.75"))
-        bess = (
-            mp.pi * mp.sqrt(2) / (3 * mp.sqrt(3 * nn))
-            * bessel_i(-1, mp.pi * mp.sqrt(nn) / mp.sqrt(3), prec + GUARD_BITS)
-        )
-    with workprec(prec):
-        return +expo, +bess
+    expo = oebar_asymptotic(n, prec)  # raises for n < 1
+    nn = mpf(n)
+    bess = (
+        mp.pi * mp.sqrt(2) / (3 * mp.sqrt(3 * nn))
+        * bessel_i(-1, mp.pi * mp.sqrt(nn) / mp.sqrt(3), prec + GUARD_BITS)
+    )
+    return expo, bess
 
 
+@guarded
 def minor_arc_bound(geom, prec=256):
     """Proven sup bound on the minor arc and the exponent saving relative to
     the major-arc growth e^(pi/(24 y)).
@@ -351,32 +316,27 @@ def minor_arc_bound(geom, prec=256):
     positive exactly when M clears the 5.543... threshold (then the bound is
     (1/(y sqrt2)) e^((pi/24 - saving)/y), genuinely below the main term).
     """
-    with workprec(prec + GUARD_BITS):
-        y = geom.y
-        m2 = mpf(geom.big_m) ** 2
-        cut = (1 / mp.pi) * (1 - 1 / mp.sqrt(1 + m2))
-        bound = 1 / (y * mp.sqrt(2)) * mp.e ** ((mp.pi / 8 - cut) / y)
-        saving = exponent_saving(geom.big_m, prec + GUARD_BITS)
-        clears = mpf(geom.big_m) > m_threshold(prec + GUARD_BITS)
-    with workprec(prec):
-        return MinorArcBound(
-            bound_value=+bound, exponent_saving=+saving, clears_threshold=clears
-        )
+    y = geom.y
+    m2 = mpf(geom.big_m) ** 2
+    cut = (1 / mp.pi) * (1 - 1 / mp.sqrt(1 + m2))
+    bound = 1 / (y * mp.sqrt(2)) * mp.e ** ((mp.pi / 8 - cut) / y)
+    saving = exponent_saving(geom.big_m, prec + GUARD_BITS)
+    clears = mpf(geom.big_m) > m_threshold(prec + GUARD_BITS)
+    return MinorArcBound(bound_value=bound, exponent_saving=saving, clears_threshold=clears)
 
 
+@guarded
 def minor_arc_empirical_max(geom, grid=200, prec=96):
     """Max of |Obar| sampled on the minor arc M y < x <= 1/2 (symmetric in x)."""
     if grid < 2:
         raise DomainError("grid must be >= 2")
-    with workprec(prec + GUARD_BITS):
-        y = geom.y
-        w = geom.major_halfwidth
-        best = mpf(0)
-        for k in range(grid):
-            x = w + (mpf("0.5") - w) * (k + 1) / grid
-            best = max(best, abs(_oebar_eval_tau(x + 1j * y, prec + GUARD_BITS)))
-    with workprec(prec):
-        return +best
+    y = geom.y
+    w = geom.major_halfwidth
+    best = mpf(0)
+    for k in range(grid):
+        x = w + (mpf("0.5") - w) * (k + 1) / grid
+        best = max(best, abs(_oebar_eval_tau(x + 1j * y, prec + GUARD_BITS)))
+    return best
 
 
 def circle_report(n, big_m=6, prec=128, grid=100):

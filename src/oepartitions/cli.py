@@ -27,7 +27,7 @@ import sys
 from mpmath import mp, mpf, workprec
 
 from . import asympt, circle, enumeration, genfun
-from .series import evaluate_at
+from .series import SeriesError, evaluate_at
 
 ENUM_COST_GUARD = 50
 
@@ -53,15 +53,15 @@ def _emit(args, rows, header):
         w.writerow(header)
         w.writerows(rows)
         text = buf.getvalue()
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args, text)
 
 
 def _emit_json(args, obj):
-    text = json.dumps(obj, indent=2) + "\n"
+    _write(args, json.dumps(obj, indent=2) + "\n")
+
+
+def _write(args, text):
+    """Write text to the --output file, or to stdout without one."""
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
@@ -133,7 +133,7 @@ def cmd_gf_eval(args):
     with workprec(args.prec):
         growth_c = float(mp.pi / mp.sqrt(5))
         for eps in eps_grid:
-            order = args.order or int(300 / float(eps))
+            order = args.order if args.order is not None else int(300 / float(eps))
             full = genfun.oe_series(order)
             even, odd = genfun.parity_split(order)
             point = mp.e ** (-eps)
@@ -142,7 +142,10 @@ def cmd_gf_eval(args):
                 ("even", even, "even"),
                 ("odd", odd, "odd"),
             ):
-                res = evaluate_at(series, point, args.prec, growth_c=growth_c)
+                try:
+                    res = evaluate_at(series, point, args.prec, growth_c=growth_c)
+                except SeriesError as exc:
+                    raise SystemExit(f"gf-eval at eps {float(eps)}, order {order}: {exc}") from None
                 lead = asympt.gf_asymptotic(eps, which, args.prec)
                 rows.append(
                     (

@@ -32,7 +32,7 @@ from operator import add
 
 from .series import (
     PowerSeries,
-    SeriesError,
+    _check_order,
     _div_one_minus_qk,
     _div_one_plus_qk,
     _div_sparse,
@@ -41,11 +41,6 @@ from .series import (
 
 
 _BLOCK = 512
-
-
-def _check_order(order):
-    if order < 0:
-        raise SeriesError(f"series order must be >= 0, got {order}")
 
 
 def _sum_summands(order, lowest, update, classes=1):

@@ -12,13 +12,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import add, sub
 
-from mpmath import mp, mpf, mpc, workprec
+from mpmath import mp, mpf, mpc
 
-from .specfun import GUARD_BITS
+from .specfun import guarded
 
 
 class SeriesError(ValueError):
     pass
+
+
+def _check_order(order):
+    if order < 0:
+        raise SeriesError(f"series order must be >= 0, got {order}")
 
 
 class PowerSeries:
@@ -126,6 +131,7 @@ def qpochhammer(start_exp, step, m, order):
         raise SeriesError("start_exp must be >= 1 (factor exponents must be positive)")
     if step < 1:
         raise SeriesError("step must be >= 1")
+    _check_order(order)
     c = [0] * (order + 1)
     c[0] = 1
     j = 0
@@ -145,6 +151,7 @@ def neg_pochhammer(start_exp, m, order):
     """
     if start_exp < 0:
         raise SeriesError("start_exp must be >= 0")
+    _check_order(order)
     c = [0] * (order + 1)
     c[0] = 1
     j = 0
@@ -157,6 +164,7 @@ def neg_pochhammer(start_exp, m, order):
     return PowerSeries(c)
 
 
+@guarded
 def evaluate_at(series, point, prec, growth_c=None):
     """Exact partial sum of the series at |point| < 1, with a tail bound.
 
@@ -165,35 +173,38 @@ def evaluate_at(series, point, prec, growth_c=None):
     declares |c_k| <= e^(C sqrt(k)) for k > order, and the tail
     |sum_{k>N} c_k point^k| is bounded using sqrt(k) <= sqrt(N) + (k-N)/(2 sqrt(N)).
     """
-    with workprec(prec + GUARD_BITS):
-        z = mpc(point)
-        t = abs(z)
-        if t >= 1:
-            raise SeriesError("evaluation point must satisfy |q| < 1")
-        # Horner, highest coefficient first
-        acc = mpc(0)
-        for c in reversed(series.coeffs):
-            acc = acc * z + c
-        n = series.order
-        if growth_c is None:
-            tail = mpf(0)
+    z = mpc(point)
+    t = abs(z)
+    if t >= 1:
+        raise SeriesError("evaluation point must satisfy |q| < 1")
+    acc = _horner(series.coeffs, z)
+    n = series.order
+    if growth_c is None:
+        tail = mpf(0)
+    else:
+        c_growth = mpf(growth_c)
+        if c_growth < 0:
+            raise SeriesError("growth constant must be >= 0")
+        if n == 0:
+            rho = mp.e ** c_growth  # sqrt(k) <= k for k >= 1
+            peak = mpf(1)
         else:
-            c_growth = mpf(growth_c)
-            if c_growth < 0:
-                raise SeriesError("growth constant must be >= 0")
-            if n == 0:
-                rho = mp.e ** c_growth  # sqrt(k) <= k for k >= 1
-                peak = mpf(1)
-            else:
-                rho = mp.e ** (c_growth / (2 * mp.sqrt(n)))
-                peak = mp.e ** (c_growth * mp.sqrt(n))
-            if rho * t >= 1:
-                raise SeriesError(
-                    "tail bound diverges: increase the order or lower the growth constant"
-                )
-            tail = peak * (rho * t) * (t ** n) / (1 - rho * t)
-    with workprec(prec):
-        return EvalResult(value=+acc, tail_bound=+tail)
+            rho = mp.e ** (c_growth / (2 * mp.sqrt(n)))
+            peak = mp.e ** (c_growth * mp.sqrt(n))
+        if rho * t >= 1:
+            raise SeriesError(
+                "tail bound diverges: increase the order or lower the growth constant"
+            )
+        tail = peak * (rho * t) * (t ** n) / (1 - rho * t)
+    return EvalResult(value=acc, tail_bound=tail)
+
+
+def _horner(coeffs, z):
+    """sum coeffs[k] z^k by Horner's rule, highest coefficient first."""
+    acc = mpc(0)
+    for c in reversed(coeffs):
+        acc = acc * z + c
+    return acc
 
 
 # ---------------------------------------------------------------------------

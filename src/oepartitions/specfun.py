@@ -2,7 +2,8 @@
 
 All routines take an explicit working precision in bits and compute
 internally with GUARD_BITS extra bits; no ambient global precision is
-relied on.  Conventions:
+relied on.  The one decorator `guarded` does this, here and in the
+asympt, circle and series evaluators.  Conventions:
 
   dilog(x)            Li_2(x) = sum x^n / n^2 on [0, 1)
   jacobi_theta(z,tau) theta(z;tau) = sum_{n in 1/2+Z} e^(pi i n^2 tau + 2 pi i n (z+1/2))
@@ -17,10 +18,46 @@ odd-even asymptotics; theta(0;tau) = 0 identically for it.
 
 from __future__ import annotations
 
-import mpmath
+import dataclasses
+import functools
+import inspect
+
 from mpmath import mp, mpf, mpc, workprec
 
 GUARD_BITS = 32
+
+
+def _rounded(value):
+    return +value if isinstance(value, (mpf, mpc)) else value
+
+
+def guarded(func):
+    """Run func at prec + GUARD_BITS bits and round its result to prec bits.
+
+    An mpf or mpc result is rounded, and so is each mpf or mpc member of a
+    tuple or dataclass result; any other value passes through unchanged.
+    The position of `prec` is looked up once, here, so callers may pass it
+    positionally or by keyword.
+    """
+    params = list(inspect.signature(func).parameters.values())
+    index = [p.name for p in params].index("prec")
+    default = params[index].default
+
+    @functools.wraps(func)
+    def wrapper(*args, **kwargs):
+        prec = args[index] if len(args) > index else kwargs.get("prec", default)
+        with workprec(prec + GUARD_BITS):
+            value = func(*args, **kwargs)
+        with workprec(prec):
+            if isinstance(value, tuple):
+                return tuple(map(_rounded, value))
+            if dataclasses.is_dataclass(value):
+                return dataclasses.replace(value, **{
+                    f.name: _rounded(getattr(value, f.name)) for f in dataclasses.fields(value)
+                })
+            return _rounded(value)
+
+    return wrapper
 
 
 class DomainError(ValueError):
@@ -31,53 +68,53 @@ class QuadratureError(ArithmeticError):
     pass
 
 
+@guarded
 def dilog(x, prec=256):
     """Li_2(x) by the defining series; domain [0, 1)."""
-    with workprec(prec + GUARD_BITS):
-        x = mpf(x)
-        if not 0 <= x < 1:
-            raise DomainError("dilog is implemented on [0, 1) only")
-        if x == 0:
-            return mpf(0)
-        eps = mpf(2) ** (-(prec + GUARD_BITS))
-        total = mpf(0)
-        p = mpf(1)
-        n = 0
-        while True:
-            n += 1
-            p *= x
-            term = p / (n * n)
-            total += term
-            if term < eps:
-                break
-    with workprec(prec):
-        return +total
+    x = mpf(x)
+    if not 0 <= x < 1:
+        raise DomainError("dilog is implemented on [0, 1) only")
+    if x == 0:
+        return mpf(0)
+    eps = mpf(2) ** (-(prec + GUARD_BITS))
+    total = mpf(0)
+    p = mpf(1)
+    n = 0
+    while True:
+        n += 1
+        p *= x
+        term = p / (n * n)
+        total += term
+        if term < eps:
+            break
+    return total
 
+
+@guarded
 def jacobi_theta(z, tau, prec=256):
     """theta(z;tau) summed over half-integers, Gaussian tail below 2^-(prec+guard)."""
-    with workprec(prec + GUARD_BITS):
-        z = mpc(z)
-        tau = mpc(tau)
-        y = tau.imag
-        if y <= 0:
-            raise DomainError("tau must lie in the upper half plane")
-        # |term(n)| = e^(-pi n^2 y - 2 pi n Im(z)); choose the cutoff so that
-        # pi y n^2 - 2 pi |Im z| n exceeds the target bit budget.
-        bits = (prec + GUARD_BITS + 8) * mp.ln(2)
-        b = abs(z.imag)
-        n_max = (2 * mp.pi * b + mp.sqrt((2 * mp.pi * b) ** 2 + 4 * mp.pi * y * bits)) / (
-            2 * mp.pi * y
-        )
-        n_hi = int(mp.ceil(n_max)) + 1
-        total = mpc(0)
-        n = mpf("0.5") - n_hi
-        for _ in range(2 * n_hi):
-            total += mp.e ** (mp.pi * 1j * n * n * tau + 2 * mp.pi * 1j * n * (z + mpf("0.5")))
-            n += 1
-    with workprec(prec):
-        return +total
+    z = mpc(z)
+    tau = mpc(tau)
+    y = tau.imag
+    if y <= 0:
+        raise DomainError("tau must lie in the upper half plane")
+    # |term(n)| = e^(-pi n^2 y - 2 pi n Im(z)); choose the cutoff so that
+    # pi y n^2 - 2 pi |Im z| n exceeds the target bit budget.
+    bits = (prec + GUARD_BITS + 8) * mp.ln(2)
+    b = abs(z.imag)
+    n_max = (2 * mp.pi * b + mp.sqrt((2 * mp.pi * b) ** 2 + 4 * mp.pi * y * bits)) / (
+        2 * mp.pi * y
+    )
+    n_hi = int(mp.ceil(n_max)) + 1
+    total = mpc(0)
+    n = mpf("0.5") - n_hi
+    for _ in range(2 * n_hi):
+        total += mp.e ** (mp.pi * 1j * n * n * tau + 2 * mp.pi * 1j * n * (z + mpf("0.5")))
+        n += 1
+    return total
 
 
+@guarded
 def bessel_i(order, x, prec=256):
     """Modified Bessel I_order(x) for integer order and x >= 0.
 
@@ -85,27 +122,26 @@ def bessel_i(order, x, prec=256):
     positive and there is no cancellation.
     """
     order = abs(int(order))
-    with workprec(prec + GUARD_BITS):
-        x = mpf(x)
-        if x < 0:
-            raise DomainError("x must be >= 0")
-        if x == 0:
-            return mpf(1) if order == 0 else mpf(0)
-        half = x / 2
-        term = half ** order / mp.factorial(order)
-        total = term
-        k = 0
-        h2 = half * half
-        while True:
-            k += 1
-            term *= h2 / (k * (k + order))
-            total += term
-            if term < total * mpf(2) ** (-(prec + GUARD_BITS)):
-                break
-    with workprec(prec):
-        return +total
+    x = mpf(x)
+    if x < 0:
+        raise DomainError("x must be >= 0")
+    if x == 0:
+        return mpf(1) if order == 0 else mpf(0)
+    half = x / 2
+    term = half ** order / mp.factorial(order)
+    total = term
+    k = 0
+    h2 = half * half
+    while True:
+        k += 1
+        term *= h2 / (k * (k + order))
+        total += term
+        if term < total * mpf(2) ** (-(prec + GUARD_BITS)):
+            break
+    return total
 
 
+@guarded
 def wright_p(s, u, big_m, prec=256, max_degree=10):
     """Wright's contour function P_s(u) on the segment 1-Mi .. 1+Mi.
 
@@ -114,61 +150,48 @@ def wright_p(s, u, big_m, prec=256, max_degree=10):
     evaluated by adaptive Gauss-Legendre quadrature.  Raises QuadratureError
     if the estimated error does not reach 2^(-prec/2) relative.
     """
-    with workprec(prec + GUARD_BITS):
-        u = mpf(u)
-        big_m = mpf(big_m)
-        if u <= 0 or big_m <= 0:
-            raise DomainError("wright_p needs u > 0 and M > 0")
-        s = int(s)
+    u = mpf(u)
+    big_m = mpf(big_m)
+    if u <= 0 or big_m <= 0:
+        raise DomainError("wright_p needs u > 0 and M > 0")
+    s = int(s)
 
-        def integrand(t):
-            v = 1 + 1j * t
-            return v ** s * mp.e ** (u * (v + 1 / v))
+    def integrand(t):
+        v = 1 + 1j * t
+        return v ** s * mp.e ** (u * (v + 1 / v))
 
-        val, err = mp.quad(
-            integrand, [-big_m, 0, big_m], error=True, maxdegree=max_degree
+    val, err = mp.quad(
+        integrand, [-big_m, 0, big_m], error=True, maxdegree=max_degree
+    )
+    val = val / (2 * mp.pi)
+    err = mpf(err) / (2 * mp.pi)
+    if abs(val) > 0 and err > abs(val) * mpf(2) ** (-(prec // 2)):
+        raise QuadratureError(
+            f"wright_p quadrature error {err} above target for prec={prec}"
         )
-        val = val / (2 * mp.pi)
-        err = mpf(err) / (2 * mp.pi)
-        if abs(val) > 0 and err > abs(val) * mpf(2) ** (-(prec // 2)):
-            raise QuadratureError(
-                f"wright_p quadrature error {err} above target for prec={prec}"
-            )
-    with workprec(prec):
-        return +val
+    return val
 
 
+@guarded
 def eta_pochhammer_eval(q_point, prec=256):
     """(q;q)_inf = prod (1 - q^k), truncated once factors are within 2^-(prec+guard) of 1."""
-    with workprec(prec + GUARD_BITS):
-        q = mpc(q_point)
-        if abs(q) >= 1:
-            raise DomainError("need |q| < 1")
-        if q == 0:
-            return mpc(1)
-        eps = mpf(2) ** (-(prec + GUARD_BITS))
-        total = mpc(1)
-        qk = mpc(1)
-        while True:
-            qk *= q
-            if abs(qk) < eps:
-                break
-            total *= 1 - qk
-    with workprec(prec):
-        return +total
+    q = mpc(q_point)
+    if abs(q) >= 1:
+        raise DomainError("need |q| < 1")
+    if q == 0:
+        return mpc(1)
+    eps = mpf(2) ** (-(prec + GUARD_BITS))
+    total = mpc(1)
+    qk = mpc(1)
+    while True:
+        qk *= q
+        if abs(qk) < eps:
+            break
+        total *= 1 - qk
+    return total
 
 
-def neg_pochhammer_eval(q_point, prec=256):
-    """(-q;q)_inf evaluated as (q^2;q^2)_inf / (q;q)_inf."""
-    with workprec(prec + GUARD_BITS):
-        q = mpc(q_point)
-        val = eta_pochhammer_eval(q * q, prec + GUARD_BITS) / eta_pochhammer_eval(
-            q, prec + GUARD_BITS
-        )
-    with workprec(prec):
-        return +val
-
-
+@guarded
 def euler_eval(tau, prec=256):
     """(q;q)_inf at q = e^(2 pi i tau), after full modular reduction of tau.
 
@@ -182,48 +205,41 @@ def euler_eval(tau, prec=256):
     Every step is an exact identity; the only truncation is that of the
     short product, below the precision target.
     """
-    with workprec(prec + GUARD_BITS):
-        tau = mpc(tau)
-        if tau.imag <= 0:
-            raise DomainError("tau must lie in the upper half plane")
-        start = tau
-        turns = 0  # sum of the translations k
-        scale = mpc(1)  # product of the 1/sqrt(-i tau) multipliers
-        # after a translation |tau|^2 <= 1/4 + Im(tau)^2, so every inversion
-        # below Im tau = 1/2 at least doubles Im tau; from there two more
-        # inversions at most end the reduction, well inside this budget
-        for _ in range(8 + max(0, int(-mp.log(tau.imag, 2)))):
-            k = int(mp.nint(tau.real))
-            tau -= k
-            turns += k
-            if abs(tau) >= 1:
-                break
-            scale /= mp.sqrt(-1j * tau)
-            tau = -1 / tau
-        else:
-            raise ArithmeticError(f"modular reduction of tau = {start} did not end")
-        qp = mp.expjpi(2 * tau)
-        val = (
-            mp.expjpi((turns % 24 + tau - start) / 12)
-            * scale
-            * eta_pochhammer_eval(qp, prec + GUARD_BITS)
-        )
-    with workprec(prec):
-        return +val
+    tau = mpc(tau)
+    if tau.imag <= 0:
+        raise DomainError("tau must lie in the upper half plane")
+    start = tau
+    turns = 0  # sum of the translations k
+    scale = mpc(1)  # product of the 1/sqrt(-i tau) multipliers
+    # after a translation |tau|^2 <= 1/4 + Im(tau)^2, so every inversion
+    # below Im tau = 1/2 at least doubles Im tau; from there two more
+    # inversions at most end the reduction, well inside this budget
+    for _ in range(8 + max(0, int(-mp.log(tau.imag, 2)))):
+        k = int(mp.nint(tau.real))
+        tau -= k
+        turns += k
+        if abs(tau) >= 1:
+            break
+        scale /= mp.sqrt(-1j * tau)
+        tau = -1 / tau
+    else:
+        raise ArithmeticError(f"modular reduction of tau = {start} did not end")
+    qp = mp.expjpi(2 * tau)
+    return (
+        mp.expjpi((turns % 24 + tau - start) / 12)
+        * scale
+        * eta_pochhammer_eval(qp, prec + GUARD_BITS)
+    )
 
 
+@guarded
 def eta_inversion_principal(tau, prec=256):
     """Principal term of the (q;q)_inf inversion: e^(-pi i tau/12 - pi i/(12 tau)) / sqrt(-i tau).
 
     Principal branch of the square root; valid for tau in the upper half
     plane, where Re(-i tau) > 0.
     """
-    with workprec(prec + GUARD_BITS):
-        tau = mpc(tau)
-        if tau.imag <= 0:
-            raise DomainError("tau must lie in the upper half plane")
-        val = mp.e ** (-mp.pi * 1j * tau / 12 - mp.pi * 1j / (12 * tau)) / mp.sqrt(
-            -1j * tau
-        )
-    with workprec(prec):
-        return +val
+    tau = mpc(tau)
+    if tau.imag <= 0:
+        raise DomainError("tau must lie in the upper half plane")
+    return mp.e ** (-mp.pi * 1j * tau / 12 - mp.pi * 1j / (12 * tau)) / mp.sqrt(-1j * tau)

@@ -13,7 +13,6 @@ from oepartitions.circle import (
     m_threshold,
     exponent_saving,
     oebar_eval,
-    f_near_one,
     cauchy_full_integral,
     major_arc_integral,
     minor_arc_integral,
@@ -117,15 +116,6 @@ class TestEvaluation:
         with time_limit(1.0):
             with pytest.raises(QuadratureError):
                 oebar_eval(q_point=mpf("0.9999"), prec=96, method="series")
-
-    def test_mock_theta_anchor(self):
-        # f(q) -> 4/3 along the imaginary axis; deviation shrinks with y
-        devs = []
-        for y in ("0.02", "0.01", "0.005"):
-            anchor, dev = f_near_one(mpc(0, mpf(y)), 128)
-            assert abs(anchor - mpf(4) / 3) < mpf("1e-15")
-            devs.append(dev)
-        assert devs[0] > devs[1] > devs[2]
 
     def test_dominant_pole_growth(self):
         # near q = 1 the value is (2 sqrt2/3) e^(pi/(24 y)) up to an error

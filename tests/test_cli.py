@@ -159,6 +159,8 @@ class TestUsageErrors:
         ["gf-eval", "--eps", "0", "--force"],
         ["gf-eval", "--eps", "-0.1", "--force"],
         ["verify", "--order", "-1"],
+        ["gf-eval", "--eps", "0.05", "--order", "0"],
+        ["gf-eval", "--eps", "0.05", "--order", "5"],
     ])
     def test_bad_input_exits_with_one_line(self, argv):
         # SystemExit with a message: exit status 1 and that line on stderr

@@ -113,6 +113,15 @@ class TestPentagonal:
         assert _pentagonal(order, s) == qpochhammer(s, s, None, order)
 
 
+# named functions, not lambdas, so that each case gets its own test id
+def _qpochhammer_to(order):
+    return qpochhammer(1, 1, None, order)
+
+
+def _neg_pochhammer_to(order):
+    return neg_pochhammer(1, None, order)
+
+
 @pytest.mark.parametrize("builder", [
     oe_series,
     lambda order: sj_series(0, order),
@@ -123,6 +132,8 @@ class TestPentagonal:
     watson_core,
     euler_phi_series,
     classical_identity_suite,
+    _qpochhammer_to,
+    _neg_pochhammer_to,
 ])
 def test_negative_order_is_refused(builder):
     with pytest.raises(SeriesError):

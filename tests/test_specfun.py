@@ -1,14 +1,17 @@
+from dataclasses import dataclass
+
 import pytest
 from mpmath import mp, mpf, mpc, workprec, exp, log, sqrt, pi, quad, besseli
 
 from oepartitions.specfun import (
+    GUARD_BITS,
     DomainError,
     dilog,
+    guarded,
     jacobi_theta,
     bessel_i,
     wright_p,
     eta_pochhammer_eval,
-    neg_pochhammer_eval,
     euler_eval,
     eta_inversion_principal,
 )
@@ -178,16 +181,6 @@ class TestEtaProducts:
         via_series = evaluate_at(series, q, prec).value
         assert abs(direct - via_series) < mpf("1e-40")
 
-    def test_neg_pochhammer_identity(self):
-        # (-q;q)_inf (q;q)_inf = (q^2;q^2)_inf
-        prec = 192
-        q = mpf("0.3125")  # exactly representable, so q*q is too
-        with workprec(prec + 32):
-            lhs = neg_pochhammer_eval(q, prec) * eta_pochhammer_eval(q, prec)
-            rhs = eta_pochhammer_eval(q * q, prec)
-            err = abs(lhs - rhs)
-        assert err < tol(prec, 24) * (1 + abs(rhs))
-
     @pytest.mark.parametrize("y", ["0.05", "0.02"])
     def test_eta_inversion(self, y):
         # (q;q)_inf = e^(-pi i tau/12 - pi i/(12 tau)) (q';q')_inf / sqrt(-i tau)
@@ -225,3 +218,63 @@ class TestEtaProducts:
     def test_q_outside_disc_rejected(self):
         with pytest.raises(DomainError):
             eta_pochhammer_eval(mpf("1.1"), 128)
+
+
+@dataclass(frozen=True)
+class _Record:
+    value: mpf
+    point: mpc
+    flag: bool
+
+
+@guarded
+def _probe(x, prec=53):
+    """The working precision, x/3 as mpf and as mpc, and a flag."""
+    return mp.prec, x / 3, mpc(x, 1) / 3, True
+
+
+@guarded
+def _probe_record(x, prec=53):
+    return _Record(value=x / 3, point=mpc(x, 1) / 3, flag=True)
+
+
+def _bits(v):
+    """Mantissa bit count of an mpf, or the larger of an mpc's two parts."""
+    if isinstance(v, mpc):
+        return max(_bits(v.real), _bits(v.imag))
+    return v._mpf_[3]
+
+
+class TestGuarded:
+    @pytest.mark.parametrize("prec", [20, 53, 100, 300])
+    def test_result_carries_at_most_prec_bits(self, prec):
+        for value in (dilog(mpf("0.3"), prec), euler_eval(mpc("0.1", "0.02"), prec=prec)):
+            assert _bits(value) <= prec
+        with workprec(prec):
+            third = mpf(1) / 3
+        assert _probe(mpf(1), prec)[1] == third
+        assert _probe(mpf(1), prec=prec)[1] == third
+
+    def test_tuple_members_are_rounded_and_others_pass(self):
+        prec = 40
+        work, value, point, flag = _probe(mpf(1), prec)
+        assert work == prec + GUARD_BITS
+        assert _bits(value) <= prec and _bits(point) <= prec
+        assert flag is True
+
+    def test_dataclass_members_are_rounded_and_a_bool_is_untouched(self):
+        prec = 40
+        rec = _probe_record(mpf(1), prec=prec)
+        assert isinstance(rec, _Record)
+        assert _bits(rec.value) <= prec and _bits(rec.point) <= prec
+        assert rec.flag is True
+        with workprec(prec + GUARD_BITS):
+            assert _bits(mpf(1) / 3) > prec  # so the rounding above did happen
+
+    def test_precision_restored_after_return_and_after_raise(self):
+        before = mp.prec
+        dilog(mpf("0.5"), 300)
+        assert mp.prec == before
+        with pytest.raises(DomainError):
+            dilog(mpf(2), 300)
+        assert mp.prec == before
