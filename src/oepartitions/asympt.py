@@ -58,7 +58,7 @@ class ExpansionParams:
 
 
 @guarded
-def zagier_log_expansion(params, prec=256, dilog_value=None):
+def zagier_log_expansion(params, prec=256):
     """The four printed terms of Log(q^(A n^2/2 + B n) / (q;q)_n) at q = e^(-eps).
 
     Valid when q^n = R q^(-nu); returns
@@ -74,7 +74,7 @@ def zagier_log_expansion(params, prec=256, dilog_value=None):
     nu = mpf(params.nu)
     if eps <= 0 or not 0 < r < 1:
         raise DomainError("need eps > 0 and R in (0,1)")
-    li2 = dilog_value if dilog_value is not None else dilog(r, prec + GUARD_BITS)
+    li2 = dilog(r, prec + GUARD_BITS)
     lead = (mp.pi ** 2 / 6 - li2 - mp.log(r) * mp.log(1 - r) / 2) / eps
     logterm = -mp.log(2 * mp.pi / eps) / 2
     const = mp.log(r ** b / mp.sqrt(1 - r))

@@ -164,12 +164,13 @@ def oebar_eval(q_point=None, prec=256, method="product", tau=None):
 
 
 @guarded
-def cauchy_full_integral(n, samples=None, prec=256, order=None):
+def cauchy_full_integral(n, prec=256):
     """Recover OEbar(n) from the Cauchy integral by DFT on the circle.
 
-    Samples the exact truncated coefficient series at K equispaced points on
-    the circle of radius e^(-2 pi y); with K > order the discrete sum equals
-    the coefficient of the truncation exactly, so the residual against the
+    Samples the exact coefficient series, truncated at order N = max(2n, n+32),
+    at K equispaced points on the circle of radius e^(-2 pi y), K the least
+    power of two above N; with K > N the discrete sum equals the coefficient
+    of the truncation exactly, so the residual against the
     nearest integer is a pure precision health metric.  Raises if the
     residual exceeds 0.25.
     """
@@ -177,15 +178,9 @@ def cauchy_full_integral(n, samples=None, prec=256, order=None):
         raise DomainError("n must be >= 0")
     if n == 0:
         return 1, mpf(0)
-    if order is None:
-        order = max(2 * n, n + 32)
+    order = max(2 * n, n + 32)
     series = genfun.oebar_series_hypergeometric(order)
-    if samples is None:
-        samples = 1
-        while samples <= order:
-            samples *= 2
-    if samples <= order:
-        raise DomainError("need samples > series order for exact discrete recovery")
+    samples = 1 << order.bit_length()
     # only the radius is needed here, not the arc cut
     y = 1 / (4 * mp.sqrt(3 * n))
     r = mp.e ** (-2 * mp.pi * y)
@@ -264,28 +259,25 @@ def _cauchy_integrand(n, y, prec):
 
 
 @guarded
-def major_arc_integral(geom, prec=128, rel_target=None):
+def major_arc_integral(geom, prec=128):
     """I_1: the major-arc piece of the Cauchy integral, by adaptive quadrature.
 
     I_1 = int_{|x| <= M y} Obar(e^(2 pi i x - 2 pi y)) e^(-2 pi i n x + pi sqrt n/(2 sqrt 3)) dx,
-    which is real: twice the integral of the real part over [0, M y].
+    which is real: twice the integral of the real part over [0, M y], to 1e-8
+    relative.
     """
-    if rel_target is None:
-        rel_target = mpf(10) ** -8
     f = _cauchy_integrand(geom.n, geom.y, prec + GUARD_BITS)
-    half, _ = adaptive_quad(f, mpf(0), geom.major_halfwidth, rel_target / 2,
+    half, _ = adaptive_quad(f, mpf(0), geom.major_halfwidth, mpf(10) ** -8 / 2,
                             prec + GUARD_BITS)
     return 2 * half
 
 
 @guarded
-def minor_arc_integral(geom, prec=96, rel_target=None):
+def minor_arc_integral(geom, prec=96):
     """I_2: the minor-arc remainder, the same integral over M y <= |x| <= 1/2,
-    as twice the integral of the real part over [M y, 1/2]."""
-    if rel_target is None:
-        rel_target = mpf(10) ** -6
+    as twice the integral of the real part over [M y, 1/2], to 1e-6 relative."""
     f = _cauchy_integrand(geom.n, geom.y, prec + GUARD_BITS)
-    half, _ = adaptive_quad(f, geom.major_halfwidth, mpf("0.5"), rel_target / 2,
+    half, _ = adaptive_quad(f, geom.major_halfwidth, mpf("0.5"), mpf(10) ** -6 / 2,
                             prec + GUARD_BITS)
     return 2 * half
 

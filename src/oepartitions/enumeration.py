@@ -49,9 +49,6 @@ class OEOverpartition:
     parts: tuple
     overline_flags: tuple
 
-    def is_plain(self):
-        return not any(self.overline_flags)
-
     def __str__(self):
         marks = [f"{p}~" if f else str(p) for p, f in zip(self.parts, self.overline_flags)]
         return "+".join(marks)

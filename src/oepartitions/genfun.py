@@ -37,6 +37,7 @@ from .series import (
     _div_one_plus_qk,
     _div_sparse,
     _mul_one_plus_qk,
+    _product,
 )
 
 
@@ -196,19 +197,6 @@ def _sum_simple(order, numerator_exp, denom_step):
     )
 
 
-def _product(order, factor_exps, inverse):
-    c = [0] * (order + 1)
-    c[0] = 1
-    for e in factor_exps:
-        if e > order:
-            break
-        if inverse:
-            _div_one_minus_qk(c, e)
-        else:
-            _mul_one_plus_qk(c, e)
-    return PowerSeries(c)
-
-
 def classical_identity_suite(order):
     """Check the six Andrews-style hypergeometric sums against their closed forms.
 
@@ -222,27 +210,27 @@ def classical_identity_suite(order):
         (
             "euler-partitions",
             _sum_simple(order, lambda n: n, 1),
-            _product(order, count(1, 1), True),
+            _product(order, count(1, 1), _div_one_minus_qk),
         ),
         (
             "gauss-distinct-parts",
             _sum_simple(order, lambda n: n * (n + 1) // 2, 1),
-            _product(order, count(1, 1), False),
+            _product(order, count(1, 1), _mul_one_plus_qk),
         ),
         (
             "rogers-ramanujan",
             _sum_simple(order, lambda n: n * n, 1),
-            _product(order, (5 * k + r for k in count() for r in (1, 4)), True),
+            _product(order, (5 * k + r for k in count() for r in (1, 4)), _div_one_minus_qk),
         ),
         (
             "odd-parts",
             _sum_simple(order, lambda n: n, 2),
-            _product(order, count(1, 2), True),
+            _product(order, count(1, 2), _div_one_minus_qk),
         ),
         (
             "distinct-odd-parts",
             _sum_simple(order, lambda n: n * n, 2),
-            _product(order, count(1, 2), False),
+            _product(order, count(1, 2), _mul_one_plus_qk),
         ),
         (
             "odd-even-sum",

@@ -9,7 +9,9 @@ their coefficient tuples agree.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import count, islice
 from operator import add, sub
 
 from mpmath import mp, mpf, mpc
@@ -95,17 +97,13 @@ class PowerSeries:
 
     def invert(self):
         """Multiplicative inverse mod q^(order+1); constant term must be +-1."""
-        a = self.coeffs
-        if a[0] not in (1, -1):
+        u = self.coeffs[0]
+        if u not in (1, -1):
             raise SeriesError("series is not invertible: constant term must be +1 or -1")
-        n = self.order
-        u = a[0]
-        b = [0] * (n + 1)
-        b[0] = u
-        for k in range(1, n + 1):
-            s = sum(a[j] * b[k - j] for j in range(1, k + 1) if a[j])
-            b[k] = -u * s
-        return PowerSeries(b)
+        # 1/a = u / (u a), and u a has constant term u^2 = 1
+        c = [u] + [0] * self.order
+        _div_sparse(c, [u * x for x in self.coeffs])
+        return PowerSeries(c)
 
     def __repr__(self):
         head = ", ".join(str(c) for c in self.coeffs[:8])
@@ -131,17 +129,7 @@ def qpochhammer(start_exp, step, m, order):
         raise SeriesError("start_exp must be >= 1 (factor exponents must be positive)")
     if step < 1:
         raise SeriesError("step must be >= 1")
-    _check_order(order)
-    c = [0] * (order + 1)
-    c[0] = 1
-    j = 0
-    e = start_exp
-    # Factors with exponent > order are = 1 mod q^(order+1) and can be skipped.
-    while e <= order and (m is None or m == float("inf") or j < m):
-        _mul_one_minus_qk(c, e)
-        j += 1
-        e += step
-    return PowerSeries(c)
+    return _product(order, _exponents(start_exp, step, m), _mul_one_minus_qk)
 
 
 def neg_pochhammer(start_exp, m, order):
@@ -151,16 +139,27 @@ def neg_pochhammer(start_exp, m, order):
     """
     if start_exp < 0:
         raise SeriesError("start_exp must be >= 0")
+    return _product(order, _exponents(start_exp, 1, m), _mul_one_plus_qk)
+
+
+def _exponents(start, step, m):
+    """The first m terms of start, start + step, ...; all of them for m = None or inf."""
+    exps = count(start, step)
+    return exps if m is None or m == math.inf else islice(exps, max(m, 0))
+
+
+def _product(order, exponents, kernel):
+    """Apply kernel(c, e) to the series 1 for each e of an increasing sequence.
+
+    The sequence is read only up to order: a binomial in q^e with e > order
+    is 1 mod q^(order+1), and so is every one after it.
+    """
     _check_order(order)
-    c = [0] * (order + 1)
-    c[0] = 1
-    j = 0
-    e = start_exp
-    # the kernel doubles at e = 0; factors with exponent > order are = 1
-    while e <= order and (m is None or m == float("inf") or j < m):
-        _mul_one_plus_qk(c, e)
-        j += 1
-        e += 1
+    c = [1] + [0] * order
+    for e in exponents:
+        if e > order:
+            break
+        kernel(c, e)
     return PowerSeries(c)
 
 

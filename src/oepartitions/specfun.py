@@ -142,13 +142,14 @@ def bessel_i(order, x, prec=256):
 
 
 @guarded
-def wright_p(s, u, big_m, prec=256, max_degree=10):
+def wright_p(s, u, big_m, prec=256):
     """Wright's contour function P_s(u) on the segment 1-Mi .. 1+Mi.
 
     Parameterizing v = 1 + it gives
       P_s(u) = (1/2 pi) int_{-M}^{M} (1+it)^s e^(u(1+it+1/(1+it))) dt,
-    evaluated by adaptive Gauss-Legendre quadrature.  Raises QuadratureError
-    if the estimated error does not reach 2^(-prec/2) relative.
+    evaluated by mpmath's adaptive tanh-sinh quadrature, degree at most 10.
+    Raises QuadratureError if the estimated error does not reach 2^(-prec/2)
+    relative.
     """
     u = mpf(u)
     big_m = mpf(big_m)
@@ -160,9 +161,7 @@ def wright_p(s, u, big_m, prec=256, max_degree=10):
         v = 1 + 1j * t
         return v ** s * mp.e ** (u * (v + 1 / v))
 
-    val, err = mp.quad(
-        integrand, [-big_m, 0, big_m], error=True, maxdegree=max_degree
-    )
+    val, err = mp.quad(integrand, [-big_m, 0, big_m], error=True, maxdegree=10)
     val = val / (2 * mp.pi)
     err = mpf(err) / (2 * mp.pi)
     if abs(val) > 0 and err > abs(val) * mpf(2) ** (-(prec // 2)):

@@ -103,15 +103,6 @@ class TestLogExpansion:
         for hi, lo in zip(errors, errors[1:]):
             assert mpf("2.8") < hi / lo < mpf("5.2")
 
-    def test_dilog_override_is_used(self):
-        prec = 128
-        params, _ = self._frame(mpf("0.02"), prec)
-        with workprec(prec + 32):
-            li2 = dilog(params.r, prec + 32)
-        a = zagier_log_expansion(params, prec)
-        b = zagier_log_expansion(params, prec, dilog_value=li2)
-        assert abs(a - b) < tol(prec, 16) * (1 + abs(a))
-
     def test_rejects_bad_inputs(self):
         bad = ExpansionParams(a=mpf(1), b=mpf(0), r=mpf("1.5"), eps=mpf("0.1"), nu=mpf(0))
         with pytest.raises(DomainError):

@@ -171,10 +171,6 @@ class TestCauchyRecovery:
         got, residual = cauchy_full_integral(0)
         assert got == 1 and residual == 0
 
-    def test_requires_enough_samples(self):
-        with pytest.raises(DomainError):
-            cauchy_full_integral(10, samples=8, order=16)
-
 
 class TestArcs:
     def test_arcs_reassemble_coefficient(self):
