@@ -216,15 +216,9 @@ def ingham_transfer(hypothesis):
     half = one / 2
     try:
         import sympy
-
-        is_symbolic = any(
-            isinstance(v, sympy.Basic) for v in (lam, alpha, a_gap)
-        )
     except ImportError:
-        is_symbolic = False
-    if is_symbolic:
-        import sympy
-
+        sympy = None
+    if sympy is not None and any(isinstance(v, sympy.Basic) for v in (lam, alpha, a_gap)):
         pi = sympy.pi
     else:
         pi = mp.pi

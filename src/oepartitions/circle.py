@@ -170,9 +170,8 @@ def cauchy_full_integral(n, prec=256):
     Samples the exact coefficient series, truncated at order N = max(2n, n+32),
     at K equispaced points on the circle of radius e^(-2 pi y), K the least
     power of two above N; with K > N the discrete sum equals the coefficient
-    of the truncation exactly, so the residual against the
-    nearest integer is a pure precision health metric.  Raises if the
-    residual exceeds 0.25.
+    of the truncation exactly, so the residual against the nearest integer
+    is a pure precision health metric.  Raises if the residual exceeds 0.25.
     """
     if n < 0:
         raise DomainError("n must be >= 0")

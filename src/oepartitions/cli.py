@@ -12,7 +12,7 @@ Subcommands:
 
 Tables are emitted as CSV (default) or JSON; reports as JSON.  The default
 working precision is 256 bits, overridable with --prec or the
-OEPARTITIONS_PREC environment variable.
+OEPARTITIONS_PREC environment variable; below MIN_PREC = 64 bits it is refused.
 """
 
 from __future__ import annotations
@@ -30,10 +30,16 @@ from . import asympt, circle, enumeration, genfun
 from .series import SeriesError, evaluate_at
 
 ENUM_COST_GUARD = 50
+# the verify tolerances are 2^-(prec - 56), which pass anything at 56 bits
+MIN_PREC = 64
 
 
 def _default_prec():
-    return int(os.environ.get("OEPARTITIONS_PREC", "256"))
+    text = os.environ.get("OEPARTITIONS_PREC", "256")
+    try:
+        return int(text)
+    except ValueError:
+        raise SystemExit(f"OEPARTITIONS_PREC must be an integer, got {text!r}") from None
 
 
 def _parse_list(text, convert, option):
@@ -325,6 +331,8 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    if args.prec < MIN_PREC:
+        raise SystemExit(f"--prec (or OEPARTITIONS_PREC) must be >= {MIN_PREC}, got {args.prec}")
     return args.func(args)
 
 

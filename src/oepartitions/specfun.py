@@ -5,7 +5,7 @@ internally with GUARD_BITS extra bits; no ambient global precision is
 relied on.  The one decorator `guarded` does this, here and in the
 asympt, circle and series evaluators.  Conventions:
 
-  dilog(x)            Li_2(x) = sum x^n / n^2 on [0, 1)
+  dilog(x)            Li_2(x) = sum x^n / n^2 on [0, 1), reflected to 1-x above 1/2
   jacobi_theta(z,tau) theta(z;tau) = sum_{n in 1/2+Z} e^(pi i n^2 tau + 2 pi i n (z+1/2))
   bessel_i(l, x)      modified Bessel I_l by ascending series, integer order
   wright_p(s, u, M)   (1/2 pi i) int_{1-Mi}^{1+Mi} v^s e^(u(v+1/v)) dv
@@ -68,14 +68,28 @@ class QuadratureError(ArithmeticError):
     pass
 
 
+def _integer(value, name):
+    """value as an int, or DomainError if it is not integral (2 and mpf(2) pass)."""
+    if value != int(value):
+        raise DomainError(f"{name} must be an integer, got {value}")
+    return int(value)
+
+
 @guarded
 def dilog(x, prec=256):
-    """Li_2(x) by the defining series; domain [0, 1)."""
+    """Li_2(x) on [0, 1): the defining series at x <= 1/2, and above that
+
+      Li_2(x) = pi^2/6 - log(x) log(1-x) - Li_2(1-x),
+
+    so the series always runs at a point <= 1/2, where it needs fewer than
+    prec + 64 terms.
+    """
     x = mpf(x)
     if not 0 <= x < 1:
         raise DomainError("dilog is implemented on [0, 1) only")
-    if x == 0:
-        return mpf(0)
+    if x > 0.5:
+        # 1 - x is exact here (Sterbenz)
+        return mp.pi ** 2 / 6 - mp.log(x) * mp.log(1 - x) - dilog(1 - x, prec + GUARD_BITS)
     eps = mpf(2) ** (-(prec + GUARD_BITS))
     total = mpf(0)
     p = mpf(1)
@@ -121,7 +135,7 @@ def bessel_i(order, x, prec=256):
     Negative orders are reduced by I_(-l) = I_l, so every series term is
     positive and there is no cancellation.
     """
-    order = abs(int(order))
+    order = abs(_integer(order, "order"))
     x = mpf(x)
     if x < 0:
         raise DomainError("x must be >= 0")
@@ -155,7 +169,7 @@ def wright_p(s, u, big_m, prec=256):
     big_m = mpf(big_m)
     if u <= 0 or big_m <= 0:
         raise DomainError("wright_p needs u > 0 and M > 0")
-    s = int(s)
+    s = _integer(s, "s")
 
     def integrand(t):
         v = 1 + 1j * t

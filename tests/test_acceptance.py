@@ -8,10 +8,10 @@ import contextlib
 from functools import lru_cache
 
 import pytest
-from mpmath import mp, mpf, mpc, workprec, sqrt, log, exp, floor, pi
+from mpmath import mpf, mpc, workprec, sqrt, log, exp, floor, pi
 
 from oepartitions import asympt, circle, enumeration, genfun, specfun
-from oepartitions.series import evaluate_at, qpochhammer
+from oepartitions.series import evaluate_at
 
 
 @contextlib.contextmanager

@@ -2,7 +2,7 @@ import signal
 from contextlib import contextmanager
 
 import pytest
-from mpmath import mp, mpf, mpc, workprec, sqrt, pi, exp, cos, sin
+from mpmath import mpf, mpc, workprec, sqrt, pi, exp, cos, sin
 
 from oepartitions import circle
 from oepartitions.specfun import DomainError, QuadratureError, wright_p

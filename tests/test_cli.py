@@ -161,6 +161,9 @@ class TestUsageErrors:
         ["verify", "--order", "-1"],
         ["gf-eval", "--eps", "0.05", "--order", "0"],
         ["gf-eval", "--eps", "0.05", "--order", "5"],
+        ["--prec", "-40", "ratio", "--kind", "oe", "--n", "10"],
+        ["--prec", "0", "verify", "--suite", "specfun"],
+        ["--prec", "63", "verify", "--suite", "specfun"],
     ])
     def test_bad_input_exits_with_one_line(self, argv):
         # SystemExit with a message: exit status 1 and that line on stderr
@@ -180,3 +183,11 @@ class TestPrecPlumbing:
         monkeypatch.setenv("OEPARTITIONS_PREC", "123")
         args = cli.build_parser().parse_args(["--prec", "99", "verify"])
         assert args.prec == 99
+
+    @pytest.mark.parametrize("value", ["abc", "96.5", "", "32"])
+    def test_bad_env_value_exits_with_one_line(self, monkeypatch, value):
+        monkeypatch.setenv("OEPARTITIONS_PREC", value)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--suite", "specfun"])
+        message = exc.value.code
+        assert isinstance(message, str) and "OEPARTITIONS_PREC" in message and "\n" not in message

@@ -1,7 +1,7 @@
 from dataclasses import dataclass
 
 import pytest
-from mpmath import mp, mpf, mpc, workprec, exp, log, sqrt, pi, quad, besseli
+from mpmath import mp, mpf, mpc, workprec, exp, log, sqrt, pi, quad, besseli, polylog
 
 from oepartitions.specfun import (
     GUARD_BITS,
@@ -15,6 +15,7 @@ from oepartitions.specfun import (
     euler_eval,
     eta_inversion_principal,
 )
+from test_circle import time_limit
 
 
 def tol(prec, slack=8):
@@ -51,6 +52,17 @@ class TestDilog:
         with workprec(prec + 40):
             want = quad(lambda t: -log(1 - t) / t if t else mpf(1), [0, x])
         assert abs(got - want) < mpf(2) ** (-(prec - 12))
+
+    def test_near_one_is_cheap_and_accurate(self):
+        # the plain series would need about 2^40 terms here; the reflection
+        # Li2(x) = pi^2/6 - log x log(1-x) - Li2(1-x) needs fewer than prec + 64
+        prec = 128
+        with workprec(prec + 64):
+            x = 1 - mpf(2) ** -40
+            want = polylog(2, x)
+        with time_limit(1):
+            got = dilog(x, prec)
+        assert abs(got - want) < tol(prec, 4)
 
     def test_rejects_points_at_or_past_one(self):
         with pytest.raises(DomainError):
@@ -143,6 +155,23 @@ class TestBesselI:
                 lead = exp(x) / sqrt(2 * pi * x)
             ratio = bessel_i(0, x, prec) / lead
             assert abs(ratio - 1) < mpf("0.4") / x
+
+
+@pytest.mark.parametrize("call", [
+    lambda: bessel_i(0.5, mpf(3), 128),
+    lambda: bessel_i(mpf("-1.5"), mpf(3), 128),
+    lambda: wright_p(0.5, mpf(8), mpf(3), 128),
+    lambda: wright_p(mpf("2.25"), mpf(8), mpf(3), 128),
+], ids=["bessel_i-half", "bessel_i-mpf", "wright_p-half", "wright_p-mpf"])
+def test_non_integer_order_is_refused(call):
+    # int() would silently truncate: bessel_i(0.5, 3) came back as I_0(3)
+    with pytest.raises(DomainError):
+        call()
+
+
+def test_integral_mpf_order_is_accepted():
+    assert bessel_i(mpf(2), mpf(3), 128) == bessel_i(2, mpf(3), 128)
+    assert wright_p(mpf(1), mpf(8), mpf(3), 128) == wright_p(1, mpf(8), mpf(3), 128)
 
 
 class TestWrightContour:
