@@ -26,7 +26,7 @@ import sys
 
 from mpmath import mp, mpf, workprec
 
-from . import asympt, circle, enumeration, genfun
+from . import asympt, circle, enumeration, genfun, specfun
 from .series import SeriesError, evaluate_at
 
 ENUM_COST_GUARD = 50
@@ -223,8 +223,6 @@ def _verify_asymptotics(prec):
 
 
 def _verify_specfun(prec):
-    from . import specfun
-
     checks = []
     with workprec(prec + 16):
         q_gold = (3 - mp.sqrt(5)) / 2

@@ -3,14 +3,15 @@
 All routines take an explicit working precision in bits and compute
 internally with GUARD_BITS extra bits; no ambient global precision is
 relied on.  The one decorator `guarded` does this, here and in the
-asympt, circle and series evaluators.  Conventions:
+asympt, circle and series evaluators.  The textbook functions are
+mpmath's, behind this package's domain checks and conventions:
 
-  dilog(x)            Li_2(x) = sum x^n / n^2 on [0, 1), reflected to 1-x above 1/2
+  dilog(x)            Li_2(x) on [0, 1): mp.polylog(2, x)
   jacobi_theta(z,tau) theta(z;tau) = sum_{n in 1/2+Z} e^(pi i n^2 tau + 2 pi i n (z+1/2))
-  bessel_i(l, x)      modified Bessel I_l by ascending series, integer order
-  wright_p(s, u, M)   (1/2 pi i) int_{1-Mi}^{1+Mi} v^s e^(u(v+1/v)) dv
-  eta_pochhammer_eval (q;q)_inf by direct product
-  euler_eval(tau)     (q;q)_inf at q = e^(2 pi i tau), after modular reduction
+                      = mp.jtheta(2, pi (z + 1/2), e^(pi i tau))
+  bessel_i(l, x)      modified Bessel I_l, integer order: mp.besseli(|l|, x)
+  wright_p(s, u, M)   (1/2 pi i) int_{1-Mi}^{1+Mi} v^s e^(u(v+1/v)) dv, by mp.quad
+  euler_eval(tau)     (q;q)_inf at q = e^(2 pi i tau): modular reduction, then mp.qp
 
 The theta convention is the half-integer-characteristic one used in the
 odd-even asymptotics; theta(0;tau) = 0 identically for it.
@@ -77,82 +78,45 @@ def _integer(value, name):
 
 @guarded
 def dilog(x, prec=256):
-    """Li_2(x) on [0, 1): the defining series at x <= 1/2, and above that
-
-      Li_2(x) = pi^2/6 - log(x) log(1-x) - Li_2(1-x),
-
-    so the series always runs at a point <= 1/2, where it needs fewer than
-    prec + 64 terms.
-    """
+    """Li_2(x) on [0, 1), by mpmath's polylog."""
     x = mpf(x)
     if not 0 <= x < 1:
         raise DomainError("dilog is implemented on [0, 1) only")
-    if x > 0.5:
-        # 1 - x is exact here (Sterbenz)
-        return mp.pi ** 2 / 6 - mp.log(x) * mp.log(1 - x) - dilog(1 - x, prec + GUARD_BITS)
-    eps = mpf(2) ** (-(prec + GUARD_BITS))
-    total = mpf(0)
-    p = mpf(1)
-    n = 0
-    while True:
-        n += 1
-        p *= x
-        term = p / (n * n)
-        total += term
-        if term < eps:
-            break
-    return total
+    return mp.polylog(2, x)
 
 
 @guarded
 def jacobi_theta(z, tau, prec=256):
-    """theta(z;tau) summed over half-integers, Gaussian tail below 2^-(prec+guard)."""
+    """theta(z;tau) = jtheta_2(pi (z + 1/2), e^(pi i tau)), by mpmath's jtheta.
+
+    mpmath refuses |e^(pi i tau)| above mp.THETA_Q_LIM (Im tau below about
+    3.2e-8); that is a DomainError here.
+    """
     z = mpc(z)
     tau = mpc(tau)
-    y = tau.imag
-    if y <= 0:
+    if tau.imag <= 0:
         raise DomainError("tau must lie in the upper half plane")
-    # |term(n)| = e^(-pi n^2 y - 2 pi n Im(z)); choose the cutoff so that
-    # pi y n^2 - 2 pi |Im z| n exceeds the target bit budget.
-    bits = (prec + GUARD_BITS + 8) * mp.ln(2)
-    b = abs(z.imag)
-    n_max = (2 * mp.pi * b + mp.sqrt((2 * mp.pi * b) ** 2 + 4 * mp.pi * y * bits)) / (
-        2 * mp.pi * y
-    )
-    n_hi = int(mp.ceil(n_max)) + 1
-    total = mpc(0)
-    n = mpf("0.5") - n_hi
-    for _ in range(2 * n_hi):
-        total += mp.e ** (mp.pi * 1j * n * n * tau + 2 * mp.pi * 1j * n * (z + mpf("0.5")))
-        n += 1
-    return total
+    q = mp.expjpi(tau)
+    if abs(q) > mp.THETA_Q_LIM:
+        raise DomainError(
+            f"Im tau = {mp.nstr(tau.imag, 3)} puts |e^(pi i tau)| above mpmath's "
+            f"theta limit THETA_Q_LIM = {mp.THETA_Q_LIM}"
+        )
+    return mp.jtheta(2, mp.pi * (z + mpf("0.5")), q)
 
 
 @guarded
 def bessel_i(order, x, prec=256):
-    """Modified Bessel I_order(x) for integer order and x >= 0.
+    """Modified Bessel I_order(x) for integer order and x >= 0, by mpmath's besseli.
 
-    Negative orders are reduced by I_(-l) = I_l, so every series term is
-    positive and there is no cancellation.
+    Negative orders are reduced by I_(-l) = I_l: mpmath is several times
+    slower at order -1 than at +1, and main_term asks for I_(-1).
     """
     order = abs(_integer(order, "order"))
     x = mpf(x)
     if x < 0:
         raise DomainError("x must be >= 0")
-    if x == 0:
-        return mpf(1) if order == 0 else mpf(0)
-    half = x / 2
-    term = half ** order / mp.factorial(order)
-    total = term
-    k = 0
-    h2 = half * half
-    while True:
-        k += 1
-        term *= h2 / (k * (k + order))
-        total += term
-        if term < total * mpf(2) ** (-(prec + GUARD_BITS)):
-            break
-    return total
+    return mp.besseli(order, x)
 
 
 @guarded
@@ -186,25 +150,6 @@ def wright_p(s, u, big_m, prec=256):
 
 
 @guarded
-def eta_pochhammer_eval(q_point, prec=256):
-    """(q;q)_inf = prod (1 - q^k), truncated once factors are within 2^-(prec+guard) of 1."""
-    q = mpc(q_point)
-    if abs(q) >= 1:
-        raise DomainError("need |q| < 1")
-    if q == 0:
-        return mpc(1)
-    eps = mpf(2) ** (-(prec + GUARD_BITS))
-    total = mpc(1)
-    qk = mpc(1)
-    while True:
-        qk *= q
-        if abs(qk) < eps:
-            break
-        total *= 1 - qk
-    return total
-
-
-@guarded
 def euler_eval(tau, prec=256):
     """(q;q)_inf at q = e^(2 pi i tau), after full modular reduction of tau.
 
@@ -213,10 +158,9 @@ def euler_eval(tau, prec=256):
       tau -> -1/tau:                      eta(tau) = eta(-1/tau) / sqrt(-i tau)
     are repeated until |tau| >= 1 with |Re tau| <= 1/2, collecting the
     multipliers on the way.  The reduced point has Im tau >= sqrt(3)/2, so
-    |q'| < 0.005 there, and the product (q';q')_inf needs at most about
-    prec/7.8 factors for every tau, however close q is to the unit circle.
-    Every step is an exact identity; the only truncation is that of the
-    short product, below the precision target.
+    |q'| < 0.005 there, and mpmath's qp sums (q';q')_inf from a few terms of
+    Euler's pentagonal series for every tau, however close q is to the unit
+    circle.  Every step is an exact identity.
     """
     tau = mpc(tau)
     if tau.imag <= 0:
@@ -237,22 +181,4 @@ def euler_eval(tau, prec=256):
         tau = -1 / tau
     else:
         raise ArithmeticError(f"modular reduction of tau = {start} did not end")
-    qp = mp.expjpi(2 * tau)
-    return (
-        mp.expjpi((turns % 24 + tau - start) / 12)
-        * scale
-        * eta_pochhammer_eval(qp, prec + GUARD_BITS)
-    )
-
-
-@guarded
-def eta_inversion_principal(tau, prec=256):
-    """Principal term of the (q;q)_inf inversion: e^(-pi i tau/12 - pi i/(12 tau)) / sqrt(-i tau).
-
-    Principal branch of the square root; valid for tau in the upper half
-    plane, where Re(-i tau) > 0.
-    """
-    tau = mpc(tau)
-    if tau.imag <= 0:
-        raise DomainError("tau must lie in the upper half plane")
-    return mp.e ** (-mp.pi * 1j * tau / 12 - mp.pi * 1j / (12 * tau)) / mp.sqrt(-1j * tau)
+    return mp.expjpi((turns % 24 + tau - start) / 12) * scale * mp.qp(mp.expjpi(2 * tau))

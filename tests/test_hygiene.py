@@ -3,6 +3,9 @@
 - No assert statement in the package: its checks must survive python -O.
 - No unused module-level import in the package (whose __init__ re-exports
   by design) or in the tests.
+- Working precision is set in one place: outside specfun (the `guarded`
+  decorator) and cli (the --prec option), no module uses mpmath's
+  workprec, workdps, extraprec or extradps, or assigns mp.prec or mp.dps.
 """
 
 import ast
@@ -13,6 +16,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "oepartitions"
 TESTS = ROOT / "tests"
+PRECISION_CONTEXTS = {"workprec", "workdps", "extraprec", "extradps"}
+PRECISION_OWNERS = {"specfun.py", "cli.py"}
 
 
 def _tree(path):
@@ -31,6 +36,34 @@ def _unused_imports(tree):
                 imported[alias.asname or alias.name] = node.lineno
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return {name: line for name, line in imported.items() if name not in read}
+
+
+def _is_mp_precision(node):
+    """node is the attribute mp.prec or mp.dps (also as mpmath.mp.prec)."""
+    if not (isinstance(node, ast.Attribute) and node.attr in ("prec", "dps")):
+        return False
+    owner = node.value
+    return (isinstance(owner, ast.Name) and owner.id == "mp") or (
+        isinstance(owner, ast.Attribute) and owner.attr == "mp"
+    )
+
+
+def _precision_settings(tree):
+    """Lines that import or use a precision context manager, or assign mp.prec / mp.dps."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if any(alias.name in PRECISION_CONTEXTS for alias in node.names):
+                lines.add(node.lineno)
+        elif isinstance(node, ast.Name) and node.id in PRECISION_CONTEXTS:
+            lines.add(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr in PRECISION_CONTEXTS:
+            lines.add(node.lineno)
+        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(_is_mp_precision(t) for target in targets for t in ast.walk(target)):
+                lines.add(node.lineno)
+    return sorted(lines)
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
@@ -53,3 +86,26 @@ def test_no_unused_module_imports(path):
 def test_the_scan_sees_an_unused_and_a_used_import():
     tree = ast.parse("import os\nimport sys\nfrom a.b import c as d\nsys.exit(d)\n")
     assert _unused_imports(tree) == {"os": 1}
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in PACKAGE.glob("*.py") if p.name not in PRECISION_OWNERS),
+    ids=lambda p: p.name,
+)
+def test_precision_is_set_only_by_the_guard(path):
+    lines = _precision_settings(_tree(path))
+    assert not lines, f"{path.name}: sets working precision at lines {lines}; use specfun.guarded"
+
+
+def test_the_scan_sees_precision_contexts_and_assignments():
+    tree = ast.parse(
+        "from mpmath import mp, workprec\n"
+        "import mpmath\n"
+        "mp.prec = 80\n"
+        "mpmath.mp.dps += 5\n"
+        "with mp.extraprec(10):\n"
+        "    x = mp.prec\n"
+        "a, mp.dps = 1, 2\n"
+    )
+    assert _precision_settings(tree) == [1, 3, 4, 5, 7]

@@ -11,9 +11,7 @@ from oepartitions.specfun import (
     jacobi_theta,
     bessel_i,
     wright_p,
-    eta_pochhammer_eval,
     euler_eval,
-    eta_inversion_principal,
 )
 from test_circle import time_limit
 
@@ -123,6 +121,20 @@ class TestTheta:
         assert devs[0] > devs[1] > devs[2]
         assert devs[2] < mpf("1e-10")
 
+    def test_past_mpmath_limit_is_a_domain_error(self):
+        # mpmath refuses |e^(pi i tau)| > THETA_Q_LIM, i.e. Im tau below about 3.2e-8
+        with pytest.raises(DomainError, match="THETA_Q_LIM"):
+            jacobi_theta(mpf("-0.5"), mpc(0, mpf("1e-8")), 96)
+
+    def test_just_inside_mpmath_limit(self):
+        # theta(-1/2; iy) = sum e^(-pi n^2 y) = y^(-1/2) (1 - 2 e^(-pi/y) + ...) by Poisson
+        prec = 96
+        y = mpf("1e-7")
+        got = jacobi_theta(mpf("-0.5"), mpc(0, y), prec)
+        with workprec(prec + 32):
+            want = 1 / sqrt(y)
+        assert abs(got - want) < tol(prec) * want
+
 
 class TestBesselI:
     @pytest.mark.parametrize("order,x", [(0, "0.5"), (1, "2.0"), (2, "7.5"), (3, "0.1")])
@@ -146,6 +158,16 @@ class TestBesselI:
         prec = 128
         vals = [bessel_i(1, mpf(x) / 4, prec) for x in range(1, 12)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
+
+    def test_large_argument_cost_is_bounded(self):
+        # an ascending series needs about x terms here; mpmath's besseli does not
+        prec = 96
+        x = mpf(10) ** 6
+        with time_limit(1):
+            got = bessel_i(1, x, prec)
+        with workprec(prec + 32):
+            want = besseli(1, x)
+        assert abs(got - want) < tol(prec) * want
 
     def test_large_argument_asymptotic(self):
         # I_nu(x) ~ e^x / sqrt(2 pi x)
@@ -203,34 +225,36 @@ class TestEtaProducts:
     def test_pochhammer_matches_series(self):
         from oepartitions.series import qpochhammer, evaluate_at
 
+        # q = 0.2 = e^(2 pi i tau) against the exact pentagonal series of (q;q)_inf
         prec = 160
-        q = mpf("0.2")
+        with workprec(prec + 32):
+            q = mpf("0.2")
+            tau = mpc(0, -log(q) / (2 * pi))
         series = qpochhammer(1, 1, None, 200)
-        direct = eta_pochhammer_eval(q, prec)
+        got = euler_eval(tau, prec)
         via_series = evaluate_at(series, q, prec).value
-        assert abs(direct - via_series) < mpf("1e-40")
+        assert abs(got - via_series) < mpf("1e-40")
 
     @pytest.mark.parametrize("y", ["0.05", "0.02"])
     def test_eta_inversion(self, y):
-        # (q;q)_inf = e^(-pi i tau/12 - pi i/(12 tau)) (q';q')_inf / sqrt(-i tau)
+        # (q;q)_inf = e^(-pi i tau/12 - pi i/(12 tau)) (q';q')_inf / sqrt(-i tau),
+        # and (q';q')_inf is within 2^-174 of 1 at these points, inside the tolerance
         prec = 192
         with workprec(prec + 32):
             tau = mpc(mpf("0.01"), mpf(y))
-            q = exp(2j * pi * tau)
-        direct = eta_pochhammer_eval(q, prec)
-        via_inv = eta_inversion_principal(tau, prec)
-        assert abs(direct - via_inv) < tol(prec, 32) * (1 + abs(direct))
+            principal = exp(-pi * 1j * tau / 12 - pi * 1j / (12 * tau)) / sqrt(-1j * tau)
+        got = euler_eval(tau, prec)
+        assert abs(got - principal) < tol(prec, 32) * (1 + abs(got))
 
     def test_euler_eval_route_consistency(self):
-        # the fast path (inverted tau) and the plain product must agree
+        # the reduced route and mpmath's product at the unreduced q must agree
         prec = 192
         for y in ("0.04", "0.5", "2.0"):
             tau = mpc(mpf("0.003"), mpf(y))
-            with workprec(prec + 32):
-                q = exp(2j * pi * tau)
-            a = euler_eval(tau, prec)
-            b = eta_pochhammer_eval(q, prec)
-            assert abs(a - b) < tol(prec, 40) * (1 + abs(b))
+            with workprec(prec + 64):
+                want = mp.qp(exp(2j * pi * tau))
+            got = euler_eval(tau, prec)
+            assert abs(got - want) < tol(prec, 40) * (1 + abs(want))
 
     @pytest.mark.parametrize("n", [13, 25, 1600])
     @pytest.mark.parametrize("x", ["0.5", "-0.5", "0.499", "-0.49", "0.3333", "-0.33", "0.34"])
@@ -245,8 +269,10 @@ class TestEtaProducts:
         assert abs(got - want) < tol(prec, 8) * abs(want)
 
     def test_q_outside_disc_rejected(self):
-        with pytest.raises(DomainError):
-            eta_pochhammer_eval(mpf("1.1"), 128)
+        # |q| >= 1 exactly when Im tau <= 0
+        for tau in (mpc("0.1", 0), mpc("0.1", "-0.5")):
+            with pytest.raises(DomainError):
+                euler_eval(tau, 128)
 
 
 @dataclass(frozen=True)
