@@ -143,8 +143,7 @@ def phi_class_sum(frame, eps, prec=256):
 def sj_theta_asymptotic(frame, eps, prec=256):
     """Class sum of phi via the Jacobi theta representation.
 
-    sum_nu phi(nu) = sqrt(eps/pi) e^(pi^2/(20 eps) - (sqrt5/2)(alpha^2-alpha+1/6) eps)
-                     * theta(sqrt5 (2 alpha - 1) eps i / pi - 1/2; 8 sqrt5 eps i / pi)
+    sum_nu phi(nu) = phi(alpha) theta(sqrt5 (2 alpha - 1) eps i / pi - 1/2; 8 sqrt5 eps i / pi)
     with alpha = 2 + nu0 + j.  The value is real; the imaginary part of the
     theta evaluation is discarded once checked to be below 2^(-prec/2) of
     the real part, and ArithmeticError is raised if it is not.
@@ -156,11 +155,7 @@ def sj_theta_asymptotic(frame, eps, prec=256):
     z = mp.sqrt(5) * (2 * alpha - 1) * eps * 1j / mp.pi - mpf(1) / 2
     tau = 8 * mp.sqrt(5) * eps * 1j / mp.pi
     th = jacobi_theta(z, tau, prec + GUARD_BITS)
-    pref = mp.sqrt(eps / mp.pi) * mp.e ** (
-        mp.pi ** 2 / (20 * eps)
-        - mp.sqrt(5) / 2 * (alpha * alpha - alpha + mpf(1) / 6) * eps
-    )
-    val = pref * th
+    val = phi_nu(eps, alpha, prec + GUARD_BITS) * th
     if abs(val.imag) > abs(val.real) * mpf(2) ** (-prec // 2):
         raise ArithmeticError(f"theta form is not real: {val}")
     return val.real

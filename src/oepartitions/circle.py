@@ -20,7 +20,6 @@ from mpmath.calculus.quadrature import GaussLegendre
 
 from . import genfun
 from .asympt import oebar_asymptotic
-from .series import SeriesError, _horner, evaluate_at
 from .specfun import (
     GUARD_BITS,
     DomainError,
@@ -35,7 +34,6 @@ from .specfun import (
 _GAUSS = GaussLegendre(mp)
 QUAD_DEGREE = 3
 QUAD_CALL_BUDGET = 1 << 14
-SERIES_ORDER_BUDGET = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -114,15 +112,13 @@ def _oebar_eval_tau(tau, prec):
 
 
 @guarded
-def oebar_eval(q_point=None, prec=256, method="product", tau=None):
-    """Evaluate Obar(q) for |q| < 1.
+def oebar_eval(q_point=None, prec=256, tau=None):
+    """Evaluate Obar(q) for |q| < 1 as 2 (-q)_inf / (q)_inf times the bilateral Watson sum.
 
-    method="product": 2 (-q)_inf / (q)_inf * bilateral Watson sum; efficient
-    arbitrarily close to q = 1 and the route used on the circle.  Passing
-    tau (with q = e^(2 pi i tau) implied) avoids the principal-branch log.
-    method="series": exact truncated coefficient series with the dominant
-    growth rate OEbar(k) <= e^(pi sqrt(k/3)) folded into a rigorous tail
-    bound; used as the independent cross-check at moderate |q|.
+    Efficient arbitrarily close to q = 1; this is the route used on the
+    circle.  Passing tau (with q = e^(2 pi i tau) implied) avoids the
+    principal-branch log.  The tests check it against the exact
+    coefficient series with its rigorous tail bound (series.evaluate_at).
     """
     if tau is None:
         q = mpc(q_point)
@@ -135,32 +131,7 @@ def oebar_eval(q_point=None, prec=256, method="product", tau=None):
         tau = mpc(tau)
         if tau.imag <= 0:
             raise DomainError("tau must lie in the upper half plane")
-        q = mp.e ** (2j * mp.pi * tau)
-    if method == "series":
-        growth_c = float(mp.pi / mp.sqrt(3))  # OEbar(k) <= e^(C sqrt k) dominant growth
-        # the tail bound converges only from the order N on where
-        # e^(C/(2 sqrt N)) |q| < 1: start at the first power of two (the
-        # orders the series cache sees) past it, double until below target
-        least = int((growth_c / (2 * mp.log(1 / abs(q)))) ** 2) + 1
-        order = max(64, 1 << (least - 1).bit_length())
-        while True:
-            if order > SERIES_ORDER_BUDGET:
-                raise QuadratureError(
-                    f"series order {order} needed at |q| = {mp.nstr(abs(q), 8)} "
-                    f"is over the budget of {SERIES_ORDER_BUDGET}"
-                )
-            series = genfun.oebar_series_hypergeometric(order)
-            try:
-                res = evaluate_at(series, q, prec + GUARD_BITS, growth_c=growth_c)
-            except SeriesError:
-                order *= 2
-                continue
-            if res.tail_bound <= max(abs(res.value), mpf(1)) * mpf(2) ** (-prec):
-                return res.value
-            order *= 2
-    if method == "product":
-        return _oebar_eval_tau(tau, prec + GUARD_BITS)
-    raise ValueError("method must be 'product' or 'series'")
+    return _oebar_eval_tau(tau, prec + GUARD_BITS)
 
 
 @guarded
@@ -183,10 +154,11 @@ def cauchy_full_integral(n, prec=256):
     # only the radius is needed here, not the arc cut
     y = 1 / (4 * mp.sqrt(3 * n))
     r = mp.e ** (-2 * mp.pi * y)
+    coeffs = series.coeffs[::-1]
     total = mpc(0)
     for k in range(samples):
         z = r * mp.e ** (2j * mp.pi * k / samples)
-        total += _horner(series.coeffs, z) * mp.e ** (-2j * mp.pi * n * k / samples)
+        total += mp.polyval(coeffs, z) * mp.e ** (-2j * mp.pi * n * k / samples)
     total = total / samples / r ** n
     nearest = int(mp.nint(total.real))
     residual = abs(total - nearest)
@@ -302,18 +274,15 @@ def minor_arc_bound(geom, prec=256):
     """Proven sup bound on the minor arc and the exponent saving relative to
     the major-arc growth e^(pi/(24 y)).
 
-    bound  = (1/(y sqrt2)) exp[(1/y)(pi/8 - (1/pi)(1 - 1/sqrt(1+M^2)))]
-    saving = (1/pi)(1 - 1/sqrt(1+M^2)) - pi/12,
-    positive exactly when M clears the 5.543... threshold (then the bound is
-    (1/(y sqrt2)) e^((pi/24 - saving)/y), genuinely below the main term).
+    With saving = exponent_saving(M),
+    bound = (1/(y sqrt2)) e^((pi/24 - saving)/y),
+    and the threshold is cleared exactly when saving > 0 (M above 5.543...),
+    where the bound is genuinely below the main term.
     """
     y = geom.y
-    m2 = mpf(geom.big_m) ** 2
-    cut = (1 / mp.pi) * (1 - 1 / mp.sqrt(1 + m2))
-    bound = 1 / (y * mp.sqrt(2)) * mp.e ** ((mp.pi / 8 - cut) / y)
     saving = exponent_saving(geom.big_m, prec + GUARD_BITS)
-    clears = mpf(geom.big_m) > m_threshold(prec + GUARD_BITS)
-    return MinorArcBound(bound_value=bound, exponent_saving=saving, clears_threshold=clears)
+    bound = mp.e ** ((mp.pi / 24 - saving) / y) / (y * mp.sqrt(2))
+    return MinorArcBound(bound_value=bound, exponent_saving=saving, clears_threshold=saving > 0)
 
 
 @guarded

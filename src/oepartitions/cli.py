@@ -6,8 +6,9 @@ Subcommands:
   verify    run the identity / asymptotic / special-function check suites;
             exit code 0 iff everything passes
   ratio     exact-vs-asymptotic convergence tables for the leading laws
-  gf-eval   generating-function values at q = e^(-eps) against the leading
-            asymptotic constant
+  gf-eval   generating-function values at q = e^(-eps), summed to order
+            300/eps, against the leading asymptotic constant; a row whose
+            tail bound is above the printed precision is refused
   circle    end-to-end circle-method report for one n
 
 Tables are emitted as CSV (default) or JSON; reports as JSON.  The default
@@ -30,6 +31,8 @@ from . import asympt, circle, enumeration, genfun, specfun
 from .series import SeriesError, evaluate_at
 
 ENUM_COST_GUARD = 50
+# gf-eval prints floats: a tail bound above 2^-53 of the value shows in the output
+PRINTED_PRECISION = mpf(2) ** -53
 # the verify tolerances are 2^-(prec - 56), which pass anything at 56 bits
 MIN_PREC = 64
 
@@ -131,15 +134,13 @@ def cmd_gf_eval(args):
     eps_grid = _parse_list(args.eps, mpf, "--eps")
     if min(eps_grid) <= 0:
         raise SystemExit("--eps values must be > 0")
-    if args.order is not None and args.order < 0:
-        raise SystemExit("--order must be >= 0")
     if min(eps_grid) < mpf("0.005") and not args.force:
         raise SystemExit("eps below 0.005 needs a very long series; pass --force")
     rows = []
     with workprec(args.prec):
         growth_c = float(mp.pi / mp.sqrt(5))
         for eps in eps_grid:
-            order = args.order if args.order is not None else int(300 / float(eps))
+            order = int(300 / float(eps))
             full = genfun.oe_series(order)
             even, odd = genfun.parity_split(order)
             point = mp.e ** (-eps)
@@ -152,6 +153,12 @@ def cmd_gf_eval(args):
                     res = evaluate_at(series, point, args.prec, growth_c=growth_c)
                 except SeriesError as exc:
                     raise SystemExit(f"gf-eval at eps {float(eps)}, order {order}: {exc}") from None
+                if res.tail_bound > abs(res.value) * PRINTED_PRECISION:
+                    raise SystemExit(
+                        f"gf-eval at eps {float(eps)}, order {order}: the {name} series' tail "
+                        f"bound {mp.nstr(res.tail_bound, 3)} is above 2^-53 of its value "
+                        f"{mp.nstr(res.value, 3)}"
+                    )
                 lead = asympt.gf_asymptotic(eps, which, args.prec)
                 rows.append(
                     (
@@ -304,8 +311,6 @@ def build_parser():
 
     g = sub.add_parser("gf-eval", help="generating function vs leading asymptotics")
     g.add_argument("--eps", default="0.05,0.02,0.01", help="comma-separated eps grid")
-    g.add_argument("--order", type=int, default=None,
-                   help="series order (default: 300/eps per row)")
     g.add_argument("--format", choices=["csv", "json"], default="csv")
     g.add_argument("--output")
     g.add_argument("--force", action="store_true")

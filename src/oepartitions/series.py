@@ -113,9 +113,12 @@ class PowerSeries:
 
 @dataclass(frozen=True)
 class EvalResult:
-    """Value of a truncated series at a point plus a rigorous tail bound."""
+    """Value of a truncated series at a point plus a rigorous tail bound.
 
-    value: mpc
+    value is an mpf at a real point and an mpc otherwise.
+    """
+
+    value: mpf | mpc
     tail_bound: mpf
 
 
@@ -172,11 +175,11 @@ def evaluate_at(series, point, prec, growth_c=None):
     declares |c_k| <= e^(C sqrt(k)) for k > order, and the tail
     |sum_{k>N} c_k point^k| is bounded using sqrt(k) <= sqrt(N) + (k-N)/(2 sqrt(N)).
     """
-    z = mpc(point)
+    z = mp.convert(point)
     t = abs(z)
     if t >= 1:
         raise SeriesError("evaluation point must satisfy |q| < 1")
-    acc = _horner(series.coeffs, z)
+    acc = mp.polyval(series.coeffs[::-1], z)
     n = series.order
     if growth_c is None:
         tail = mpf(0)
@@ -196,14 +199,6 @@ def evaluate_at(series, point, prec, growth_c=None):
             )
         tail = peak * (rho * t) * (t ** n) / (1 - rho * t)
     return EvalResult(value=acc, tail_bound=tail)
-
-
-def _horner(coeffs, z):
-    """sum coeffs[k] z^k by Horner's rule, highest coefficient first."""
-    acc = mpc(0)
-    for c in reversed(coeffs):
-        acc = acc * z + c
-    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from mpmath import mpf, mpc, workprec, sqrt, pi, exp, cos, sin
 from oepartitions import circle
 from oepartitions.specfun import DomainError, QuadratureError, wright_p
 from oepartitions.genfun import oebar_series_hypergeometric
+from oepartitions.series import evaluate_at
 from oepartitions.circle import (
     ArcGeometry,
     adaptive_quad,
@@ -84,11 +85,19 @@ class TestThreshold:
 
 class TestEvaluation:
     def test_product_and_series_routes_agree(self):
+        # the exact series, with OEbar(k) <= e^(pi sqrt(k/3)) bounding its
+        # tail, is the reference for the product route
         prec = 128
+        series = oebar_series_hypergeometric(512)
+        with workprec(prec):
+            growth_c = pi / sqrt(3)
         for q in (mpf("0.3"), mpf("-0.5"), mpc("0.2", "0.4")):
-            a = oebar_eval(q_point=q, prec=prec, method="product")
-            b = oebar_eval(q_point=q, prec=prec, method="series")
-            assert abs(a - b) < mpf(2) ** (-(prec - 16)) * (1 + abs(b))
+            a = oebar_eval(q_point=q, prec=prec)
+            ref = evaluate_at(series, q, 160, growth_c=growth_c)
+            b = ref.value
+            tol = mpf(2) ** (-(prec - 16)) * (1 + abs(b))
+            assert ref.tail_bound < tol
+            assert abs(a - b) < tol
 
     def test_value_at_zero(self):
         assert oebar_eval(q_point=mpf(0), prec=128) == 1
@@ -107,15 +116,6 @@ class TestEvaluation:
             oebar_eval(q_point=mpf("1.0"), prec=96)
         with pytest.raises(DomainError):
             oebar_eval(tau=mpc(0, -1), prec=96)
-        with pytest.raises(ValueError):
-            oebar_eval(q_point=mpf("0.5"), prec=96, method="magic")
-
-    def test_series_route_refuses_points_near_one(self):
-        # at |q| = 0.9999 the tail bound needs order ~8e7, over the budget:
-        # the route must say so at once rather than build ever longer series
-        with time_limit(1.0):
-            with pytest.raises(QuadratureError):
-                oebar_eval(q_point=mpf("0.9999"), prec=96, method="series")
 
     def test_dominant_pole_growth(self):
         # near q = 1 the value is (2 sqrt2/3) e^(pi/(24 y)) up to an error
@@ -230,6 +230,11 @@ class TestMinorArcBound:
         bound = minor_arc_bound(geom, prec=96)
         assert bound.clears_threshold
         assert bound.exponent_saving > 0
+
+    @pytest.mark.parametrize("big_m", ["3", "5.5", "5.6", "6", "10"])
+    def test_clears_threshold_iff_m_above_it(self, big_m):
+        bound = minor_arc_bound(ArcGeometry(n=100, big_m=mpf(big_m)), prec=96)
+        assert bound.clears_threshold == (mpf(big_m) > m_threshold())
 
     def test_small_m_fails_threshold(self):
         geom = ArcGeometry(n=100, big_m=mpf(3))

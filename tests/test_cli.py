@@ -3,9 +3,11 @@ import io
 import json
 
 import pytest
+from mpmath import mpf
 
 from oepartitions import cli
 from oepartitions.enumeration import enum_oe, enum_oebar
+from oepartitions.series import EvalResult
 
 
 def run_cli(capsys, *argv):
@@ -92,9 +94,7 @@ class TestRatio:
 
 class TestGFEval:
     def test_ratios_near_one(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "gf-eval", "--eps", "0.05,0.02", "--order", "5000"
-        )
+        code, out, _ = run_cli(capsys, "gf-eval", "--eps", "0.05,0.02")
         assert code == 0
         rows = parse_csv(out)
         assert {r["branch"] for r in rows} == {"full", "even", "odd"}
@@ -108,6 +108,20 @@ class TestGFEval:
     def test_small_eps_guard(self, capsys):
         with pytest.raises(SystemExit):
             cli.main(["gf-eval", "--eps", "0.001"])
+
+    def test_tail_bound_above_printed_precision_is_refused(self, capsys, monkeypatch):
+        # a row whose tail bound shows in the printed float ends the command
+        def loose(series, point, prec, growth_c=None):
+            value = mpf(1000)
+            return EvalResult(value=value, tail_bound=value * mpf(2) ** -52)
+
+        monkeypatch.setattr(cli, "evaluate_at", loose)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["gf-eval", "--eps", "0.05"])
+        message = exc.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert "tail bound" in message
+        assert capsys.readouterr().out == ""
 
 
 class TestVerify:
@@ -159,8 +173,8 @@ class TestUsageErrors:
         ["gf-eval", "--eps", "0", "--force"],
         ["gf-eval", "--eps", "-0.1", "--force"],
         ["verify", "--order", "-1"],
-        ["gf-eval", "--eps", "0.05", "--order", "0"],
-        ["gf-eval", "--eps", "0.05", "--order", "5"],
+        ["gf-eval", "--eps", "0.001"],
+        ["compute", "--kind", "oe", "--n-max", "5", "--method", "watson-product"],
         ["--prec", "-40", "ratio", "--kind", "oe", "--n", "10"],
         ["--prec", "0", "verify", "--suite", "specfun"],
         ["--prec", "63", "verify", "--suite", "specfun"],

@@ -3,6 +3,9 @@
 - No assert statement in the package: its checks must survive python -O.
 - No unused module-level import in the package (whose __init__ re-exports
   by design) or in the tests.
+- Every module-level private function or class of the package (a _name,
+  not a __dunder__) is read somewhere in the package, so a helper does not
+  outlive its last caller.
 - Working precision is set in one place: outside specfun (the `guarded`
   decorator) and cli (the --prec option), no module uses mpmath's
   workprec, workdps, extraprec or extradps, or assigns mp.prec or mp.dps.
@@ -36,6 +39,28 @@ def _unused_imports(tree):
                 imported[alias.asname or alias.name] = node.lineno
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return {name: line for name, line in imported.items() if name not in read}
+
+
+def _private_definitions(tree):
+    """Top-level functions and classes named _name (not __dunder__), by line."""
+    return {
+        node.name: node.lineno
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.endswith("__")
+    }
+
+
+def _names_read(tree):
+    """Names read as a bare name or as an attribute anywhere in the tree."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
 
 
 def _is_mp_precision(node):
@@ -86,6 +111,36 @@ def test_no_unused_module_imports(path):
 def test_the_scan_sees_an_unused_and_a_used_import():
     tree = ast.parse("import os\nimport sys\nfrom a.b import c as d\nsys.exit(d)\n")
     assert _unused_imports(tree) == {"os": 1}
+
+
+def test_every_private_helper_has_a_reader():
+    trees = {path.name: _tree(path) for path in sorted(PACKAGE.glob("*.py"))}
+    read = set().union(*map(_names_read, trees.values()))
+    unread = {
+        f"{module}:{line} {name}"
+        for module, tree in trees.items()
+        for name, line in _private_definitions(tree).items()
+        if name not in read
+    }
+    assert not unread, f"private helpers nothing in the package reads: {sorted(unread)}"
+
+
+def test_the_scan_sees_an_unread_and_a_read_helper():
+    tree = ast.parse(
+        "def _used(): pass\n"
+        "def _unused(): pass\n"
+        "class _Gone: pass\n"
+        "def __getattr__(name): pass\n"
+        "def public(): return _used()\n"
+        "def _method_named(): pass\n"
+        "obj._method_named\n"
+        "_stored = 1\n"
+    )
+    assert _private_definitions(tree) == {
+        "_used": 1, "_unused": 2, "_Gone": 3, "_method_named": 6,
+    }
+    unread = set(_private_definitions(tree)) - _names_read(tree)
+    assert unread == {"_unused", "_Gone"}
 
 
 @pytest.mark.parametrize(
