@@ -112,25 +112,17 @@ def _oebar_eval_tau(tau, prec):
 
 
 @guarded
-def oebar_eval(q_point=None, prec=256, tau=None):
-    """Evaluate Obar(q) for |q| < 1 as 2 (-q)_inf / (q)_inf times the bilateral Watson sum.
+def oebar_eval(tau, prec=256):
+    """Evaluate Obar(q) at q = e^(2 pi i tau), Im tau > 0, as 2 (-q)_inf / (q)_inf
+    times the bilateral Watson sum.
 
     Efficient arbitrarily close to q = 1; this is the route used on the
-    circle.  Passing tau (with q = e^(2 pi i tau) implied) avoids the
-    principal-branch log.  The tests check it against the exact
-    coefficient series with its rigorous tail bound (series.evaluate_at).
+    circle.  The tests check it against the exact coefficient series with
+    its rigorous tail bound (series.evaluate_at).
     """
-    if tau is None:
-        q = mpc(q_point)
-        if abs(q) >= 1:
-            raise DomainError("need |q| < 1")
-        if q == 0:
-            return mpc(1)
-        tau = mp.log(q) / (2j * mp.pi)
-    else:
-        tau = mpc(tau)
-        if tau.imag <= 0:
-            raise DomainError("tau must lie in the upper half plane")
+    tau = mpc(tau)
+    if tau.imag <= 0:
+        raise DomainError("tau must lie in the upper half plane")
     return _oebar_eval_tau(tau, prec + GUARD_BITS)
 
 
@@ -138,19 +130,19 @@ def oebar_eval(q_point=None, prec=256, tau=None):
 def cauchy_full_integral(n, prec=256):
     """Recover OEbar(n) from the Cauchy integral by DFT on the circle.
 
-    Samples the exact coefficient series, truncated at order N = max(2n, n+32),
-    at K equispaced points on the circle of radius e^(-2 pi y), K the least
-    power of two above N; with K > N the discrete sum equals the coefficient
-    of the truncation exactly, so the residual against the nearest integer
-    is a pure precision health metric.  Raises if the residual exceeds 0.25.
+    Samples the exact coefficient series, truncated at order n, at K
+    equispaced points on the circle of radius e^(-2 pi y), K the least
+    power of two above n.  With K > n only q^n aliases onto q^n, so the
+    discrete sum equals the coefficient exactly and the residual against
+    the nearest integer is a pure precision health metric.  Raises if the
+    residual exceeds 0.25.
     """
     if n < 0:
         raise DomainError("n must be >= 0")
     if n == 0:
         return 1, mpf(0)
-    order = max(2 * n, n + 32)
-    series = genfun.oebar_series_hypergeometric(order)
-    samples = 1 << order.bit_length()
+    series = genfun.oebar_series_hypergeometric(n)
+    samples = 1 << n.bit_length()
     # only the radius is needed here, not the arc cut
     y = 1 / (4 * mp.sqrt(3 * n))
     r = mp.e ** (-2 * mp.pi * y)
@@ -164,7 +156,7 @@ def cauchy_full_integral(n, prec=256):
     residual = abs(total - nearest)
     if residual > 0.25:
         raise QuadratureError(
-            f"rounding residual {residual} too large: raise prec or order"
+            f"rounding residual {residual} too large: raise prec"
         )
     return nearest, residual
 

@@ -11,7 +11,9 @@ up) cheap.
 Series implemented:
   oe_series             O(q)  = sum_m q^(m(m+1)/2) / (q^2;q^2)_m
   sj_series             S_j   = the m = j (mod 4) subsum of O(q)
-  parity_split          (O_e, O_o) = (S_0+S_3, S_1+S_2)
+  parity_split          (O_e, O_o) = (S_0+S_3, S_1+S_2), the even- and odd-exponent
+                        parts of O(q): m(m+1)/2 is even iff m = 0, 3 (mod 4), and
+                        (q^2;q^2)_m has only even exponents
   f_mock_series         f(q)  = sum_n q^(n^2) / (-q;q)_n^2   (third order mock theta)
   watson_core           2 sum_{n in Z} (-1)^n q^(n(3n+1)/2) / (1+q^n)
   oebar_series_*        Obar(q) = sum_m (-1;q)_m q^(m(m+1)/2) / (q^2;q^2)_m
@@ -110,9 +112,12 @@ def sj_series(j, order):
 
 
 def parity_split(order):
-    """(O_e, O_o): even- and odd-exponent parts of the OE generating function."""
-    _, (s0, s1, s2, s3) = _oe_series_with_classes(order)
-    return s0 + s3, s1 + s2
+    """(O_e, O_o) = (S_0+S_3, S_1+S_2), read off oe_series: the m-th summand is
+    q^(m(m+1)/2) times a series in q^2, even exactly when m = 0, 3 (mod 4)."""
+    c = oe_series(order).coeffs
+    even, odd = [0] * len(c), [0] * len(c)
+    even[::2], odd[1::2] = c[::2], c[1::2]
+    return PowerSeries(even), PowerSeries(odd)
 
 
 @lru_cache(maxsize=32)

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 
 import pytest
 from mpmath import mpf
@@ -104,6 +105,20 @@ class TestGFEval:
         for branch in ("full", "even", "odd"):
             sub = [r for r in rows if r["branch"] == branch]
             assert abs(float(sub[1]["ratio"]) - 1) < abs(float(sub[0]["ratio"]) - 1)
+
+    def test_eps_past_300_sums_to_order_one(self, capsys):
+        # int(300/eps) is 0 here; the odd part still needs its q term
+        code, out, _ = run_cli(capsys, "gf-eval", "--eps", "500")
+        assert code == 0
+        (odd,) = [r for r in parse_csv(out) if r["branch"] == "odd"]
+        want = math.exp(-500)
+        assert abs(float(odd["series_value"]) - want) < 1e-12 * want
+
+    def test_sums_the_series_once(self, capsys, summand_calls):
+        # the parity parts are read off oe_series, not summed again
+        code, _, _ = run_cli(capsys, "gf-eval", "--eps", "0.05")
+        assert code == 0
+        assert summand_calls == [6000]
 
     def test_small_eps_guard(self, capsys):
         with pytest.raises(SystemExit):

@@ -1,3 +1,5 @@
+import signal
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import pytest
@@ -13,7 +15,25 @@ from oepartitions.specfun import (
     wright_p,
     euler_eval,
 )
-from test_circle import time_limit
+
+
+class TimeLimitExpired(BaseException):
+    """Not an Exception, so no `except Exception` in the code under test swallows it."""
+
+
+@contextmanager
+def time_limit(seconds):
+    """Fail instead of hanging once `seconds` have passed."""
+    def expire(signum, frame):
+        raise TimeLimitExpired(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def tol(prec, slack=8):
