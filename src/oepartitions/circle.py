@@ -8,6 +8,13 @@ arc, where it is exponentially smaller.  This module evaluates all the
 pieces numerically: the full coefficient-recovery integral, the major-arc
 integral against the Bessel main term, and the proven minor-arc bound
 together with an empirical maximum.
+
+On the circle, Obar(q) = (-q;q)_inf f(q), with f(q) = sum q^(n^2)/(-q;q)_n^2
+Watson's third-order mock theta function: the eta quotient from euler_eval
+times f summed term by term, each term the last times q^(2n-1)/(1+q^n)^2.
+A sum of f that lost more than GUARD_BITS / 2 bits to cancellation, as
+measured from its largest term, is redone with that many more bits; a sum
+past F_TERM_BUDGET terms, or a redone one that loses more, raises.
 """
 
 from __future__ import annotations
@@ -20,20 +27,14 @@ from mpmath.calculus.quadrature import GaussLegendre
 
 from . import genfun
 from .asympt import oebar_asymptotic
-from .specfun import (
-    GUARD_BITS,
-    DomainError,
-    QuadratureError,
-    bessel_i,
-    euler_eval,
-    guarded,
-)
+from .specfun import GUARD_BITS, DomainError, QuadratureError, bessel_i, euler_eval, guarded
 
 # Gauss-Legendre rule with 3 * 2^(QUAD_DEGREE - 1) = 12 nodes per panel;
 # the rule object caches its nodes per precision
 _GAUSS = GaussLegendre(mp)
 QUAD_DEGREE = 3
 QUAD_CALL_BUDGET = 1 << 14
+F_TERM_BUDGET = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -88,42 +89,58 @@ def exponent_saving(big_m, prec=256):
     return (1 / mp.pi) * (1 - 1 / mp.sqrt(1 + m2)) - mp.pi / 12
 
 
-def _bilateral_core(q, prec):
-    """sum_{n in Z} (-1)^n q^(n(3n+1)/2) / (1+q^n) = 1/2 + 2 sum_{n>=1} ..."""
-    eps = mpf(2) ** (-(prec + 8))
-    total = mpf("0.5")
-    n = 1
-    while True:
-        t = (-1) ** n * q ** (n * (3 * n + 1) // 2) / (1 + q ** n)
-        total = total + 2 * t
-        if abs(t) < eps * max(1, abs(total)):
-            break
-        n += 1
-    return total
+@guarded
+def _mock_f(tau, prec):
+    """Watson's f(q) at q = e^(2 pi i tau), and the bits its sum lost,
+    ceil(log2(max |term| / |f|)).  No powers are taken; near q = 1 the terms
+    shrink like 4^(-n).  Stops at a term below 2^-(prec + GUARD_BITS) of the
+    largest, and raises past F_TERM_BUDGET terms.
+    """
+    q = mp.expjpi(2 * tau)
+    eps = mpf(2) ** -(prec + GUARD_BITS)
+    total = term = prev = mpc(1)  # prev = q^(n-1)
+    peak = mpf(1)
+    for _ in range(F_TERM_BUDGET):
+        qn = prev * q
+        d = 1 + qn
+        term *= prev * qn / (d * d)
+        total += term
+        prev = qn
+        size = abs(term)
+        peak = max(peak, size)
+        if size < eps * peak:
+            return total, int(mp.ceil(mp.log(peak / abs(total), 2)))
+    raise ArithmeticError(f"f(q) at tau = {tau} needs over {F_TERM_BUDGET} terms")
 
 
 def _oebar_eval_tau(tau, prec):
-    """Obar(e^(2 pi i tau)) by the product-sum route, eta products by modular reduction."""
-    p1 = euler_eval(tau, prec)
-    p2 = euler_eval(2 * tau, prec)
-    q = mp.e ** (2j * mp.pi * tau)
-    core = _bilateral_core(q, prec)
-    return 2 * (p2 / (p1 * p1)) * core  # 2 (-q)_inf/(q)_inf = 2 (q^2;q^2)_inf/(q)_inf^2
+    """Obar(e^(2 pi i tau)) = (-q;q)_inf f(q) to prec bits, for a guarded
+    caller working at prec + GUARD_BITS; (-q;q)_inf = (q^2;q^2)_inf / (q;q)_inf.
+    If the sum of f lost more than GUARD_BITS / 2 bits, it is summed once
+    more with that many more bits, and this raises if that sum lost more.
+    """
+    f, lost = _mock_f(tau, prec)
+    if lost > GUARD_BITS // 2:
+        f, again = _mock_f(tau, prec + lost)
+        if again > lost + GUARD_BITS // 2:
+            raise ArithmeticError(f"f(q) at tau = {tau} lost {again} bits after {lost}")
+    return euler_eval(2 * tau, prec + GUARD_BITS) / euler_eval(tau, prec + GUARD_BITS) * f
 
 
 @guarded
 def oebar_eval(tau, prec=256):
-    """Evaluate Obar(q) at q = e^(2 pi i tau), Im tau > 0, as 2 (-q)_inf / (q)_inf
-    times the bilateral Watson sum.
+    """Evaluate Obar(q) = (-q;q)_inf f(q) at q = e^(2 pi i tau), Im tau > 0, with
+    f Watson's third-order mock theta function (see _oebar_eval_tau).
 
     Efficient arbitrarily close to q = 1; this is the route used on the
     circle.  The tests check it against the exact coefficient series with
-    its rigorous tail bound (series.evaluate_at).
+    its rigorous tail bound (series.evaluate_at), and against Watson's
+    bilateral sum at a precision that pays for that sum's cancellation.
     """
     tau = mpc(tau)
     if tau.imag <= 0:
         raise DomainError("tau must lie in the upper half plane")
-    return _oebar_eval_tau(tau, prec + GUARD_BITS)
+    return _oebar_eval_tau(tau, prec)
 
 
 @guarded
@@ -155,9 +172,7 @@ def cauchy_full_integral(n, prec=256):
     nearest = int(mp.nint(total.real))
     residual = abs(total - nearest)
     if residual > 0.25:
-        raise QuadratureError(
-            f"rounding residual {residual} too large: raise prec"
-        )
+        raise QuadratureError(f"rounding residual {residual} too large: raise prec")
     return nearest, residual
 
 
@@ -229,7 +244,7 @@ def major_arc_integral(geom, prec=128):
     which is real: twice the integral of the real part over [0, M y], to 1e-8
     relative.
     """
-    f = _cauchy_integrand(geom.n, geom.y, prec + GUARD_BITS)
+    f = _cauchy_integrand(geom.n, geom.y, prec)
     half, _ = adaptive_quad(f, mpf(0), geom.major_halfwidth, mpf(10) ** -8 / 2,
                             prec + GUARD_BITS)
     return 2 * half
@@ -239,7 +254,7 @@ def major_arc_integral(geom, prec=128):
 def minor_arc_integral(geom, prec=96):
     """I_2: the minor-arc remainder, the same integral over M y <= |x| <= 1/2,
     as twice the integral of the real part over [M y, 1/2], to 1e-6 relative."""
-    f = _cauchy_integrand(geom.n, geom.y, prec + GUARD_BITS)
+    f = _cauchy_integrand(geom.n, geom.y, prec)
     half, _ = adaptive_quad(f, geom.major_halfwidth, mpf("0.5"), mpf(10) ** -6 / 2,
                             prec + GUARD_BITS)
     return 2 * half
@@ -287,7 +302,7 @@ def minor_arc_empirical_max(geom, grid=200, prec=96):
     best = mpf(0)
     for k in range(grid):
         x = w + (mpf("0.5") - w) * (k + 1) / grid
-        best = max(best, abs(_oebar_eval_tau(x + 1j * y, prec + GUARD_BITS)))
+        best = max(best, abs(_oebar_eval_tau(x + 1j * y, prec)))
     return best
 
 

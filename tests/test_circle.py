@@ -1,8 +1,8 @@
 import pytest
-from mpmath import mpf, mpc, workprec, sqrt, pi, exp, cos, sin, log
+from mpmath import mp, mpf, mpc, workprec, sqrt, pi, exp, cos, sin, log, ceil, ln
 
 from oepartitions import circle
-from oepartitions.specfun import DomainError, QuadratureError, wright_p
+from oepartitions.specfun import DomainError, QuadratureError, euler_eval, wright_p
 from oepartitions.genfun import oebar_series_hypergeometric
 from oepartitions.series import evaluate_at
 from oepartitions.circle import (
@@ -19,6 +19,25 @@ from oepartitions.circle import (
     minor_arc_empirical_max,
     circle_report,
 )
+
+
+def bilateral_reference(tau, prec):
+    """Obar(e^(2 pi i tau)) by Watson's bilateral sum at prec bits:
+    2 (q^2;q^2)_inf / (q;q)_inf^2 * sum_{n in Z} (-1)^n q^(n(3n+1)/2) / (1+q^n).
+
+    Near q = 1 its O(1) terms cancel to a sum of size e^(-pi/(12 y)), so the
+    caller pays for that in prec.
+    """
+    with workprec(prec):
+        q = mp.expjpi(2 * tau)
+        total, n = mpf("0.5"), 1
+        while True:
+            term = (-1) ** n * q ** (n * (3 * n + 1) // 2) / (1 + q ** n)
+            total += 2 * term
+            if abs(term) < mpf(2) ** -prec * abs(total):
+                break
+            n += 1
+        return 2 * euler_eval(2 * tau, prec) / euler_eval(tau, prec) ** 2 * total
 
 
 class TestGeometry:
@@ -87,6 +106,33 @@ class TestEvaluation:
         with workprec(prec):
             err = abs(a - b.conjugate())
         assert err < mpf(2) ** (-(prec - 24)) * (1 + abs(a))
+
+    @pytest.mark.parametrize("n", [1600, 6400, 25600])
+    @pytest.mark.parametrize("multiple", [0, 3, 6])
+    def test_major_arc_points_against_bilateral_sum(self, n, multiple):
+        # the bilateral sum cancels about pi/(12 y ln 2) bits here, so the
+        # reference pays twice that and 64 bits more
+        prec = 96
+        y = ArcGeometry(n).y
+        tau = mpc(multiple * y, y)
+        want = bilateral_reference(tau, prec + 2 * int(ceil(pi / (12 * y * ln(2)))) + 64)
+        got = oebar_eval(tau=tau, prec=prec)
+        assert abs(got - want) < mpf(2) ** -(prec - 8) * abs(want)
+
+    def test_point_next_to_minus_one(self):
+        # the terms of f(q) peak far above f here, so the first sum loses
+        # about 57 bits and the value rests on the re-sum
+        prec = 96
+        y = ArcGeometry(10 ** 5).y
+        tau = mpc("0.499", y)
+        want = bilateral_reference(tau, prec + 2 * int(ceil(pi / (12 * y * ln(2)))) + 128)
+        got = oebar_eval(tau=tau, prec=prec)
+        assert abs(got - want) < mpf(2) ** -(prec - 8) * abs(want)
+
+    def test_term_budget_exhausted_raises(self, monkeypatch):
+        monkeypatch.setattr(circle, "F_TERM_BUDGET", 8)
+        with pytest.raises(ArithmeticError):
+            oebar_eval(tau=mpc(0, ArcGeometry(400).y), prec=96)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(DomainError):
@@ -168,6 +214,15 @@ class TestArcs:
             devs.append(abs(i1.real / expo - 1))
         assert devs[1] < devs[0]
         assert devs[1] < mpf("0.02")
+
+    def test_major_arc_converges_at_large_n(self, time_limit):
+        # the bilateral sum's cancellation made this integrand noise and the
+        # quadrature ran out of its call budget after minutes
+        n = 6400
+        with time_limit(20):
+            i1 = major_arc_integral(ArcGeometry(n=n), prec=96)
+        expo, _ = main_term(n, prec=96)
+        assert abs(i1.real / expo - 1) < mpf("0.02")
 
     def test_main_term_forms_converge(self):
         # Bessel and exponential forms agree to O(1/sqrt(n))

@@ -1,5 +1,3 @@
-import signal
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import pytest
@@ -15,25 +13,6 @@ from oepartitions.specfun import (
     wright_p,
     euler_eval,
 )
-
-
-class TimeLimitExpired(BaseException):
-    """Not an Exception, so no `except Exception` in the code under test swallows it."""
-
-
-@contextmanager
-def time_limit(seconds):
-    """Fail instead of hanging once `seconds` have passed."""
-    def expire(signum, frame):
-        raise TimeLimitExpired(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def tol(prec, slack=8):
@@ -71,7 +50,7 @@ class TestDilog:
             want = quad(lambda t: -log(1 - t) / t if t else mpf(1), [0, x])
         assert abs(got - want) < mpf(2) ** (-(prec - 12))
 
-    def test_near_one_is_cheap_and_accurate(self):
+    def test_near_one_is_cheap_and_accurate(self, time_limit):
         # the plain series would need about 2^40 terms here; the reflection
         # Li2(x) = pi^2/6 - log x log(1-x) - Li2(1-x) needs fewer than prec + 64
         prec = 128
@@ -179,7 +158,7 @@ class TestBesselI:
         vals = [bessel_i(1, mpf(x) / 4, prec) for x in range(1, 12)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
-    def test_large_argument_cost_is_bounded(self):
+    def test_large_argument_cost_is_bounded(self, time_limit):
         # an ascending series needs about x terms here; mpmath's besseli does not
         prec = 96
         x = mpf(10) ** 6
