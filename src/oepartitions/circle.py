@@ -15,15 +15,25 @@ times f summed term by term, each term the last times q^(2n-1)/(1+q^n)^2.
 A sum of f that lost more than GUARD_BITS / 2 bits to cancellation, as
 measured from its largest term, is redone with that many more bits; a sum
 past F_TERM_BUDGET terms, or a redone one that loses more, raises.
+
+The sum of f runs in fixed point on Python ints, at wp = prec + GUARD_BITS
++ ceil(log2 F_TERM_BUDGET) + 4 bits: each step rounds by a few units of
+2^-wp, and the largest term is at least 1, so the rounding of up to
+F_TERM_BUDGET terms stays below 2^-(prec + GUARD_BITS) of it.  The term
+itself is kept to wp significant bits by a shift of its own, because the
+terms can fall far below 1 and rise again.  The evaluator logs its term
+count, lost bits and re-sum at DEBUG under this module's logger.
 """
 
 from __future__ import annotations
 
 import heapq
+import logging
 from dataclasses import dataclass
 
 from mpmath import mp, mpf, mpc
 from mpmath.calculus.quadrature import GaussLegendre
+from mpmath.libmp import to_fixed
 
 from . import genfun
 from .asympt import oebar_asymptotic
@@ -35,6 +45,8 @@ _GAUSS = GaussLegendre(mp)
 QUAD_DEGREE = 3
 QUAD_CALL_BUDGET = 1 << 14
 F_TERM_BUDGET = 1 << 12
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -91,26 +103,63 @@ def exponent_saving(big_m, prec=256):
 
 @guarded
 def _mock_f(tau, prec):
-    """Watson's f(q) at q = e^(2 pi i tau), and the bits its sum lost,
-    ceil(log2(max |term| / |f|)).  No powers are taken; near q = 1 the terms
-    shrink like 4^(-n).  Stops at a term below 2^-(prec + GUARD_BITS) of the
-    largest, and raises past F_TERM_BUDGET terms.
+    """Watson's f(q) at q = e^(2 pi i tau), the bits its sum lost,
+    ceil(log2(max |term| / |f|)), and the number of terms after the first.
+
+    Each term is the last times q^(2n-1)/(1+q^n)^2, so no powers are taken;
+    near q = 1 the terms shrink like 4^(-n).  Stops at a term below
+    2^-(prec + GUARD_BITS) of the largest, and raises past F_TERM_BUDGET
+    terms.
+
+    The loop runs in fixed point on Python ints, each complex number a pair
+    of integers, at wp = prec + GUARD_BITS + ceil(log2 F_TERM_BUDGET) + 4
+    bits; 1/(1+q^n)^2 is conj(1+q^n)^2 / |1+q^n|^4 by floor division, and
+    magnitudes are compared squared, so no square root is taken.  The sum
+    and the powers of q are scaled by 2^wp: each step adds a rounding of a
+    few units of 2^-wp, and the largest term is at least 1 (term 0), so up
+    to F_TERM_BUDGET of them stay below 2^-(prec + GUARD_BITS) of it, the
+    accuracy of the stop rule; the caller's re-sum makes that relative to
+    f.  The term is scaled by 2^(wp + s), with s raised whenever the term
+    falls below 1, so it keeps wp significant bits: when q^n turns slowly
+    towards -1 the terms fall far below 1 and then rise again, which would
+    carry an absolute rounding up with them.
     """
+    wp = prec + GUARD_BITS + (F_TERM_BUDGET - 1).bit_length() + 4
     q = mp.expjpi(2 * tau)
-    eps = mpf(2) ** -(prec + GUARD_BITS)
-    total = term = prev = mpc(1)  # prev = q^(n-1)
-    peak = mpf(1)
-    for _ in range(F_TERM_BUDGET):
-        qn = prev * q
-        d = 1 + qn
-        term *= prev * qn / (d * d)
-        total += term
-        prev = qn
-        size = abs(term)
-        peak = max(peak, size)
-        if size < eps * peak:
-            return total, int(mp.ceil(mp.log(peak / abs(total), 2)))
-    raise ArithmeticError(f"f(q) at tau = {tau} needs over {F_TERM_BUDGET} terms")
+    qr, qi = to_fixed(q.real._mpf_, wp), to_fixed(q.imag._mpf_, wp)
+    one = 1 << wp
+    # (sr, si) the sum and (pr, pi_) q^(n-1), scaled by 2^wp; (tr, ti) the
+    # term, scaled by 2^(wp + s)
+    sr = tr = pr = one
+    si = ti = pi_ = s = 0
+    floor2 = top = one * one  # 2^(2 wp), and the largest |term|^2 at the term's scale
+    cut = 2 * (prec + GUARD_BITS)
+    for terms in range(1, F_TERM_BUDGET + 1):
+        nr, ni = (pr * qr - pi_ * qi) >> wp, (pr * qi + pi_ * qr) >> wp  # q^n
+        ar, ai = (pr * nr - pi_ * ni) >> wp, (pr * ni + pi_ * nr) >> wp  # q^(2n-1)
+        dr = one + nr
+        dr2, di2 = dr * dr, ni * ni
+        cr, ci = dr2 - di2, -2 * dr * ni  # conj(1+q^n)^2, scaled by 2^(2 wp)
+        m2 = (dr2 + di2) ** 2  # |1+q^n|^4, scaled by 2^(4 wp)
+        wr, wi = (tr * ar - ti * ai) >> wp, (tr * ai + ti * ar) >> wp
+        tr, ti = ((wr * cr - wi * ci) << 2 * wp) // m2, ((wr * ci + wi * cr) << 2 * wp) // m2
+        sr += tr >> s
+        si += ti >> s
+        pr, pi_ = nr, ni
+        size2 = tr * tr + ti * ti
+        if size2 > top:
+            top = size2
+        elif size2 < top >> cut:
+            break
+        if size2 < floor2:  # keep wp significant bits in the term
+            k = wp + 1 - (size2.bit_length() >> 1)
+            tr, ti, s, top = tr << k, ti << k, s + k, top << 2 * k
+    else:
+        raise ArithmeticError(f"f(q) at tau = {tau} needs over {F_TERM_BUDGET} terms")
+    if not (sr or si):
+        raise ArithmeticError(f"f(q) at tau = {tau} sums to 0 at {wp} fixed-point bits")
+    lost = int(mp.ceil(mp.log(mpf(top) / ((sr * sr + si * si) << 2 * s), 2) / 2))
+    return mpc(mpf((sr, -wp)), mpf((si, -wp))), lost, terms
 
 
 def _oebar_eval_tau(tau, prec):
@@ -118,12 +167,17 @@ def _oebar_eval_tau(tau, prec):
     caller working at prec + GUARD_BITS; (-q;q)_inf = (q^2;q^2)_inf / (q;q)_inf.
     If the sum of f lost more than GUARD_BITS / 2 bits, it is summed once
     more with that many more bits, and this raises if that sum lost more.
+    Logs the term count, the lost bits and the re-sum at DEBUG.
     """
-    f, lost = _mock_f(tau, prec)
-    if lost > GUARD_BITS // 2:
-        f, again = _mock_f(tau, prec + lost)
+    f, lost, terms = _mock_f(tau, prec)
+    resum = lost > GUARD_BITS // 2
+    if resum:
+        f, again, terms = _mock_f(tau, prec + lost)
         if again > lost + GUARD_BITS // 2:
             raise ArithmeticError(f"f(q) at tau = {tau} lost {again} bits after {lost}")
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("f(q) at tau = %s: %d terms, lost %d bits, %s", tau, terms, lost,
+                  f"re-summed at {prec + lost} bits" if resum else "no re-sum")
     return euler_eval(2 * tau, prec + GUARD_BITS) / euler_eval(tau, prec + GUARD_BITS) * f
 
 

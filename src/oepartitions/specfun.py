@@ -8,7 +8,8 @@ mpmath's, behind this package's domain checks and conventions:
 
   dilog(x)            Li_2(x) on [0, 1): mp.polylog(2, x)
   jacobi_theta(z,tau) theta(z;tau) = sum_{n in 1/2+Z} e^(pi i n^2 tau + 2 pi i n (z+1/2))
-                      = mp.jtheta(2, pi (z + 1/2), e^(pi i tau))
+                      = mp.jtheta(2, pi (z + 1/2), e^(pi i tau)), with more bits
+                      where its terms cancel
   bessel_i(l, x)      modified Bessel I_l, integer order: mp.besseli(|l|, x)
   wright_p(s, u, M)   (1/2 pi i) int_{1-Mi}^{1+Mi} v^s e^(u(v+1/v)) dv, by mp.quad
   euler_eval(tau)     (q;q)_inf at q = e^(2 pi i tau): modular reduction, then mp.qp
@@ -26,6 +27,7 @@ import inspect
 from mpmath import mp, mpf, mpc, workprec
 
 GUARD_BITS = 32
+THETA_PASSES = 8
 
 
 def _rounded(value):
@@ -86,16 +88,8 @@ def dilog(x, prec=256):
 
 
 @guarded
-def jacobi_theta(z, tau, prec=256):
-    """theta(z;tau) = jtheta_2(pi (z + 1/2), e^(pi i tau)), by mpmath's jtheta.
-
-    mpmath refuses |e^(pi i tau)| above mp.THETA_Q_LIM (Im tau below about
-    3.2e-8); that is a DomainError here.
-    """
-    z = mpc(z)
-    tau = mpc(tau)
-    if tau.imag <= 0:
-        raise DomainError("tau must lie in the upper half plane")
+def _jtheta(z, tau, prec):
+    """mp.jtheta(2, pi (z + 1/2), e^(pi i tau)); mpmath's q limit is a DomainError."""
     q = mp.expjpi(tau)
     if abs(q) > mp.THETA_Q_LIM:
         raise DomainError(
@@ -103,6 +97,46 @@ def jacobi_theta(z, tau, prec=256):
             f"theta limit THETA_Q_LIM = {mp.THETA_Q_LIM}"
         )
     return mp.jtheta(2, mp.pi * (z + mpf("0.5")), q)
+
+
+@guarded
+def jacobi_theta(z, tau, prec=256):
+    """theta(z;tau) = jtheta_2(pi (z + 1/2), e^(pi i tau)), by mpmath's jtheta.
+
+    mpmath refuses |e^(pi i tau)| above mp.THETA_Q_LIM (Im tau below about
+    3.2e-8); that is a DomainError here.
+
+    At real z and small Im tau the terms cancel, and mpmath's sum is right
+    only to absolute precision.  The bits lost are measured against the
+    largest term, e^(-pi n^2 Im tau - 2 pi n Im z) at the half-integer n
+    nearest -Im z / Im tau.  A value that lost more than GUARD_BITS / 2 bits
+    beyond the extra ones it was given is computed again with that many
+    extra bits, at most THETA_PASSES times; then this raises.  A value that
+    lost too much is noise at the level of its working precision, so each
+    pass adds about that precision.  theta vanishes at integer z, where 0
+    is returned.
+    """
+    z = mpc(z)
+    tau = mpc(tau)
+    if tau.imag <= 0:
+        raise DomainError("tau must lie in the upper half plane")
+    if z == mp.nint(z.real):
+        return mpc(0)
+    n = mp.floor(-z.imag / tau.imag) + mpf("0.5")
+    # log2 of the largest term, rounded up; mp.mag(value) is log2 |value| or up to 2 above
+    peak_bits = int(mp.ceil(-mp.pi * (n * n * tau.imag + 2 * n * z.imag) / mp.ln2))
+    extra = 0
+    for _ in range(THETA_PASSES):
+        value = _jtheta(z, tau, prec + extra)
+        if not value:
+            raise ArithmeticError(f"theta sums to 0 at z = {z}, tau = {tau}")
+        lost = peak_bits - mp.mag(value) + 2
+        if lost <= extra + GUARD_BITS // 2:
+            return value
+        extra = lost
+    raise ArithmeticError(
+        f"theta at z = {z}, tau = {tau} still lost {lost} bits after {THETA_PASSES} passes"
+    )
 
 
 @guarded

@@ -1,8 +1,11 @@
+import logging
+
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf, mpc, workprec, sqrt, pi, exp, cos, sin, log, ceil, ln
 
 from oepartitions import circle
-from oepartitions.specfun import DomainError, QuadratureError, euler_eval, wright_p
+from oepartitions.specfun import GUARD_BITS, DomainError, QuadratureError, euler_eval, wright_p
 from oepartitions.genfun import oebar_series_hypergeometric
 from oepartitions.series import evaluate_at
 from oepartitions.circle import (
@@ -38,6 +41,53 @@ def bilateral_reference(tau, prec):
                 break
             n += 1
         return 2 * euler_eval(2 * tau, prec) / euler_eval(tau, prec) ** 2 * total
+
+
+def reference_mock_f(tau, prec):
+    """Watson's f(q) at q = e^(2 pi i tau) and the bits its sum lost, by the
+    term-ratio loop on mpc at prec bits (the evaluator before its fixed-point
+    kernel): each term the last times q^(2n-1)/(1+q^n)^2, stopping at a
+    term below 2^-prec of the largest.
+    """
+    with workprec(prec):
+        q = mp.expjpi(2 * tau)
+        eps = mpf(2) ** -prec
+        total = term = prev = mpc(1)  # prev = q^(n-1)
+        peak = mpf(1)
+        for _ in range(circle.F_TERM_BUDGET):
+            qn = prev * q
+            d = 1 + qn
+            term *= prev * qn / (d * d)
+            total += term
+            prev = qn
+            size = abs(term)
+            peak = max(peak, size)
+            if size < eps * peak:
+                return total, int(mp.ceil(mp.log(peak / abs(total), 2)))
+    raise ArithmeticError("reference sum of f(q) did not converge")
+
+
+def reference_oebar(tau, prec):
+    """Obar = (q^2;q^2)_inf / (q;q)_inf * f(q) with f from the mpc reference loop."""
+    f, _ = reference_mock_f(tau, prec)
+    with workprec(prec):
+        return euler_eval(2 * tau, prec) / euler_eval(tau, prec) * f
+
+
+def circle_point(n, x):
+    """tau = x + i y(n) on the circle of the Cauchy integral for OEbar(n);
+    x given as a multiple of y when it is a string ending in "y"."""
+    y = ArcGeometry(n).y
+    if isinstance(x, str) and x.endswith("y"):
+        x = int(x[:-1]) * y
+    return mpc(mpf(x), y)
+
+
+def assert_matches_mpc_loop(tau, prec):
+    """oebar_eval at prec bits agrees with the mpc reference at 160 more to 2^-(prec-2)."""
+    want = reference_oebar(tau, prec + 160)
+    got = oebar_eval(tau=tau, prec=prec)
+    assert abs(got - want) < mpf(2) ** -(prec - 2) * abs(want)
 
 
 class TestGeometry:
@@ -128,6 +178,50 @@ class TestEvaluation:
         want = bilateral_reference(tau, prec + 2 * int(ceil(pi / (12 * y * ln(2)))) + 128)
         got = oebar_eval(tau=tau, prec=prec)
         assert abs(got - want) < mpf(2) ** -(prec - 8) * abs(want)
+
+    @pytest.mark.parametrize("prec", [96, 256, 512])
+    @pytest.mark.parametrize("n", [1600, 10 ** 5])
+    @pytest.mark.parametrize("x", [0, "3y", mpf(1) / 4, mpf(1) / 3, mpf("0.499")],
+                             ids=["0", "3y", "1/4", "1/3", "0.499"])
+    def test_fixed_point_kernel_against_mpc_loop(self, prec, n, x):
+        assert_matches_mpc_loop(circle_point(n, x), prec)
+
+    @pytest.mark.parametrize("prec", [96, 256, 512])
+    def test_lost_bits_and_resum_next_to_minus_one(self, prec, monkeypatch):
+        tau = circle_point(10 ** 5, mpf("0.499"))
+        _, want = reference_mock_f(tau, prec + 160)
+        _, lost, _ = circle._mock_f(tau, prec)
+        assert abs(lost - want) <= 1
+        sums = []
+        inner = circle._mock_f
+
+        def counting(tau, prec):
+            sums.append(prec)
+            return inner(tau, prec)
+
+        monkeypatch.setattr(circle, "_mock_f", counting)
+        oebar_eval(tau=tau, prec=prec)
+        assert lost > GUARD_BITS // 2 and sums == [prec, prec + lost]
+
+    def test_term_rising_after_a_deep_dip(self):
+        # q^n turns slowly here: the terms fall to about 2^-120 before
+        # q^n nears -1, then rise to 2^16; a term held to absolute
+        # precision only would carry its rounding up by 2^136 and lose
+        # about 30 bits
+        assert_matches_mpc_loop(circle_point(289356, mpf("0.0041193797332570534")), 96)
+
+    @settings(max_examples=40, deadline=None)
+    @given(x=st.floats(0, 0.5), n=st.integers(100, 25600))
+    def test_fixed_point_kernel_at_random_circle_points(self, x, n):
+        assert_matches_mpc_loop(circle_point(n, x), 96)
+
+    @pytest.mark.parametrize("x,note", [(0, "no re-sum"), (mpf("0.499"), "re-summed at")],
+                             ids=["0", "0.499"])
+    def test_debug_log_reports_the_sum(self, x, note, caplog):
+        caplog.set_level(logging.DEBUG, logger="oepartitions.circle")
+        oebar_eval(tau=circle_point(10 ** 5, x), prec=96)
+        messages = [r.getMessage() for r in caplog.records if r.name == "oepartitions.circle"]
+        assert len(messages) == 1 and note in messages[0] and "terms" in messages[0]
 
     def test_term_budget_exhausted_raises(self, monkeypatch):
         monkeypatch.setattr(circle, "F_TERM_BUDGET", 8)

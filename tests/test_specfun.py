@@ -3,6 +3,7 @@ from dataclasses import dataclass
 import pytest
 from mpmath import mp, mpf, mpc, workprec, exp, log, sqrt, pi, quad, besseli, polylog
 
+from oepartitions import specfun
 from oepartitions.specfun import (
     GUARD_BITS,
     DomainError,
@@ -119,6 +120,25 @@ class TestTheta:
                 devs.append(abs(jacobi_theta(z, tau, prec) / lead - 1))
         assert devs[0] > devs[1] > devs[2]
         assert devs[2] < mpf("1e-10")
+
+    @pytest.mark.parametrize("prec", [96, 256])
+    def test_cancelling_sum_against_poisson_form(self, prec):
+        # at real z and small Im tau the terms, of size 1, cancel to about
+        # e^(-0.09 pi / y); mpmath's sum alone is right only to absolute
+        # precision (-4.9e-43 here at prec 96).  Poisson summation gives
+        # theta(z; iy) = y^(-1/2) sum_k (-1)^k e^(-pi (z + 1/2 - k)^2 / y)
+        z, y = mpf("0.2"), mpf("0.001")
+        got = jacobi_theta(z, mpc(0, y), prec)
+        with workprec(prec + 64):
+            want = sum((-1) ** k * exp(-pi * (z + 0.5 - k) ** 2 / y) for k in range(-2, 4))
+            want /= sqrt(y)
+        assert abs(got - want) < tol(prec) * abs(want)
+
+    def test_cancellation_past_the_pass_budget_raises(self, monkeypatch):
+        # one pass sees the loss but may not pay for it: no value is returned
+        monkeypatch.setattr(specfun, "THETA_PASSES", 1)
+        with pytest.raises(ArithmeticError):
+            jacobi_theta(mpf("0.2"), mpc(0, mpf("0.001")), 96)
 
     def test_past_mpmath_limit_is_a_domain_error(self):
         # mpmath refuses |e^(pi i tau)| > THETA_Q_LIM, i.e. Im tau below about 3.2e-8
