@@ -14,6 +14,8 @@ Contents:
 ingham_transfer and halve_argument are generic over the scalar type: they
 use only +, *, / and ** with rational exponents, so they can be driven with
 sympy expressions for exact constant algebra as well as with mpmath floats.
+The package itself does not import sympy: ingham_transfer takes the pi of
+the caller's scalar type.
 """
 
 from __future__ import annotations
@@ -199,24 +201,16 @@ class AsymptoticLaw:
     k: object
 
 
-def ingham_transfer(hypothesis):
+def ingham_transfer(hypothesis, *, pi=mp.pi):
     """Map Tauberian hypothesis constants to the coefficient law.
 
     a(n) ~ (lambda / (2 sqrt pi)) A^(alpha/2 + 1/4) n^-(alpha/2 + 3/4) e^(2 sqrt(A n)).
-    Generic over the scalar type of the inputs; pass a `pi` matching that
-    type via InghamInput fields built from it (mpf inputs use mp.pi).
+    Generic over the scalar type of the inputs; `pi` must be of that type
+    too: mp.pi for mpmath inputs, sympy.pi for exact sympy algebra.
     """
     lam, alpha, a_gap = hypothesis.lam, hypothesis.alpha_exp, hypothesis.a_gap
     one = a_gap ** 0
     half = one / 2
-    try:
-        import sympy
-    except ImportError:
-        sympy = None
-    if sympy is not None and any(isinstance(v, sympy.Basic) for v in (lam, alpha, a_gap)):
-        pi = sympy.pi
-    else:
-        pi = mp.pi
     c = lam * a_gap ** (alpha * half + half / 2) / (2 * pi ** half)
     p = alpha * half + 3 * half / 2
     k = 2 * a_gap ** half

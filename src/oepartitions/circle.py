@@ -10,26 +10,25 @@ integral against the Bessel main term, and the proven minor-arc bound
 together with an empirical maximum.
 
 On the circle, Obar(q) = (-q;q)_inf f(q), with f(q) = sum q^(n^2)/(-q;q)_n^2
-Watson's third-order mock theta function: the eta quotient from euler_eval
-times f summed term by term, each term the last times q^(2n-1)/(1+q^n)^2.
-A sum of f that lost more than GUARD_BITS / 2 bits to cancellation, as
-measured from its largest term, is redone with that many more bits; a sum
-past F_TERM_BUDGET terms, or a redone one that loses more, raises.
-
-The sum of f runs in fixed point on Python ints, at wp = prec + GUARD_BITS
-+ ceil(log2 F_TERM_BUDGET) + 4 bits: each step rounds by a few units of
-2^-wp, and the largest term is at least 1, so the rounding of up to
-F_TERM_BUDGET terms stays below 2^-(prec + GUARD_BITS) of it.  The term
-itself is kept to wp significant bits by a shift of its own, because the
-terms can fall far below 1 and rise again.  The evaluator logs its term
-count, lost bits and re-sum at DEBUG under this module's logger.
+Watson's third-order mock theta function, and _oebar_eval_tau picks a
+route for each factor from the point alone.  Where Im(-1/tau) >= 1 (the
+whole major arc for n >= 30), both factors come from the modular
+transformation to the nome Q = e^(-pi i/tau): (-q;q)_inf in closed form,
+and f from Watson's transformation, its Mordell integral summed by an
+asymptotic expansion wherever that reaches the precision asked for.
+Elsewhere (-q;q)_inf is euler_eval(2 tau) / euler_eval(tau), and f is
+summed directly in fixed point, with a ratio-bound stop rule and a re-sum
+that pays for cancellation.  Each evaluation logs the route of f, its
+term count, lost bits and re-sum at DEBUG under this module's logger.
 """
 
 from __future__ import annotations
 
 import heapq
 import logging
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from mpmath import mp, mpf, mpc
 from mpmath.calculus.quadrature import GaussLegendre
@@ -101,6 +100,19 @@ def exponent_saving(big_m, prec=256):
     return (1 / mp.pi) * (1 - 1 / mp.sqrt(1 + m2)) - mp.pi / 12
 
 
+def _settled_term(tau):
+    """The least n from which each term of f(q) at q = e^(2 pi i tau) bounds the sum after it.
+
+    With r = |q|, |term_k / term_(k-1)| <= rho(k) = r^(2k-1) / (1 - r^k)^2,
+    which falls with k; once rho(k) <= 1/2, that is r^k <= s =
+    sqrt(r/2) / (1 + sqrt(r/2)), the sum after term k - 1 is below that
+    term.  In float logarithms, so that |q| may underflow.
+    """
+    log_r = -2 * math.pi * float(tau.imag)
+    log_s = (log_r - math.log(2)) / 2 - math.log1p(math.sqrt(math.exp(log_r) / 2))
+    return math.ceil(log_s / log_r) - 1
+
+
 @guarded
 def _mock_f(tau, prec):
     """Watson's f(q) at q = e^(2 pi i tau), the bits its sum lost,
@@ -108,8 +120,10 @@ def _mock_f(tau, prec):
 
     Each term is the last times q^(2n-1)/(1+q^n)^2, so no powers are taken;
     near q = 1 the terms shrink like 4^(-n).  Stops at a term below
-    2^-(prec + GUARD_BITS) of the largest, and raises past F_TERM_BUDGET
-    terms.
+    2^-(prec + GUARD_BITS) of the largest, once _settled_term says that
+    term bounds the rest of the sum, and raises past F_TERM_BUDGET terms.
+    The terms can fall below that cut and rise again where q^n turns
+    slowly towards -1; the ratio bound rules such a rise out.
 
     The loop runs in fixed point on Python ints, each complex number a pair
     of integers, at wp = prec + GUARD_BITS + ceil(log2 F_TERM_BUDGET) + 4
@@ -125,6 +139,7 @@ def _mock_f(tau, prec):
     carry an absolute rounding up with them.
     """
     wp = prec + GUARD_BITS + (F_TERM_BUDGET - 1).bit_length() + 4
+    settled = _settled_term(tau)
     q = mp.expjpi(2 * tau)
     qr, qi = to_fixed(q.real._mpf_, wp), to_fixed(q.imag._mpf_, wp)
     one = 1 << wp
@@ -149,7 +164,7 @@ def _mock_f(tau, prec):
         size2 = tr * tr + ti * ti
         if size2 > top:
             top = size2
-        elif size2 < top >> cut:
+        elif size2 < top >> cut and terms >= settled:
             break
         if size2 < floor2:  # keep wp significant bits in the term
             k = wp + 1 - (size2.bit_length() >> 1)
@@ -162,23 +177,187 @@ def _mock_f(tau, prec):
     return mpc(mpf((sr, -wp)), mpf((si, -wp))), lost, terms
 
 
+@lru_cache(maxsize=None)
+def _mordell_coefficients(size):
+    """b_0 .. b_(size-1) of M(z) ~ sum b_j z^j, as exact fractions: b_0 = 4/3, b_1 = -5/54.
+
+    b_j = 2 c_j (2j-1)!! / 3^j, c_j the coefficient of u^(2j) in
+    sinh u / sinh(3u/2).  With D_j = 4^j (2j)! c_j, sinh(3u/2) sum c_j u^(2j)
+    = sinh u gives sum_(i<=j) C(2j+1, 2i+1) 9^i D_(j-i) = (2/3) 4^j, and
+    b_j = 2 D_j / (j! 24^j).  The 90 terms of prec 96 take about 0.03 s, so
+    the table is built on first use, not at import.
+    """
+    from fractions import Fraction  # imports decimal: 2 ms off every package import
+
+    d, b = [], []
+    for j in range(size):
+        rest = sum(math.comb(2 * j + 1, 2 * i + 1) * 9 ** i * d[j - i] for i in range(1, j + 1))
+        d.append((Fraction(2, 3) * 4 ** j - rest) / (2 * j + 1))
+        b.append(2 * d[j] / (math.factorial(j) * 24 ** j))
+    return tuple(b)
+
+
+def _mordell_terms(size, prec):
+    """How many terms of M(z) ~ sum b_j z^j at |z| = size leave the next one
+    below 2^-(prec + GUARD_BITS); 0 where the terms turn upwards first, or
+    F_TERM_BUDGET of them do not reach that.
+
+    A float estimate: the poles of sinh u / sinh(3u/2) at u = +-2 pi i/3
+    give |b_(j+1) / b_j| = 3 (2j+1) / (4 pi^2), up to a relative O(4^-j)
+    and from above.
+    """
+    bits, cut = math.log2(4 / 3), -(prec + GUARD_BITS)
+    for terms in range(1, F_TERM_BUDGET + 1):
+        ratio = 3 * (2 * terms - 1) * size / (4 * math.pi ** 2)
+        if ratio >= 1:
+            return 0
+        bits += math.log2(ratio)
+        if bits < cut:
+            return terms
+    return 0
+
+
+@lru_cache(maxsize=16)
+def _mordell_fixed(prec):
+    """Every b_j that _mordell_terms can ask for at prec, rounded down to
+    multiples of 2^-wp and scaled by 2^wp, wp = prec + GUARD_BITS + 4.
+
+    It asks for j terms only where |z| < 4 pi^2 / (3 (2j-1)) and term j-1
+    is not below the cut; then log2(4/3) + sum_(0<i<j) log2((2i-1)/(2j-1)),
+    which falls with j, is not below it either.  So one table for each
+    precision covers its worst point: 90 terms at prec 96, 379 at 512.
+    """
+    cut = -(prec + GUARD_BITS) - math.log2(4 / 3)
+    logs = 0.0  # sum_(0<i<j) log2(2i-1)
+    for size in range(1, F_TERM_BUDGET + 1):
+        if logs - (size - 1) * math.log2(2 * size - 1) < cut:
+            break
+        logs += math.log2(2 * size - 1)
+    wp = prec + GUARD_BITS + 4
+    return tuple((b.numerator << wp) // b.denominator for b in _mordell_coefficients(size))
+
+
+def _mordell(z, terms, prec):
+    """M(z) ~ sum_(j < terms) b_j z^j, by Horner's rule in fixed point on Python ints.
+
+    Each step and each b_j round by a unit of 2^-wp, which reaches the
+    value times z^j; |z| < 1/2 wherever _mordell_terms allows a sum, so the
+    total stays below 2^-(prec + GUARD_BITS).
+    """
+    wp = prec + GUARD_BITS + 4
+    coeffs = _mordell_fixed(prec)
+    zr, zi = to_fixed(z.real._mpf_, wp), to_fixed(z.imag._mpf_, wp)
+    ar, ai = coeffs[terms - 1], 0
+    for b in reversed(coeffs[:terms - 1]):
+        ar, ai = ((ar * zr - ai * zi) >> wp) + b, (ar * zi + ai * zr) >> wp
+    return mpc(mpf((ar, -wp)), mpf((ai, -wp)))
+
+
+def _omega(big_q):
+    """Watson's omega(Q) = sum_(n>=0) Q^(2n(n+1)) / (Q;Q^2)_(n+1)^2, for |Q| <= e^-pi.
+
+    Each term is the last times Q^(4n) / (1 - Q^(2n+1))^2, at most 1/2 in
+    size, so the sum after a term is below it; the loop stops at a term
+    below 2^-prec of the sum, after one or two on the major arc.
+    """
+    eps = mpf(2) ** -mp.prec
+    q2 = big_q * big_q
+    q4 = q2 * q2
+    odd, step = big_q, mpc(1)  # Q^(2n-1) and Q^(4n)
+    term = total = 1 / (1 - big_q) ** 2
+    for _ in range(F_TERM_BUDGET):
+        odd *= q2
+        step *= q4
+        term *= step / (1 - odd) ** 2
+        total += term
+        if abs(term) < eps * abs(total):
+            return total
+    raise ArithmeticError(f"omega(Q) at Q = {big_q} needs over {F_TERM_BUDGET} terms")
+
+
+def _neg_pochhammer(tau, big_q):
+    """(-q;q)_inf = e^(pi i (1/(24 tau) - tau/12)) / (sqrt2 (-Q;Q)_inf) at
+    q = e^(2 pi i tau), from big_q = Q = e^(-pi i/tau): eta(2 tau)/eta(tau)
+    moved to -1/tau.
+
+    The product stops at a factor 1 + Q^k with |Q^k| below 2^-prec; the
+    rest changes the value by at most |Q^k| / (1 - |Q|).  With |Q| <= e^-pi
+    that is at most about prec/4.5 factors, and one near q = 1.
+    """
+    eps = mpf(2) ** -mp.prec
+    product, power = mpc(1), big_q
+    for _ in range(F_TERM_BUDGET):
+        if abs(power) < eps:
+            return mp.expjpi(1 / (24 * tau) - tau / 12) / (mp.sqrt(2) * product)
+        product *= 1 + power
+        power *= big_q
+    raise ArithmeticError(f"(-Q;Q)_inf at Q = {big_q} needs over {F_TERM_BUDGET} factors")
+
+
+@guarded
+def _watson_f(tau, big_q, prec):
+    """Watson's f(q) at q = e^(2 pi i tau) through his transformation, the
+    bits lost adding its two parts and the terms of M; or None.
+
+    With z = -2 pi i tau and Q = e^(-2 pi^2/z) = e^(-pi i/tau) = big_q,
+      e^(z/24) f(e^-z) = M(z) + 2 sqrt(2 pi/z) e^(-4 pi^2/(3z)) omega(Q),
+    M the Mordell integral, summed by its asymptotic expansion, and
+    |Q| <= e^-pi for _omega.  None where the expansion cannot reach
+    2^-(prec + GUARD_BITS), or where the parts cancel more than
+    GUARD_BITS / 2 bits.
+    """
+    z = -2j * mp.pi * tau
+    size = float(abs(z))
+    terms = _mordell_terms(size, prec)
+    if not terms:
+        return None
+    m = _mordell(z, terms, prec)
+    # |omega(Q)| < 1.1 for |Q| <= e^-pi and |M(z)| > 1 where the expansion
+    # serves, so the omega term is below the truncation of M where
+    # 2.2 sqrt(2 pi/|z|) |Q|^(2/3) is; mp.mag bounds log2 |Q| from above
+    if math.log2(2.2 * math.sqrt(2 * math.pi / size)) + 2 * mp.mag(big_q) / 3 < -(prec + GUARD_BITS):
+        return mp.expjpi(tau / 12) * m, 0, terms
+    w = 2 * mp.sqrt(1j / tau) * mp.expjpi(-2 / (3 * tau)) * _omega(big_q)
+    total = m + w
+    lost = max(mp.mag(m), mp.mag(w)) - mp.mag(total) if total else mp.inf
+    if lost > GUARD_BITS // 2:
+        return None
+    return mp.expjpi(tau / 12) * total, max(int(lost), 0), terms
+
+
 def _oebar_eval_tau(tau, prec):
     """Obar(e^(2 pi i tau)) = (-q;q)_inf f(q) to prec bits, for a guarded
-    caller working at prec + GUARD_BITS; (-q;q)_inf = (q^2;q^2)_inf / (q;q)_inf.
-    If the sum of f lost more than GUARD_BITS / 2 bits, it is summed once
-    more with that many more bits, and this raises if that sum lost more.
-    Logs the term count, the lost bits and the re-sum at DEBUG.
+    caller working at prec + GUARD_BITS.
+
+    Where Im(-1/tau) >= 1, (-q;q)_inf by _neg_pochhammer and f by
+    _watson_f if that reaches prec bits; elsewhere the euler_eval pair and
+    the direct sum _mock_f.  A direct sum that lost more than
+    GUARD_BITS / 2 bits is summed once more with that many more bits, and
+    this raises if that sum lost more.  Logs the route of f, its term
+    count, lost bits and re-sum at DEBUG.
     """
-    f, lost, terms = _mock_f(tau, prec)
-    resum = lost > GUARD_BITS // 2
-    if resum:
-        f, again, terms = _mock_f(tau, prec + lost)
-        if again > lost + GUARD_BITS // 2:
-            raise ArithmeticError(f"f(q) at tau = {tau} lost {again} bits after {lost}")
+    inv = -1 / tau
+    watson = None
+    if inv.imag >= 1:
+        big_q = mp.expjpi(inv)
+        eta = _neg_pochhammer(tau, big_q)
+        watson = _watson_f(tau, big_q, prec)
+    else:
+        eta = euler_eval(2 * tau, prec + GUARD_BITS) / euler_eval(tau, prec + GUARD_BITS)
+    resum = False
+    if watson is not None:
+        route, (f, lost, terms) = "transformed", watson
+    else:
+        route, (f, lost, terms) = "direct", _mock_f(tau, prec)
+        resum = lost > GUARD_BITS // 2
+        if resum:
+            f, again, terms = _mock_f(tau, prec + lost)
+            if again > lost + GUARD_BITS // 2:
+                raise ArithmeticError(f"f(q) at tau = {tau} lost {again} bits after {lost}")
     if log.isEnabledFor(logging.DEBUG):
-        log.debug("f(q) at tau = %s: %d terms, lost %d bits, %s", tau, terms, lost,
+        log.debug("f(q) at tau = %s: %s, %d terms, lost %d bits, %s", tau, route, terms, lost,
                   f"re-summed at {prec + lost} bits" if resum else "no re-sum")
-    return euler_eval(2 * tau, prec + GUARD_BITS) / euler_eval(tau, prec + GUARD_BITS) * f
+    return eta * f
 
 
 @guarded
@@ -186,10 +365,12 @@ def oebar_eval(tau, prec=256):
     """Evaluate Obar(q) = (-q;q)_inf f(q) at q = e^(2 pi i tau), Im tau > 0, with
     f Watson's third-order mock theta function (see _oebar_eval_tau).
 
-    Efficient arbitrarily close to q = 1; this is the route used on the
-    circle.  The tests check it against the exact coefficient series with
-    its rigorous tail bound (series.evaluate_at), and against Watson's
-    bilateral sum at a precision that pays for that sum's cancellation.
+    Efficient arbitrarily close to q = 1, through the modular
+    transformation there; this is the route used on the circle.  The tests
+    check it against the exact coefficient series with its rigorous tail
+    bound (series.evaluate_at), against Watson's bilateral sum at a
+    precision that pays for that sum's cancellation, and against the
+    Mordell integral by quadrature.
     """
     tau = mpc(tau)
     if tau.imag <= 0:

@@ -12,6 +12,7 @@ mpmath's, behind this package's domain checks and conventions:
                       where its terms cancel
   bessel_i(l, x)      modified Bessel I_l, integer order: mp.besseli(|l|, x)
   wright_p(s, u, M)   (1/2 pi i) int_{1-Mi}^{1+Mi} v^s e^(u(v+1/v)) dv, by mp.quad
+                      over the upper half of the segment
   euler_eval(tau)     (q;q)_inf at q = e^(2 pi i tau): modular reduction, then mp.qp
 
 The theta convention is the half-integer-characteristic one used in the
@@ -158,7 +159,9 @@ def wright_p(s, u, big_m, prec=256):
     """Wright's contour function P_s(u) on the segment 1-Mi .. 1+Mi.
 
     Parameterizing v = 1 + it gives
-      P_s(u) = (1/2 pi) int_{-M}^{M} (1+it)^s e^(u(1+it+1/(1+it))) dt,
+      P_s(u) = (1/2 pi) int_{-M}^{M} (1+it)^s e^(u(1+it+1/(1+it))) dt.
+    For integer s and real u the integrand at -t is the conjugate of the
+    integrand at t, so P_s(u) = (1/pi) int_0^M Re[...] dt, a real number,
     evaluated by mpmath's adaptive tanh-sinh quadrature, degree at most 10.
     Raises QuadratureError if the estimated error does not reach 2^(-prec/2)
     relative.
@@ -170,12 +173,12 @@ def wright_p(s, u, big_m, prec=256):
     s = _integer(s, "s")
 
     def integrand(t):
-        v = 1 + 1j * t
-        return v ** s * mp.e ** (u * (v + 1 / v))
+        v = mpc(1, t)
+        return (v ** s * mp.exp(u * (v + 1 / v))).real
 
-    val, err = mp.quad(integrand, [-big_m, 0, big_m], error=True, maxdegree=10)
-    val = val / (2 * mp.pi)
-    err = mpf(err) / (2 * mp.pi)
+    val, err = mp.quad(integrand, [0, big_m], error=True, maxdegree=10)
+    val = val / mp.pi
+    err = mpf(err) / mp.pi
     if abs(val) > 0 and err > abs(val) * mpf(2) ** (-(prec // 2)):
         raise QuadratureError(
             f"wright_p quadrature error {err} above target for prec={prec}"

@@ -241,7 +241,7 @@ def test_criterion_10_tauberian_transfer():
             alpha_exp=sympy.Integer(0),
             a_gap=sympy.pi**2 / 10,
         )
-        law = asympt.halve_argument(asympt.ingham_transfer(hyp))
+        law = asympt.halve_argument(asympt.ingham_transfer(hyp, pi=sympy.pi))
         assert sympy.simplify(law.c - 1 / (2 * sympy.sqrt(5))) == 0
         assert sympy.simplify(law.p - sympy.Rational(3, 4)) == 0
         assert sympy.simplify(law.k - sympy.pi / sympy.sqrt(5)) == 0

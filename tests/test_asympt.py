@@ -221,7 +221,7 @@ class TestInghamTransfer:
             alpha_exp=sympy.Integer(0),
             a_gap=sympy.pi**2 / 10,
         )
-        law = halve_argument(ingham_transfer(hyp))
+        law = halve_argument(ingham_transfer(hyp, pi=sympy.pi))
         assert sympy.simplify(law.c - 1 / (2 * sympy.sqrt(5))) == 0
         assert sympy.simplify(law.p - sympy.Rational(3, 4)) == 0
         assert sympy.simplify(law.k - sympy.pi / sympy.sqrt(5)) == 0
@@ -235,7 +235,7 @@ class TestInghamTransfer:
             alpha_exp=sympy.Integer(0),
             a_gap=sympy.pi**2 / 12,
         )
-        law = ingham_transfer(hyp)
+        law = ingham_transfer(hyp, pi=sympy.pi)
         assert sympy.simplify(law.c - 3 ** sympy.Rational(-5, 4)) == 0
         assert sympy.simplify(law.p - sympy.Rational(3, 4)) == 0
         assert sympy.simplify(law.k - sympy.pi / sympy.sqrt(3)) == 0

@@ -1,12 +1,13 @@
 import logging
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 from mpmath import mp, mpf, mpc, workprec, sqrt, pi, exp, cos, sin, log, ceil, ln
 
 from oepartitions import circle
 from oepartitions.specfun import GUARD_BITS, DomainError, QuadratureError, euler_eval, wright_p
-from oepartitions.genfun import oebar_series_hypergeometric
+from oepartitions.genfun import f_mock_series, oebar_series_hypergeometric
 from oepartitions.series import evaluate_at
 from oepartitions.circle import (
     ArcGeometry,
@@ -72,6 +73,53 @@ def reference_oebar(tau, prec):
     f, _ = reference_mock_f(tau, prec)
     with workprec(prec):
         return euler_eval(2 * tau, prec) / euler_eval(tau, prec) * f
+
+
+def reference_mordell(z, prec):
+    """Watson's Mordell integral
+    M(z) = 4 sqrt(3z/(2 pi)) int_0^inf e^(-3 z x^2/2) sinh(zx)/sinh(3zx/2) dx
+    by mp.quad at prec bits, on the ray x = t e^(-i arg(z)/2), where z x^2 is
+    real: along the real axis at complex z, mp.quad reaches only about 1e-21.
+    With v = |z| t, M = 4 sqrt(3/(2 pi |z|)) int_0^inf e^(-3 v^2/(2|z|)) g(v e^(i arg(z)/2)) dv,
+    g(u) = sinh u / sinh(3u/2).
+    """
+    with workprec(prec):
+        z = mpc(z)
+        size, turn = abs(z), mp.expj(mp.arg(z) / 2)
+
+        def integrand(v):
+            u = v * turn
+            return exp(-3 * v * v / (2 * size)) * mp.sinh(u) / mp.sinh(3 * u / 2)
+
+        w = sqrt(size)
+        return 4 * sqrt(3 / (2 * pi * size)) * mp.quad(integrand, [0, w, 4 * w, 16 * w, mp.inf])
+
+
+def reference_omega(big_q, prec):
+    """omega(Q) = sum_(n>=0) Q^(2n(n+1)) / (Q;Q^2)_(n+1)^2, each term from fresh powers."""
+    with workprec(prec):
+        total, n = mpc(0), 0
+        while True:
+            den = mpc(1)
+            for k in range(n + 1):
+                den *= 1 - big_q ** (2 * k + 1)
+            term = big_q ** (2 * n * (n + 1)) / den ** 2
+            total += term
+            if abs(term) < mpf(2) ** -prec * abs(total):
+                return total
+            n += 1
+
+
+def reference_watson_oebar(tau, prec):
+    """Obar = (q^2;q^2)_inf / (q;q)_inf * f(q), with z = -2 pi i tau and
+    e^(z/24) f(e^-z) = M(z) + 2 sqrt(2 pi/z) e^(-4 pi^2/(3z)) omega(e^(-2 pi^2/z)),
+    M from reference_mordell: no asymptotic expansion and no direct sum of f.
+    """
+    with workprec(prec):
+        z = -2j * pi * tau
+        bracket = reference_mordell(z, prec) + 2 * sqrt(2 * pi / z) * exp(
+            -4 * pi ** 2 / (3 * z)) * reference_omega(exp(-2 * pi ** 2 / z), prec)
+        return euler_eval(2 * tau, prec) / euler_eval(tau, prec) * exp(-z / 24) * bracket
 
 
 def circle_point(n, x):
@@ -246,6 +294,100 @@ class TestEvaluation:
         for c in cs:
             assert mpf("0.3") < c < mpf("0.5")
         assert max(cs) / min(cs) < mpf("1.1")
+
+
+class TestWatsonTransformation:
+    """Near q = 1, f comes from Watson's transformation: M(z) by its
+    asymptotic expansion, omega(Q) and (-Q;Q)_inf in the dual nome."""
+
+    @pytest.mark.parametrize("n,x", [(4 * 10 ** 5, "0.0032"), (10 ** 6, "0.0035"),
+                                     (10 ** 5, "0.0091"), (10 ** 6, "0.0105")])
+    def test_large_n_against_rotated_ray(self, n, x, time_limit):
+        # the direct sum stopped inside a dip of its terms at the first two
+        # points, wrong by 2^-62.3 and 2^-30.9; at the last two Im(-1/tau)
+        # is 5.5 and 1.3, so the omega term is about 2^-13 and 1 times M
+        tau = circle_point(n, mpf(x))
+        with time_limit(20):
+            want = reference_watson_oebar(tau, 140)
+        got = oebar_eval(tau=tau, prec=96)
+        assert abs(got - want) < mpf(2) ** -90 * abs(want)
+
+    @settings(max_examples=6, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(n=st.integers(10 ** 5, 10 ** 6), multiple=st.floats(0, 6))
+    def test_random_large_n_against_rotated_ray(self, n, multiple, time_limit):
+        y = ArcGeometry(n).y
+        tau = mpc(mpf(multiple) * y, y)
+        with time_limit(20):
+            want = reference_watson_oebar(tau, 140)
+        got = oebar_eval(tau=tau, prec=96)
+        assert abs(got - want) < mpf(2) ** -90 * abs(want)
+
+    @pytest.mark.parametrize("prec,n,x", [
+        (96, 400, 0), (96, 1600, "2y"), (96, 25600, "6y"), (96, 4 * 10 ** 5, mpf("0.0032")),
+        (256, 25600, 0), (256, 25600, "3y"), (256, 4 * 10 ** 5, mpf("0.0032")),
+    ])
+    def test_routes_agree_where_both_converge(self, prec, n, x):
+        tau = circle_point(n, x)
+        with workprec(prec + GUARD_BITS):
+            big_q = mp.expjpi(-1 / tau)
+        watson = circle._watson_f(tau, big_q, prec)
+        assert watson is not None
+        direct, lost, _ = circle._mock_f(tau, prec)
+        assert lost <= GUARD_BITS // 2
+        assert abs(watson[0] - direct) < mpf(2) ** -(prec - 2) * abs(direct)
+
+    def test_expansion_coefficients_against_exact_series(self):
+        # as z -> 0+, e^(z/24) f(e^-z) ~ sum b_j z^j: the rest after the
+        # terms below z^j, over z^j, is b_j up to less than the next term
+        # b_(j+1) z.  f is summed from its exact series, whose coefficients
+        # stay below e^(pi sqrt(k/3)); the omega term is below e^-131 here
+        series = f_mock_series(3000)
+        b = circle._mordell_coefficients(16)
+        assert b[:2] == (Fraction(4, 3), Fraction(-5, 54))
+        with workprec(160):
+            coeffs = [mpf(c.numerator) / c.denominator for c in b]
+            for z in (mpf("0.1"), mpf("0.05")):
+                ref = evaluate_at(series, exp(-z), 160, growth_c=pi / sqrt(3))
+                rest = exp(z / 24) * ref.value
+                for j in range(9):
+                    error = abs(rest / z ** j - coeffs[j]) + ref.tail_bound / z ** j
+                    assert error < abs(coeffs[j + 1]) * z
+                    rest -= coeffs[j] * z ** j
+
+    @pytest.mark.parametrize("prec", [96, 256])
+    @pytest.mark.parametrize("dual", [("0.3", "1.2"), ("-0.1", "1"), ("0", "30"),
+                                      ("0.3", "0.8"), ("0.45", "0.6")])
+    def test_closed_eta_factor_against_euler_eval(self, dual, prec):
+        # tau = -1/w on both sides of Im(-1/tau) = Im w = 1
+        with workprec(prec + GUARD_BITS):
+            tau = -1 / mpc(*dual)
+            got = circle._neg_pochhammer(tau, mp.expjpi(-1 / tau))
+            want = euler_eval(2 * tau, prec + GUARD_BITS) / euler_eval(tau, prec + GUARD_BITS)
+            assert abs(got - want) < mpf(2) ** -(prec - 2) * abs(want)
+
+    def test_major_arc_needs_no_euler_eval(self, monkeypatch):
+        calls = []
+        inner = circle.euler_eval
+
+        def counting(tau, prec=256):
+            calls.append(tau)
+            return inner(tau, prec)
+
+        monkeypatch.setattr(circle, "euler_eval", counting)
+        major_arc_integral(ArcGeometry(1600), prec=96)
+        assert calls == []
+        oebar_eval(tau=circle_point(1600, mpf("0.499")), prec=96)  # the minor arc keeps it
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("n,x,route", [
+        (10 ** 5, 0, "transformed"), (1600, "6y", "direct"), (10 ** 5, mpf("0.499"), "direct"),
+    ], ids=["near-1", "expansion-diverges", "minor-arc"])
+    def test_debug_log_names_the_route(self, n, x, route, caplog):
+        caplog.set_level(logging.DEBUG, logger="oepartitions.circle")
+        oebar_eval(tau=circle_point(n, x), prec=96)
+        messages = [r.getMessage() for r in caplog.records if r.name == "oepartitions.circle"]
+        assert len(messages) == 1 and f": {route}, " in messages[0]
 
 
 class TestQuadrature:
