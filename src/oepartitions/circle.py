@@ -20,6 +20,10 @@ Elsewhere (-q;q)_inf is euler_eval(2 tau) / euler_eval(tau), and f is
 summed directly in fixed point, with a ratio-bound stop rule and a re-sum
 that pays for cancellation.  Each evaluation logs the route of f, its
 term count, lost bits and re-sum at DEBUG under this module's logger.
+
+Both polynomial sums here, the Mordell expansion and the exact series at
+the samples of the Cauchy recovery, run on series.horner_fixed, the
+package's one Horner loop.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from mpmath.libmp import to_fixed
 
 from . import genfun
 from .asympt import oebar_asymptotic
+from .series import horner_bits, horner_fixed
 from .specfun import GUARD_BITS, DomainError, QuadratureError, bessel_i, euler_eval, guarded
 
 # Gauss-Legendre rule with 3 * 2^(QUAD_DEGREE - 1) = 12 nodes per panel;
@@ -238,18 +243,15 @@ def _mordell_fixed(prec):
 
 
 def _mordell(z, terms, prec):
-    """M(z) ~ sum_(j < terms) b_j z^j, by Horner's rule in fixed point on Python ints.
+    """M(z) ~ sum_(j < terms) b_j z^j, by series.horner_fixed on the _mordell_fixed table.
 
     Each step and each b_j round by a unit of 2^-wp, which reaches the
     value times z^j; |z| < 1/2 wherever _mordell_terms allows a sum, so the
     total stays below 2^-(prec + GUARD_BITS).
     """
     wp = prec + GUARD_BITS + 4
-    coeffs = _mordell_fixed(prec)
-    zr, zi = to_fixed(z.real._mpf_, wp), to_fixed(z.imag._mpf_, wp)
-    ar, ai = coeffs[terms - 1], 0
-    for b in reversed(coeffs[:terms - 1]):
-        ar, ai = ((ar * zr - ai * zi) >> wp) + b, (ar * zi + ai * zr) >> wp
+    point = to_fixed(z.real._mpf_, wp), to_fixed(z.imag._mpf_, wp)
+    ar, ai = horner_fixed(reversed(_mordell_fixed(prec)[:terms]), point, wp)
     return mpc(mpf((ar, -wp)), mpf((ai, -wp)))
 
 
@@ -383,11 +385,16 @@ def cauchy_full_integral(n, prec=256):
     """Recover OEbar(n) from the Cauchy integral by DFT on the circle.
 
     Samples the exact coefficient series, truncated at order n, at K
-    equispaced points on the circle of radius e^(-2 pi y), K the least
+    equispaced points on the circle of radius r = e^(-2 pi y), K the least
     power of two above n.  With K > n only q^n aliases onto q^n, so the
     discrete sum equals the coefficient exactly and the residual against
-    the nearest integer is a pure precision health metric.  Raises if the
-    residual exceeds 0.25.
+    the nearest integer, imaginary part included, is a pure precision
+    health metric.  Raises if the residual exceeds 0.25.
+
+    The coefficients are scaled once, to wp = series.horner_bits(prec, r)
+    fixed-point bits, and each sample is series.horner_fixed's, within
+    2^-(prec + GUARD_BITS + 3) of the series at the sample point as
+    rounded to wp bits.
     """
     if n < 0:
         raise DomainError("n must be >= 0")
@@ -398,11 +405,13 @@ def cauchy_full_integral(n, prec=256):
     # only the radius is needed here, not the arc cut
     y = 1 / (4 * mp.sqrt(3 * n))
     r = mp.e ** (-2 * mp.pi * y)
-    coeffs = series.coeffs[::-1]
+    wp = horner_bits(prec, r)
+    coeffs = [c << wp for c in reversed(series.coeffs)]
     total = mpc(0)
     for k in range(samples):
-        z = r * mp.e ** (2j * mp.pi * k / samples)
-        total += mp.polyval(coeffs, z) * mp.e ** (-2j * mp.pi * n * k / samples)
+        z = r * mp.expjpi(2 * mpf(k) / samples)
+        ar, ai = horner_fixed(coeffs, (to_fixed(z.real._mpf_, wp), to_fixed(z.imag._mpf_, wp)), wp)
+        total += mpc(mpf((ar, -wp)), mpf((ai, -wp))) * mp.expjpi(-2 * mpf(n * k) / samples)
     total = total / samples / r ** n
     nearest = int(mp.nint(total.real))
     residual = abs(total - nearest)

@@ -5,18 +5,28 @@ series exactly modulo q^(N+1).  All ring operations are exact; binary
 operations truncate to the smaller operand order.  This module is the
 backbone of every identity check in the package: two series agree iff
 their coefficient tuples agree.
+
+horner_fixed is the package's one Horner loop, in fixed point on Python
+integers: evaluate_at sums a series at a point with it, and circle runs
+its Cauchy recovery and the Mordell expansion on it.  evaluate_at logs the
+order, the leading zeros stripped, the fixed-point bits and the tail bound
+at DEBUG under this module's logger.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from itertools import count, islice
 from operator import add, sub
 
 from mpmath import mp, mpf, mpc
+from mpmath.libmp import to_fixed
 
-from .specfun import guarded
+from .specfun import GUARD_BITS, guarded
+
+log = logging.getLogger(__name__)
 
 
 class SeriesError(ValueError):
@@ -166,6 +176,38 @@ def _product(order, exponents, kernel):
     return PowerSeries(c)
 
 
+def horner_fixed(coeffs, point, wp):
+    """sum_k c_k z^k by Horner's rule in fixed point on Python ints.
+
+    coeffs are the c_k, highest first, as any iterable of ints scaled by
+    2^wp; point is z as a pair of ints (real part, imaginary part) scaled
+    by 2^wp.  Returns the sum as such a pair.  Each step is a z + c with
+    the product floored to a multiple of 2^-wp in each component.
+
+    Error: each floor costs under one unit of 2^-wp per component, under
+    2^(1/2 - wp) in modulus, and the steps after it multiply that error by
+    z, so the floor at the step for c_k reaches the sum times |z|^k.  The
+    result is within sum_k 2^(1/2 - wp) |z|^k < 2^(1 - wp) / (1 - |z|) of
+    the exact sum at z, however large the c_k are.  z itself is taken as
+    given: evaluate_at picks wp so that its point converts exactly, and
+    the callers in circle floor theirs to wp bits, which moves z by under
+    2^-wp per component.
+    """
+    zr, zi = point
+    ar = ai = 0
+    for c in coeffs:
+        ar, ai = ((ar * zr - ai * zi) >> wp) + c, (ar * zi + ai * zr) >> wp
+    return ar, ai
+
+
+def horner_bits(prec, radius):
+    """The wp at which horner_fixed's error at |z| <= radius < 1,
+    2^(1 - wp) / (1 - radius), is below 2^-(prec + GUARD_BITS + 3):
+    prec + GUARD_BITS + ceil(log2(1/(1 - radius))) + 4, the ceiling by mp.mag.
+    """
+    return prec + GUARD_BITS + 4 + max(0, 1 - mp.mag(1 - radius))
+
+
 @guarded
 def evaluate_at(series, point, prec, growth_c=None):
     """Exact partial sum of the series at |point| < 1, with a tail bound.
@@ -174,12 +216,29 @@ def evaluate_at(series, point, prec, growth_c=None):
     coefficients vanish), so the tail bound is 0.  Otherwise growth_c = C
     declares |c_k| <= e^(C sqrt(k)) for k > order, and the tail
     |sum_{k>N} c_k point^k| is bounded using sqrt(k) <= sqrt(N) + (k-N)/(2 sqrt(N)).
+
+    The sum is horner_fixed's: with the leading zeros c_0 .. c_(m-1)
+    stripped, it sums s(z) = sum_k c_(m+k) z^k, then multiplies by z^m.
+    horner_bits(prec, |z|) bits, or more where z needs them to convert
+    exactly, put the kernel's error below 2^-(prec + GUARD_BITS + 3); as
+    |c_m| >= 1, that is no worse than the floating Horner's
+    2^-(prec + GUARD_BITS) sum_k |c_(m+k)| |z|^k.
+    Without the stripping, a sum of size |z|^m below 2^-wp would read 0.
+    The value is an mpf at a real point, an mpc otherwise.
     """
     z = mp.convert(point)
     t = abs(z)
     if t >= 1:
         raise SeriesError("evaluation point must satisfy |q| < 1")
-    acc = mp.polyval(series.coeffs[::-1], z)
+    coeffs = series.coeffs
+    lead = next((k for k, c in enumerate(coeffs) if c), len(coeffs))
+    parts = (z.real, z.imag)
+    wp = max([horner_bits(prec, t)] + [-x._mpf_[2] for x in parts if x])
+    top = islice(reversed(coeffs), len(coeffs) - lead)
+    ar, ai = horner_fixed((c << wp for c in top), [to_fixed(x._mpf_, wp) for x in parts], wp)
+    acc = mpc(mpf((ar, -wp)), mpf((ai, -wp))) if isinstance(z, mpc) else mpf((ar, -wp))
+    if lead:
+        acc *= z ** lead
     n = series.order
     if growth_c is None:
         tail = mpf(0)
@@ -198,6 +257,9 @@ def evaluate_at(series, point, prec, growth_c=None):
                 "tail bound diverges: increase the order or lower the growth constant"
             )
         tail = peak * (rho * t) * (t ** n) / (1 - rho * t)
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("series of order %d at |q| = %s: %d leading zeros stripped, %d bits, "
+                  "tail bound %s", n, mp.nstr(t, 8), lead, wp, mp.nstr(tail, 3))
     return EvalResult(value=acc, tail_bound=tail)
 
 

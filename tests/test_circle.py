@@ -4,11 +4,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from mpmath import mp, mpf, mpc, workprec, sqrt, pi, exp, cos, sin, log, ceil, ln
+from mpmath.libmp import to_fixed
 
 from oepartitions import circle
 from oepartitions.specfun import GUARD_BITS, DomainError, QuadratureError, euler_eval, wright_p
-from oepartitions.genfun import f_mock_series, oebar_series_hypergeometric
-from oepartitions.series import evaluate_at
+from oepartitions.genfun import f_mock_series, oebar_series_hypergeometric, oebar_series_product
+from oepartitions.series import evaluate_at, horner_fixed
 from oepartitions.circle import (
     ArcGeometry,
     adaptive_quad,
@@ -380,6 +381,32 @@ class TestWatsonTransformation:
         oebar_eval(tau=circle_point(1600, mpf("0.499")), prec=96)  # the minor arc keeps it
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("prec,n,x", [
+        (96, 4 * 10 ** 5, "0.0032"), (96, 10 ** 6, "0.0035"), (96, 10 ** 5, "0.0091"),
+        (96, 10 ** 6, "0.0105"), (96, 400, 0), (96, 1600, "2y"), (96, 25600, "6y"),
+        (256, 4 * 10 ** 5, "0.0032"), (256, 10 ** 6, "0.0035"), (256, 25600, 0),
+        (256, 25600, "3y"), (256, 10 ** 5, 0),
+    ])
+    def test_mordell_sum_bit_identical_to_its_own_loop(self, prec, n, x):
+        # _mordell's Horner loop written out, starting from the top b_j rather
+        # than from 0, at the working precision of _watson_f: series.horner_fixed
+        # must give the same bits
+        with workprec(prec + GUARD_BITS):
+            z = -2j * pi * circle_point(n, x)
+            terms = circle._mordell_terms(float(abs(z)), prec)
+            assert terms > 0
+            wp = prec + GUARD_BITS + 4
+            coeffs = circle._mordell_fixed(prec)
+            zr, zi = to_fixed(z.real._mpf_, wp), to_fixed(z.imag._mpf_, wp)
+            ar, ai = coeffs[terms - 1], 0
+            for b in reversed(coeffs[:terms - 1]):
+                ar, ai = ((ar * zr - ai * zi) >> wp) + b, (ar * zi + ai * zr) >> wp
+            want = mpc(mpf((ar, -wp)), mpf((ai, -wp)))
+            got = circle._mordell(z, terms, prec)
+        assert (got.real._mpf_, got.imag._mpf_) == (want.real._mpf_, want.imag._mpf_)
+        # and below the bits the mpc keeps
+        assert horner_fixed(reversed(coeffs[:terms]), (zr, zi), wp) == (ar, ai)
+
     @pytest.mark.parametrize("n,x,route", [
         (10 ** 5, 0, "transformed"), (1600, "6y", "direct"), (10 ** 5, mpf("0.499"), "direct"),
     ], ids=["near-1", "expansion-diverges", "minor-arc"])
@@ -423,6 +450,13 @@ class TestCauchyRecovery:
         got, residual = cauchy_full_integral(n, prec=192)
         assert got == want
         assert residual < mpf("1e-20")
+
+    def test_exact_recovery_at_800(self):
+        # 1024 samples of an order-800 series; the product route is a
+        # different identity from the hypergeometric series the recovery sums
+        got, residual = cauchy_full_integral(800, prec=192)
+        assert got == oebar_series_product(800).coefficient(800)
+        assert residual < mpf("1e-40")
 
     def test_zero_case(self):
         got, residual = cauchy_full_integral(0)

@@ -6,6 +6,8 @@
 - Every module-level private function or class of the package (a _name,
   not a __dunder__) is read somewhere in the package, so a helper does not
   outlive its last caller.
+- The package has one Horner loop, series.horner_fixed: no source file
+  under it names mpmath's polyval.
 - Working precision is set in one place: outside specfun (the `guarded`
   decorator) and cli (the --prec option), no module uses mpmath's
   workprec, workdps, extraprec or extradps, or assigns mp.prec or mp.dps.
@@ -164,3 +166,13 @@ def test_the_scan_sees_precision_contexts_and_assignments():
         "a, mp.dps = 1, 2\n"
     )
     assert _precision_settings(tree) == [1, 3, 4, 5, 7]
+
+
+def test_one_horner_loop():
+    hits = [
+        f"{path.relative_to(PACKAGE)}:{number}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if "polyval" in line
+    ]
+    assert not hits, f"polyval at {hits}: sum series with series.horner_fixed"

@@ -1,15 +1,18 @@
+import logging
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 from mpmath import mp, mpf, mpc, workprec
 
+from oepartitions.specfun import GUARD_BITS
 from oepartitions.series import (
     PowerSeries,
     SeriesError,
     qpochhammer,
     neg_pochhammer,
     evaluate_at,
+    horner_fixed,
     _div_one_minus_qk,
     _div_one_plus_qk,
     _div_sparse,
@@ -213,3 +216,77 @@ class TestEvaluateAt:
         lo = evaluate_at(part, q, 192, growth_c=growth)
         hi = evaluate_at(full, q, 192, growth_c=growth)
         assert abs(hi.value - lo.value) <= lo.tail_bound
+
+    def test_debug_log_reports_the_sum(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="oepartitions.series")
+        res = evaluate_at(S(0, 0, 3, 1), mpf("0.5"), 64, growth_c=1.0)
+        messages = [r.getMessage() for r in caplog.records if r.name == "oepartitions.series"]
+        # wp = 64 + GUARD_BITS + 4, and 1 more for 1/(1 - |q|) = 2
+        assert messages == [
+            f"series of order 3 at |q| = 0.5: 2 leading zeros stripped, 101 bits, "
+            f"tail bound {mp.nstr(res.tail_bound, 3)}"
+        ]
+
+
+def random_series(rng, order, lead):
+    """lead zeros, then a nonzero coefficient, then random ones of up to 300 bits, some 0."""
+    rest = [rng.choice([0, rng.randint(-(1 << 300), 1 << 300), rng.randint(-9, 9)])
+            for _ in range(order - lead)]
+    return [0] * lead + [rng.choice([-1, 1]) * rng.randint(1, 1 << rng.randint(0, 300))] + rest
+
+
+def random_point(rng, log2_size, is_complex, prec):
+    """A point of modulus 2^log2_size (1 - 2^-20 for log2_size None), at prec bits."""
+    with workprec(prec):
+        size = 1 - mpf(2) ** -20 if log2_size is None else mpf(2) ** log2_size
+        if not is_complex:
+            return size * rng.choice([-1, 1])
+        return size * mp.expjpi(mpf(rng.random()) * 2)
+
+
+SIZES = [-700, -90, -3, -1, None]
+
+
+class TestHornerFixed:
+    """series.horner_fixed, alone and under evaluate_at, against mp.polyval at
+    enough bits to be exact here."""
+
+    @pytest.mark.parametrize("prec", [64, 192, 256])
+    @pytest.mark.parametrize("log2_size", SIZES)
+    @pytest.mark.parametrize("is_complex", [False, True], ids=["real", "complex"])
+    def test_kernel_within_its_bound(self, prec, log2_size, is_complex):
+        rng = random.Random(prec * 1000 + (log2_size or 0) * 2 + is_complex)
+        # enough bits that z = 2^-700 keeps prec of its own
+        wp = prec + GUARD_BITS + 4 + max(0, -(log2_size or 0))
+        coeffs = random_series(rng, 40, rng.randint(0, 4))
+        with workprec(wp + 1200):
+            z = random_point(rng, log2_size, is_complex, wp)
+            # z as multiples of 2^-wp, so the kernel sees it exactly
+            zr, zi = (int(mp.floor(part * 2 ** wp)) for part in (z.real, mpc(z).imag))
+            exact = mpc(zr, zi) / 2 ** wp
+            want = mp.polyval(coeffs[::-1], exact)
+            ar, ai = horner_fixed((c << wp for c in reversed(coeffs)), (zr, zi), wp)
+            error = abs(mpc(ar, ai) / 2 ** wp - want)
+            assert error <= mpf(2) ** (1 - wp) / (1 - abs(exact))
+
+    @pytest.mark.parametrize("prec", [64, 192, 256])
+    @pytest.mark.parametrize("log2_size", SIZES)
+    @pytest.mark.parametrize("is_complex", [False, True], ids=["real", "complex"])
+    def test_evaluate_at_within_the_floating_bound(self, prec, log2_size, is_complex):
+        # the kernel's error is below 2^-(prec + GUARD_BITS) sum |c_k| |z|^k, the
+        # floating Horner's bound, and the value is then rounded to prec bits
+        rng = random.Random(prec * 1000 + (log2_size or 0) * 2 + is_complex + 1)
+        lead = rng.randint(0, 4)
+        coeffs = random_series(rng, 40, lead)
+        z = random_point(rng, log2_size, is_complex, prec + 128)
+        res = evaluate_at(PowerSeries(coeffs), z, prec)
+        assert isinstance(res.value, mpc) == is_complex
+        assert res.value != 0
+        with workprec(prec + 128 + 1200):
+            want = mp.polyval(coeffs[::-1], z)
+            size = mp.fsum(abs(c) * abs(z) ** k for k, c in enumerate(coeffs))
+            error = abs(res.value - want)
+            assert error <= mpf(2) ** -(prec + GUARD_BITS) * size + mpf(2) ** (1 - prec) * abs(want)
+
+    def test_zero_series_sums_to_zero(self):
+        assert evaluate_at(S(0, 0, 0), mpf("0.5"), 64).value == 0
