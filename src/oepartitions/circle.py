@@ -15,11 +15,13 @@ route for each factor from the point alone.  Where Im(-1/tau) >= 1 (the
 whole major arc for n >= 30), both factors come from the modular
 transformation to the nome Q = e^(-pi i/tau): (-q;q)_inf in closed form,
 and f from Watson's transformation, its Mordell integral summed by an
-asymptotic expansion wherever that reaches the precision asked for.
-Elsewhere (-q;q)_inf is euler_eval(2 tau) / euler_eval(tau), and f is
-summed directly in fixed point, with a ratio-bound stop rule and a re-sum
-that pays for cancellation.  Each evaluation logs the route of f, its
-term count, lost bits and re-sum at DEBUG under this module's logger.
+asymptotic expansion wherever that reaches the precision asked for, its
+coefficients from one integer sequence (see _mordell) built only as far
+as a point reads them.  Elsewhere (-q;q)_inf is euler_eval(2 tau) /
+euler_eval(tau), and f is summed directly in fixed point, with a
+ratio-bound stop rule and specfun.pay_for_loss's re-sum for cancellation.
+Each evaluation logs the route of f, its term count, lost bits and
+re-sum at DEBUG under this module's logger.
 
 Both polynomial sums here, the Mordell expansion and the exact series at
 the samples of the Cauchy recovery, run on series.horner_fixed, the
@@ -41,7 +43,8 @@ from mpmath.libmp import to_fixed
 from . import genfun
 from .asympt import oebar_asymptotic
 from .series import horner_bits, horner_fixed
-from .specfun import GUARD_BITS, DomainError, QuadratureError, bessel_i, euler_eval, guarded
+from .specfun import (GUARD_BITS, DomainError, QuadratureError, bessel_i, euler_eval, guarded,
+                      pay_for_loss)
 
 # Gauss-Legendre rule with 3 * 2^(QUAD_DEGREE - 1) = 12 nodes per panel;
 # the rule object caches its nodes per precision
@@ -182,26 +185,6 @@ def _mock_f(tau, prec):
     return mpc(mpf((sr, -wp)), mpf((si, -wp))), lost, terms
 
 
-@lru_cache(maxsize=None)
-def _mordell_coefficients(size):
-    """b_0 .. b_(size-1) of M(z) ~ sum b_j z^j, as exact fractions: b_0 = 4/3, b_1 = -5/54.
-
-    b_j = 2 c_j (2j-1)!! / 3^j, c_j the coefficient of u^(2j) in
-    sinh u / sinh(3u/2).  With D_j = 4^j (2j)! c_j, sinh(3u/2) sum c_j u^(2j)
-    = sinh u gives sum_(i<=j) C(2j+1, 2i+1) 9^i D_(j-i) = (2/3) 4^j, and
-    b_j = 2 D_j / (j! 24^j).  The 90 terms of prec 96 take about 0.03 s, so
-    the table is built on first use, not at import.
-    """
-    from fractions import Fraction  # imports decimal: 2 ms off every package import
-
-    d, b = [], []
-    for j in range(size):
-        rest = sum(math.comb(2 * j + 1, 2 * i + 1) * 9 ** i * d[j - i] for i in range(1, j + 1))
-        d.append((Fraction(2, 3) * 4 ** j - rest) / (2 * j + 1))
-        b.append(2 * d[j] / (math.factorial(j) * 24 ** j))
-    return tuple(b)
-
-
 def _mordell_terms(size, prec):
     """How many terms of M(z) ~ sum b_j z^j at |z| = size leave the next one
     below 2^-(prec + GUARD_BITS); 0 where the terms turn upwards first, or
@@ -222,36 +205,48 @@ def _mordell_terms(size, prec):
     return 0
 
 
-@lru_cache(maxsize=16)
-def _mordell_fixed(prec):
-    """Every b_j that _mordell_terms can ask for at prec, rounded down to
-    multiples of 2^-wp and scaled by 2^wp, wp = prec + GUARD_BITS + 4.
+_MORDELL_H = [2]  # the h_j of _mordell, continued by _mordell_fixed and never rebuilt
 
-    It asks for j terms only where |z| < 4 pi^2 / (3 (2j-1)) and term j-1
-    is not below the cut; then log2(4/3) + sum_(0<i<j) log2((2i-1)/(2j-1)),
-    which falls with j, is not below it either.  So one table for each
-    precision covers its worst point: 90 terms at prec 96, 379 at 512.
-    """
-    cut = -(prec + GUARD_BITS) - math.log2(4 / 3)
-    logs = 0.0  # sum_(0<i<j) log2(2i-1)
-    for size in range(1, F_TERM_BUDGET + 1):
-        if logs - (size - 1) * math.log2(2 * size - 1) < cut:
-            break
-        logs += math.log2(2 * size - 1)
-    wp = prec + GUARD_BITS + 4
-    return tuple((b.numerator << wp) // b.denominator for b in _mordell_coefficients(size))
+
+@lru_cache(maxsize=16)
+def _mordell_table(prec):
+    """The floor(b_j 2^wp) built so far at prec, grown in place by _mordell_fixed."""
+    return []
+
+
+def _mordell_fixed(prec, terms):
+    """wp = prec + GUARD_BITS + 4 and floor(b_j 2^wp) for j < terms, built only as far as asked."""
+    wp, table, h = prec + GUARD_BITS + 4, _mordell_table(prec), _MORDELL_H
+    for j in range(len(h), terms):
+        rest, weight = 0, 1  # weight = C(2j, 2k) 12^k, updated by its ratio in k
+        for k in range(1, j + 1):
+            weight = weight * 6 * (2 * j - 2 * k + 2) * (2 * j - 2 * k + 1) // (k * (2 * k - 1))
+            rest += weight * h[j - k]
+        h.append(2 * 3 ** j - 2 * rest // 3)
+    for j in range(len(table), terms):
+        table.append((h[j] << wp + 1) // (3 ** (j + 1) * math.factorial(j) * 24 ** j))
+    return wp, table[:terms]
 
 
 def _mordell(z, terms, prec):
-    """M(z) ~ sum_(j < terms) b_j z^j, by series.horner_fixed on the _mordell_fixed table.
+    """M(z) ~ sum_(j < terms) b_j z^j, by series.horner_fixed on floor(b_j 2^wp).
+
+    b_j = 2 c_j (2j-1)!! / 3^j, c_j the coefficient of u^(2j) in
+    sinh u / sinh(3u/2) = 2 cosh(u/2) / (1 + 2 cosh u).  Matching powers of
+    u in (1 + 2 cosh u) sum c_j u^(2j) = 2 cosh(u/2), with
+    c_j = h_j / (3 (2j)! 12^j), gives the integers
+      h_0 = 2,  h_j = 2 3^j - 2 sum_(k=1..j) C(2j, 2k) 4^k 3^(k-1) h_(j-k),
+    and b_j = 2 h_j / (3^(j+1) j! 24^j): b_0 = 4/3, b_1 = -5/54.  Each entry
+    is (2 h_j 2^wp) // (3^(j+1) j! 24^j), a floor division of exact
+    integers, so it is the floor of the rational b_j 2^wp itself.
 
     Each step and each b_j round by a unit of 2^-wp, which reaches the
     value times z^j; |z| < 1/2 wherever _mordell_terms allows a sum, so the
     total stays below 2^-(prec + GUARD_BITS).
     """
-    wp = prec + GUARD_BITS + 4
+    wp, coeffs = _mordell_fixed(prec, terms)
     point = to_fixed(z.real._mpf_, wp), to_fixed(z.imag._mpf_, wp)
-    ar, ai = horner_fixed(reversed(_mordell_fixed(prec)[:terms]), point, wp)
+    ar, ai = horner_fixed(reversed(coeffs), point, wp)
     return mpc(mpf((ar, -wp)), mpf((ai, -wp)))
 
 
@@ -333,10 +328,9 @@ def _oebar_eval_tau(tau, prec):
 
     Where Im(-1/tau) >= 1, (-q;q)_inf by _neg_pochhammer and f by
     _watson_f if that reaches prec bits; elsewhere the euler_eval pair and
-    the direct sum _mock_f.  A direct sum that lost more than
-    GUARD_BITS / 2 bits is summed once more with that many more bits, and
-    this raises if that sum lost more.  Logs the route of f, its term
-    count, lost bits and re-sum at DEBUG.
+    the direct sum _mock_f, summed again with the bits it lost by
+    specfun.pay_for_loss.  Logs the route of f, its term count, lost bits
+    and re-sum at DEBUG.
     """
     inv = -1 / tau
     watson = None
@@ -346,19 +340,15 @@ def _oebar_eval_tau(tau, prec):
         watson = _watson_f(tau, big_q, prec)
     else:
         eta = euler_eval(2 * tau, prec + GUARD_BITS) / euler_eval(tau, prec + GUARD_BITS)
-    resum = False
     if watson is not None:
-        route, (f, lost, terms) = "transformed", watson
+        route, (f, lost, terms), extra = "transformed", watson, 0
     else:
-        route, (f, lost, terms) = "direct", _mock_f(tau, prec)
-        resum = lost > GUARD_BITS // 2
-        if resum:
-            f, again, terms = _mock_f(tau, prec + lost)
-            if again > lost + GUARD_BITS // 2:
-                raise ArithmeticError(f"f(q) at tau = {tau} lost {again} bits after {lost}")
+        route = "direct"
+        (f, lost, terms), extra = pay_for_loss(lambda bits: _mock_f(tau, bits), prec,
+                                               "f(q) at tau = %s", tau)
     if log.isEnabledFor(logging.DEBUG):
         log.debug("f(q) at tau = %s: %s, %d terms, lost %d bits, %s", tau, route, terms, lost,
-                  f"re-summed at {prec + lost} bits" if resum else "no re-sum")
+                  f"re-summed at {prec + extra} bits" if extra else "no re-sum")
     return eta * f
 
 

@@ -3,8 +3,9 @@
 All routines take an explicit working precision in bits and compute
 internally with GUARD_BITS extra bits; no ambient global precision is
 relied on.  The one decorator `guarded` does this, here and in the
-asympt, circle and series evaluators.  The textbook functions are
-mpmath's, behind this package's domain checks and conventions:
+asympt, circle and series evaluators; the one loop `pay_for_loss` pays
+for the bits a sum loses.  The textbook functions are mpmath's, behind
+this package's domain checks and conventions:
 
   dilog(x)            Li_2(x) on [0, 1): mp.polylog(2, x)
   jacobi_theta(z,tau) theta(z;tau) = sum_{n in 1/2+Z} e^(pi i n^2 tau + 2 pi i n (z+1/2))
@@ -28,7 +29,7 @@ import inspect
 from mpmath import mp, mpf, mpc, workprec
 
 GUARD_BITS = 32
-THETA_PASSES = 8
+LOSS_PASSES = 8
 
 
 def _rounded(value):
@@ -62,6 +63,20 @@ def guarded(func):
             return _rounded(value)
 
     return wrapper
+
+
+def pay_for_loss(evaluate, prec, what, *args):
+    """evaluate(prec + extra), a tuple (value, lost bits, ...), from extra = 0
+    until a pass loses at most extra + GUARD_BITS / 2 bits; the next pass
+    takes extra = lost.  Returns that tuple and its extra; raises after
+    LOSS_PASSES passes, naming the value by what % args."""
+    extra = 0
+    for _ in range(LOSS_PASSES):
+        result = evaluate(prec + extra)
+        if result[1] <= extra + GUARD_BITS // 2:
+            return result, extra
+        extra = result[1]
+    raise ArithmeticError(f"{what % args} still lost {extra} bits after {LOSS_PASSES} passes")
 
 
 class DomainError(ValueError):
@@ -110,12 +125,8 @@ def jacobi_theta(z, tau, prec=256):
     At real z and small Im tau the terms cancel, and mpmath's sum is right
     only to absolute precision.  The bits lost are measured against the
     largest term, e^(-pi n^2 Im tau - 2 pi n Im z) at the half-integer n
-    nearest -Im z / Im tau.  A value that lost more than GUARD_BITS / 2 bits
-    beyond the extra ones it was given is computed again with that many
-    extra bits, at most THETA_PASSES times; then this raises.  A value that
-    lost too much is noise at the level of its working precision, so each
-    pass adds about that precision.  theta vanishes at integer z, where 0
-    is returned.
+    nearest -Im z / Im tau, and paid for by pay_for_loss.  theta vanishes at
+    integer z, where 0 is returned.
     """
     z = mpc(z)
     tau = mpc(tau)
@@ -126,18 +137,15 @@ def jacobi_theta(z, tau, prec=256):
     n = mp.floor(-z.imag / tau.imag) + mpf("0.5")
     # log2 of the largest term, rounded up; mp.mag(value) is log2 |value| or up to 2 above
     peak_bits = int(mp.ceil(-mp.pi * (n * n * tau.imag + 2 * n * z.imag) / mp.ln2))
-    extra = 0
-    for _ in range(THETA_PASSES):
-        value = _jtheta(z, tau, prec + extra)
+
+    def evaluate(bits):
+        value = _jtheta(z, tau, bits)
         if not value:
             raise ArithmeticError(f"theta sums to 0 at z = {z}, tau = {tau}")
-        lost = peak_bits - mp.mag(value) + 2
-        if lost <= extra + GUARD_BITS // 2:
-            return value
-        extra = lost
-    raise ArithmeticError(
-        f"theta at z = {z}, tau = {tau} still lost {lost} bits after {THETA_PASSES} passes"
-    )
+        return value, peak_bits - mp.mag(value) + 2
+
+    (value, _), _ = pay_for_loss(evaluate, prec, "theta at z = %s, tau = %s", z, tau)
+    return value
 
 
 @guarded

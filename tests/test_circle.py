@@ -1,12 +1,14 @@
 import logging
+import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from mpmath import mp, mpf, mpc, workprec, sqrt, pi, exp, cos, sin, log, ceil, ln
 from mpmath.libmp import to_fixed
 
-from oepartitions import circle
+from oepartitions import circle, specfun
 from oepartitions.specfun import GUARD_BITS, DomainError, QuadratureError, euler_eval, wright_p
 from oepartitions.genfun import f_mock_series, oebar_series_hypergeometric, oebar_series_product
 from oepartitions.series import evaluate_at, horner_fixed
@@ -94,6 +96,24 @@ def reference_mordell(z, prec):
 
         w = sqrt(size)
         return 4 * sqrt(3 / (2 * pi * size)) * mp.quad(integrand, [0, w, 4 * w, 16 * w, mp.inf])
+
+
+@lru_cache(maxsize=1)
+def reference_mordell_coefficients(size):
+    """b_0 .. b_(size-1) of M(z) ~ sum b_j z^j as exact fractions, by a
+    recurrence of their own (the package's before its integer sequence).
+
+    b_j = 2 c_j (2j-1)!! / 3^j, c_j the coefficient of u^(2j) in
+    sinh u / sinh(3u/2).  With D_j = 4^j (2j)! c_j, sinh(3u/2) sum c_j u^(2j)
+    = sinh u gives sum_(i<=j) C(2j+1, 2i+1) 9^i D_(j-i) = (2/3) 4^j, and
+    b_j = 2 D_j / (j! 24^j).
+    """
+    d, b = [], []
+    for j in range(size):
+        rest = sum(math.comb(2 * j + 1, 2 * i + 1) * 9 ** i * d[j - i] for i in range(1, j + 1))
+        d.append((Fraction(2, 3) * 4 ** j - rest) / (2 * j + 1))
+        b.append(2 * d[j] / (math.factorial(j) * 24 ** j))
+    return tuple(b)
 
 
 def reference_omega(big_q, prec):
@@ -272,6 +292,12 @@ class TestEvaluation:
         messages = [r.getMessage() for r in caplog.records if r.name == "oepartitions.circle"]
         assert len(messages) == 1 and note in messages[0] and "terms" in messages[0]
 
+    def test_cancellation_past_the_pass_budget_raises(self, monkeypatch):
+        # the first sum loses about 57 bits here; one pass may not pay for it
+        monkeypatch.setattr(specfun, "LOSS_PASSES", 1)
+        with pytest.raises(ArithmeticError):
+            oebar_eval(tau=circle_point(10 ** 5, mpf("0.499")), prec=96)
+
     def test_term_budget_exhausted_raises(self, monkeypatch):
         monkeypatch.setattr(circle, "F_TERM_BUDGET", 8)
         with pytest.raises(ArithmeticError):
@@ -344,8 +370,10 @@ class TestWatsonTransformation:
         # b_(j+1) z.  f is summed from its exact series, whose coefficients
         # stay below e^(pi sqrt(k/3)); the omega term is below e^-131 here
         series = f_mock_series(3000)
-        b = circle._mordell_coefficients(16)
-        assert b[:2] == (Fraction(4, 3), Fraction(-5, 54))
+        circle._mordell_fixed(96, 16)  # continues the h_j of the package to 16
+        b = [Fraction(2 * h, 3 ** (j + 1) * math.factorial(j) * 24 ** j)
+             for j, h in enumerate(circle._MORDELL_H[:16])]
+        assert b[:2] == [Fraction(4, 3), Fraction(-5, 54)]
         with workprec(160):
             coeffs = [mpf(c.numerator) / c.denominator for c in b]
             for z in (mpf("0.1"), mpf("0.05")):
@@ -395,17 +423,36 @@ class TestWatsonTransformation:
             z = -2j * pi * circle_point(n, x)
             terms = circle._mordell_terms(float(abs(z)), prec)
             assert terms > 0
-            wp = prec + GUARD_BITS + 4
-            coeffs = circle._mordell_fixed(prec)
+            wp, coeffs = circle._mordell_fixed(prec, terms)
             zr, zi = to_fixed(z.real._mpf_, wp), to_fixed(z.imag._mpf_, wp)
-            ar, ai = coeffs[terms - 1], 0
-            for b in reversed(coeffs[:terms - 1]):
+            ar, ai = coeffs[-1], 0
+            for b in reversed(coeffs[:-1]):
                 ar, ai = ((ar * zr - ai * zi) >> wp) + b, (ar * zi + ai * zr) >> wp
             want = mpc(mpf((ar, -wp)), mpf((ai, -wp)))
             got = circle._mordell(z, terms, prec)
         assert (got.real._mpf_, got.imag._mpf_) == (want.real._mpf_, want.imag._mpf_)
         # and below the bits the mpc keeps
-        assert horner_fixed(reversed(coeffs[:terms]), (zr, zi), wp) == (ar, ai)
+        assert horner_fixed(reversed(coeffs), (zr, zi), wp) == (ar, ai)
+
+    @pytest.mark.parametrize("prec,size", [(96, 90), (256, 201), (512, 379)])
+    def test_table_entries_are_floors_of_the_exact_coefficients(self, prec, size):
+        # the sizes are those of each precision's worst point, which the
+        # table once covered whole
+        wp, got = circle._mordell_fixed(prec, size)
+        assert wp == prec + GUARD_BITS + 4 and len(got) == size
+        exact = reference_mordell_coefficients(379)[:size]
+        assert got == [(b.numerator << wp) // b.denominator for b in exact]
+
+    def test_tables_grow_only_as_far_as_a_point_reads(self):
+        circle._mordell_table.cache_clear()
+        del circle._MORDELL_H[1:]
+        tau = circle_point(10 ** 5, 0)
+        with workprec(512 + GUARD_BITS):
+            terms = circle._mordell_terms(float(abs(-2j * pi * tau)), 512)
+        oebar_eval(tau=tau, prec=512)
+        assert len(circle._mordell_table(512)) == terms == len(circle._MORDELL_H)
+        oebar_eval(tau=tau, prec=256)  # fewer terms: no new h_j
+        assert 0 < len(circle._mordell_table(256)) < terms == len(circle._MORDELL_H)
 
     @pytest.mark.parametrize("n,x,route", [
         (10 ** 5, 0, "transformed"), (1600, "6y", "direct"), (10 ** 5, mpf("0.499"), "direct"),

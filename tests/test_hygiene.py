@@ -8,6 +8,8 @@
   outlive its last caller.
 - The package has one Horner loop, series.horner_fixed: no source file
   under it names mpmath's polyval.
+- Every functools cache in the package is bounded: no lru_cache with
+  maxsize=None and no functools.cache, which is the same thing.
 - Working precision is set in one place: outside specfun (the `guarded`
   decorator) and cli (the --prec option), no module uses mpmath's
   workprec, workdps, extraprec or extradps, or assigns mp.prec or mp.dps.
@@ -63,6 +65,27 @@ def _names_read(tree):
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
     return names
+
+
+def _unbounded_caches(tree):
+    """Lines that call lru_cache with maxsize None, or import or name functools' cache."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            sizes = node.args[:1] + [k.value for k in node.keywords if k.arg == "maxsize"]
+            if name == "lru_cache" and any(
+                isinstance(size, ast.Constant) and size.value is None for size in sizes
+            ):
+                lines.add(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+            if any(alias.name == "cache" for alias in node.names):
+                lines.add(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr == "cache":
+            if isinstance(node.value, ast.Name) and node.value.id == "functools":
+                lines.add(node.lineno)
+    return sorted(lines)
 
 
 def _is_mp_precision(node):
@@ -176,3 +199,27 @@ def test_one_horner_loop():
         if "polyval" in line
     ]
     assert not hits, f"polyval at {hits}: sum series with series.horner_fixed"
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_cache_is_bounded(path):
+    lines = _unbounded_caches(_tree(path))
+    assert not lines, f"{path.name}: unbounded cache at lines {lines}; give lru_cache a maxsize"
+
+
+def test_the_scan_sees_unbounded_and_bounded_caches():
+    tree = ast.parse(
+        "import functools\n"
+        "from functools import lru_cache, cache\n"
+        "@lru_cache(maxsize=None)\n"
+        "def a(): pass\n"
+        "@functools.lru_cache(None)\n"
+        "def b(): pass\n"
+        "@functools.cache\n"
+        "def c(): pass\n"
+        "@lru_cache(maxsize=16)\n"
+        "def d(): pass\n"
+        "@lru_cache\n"
+        "def e(): pass\n"
+    )
+    assert _unbounded_caches(tree) == [2, 3, 5, 7]

@@ -136,7 +136,7 @@ class TestTheta:
 
     def test_cancellation_past_the_pass_budget_raises(self, monkeypatch):
         # one pass sees the loss but may not pay for it: no value is returned
-        monkeypatch.setattr(specfun, "THETA_PASSES", 1)
+        monkeypatch.setattr(specfun, "LOSS_PASSES", 1)
         with pytest.raises(ArithmeticError):
             jacobi_theta(mpf("0.2"), mpc(0, mpf("0.001")), 96)
 
