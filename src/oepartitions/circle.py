@@ -455,19 +455,20 @@ def adaptive_quad(f, a, b, rel_target, prec):
         heapq.heappush(heap, panel(mid, hi, right))
 
 
-def _cauchy_integrand(n, y, prec):
-    """x -> Re[Obar(q) q^(-n)] at q = e^(2 pi i (x + i y)), the Cauchy integrand for OEbar(n).
-
-    Obar has real coefficients, so the integrand at -x is the conjugate of
-    the integrand at x: over a pair of mirrored intervals the integral is
-    real, and twice the integral of this real part over the right one.
+def _arc_integral(geom, lo, hi, rel_target, prec):
+    """The Cauchy integral for OEbar(n) over lo <= |x| <= hi to rel_target
+    relative, for a guarded caller.  Obar has real coefficients, so x -> -x
+    conjugates the integrand Obar(q) q^(-n), q = e^(2 pi i (x + i y)): the
+    integral is twice that of its real part over [lo, hi], to rel_target / 2.
     """
+    n, y = geom.n, geom.y
     amp = mp.e ** (2 * mp.pi * n * y)
 
     def integrand(x):
         return (_oebar_eval_tau(mpc(x, y), prec) * mp.expjpi(-2 * n * x)).real * amp
 
-    return integrand
+    half, _ = adaptive_quad(integrand, lo, hi, rel_target / 2, prec + GUARD_BITS)
+    return 2 * half
 
 
 @guarded
@@ -475,23 +476,16 @@ def major_arc_integral(geom, prec=128):
     """I_1: the major-arc piece of the Cauchy integral, by adaptive quadrature.
 
     I_1 = int_{|x| <= M y} Obar(e^(2 pi i x - 2 pi y)) e^(-2 pi i n x + pi sqrt n/(2 sqrt 3)) dx,
-    which is real: twice the integral of the real part over [0, M y], to 1e-8
-    relative.
+    which is real, to 1e-8 relative.
     """
-    f = _cauchy_integrand(geom.n, geom.y, prec)
-    half, _ = adaptive_quad(f, mpf(0), geom.major_halfwidth, mpf(10) ** -8 / 2,
-                            prec + GUARD_BITS)
-    return 2 * half
+    return _arc_integral(geom, mpf(0), geom.major_halfwidth, mpf(10) ** -8, prec)
 
 
 @guarded
 def minor_arc_integral(geom, prec=96):
     """I_2: the minor-arc remainder, the same integral over M y <= |x| <= 1/2,
-    as twice the integral of the real part over [M y, 1/2], to 1e-6 relative."""
-    f = _cauchy_integrand(geom.n, geom.y, prec)
-    half, _ = adaptive_quad(f, geom.major_halfwidth, mpf("0.5"), mpf(10) ** -6 / 2,
-                            prec + GUARD_BITS)
-    return 2 * half
+    to 1e-6 relative."""
+    return _arc_integral(geom, geom.major_halfwidth, mpf("0.5"), mpf(10) ** -6, prec)
 
 
 @guarded

@@ -14,6 +14,8 @@ Subcommands:
 Tables are emitted as CSV (default) or JSON; reports as JSON.  The default
 working precision is 256 bits, overridable with --prec or the
 OEPARTITIONS_PREC environment variable; below MIN_PREC = 64 bits it is refused.
+Every number printed is computed under specfun.guarded at that precision:
+this module sets no working precision of its own.
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ import io
 import json
 import os
 import sys
+from collections import namedtuple
 
-from mpmath import mp, mpf, workprec
+from mpmath import mp, mpf
 
 from . import asympt, circle, enumeration, genfun, specfun
 from .series import SeriesError, evaluate_at
@@ -37,6 +40,14 @@ RATIO_ORDER_CEILING = 20000
 PRINTED_PRECISION = mpf(2) ** -53
 # the verify tolerances are 2^-(prec - 56), which pass anything at 56 bits
 MIN_PREC = 64
+
+# what compute and ratio read for each --kind
+Kind = namedtuple("Kind", "series enum law")
+KINDS = {
+    "oe": Kind(genfun.oe_series, enumeration.enum_oe, asympt.oe_asymptotic),
+    "oebar": Kind(genfun.oebar_series_hypergeometric, enumeration.enum_oebar,
+                  asympt.oebar_asymptotic),
+}
 
 
 def _default_prec():
@@ -55,24 +66,17 @@ def _parse_list(text, convert, option):
         raise SystemExit(f"{option} needs a comma-separated list of numbers, got {text!r}") from None
 
 
-def _emit(args, rows, header):
-    if args.format == "json":
-        text = json.dumps([dict(zip(header, r)) for r in rows], indent=2) + "\n"
+def _emit(args, table, header=None):
+    """Write rows under header as a CSV or JSON table, or a report (no header)
+    as JSON, to the --output file or to stdout without one."""
+    if header is None:
+        text = json.dumps(table, indent=2) + "\n"
+    elif args.format == "json":
+        text = json.dumps([dict(zip(header, r)) for r in table], indent=2) + "\n"
     else:
         buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(rows)
+        csv.writer(buf, lineterminator="\n").writerows([header, *table])
         text = buf.getvalue()
-    _write(args, text)
-
-
-def _emit_json(args, obj):
-    _write(args, json.dumps(obj, indent=2) + "\n")
-
-
-def _write(args, text):
-    """Write text to the --output file, or to stdout without one."""
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
@@ -81,55 +85,69 @@ def _write(args, text):
 
 
 def cmd_compute(args):
-    n_max = args.n_max
+    n_max, kind = args.n_max, KINDS[args.kind]
     if n_max < 0:
         raise SystemExit("--n-max must be >= 0")
     if args.method == "enum" and n_max > ENUM_COST_GUARD and not args.force:
         raise SystemExit(
             f"enumeration beyond n={ENUM_COST_GUARD} is exponential; pass --force to insist"
         )
-    if args.method == "series":
-        series = (
-            genfun.oe_series(n_max)
-            if args.kind == "oe"
-            else genfun.oebar_series_hypergeometric(n_max)
-        )
-        values = list(series.coeffs)
-    elif args.method == "enum":
-        fn = enumeration.enum_oe if args.kind == "oe" else enumeration.enum_oebar
-        values = [fn(n) for n in range(n_max + 1)]
-    elif args.method == "watson-product":
-        if args.kind != "oebar":
-            raise SystemExit("--method watson-product applies to --kind oebar only")
-        values = list(genfun.oebar_series_product(n_max).coeffs)
-    rows = [(n, v) for n, v in enumerate(values)]
-    _emit(args, rows, ["n", "value"])
+    if args.method == "watson-product" and args.kind != "oebar":
+        raise SystemExit("--method watson-product applies to --kind oebar only")
+    if args.method == "enum":
+        values = [kind.enum(n) for n in range(n_max + 1)]
+    else:
+        build = genfun.oebar_series_product if args.method == "watson-product" else kind.series
+        values = build(n_max).coeffs
+    _emit(args, enumerate(values), ["n", "value"])
     return 0
+
+
+@specfun.guarded
+def _ratio_rows(kind, ns, prec):
+    series = kind.series(max(ns))
+    rows = []
+    for n in ns:
+        exact, approx = series.coefficient(n), kind.law(n, prec)
+        rows.append((n, exact, float(approx), float(mpf(exact) / approx)))
+    return rows
 
 
 def cmd_ratio(args):
     ns = sorted(_parse_list(args.n, int, "--n"))
     if ns[0] < 1:
         raise SystemExit("--n values must be >= 1")
-    order = max(ns)
-    if order > RATIO_ORDER_CEILING and not args.force:
+    if ns[-1] > RATIO_ORDER_CEILING and not args.force:
         raise SystemExit(
-            f"series order {order} above the ceiling {RATIO_ORDER_CEILING}; pass --force"
+            f"series order {ns[-1]} above the ceiling {RATIO_ORDER_CEILING}; pass --force"
         )
-    series = (
-        genfun.oe_series(order)
-        if args.kind == "oe"
-        else genfun.oebar_series_hypergeometric(order)
-    )
-    law = asympt.oe_asymptotic if args.kind == "oe" else asympt.oebar_asymptotic
-    rows = []
-    with workprec(args.prec):
-        for n in ns:
-            exact = series.coefficient(n)
-            approx = law(n, args.prec)
-            rows.append((n, exact, float(approx), float(mpf(exact) / approx)))
+    rows = _ratio_rows(KINDS[args.kind], ns, args.prec)
     _emit(args, rows, ["n", "exact", "asymptotic", "ratio"])
     return 0
+
+
+@specfun.guarded
+def _gf_rows(eps_grid, prec):
+    rows = []
+    growth_c = float(mp.pi / mp.sqrt(5))
+    for eps in eps_grid:
+        order = max(1, int(300 / float(eps)))
+        even, odd = genfun.parity_split(order)
+        point = mp.e ** (-eps)
+        for name, series in (("full", genfun.oe_series(order)), ("even", even), ("odd", odd)):
+            try:
+                res = evaluate_at(series, point, prec, growth_c=growth_c)
+            except SeriesError as exc:
+                raise SystemExit(f"gf-eval at eps {float(eps)}, order {order}: {exc}") from None
+            if res.tail_bound > abs(res.value) * PRINTED_PRECISION:
+                raise SystemExit(
+                    f"gf-eval at eps {float(eps)}, order {order}: the {name} series' tail "
+                    f"bound {mp.nstr(res.tail_bound, 3)} is above 2^-53 of its value "
+                    f"{mp.nstr(res.value, 3)}"
+                )
+            value, lead = res.value.real, asympt.gf_asymptotic(eps, name, prec)
+            rows.append((float(eps), name, float(value), float(lead), float(value / lead)))
+    return rows
 
 
 def cmd_gf_eval(args):
@@ -138,39 +156,7 @@ def cmd_gf_eval(args):
         raise SystemExit("--eps values must be > 0")
     if min(eps_grid) < mpf("0.005") and not args.force:
         raise SystemExit("eps below 0.005 needs a very long series; pass --force")
-    rows = []
-    with workprec(args.prec):
-        growth_c = float(mp.pi / mp.sqrt(5))
-        for eps in eps_grid:
-            order = max(1, int(300 / float(eps)))
-            full = genfun.oe_series(order)
-            even, odd = genfun.parity_split(order)
-            point = mp.e ** (-eps)
-            for name, series, which in (
-                ("full", full, "full"),
-                ("even", even, "even"),
-                ("odd", odd, "odd"),
-            ):
-                try:
-                    res = evaluate_at(series, point, args.prec, growth_c=growth_c)
-                except SeriesError as exc:
-                    raise SystemExit(f"gf-eval at eps {float(eps)}, order {order}: {exc}") from None
-                if res.tail_bound > abs(res.value) * PRINTED_PRECISION:
-                    raise SystemExit(
-                        f"gf-eval at eps {float(eps)}, order {order}: the {name} series' tail "
-                        f"bound {mp.nstr(res.tail_bound, 3)} is above 2^-53 of its value "
-                        f"{mp.nstr(res.value, 3)}"
-                    )
-                lead = asympt.gf_asymptotic(eps, which, args.prec)
-                rows.append(
-                    (
-                        float(eps),
-                        name,
-                        float(res.value.real),
-                        float(lead),
-                        float(res.value.real / lead),
-                    )
-                )
+    rows = _gf_rows(eps_grid, args.prec)
     _emit(args, rows, ["eps", "branch", "series_value", "asymptotic", "ratio"])
     return 0
 
@@ -182,14 +168,14 @@ def cmd_circle(args):
             "bound is not an error term there\n"
         )
     report = circle.circle_report(args.n, big_m=args.M, prec=args.prec, grid=args.grid)
-    _emit_json(args, report)
+    _emit(args, report)
     return 0 if report["recovered_coefficient"] == report["exact_coefficient"] else 1
 
 
 # ---------------------------------------------------------------------------
 # verify
 
-def _verify_identities(order, prec):
+def _verify_identities(order):
     oe = genfun.oe_series(order)
     checks = []
     sj = [genfun.sj_series(j, order) for j in range(4)]
@@ -209,42 +195,38 @@ def _verify_identities(order, prec):
     return checks
 
 
+@specfun.guarded
 def _verify_asymptotics(prec):
-    checks = []
-    oe = genfun.oe_series(40)
-    checks.append(
-        ("OE(n) <= OE(n+2) for 1 <= n <= 38",
-         all(oe.coeffs[n] <= oe.coeffs[n + 2] for n in range(1, 39)))
-    )
-    with workprec(prec):
-        grid = [mpf("0.05"), mpf("0.02"), mpf("0.01")]
-        for j in range(4):
-            devs = []
-            for eps in grid:
-                frame = asympt.NuFrame(nu0=asympt.nu0_for_eps(eps, prec), j=j)
-                val = asympt.sj_theta_asymptotic(frame, eps, prec)
-                norm = val * 2 * mp.sqrt(2 * mp.sqrt(5)) * mp.e ** (-mp.pi ** 2 / (20 * eps))
-                devs.append(abs(norm - 1))
-            checks.append(
-                (f"S_{j} normalized drift to 1", all(a > b for a, b in zip(devs, devs[1:])))
-            )
+    oe = genfun.oe_series(40).coeffs
+    checks = [("OE(n) <= OE(n+2) for 1 <= n <= 38", all(oe[n] <= oe[n + 2] for n in range(1, 39)))]
+    grid = [mpf("0.05"), mpf("0.02"), mpf("0.01")]
+    for j in range(4):
+        devs = []
+        for eps in grid:
+            frame = asympt.NuFrame(nu0=asympt.nu0_for_eps(eps, prec), j=j)
+            val = asympt.sj_theta_asymptotic(frame, eps, prec)
+            # S_j is half of O_e or O_o to leading order
+            devs.append(abs(val * 2 / asympt.gf_asymptotic(eps, "even", prec) - 1))
+        checks.append(
+            (f"S_{j} normalized drift to 1", all(a > b for a, b in zip(devs, devs[1:])))
+        )
     return checks
 
 
+@specfun.guarded
 def _verify_specfun(prec):
     checks = []
-    with workprec(prec + 16):
-        q_gold = (3 - mp.sqrt(5)) / 2
-        tol = mpf(2) ** (-(prec - 56))
-        checks.append(("Q^(1/2) + Q = 1", abs(mp.sqrt(q_gold) + q_gold - 1) < tol))
-        li = specfun.dilog(q_gold, prec)
-        target = mp.pi ** 2 / 15 - mp.log((1 + mp.sqrt(5)) / 2) ** 2
-        checks.append(("Li2(Q) special value", abs(li - target) < tol))
-        bracket = (mp.pi ** 2 / 6 - li - (mp.log(q_gold) / 2) ** 2) / 2
-        checks.append(("bracket = pi^2/20", abs(bracket - mp.pi ** 2 / 20) < tol))
-        p0 = specfun.wright_p(0, 10, 6, prec)
-        i1 = specfun.bessel_i(-1, 20, prec)
-        checks.append(("P0(10) ~ I_-1(20)", abs(p0 - i1) / i1 < mpf("0.001")))
+    q_gold = (3 - mp.sqrt(5)) / 2
+    tol = mpf(2) ** (-(prec - 56))
+    checks.append(("Q^(1/2) + Q = 1", abs(mp.sqrt(q_gold) + q_gold - 1) < tol))
+    li = specfun.dilog(q_gold, prec)
+    target = mp.pi ** 2 / 15 - mp.log((1 + mp.sqrt(5)) / 2) ** 2
+    checks.append(("Li2(Q) special value", abs(li - target) < tol))
+    bracket = (mp.pi ** 2 / 6 - li - (mp.log(q_gold) / 2) ** 2) / 2
+    checks.append(("bracket = pi^2/20", abs(bracket - mp.pi ** 2 / 20) < tol))
+    p0 = specfun.wright_p(0, 10, 6, prec)
+    i1 = specfun.bessel_i(-1, 20, prec)
+    checks.append(("P0(10) ~ I_-1(20)", abs(p0 - i1) / i1 < mpf("0.001")))
     return checks
 
 
@@ -265,21 +247,27 @@ def _verify_circle(prec):
 def cmd_verify(args):
     if args.order < 0:
         raise SystemExit("--order must be >= 0")
-    checks = []
-    if args.suite in ("identities", "all"):
-        checks += _verify_identities(args.order, args.prec)
-    if args.suite in ("asymptotics", "all"):
-        checks += _verify_asymptotics(args.prec)
-    if args.suite in ("specfun", "all"):
-        checks += _verify_specfun(args.prec)
-    if args.suite in ("circle", "all"):
-        checks += _verify_circle(args.prec)
+    # looked up when the command runs, so a replaced suite takes effect
+    suites = [("identities", _verify_identities, args.order),
+              ("asymptotics", _verify_asymptotics, args.prec),
+              ("specfun", _verify_specfun, args.prec),
+              ("circle", _verify_circle, args.prec)]
+    checks = [check for name, run, arg in suites if args.suite in (name, "all")
+              for check in run(arg)]
     failed = 0
     for name, ok in checks:
         print(f"{'PASS' if ok else 'FAIL'}  {name}")
         failed += not ok
     print(f"{len(checks) - failed}/{len(checks)} checks passed")
     return 1 if failed else 0
+
+
+def _table_options(parser, func):
+    """The options every table command takes, after its own."""
+    parser.add_argument("--format", choices=["csv", "json"], default="csv")
+    parser.add_argument("--output")
+    parser.add_argument("--force", action="store_true")
+    parser.set_defaults(func=func)
 
 
 def build_parser():
@@ -293,29 +281,20 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("compute", help="tables of OE(n) or OEbar(n)")
-    c.add_argument("--kind", choices=["oe", "oebar"], required=True)
+    c.add_argument("--kind", choices=KINDS, required=True)
     c.add_argument("--n-max", type=int, required=True)
     c.add_argument("--method", choices=["series", "enum", "watson-product"],
                    default="series")
-    c.add_argument("--format", choices=["csv", "json"], default="csv")
-    c.add_argument("--output")
-    c.add_argument("--force", action="store_true")
-    c.set_defaults(func=cmd_compute)
+    _table_options(c, cmd_compute)
 
     r = sub.add_parser("ratio", help="exact vs asymptotic convergence table")
-    r.add_argument("--kind", choices=["oe", "oebar"], required=True)
+    r.add_argument("--kind", choices=KINDS, required=True)
     r.add_argument("--n", required=True, help="comma-separated list, e.g. 100,1000,10000")
-    r.add_argument("--format", choices=["csv", "json"], default="csv")
-    r.add_argument("--output")
-    r.add_argument("--force", action="store_true")
-    r.set_defaults(func=cmd_ratio)
+    _table_options(r, cmd_ratio)
 
     g = sub.add_parser("gf-eval", help="generating function vs leading asymptotics")
     g.add_argument("--eps", default="0.05,0.02,0.01", help="comma-separated eps grid")
-    g.add_argument("--format", choices=["csv", "json"], default="csv")
-    g.add_argument("--output")
-    g.add_argument("--force", action="store_true")
-    g.set_defaults(func=cmd_gf_eval)
+    _table_options(g, cmd_gf_eval)
 
     v = sub.add_parser("verify", help="run a named check suite")
     v.add_argument("--suite", choices=["identities", "asymptotics", "specfun",

@@ -53,7 +53,7 @@ def _sum_summands(order, lowest, update, classes=1):
     place.  u_m is kept without its leading power q^lowest(m) and truncated
     to the coefficients below q^(order+1), so the update and the
     accumulation both start at the summand's lowest exponent.  With
-    classes = c > 1, also return the c subsums over m (mod c).
+    classes = c > 1, return the c subsums over m (mod c) instead.
     """
     _check_order(order)
     rows = [[0] * (order + 1) for _ in range(classes)]
@@ -74,8 +74,7 @@ def _sum_summands(order, lowest, update, classes=1):
         update(u, m)
     if classes == 1:
         return PowerSeries(rows[0])
-    total = PowerSeries([sum(col) for col in zip(*rows)])
-    return total, tuple(PowerSeries(r) for r in rows)
+    return tuple(PowerSeries(r) for r in rows)
 
 
 def _triangular(m):
@@ -108,7 +107,7 @@ def sj_series(j, order):
     """S_j: the m = j (mod 4) subsum of the OE generating function."""
     if j not in (0, 1, 2, 3):
         raise ValueError("parity class j must be in {0,1,2,3}")
-    return _oe_series_with_classes(order)[1][j]
+    return _oe_series_with_classes(order)[j]
 
 
 def parity_split(order):

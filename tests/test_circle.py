@@ -463,6 +463,33 @@ class TestWatsonTransformation:
         messages = [r.getMessage() for r in caplog.records if r.name == "oepartitions.circle"]
         assert len(messages) == 1 and f": {route}, " in messages[0]
 
+    def test_cancelling_parts_fall_back_to_the_direct_sum(self, monkeypatch, caplog):
+        # here the omega term is about as large as M(z); an omega that makes
+        # it -M(z) (1 - 2^-20) leaves 20 cancelled bits, more than the
+        # GUARD_BITS / 2 the transformation may lose, so f must come from
+        # the direct sum and Obar must not change
+        prec, tau = 96, circle_point(10 ** 6, "0.0105")
+        caplog.set_level(logging.DEBUG, logger="oepartitions.circle")
+
+        def route():
+            (message,) = [r.getMessage() for r in caplog.records if r.name == "oepartitions.circle"]
+            caplog.clear()
+            return message
+
+        want = oebar_eval(tau=tau, prec=prec)
+        assert ": transformed, " in route()
+
+        def cancelling_omega(big_q):
+            z = -2j * pi * tau
+            m = circle._mordell(z, circle._mordell_terms(float(abs(z)), prec), prec)
+            factor = 2 * sqrt(1j / tau) * mp.expjpi(-2 / (3 * tau))
+            return -m * (1 - mpf(2) ** -20) / factor
+
+        monkeypatch.setattr(circle, "_omega", cancelling_omega)
+        got = oebar_eval(tau=tau, prec=prec)
+        assert ": direct, " in route()
+        assert abs(got - want) < mpf(2) ** -(prec - 2) * abs(want)
+
 
 class TestQuadrature:
     def test_smooth_integral_to_working_precision(self):

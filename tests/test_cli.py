@@ -152,6 +152,14 @@ class TestVerify:
         assert code == 0
         assert "FAIL" not in out
 
+    @pytest.mark.parametrize("suite,summary", [
+        ("asymptotics", "5/5 checks passed"), ("circle", "4/4 checks passed"),
+    ])
+    def test_suite_passes(self, capsys, suite, summary):
+        code, out, _ = run_cli(capsys, "verify", "--suite", suite)
+        assert code == 0
+        assert summary in out and "FAIL" not in out
+
     def test_failure_exit_code(self, capsys, monkeypatch):
         # force one check to report False and confirm the nonzero exit
         monkeypatch.setattr(

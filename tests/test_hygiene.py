@@ -10,9 +10,9 @@
   under it names mpmath's polyval.
 - Every functools cache in the package is bounded: no lru_cache with
   maxsize=None and no functools.cache, which is the same thing.
-- Working precision is set in one place: outside specfun (the `guarded`
-  decorator) and cli (the --prec option), no module uses mpmath's
-  workprec, workdps, extraprec or extradps, or assigns mp.prec or mp.dps.
+- Working precision is set in one place: specfun.guarded.  No other
+  module uses mpmath's workprec, workdps, extraprec or extradps, or
+  assigns mp.prec or mp.dps.
 """
 
 import ast
@@ -24,7 +24,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "oepartitions"
 TESTS = ROOT / "tests"
 PRECISION_CONTEXTS = {"workprec", "workdps", "extraprec", "extradps"}
-PRECISION_OWNERS = {"specfun.py", "cli.py"}
+PRECISION_OWNERS = {"specfun.py"}
 
 
 def _tree(path):
