@@ -29,23 +29,12 @@ from .specfun import GUARD_BITS, DomainError, dilog, guarded, jacobi_theta
 
 @guarded
 def root_R(a_exponent, prec=256):
-    """Unique root R in (0,1) of R + R^A = 1, by bisection plus Newton."""
+    """Unique root R in (0,1) of R + R^A = 1, by mpmath's bracketing
+    Anderson-Bjorck solver on [0, 1], which keeps every iterate inside it."""
     a = mpf(a_exponent)
     if a <= 0:
         raise DomainError("exponent A must be > 0")
-    lo, hi = mpf(0), mpf(1)
-    for _ in range(60):
-        mid = (lo + hi) / 2
-        if mid + mid ** a < 1:
-            lo = mid
-        else:
-            hi = mid
-    r = (lo + hi) / 2
-    for _ in range(int(mp.log(prec + GUARD_BITS, 2)) + 3):
-        f = r + r ** a - 1
-        df = 1 + a * r ** (a - 1)
-        r -= f / df
-    return r
+    return mp.findroot(lambda r: r + r ** a - 1, (mpf(0), mpf(1)), solver="anderson")
 
 
 @dataclass(frozen=True)

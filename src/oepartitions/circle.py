@@ -534,6 +534,7 @@ def minor_arc_empirical_max(geom, grid=200, prec=96):
     return best
 
 
+@guarded
 def circle_report(n, big_m=6, prec=128, grid=100):
     """End-to-end circle-method report for one n, as a plain dict (JSON-ready)."""
     geom = ArcGeometry(n=n, big_m=mpf(big_m))

@@ -15,8 +15,16 @@ it is overlined.  Within a run of equal parts the single overlined copy,
 being the "first occurrence" in the usual nonincreasing notation, sits at
 the top of the run when scanning upward.  Under that placement a repeated
 part can never satisfy the difference rule (the lower copy of the pair is
-non-overlined but the difference is 0), so all parts are in fact distinct;
-the enumerator still checks the rule pairwise rather than assuming this.
+non-overlined but the difference is 0), so all parts are distinct.
+
+The identity.  With no overline the rule makes every gap odd, so the
+odd-even partitions of n are exactly the odd-even overpartitions of n with
+no overlined part.  One recursion, `_chains`, therefore serves both: it
+takes the overline flags a part may carry, `(False,)` for OE and
+`(False, True)` for OEbar.  The smallest part is odd, so it starts at 1.
+The difference rule then fixes where the next part starts: at p + 1 above
+a non-overlined part p and at p + 2 above an overlined one, and from there
+the candidates step by 2.
 """
 
 from __future__ import annotations
@@ -56,86 +64,33 @@ class OEOverpartition:
 
 def enum_oe(n, listing=False):
     """Count (and optionally list) odd-even partitions of n.  OE(0) = 1 (empty)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    found = [] if listing else None
-    count = _oe_rec(n, 1, 1, (), found)
-    if n == 0:
-        count = 1  # empty partition, by convention
-    if listing:
-        if n == 0:
-            found.append(OEPartition(parts=()))
-        found.sort(key=lambda p: p.parts, reverse=True)
-        return count, found
-    return count
-
-
-def _oe_rec(remaining, min_part, parity, prefix, found):
-    # next part p >= min_part, p = parity (mod 2)
-    count = 0
-    p = min_part if min_part % 2 == parity % 2 else min_part + 1
-    while p <= remaining:
-        if p == remaining:
-            count += 1
-            if found is not None:
-                found.append(OEPartition(parts=tuple(reversed(prefix + (p,)))))
-        else:
-            count += _oe_rec(remaining - p, p + 1, 1 - parity, prefix + (p,), found)
-        p += 2
-    return count
+    return _enumerate(n, listing, (False,), lambda parts, flags: OEPartition(parts))
 
 
 def enum_oebar(n, listing=False):
     """Count (and optionally list) odd-even overpartitions of n.  OEbar(0) = 1."""
+    return _enumerate(n, listing, (False, True), OEOverpartition)
+
+
+def _enumerate(n, listing, flags, build):
+    """The count of the chains of n, and with listing=True also their objects
+    made by build(parts, flags), in descending order of (parts, flags)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    found = [] if listing else None
-    if n == 0:
-        count = 1
-        if listing:
-            found.append(OEOverpartition(parts=(), overline_flags=()))
-    else:
-        count = 0
-        for parts, flags in _oebar_rec(n, 1, None, None, (), ()):
-            count += 1
-            if found is not None:
-                found.append(
-                    OEOverpartition(
-                        parts=tuple(reversed(parts)),
-                        overline_flags=tuple(reversed(flags)),
-                    )
-                )
-    if listing:
-        found.sort(key=lambda p: (p.parts, p.overline_flags), reverse=True)
-        return count, found
-    return count
+    found = [build(*chain) for chain in sorted(_chains(n, 1, flags), reverse=True)]
+    return (len(found), found) if listing else len(found)
 
 
-def _oebar_rec(remaining, min_part, prev_part, prev_flag, parts, flags):
-    """Yield (parts, flags) scanning upward from the smallest part.
+def _chains(remaining, start, flags):
+    """Yield (parts, flags), both in nonincreasing-part order, of the chains
+    summing to remaining whose smallest part is start + 2k for some k >= 0.
 
-    prev_flag is the overline flag of the previous (smaller) part; the
-    difference rule constrains the parity of the gap to it.  The first part
-    must be odd.  Within an equal run only the topmost copy may be overlined,
-    so a non-final copy always carries flag False.
+    The empty chain sums to 0.  Each part carries one of the given flags,
+    and a part p with flag f puts the next part at p + 1 + f or above.
     """
-    for p in range(min_part, remaining + 1):
-        if prev_part is None:
-            if p % 2 == 0:
-                continue  # smallest part must be odd
-        else:
-            gap_odd = (p - prev_part) % 2 == 1
-            if gap_odd == prev_flag:
-                continue  # rule: gap odd iff the smaller part is non-overlined
-            if p == prev_part and prev_flag:
-                # Within an equal run the single overlined copy is the first
-                # occurrence in nonincreasing notation, i.e. the top copy when
-                # scanning upward, so a lower copy may not carry the overline.
-                continue
-        for flag in (False, True):
-            if p == remaining:
-                yield parts + (p,), flags + (flag,)
-            else:
-                yield from _oebar_rec(
-                    remaining - p, p, p, flag, parts + (p,), flags + (flag,)
-                )
+    if remaining == 0:
+        yield (), ()
+    for p in range(start, remaining + 1, 2):
+        for flag in flags:
+            for parts, marks in _chains(remaining - p, p + 1 + flag, flags):
+                yield parts + (p,), marks + (flag,)

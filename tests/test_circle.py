@@ -632,6 +632,13 @@ class TestReport:
         assert 0.5 < rep["ratio"] < 1.5
         assert abs(rep["I1"] / rep["main_term"] - rep["ratio"]) < 1e-9
 
+    @pytest.mark.parametrize("n", [16, 20, 21, 22, 100, 1000])
+    def test_y_is_correctly_rounded(self, n):
+        # at mpmath's ambient 53 bits y came out one ulp off for these n < 1000
+        with workprec(200):
+            want = float(1 / (4 * sqrt(3 * n)))
+        assert circle_report(n, prec=96, grid=20)["y"] == want
+
     def test_sums_one_series_to_order_n(self, summand_calls):
         # the Cauchy recovery samples the series the exact coefficient reads
         circle_report(25, prec=96, grid=20)

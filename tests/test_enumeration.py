@@ -123,6 +123,23 @@ class TestStructuralProperties:
         for n in range(1, 25):
             assert enum_oebar(n) % 2 == 0
 
+    def test_oe_is_oebar_without_overlines(self):
+        # with no overline every gap is odd: the identity both enumerators share
+        for n in range(26):
+            _, oe = enum_oe(n, listing=True)
+            _, oebar = enum_oebar(n, listing=True)
+            plain = [p.parts for p in oebar if not any(p.overline_flags)]
+            assert [p.parts for p in oe] == plain
+
+    def test_listings_sorted_descending(self):
+        for n in range(26):
+            _, oe = enum_oe(n, listing=True)
+            _, oebar = enum_oebar(n, listing=True)
+            keys = [p.parts for p in oe]
+            assert keys == sorted(keys, reverse=True)
+            keys = [(p.parts, p.overline_flags) for p in oebar]
+            assert keys == sorted(keys, reverse=True)
+
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError):
             enum_oe(-1)
