@@ -107,7 +107,7 @@ def nu0_for_eps(eps, prec=256):
     """Fractional part of Log(Q) / (2 Log(q)) at q = e^(-eps)."""
     eps = mpf(eps)
     q_big = (3 - mp.sqrt(5)) / 2
-    ratio = mp.log(q_big) / (2 * mp.log(mp.e ** (-eps)))
+    ratio = mp.log(q_big) / (-2 * eps)
     return ratio - mp.floor(ratio)
 
 

@@ -379,7 +379,8 @@ def cauchy_full_integral(n, prec=256):
     power of two above n.  With K > n only q^n aliases onto q^n, so the
     discrete sum equals the coefficient exactly and the residual against
     the nearest integer, imaginary part included, is a pure precision
-    health metric.  Raises if the residual exceeds 0.25.
+    health metric.  A prec below OEbar(n)'s bit length + 16 is raised to it,
+    leaving a residual near 2^-40; one above 0.25 is a defect, and raises.
 
     The coefficients are scaled once, to wp = series.horner_bits(prec, r)
     fixed-point bits, and each sample is series.horner_fixed's, within
@@ -391,6 +392,9 @@ def cauchy_full_integral(n, prec=256):
     if n == 0:
         return 1, mpf(0)
     series = genfun.oebar_series_hypergeometric(n)
+    need = series.coeffs[n].bit_length() + 16
+    if prec < need:
+        return cauchy_full_integral(n, need)
     samples = 1 << n.bit_length()
     # only the radius is needed here, not the arc cut
     y = 1 / (4 * mp.sqrt(3 * n))
@@ -406,7 +410,7 @@ def cauchy_full_integral(n, prec=256):
     nearest = int(mp.nint(total.real))
     residual = abs(total - nearest)
     if residual > 0.25:
-        raise QuadratureError(f"rounding residual {residual} too large: raise prec")
+        raise QuadratureError(f"rounding residual {residual} above 1/4 at {prec} bits")
     return nearest, residual
 
 
@@ -536,14 +540,15 @@ def minor_arc_empirical_max(geom, grid=200, prec=96):
 
 @guarded
 def circle_report(n, big_m=6, prec=128, grid=100):
-    """End-to-end circle-method report for one n, as a plain dict (JSON-ready)."""
+    """End-to-end circle-method report for one n, as a plain dict (JSON-ready);
+    the recovery and the minor-arc maximum choose their own precision."""
     geom = ArcGeometry(n=n, big_m=mpf(big_m))
     exact = genfun.oebar_series_hypergeometric(n).coefficient(n)
-    recovered, residual = cauchy_full_integral(n, prec=max(prec, 160))
+    recovered, residual = cauchy_full_integral(n, prec=prec)
     i1 = major_arc_integral(geom, prec=prec)
     mt_exp, mt_bess = main_term(n, prec=prec)
     bound = minor_arc_bound(geom, prec=prec)
-    emp = minor_arc_empirical_max(geom, grid=grid, prec=min(prec, 96))
+    emp = minor_arc_empirical_max(geom, grid=grid)
     return {
         "n": n,
         "M": float(big_m),

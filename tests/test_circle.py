@@ -532,6 +532,13 @@ class TestCauchyRecovery:
         assert got == oebar_series_product(800).coefficient(800)
         assert residual < mpf("1e-40")
 
+    def test_precision_sized_from_the_coefficient(self):
+        # OEbar(600) has 56 bits, more than 16 + GUARD_BITS working bits hold:
+        # summed at those bits the residual is 66, so the recovery must size itself
+        got, residual = cauchy_full_integral(600, prec=16)
+        assert got == oebar_series_hypergeometric(600).coefficient(600)
+        assert residual < mpf(2) ** -30
+
     def test_zero_case(self):
         got, residual = cauchy_full_integral(0)
         assert got == 1 and residual == 0

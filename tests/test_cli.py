@@ -186,6 +186,12 @@ class TestCircleCommand:
         rep = json.loads(out)
         assert rep["clears_threshold"] is False
 
+    def test_m_above_threshold_is_silent(self, capsys):
+        code, out, err = run_cli(capsys, "--prec", "96", "circle", "--n", "20",
+                                 "--M", "6", "--grid", "5")
+        assert code == 0 and err == ""
+        assert json.loads(out)["clears_threshold"] is True
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
