@@ -9,18 +9,17 @@ pieces numerically: the full coefficient-recovery integral, the major-arc
 integral against the Bessel main term, and the proven minor-arc bound
 together with an empirical maximum.
 
-On the circle, Obar(q) = (-q;q)_inf f(q), with f(q) = sum q^(n^2)/(-q;q)_n^2
-Watson's third-order mock theta function, and _oebar_eval_tau picks a
-route for each factor from the point alone.  Where Im(-1/tau) >= 1 (the
-whole major arc for n >= 30), both factors come from the modular
-transformation to the nome Q = e^(-pi i/tau): (-q;q)_inf in closed form,
-and f from Watson's transformation, its Mordell integral summed by an
-asymptotic expansion wherever that reaches the precision asked for, its
-coefficients from one integer sequence (see _mordell) built only as far
-as a point reads them.  Elsewhere (-q;q)_inf is euler_eval(2 tau) /
-euler_eval(tau), and f is summed directly in fixed point, with a
-ratio-bound stop rule and specfun.pay_for_loss's re-sum for cancellation.
-Each evaluation logs the route of f, its term count, lost bits and
+Obar(q) takes one of two routes, picked from the point alone.  Where
+Im(-1/tau) >= 1 (the whole major arc for n >= 30), the modular
+transformation to the nome Q = e^(-pi i/tau) gives Obar = (-q;q)_inf f(q),
+with f(q) = sum q^(n^2)/(-q;q)_n^2 Watson's third-order mock theta
+function: (-q;q)_inf in closed form, and f from Watson's transformation,
+its Mordell integral summed by an asymptotic expansion wherever that
+reaches the precision asked for, its coefficients from one integer
+sequence (see _mordell) built only as far as a point reads them.
+Everywhere else Obar is summed from the paper's own series, in fixed
+point, with a ratio-bound stop rule and specfun.pay_for_loss's re-sum for
+cancellation.  Each evaluation logs its route, term count, lost bits and
 re-sum at DEBUG under this module's logger.
 
 Both polynomial sums here, the Mordell expansion and the exact series at
@@ -43,8 +42,7 @@ from mpmath.libmp import to_fixed
 from . import genfun
 from .asympt import oebar_asymptotic
 from .series import horner_bits, horner_fixed
-from .specfun import (GUARD_BITS, DomainError, QuadratureError, bessel_i, euler_eval, guarded,
-                      pay_for_loss)
+from .specfun import GUARD_BITS, DomainError, QuadratureError, bessel_i, guarded, pay_for_loss
 
 # Gauss-Legendre rule with 3 * 2^(QUAD_DEGREE - 1) = 12 nodes per panel;
 # the rule object caches its nodes per precision
@@ -109,63 +107,64 @@ def exponent_saving(big_m, prec=256):
 
 
 def _settled_term(tau):
-    """The least n from which each term of f(q) at q = e^(2 pi i tau) bounds the sum after it.
+    """The least m from which each term of Obar(q)'s series at
+    q = e^(2 pi i tau) bounds the sum after it.
 
-    With r = |q|, |term_k / term_(k-1)| <= rho(k) = r^(2k-1) / (1 - r^k)^2,
-    which falls with k; once rho(k) <= 1/2, that is r^k <= s =
-    sqrt(r/2) / (1 + sqrt(r/2)), the sum after term k - 1 is below that
-    term.  In float logarithms, so that |q| may underflow.
+    With r = |q|, |1 - q^(2m)| >= 1 - r^(2m) gives |t_m / t_(m-1)| <= rho(m)
+    = r^m (1 + r^(m-1)) / (1 - r^(2m)), which falls with m.  With u = r^m,
+    rho(m) <= 1/2 once u <= 1/(1 + sqrt(2 + 2/r)); from there on each ratio
+    is at most 1/2, so the sum after a term is below it.  In float
+    logarithms, so that |q| may underflow.
     """
     log_r = -2 * math.pi * float(tau.imag)
-    log_s = (log_r - math.log(2)) / 2 - math.log1p(math.sqrt(math.exp(log_r) / 2))
-    return math.ceil(log_s / log_r) - 1
+    half_log = (math.log(2) - log_r + math.log1p(math.exp(log_r))) / 2  # log sqrt(2 + 2/r)
+    log_u = -half_log - math.log1p(math.exp(-half_log))
+    return math.ceil(log_u / log_r)
 
 
 @guarded
-def _mock_f(tau, prec):
-    """Watson's f(q) at q = e^(2 pi i tau), the bits its sum lost,
-    ceil(log2(max |term| / |f|)), and the number of terms after the first.
+def _obar_sum(tau, prec):
+    """Obar(q) at q = e^(2 pi i tau), the bits its sum lost,
+    max(0, ceil(log2(max |t_m| / |Obar|))), and the terms after the first.
 
-    Each term is the last times q^(2n-1)/(1+q^n)^2, so no powers are taken;
-    near q = 1 the terms shrink like 4^(-n).  Stops at a term below
-    2^-(prec + GUARD_BITS) of the largest, once _settled_term says that
-    term bounds the rest of the sum, and raises past F_TERM_BUDGET terms.
-    The terms can fall below that cut and rise again where q^n turns
-    slowly towards -1; the ratio bound rules such a rise out.
+    (-1;q)_m = 2 (-q;q)_(m-1) and (q^2;q^2)_m = (q;q)_m (-q;q)_m make the
+    paper's series sum_m (-1;q)_m q^(m(m+1)/2) / (q^2;q^2)_m the sum of
+    t_0 = 1 and t_m = 2 q^(m(m+1)/2) / ((q;q)_m (1 + q^m)): each term is the
+    last times q^m (1 + q^(m-1)) / (1 - q^(2m)), so no powers are taken.
+    Stops at a term below 2^-(prec + GUARD_BITS) of the largest, once
+    _settled_term says that term bounds the rest, and raises past
+    F_TERM_BUDGET terms; the ratio bound rules out a rise after a dip.
 
-    The loop runs in fixed point on Python ints, each complex number a pair
-    of integers, at wp = prec + GUARD_BITS + ceil(log2 F_TERM_BUDGET) + 4
-    bits; 1/(1+q^n)^2 is conj(1+q^n)^2 / |1+q^n|^4 by floor division, and
-    magnitudes are compared squared, so no square root is taken.  The sum
-    and the powers of q are scaled by 2^wp: each step adds a rounding of a
-    few units of 2^-wp, and the largest term is at least 1 (term 0), so up
-    to F_TERM_BUDGET of them stay below 2^-(prec + GUARD_BITS) of it, the
-    accuracy of the stop rule; the caller's re-sum makes that relative to
-    f.  The term is scaled by 2^(wp + s), with s raised whenever the term
-    falls below 1, so it keeps wp significant bits: when q^n turns slowly
-    towards -1 the terms fall far below 1 and then rise again, which would
-    carry an absolute rounding up with them.
+    Fixed point on Python ints, each complex number a pair, at
+    wp = prec + GUARD_BITS + ceil(log2 F_TERM_BUDGET) + 4 bits; dividing by
+    d = 1 - q^(2m) is multiplying by conj(d) and floor-dividing by |d|^2,
+    and magnitudes are compared squared.  The sum and the powers of q are
+    scaled by 2^wp: each step rounds by a few units of 2^-wp, and the
+    largest term is at least 1 (t_0), so F_TERM_BUDGET roundings stay below
+    2^-(prec + GUARD_BITS) of it; the caller's re-sum makes that relative
+    to Obar.  The term is scaled by 2^(wp + s), s raised whenever it falls
+    below 1, so it keeps wp significant bits where the terms fall far below
+    1 and rise again.
     """
     wp = prec + GUARD_BITS + (F_TERM_BUDGET - 1).bit_length() + 4
     settled = _settled_term(tau)
     q = mp.expjpi(2 * tau)
     qr, qi = to_fixed(q.real._mpf_, wp), to_fixed(q.imag._mpf_, wp)
     one = 1 << wp
-    # (sr, si) the sum and (pr, pi_) q^(n-1), scaled by 2^wp; (tr, ti) the
+    # (sr, si) the sum and (pr, pi_) q^(m-1), scaled by 2^wp; (tr, ti) the
     # term, scaled by 2^(wp + s)
     sr = tr = pr = one
     si = ti = pi_ = s = 0
     floor2 = top = one * one  # 2^(2 wp), and the largest |term|^2 at the term's scale
     cut = 2 * (prec + GUARD_BITS)
     for terms in range(1, F_TERM_BUDGET + 1):
-        nr, ni = (pr * qr - pi_ * qi) >> wp, (pr * qi + pi_ * qr) >> wp  # q^n
-        ar, ai = (pr * nr - pi_ * ni) >> wp, (pr * ni + pi_ * nr) >> wp  # q^(2n-1)
-        dr = one + nr
-        dr2, di2 = dr * dr, ni * ni
-        cr, ci = dr2 - di2, -2 * dr * ni  # conj(1+q^n)^2, scaled by 2^(2 wp)
-        m2 = (dr2 + di2) ** 2  # |1+q^n|^4, scaled by 2^(4 wp)
+        nr, ni = (pr * qr - pi_ * qi) >> wp, (pr * qi + pi_ * qr) >> wp  # q^m
+        ar = nr + ((nr * pr - ni * pi_) >> wp)  # q^m (1 + q^(m-1))
+        ai = ni + ((nr * pi_ + ni * pr) >> wp)
+        dr, di = one - ((nr * nr - ni * ni) >> wp), -((2 * nr * ni) >> wp)  # 1 - q^(2m)
+        m2 = dr * dr + di * di  # |d|^2, scaled by 2^(2 wp)
         wr, wi = (tr * ar - ti * ai) >> wp, (tr * ai + ti * ar) >> wp
-        tr, ti = ((wr * cr - wi * ci) << 2 * wp) // m2, ((wr * ci + wi * cr) << 2 * wp) // m2
+        tr, ti = ((wr * dr + wi * di) << wp) // m2, ((wi * dr - wr * di) << wp) // m2
         sr += tr >> s
         si += ti >> s
         pr, pi_ = nr, ni
@@ -178,11 +177,11 @@ def _mock_f(tau, prec):
             k = wp + 1 - (size2.bit_length() >> 1)
             tr, ti, s, top = tr << k, ti << k, s + k, top << 2 * k
     else:
-        raise ArithmeticError(f"f(q) at tau = {tau} needs over {F_TERM_BUDGET} terms")
+        raise ArithmeticError(f"Obar(q) at tau = {tau} needs over {F_TERM_BUDGET} terms")
     if not (sr or si):
-        raise ArithmeticError(f"f(q) at tau = {tau} sums to 0 at {wp} fixed-point bits")
+        raise ArithmeticError(f"Obar(q) at tau = {tau} sums to 0 at {wp} fixed-point bits")
     lost = int(mp.ceil(mp.log(mpf(top) / ((sr * sr + si * si) << 2 * s), 2) / 2))
-    return mpc(mpf((sr, -wp)), mpf((si, -wp))), lost, terms
+    return mpc(mpf((sr, -wp)), mpf((si, -wp))), max(lost, 0), terms
 
 
 def _mordell_terms(size, prec):
@@ -323,44 +322,42 @@ def _watson_f(tau, big_q, prec):
 
 
 def _oebar_eval_tau(tau, prec):
-    """Obar(e^(2 pi i tau)) = (-q;q)_inf f(q) to prec bits, for a guarded
-    caller working at prec + GUARD_BITS.
+    """Obar(e^(2 pi i tau)) to prec bits, for a guarded caller working at
+    prec + GUARD_BITS.
 
-    Where Im(-1/tau) >= 1, (-q;q)_inf by _neg_pochhammer and f by
-    _watson_f if that reaches prec bits; elsewhere the euler_eval pair and
-    the direct sum _mock_f, summed again with the bits it lost by
-    specfun.pay_for_loss.  Logs the route of f, its term count, lost bits
-    and re-sum at DEBUG.
+    Where Im(-1/tau) >= 1 and _watson_f reaches prec bits, the transformed
+    route: (-q;q)_inf by _neg_pochhammer times Watson's f.  Everywhere else
+    the direct route: Obar's own series by _obar_sum, summed again with the
+    bits it lost by specfun.pay_for_loss.  Logs the route, its term count,
+    lost bits and re-sum at DEBUG.
     """
     inv = -1 / tau
     watson = None
     if inv.imag >= 1:
         big_q = mp.expjpi(inv)
-        eta = _neg_pochhammer(tau, big_q)
         watson = _watson_f(tau, big_q, prec)
-    else:
-        eta = euler_eval(2 * tau, prec + GUARD_BITS) / euler_eval(tau, prec + GUARD_BITS)
     if watson is not None:
-        route, (f, lost, terms), extra = "transformed", watson, 0
+        f, lost, terms = watson
+        what, route, extra, value = "f(q)", "transformed", 0, _neg_pochhammer(tau, big_q) * f
     else:
-        route = "direct"
-        (f, lost, terms), extra = pay_for_loss(lambda bits: _mock_f(tau, bits), prec,
-                                               "f(q) at tau = %s", tau)
+        (value, lost, terms), extra = pay_for_loss(lambda bits: _obar_sum(tau, bits), prec,
+                                                   "Obar(q) at tau = %s", tau)
+        what, route = "Obar(q)", "direct"
     if log.isEnabledFor(logging.DEBUG):
-        log.debug("f(q) at tau = %s: %s, %d terms, lost %d bits, %s", tau, route, terms, lost,
+        log.debug("%s at tau = %s: %s, %d terms, lost %d bits, %s", what, tau, route, terms, lost,
                   f"re-summed at {prec + extra} bits" if extra else "no re-sum")
-    return eta * f
+    return value
 
 
 @guarded
 def oebar_eval(tau, prec=256):
-    """Evaluate Obar(q) = (-q;q)_inf f(q) at q = e^(2 pi i tau), Im tau > 0, with
-    f Watson's third-order mock theta function (see _oebar_eval_tau).
+    """Evaluate Obar(q) = sum_m (-1;q)_m q^(m(m+1)/2) / (q^2;q^2)_m at
+    q = e^(2 pi i tau), Im tau > 0 (see _oebar_eval_tau for the two routes).
 
     Efficient arbitrarily close to q = 1, through the modular
-    transformation there; this is the route used on the circle.  The tests
-    check it against the exact coefficient series with its rigorous tail
-    bound (series.evaluate_at), against Watson's bilateral sum at a
+    transformation there; this is the route used on the major arc.  The
+    tests check it against the exact coefficient series with its rigorous
+    tail bound (series.evaluate_at), against Watson's bilateral sum at a
     precision that pays for that sum's cancellation, and against the
     Mordell integral by quadrature.
     """

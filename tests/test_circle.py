@@ -4,7 +4,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from mpmath import mp, mpf, mpc, workprec, sqrt, pi, exp, cos, sin, log, ceil, ln
 from mpmath.libmp import to_fixed
 
@@ -48,10 +48,9 @@ def bilateral_reference(tau, prec):
 
 
 def reference_mock_f(tau, prec):
-    """Watson's f(q) at q = e^(2 pi i tau) and the bits its sum lost, by the
-    term-ratio loop on mpc at prec bits (the evaluator before its fixed-point
-    kernel): each term the last times q^(2n-1)/(1+q^n)^2, stopping at a
-    term below 2^-prec of the largest.
+    """Watson's f(q) at q = e^(2 pi i tau) and the bits its sum lost, by a
+    term-ratio loop on mpc at prec bits: each term the last times
+    q^(2n-1)/(1+q^n)^2, stopping at a term below 2^-prec of the largest.
     """
     with workprec(prec):
         q = mp.expjpi(2 * tau)
@@ -69,6 +68,34 @@ def reference_mock_f(tau, prec):
             if size < eps * peak:
                 return total, int(mp.ceil(mp.log(peak / abs(total), 2)))
     raise ArithmeticError("reference sum of f(q) did not converge")
+
+
+def reference_obar_sum(tau, prec):
+    """Obar(q) = sum_m t_m at q = e^(2 pi i tau) and the bits its sum lost,
+    by the term-ratio loop on mpc at prec bits: t_0 = 1 and each term the
+    last times q^m (1 + q^(m-1)) / (1 - q^(2m)), stopping at a term below
+    2^-prec of the largest.
+    """
+    with workprec(prec):
+        q = mp.expjpi(2 * tau)
+        eps = mpf(2) ** -prec
+        total = term = prev = mpc(1)  # prev = q^(m-1)
+        peak = mpf(1)
+        for _ in range(circle.F_TERM_BUDGET):
+            qm = prev * q
+            term *= qm * (1 + prev) / (1 - qm * qm)
+            total += term
+            prev = qm
+            size = abs(term)
+            peak = max(peak, size)
+            if size < eps * peak:
+                return total, int(mp.ceil(mp.log(peak / abs(total), 2)))
+    raise ArithmeticError("reference sum of Obar(q) did not converge")
+
+
+def ratio_bound(r, m):
+    """rho(m) = r^m (1 + r^(m-1)) / (1 - r^(2m)), the bound on |t_m / t_(m-1)| at |q| = r."""
+    return r ** m * (1 + r ** (m - 1)) / (1 - r ** (2 * m))
 
 
 def reference_oebar(tau, prec):
@@ -239,8 +266,8 @@ class TestEvaluation:
         assert abs(got - want) < mpf(2) ** -(prec - 8) * abs(want)
 
     def test_point_next_to_minus_one(self):
-        # the terms of f(q) peak far above f here, so the first sum loses
-        # about 57 bits and the value rests on the re-sum
+        # the terms of Obar's series peak far above Obar here, so the first
+        # sum loses about 41 bits and the value rests on the re-sum
         prec = 96
         y = ArcGeometry(10 ** 5).y
         tau = mpc("0.499", y)
@@ -258,26 +285,54 @@ class TestEvaluation:
     @pytest.mark.parametrize("prec", [96, 256, 512])
     def test_lost_bits_and_resum_next_to_minus_one(self, prec, monkeypatch):
         tau = circle_point(10 ** 5, mpf("0.499"))
-        _, want = reference_mock_f(tau, prec + 160)
-        _, lost, _ = circle._mock_f(tau, prec)
+        _, want = reference_obar_sum(tau, prec + 160)
+        _, lost, _ = circle._obar_sum(tau, prec)
         assert abs(lost - want) <= 1
         sums = []
-        inner = circle._mock_f
+        inner = circle._obar_sum
 
         def counting(tau, prec):
             sums.append(prec)
             return inner(tau, prec)
 
-        monkeypatch.setattr(circle, "_mock_f", counting)
+        monkeypatch.setattr(circle, "_obar_sum", counting)
         oebar_eval(tau=tau, prec=prec)
         assert lost > GUARD_BITS // 2 and sums == [prec, prec + lost]
 
     def test_term_rising_after_a_deep_dip(self):
-        # q^n turns slowly here: the terms fall to about 2^-120 before
-        # q^n nears -1, then rise to 2^16; a term held to absolute
-        # precision only would carry its rounding up by 2^136 and lose
-        # about 30 bits
-        assert_matches_mpc_loop(circle_point(289356, mpf("0.0041193797332570534")), 96)
+        # a direct-route point: the terms peak at 2^47.6, fall below 1 from
+        # m = 199 and below 2^-(96 + 32) of the largest at m = 377, reach
+        # 2^-80.9 at m = 385, then rise 31 bits to 2^-50.1 at m = 486.  A
+        # first pass stopped at the cut would end inside the dip, 2^-83.8
+        # relative from Obar; the ratio bound holds it past the rise.  The
+        # re-sum, 44 bits more, cuts below the dip either way
+        tau = circle_point(4 * 10 ** 6, mpf("0.498866"))
+        _, _, terms = circle._obar_sum(tau, 96)
+        assert terms > 486
+        want, _ = reference_obar_sum(tau, 96 + 160)
+        got = oebar_eval(tau=tau, prec=96)
+        assert abs(got - want) < mpf(2) ** -94 * abs(want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(x=st.floats(0, 0.5), n=st.integers(10, 10 ** 5))
+    def test_ratio_bound_holds_and_settles(self, x, n):
+        # the premise of the stop rule: rho(m) bounds every term ratio, and
+        # is at most 1/2 from _settled_term on, so the sum after a term from
+        # there is below it.  At x = 0 the bound is attained, so the ratios
+        # may pass it by their rounding, 2^-100 relative at 128 bits
+        tau = circle_point(n, x)
+        assume(tau.imag / abs(tau) ** 2 < 1)  # Im(-1/tau) < 1: the direct route
+        settled = circle._settled_term(tau)
+        with workprec(128):
+            r = mp.e ** (-2 * pi * tau.imag)
+            q = mp.expjpi(2 * tau)
+            prev = mpc(1)
+            for m in range(1, settled + 65):
+                qm = prev * q
+                ratio = qm * (1 + prev) / (1 - qm * qm)
+                assert abs(ratio) <= ratio_bound(r, m) * (1 + mpf(2) ** -100)
+                prev = qm
+            assert ratio_bound(r, settled) <= mpf("0.5")
 
     @settings(max_examples=40, deadline=None)
     @given(x=st.floats(0, 0.5), n=st.integers(100, 25600))
@@ -293,7 +348,7 @@ class TestEvaluation:
         assert len(messages) == 1 and note in messages[0] and "terms" in messages[0]
 
     def test_cancellation_past_the_pass_budget_raises(self, monkeypatch):
-        # the first sum loses about 57 bits here; one pass may not pay for it
+        # the first sum loses about 41 bits here; one pass may not pay for it
         monkeypatch.setattr(specfun, "LOSS_PASSES", 1)
         with pytest.raises(ArithmeticError):
             oebar_eval(tau=circle_point(10 ** 5, mpf("0.499")), prec=96)
@@ -355,14 +410,17 @@ class TestWatsonTransformation:
         (256, 25600, 0), (256, 25600, "3y"), (256, 4 * 10 ** 5, mpf("0.0032")),
     ])
     def test_routes_agree_where_both_converge(self, prec, n, x):
+        # (-q;q)_inf f(q) against Obar's own series; the series loses up to
+        # 64 bits here, so it is compared after its re-sum
         tau = circle_point(n, x)
         with workprec(prec + GUARD_BITS):
             big_q = mp.expjpi(-1 / tau)
-        watson = circle._watson_f(tau, big_q, prec)
-        assert watson is not None
-        direct, lost, _ = circle._mock_f(tau, prec)
-        assert lost <= GUARD_BITS // 2
-        assert abs(watson[0] - direct) < mpf(2) ** -(prec - 2) * abs(direct)
+            watson = circle._watson_f(tau, big_q, prec)
+            assert watson is not None
+            transformed = circle._neg_pochhammer(tau, big_q) * watson[0]
+            (direct, _, _), _ = specfun.pay_for_loss(lambda bits: circle._obar_sum(tau, bits),
+                                                     prec, "Obar(q)")
+        assert abs(transformed - direct) < mpf(2) ** -(prec - 2) * abs(direct)
 
     def test_expansion_coefficients_against_exact_series(self):
         # as z -> 0+, e^(z/24) f(e^-z) ~ sum b_j z^j: the rest after the
@@ -396,18 +454,19 @@ class TestWatsonTransformation:
             assert abs(got - want) < mpf(2) ** -(prec - 2) * abs(want)
 
     def test_major_arc_needs_no_euler_eval(self, monkeypatch):
+        # nor does the minor arc: Obar is summed from its own series there
+        assert not hasattr(circle, "euler_eval")
         calls = []
-        inner = circle.euler_eval
+        inner = specfun.euler_eval
 
         def counting(tau, prec=256):
             calls.append(tau)
             return inner(tau, prec)
 
-        monkeypatch.setattr(circle, "euler_eval", counting)
+        monkeypatch.setattr(specfun, "euler_eval", counting)
         major_arc_integral(ArcGeometry(1600), prec=96)
+        oebar_eval(tau=circle_point(1600, mpf("0.499")), prec=96)
         assert calls == []
-        oebar_eval(tau=circle_point(1600, mpf("0.499")), prec=96)  # the minor arc keeps it
-        assert len(calls) == 2
 
     @pytest.mark.parametrize("prec,n,x", [
         (96, 4 * 10 ** 5, "0.0032"), (96, 10 ** 6, "0.0035"), (96, 10 ** 5, "0.0091"),
@@ -466,8 +525,8 @@ class TestWatsonTransformation:
     def test_cancelling_parts_fall_back_to_the_direct_sum(self, monkeypatch, caplog):
         # here the omega term is about as large as M(z); an omega that makes
         # it -M(z) (1 - 2^-20) leaves 20 cancelled bits, more than the
-        # GUARD_BITS / 2 the transformation may lose, so f must come from
-        # the direct sum and Obar must not change
+        # GUARD_BITS / 2 the transformation may lose, so Obar must come
+        # from its own series and must not change
         prec, tau = 96, circle_point(10 ** 6, "0.0105")
         caplog.set_level(logging.DEBUG, logger="oepartitions.circle")
 
