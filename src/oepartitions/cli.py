@@ -24,6 +24,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from collections import namedtuple
@@ -152,8 +153,9 @@ def _gf_rows(eps_grid, prec):
 
 def cmd_gf_eval(args):
     eps_grid = _parse_list(args.eps, mpf, "--eps")
-    if min(eps_grid) <= 0:
-        raise SystemExit("--eps values must be > 0")
+    # float, because the order and the printed rows are taken in floats
+    if not all(0 < float(eps) < math.inf for eps in eps_grid):
+        raise SystemExit("--eps values must be finite and > 0")
     if min(eps_grid) < mpf("0.005") and not args.force:
         raise SystemExit("eps below 0.005 needs a very long series; pass --force")
     rows = _gf_rows(eps_grid, args.prec)

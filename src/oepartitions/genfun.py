@@ -1,12 +1,13 @@
 """Generating functions for odd-even partitions and overpartitions.
 
 Everything here is an exact truncated PowerSeries.  The hypergeometric
-sums are built incrementally: the m-th summand is obtained from the
-(m-1)-st by multiplying with a sparse binomial ratio, and every update and
-accumulation starts at the summand's lowest nonzero exponent, so building a
-series to order N costs O(N^(3/2)) integer operations instead of O(N^2) per
-term.  That is what makes the desk-scale asymptotic checks (orders 10^4 and
-up) cheap.
+sums are nested, Horner-style, from the innermost summand out: the m-th
+summand is the (m-1)-st times a power of q and a sparse binomial ratio, so
+the sum is 1 + q^a r_1 (1 + q^b r_2 (1 + ...)).  Each level costs one update
+pass over the coefficients below q^(N+1) that its leading power leaves, so
+building a series to order N costs O(N^(3/2)) integer operations instead of
+O(N^2) per term.  That is what makes the desk-scale asymptotic checks
+(orders 10^4 and up) cheap.
 
 Series implemented:
   oe_series             O(q)  = sum_m q^(m(m+1)/2) / (q^2;q^2)_m
@@ -30,7 +31,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import count
-from operator import add
 
 from .series import (
     PowerSeries,
@@ -43,38 +43,32 @@ from .series import (
 )
 
 
-_BLOCK = 512
+def _sum_summands(order, lowest, update, first=0, step=1):
+    """Sum t_m = q^lowest(m) r_1 ... r_m over m = first, first + step, ... to the given order.
 
-
-def _sum_summands(order, lowest, update, classes=1):
-    """Sum the summands t_m = q^lowest(m) u_m, m = 0, 1, ..., to the given order.
-
-    u_0 = 1 (lowest(0) must be 0) and update(u, m) turns u_{m-1} into u_m in
-    place.  u_m is kept without its leading power q^lowest(m) and truncated
-    to the coefficients below q^(order+1), so the update and the
-    accumulation both start at the summand's lowest exponent.  With
-    classes = c > 1, return the c subsums over m (mod c) instead.
+    update(u, m) multiplies u by r_m in place, truncated to len(u), and
+    lowest(0) must be 0.  The sum is nested from the innermost summand out:
+    with R_top = 1 and R_(m-step) = 1 + q^(lowest(m)-lowest(m-step))
+    r_(m-step+1) ... r_m R_m, kept below q^(order+1-lowest(m-step)), the sum
+    is q^lowest(first) r_1 ... r_first R_first.  So each summand costs one
+    update pass and no accumulation pass.
     """
     _check_order(order)
-    rows = [[0] * (order + 1) for _ in range(classes)]
-    u = [1] + [0] * order
-    m = e = 0
-    while True:
-        row = rows[m % classes]
-        # in blocks: a whole-row slice would hold a second row of big
-        # integers until the assignment ends, raising peak memory
-        for i in range(0, len(u), _BLOCK):
-            j = e + i
-            row[j : j + _BLOCK] = map(add, row[j : j + _BLOCK], u[i : i + _BLOCK])
-        m += 1
-        e = lowest(m)
-        if e > order:
-            break
-        del u[order + 1 - e :]
-        update(u, m)
-    if classes == 1:
-        return PowerSeries(rows[0])
-    return tuple(PowerSeries(r) for r in rows)
+    if lowest(first) > order:
+        return PowerSeries.zero(order)
+    m = first
+    while lowest(m + step) <= order:
+        m += step
+    u = [1] + [0] * (order - lowest(m))
+    while m > 0:
+        k = m - step if m > first else 0
+        for i in range(m, k, -1):
+            update(u, i)
+        u[:0] = [0] * (lowest(m) - lowest(k))
+        if m > first:
+            u[0] += 1
+        m = k
+    return PowerSeries(u)
 
 
 def _triangular(m):
@@ -98,16 +92,12 @@ def oe_series(order):
     return _sum_summands(order, _triangular, _oe_update)
 
 
-@lru_cache(maxsize=8)
-def _oe_series_with_classes(order):
-    return _sum_summands(order, _triangular, _oe_update, classes=4)
-
-
+@lru_cache(maxsize=32)
 def sj_series(j, order):
     """S_j: the m = j (mod 4) subsum of the OE generating function."""
     if j not in (0, 1, 2, 3):
         raise ValueError("parity class j must be in {0,1,2,3}")
-    return _oe_series_with_classes(order)[j]
+    return _sum_summands(order, _triangular, _oe_update, first=j, step=4)
 
 
 def parity_split(order):

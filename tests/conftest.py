@@ -11,7 +11,8 @@ def summand_calls(monkeypatch):
     """The orders of the genfun._sum_summands calls a test makes, from cold caches.
 
     Every cached series builder in genfun is cleared first, so a series
-    counts as summed only if the test itself sums it.
+    counts as summed only if the test itself sums it.  Each sj_series class
+    is a call of its own.
     """
     for builder in vars(genfun).values():
         if hasattr(builder, "cache_clear"):

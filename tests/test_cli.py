@@ -201,6 +201,9 @@ class TestUsageErrors:
         ["compute", "--kind", "oe", "--n-max", "-3"],
         ["gf-eval", "--eps", "0", "--force"],
         ["gf-eval", "--eps", "-0.1", "--force"],
+        ["gf-eval", "--eps", "nan"],
+        ["gf-eval", "--eps", "1e400"],
+        ["gf-eval", "--eps", "inf"],
         ["verify", "--order", "-1"],
         ["gf-eval", "--eps", "0.001"],
         ["compute", "--kind", "oe", "--n-max", "5", "--method", "watson-product"],

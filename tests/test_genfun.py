@@ -1,8 +1,19 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oepartitions.series import PowerSeries, SeriesError, qpochhammer, neg_pochhammer
+from oepartitions.series import (
+    PowerSeries,
+    SeriesError,
+    _div_one_minus_qk,
+    neg_pochhammer,
+    qpochhammer,
+)
 from oepartitions.genfun import (
+    _f_mock_update,
+    _oe_update,
+    _oebar_update,
     _pentagonal,
+    _triangular,
     oe_series,
     sj_series,
     parity_split,
@@ -46,6 +57,16 @@ class TestOESeries:
     def test_invalid_class(self):
         with pytest.raises(ValueError):
             sj_series(4, 10)
+
+    @pytest.mark.parametrize("j", range(4))
+    def test_class_negative_order_is_refused(self, j):
+        with pytest.raises(SeriesError):
+            sj_series(j, -1)
+
+    @pytest.mark.parametrize("j", range(4))
+    def test_each_class_is_one_sum_to_its_order(self, j, summand_calls):
+        sj_series(j, 50)
+        assert summand_calls == [50]
 
 
 class TestMockTheta:
@@ -157,3 +178,80 @@ class TestGrowth:
         t = oebar_series_product(1000)
         assert t.coefficient(100) == 587642
         assert t.coefficient(1000) == 11478515825964261613864
+
+
+# ---------------------------------------------------------------------------
+# The nested sums against a forward reference
+
+
+def _forward_sum(order, lowest, update, classes=1):
+    """Sum t_m = q^lowest(m) r_1 ... r_m summand by summand, front to back,
+    into one row per class m (mod classes): the plain loop the nested sum
+    in genfun must reproduce."""
+    rows = [[0] * (order + 1) for _ in range(classes)]
+    u = [1] + [0] * order
+    m = e = 0
+    while True:
+        row = rows[m % classes]
+        for i, c in enumerate(u):
+            row[e + i] += c
+        m += 1
+        e = lowest(m)
+        if e > order:
+            return [PowerSeries(r) for r in rows]
+        del u[order + 1 - e :]
+        update(u, m)
+
+
+def _square(n):
+    return n * n
+
+
+# (numerator exponent, denominator step) of each classical sum's summands
+_CLASSICAL_SUMS = {
+    "euler-partitions": (lambda n: n, 1),
+    "gauss-distinct-parts": (_triangular, 1),
+    "rogers-ramanujan": (_square, 1),
+    "odd-parts": (lambda n: n, 2),
+    "distinct-odd-parts": (_square, 2),
+    "odd-even-sum": (_triangular, 2),
+}
+
+
+def _assert_nested_sums_match_forward(order):
+    assert oe_series(order) == _forward_sum(order, _triangular, _oe_update)[0]
+    classes = _forward_sum(order, _triangular, _oe_update, classes=4)
+    for j in range(4):
+        assert sj_series(j, order) == classes[j], j
+    assert oebar_series_hypergeometric(order) == _forward_sum(order, _triangular, _oebar_update)[0]
+    assert f_mock_series(order) == _forward_sum(order, _square, _f_mock_update)[0]
+    for rec in classical_identity_suite(order):
+        lowest, step = _CLASSICAL_SUMS[rec["name"]]
+        want = _forward_sum(order, lowest, lambda u, n: _div_one_minus_qk(u, step * n))[0]
+        assert rec["lhs"] == want, rec["name"]
+
+
+# orders 0 and 1, and next to each summand's entry point: T(m) - 1, T(m),
+# T(m) + 1 for the triangular sums and m^2 - 1, m^2, m^2 + 1 for f and
+# Rogers-Ramanujan
+_ENTRY_ORDERS = sorted(
+    {0, 1}
+    | {e + d for m in range(1, 10) for e in (_triangular(m), m * m) for d in (-1, 0, 1)}
+)
+
+
+@pytest.mark.parametrize("order", _ENTRY_ORDERS)
+def test_nested_sums_match_forward_reference(order):
+    _assert_nested_sums_match_forward(order)
+
+
+@pytest.mark.parametrize("j, first", [(0, 0), (1, 1), (2, 3), (3, 6)])
+def test_class_below_its_first_exponent_is_zero(j, first):
+    for order in range(first):
+        assert sj_series(j, order) == PowerSeries.zero(order)
+
+
+@settings(max_examples=20, deadline=None)
+@given(order=st.integers(min_value=0, max_value=400))
+def test_nested_sums_match_forward_reference_at_any_order(order):
+    _assert_nested_sums_match_forward(order)
