@@ -32,7 +32,7 @@ from collections import namedtuple
 from mpmath import mp, mpf
 
 from . import asympt, circle, enumeration, genfun, specfun
-from .series import SeriesError, evaluate_at
+from .series import PowerSeries, SeriesError, evaluate_at
 
 ENUM_COST_GUARD = 50
 # ratio builds one series to the largest n; --force lifts this ceiling
@@ -129,15 +129,27 @@ def cmd_ratio(args):
 
 @specfun.guarded
 def _gf_rows(eps_grid, prec):
+    """O, O_e and O_o at q = e^(-eps), each with its leading asymptotic.
+
+    The parity parts are series in q^2, summed at q^2 with half the terms:
+    O_e(q) = E(q^2) with E = sum_j c_(2j) w^j, and O_o(q) = q D(q^2) with
+    D = sum_j c_(2j+1) w^j, the c_k read off oe_series.  Where |c_k| <=
+    e^(C sqrt k), |c_(2j)| <= e^(C sqrt2 sqrt j), and past D's order J,
+    2j + 1 <= (2 + 1/(J+1)) j gives |c_(2j+1)| <= e^(C sqrt(2 + 1/(J+1)) sqrt j).
+    """
     rows = []
-    growth_c = float(mp.pi / mp.sqrt(5))
+    growth_c = mp.pi / mp.sqrt(5)
     for eps in eps_grid:
         order = max(1, int(300 / float(eps)))
-        even, odd = genfun.parity_split(order)
-        point = mp.e ** (-eps)
-        for name, series in (("full", genfun.oe_series(order)), ("even", even), ("odd", odd)):
+        full = genfun.oe_series(order)
+        q = mp.e ** (-eps)
+        even, odd = PowerSeries(full.coeffs[::2]), PowerSeries(full.coeffs[1::2])
+        parts = (("full", full, q, 1, growth_c),
+                 ("even", even, q * q, 1, growth_c * mp.sqrt(2)),
+                 ("odd", odd, q * q, q, growth_c * mp.sqrt(2 + mpf(1) / (odd.order + 1))))
+        for name, series, point, factor, growth in parts:
             try:
-                res = evaluate_at(series, point, prec, growth_c=growth_c)
+                res = evaluate_at(series, point, prec, growth_c=growth)
             except SeriesError as exc:
                 raise SystemExit(f"gf-eval at eps {float(eps)}, order {order}: {exc}") from None
             if res.tail_bound > abs(res.value) * PRINTED_PRECISION:
@@ -146,7 +158,7 @@ def _gf_rows(eps_grid, prec):
                     f"bound {mp.nstr(res.tail_bound, 3)} is above 2^-53 of its value "
                     f"{mp.nstr(res.value, 3)}"
                 )
-            value, lead = res.value.real, asympt.gf_asymptotic(eps, name, prec)
+            value, lead = factor * res.value.real, asympt.gf_asymptotic(eps, name, prec)
             rows.append((float(eps), name, float(value), float(lead), float(value / lead)))
     return rows
 

@@ -4,7 +4,8 @@ All routines take an explicit working precision in bits and compute
 internally with GUARD_BITS extra bits; no ambient global precision is
 relied on.  The one decorator `guarded` does this, here and in the
 asympt, circle and series evaluators; the one loop `pay_for_loss` pays
-for the bits a sum loses.  The textbook functions are mpmath's, behind
+for the bits a sum loses.  Each value is correct to the precision asked
+for, or the routine raises.  The textbook functions are mpmath's, behind
 this package's domain checks and conventions:
 
   dilog(x)            Li_2(x) on [0, 1): mp.polylog(2, x)
@@ -12,12 +13,15 @@ this package's domain checks and conventions:
                       = mp.jtheta(2, pi (z + 1/2), e^(pi i tau)), with more bits
                       where its terms cancel
   bessel_i(l, x)      modified Bessel I_l, integer order: mp.besseli(|l|, x)
-  wright_p(s, u, M)   (1/2 pi i) int_{1-Mi}^{1+Mi} v^s e^(u(v+1/v)) dv, by mp.quad
-                      over the upper half of the segment
+  wright_p(s, u, M)   (1/2 pi i) int_{1-Mi}^{1+Mi} v^s e^(u(v+1/v)) dv, integrated
+                      term by term from e^(u(v+1/v)) = sum_k I_k(2u) v^k and
+                      summed in fixed point, with proven truncation and rounding
+                      bounds; no quadrature
   euler_eval(tau)     (q;q)_inf at q = e^(2 pi i tau): modular reduction, then mp.qp
 
 The theta convention is the half-integer-characteristic one used in the
-odd-even asymptotics; theta(0;tau) = 0 identically for it.
+odd-even asymptotics; theta(0;tau) = 0 identically for it.  Evaluations
+that pay for lost bits log their work at DEBUG under this module's logger.
 """
 
 from __future__ import annotations
@@ -25,11 +29,17 @@ from __future__ import annotations
 import dataclasses
 import functools
 import inspect
+import logging
+import math
 
 from mpmath import mp, mpf, mpc, workprec
+from mpmath.libmp import to_fixed
 
 GUARD_BITS = 32
 LOSS_PASSES = 8
+WRIGHT_TERM_BUDGET = 1 << 12
+
+log = logging.getLogger(__name__)
 
 
 def _rounded(value):
@@ -65,12 +75,12 @@ def guarded(func):
     return wrapper
 
 
-def pay_for_loss(evaluate, prec, what, *args):
-    """evaluate(prec + extra), a tuple (value, lost bits, ...), from extra = 0
-    until a pass loses at most extra + GUARD_BITS / 2 bits; the next pass
-    takes extra = lost.  Returns that tuple and its extra; raises after
-    LOSS_PASSES passes, naming the value by what % args."""
-    extra = 0
+def pay_for_loss(evaluate, prec, what, *args, extra=0):
+    """evaluate(prec + extra), a tuple (value, lost bits, ...), from the extra
+    given (an estimate of the loss, or 0) until a pass loses at most
+    extra + GUARD_BITS / 2 bits; the next pass takes extra = lost.  Returns
+    that tuple and its extra; raises after LOSS_PASSES passes, naming the
+    value by what % args."""
     for _ in range(LOSS_PASSES):
         result = evaluate(prec + extra)
         if result[1] <= extra + GUARD_BITS // 2:
@@ -162,36 +172,132 @@ def bessel_i(order, x, prec=256):
     return mp.besseli(order, x)
 
 
+def _tail_index(log_x, shift, bits):
+    """The least K >= 2x - 1 with 4 x^(K+1) e^-shift / (K+1)! <= 2^-bits, in
+    float logarithms from log_x = log x, or the first K above
+    WRIGHT_TERM_BUDGET."""
+    k = max(0, math.ceil(2 * math.exp(log_x)) - 1)
+    cut = -bits * math.log(2)
+    bound = math.log(4) + (k + 1) * log_x - math.lgamma(k + 2) - shift
+    while bound > cut and k <= WRIGHT_TERM_BUDGET:
+        k += 1
+        bound += log_x - math.log(k + 1)
+    return k
+
+
+def _wright_sum(s, u, big_m, prec):
+    """P_s(u) on the segment 1-Mi .. 1+Mi, the bits its sum lost and its
+    number of terms; see wright_p for the series and its bounds.
+
+    In the weights d_k = I_k(2u) r^k / e^(u(r+1/r)), k >= 0, and the phase
+    psi = e^(i(s+1) theta), pi P / (r^(s+1) e^(u(r+1/r))) is
+      sum_(k>=0) d_k Im(psi e^(ik theta)) / (s+1+k)
+        + sum_(k>=1) d_k Im(psi (e^(-i theta) / r^2)^k) / (s+1-k),
+    a term with s+1 +- k = 0 read as theta times the real part.  The weights
+    of the two sums, d_k and d_k / r^(2k), add up to 1 and each term is at
+    most 2 of its weight, so the terms add up to at most 2 in modulus; the
+    bits lost are log2 of 2 over the modulus of the sum, rounded up.
+
+    Fixed point on Python ints at wp = prec + GUARD_BITS +
+    ceil(log2 WRIGHT_TERM_BUDGET) + 4 bits, the constants taken at wp bits,
+    and each sum stops where _tail_index bounds its rest below 2^-wp.  The
+    d_k come from the backward recurrence d_(k-1) = d_k k / (u r) +
+    d_(k+1) / r^2, started from mp.besseli at K and K + 1 and scaled by
+    2^wp / d_K: every coefficient is positive, so no step cancels and a
+    rounding grows no faster than the values do.  The phases are running
+    products, of modulus at most 1, a few units of 2^-wp off per step.  So
+    WRIGHT_TERM_BUDGET terms stay below 2^-(prec + GUARD_BITS) of 2;
+    pay_for_loss makes that relative to P.
+    """
+    wp = prec + GUARD_BITS + (WRIGHT_TERM_BUDGET - 1).bit_length() + 4
+    with workprec(wp):
+        r = mp.hypot(1, big_m)
+        shift = float(u * (r - 1) ** 2 / r)  # log of e^(u(r+1/r)) / e^(2u)
+        k_pos = _tail_index(float(mp.log(u * r)), shift, wp)
+        k_neg = _tail_index(float(mp.log(u / r)), shift, wp)
+        terms = k_pos + 1 + k_neg
+        if terms > WRIGHT_TERM_BUDGET:
+            raise ArithmeticError(f"P_{s}({u}) on M = {big_m} needs over "
+                                  f"{WRIGHT_TERM_BUDGET} terms")
+        top = mp.besseli(k_pos, 2 * u)
+        theta = mp.atan(big_m)
+        psi = mp.expj((s + 1) * theta)
+        y = mpc(1, -big_m) / r ** 3  # e^(-i theta) / r^2
+        # 1/(u r) and 1/r^2 at c bits, so that each keeps wp significant bits
+        c = wp + max(mp.mag(u * r), 2 * mp.mag(r), 0) + 2
+        g, h = to_fixed((1 / (u * r))._mpf_, c), to_fixed((1 / (r * r))._mpf_, c)
+        start, th, *phases = [to_fixed(x._mpf_, wp) for x in (
+            r * mp.besseli(k_pos + 1, 2 * u) / top, theta,
+            psi.real, psi.imag, mp.cos(theta), mp.sin(theta),
+            (psi * y).real, (psi * y).imag, y.real, y.imag)]
+    one = 1 << wp
+    # d[k] = d_k 2^wp / d_K, k = 0 .. K
+    d, a, b = [one], one, start
+    for k in range(k_pos, 0, -1):
+        a, b = (k * a * g + b * h) >> c, a
+        d.append(a)
+    d.reverse()
+    acc = 0
+    for sign, first, last, (zr, zi, wr, wi) in ((1, 0, k_pos, phases[:4]),
+                                                (-1, 1, k_neg, phases[4:])):
+        for k in range(first, last + 1):
+            p = s + 1 + sign * k
+            acc += d[k] * zi // p if p else (d[k] * zr * th) >> wp
+            zr, zi = (zr * wr - zi * wi) >> wp, (zr * wi + zi * wr) >> wp
+    if not acc:
+        raise ArithmeticError(f"P_{s}({u}) on M = {big_m} sums to 0 at {wp} fixed-point bits")
+    with workprec(wp):
+        peak = mp.exp(u * (r + 1 / r))
+        bracket = mpf((acc, -2 * wp)) * top * r ** k_pos / peak
+        value = bracket * r ** (s + 1) * peak / mp.pi
+    # mp.mag(bracket) is log2 |bracket| or up to 2 above
+    return value, max(3 - mp.mag(bracket), 0), terms
+
+
 @guarded
 def wright_p(s, u, big_m, prec=256):
-    """Wright's contour function P_s(u) on the segment 1-Mi .. 1+Mi.
+    """Wright's contour function P_s(u) = (1/2 pi i) int v^s e^(u(v+1/v)) dv
+    on the segment 1-Mi .. 1+Mi, for integer s, u > 0 and M > 0.
 
-    Parameterizing v = 1 + it gives
-      P_s(u) = (1/2 pi) int_{-M}^{M} (1+it)^s e^(u(1+it+1/(1+it))) dt.
-    For integer s and real u the integrand at -t is the conjugate of the
-    integrand at t, so P_s(u) = (1/pi) int_0^M Re[...] dt, a real number,
-    evaluated by mpmath's adaptive tanh-sinh quadrature, degree at most 10.
-    Raises QuadratureError if the estimated error does not reach 2^(-prec/2)
-    relative.
+    With e^(u(v+1/v)) = sum_(k in Z) I_k(2u) v^k (Watson, Bessel Functions,
+    2.1), v+ = 1 + Mi = r e^(i theta) and p = s + k + 1, each term
+    integrates in closed form:
+      P_s(u) = (1/pi) [theta I_|s+1|(2u) + sum_(p != 0) I_|p-s-1|(2u) Im(v+^p) / p].
+    Two bounds make the sum exact to prec bits:
+      truncation  I_k(x) <= (x/2)^k e^x / k!, and past k >= 2ur the bounds
+                  of the terms at least halve, so the rest of the sum is
+                  below twice its first bound; the p < 0 side decays like
+                  (u/r)^k / k!;
+      precision   sum_k I_k(2u) r^k = e^(u(r+1/r)), so the terms add up to at
+                  most 2 r^(s+1) e^(u(r+1/r)) / pi in modulus; the bits that
+                  bound loses against |P| are estimated first, from the leading
+                  Debye term of I_|s+1|(2u), which is P_s(u) with the contour
+                  closed, and any shortfall is paid for by pay_for_loss.
+    Raises ArithmeticError past WRIGHT_TERM_BUDGET terms, so wherever 2ur
+    is above 4096.  Logs its term count, the bits lost and any re-sum at
+    DEBUG.
     """
     u = mpf(u)
     big_m = mpf(big_m)
     if u <= 0 or big_m <= 0:
         raise DomainError("wright_p needs u > 0 and M > 0")
     s = _integer(s, "s")
-
-    def integrand(t):
-        v = mpc(1, t)
-        return (v ** s * mp.exp(u * (v + 1 / v))).real
-
-    val, err = mp.quad(integrand, [0, big_m], error=True, maxdegree=10)
-    val = val / mp.pi
-    err = mpf(err) / mp.pi
-    if abs(val) > 0 and err > abs(val) * mpf(2) ** (-(prec // 2)):
-        raise QuadratureError(
-            f"wright_p quadrature error {err} above target for prec={prec}"
-        )
-    return val
+    r = mp.hypot(1, big_m)
+    if 2 * u * r > WRIGHT_TERM_BUDGET:
+        raise ArithmeticError(f"P_{s}({u}) on M = {big_m} needs over {WRIGHT_TERM_BUDGET} terms")
+    # log |P| ~ log I_|s+1|(2u) by its leading Debye term, and log of the terms' bound
+    nu, t = abs(s + 1), mp.hypot(s + 1, 2 * u)
+    log_p = t - nu * mp.asinh(nu / (2 * u)) - mp.log(2 * mp.pi * t) / 2
+    log_bound = (s + 1) * mp.log(r) + u * (r + 1 / r)
+    headroom = max(int(mp.ceil((log_bound - log_p) / mp.ln2)) + 3, 0)
+    (value, lost, terms), extra = pay_for_loss(
+        lambda bits: _wright_sum(s, u, big_m, bits), prec, "P_%d(%s) on M = %s", s, u, big_m,
+        extra=headroom)
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("P_%d(%s) on M = %s: %d terms, lost %d bits, %s at %d bits", s,
+                  mp.nstr(u, 10), mp.nstr(big_m, 10), terms, lost,
+                  "re-summed" if extra != headroom else "no re-sum", prec + extra)
+    return value
 
 
 @guarded

@@ -4,11 +4,11 @@ import json
 import math
 
 import pytest
-from mpmath import mpf
+from mpmath import exp, mpf, workprec
 
-from oepartitions import cli
+from oepartitions import cli, genfun
 from oepartitions.enumeration import enum_oe, enum_oebar
-from oepartitions.series import EvalResult
+from oepartitions.series import EvalResult, evaluate_at
 
 
 def run_cli(capsys, *argv):
@@ -119,6 +119,27 @@ class TestGFEval:
         code, _, _ = run_cli(capsys, "gf-eval", "--eps", "0.05")
         assert code == 0
         assert summand_calls == [6000]
+
+    def test_parity_parts_are_summed_in_q_squared(self, capsys, monkeypatch):
+        # each part is a half-length series at q^2, and its row is the full-length
+        # part, every other coefficient 0, summed at q
+        orders = []
+
+        def spy(series, point, prec, growth_c=None):
+            orders.append(series.order)
+            return evaluate_at(series, point, prec, growth_c)
+
+        monkeypatch.setattr(cli, "evaluate_at", spy)
+        code, out, _ = run_cli(capsys, "gf-eval", "--eps", "0.0510,0.0305")
+        assert code == 0
+        assert orders == [5882, 2941, 2940, 9836, 4918, 4917]
+        for got in parse_csv(out):
+            order = int(300 / float(got["eps"]))
+            even, odd = genfun.parity_split(order)
+            part = {"full": genfun.oe_series(order), "even": even, "odd": odd}[got["branch"]]
+            with workprec(256):
+                want = evaluate_at(part, exp(-mpf(got["eps"])), 256).value
+            assert abs(float(got["series_value"]) / float(want) - 1) < 1e-12
 
     def test_small_eps_guard(self, capsys):
         with pytest.raises(SystemExit):

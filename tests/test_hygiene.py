@@ -8,6 +8,8 @@
   outlive its last caller.
 - The package has one Horner loop, series.horner_fixed: no source file
   under it names mpmath's polyval.
+- The package has one quadrature rule, circle.adaptive_quad: no source
+  file under it names mpmath's quad, quadts or quadgl.
 - Every functools cache in the package is bounded: no lru_cache with
   maxsize=None and no functools.cache, which is the same thing.
 - Working precision is set in one place: specfun.guarded.  No other
@@ -25,6 +27,7 @@ PACKAGE = ROOT / "src" / "oepartitions"
 TESTS = ROOT / "tests"
 PRECISION_CONTEXTS = {"workprec", "workdps", "extraprec", "extradps"}
 PRECISION_OWNERS = {"specfun.py"}
+MPMATH_QUADRATURES = {"quad", "quadts", "quadgl"}
 
 
 def _tree(path):
@@ -84,6 +87,21 @@ def _unbounded_caches(tree):
                 lines.add(node.lineno)
         elif isinstance(node, ast.Attribute) and node.attr == "cache":
             if isinstance(node.value, ast.Name) and node.value.id == "functools":
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+def _quadrature_names(tree):
+    """Lines that name one of mpmath's quadratures, as a name, an attribute
+    or an imported name."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in MPMATH_QUADRATURES:
+            lines.add(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr in MPMATH_QUADRATURES:
+            lines.add(node.lineno)
+        elif isinstance(node, ast.ImportFrom):
+            if any(alias.name in MPMATH_QUADRATURES for alias in node.names):
                 lines.add(node.lineno)
     return sorted(lines)
 
@@ -199,6 +217,26 @@ def test_one_horner_loop():
         if "polyval" in line
     ]
     assert not hits, f"polyval at {hits}: sum series with series.horner_fixed"
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.rglob("*.py")), ids=lambda p: p.name)
+def test_one_quadrature_rule(path):
+    lines = _quadrature_names(_tree(path))
+    assert not lines, (f"{path.name}: mpmath quadrature named at lines {lines}; "
+                       "integrate with circle.adaptive_quad")
+
+
+def test_the_scan_sees_mpmath_quadratures_and_not_the_package_rule():
+    tree = ast.parse(
+        "from mpmath import mp, quadgl\n"
+        "mp.quad(f, [0, 1])\n"
+        "mpmath.quadts(f, [0, 1])\n"
+        "quad(f, [0, 1])\n"
+        "adaptive_quad(f, 0, 1)\n"
+        "from mpmath.calculus.quadrature import GaussLegendre\n"
+        "raise QuadratureError('x')\n"
+    )
+    assert _quadrature_names(tree) == [1, 2, 3, 4]
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)

@@ -1,3 +1,5 @@
+import functools
+import logging
 from dataclasses import dataclass
 
 import pytest
@@ -238,6 +240,72 @@ class TestWrightContour:
         p0 = wright_p(0, u, mpf(3), prec)
         p2 = wright_p(2, u, mpf(3), prec)
         assert abs(p2) < abs(p0)
+
+    # s = -1 puts the theta term of the series at k = 0
+    @pytest.mark.parametrize("prec", [96, 256])
+    @pytest.mark.parametrize("big_m", ["0.5", "3", "6"])
+    @pytest.mark.parametrize("u", ["0.25", "1", "9.1", "20"])
+    @pytest.mark.parametrize("s", [-2, -1, 0, 1, 3])
+    def test_matches_quadrature_to_full_precision(self, s, u, big_m, prec):
+        u, big_m = mpf(u), mpf(big_m)
+        want, error = _wright_reference(s, u, big_m)
+        assert error < mpf(2) ** -(prec + 16)
+        assert abs(wright_p(s, u, big_m, prec) / want - 1) < tol(prec)
+
+    @pytest.mark.parametrize("u,big_m", [("1e-400", "6"), ("1e-200", "1e200")])
+    def test_small_u_where_floats_underflow(self, u, big_m):
+        # u, and u / r, below the float range; to O(u) the integrand is
+        # e^(iut), so P_0(u) = sin(uM) / (pi u)
+        prec = 96
+        u, big_m = mpf(u), mpf(big_m)
+        with workprec(prec + 32):
+            want = mp.sin(u * big_m) / (pi * u)
+        assert abs(wright_p(0, u, big_m, prec) / want - 1) < tol(prec)
+
+    @pytest.mark.parametrize("u,big_m", [("9.1", "1e4"), ("0.25", "1e4"), ("3000", "0.5")])
+    def test_past_the_term_budget_raises(self, u, big_m):
+        with pytest.raises(ArithmeticError, match="terms"):
+            wright_p(0, mpf(u), mpf(big_m), 96)
+
+    def test_a_sum_past_the_term_budget_raises(self, monkeypatch):
+        # 2ur = 111 passes the early check; the sum needs about 300 terms
+        monkeypatch.setattr(specfun, "WRIGHT_TERM_BUDGET", 200)
+        with pytest.raises(ArithmeticError, match="over 200 terms"):
+            wright_p(0, mpf("9.1"), mpf(6), 96)
+
+    def test_an_unpaid_loss_raises(self, monkeypatch):
+        # without the estimate the first pass loses about 63 bits at prec 96
+        monkeypatch.setattr(specfun, "LOSS_PASSES", 1)
+        u, big_m = mpf("9.1"), mpf(6)
+        assert specfun._wright_sum(0, u, big_m, 96)[1] > 60
+        with pytest.raises(ArithmeticError, match="still lost"):
+            specfun.pay_for_loss(lambda bits: specfun._wright_sum(0, u, big_m, bits), 96,
+                                 "P_0 at u = %s", u)
+
+    def test_logs_terms_loss_and_resum(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="oepartitions.specfun"):
+            wright_p(0, mpf("9.1"), mpf(6), 96)
+        (record,) = [r for r in caplog.records if r.name == "oepartitions.specfun"]
+        assert record.levelno == logging.DEBUG
+        message = record.getMessage()
+        assert message.startswith("P_0(9.1) on M = 6.0: ")
+        assert "terms, lost" in message and "no re-sum at" in message
+
+
+@functools.lru_cache(maxsize=64)
+def _wright_reference(s, u, big_m):
+    """(1/2 pi) int_{-M}^{M} (1+it)^s e^(u(v+1/v)) dt, v = 1+it, by mp.quad over
+    nine equal sub-intervals at 320 bits (prec + 64 for the larger prec
+    tested), and quad's error estimate relative to the value.  Gauss-Legendre
+    converges here at a third of tanh-sinh's cost."""
+    with workprec(320):
+        def integrand(t):
+            v = mpc(1, t)
+            return v ** s * exp(u * (v + 1 / v))
+
+        value, error = quad(integrand, mp.linspace(-big_m, big_m, 9), method="gauss-legendre",
+                            error=True)
+        return value.real / (2 * pi), error / abs(value)
 
 
 class TestEtaProducts:
