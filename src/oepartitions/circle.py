@@ -64,8 +64,8 @@ class ArcGeometry:
     def __post_init__(self):
         if self.n < 1:
             raise DomainError("n must be >= 1")
-        if self.big_m <= 0:
-            raise DomainError("M must be > 0")
+        if not (mp.isfinite(self.big_m) and self.big_m > 0):
+            raise DomainError(f"M must be finite and > 0, got {self.big_m}")
         if float(self.big_m) * float(self.y) >= 0.5:
             raise DomainError("major arc would cover the whole circle: need M y < 1/2")
 
@@ -122,7 +122,6 @@ def _settled_term(tau):
     return math.ceil(log_u / log_r)
 
 
-@guarded
 def _obar_sum(tau, prec):
     """Obar(q) at q = e^(2 pi i tau), the bits its sum lost,
     max(0, ceil(log2(max |t_m| / |Obar|))), and the terms after the first.
@@ -290,7 +289,6 @@ def _neg_pochhammer(tau, big_q):
     raise ArithmeticError(f"(-Q;Q)_inf at Q = {big_q} needs over {F_TERM_BUDGET} factors")
 
 
-@guarded
 def _watson_f(tau, big_q, prec):
     """Watson's f(q) at q = e^(2 pi i tau) through his transformation, the
     bits lost adding its two parts and the terms of M; or None.
@@ -322,8 +320,8 @@ def _watson_f(tau, big_q, prec):
 
 
 def _oebar_eval_tau(tau, prec):
-    """Obar(e^(2 pi i tau)) to prec bits, for a guarded caller working at
-    prec + GUARD_BITS.
+    """Obar(e^(2 pi i tau)) at the caller's precision, unrounded: the
+    guarded entry point above it rounds once, to prec bits.
 
     Where Im(-1/tau) >= 1 and _watson_f reaches prec bits, the transformed
     route: (-q;q)_inf by _neg_pochhammer times Watson's f.  Everywhere else
@@ -355,8 +353,9 @@ def oebar_eval(tau, prec=256):
     q = e^(2 pi i tau), Im tau > 0 (see _oebar_eval_tau for the two routes).
 
     Efficient arbitrarily close to q = 1, through the modular
-    transformation there; this is the route used on the major arc.  The
-    tests check it against the exact coefficient series with its rigorous
+    transformation there; this is the route used on the major arc.  Obar
+    is 1-periodic in tau, so tau is first reduced, exactly, by an integer.
+    The tests check it against the exact coefficient series with its rigorous
     tail bound (series.evaluate_at), against Watson's bilateral sum at a
     precision that pays for that sum's cancellation, and against the
     Mordell integral by quadrature.
@@ -364,7 +363,7 @@ def oebar_eval(tau, prec=256):
     tau = mpc(tau)
     if tau.imag <= 0:
         raise DomainError("tau must lie in the upper half plane")
-    return _oebar_eval_tau(tau, prec)
+    return _oebar_eval_tau(tau - mp.nint(tau.real), prec)
 
 
 @guarded

@@ -1,12 +1,15 @@
 """Arbitrary-precision special functions for the asymptotic analysis.
 
-All routines take an explicit working precision in bits and compute
-internally with GUARD_BITS extra bits; no ambient global precision is
-relied on.  The one decorator `guarded` does this, here and in the
-asympt, circle and series evaluators; the one loop `pay_for_loss` pays
-for the bits a sum loses.  Each value is correct to the precision asked
-for, or the routine raises.  The textbook functions are mpmath's, behind
-this package's domain checks and conventions:
+All public routines take an explicit working precision in bits; no
+ambient global precision is relied on.  Precision has two owners.  The
+decorator `guarded`, on public entry points only (here and in asympt,
+circle, series and cli), runs a call at prec + GUARD_BITS bits and rounds
+its result to prec bits, once.  The loop `pay_for_loss` pays for the bits
+a sum loses, each pass at prec + extra + GUARD_BITS bits.  A private
+helper computes at its caller's precision and never rounds; _wright_sum
+alone sets its own, for fixed-point constants.  Each value is correct to
+the precision asked for, or the routine raises.  The textbook functions
+are mpmath's, behind this package's domain checks and conventions:
 
   dilog(x)            Li_2(x) on [0, 1): mp.polylog(2, x)
   jacobi_theta(z,tau) theta(z;tau) = sum_{n in 1/2+Z} e^(pi i n^2 tau + 2 pi i n (z+1/2))
@@ -47,7 +50,8 @@ def _rounded(value):
 
 
 def guarded(func):
-    """Run func at prec + GUARD_BITS bits and round its result to prec bits.
+    """Run func at prec + GUARD_BITS bits and round its result to prec bits;
+    for public entry points only, so that a value is rounded once.
 
     An mpf or mpc result is rounded, and so is each mpf or mpc member of a
     tuple or dataclass result; any other value passes through unchanged.
@@ -78,11 +82,13 @@ def guarded(func):
 def pay_for_loss(evaluate, prec, what, *args, extra=0):
     """evaluate(prec + extra), a tuple (value, lost bits, ...), from the extra
     given (an estimate of the loss, or 0) until a pass loses at most
-    extra + GUARD_BITS / 2 bits; the next pass takes extra = lost.  Returns
+    extra + GUARD_BITS / 2 bits; the next pass takes extra = lost.  Each
+    pass runs at prec + extra + GUARD_BITS bits and is not rounded.  Returns
     that tuple and its extra; raises after LOSS_PASSES passes, naming the
     value by what % args."""
     for _ in range(LOSS_PASSES):
-        result = evaluate(prec + extra)
+        with workprec(prec + extra + GUARD_BITS):
+            result = evaluate(prec + extra)
         if result[1] <= extra + GUARD_BITS // 2:
             return result, extra
         extra = result[1]
@@ -114,18 +120,6 @@ def dilog(x, prec=256):
 
 
 @guarded
-def _jtheta(z, tau, prec):
-    """mp.jtheta(2, pi (z + 1/2), e^(pi i tau)); mpmath's q limit is a DomainError."""
-    q = mp.expjpi(tau)
-    if abs(q) > mp.THETA_Q_LIM:
-        raise DomainError(
-            f"Im tau = {mp.nstr(tau.imag, 3)} puts |e^(pi i tau)| above mpmath's "
-            f"theta limit THETA_Q_LIM = {mp.THETA_Q_LIM}"
-        )
-    return mp.jtheta(2, mp.pi * (z + mpf("0.5")), q)
-
-
-@guarded
 def jacobi_theta(z, tau, prec=256):
     """theta(z;tau) = jtheta_2(pi (z + 1/2), e^(pi i tau)), by mpmath's jtheta.
 
@@ -144,12 +138,15 @@ def jacobi_theta(z, tau, prec=256):
         raise DomainError("tau must lie in the upper half plane")
     if z == mp.nint(z.real):
         return mpc(0)
+    if abs(mp.expjpi(tau)) > mp.THETA_Q_LIM:
+        raise DomainError(f"Im tau = {mp.nstr(tau.imag, 3)} puts |e^(pi i tau)| above "
+                          f"mpmath's theta limit THETA_Q_LIM = {mp.THETA_Q_LIM}")
     n = mp.floor(-z.imag / tau.imag) + mpf("0.5")
     # log2 of the largest term, rounded up; mp.mag(value) is log2 |value| or up to 2 above
     peak_bits = int(mp.ceil(-mp.pi * (n * n * tau.imag + 2 * n * z.imag) / mp.ln2))
 
     def evaluate(bits):
-        value = _jtheta(z, tau, bits)
+        value = mp.jtheta(2, mp.pi * (z + mpf("0.5")), mp.expjpi(tau))
         if not value:
             raise ArithmeticError(f"theta sums to 0 at z = {z}, tau = {tau}")
         return value, peak_bits - mp.mag(value) + 2

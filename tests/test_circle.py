@@ -1,5 +1,6 @@
 import logging
 import math
+import random
 from fractions import Fraction
 from functools import lru_cache
 
@@ -203,6 +204,11 @@ class TestGeometry:
         with pytest.raises(DomainError):
             # M y >= 1/2 would wrap the whole circle
             ArcGeometry(n=4, big_m=mpf(10))
+        # nan passes both M <= 0 and M y >= 1/2, and would send the minor
+        # arc's quadrature to its call budget
+        for big_m in (mp.nan, mp.inf, float("nan"), float("inf")):
+            with pytest.raises(DomainError, match="finite and > 0"):
+                ArcGeometry(n=50, big_m=big_m)
 
 
 class TestThreshold:
@@ -286,7 +292,8 @@ class TestEvaluation:
     def test_lost_bits_and_resum_next_to_minus_one(self, prec, monkeypatch):
         tau = circle_point(10 ** 5, mpf("0.499"))
         _, want = reference_obar_sum(tau, prec + 160)
-        _, lost, _ = circle._obar_sum(tau, prec)
+        with workprec(prec + GUARD_BITS):
+            _, lost, _ = circle._obar_sum(tau, prec)
         assert abs(lost - want) <= 1
         sums = []
         inner = circle._obar_sum
@@ -307,7 +314,8 @@ class TestEvaluation:
         # relative from Obar; the ratio bound holds it past the rise.  The
         # re-sum, 44 bits more, cuts below the dip either way
         tau = circle_point(4 * 10 ** 6, mpf("0.498866"))
-        _, _, terms = circle._obar_sum(tau, 96)
+        with workprec(96 + GUARD_BITS):
+            _, _, terms = circle._obar_sum(tau, 96)
         assert terms > 486
         want, _ = reference_obar_sum(tau, 96 + 160)
         got = oebar_eval(tau=tau, prec=96)
@@ -346,6 +354,40 @@ class TestEvaluation:
         oebar_eval(tau=circle_point(10 ** 5, x), prec=96)
         messages = [r.getMessage() for r in caplog.records if r.name == "oepartitions.circle"]
         assert len(messages) == 1 and note in messages[0] and "terms" in messages[0]
+
+    @pytest.mark.parametrize("n", [1600, 25600, 10 ** 5, 4 * 10 ** 5, 10 ** 6])
+    def test_correctly_rounded_on_both_routes(self, n):
+        # each component of oebar_eval(tau, prec) is that of
+        # oebar_eval(tau, prec + 200) rounded to prec bits: 12 random points
+        # of the major arc, where the transformed route serves, and three of
+        # the minor arc, where the direct one does.  A value rounded to prec
+        # bits inside the evaluation, before its last product, is an ulp off
+        # at about a third of the major-arc points
+        rng = random.Random(n)
+        y = ArcGeometry(n).y
+        xs = [mpf(rng.uniform(0, 6)) * y for _ in range(12)]
+        for x in xs + [mpf(1) / 4, mpf("0.3333"), mpf("0.499")]:
+            tau = mpc(x, y)
+            for prec in (96, 128, 256):
+                got = oebar_eval(tau, prec)
+                want = oebar_eval(tau, prec + 200)
+                with workprec(prec):
+                    assert (got.real, got.imag) == (+want.real, +want.imag), (x, prec)
+
+    @pytest.mark.parametrize("n", [25600, 10 ** 5])
+    def test_integer_shift_takes_the_transformed_route(self, n, caplog):
+        # Obar is 1-periodic in tau; tau - round(Re tau) is exact, so a
+        # shifted major-arc point returns the value at tau bit for bit, by
+        # the same route rather than by the far slower direct sum
+        tau = circle_point(n, "3y")
+        caplog.set_level(logging.DEBUG, logger="oepartitions.circle")
+        want = oebar_eval(tau, 96)
+        for shift in (1, -3):
+            with workprec(200):
+                shifted = tau + shift
+            assert oebar_eval(shifted, 96) == want
+        messages = [r.getMessage() for r in caplog.records if r.name == "oepartitions.circle"]
+        assert len(messages) == 3 and all(": transformed, " in m for m in messages)
 
     def test_cancellation_past_the_pass_budget_raises(self, monkeypatch):
         # the first sum loses about 41 bits here; one pass may not pay for it

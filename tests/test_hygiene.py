@@ -12,9 +12,14 @@
   file under it names mpmath's quad, quadts or quadgl.
 - Every functools cache in the package is bounded: no lru_cache with
   maxsize=None and no functools.cache, which is the same thing.
-- Working precision is set in one place: specfun.guarded.  No other
-  module uses mpmath's workprec, workdps, extraprec or extradps, or
-  assigns mp.prec or mp.dps.
+- Working precision is set in one module, specfun: by guarded, by
+  pay_for_loss for each pass, and by _wright_sum for its fixed-point
+  constants.  No other module uses mpmath's workprec, workdps, extraprec
+  or extradps, or assigns mp.prec or mp.dps.
+- Only public entry points are guarded, so a value is rounded once: no
+  function named _name in the package is decorated with guarded.  cli.py
+  is exempt, since its guarded _helpers are the commands' entry points
+  and nothing in the package calls them.
 """
 
 import ast
@@ -134,6 +139,19 @@ def _precision_settings(tree):
     return sorted(lines)
 
 
+def _guarded_helpers(tree):
+    """Functions named _name, at any depth, decorated with guarded (as a
+    name or as an attribute such as specfun.guarded), by line."""
+    return {
+        node.name: node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_")
+        and any(getattr(d, "id", getattr(d, "attr", None)) == "guarded"
+                for d in node.decorator_list)
+    }
+
+
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_package_has_no_assert(path):
     lines = [n.lineno for n in ast.walk(_tree(path)) if isinstance(n, ast.Assert)]
@@ -207,6 +225,35 @@ def test_the_scan_sees_precision_contexts_and_assignments():
         "a, mp.dps = 1, 2\n"
     )
     assert _precision_settings(tree) == [1, 3, 4, 5, 7]
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in PACKAGE.glob("*.py") if p.name != "cli.py"),
+    ids=lambda p: p.name,
+)
+def test_only_public_entry_points_are_guarded(path):
+    helpers = _guarded_helpers(_tree(path))
+    assert not helpers, (f"{path.name}: guarded private helpers {helpers}; a helper "
+                         "computes at its caller's precision and the entry point rounds once")
+
+
+def test_the_scan_sees_guarded_helpers_and_not_public_ones():
+    tree = ast.parse(
+        "@guarded\n"
+        "def _a(prec): pass\n"
+        "@specfun.guarded\n"
+        "def _b(prec): pass\n"
+        "@guarded\n"
+        "def public(prec): pass\n"
+        "def _plain(prec): pass\n"
+        "class K:\n"
+        "    @guarded\n"
+        "    def _method(self, prec): pass\n"
+        "@lru_cache(maxsize=4)\n"
+        "def _cached(prec): pass\n"
+    )
+    assert _guarded_helpers(tree) == {"_a": 2, "_b": 4, "_method": 10}
 
 
 def test_one_horner_loop():
