@@ -42,14 +42,14 @@ from mpmath.libmp import to_fixed
 from . import genfun
 from .asympt import oebar_asymptotic
 from .series import horner_bits, horner_fixed
-from .specfun import GUARD_BITS, DomainError, QuadratureError, bessel_i, guarded, pay_for_loss
+from .specfun import (GUARD_BITS, TERM_BUDGET, DomainError, QuadratureError, bessel_i, guarded,
+                      pay_for_loss)
 
 # Gauss-Legendre rule with 3 * 2^(QUAD_DEGREE - 1) = 12 nodes per panel;
 # the rule object caches its nodes per precision
 _GAUSS = GaussLegendre(mp)
 QUAD_DEGREE = 3
 QUAD_CALL_BUDGET = 1 << 14
-F_TERM_BUDGET = 1 << 12
 
 log = logging.getLogger(__name__)
 
@@ -132,20 +132,20 @@ def _obar_sum(tau, prec):
     last times q^m (1 + q^(m-1)) / (1 - q^(2m)), so no powers are taken.
     Stops at a term below 2^-(prec + GUARD_BITS) of the largest, once
     _settled_term says that term bounds the rest, and raises past
-    F_TERM_BUDGET terms; the ratio bound rules out a rise after a dip.
+    TERM_BUDGET terms; the ratio bound rules out a rise after a dip.
 
     Fixed point on Python ints, each complex number a pair, at
-    wp = prec + GUARD_BITS + ceil(log2 F_TERM_BUDGET) + 4 bits; dividing by
+    wp = prec + GUARD_BITS + ceil(log2 TERM_BUDGET) + 4 bits; dividing by
     d = 1 - q^(2m) is multiplying by conj(d) and floor-dividing by |d|^2,
     and magnitudes are compared squared.  The sum and the powers of q are
     scaled by 2^wp: each step rounds by a few units of 2^-wp, and the
-    largest term is at least 1 (t_0), so F_TERM_BUDGET roundings stay below
+    largest term is at least 1 (t_0), so TERM_BUDGET roundings stay below
     2^-(prec + GUARD_BITS) of it; the caller's re-sum makes that relative
     to Obar.  The term is scaled by 2^(wp + s), s raised whenever it falls
     below 1, so it keeps wp significant bits where the terms fall far below
     1 and rise again.
     """
-    wp = prec + GUARD_BITS + (F_TERM_BUDGET - 1).bit_length() + 4
+    wp = prec + GUARD_BITS + (TERM_BUDGET - 1).bit_length() + 4
     settled = _settled_term(tau)
     q = mp.expjpi(2 * tau)
     qr, qi = to_fixed(q.real._mpf_, wp), to_fixed(q.imag._mpf_, wp)
@@ -156,7 +156,7 @@ def _obar_sum(tau, prec):
     si = ti = pi_ = s = 0
     floor2 = top = one * one  # 2^(2 wp), and the largest |term|^2 at the term's scale
     cut = 2 * (prec + GUARD_BITS)
-    for terms in range(1, F_TERM_BUDGET + 1):
+    for terms in range(1, TERM_BUDGET + 1):
         nr, ni = (pr * qr - pi_ * qi) >> wp, (pr * qi + pi_ * qr) >> wp  # q^m
         ar = nr + ((nr * pr - ni * pi_) >> wp)  # q^m (1 + q^(m-1))
         ai = ni + ((nr * pi_ + ni * pr) >> wp)
@@ -176,7 +176,7 @@ def _obar_sum(tau, prec):
             k = wp + 1 - (size2.bit_length() >> 1)
             tr, ti, s, top = tr << k, ti << k, s + k, top << 2 * k
     else:
-        raise ArithmeticError(f"Obar(q) at tau = {tau} needs over {F_TERM_BUDGET} terms")
+        raise ArithmeticError(f"Obar(q) at tau = {tau} needs over {TERM_BUDGET} terms")
     if not (sr or si):
         raise ArithmeticError(f"Obar(q) at tau = {tau} sums to 0 at {wp} fixed-point bits")
     lost = int(mp.ceil(mp.log(mpf(top) / ((sr * sr + si * si) << 2 * s), 2) / 2))
@@ -186,14 +186,14 @@ def _obar_sum(tau, prec):
 def _mordell_terms(size, prec):
     """How many terms of M(z) ~ sum b_j z^j at |z| = size leave the next one
     below 2^-(prec + GUARD_BITS); 0 where the terms turn upwards first, or
-    F_TERM_BUDGET of them do not reach that.
+    TERM_BUDGET of them do not reach that.
 
     A float estimate: the poles of sinh u / sinh(3u/2) at u = +-2 pi i/3
     give |b_(j+1) / b_j| = 3 (2j+1) / (4 pi^2), up to a relative O(4^-j)
     and from above.
     """
     bits, cut = math.log2(4 / 3), -(prec + GUARD_BITS)
-    for terms in range(1, F_TERM_BUDGET + 1):
+    for terms in range(1, TERM_BUDGET + 1):
         ratio = 3 * (2 * terms - 1) * size / (4 * math.pi ** 2)
         if ratio >= 1:
             return 0
@@ -260,14 +260,14 @@ def _omega(big_q):
     q4 = q2 * q2
     odd, step = big_q, mpc(1)  # Q^(2n-1) and Q^(4n)
     term = total = 1 / (1 - big_q) ** 2
-    for _ in range(F_TERM_BUDGET):
+    for _ in range(TERM_BUDGET):
         odd *= q2
         step *= q4
         term *= step / (1 - odd) ** 2
         total += term
         if abs(term) < eps * abs(total):
             return total
-    raise ArithmeticError(f"omega(Q) at Q = {big_q} needs over {F_TERM_BUDGET} terms")
+    raise ArithmeticError(f"omega(Q) at Q = {big_q} needs over {TERM_BUDGET} terms")
 
 
 def _neg_pochhammer(tau, big_q):
@@ -281,12 +281,12 @@ def _neg_pochhammer(tau, big_q):
     """
     eps = mpf(2) ** -mp.prec
     product, power = mpc(1), big_q
-    for _ in range(F_TERM_BUDGET):
+    for _ in range(TERM_BUDGET):
         if abs(power) < eps:
             return mp.expjpi(1 / (24 * tau) - tau / 12) / (mp.sqrt(2) * product)
         product *= 1 + power
         power *= big_q
-    raise ArithmeticError(f"(-Q;Q)_inf at Q = {big_q} needs over {F_TERM_BUDGET} factors")
+    raise ArithmeticError(f"(-Q;Q)_inf at Q = {big_q} needs over {TERM_BUDGET} factors")
 
 
 def _watson_f(tau, big_q, prec):

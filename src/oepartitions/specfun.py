@@ -17,9 +17,9 @@ are mpmath's, behind this package's domain checks and conventions:
                       where its terms cancel
   bessel_i(l, x)      modified Bessel I_l, integer order: mp.besseli(|l|, x)
   wright_p(s, u, M)   (1/2 pi i) int_{1-Mi}^{1+Mi} v^s e^(u(v+1/v)) dv, integrated
-                      term by term from e^(u(v+1/v)) = sum_k I_k(2u) v^k and
-                      summed in fixed point, with proven truncation and rounding
-                      bounds; no quadrature
+                      term by term from e^(u(v+1/v)) = sum_k I_k(2u) v^k, the I_k
+                      by Miller's recurrence normalised by that identity, in fixed
+                      point with proven bounds; no quadrature and no besseli
   euler_eval(tau)     (q;q)_inf at q = e^(2 pi i tau): modular reduction, then mp.qp
 
 The theta convention is the half-integer-characteristic one used in the
@@ -40,7 +40,7 @@ from mpmath.libmp import to_fixed
 
 GUARD_BITS = 32
 LOSS_PASSES = 8
-WRIGHT_TERM_BUDGET = 1 << 12
+TERM_BUDGET = 1 << 12
 
 log = logging.getLogger(__name__)
 
@@ -171,20 +171,19 @@ def bessel_i(order, x, prec=256):
 
 def _tail_index(log_x, shift, bits):
     """The least K >= 2x - 1 with 4 x^(K+1) e^-shift / (K+1)! <= 2^-bits, in
-    float logarithms from log_x = log x, or the first K above
-    WRIGHT_TERM_BUDGET."""
+    float logarithms from log_x = log x, or the first K above TERM_BUDGET."""
     k = max(0, math.ceil(2 * math.exp(log_x)) - 1)
     cut = -bits * math.log(2)
     bound = math.log(4) + (k + 1) * log_x - math.lgamma(k + 2) - shift
-    while bound > cut and k <= WRIGHT_TERM_BUDGET:
+    while bound > cut and k <= TERM_BUDGET:
         k += 1
         bound += log_x - math.log(k + 1)
     return k
 
 
 def _wright_sum(s, u, big_m, prec):
-    """P_s(u) on the segment 1-Mi .. 1+Mi, the bits its sum lost and its
-    number of terms; see wright_p for the series and its bounds.
+    """P_s(u) on the segment 1-Mi .. 1+Mi, the bits its sum lost, its number
+    of terms and the start N of its ladder; see wright_p for the series.
 
     In the weights d_k = I_k(2u) r^k / e^(u(r+1/r)), k >= 0, and the phase
     psi = e^(i(s+1) theta), pi P / (r^(s+1) e^(u(r+1/r))) is
@@ -196,44 +195,50 @@ def _wright_sum(s, u, big_m, prec):
     bits lost are log2 of 2 over the modulus of the sum, rounded up.
 
     Fixed point on Python ints at wp = prec + GUARD_BITS +
-    ceil(log2 WRIGHT_TERM_BUDGET) + 4 bits, the constants taken at wp bits,
-    and each sum stops where _tail_index bounds its rest below 2^-wp.  The
-    d_k come from the backward recurrence d_(k-1) = d_k k / (u r) +
-    d_(k+1) / r^2, started from mp.besseli at K and K + 1 and scaled by
-    2^wp / d_K: every coefficient is positive, so no step cancels and a
-    rounding grows no faster than the values do.  The phases are running
-    products, of modulus at most 1, a few units of 2^-wp off per step.  So
-    WRIGHT_TERM_BUDGET terms stay below 2^-(prec + GUARD_BITS) of 2;
-    pay_for_loss makes that relative to P.
+    ceil(log2 TERM_BUDGET) + 4 bits, the constants taken at wp bits, and
+    each sum stops where _tail_index bounds its rest below 2^-wp, at K for
+    k >= 0.  The d_k come by Miller's algorithm: d_(k-1) = d_k k / (u r) +
+    d_(k+1) / r^2 runs down from 0 and 1 at N + 1 and N, and as the weights
+    add up to 1, the ladder is divided by its own sum_(k<=K) d_k +
+    sum_(k>=1) d_k / r^(2k).  At k <= K that start is off by at most
+    I_(N+1) K_k / (K_(N+1) I_k) <= (u/K)^(2(N+1-K)) relative, since
+    I_(v+1)(2u) / I_v(2u) <= u/(v+1) and K_v(2u) / K_(v+1)(2u) <= u/v
+    (K at least 1); N puts that below 2^-wp.  Every coefficient is
+    positive, so no step cancels and a rounding grows no faster than the
+    values do.  The phases are running products, of modulus at most 1, a
+    few units of 2^-wp off per step.  So TERM_BUDGET terms stay below
+    2^-(prec + GUARD_BITS) of 2; pay_for_loss makes that relative to P.
     """
-    wp = prec + GUARD_BITS + (WRIGHT_TERM_BUDGET - 1).bit_length() + 4
+    wp = prec + GUARD_BITS + (TERM_BUDGET - 1).bit_length() + 4
     with workprec(wp):
         r = mp.hypot(1, big_m)
         shift = float(u * (r - 1) ** 2 / r)  # log of e^(u(r+1/r)) / e^(2u)
         k_pos = _tail_index(float(mp.log(u * r)), shift, wp)
         k_neg = _tail_index(float(mp.log(u / r)), shift, wp)
         terms = k_pos + 1 + k_neg
-        if terms > WRIGHT_TERM_BUDGET:
-            raise ArithmeticError(f"P_{s}({u}) on M = {big_m} needs over "
-                                  f"{WRIGHT_TERM_BUDGET} terms")
-        top = mp.besseli(k_pos, 2 * u)
+        if terms > TERM_BUDGET:
+            raise ArithmeticError(f"P_{s}({u}) on M = {big_m} needs over {TERM_BUDGET} terms")
+        top = max(k_pos, 1)  # N puts (u/top)^(2(N+1-top)) below 2^-wp
+        n = top - 1 + math.ceil(wp * math.log(2) / (2 * (math.log(top) - float(mp.log(u)))))
         theta = mp.atan(big_m)
         psi = mp.expj((s + 1) * theta)
         y = mpc(1, -big_m) / r ** 3  # e^(-i theta) / r^2
         # 1/(u r) and 1/r^2 at c bits, so that each keeps wp significant bits
         c = wp + max(mp.mag(u * r), 2 * mp.mag(r), 0) + 2
         g, h = to_fixed((1 / (u * r))._mpf_, c), to_fixed((1 / (r * r))._mpf_, c)
-        start, th, *phases = [to_fixed(x._mpf_, wp) for x in (
-            r * mp.besseli(k_pos + 1, 2 * u) / top, theta,
-            psi.real, psi.imag, mp.cos(theta), mp.sin(theta),
+        th, *phases = [to_fixed(x._mpf_, wp) for x in (
+            theta, psi.real, psi.imag, mp.cos(theta), mp.sin(theta),
             (psi * y).real, (psi * y).imag, y.real, y.imag)]
-    one = 1 << wp
-    # d[k] = d_k 2^wp / d_K, k = 0 .. K
-    d, a, b = [one], one, start
-    for k in range(k_pos, 0, -1):
+    # d[k], k = 0 .. N, is d_k times one scale, to 2^-wp relative at k <= K
+    d, a, b = [1 << wp], 1 << wp, 0
+    for k in range(n, 0, -1):
         a, b = (k * a * g + b * h) >> c, a
         d.append(a)
     d.reverse()
+    norm = 0  # sum_(1<=k<=k_neg) d[k] / r^(2k), by Horner's rule
+    for k in range(k_neg, 0, -1):
+        norm = ((norm + d[k]) * h) >> c
+    norm += sum(d[:k_pos + 1])
     acc = 0
     for sign, first, last, (zr, zi, wr, wi) in ((1, 0, k_pos, phases[:4]),
                                                 (-1, 1, k_neg, phases[4:])):
@@ -244,11 +249,10 @@ def _wright_sum(s, u, big_m, prec):
     if not acc:
         raise ArithmeticError(f"P_{s}({u}) on M = {big_m} sums to 0 at {wp} fixed-point bits")
     with workprec(wp):
-        peak = mp.exp(u * (r + 1 / r))
-        bracket = mpf((acc, -2 * wp)) * top * r ** k_pos / peak
-        value = bracket * r ** (s + 1) * peak / mp.pi
+        bracket = mpf((acc, -wp)) / norm
+        value = bracket * r ** (s + 1) * mp.exp(u * (r + 1 / r)) / mp.pi
     # mp.mag(bracket) is log2 |bracket| or up to 2 above
-    return value, max(3 - mp.mag(bracket), 0), terms
+    return value, max(3 - mp.mag(bracket), 0), terms, n
 
 
 @guarded
@@ -265,14 +269,15 @@ def wright_p(s, u, big_m, prec=256):
                   of the terms at least halve, so the rest of the sum is
                   below twice its first bound; the p < 0 side decays like
                   (u/r)^k / k!;
-      precision   sum_k I_k(2u) r^k = e^(u(r+1/r)), so the terms add up to at
-                  most 2 r^(s+1) e^(u(r+1/r)) / pi in modulus; the bits that
-                  bound loses against |P| are estimated first, from the leading
-                  Debye term of I_|s+1|(2u), which is P_s(u) with the contour
-                  closed, and any shortfall is paid for by pay_for_loss.
-    Raises ArithmeticError past WRIGHT_TERM_BUDGET terms, so wherever 2ur
-    is above 4096.  Logs its term count, the bits lost and any re-sum at
-    DEBUG.
+      precision   sum_k I_k(2u) r^k = e^(u(r+1/r)) scales Miller's ladder of
+                  I_k(2u) r^k and caps the terms at 2 r^(s+1) e^(u(r+1/r)) / pi
+                  in all; the bits that cap loses against |P| are estimated
+                  first, from the leading Debye term of I_|s+1|(2u), which is
+                  P_s(u) with the contour closed, and any shortfall is paid
+                  for by pay_for_loss.
+    Raises ArithmeticError past TERM_BUDGET terms, so wherever 2ur is above
+    4096.  Logs its term count, the ladder's start, the bits lost and any
+    re-sum at DEBUG.
     """
     u = mpf(u)
     big_m = mpf(big_m)
@@ -280,19 +285,19 @@ def wright_p(s, u, big_m, prec=256):
         raise DomainError("wright_p needs u > 0 and M > 0")
     s = _integer(s, "s")
     r = mp.hypot(1, big_m)
-    if 2 * u * r > WRIGHT_TERM_BUDGET:
-        raise ArithmeticError(f"P_{s}({u}) on M = {big_m} needs over {WRIGHT_TERM_BUDGET} terms")
+    if 2 * u * r > TERM_BUDGET:
+        raise ArithmeticError(f"P_{s}({u}) on M = {big_m} needs over {TERM_BUDGET} terms")
     # log |P| ~ log I_|s+1|(2u) by its leading Debye term, and log of the terms' bound
     nu, t = abs(s + 1), mp.hypot(s + 1, 2 * u)
     log_p = t - nu * mp.asinh(nu / (2 * u)) - mp.log(2 * mp.pi * t) / 2
     log_bound = (s + 1) * mp.log(r) + u * (r + 1 / r)
     headroom = max(int(mp.ceil((log_bound - log_p) / mp.ln2)) + 3, 0)
-    (value, lost, terms), extra = pay_for_loss(
+    (value, lost, terms, start), extra = pay_for_loss(
         lambda bits: _wright_sum(s, u, big_m, bits), prec, "P_%d(%s) on M = %s", s, u, big_m,
         extra=headroom)
     if log.isEnabledFor(logging.DEBUG):
-        log.debug("P_%d(%s) on M = %s: %d terms, lost %d bits, %s at %d bits", s,
-                  mp.nstr(u, 10), mp.nstr(big_m, 10), terms, lost,
+        log.debug("P_%d(%s) on M = %s: ladder from %d, %d terms, lost %d bits, %s at %d bits",
+                  s, mp.nstr(u, 10), mp.nstr(big_m, 10), start, terms, lost,
                   "re-summed" if extra != headroom else "no re-sum", prec + extra)
     return value
 

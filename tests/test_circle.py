@@ -58,7 +58,7 @@ def reference_mock_f(tau, prec):
         eps = mpf(2) ** -prec
         total = term = prev = mpc(1)  # prev = q^(n-1)
         peak = mpf(1)
-        for _ in range(circle.F_TERM_BUDGET):
+        for _ in range(circle.TERM_BUDGET):
             qn = prev * q
             d = 1 + qn
             term *= prev * qn / (d * d)
@@ -82,7 +82,7 @@ def reference_obar_sum(tau, prec):
         eps = mpf(2) ** -prec
         total = term = prev = mpc(1)  # prev = q^(m-1)
         peak = mpf(1)
-        for _ in range(circle.F_TERM_BUDGET):
+        for _ in range(circle.TERM_BUDGET):
             qm = prev * q
             term *= qm * (1 + prev) / (1 - qm * qm)
             total += term
@@ -396,7 +396,7 @@ class TestEvaluation:
             oebar_eval(tau=circle_point(10 ** 5, mpf("0.499")), prec=96)
 
     def test_term_budget_exhausted_raises(self, monkeypatch):
-        monkeypatch.setattr(circle, "F_TERM_BUDGET", 8)
+        monkeypatch.setattr(circle, "TERM_BUDGET", 8)
         with pytest.raises(ArithmeticError):
             oebar_eval(tau=mpc(0, ArcGeometry(400).y), prec=96)
 

@@ -10,6 +10,9 @@
   under it names mpmath's polyval.
 - The package has one quadrature rule, circle.adaptive_quad: no source
   file under it names mpmath's quad, quadts or quadgl.
+- mpmath's besseli serves specfun.bessel_i alone: nothing else in the
+  package names it, so Wright's Bessel ladder is seeded from its own
+  generating function and not from Bessel values.
 - Every functools cache in the package is bounded: no lru_cache with
   maxsize=None and no functools.cache, which is the same thing.
 - Working precision is set in one module, specfun: by guarded, by
@@ -96,19 +99,33 @@ def _unbounded_caches(tree):
     return sorted(lines)
 
 
+def _mpmath_names(tree, names, inside=()):
+    """Lines that name one of names, as a name, an attribute or an imported
+    name, outside the functions (at any depth) named in inside."""
+    skip = {
+        id(node)
+        for func in ast.walk(tree)
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) and func.name in inside
+        for node in ast.walk(func)
+    }
+    lines = set()
+    for node in ast.walk(tree):
+        if id(node) in skip:
+            continue
+        if isinstance(node, ast.Name) and node.id in names:
+            lines.add(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr in names:
+            lines.add(node.lineno)
+        elif isinstance(node, ast.ImportFrom):
+            if any(alias.name in names for alias in node.names):
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
 def _quadrature_names(tree):
     """Lines that name one of mpmath's quadratures, as a name, an attribute
     or an imported name."""
-    lines = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and node.id in MPMATH_QUADRATURES:
-            lines.add(node.lineno)
-        elif isinstance(node, ast.Attribute) and node.attr in MPMATH_QUADRATURES:
-            lines.add(node.lineno)
-        elif isinstance(node, ast.ImportFrom):
-            if any(alias.name in MPMATH_QUADRATURES for alias in node.names):
-                lines.add(node.lineno)
-    return sorted(lines)
+    return _mpmath_names(tree, MPMATH_QUADRATURES)
 
 
 def _is_mp_precision(node):
@@ -284,6 +301,28 @@ def test_the_scan_sees_mpmath_quadratures_and_not_the_package_rule():
         "raise QuadratureError('x')\n"
     )
     assert _quadrature_names(tree) == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.rglob("*.py")), ids=lambda p: p.name)
+def test_besseli_serves_bessel_i_alone(path):
+    inside = {"bessel_i"} if path.name == "specfun.py" else set()
+    lines = _mpmath_names(_tree(path), {"besseli"}, inside)
+    assert not lines, (f"{path.name}: mpmath's besseli named at lines {lines}; call "
+                       "specfun.bessel_i, or build a Bessel ladder from its generating function")
+
+
+def test_the_scan_sees_besseli_outside_bessel_i_only():
+    tree = ast.parse(
+        "from mpmath import besseli\n"
+        "def bessel_i(order, x):\n"
+        "    return mp.besseli(order, x)\n"
+        "def _wright_sum(u):\n"
+        "    top = mpmath.besseli(3, 2 * u)\n"
+        "    return besseli(4, 2 * u) / top\n"
+        "bessel_i(0, 1)\n"
+    )
+    assert _mpmath_names(tree, {"besseli"}, {"bessel_i"}) == [1, 5, 6]
+    assert _mpmath_names(tree, {"besseli"}) == [1, 3, 5, 6]
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)

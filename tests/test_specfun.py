@@ -1,5 +1,6 @@
 import functools
 import logging
+import re
 from dataclasses import dataclass
 
 import pytest
@@ -252,6 +253,18 @@ class TestWrightContour:
         assert error < mpf(2) ** -(prec + 16)
         assert abs(wright_p(s, u, big_m, prec) / want - 1) < tol(prec)
 
+    @pytest.mark.parametrize("prec", [96, 256])
+    @pytest.mark.parametrize("big_m", ["0.5", "3", "6"])
+    @pytest.mark.parametrize("u", ["0.25", "1", "9.1", "20"])
+    @pytest.mark.parametrize("s", [-2, -1, 0, 1, 3])
+    def test_correctly_rounded(self, s, u, big_m, prec):
+        # the value at prec bits is the value at prec + 64 bits rounded to prec
+        u, big_m = mpf(u), mpf(big_m)
+        got = wright_p(s, u, big_m, prec)
+        want = wright_p(s, u, big_m, prec + 64)
+        with workprec(prec):
+            assert got == +want
+
     @pytest.mark.parametrize("u,big_m", [("1e-400", "6"), ("1e-200", "1e200")])
     def test_small_u_where_floats_underflow(self, u, big_m):
         # u, and u / r, below the float range; to O(u) the integrand is
@@ -269,7 +282,7 @@ class TestWrightContour:
 
     def test_a_sum_past_the_term_budget_raises(self, monkeypatch):
         # 2ur = 111 passes the early check; the sum needs about 300 terms
-        monkeypatch.setattr(specfun, "WRIGHT_TERM_BUDGET", 200)
+        monkeypatch.setattr(specfun, "TERM_BUDGET", 200)
         with pytest.raises(ArithmeticError, match="over 200 terms"):
             wright_p(0, mpf("9.1"), mpf(6), 96)
 
@@ -290,6 +303,9 @@ class TestWrightContour:
         message = record.getMessage()
         assert message.startswith("P_0(9.1) on M = 6.0: ")
         assert "terms, lost" in message and "no re-sum at" in message
+        # the ladder's start N, the one the accepted pass used
+        start, bits = map(int, re.search(r": ladder from (\d+), .* at (\d+) bits$", message).groups())
+        assert start == specfun._wright_sum(0, mpf("9.1"), mpf(6), bits)[3]
 
 
 @functools.lru_cache(maxsize=64)
