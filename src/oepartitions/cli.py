@@ -136,12 +136,14 @@ def _gf_rows(eps_grid, prec):
     D = sum_j c_(2j+1) w^j, the c_k read off oe_series.  Where |c_k| <=
     e^(C sqrt k), |c_(2j)| <= e^(C sqrt2 sqrt j), and past D's order J,
     2j + 1 <= (2 + 1/(J+1)) j gives |c_(2j+1)| <= e^(C sqrt(2 + 1/(J+1)) sqrt j).
+    oe_series is summed once, to the grid's largest order, and truncated.
     """
     rows = []
     growth_c = mp.pi / mp.sqrt(5)
-    for eps in eps_grid:
-        order = max(1, int(300 / float(eps)))
-        full = genfun.oe_series(order)
+    orders = [max(1, int(300 / float(eps))) for eps in eps_grid]
+    top = genfun.oe_series(max(orders))
+    for eps, order in zip(eps_grid, orders):
+        full = top.truncate(order)
         q = mp.e ** (-eps)
         even, odd = PowerSeries(full.coeffs[::2]), PowerSeries(full.coeffs[1::2])
         parts = (("full", full, q, 1, growth_c),

@@ -6,8 +6,9 @@ summand is the (m-1)-st times a power of q and a sparse binomial ratio, so
 the sum is 1 + q^a r_1 (1 + q^b r_2 (1 + ...)).  Each level costs one update
 pass over the coefficients below q^(N+1) that its leading power leaves, so
 building a series to order N costs O(N^(3/2)) integer operations instead of
-O(N^2) per term.  That is what makes the desk-scale asymptotic checks
-(orders 10^4 and up) cheap.
+O(N^2) per term.  The passes are series' binomial kernels, which do that
+work in C, at most 3 sqrt(N) interpreted steps per binomial.  That is what
+makes the desk-scale asymptotic checks (orders 10^4 and up) cheap.
 
 Series implemented:
   oe_series             O(q)  = sum_m q^(m(m+1)/2) / (q^2;q^2)_m

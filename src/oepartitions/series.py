@@ -18,8 +18,8 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from itertools import count, islice
-from operator import add, sub
+from itertools import accumulate, count, islice, repeat
+from operator import add, mul, neg, sub
 
 from mpmath import mp, mpf, mpc
 from mpmath.libmp import to_fixed
@@ -44,7 +44,7 @@ class PowerSeries:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        coeffs = tuple(int(c) for c in coeffs)
+        coeffs = tuple(map(int, coeffs))
         if not coeffs:
             raise SeriesError("a PowerSeries needs at least the constant term")
         self.coeffs = coeffs
@@ -78,15 +78,13 @@ class PowerSeries:
         return hash(self.coeffs)
 
     def __add__(self, other):
-        n = min(self.order, other.order)
-        return PowerSeries([self.coeffs[k] + other.coeffs[k] for k in range(n + 1)])
+        return PowerSeries(map(add, self.coeffs, other.coeffs))
 
     def __sub__(self, other):
-        n = min(self.order, other.order)
-        return PowerSeries([self.coeffs[k] - other.coeffs[k] for k in range(n + 1)])
+        return PowerSeries(map(sub, self.coeffs, other.coeffs))
 
     def __neg__(self):
-        return PowerSeries([-c for c in self.coeffs])
+        return PowerSeries(map(neg, self.coeffs))
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -99,8 +97,12 @@ class PowerSeries:
             a, b = b, a
         out = [0] * (n + 1)
         for i, ai in enumerate(a):
-            if ai:
-                out[i:] = [x + ai * y for x, y in zip(out[i:], b)]
+            if ai == 1:
+                out[i:] = map(add, out[i:], b)
+            elif ai == -1:
+                out[i:] = map(sub, out[i:], b)
+            elif ai:
+                out[i:] = map(add, out[i:], map(mul, repeat(ai), b))
         return PowerSeries(out)
 
     __rmul__ = __mul__
@@ -268,8 +270,10 @@ def evaluate_at(series, point, prec, growth_c=None):
 # the sparse binomials (1 +- q^k) in O(N), and division by a sparse series in
 # O(N * nnz); they are what keeps the generating function builders at
 # O(N^(3/2)) overall.  A multiplication reads only old coefficients, so it is
-# one slice operation; a division by (1 +- q^k) runs in blocks of k, each of
-# which needs only the block before it.
+# one slice operation.  A division by (1 +- q^k) is the recurrence
+# c_i -+= c_(i-k), which couples only coefficients k apart, so it runs either
+# along the k residue classes mod k or in blocks of k, whichever are fewer:
+# at most 3 sqrt(len(c)) interpreted steps, with all per-coefficient work in C.
 
 def _mul_one_minus_qk(c, k):
     c[k:] = map(sub, c[k:], c[: len(c) - k])
@@ -281,13 +285,39 @@ def _mul_one_plus_qk(c, k):
 
 
 def _div_one_minus_qk(c, k):
-    for i in range(k, len(c), k):
-        c[i : i + k] = map(add, c[i : i + k], c[i - k : i])
+    """c <- c / (1 - q^k) in place: for k^2 < len(c), each residue class mod k
+    becomes its own prefix sums (k steps); otherwise blocks of k, each needing
+    only the block before it (fewer than sqrt(len(c)) steps)."""
+    if k < 1:
+        raise SeriesError(f"division by 1 - q^k needs k >= 1, got {k}")
+    if k * k < len(c):
+        for r in range(k):
+            c[r::k] = accumulate(c[r::k])
+    else:
+        for i in range(k, len(c), k):
+            c[i : i + k] = map(add, c[i : i + k], c[i - k : i])
 
 
 def _div_one_plus_qk(c, k):
-    for i in range(k, len(c), k):
-        c[i : i + k] = map(sub, c[i : i + k], c[i - k : i])
+    """c <- c / (1 + q^k) in place, switching as _div_one_minus_qk does.
+
+    On a residue class x_0, x_1, ... mod k the quotient is y_j = x_j - y_(j-1),
+    that is y_j = (-1)^j times the prefix sum of (-1)^j x_j.  So for
+    k^2 < len(c) the class's odd places, the indices i with i mod 2k >= k, are
+    negated before the prefix sums and after them: 3k steps.
+    """
+    if k < 1:
+        raise SeriesError(f"division by 1 + q^k needs k >= 1, got {k}")
+    if k * k < len(c):
+        for r in range(k, 2 * k):
+            c[r :: 2 * k] = map(neg, c[r :: 2 * k])
+        for r in range(k):
+            c[r::k] = accumulate(c[r::k])
+        for r in range(k, 2 * k):
+            c[r :: 2 * k] = map(neg, c[r :: 2 * k])
+    else:
+        for i in range(k, len(c), k):
+            c[i : i + k] = map(sub, c[i : i + k], c[i - k : i])
 
 
 def _div_sparse(c, d):

@@ -120,6 +120,12 @@ class TestGFEval:
         assert code == 0
         assert summand_calls == [6000]
 
+    def test_sums_the_series_once_for_the_whole_grid(self, capsys, summand_calls):
+        # the larger eps reads the smaller eps's series, truncated
+        code, _, _ = run_cli(capsys, "gf-eval", "--eps", "0.05,0.03")
+        assert code == 0
+        assert summand_calls == [10000]
+
     def test_parity_parts_are_summed_in_q_squared(self, capsys, monkeypatch):
         # each part is a half-length series at q^2, and its row is the full-length
         # part, every other coefficient 0, summed at q

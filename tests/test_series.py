@@ -1,4 +1,5 @@
 import logging
+import math
 import random
 
 import pytest
@@ -120,12 +121,30 @@ class TestSparseKernels:
         (_div_one_minus_qk, -1, True),
         (_div_one_plus_qk, 1, True),
     ])
-    @pytest.mark.parametrize("k", [1, 2, 5, 13, 30, 31])
+    @pytest.mark.parametrize("k", [1, 2, 4, 5, 6, 10, 11, 13, 25, 30, 31, 100, 150])
     def test_binomial_kernels_match_the_loop(self, kernel, sign, divide, k):
-        _, c = sparse_and_dense(k, 0, 30)
-        want = loop_kernel(c, k, sign, divide)
-        kernel(c, k)
-        assert c == want
+        # lengths on both sides of the divisions' k^2 < len(c) switch, and
+        # coefficients near 2^200 of either sign, so that a lost carry shows
+        rng = random.Random(k)
+        for length in (1, 2, 24, 25, 26, 31, 101):
+            c = [rng.randrange(-2**200, 2**200) for _ in range(length)]
+            want = loop_kernel(c, k, sign, divide)
+            kernel(c, k)
+            assert c == want, f"length {length}"
+
+    @pytest.mark.parametrize("kernel", [_div_one_minus_qk, _div_one_plus_qk])
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_division_by_a_constant_binomial_raises(self, kernel, k):
+        # 1 - q^0 = 0 has no inverse, and 1 + q^0 = 2 none over the integers
+        c = [1, 2, 3]
+        with pytest.raises(SeriesError):
+            kernel(c, k)
+        assert c == [1, 2, 3]
+
+    def test_mul_mixes_unit_zero_and_other_coefficients(self):
+        a = [1, -1, 0, 3, 1, -2**70, 0, -1]
+        b = [random.Random(8).randrange(-2**200, 2**200) for _ in range(12)]
+        assert PowerSeries(a) * PowerSeries(b) == PowerSeries(schoolbook(a, b))
 
     @pytest.mark.parametrize("sparse_order,dense_order", [(40, 40), (60, 25), (25, 60), (0, 9)])
     def test_mul_with_sparse_operand_on_either_side(self, sparse_order, dense_order):
@@ -147,6 +166,38 @@ class TestSparseKernels:
         with pytest.raises(SeriesError):
             _div_sparse(c, [head, 1, 0])
         assert c == [1, 2, 3]
+
+
+class CountingList(list):
+    """A list that counts the writes made into it, one per __setitem__ call."""
+
+    writes = 0
+
+    def __setitem__(self, index, value):
+        self.writes += 1
+        super().__setitem__(index, value)
+
+
+class TestKernelWork:
+    """The interpreted steps of each kernel call, counted as writes into c: the
+    per-coefficient work runs in C, so the count needs no timing."""
+
+    N = 2500
+
+    def writes(self, kernel, k):
+        c = CountingList(range(self.N))
+        kernel(c, k)
+        return c.writes
+
+    @pytest.mark.parametrize("kernel", [_div_one_minus_qk, _div_one_plus_qk])
+    def test_division_makes_at_most_three_sqrt_n_writes(self, kernel):
+        bound = 3 * (math.isqrt(self.N - 1) + 1)
+        worst = max((self.writes(kernel, k), k) for k in range(1, self.N + 1))
+        assert worst[0] <= bound, f"{worst[0]} writes at k = {worst[1]}, bound {bound}"
+
+    @pytest.mark.parametrize("kernel", [_mul_one_minus_qk, _mul_one_plus_qk])
+    def test_multiplication_makes_one_write(self, kernel):
+        assert {self.writes(kernel, k) for k in range(1, self.N + 1)} == {1}
 
 
 class TestPochhammer:
