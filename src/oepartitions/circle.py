@@ -10,13 +10,13 @@ integral against the Bessel main term, and the proven minor-arc bound
 together with an empirical maximum.
 
 Obar(q) takes one of two routes, picked from the point alone.  Where
-Im(-1/tau) >= 1 (the whole major arc for n >= 30), the modular
-transformation to the nome Q = e^(-pi i/tau) gives Obar = (-q;q)_inf f(q),
-with f(q) = sum q^(n^2)/(-q;q)_n^2 Watson's third-order mock theta
-function: (-q;q)_inf in closed form, and f from Watson's transformation,
-its Mordell integral summed by an asymptotic expansion wherever that
-reaches the precision asked for, its coefficients from one integer
-sequence (see _mordell) built only as far as a point reads them.
+Im(-1/tau) >= 1 (the whole major arc for n >= 30), Obar = (-q;q)_inf f(q),
+f Watson's third-order mock theta function, moves to the nome
+Q = e^(-pi i/tau) as one formula (see _transformed): with z = -2 pi i tau,
+Obar(e^-z) = e^(pi i/(24 tau)) (M(z) + omega term) / (sqrt2 (-Q;Q)_inf).
+M is the Mordell integral, summed by an asymptotic expansion whose
+coefficients (see _mordell) are built only as far as a point reads them;
+Q is taken only where that expansion reaches the precision asked for.
 Everywhere else Obar is summed from the paper's own series, in fixed
 point, with a ratio-bound stop rule and specfun.pay_for_loss's re-sum for
 cancellation.  Each evaluation logs its route, term count, lost bits and
@@ -179,8 +179,11 @@ def _obar_sum(tau, prec):
         raise ArithmeticError(f"Obar(q) at tau = {tau} needs over {TERM_BUDGET} terms")
     if not (sr or si):
         raise ArithmeticError(f"Obar(q) at tau = {tau} sums to 0 at {wp} fixed-point bits")
-    lost = int(mp.ceil(mp.log(mpf(top) / ((sr * sr + si * si) << 2 * s), 2) / 2))
-    return mpc(mpf((sr, -wp)), mpf((si, -wp))), max(lost, 0), terms
+    size2 = (sr * sr + si * si) << 2 * s  # |sum|^2 at the term's scale
+    lost = max((top.bit_length() - size2.bit_length()) // 2, 0)
+    while size2 << 2 * lost < top:  # to the least lost >= 0 with 4^lost |sum|^2 >= top
+        lost += 1
+    return mpc(mpf((sr, -wp)), mpf((si, -wp))), lost, terms
 
 
 def _mordell_terms(size, prec):
@@ -270,10 +273,8 @@ def _omega(big_q):
     raise ArithmeticError(f"omega(Q) at Q = {big_q} needs over {TERM_BUDGET} terms")
 
 
-def _neg_pochhammer(tau, big_q):
-    """(-q;q)_inf = e^(pi i (1/(24 tau) - tau/12)) / (sqrt2 (-Q;Q)_inf) at
-    q = e^(2 pi i tau), from big_q = Q = e^(-pi i/tau): eta(2 tau)/eta(tau)
-    moved to -1/tau.
+def _neg_pochhammer(big_q):
+    """(-Q;Q)_inf, for |Q| <= e^-pi.
 
     The product stops at a factor 1 + Q^k with |Q^k| below 2^-prec; the
     rest changes the value by at most |Q^k| / (1 - |Q|).  With |Q| <= e^-pi
@@ -283,66 +284,67 @@ def _neg_pochhammer(tau, big_q):
     product, power = mpc(1), big_q
     for _ in range(TERM_BUDGET):
         if abs(power) < eps:
-            return mp.expjpi(1 / (24 * tau) - tau / 12) / (mp.sqrt(2) * product)
+            return product
         product *= 1 + power
         power *= big_q
     raise ArithmeticError(f"(-Q;Q)_inf at Q = {big_q} needs over {TERM_BUDGET} factors")
 
 
-def _watson_f(tau, big_q, prec):
-    """Watson's f(q) at q = e^(2 pi i tau) through his transformation, the
-    bits lost adding its two parts and the terms of M; or None.
+def _transformed(tau, inv, prec):
+    """Obar(q) at q = e^(2 pi i tau) through Watson's transformation, the
+    bits lost adding M(z) and the omega term, and the terms of M; or None.
 
-    With z = -2 pi i tau and Q = e^(-2 pi^2/z) = e^(-pi i/tau) = big_q,
-      e^(z/24) f(e^-z) = M(z) + 2 sqrt(2 pi/z) e^(-4 pi^2/(3z)) omega(Q),
-    M the Mordell integral, summed by its asymptotic expansion, and
-    |Q| <= e^-pi for _omega.  None where the expansion cannot reach
-    2^-(prec + GUARD_BITS), or where the parts cancel more than
-    GUARD_BITS / 2 bits.
+    With z = -2 pi i tau, inv = -1/tau and Q = e^(pi i inv) = e^(-2 pi^2/z),
+      Obar(e^-z) = e^(-pi i inv/24) (M(z) + w) / (sqrt2 (-Q;Q)_inf),
+      w = 2 sqrt(i/tau) e^(-2 pi i/(3 tau)) omega(Q),
+    M the Mordell integral, summed by its asymptotic expansion: Watson's
+    e^(z/24) f(e^-z) = M(z) + w times (-q;q)_inf = eta(2 tau)/eta(tau)
+    moved to -1/tau, their factors e^(+-pi i tau/12) cancelled.  The
+    caller checks Im inv >= 1, so |Q| <= e^-pi.  Q is taken only where
+    the expansion reaches 2^-(prec + GUARD_BITS); None where it does not,
+    or where M and w cancel more than GUARD_BITS / 2 bits.
     """
     z = -2j * mp.pi * tau
     size = float(abs(z))
     terms = _mordell_terms(size, prec)
     if not terms:
         return None
+    big_q = mp.expjpi(inv)
     m = _mordell(z, terms, prec)
+    total, lost = m, 0
     # |omega(Q)| < 1.1 for |Q| <= e^-pi and |M(z)| > 1 where the expansion
-    # serves, so the omega term is below the truncation of M where
+    # serves, so w is below the truncation of M where
     # 2.2 sqrt(2 pi/|z|) |Q|^(2/3) is; mp.mag bounds log2 |Q| from above
-    if math.log2(2.2 * math.sqrt(2 * math.pi / size)) + 2 * mp.mag(big_q) / 3 < -(prec + GUARD_BITS):
-        return mp.expjpi(tau / 12) * m, 0, terms
-    w = 2 * mp.sqrt(1j / tau) * mp.expjpi(-2 / (3 * tau)) * _omega(big_q)
-    total = m + w
-    lost = max(mp.mag(m), mp.mag(w)) - mp.mag(total) if total else mp.inf
-    if lost > GUARD_BITS // 2:
-        return None
-    return mp.expjpi(tau / 12) * total, max(int(lost), 0), terms
+    if math.log2(2.2 * math.sqrt(2 * math.pi / size)) + 2 * mp.mag(big_q) / 3 >= -(prec + GUARD_BITS):
+        w = 2 * mp.sqrt(1j / tau) * mp.expjpi(-2 / (3 * tau)) * _omega(big_q)
+        total = m + w
+        lost = max(mp.mag(m), mp.mag(w)) - mp.mag(total) if total else mp.inf
+        if lost > GUARD_BITS // 2:
+            return None
+    value = mp.expjpi(-inv / 24) * total / (mp.sqrt(2) * _neg_pochhammer(big_q))
+    return value, max(lost, 0), terms
 
 
 def _oebar_eval_tau(tau, prec):
     """Obar(e^(2 pi i tau)) at the caller's precision, unrounded: the
     guarded entry point above it rounds once, to prec bits.
 
-    Where Im(-1/tau) >= 1 and _watson_f reaches prec bits, the transformed
-    route: (-q;q)_inf by _neg_pochhammer times Watson's f.  Everywhere else
-    the direct route: Obar's own series by _obar_sum, summed again with the
-    bits it lost by specfun.pay_for_loss.  Logs the route, its term count,
-    lost bits and re-sum at DEBUG.
+    Where Im(-1/tau) >= 1 and _transformed reaches prec bits, the
+    transformed route.  Everywhere else the direct route: Obar's own
+    series by _obar_sum, summed again with the bits it lost by
+    specfun.pay_for_loss.  Each route returns Obar itself; logs the route,
+    its term count, lost bits and re-sum at DEBUG.
     """
     inv = -1 / tau
-    watson = None
-    if inv.imag >= 1:
-        big_q = mp.expjpi(inv)
-        watson = _watson_f(tau, big_q, prec)
-    if watson is not None:
-        f, lost, terms = watson
-        what, route, extra, value = "f(q)", "transformed", 0, _neg_pochhammer(tau, big_q) * f
+    found = _transformed(tau, inv, prec) if inv.imag >= 1 else None
+    if found is not None:
+        (value, lost, terms), route, extra = found, "transformed", 0
     else:
         (value, lost, terms), extra = pay_for_loss(lambda bits: _obar_sum(tau, bits), prec,
                                                    "Obar(q) at tau = %s", tau)
-        what, route = "Obar(q)", "direct"
+        route = "direct"
     if log.isEnabledFor(logging.DEBUG):
-        log.debug("%s at tau = %s: %s, %d terms, lost %d bits, %s", what, tau, route, terms, lost,
+        log.debug("Obar(q) at tau = %s: %s, %d terms, lost %d bits, %s", tau, route, terms, lost,
                   f"re-summed at {prec + extra} bits" if extra else "no re-sum")
     return value
 
@@ -397,11 +399,12 @@ def cauchy_full_integral(n, prec=256):
     r = mp.e ** (-2 * mp.pi * y)
     wp = horner_bits(prec, r)
     coeffs = [c << wp for c in reversed(series.coeffs)]
+    roots = [mp.expjpi(2 * mpf(k) / samples) for k in range(samples)]
     total = mpc(0)
-    for k in range(samples):
-        z = r * mp.expjpi(2 * mpf(k) / samples)
+    for k, root in enumerate(roots):
+        z = r * root
         ar, ai = horner_fixed(coeffs, (to_fixed(z.real._mpf_, wp), to_fixed(z.imag._mpf_, wp)), wp)
-        total += mpc(mpf((ar, -wp)), mpf((ai, -wp))) * mp.expjpi(-2 * mpf(n * k) / samples)
+        total += mpc(mpf((ar, -wp)), mpf((ai, -wp))) * roots[n * k % samples].conjugate()
     total = total / samples / r ** n
     nearest = int(mp.nint(total.real))
     residual = abs(total - nearest)

@@ -452,14 +452,13 @@ class TestWatsonTransformation:
         (256, 25600, 0), (256, 25600, "3y"), (256, 4 * 10 ** 5, mpf("0.0032")),
     ])
     def test_routes_agree_where_both_converge(self, prec, n, x):
-        # (-q;q)_inf f(q) against Obar's own series; the series loses up to
-        # 64 bits here, so it is compared after its re-sum
+        # Watson's transformation against Obar's own series; the series
+        # loses up to 64 bits here, so it is compared after its re-sum
         tau = circle_point(n, x)
         with workprec(prec + GUARD_BITS):
-            big_q = mp.expjpi(-1 / tau)
-            watson = circle._watson_f(tau, big_q, prec)
-            assert watson is not None
-            transformed = circle._neg_pochhammer(tau, big_q) * watson[0]
+            found = circle._transformed(tau, -1 / tau, prec)
+            assert found is not None
+            transformed = found[0]
             (direct, _, _), _ = specfun.pay_for_loss(lambda bits: circle._obar_sum(tau, bits),
                                                      prec, "Obar(q)")
         assert abs(transformed - direct) < mpf(2) ** -(prec - 2) * abs(direct)
@@ -488,10 +487,12 @@ class TestWatsonTransformation:
     @pytest.mark.parametrize("dual", [("0.3", "1.2"), ("-0.1", "1"), ("0", "30"),
                                       ("0.3", "0.8"), ("0.45", "0.6")])
     def test_closed_eta_factor_against_euler_eval(self, dual, prec):
+        # (-q;q)_inf = e^(pi i (1/(24 tau) - tau/12)) / (sqrt2 (-Q;Q)_inf),
         # tau = -1/w on both sides of Im(-1/tau) = Im w = 1
         with workprec(prec + GUARD_BITS):
             tau = -1 / mpc(*dual)
-            got = circle._neg_pochhammer(tau, mp.expjpi(-1 / tau))
+            got = (mp.expjpi(1 / (24 * tau) - tau / 12)
+                   / (sqrt(2) * circle._neg_pochhammer(mp.expjpi(-1 / tau))))
             want = euler_eval(2 * tau, prec + GUARD_BITS) / euler_eval(tau, prec + GUARD_BITS)
             assert abs(got - want) < mpf(2) ** -(prec - 2) * abs(want)
 
@@ -518,8 +519,8 @@ class TestWatsonTransformation:
     ])
     def test_mordell_sum_bit_identical_to_its_own_loop(self, prec, n, x):
         # _mordell's Horner loop written out, starting from the top b_j rather
-        # than from 0, at the working precision of _watson_f: series.horner_fixed
-        # must give the same bits
+        # than from 0, at the working precision of _transformed:
+        # series.horner_fixed must give the same bits
         with workprec(prec + GUARD_BITS):
             z = -2j * pi * circle_point(n, x)
             terms = circle._mordell_terms(float(abs(z)), prec)
@@ -563,6 +564,29 @@ class TestWatsonTransformation:
         oebar_eval(tau=circle_point(n, x), prec=96)
         messages = [r.getMessage() for r in caplog.records if r.name == "oepartitions.circle"]
         assert len(messages) == 1 and f": {route}, " in messages[0]
+
+    def test_complex_exponentials_per_call(self, monkeypatch):
+        # the transformed route takes Q, e^(-pi i inv/24) and, where it is
+        # not negligible, the omega term's factor; Q only once the expansion
+        # serves, and the direct route takes q alone.  The Cauchy recovery
+        # takes its K = 128 roots, each twiddle the conjugate of one of them
+        calls = []
+        inner = mp.expjpi
+
+        def counting(x):
+            calls.append(x)
+            return inner(x)
+
+        monkeypatch.setattr(mp, "expjpi", counting)
+        for n, x, want in [(10 ** 5, 0, 2), (25600, "6y", 3), (400, "3y", 1),
+                           (1600, mpf("0.499"), 1)]:
+            tau = circle_point(n, x)
+            calls.clear()
+            oebar_eval(tau=tau, prec=96)
+            assert len(calls) == want, (n, x)
+        calls.clear()
+        cauchy_full_integral(105, prec=192)
+        assert len(calls) == 128
 
     def test_cancelling_parts_fall_back_to_the_direct_sum(self, monkeypatch, caplog):
         # here the omega term is about as large as M(z); an omega that makes
