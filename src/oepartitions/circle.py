@@ -9,14 +9,17 @@ pieces numerically: the full coefficient-recovery integral, the major-arc
 integral against the Bessel main term, and the proven minor-arc bound
 together with an empirical maximum.
 
-Obar(q) takes one of two routes, picked from the point alone.  Where
-Im(-1/tau) >= 1 (the whole major arc for n >= 30), Obar = (-q;q)_inf f(q),
-f Watson's third-order mock theta function, moves to the nome
-Q = e^(-pi i/tau) as one formula (see _transformed): with z = -2 pi i tau,
+Obar(q) takes one of two routes, picked from the point alone and before
+any complex arithmetic: the float size 2 pi |tau| first gives the term
+count of the Mordell expansion below, and only where that count is nonzero
+is Im(-1/tau) >= 1 (the whole major arc for n >= 30) tested.  Where both
+hold, Obar = (-q;q)_inf f(q), f Watson's third-order mock theta function,
+moves to the nome Q = e^(-pi i/tau) as one formula (see _transformed):
+with z = -2 pi i tau,
 Obar(e^-z) = e^(pi i/(24 tau)) (M(z) + omega term) / (sqrt2 (-Q;Q)_inf).
 M is the Mordell integral, summed by an asymptotic expansion whose
 coefficients (see _mordell) are built only as far as a point reads them;
-Q is taken only where that expansion reaches the precision asked for.
+a nonzero count means that expansion reaches the precision asked for.
 Everywhere else Obar is summed from the paper's own series, in fixed
 point, with a ratio-bound stop rule and specfun.pay_for_loss's re-sum for
 cancellation.  Each evaluation logs its route, term count, lost bits and
@@ -290,7 +293,7 @@ def _neg_pochhammer(big_q):
     raise ArithmeticError(f"(-Q;Q)_inf at Q = {big_q} needs over {TERM_BUDGET} factors")
 
 
-def _transformed(tau, inv, prec):
+def _transformed(tau, inv, size, terms, prec):
     """Obar(q) at q = e^(2 pi i tau) through Watson's transformation, the
     bits lost adding M(z) and the omega term, and the terms of M; or None.
 
@@ -300,15 +303,12 @@ def _transformed(tau, inv, prec):
     M the Mordell integral, summed by its asymptotic expansion: Watson's
     e^(z/24) f(e^-z) = M(z) + w times (-q;q)_inf = eta(2 tau)/eta(tau)
     moved to -1/tau, their factors e^(+-pi i tau/12) cancelled.  The
-    caller checks Im inv >= 1, so |Q| <= e^-pi.  Q is taken only where
-    the expansion reaches 2^-(prec + GUARD_BITS); None where it does not,
-    or where M and w cancel more than GUARD_BITS / 2 bits.
+    caller passes |z| as the float size and a nonzero term count from
+    _mordell_terms at that size, so the expansion reaches
+    2^-(prec + GUARD_BITS), and checks Im inv >= 1, so |Q| <= e^-pi.
+    None where M and w cancel more than GUARD_BITS / 2 bits.
     """
     z = -2j * mp.pi * tau
-    size = float(abs(z))
-    terms = _mordell_terms(size, prec)
-    if not terms:
-        return None
     big_q = mp.expjpi(inv)
     m = _mordell(z, terms, prec)
     total, lost = m, 0
@@ -329,14 +329,22 @@ def _oebar_eval_tau(tau, prec):
     """Obar(e^(2 pi i tau)) at the caller's precision, unrounded: the
     guarded entry point above it rounds once, to prec bits.
 
-    Where Im(-1/tau) >= 1 and _transformed reaches prec bits, the
+    The route is chosen before any complex arithmetic.  First the float
+    size |z| = 2 pi |tau|, from tau's float parts, gives _mordell_terms'
+    count; only where it is nonzero is -1/tau formed and Im(-1/tau) >= 1
+    tested.  Where both pass and _transformed reaches prec bits, the
     transformed route.  Everywhere else the direct route: Obar's own
     series by _obar_sum, summed again with the bits it lost by
     specfun.pay_for_loss.  Each route returns Obar itself; logs the route,
     its term count, lost bits and re-sum at DEBUG.
     """
-    inv = -1 / tau
-    found = _transformed(tau, inv, prec) if inv.imag >= 1 else None
+    size = 2 * math.pi * abs(complex(tau))
+    terms = _mordell_terms(size, prec)
+    found = None
+    if terms:
+        inv = -1 / tau
+        if inv.imag >= 1:
+            found = _transformed(tau, inv, size, terms, prec)
     if found is not None:
         (value, lost, terms), route, extra = found, "transformed", 0
     else:
@@ -372,18 +380,24 @@ def oebar_eval(tau, prec=256):
 def cauchy_full_integral(n, prec=256):
     """Recover OEbar(n) from the Cauchy integral by DFT on the circle.
 
-    Samples the exact coefficient series, truncated at order n, at K
-    equispaced points on the circle of radius r = e^(-2 pi y), K the least
-    power of two above n.  With K > n only q^n aliases onto q^n, so the
-    discrete sum equals the coefficient exactly and the residual against
-    the nearest integer, imaginary part included, is a pure precision
-    health metric.  A prec below OEbar(n)'s bit length + 16 is raised to it,
-    leaving a residual near 2^-40; one above 0.25 is a defect, and raises.
+    Samples the exact coefficient series, truncated at order n, at the
+    K = n + 1 points r w^k, w = e^(2 pi i/K), on the circle of radius
+    r = e^(-2 pi y).  With K > n only q^n aliases onto q^n, so
+    sum_k S(r w^k) w^(-nk) = K OEbar(n) r^n exactly, and n = -1 (mod K)
+    makes each twiddle w^(-nk) the sample's own root w^k.  The series and
+    r are real, so samples k and K - k are conjugates: the sum is over
+    k = 0 .. floor(K/2) of Re(S(r w^k) w^k), weight 1 at k = 0 and
+    k = K/2 and 2 elsewhere, floor((n+1)/2) + 1 samples and roots.  The
+    folded sum is real, and its distance to the nearest integer, which
+    carries every sample's rounding, is a pure precision health metric.
+    A prec below OEbar(n)'s bit length + 16 is raised to it, leaving a
+    residual near 2^-40; one above 0.25 is a defect, and raises.
 
     The coefficients are scaled once, to wp = series.horner_bits(prec, r)
     fixed-point bits, and each sample is series.horner_fixed's, within
     2^-(prec + GUARD_BITS + 3) of the series at the sample point as
-    rounded to wp bits.
+    rounded to wp bits; the products with the roots, floored to wp bits,
+    are summed exactly as integers.
     """
     if n < 0:
         raise DomainError("n must be >= 0")
@@ -393,20 +407,21 @@ def cauchy_full_integral(n, prec=256):
     need = series.coeffs[n].bit_length() + 16
     if prec < need:
         return cauchy_full_integral(n, need)
-    samples = 1 << n.bit_length()
+    samples = n + 1
     # only the radius is needed here, not the arc cut
     y = 1 / (4 * mp.sqrt(3 * n))
     r = mp.e ** (-2 * mp.pi * y)
     wp = horner_bits(prec, r)
     coeffs = [c << wp for c in reversed(series.coeffs)]
-    roots = [mp.expjpi(2 * mpf(k) / samples) for k in range(samples)]
-    total = mpc(0)
-    for k, root in enumerate(roots):
+    total = 0  # the folded sum, scaled by 2^(2 wp)
+    for k in range(samples // 2 + 1):
+        root = mp.expjpi(2 * mpf(k) / samples)
         z = r * root
         ar, ai = horner_fixed(coeffs, (to_fixed(z.real._mpf_, wp), to_fixed(z.imag._mpf_, wp)), wp)
-        total += mpc(mpf((ar, -wp)), mpf((ai, -wp))) * roots[n * k % samples].conjugate()
-    total = total / samples / r ** n
-    nearest = int(mp.nint(total.real))
+        part = ar * to_fixed(root.real._mpf_, wp) - ai * to_fixed(root.imag._mpf_, wp)
+        total += part if 2 * k % samples == 0 else 2 * part
+    total = mpf((total, -2 * wp)) / samples / r ** n
+    nearest = int(mp.nint(total))
     residual = abs(total - nearest)
     if residual > 0.25:
         raise QuadratureError(f"rounding residual {residual} above 1/4 at {prec} bits")

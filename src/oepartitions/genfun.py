@@ -118,8 +118,7 @@ def oebar_series_hypergeometric(order):
 
 def _f_mock_update(u, n):
     # t_n = t_{n-1} * q^(2n-1) / (1 + q^n)^2
-    _div_one_plus_qk(u, n)
-    _div_one_plus_qk(u, n)
+    _div_one_plus_qk(u, n, 2)
 
 
 @lru_cache(maxsize=32)

@@ -456,7 +456,10 @@ class TestWatsonTransformation:
         # loses up to 64 bits here, so it is compared after its re-sum
         tau = circle_point(n, x)
         with workprec(prec + GUARD_BITS):
-            found = circle._transformed(tau, -1 / tau, prec)
+            size = 2 * math.pi * abs(complex(tau))
+            terms = circle._mordell_terms(size, prec)
+            assert terms > 0
+            found = circle._transformed(tau, -1 / tau, size, terms, prec)
             assert found is not None
             transformed = found[0]
             (direct, _, _), _ = specfun.pay_for_loss(lambda bits: circle._obar_sum(tau, bits),
@@ -569,7 +572,8 @@ class TestWatsonTransformation:
         # the transformed route takes Q, e^(-pi i inv/24) and, where it is
         # not negligible, the omega term's factor; Q only once the expansion
         # serves, and the direct route takes q alone.  The Cauchy recovery
-        # takes its K = 128 roots, each twiddle the conjugate of one of them
+        # at n = 105 takes K = 106 samples, each twiddle the sample's own
+        # root, and the 52 past K/2 are conjugates: floor(K/2) + 1 = 54 roots
         calls = []
         inner = mp.expjpi
 
@@ -586,7 +590,24 @@ class TestWatsonTransformation:
             assert len(calls) == want, (n, x)
         calls.clear()
         cauchy_full_integral(105, prec=192)
-        assert len(calls) == 128
+        assert len(calls) == 54
+
+    def test_route_chosen_before_the_transformation(self, monkeypatch):
+        # the float term count of the Mordell expansion is read first: where
+        # it is 0, as at these points next to q = 1 for small n, neither
+        # -1/tau nor _transformed is computed
+        calls = []
+        inner = circle._transformed
+
+        def counting(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(circle, "_transformed", counting)
+        for n, x, want in [(25, 0, 0), (25, "3y", 0), (400, "3y", 0), (10 ** 5, 0, 1)]:
+            calls.clear()
+            oebar_eval(tau=circle_point(n, x), prec=96)
+            assert len(calls) == want, (n, x)
 
     def test_cancelling_parts_fall_back_to_the_direct_sum(self, monkeypatch, caplog):
         # here the omega term is about as large as M(z); an omega that makes
@@ -643,16 +664,33 @@ class TestQuadrature:
 
 
 class TestCauchyRecovery:
-    @pytest.mark.parametrize("n", [1, 10, 50])
+    # odd and even K = n + 1, and the old power-of-two sample counts' edges
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 10, 50, 127, 128, 129])
     def test_exact_recovery(self, n):
         want = oebar_series_hypergeometric(2 * n).coefficient(n)
         got, residual = cauchy_full_integral(n, prec=192)
         assert got == want
         assert residual < mpf("1e-20")
 
+    @pytest.mark.parametrize("n", [105, 128])
+    def test_samples_half_the_circle(self, n, monkeypatch):
+        # K = n + 1 samples, of which those past K/2 are the conjugates of
+        # those before it: floor((n+1)/2) + 1 Horner sums
+        calls = []
+        inner = circle.horner_fixed
+
+        def counting(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(circle, "horner_fixed", counting)
+        cauchy_full_integral(n, prec=192)
+        assert len(calls) == (n + 1) // 2 + 1
+
     def test_exact_recovery_at_800(self):
-        # 1024 samples of an order-800 series; the product route is a
-        # different identity from the hypergeometric series the recovery sums
+        # 401 samples of an order-800 series, the conjugates of the other
+        # 400 of its 801 folded in; the product route is a different
+        # identity from the hypergeometric series the recovery sums
         got, residual = cauchy_full_integral(800, prec=192)
         assert got == oebar_series_product(800).coefficient(800)
         assert residual < mpf("1e-40")

@@ -106,12 +106,18 @@ def sparse_and_dense(seed, sparse_order, dense_order):
 
 
 def loop_kernel(c, k, sign, divide):
-    """Reference: c * (1 + sign q^k) or c / (1 + sign q^k), one coefficient at a time."""
+    """Reference: c * (1 + sign q^k), or c / (1 + sign q^k) divide times
+    (True for once), one coefficient at a time."""
     c = list(c)
     indices = range(k, len(c)) if divide else range(len(c) - 1, k - 1, -1)
-    for i in indices:
-        c[i] += (-sign if divide else sign) * c[i - k]
+    for _ in range(divide or 1):
+        for i in indices:
+            c[i] += (-sign if divide else sign) * c[i - k]
     return c
+
+
+def div_one_plus_qk_squared(c, k):
+    _div_one_plus_qk(c, k, 2)
 
 
 class TestSparseKernels:
@@ -120,6 +126,7 @@ class TestSparseKernels:
         (_mul_one_plus_qk, 1, False),
         (_div_one_minus_qk, -1, True),
         (_div_one_plus_qk, 1, True),
+        (div_one_plus_qk_squared, 1, 2),
     ])
     @pytest.mark.parametrize("k", [1, 2, 4, 5, 6, 10, 11, 13, 25, 30, 31, 100, 150])
     def test_binomial_kernels_match_the_loop(self, kernel, sign, divide, k):
@@ -193,6 +200,12 @@ class TestKernelWork:
     def test_division_makes_at_most_three_sqrt_n_writes(self, kernel):
         bound = 3 * (math.isqrt(self.N - 1) + 1)
         worst = max((self.writes(kernel, k), k) for k in range(1, self.N + 1))
+        assert worst[0] <= bound, f"{worst[0]} writes at k = {worst[1]}, bound {bound}"
+
+    def test_squared_division_makes_at_most_four_sqrt_n_writes(self):
+        # one pair of sign flips around two prefix sums per residue class
+        bound = 4 * (math.isqrt(self.N - 1) + 1)
+        worst = max((self.writes(div_one_plus_qk_squared, k), k) for k in range(1, self.N + 1))
         assert worst[0] <= bound, f"{worst[0]} writes at k = {worst[1]}, bound {bound}"
 
     @pytest.mark.parametrize("kernel", [_mul_one_minus_qk, _mul_one_plus_qk])
