@@ -9,21 +9,12 @@ pieces numerically: the full coefficient-recovery integral, the major-arc
 integral against the Bessel main term, and the proven minor-arc bound
 together with an empirical maximum.
 
-Obar(q) takes one of two routes, picked from the point alone and before
-any complex arithmetic: the float size 2 pi |tau| first gives the term
-count of the Mordell expansion below, and only where that count is nonzero
-is Im(-1/tau) >= 1 (the whole major arc for n >= 30) tested.  Where both
-hold, Obar = (-q;q)_inf f(q), f Watson's third-order mock theta function,
-moves to the nome Q = e^(-pi i/tau) as one formula (see _transformed):
-with z = -2 pi i tau,
-Obar(e^-z) = e^(pi i/(24 tau)) (M(z) + omega term) / (sqrt2 (-Q;Q)_inf).
-M is the Mordell integral, summed by an asymptotic expansion whose
-coefficients (see _mordell) are built only as far as a point reads them;
-a nonzero count means that expansion reaches the precision asked for.
-Everywhere else Obar is summed from the paper's own series, in fixed
-point, with a ratio-bound stop rule and specfun.pay_for_loss's re-sum for
-cancellation.  Each evaluation logs its route, term count, lost bits and
-re-sum at DEBUG under this module's logger.
+Obar(q) takes one of two routes, picked from the point alone (see
+_oebar_eval_tau).  Near q = 1, Obar = (-q;q)_inf f(q), f Watson's
+third-order mock theta function, moves to the nome Q = e^(-pi i/tau) as
+one formula (see _transformed), whose Mordell integral is summed by an
+asymptotic expansion (see _mordell).  Everywhere else Obar is summed from
+the paper's own series, in fixed point (see _obar_sum).
 
 Both polynomial sums here, the Mordell expansion and the exact series at
 the samples of the Cauchy recovery, run on series.horner_fixed, the
@@ -53,6 +44,7 @@ from .specfun import (GUARD_BITS, TERM_BUDGET, DomainError, QuadratureError, bes
 _GAUSS = GaussLegendre(mp)
 QUAD_DEGREE = 3
 QUAD_CALL_BUDGET = 1 << 14
+_TINY = 2.0 ** -1000  # the least size kept in floats: a clamp in place of an underflow
 
 log = logging.getLogger(__name__)
 
@@ -117,9 +109,10 @@ def _settled_term(tau):
     = r^m (1 + r^(m-1)) / (1 - r^(2m)), which falls with m.  With u = r^m,
     rho(m) <= 1/2 once u <= 1/(1 + sqrt(2 + 2/r)); from there on each ratio
     is at most 1/2, so the sum after a term is below it.  In float
-    logarithms, so that |q| may underflow.
+    logarithms, so that |q| may underflow, with Im tau held in [2^-1000, 1]:
+    the answer is 1 from 1 up and past 10^299 below 2^-1000.
     """
-    log_r = -2 * math.pi * float(tau.imag)
+    log_r = -2 * math.pi * min(max(float(tau.imag), _TINY), 1.0)
     half_log = (math.log(2) - log_r + math.log1p(math.exp(log_r))) / 2  # log sqrt(2 + 2/r)
     log_u = -half_log - math.log1p(math.exp(-half_log))
     return math.ceil(log_u / log_r)
@@ -135,7 +128,8 @@ def _obar_sum(tau, prec):
     last times q^m (1 + q^(m-1)) / (1 - q^(2m)), so no powers are taken.
     Stops at a term below 2^-(prec + GUARD_BITS) of the largest, once
     _settled_term says that term bounds the rest, and raises past
-    TERM_BUDGET terms; the ratio bound rules out a rise after a dip.
+    TERM_BUDGET terms, at once where _settled_term is past it; the ratio
+    bound rules out a rise after a dip.
 
     Fixed point on Python ints, each complex number a pair, at
     wp = prec + GUARD_BITS + ceil(log2 TERM_BUDGET) + 4 bits; dividing by
@@ -148,8 +142,10 @@ def _obar_sum(tau, prec):
     below 1, so it keeps wp significant bits where the terms fall far below
     1 and rise again.
     """
-    wp = prec + GUARD_BITS + (TERM_BUDGET - 1).bit_length() + 4
     settled = _settled_term(tau)
+    if settled > TERM_BUDGET:
+        raise ArithmeticError(f"Obar(q) at tau = {tau} needs over {TERM_BUDGET} terms")
+    wp = prec + GUARD_BITS + (TERM_BUDGET - 1).bit_length() + 4
     q = mp.expjpi(2 * tau)
     qr, qi = to_fixed(q.real._mpf_, wp), to_fixed(q.imag._mpf_, wp)
     one = 1 << wp
@@ -293,6 +289,14 @@ def _neg_pochhammer(big_q):
     raise ArithmeticError(f"(-Q;Q)_inf at Q = {big_q} needs over {TERM_BUDGET} factors")
 
 
+def _phase(x, d):
+    """x / d to within 2^(GUARD_BITS/2 - mp.prec), for e^(pi i x/d), which
+    reads x/d modulo 2 and its imaginary part in full: a quotient of 2^k
+    at mp.prec bits would cost k bits of the value."""
+    extra = mp.mag(x) - mp.mag(d) - GUARD_BITS // 2
+    return x / d if extra <= 0 else mp.fdiv(x, d, prec=mp.prec + extra)
+
+
 def _transformed(tau, inv, size, terms, prec):
     """Obar(q) at q = e^(2 pi i tau) through Watson's transformation, the
     bits lost adding M(z) and the omega term, and the terms of M; or None.
@@ -305,23 +309,24 @@ def _transformed(tau, inv, size, terms, prec):
     moved to -1/tau, their factors e^(+-pi i tau/12) cancelled.  The
     caller passes |z| as the float size and a nonzero term count from
     _mordell_terms at that size, so the expansion reaches
-    2^-(prec + GUARD_BITS), and checks Im inv >= 1, so |Q| <= e^-pi.
+    2^-(prec + GUARD_BITS), and forms inv by _phase, as the phases -inv/24
+    and 2 inv/3 are here, and checks Im inv >= 1, so |Q| <= e^-pi.
     None where M and w cancel more than GUARD_BITS / 2 bits.
     """
     z = -2j * mp.pi * tau
     big_q = mp.expjpi(inv)
     m = _mordell(z, terms, prec)
     total, lost = m, 0
-    # |omega(Q)| < 1.1 for |Q| <= e^-pi and |M(z)| > 1 where the expansion
-    # serves, so w is below the truncation of M where
-    # 2.2 sqrt(2 pi/|z|) |Q|^(2/3) is; mp.mag bounds log2 |Q| from above
-    if math.log2(2.2 * math.sqrt(2 * math.pi / size)) + 2 * mp.mag(big_q) / 3 >= -(prec + GUARD_BITS):
-        w = 2 * mp.sqrt(1j / tau) * mp.expjpi(-2 / (3 * tau)) * _omega(big_q)
+    # |omega(Q)| < 1.1 for |Q| <= e^-pi and |M(z)| > 1 where the expansion serves, so w is
+    # below the truncation of M where 2.2 sqrt(2 pi/|z|) |Q|^(2/3) is; mp.mag bounds
+    # log2 |Q| from above, as an integer however small Q is
+    if 2 * mp.mag(big_q) >= -3 * (prec + GUARD_BITS + math.log2(2.2 * math.sqrt(2 * math.pi / size))):
+        w = 2 * mp.sqrt(1j / tau) * mp.expjpi(_phase(inv, 1.5)) * _omega(big_q)
         total = m + w
         lost = max(mp.mag(m), mp.mag(w)) - mp.mag(total) if total else mp.inf
         if lost > GUARD_BITS // 2:
             return None
-    value = mp.expjpi(-inv / 24) * total / (mp.sqrt(2) * _neg_pochhammer(big_q))
+    value = mp.expjpi(_phase(inv, -24)) * total / (mp.sqrt(2) * _neg_pochhammer(big_q))
     return value, max(lost, 0), terms
 
 
@@ -329,20 +334,20 @@ def _oebar_eval_tau(tau, prec):
     """Obar(e^(2 pi i tau)) at the caller's precision, unrounded: the
     guarded entry point above it rounds once, to prec bits.
 
-    The route is chosen before any complex arithmetic.  First the float
-    size |z| = 2 pi |tau|, from tau's float parts, gives _mordell_terms'
-    count; only where it is nonzero is -1/tau formed and Im(-1/tau) >= 1
-    tested.  Where both pass and _transformed reaches prec bits, the
-    transformed route.  Everywhere else the direct route: Obar's own
-    series by _obar_sum, summed again with the bits it lost by
-    specfun.pay_for_loss.  Each route returns Obar itself; logs the route,
-    its term count, lost bits and re-sum at DEBUG.
+    The route is chosen before any complex arithmetic.  The float size
+    |z| = 2 pi |tau|, |tau| held in [2^-1000, 2^10] (below, the count can
+    only grow, by terms under the cut; above, it is 0), gives
+    _mordell_terms' count; only where it is nonzero is -1/tau formed and
+    Im(-1/tau) >= 1 (the whole major arc for n >= 30) tested.  Where both
+    pass and _transformed reaches prec bits, that route; elsewhere
+    _obar_sum, re-summed by pay_for_loss.  Logs the route, its term count,
+    lost bits and re-sum at DEBUG.
     """
-    size = 2 * math.pi * abs(complex(tau))
+    size = 2 * math.pi * min(max(abs(complex(tau)), _TINY), 1024.0)
     terms = _mordell_terms(size, prec)
     found = None
     if terms:
-        inv = -1 / tau
+        inv = _phase(-1, tau)
         if inv.imag >= 1:
             found = _transformed(tau, inv, size, terms, prec)
     if found is not None:
@@ -365,10 +370,6 @@ def oebar_eval(tau, prec=256):
     Efficient arbitrarily close to q = 1, through the modular
     transformation there; this is the route used on the major arc.  Obar
     is 1-periodic in tau, so tau is first reduced, exactly, by an integer.
-    The tests check it against the exact coefficient series with its rigorous
-    tail bound (series.evaluate_at), against Watson's bilateral sum at a
-    precision that pays for that sum's cancellation, and against the
-    Mordell integral by quadrature.
     """
     tau = mpc(tau)
     if tau.imag <= 0:
@@ -380,24 +381,23 @@ def oebar_eval(tau, prec=256):
 def cauchy_full_integral(n, prec=256):
     """Recover OEbar(n) from the Cauchy integral by DFT on the circle.
 
-    Samples the exact coefficient series, truncated at order n, at the
-    K = n + 1 points r w^k, w = e^(2 pi i/K), on the circle of radius
-    r = e^(-2 pi y).  With K > n only q^n aliases onto q^n, so
-    sum_k S(r w^k) w^(-nk) = K OEbar(n) r^n exactly, and n = -1 (mod K)
-    makes each twiddle w^(-nk) the sample's own root w^k.  The series and
-    r are real, so samples k and K - k are conjugates: the sum is over
-    k = 0 .. floor(K/2) of Re(S(r w^k) w^k), weight 1 at k = 0 and
-    k = K/2 and 2 elsewhere, floor((n+1)/2) + 1 samples and roots.  The
-    folded sum is real, and its distance to the nearest integer, which
-    carries every sample's rounding, is a pure precision health metric.
-    A prec below OEbar(n)'s bit length + 16 is raised to it, leaving a
-    residual near 2^-40; one above 0.25 is a defect, and raises.
+    Samples genfun's hypergeometric series, truncated at order n, at the
+    K = n + 1 points z_k = r w^k, w = e^(2 pi i/K), r = e^(-2 pi y).  With
+    K > n only q^n aliases onto q^n, so sum_k S(z_k) w^(-nk) = K OEbar(n) r^n
+    exactly, and n = -1 (mod K) makes each twiddle the sample's own root
+    w^k = z_k / r: the sum is sum_k z_k S(z_k) / r^(n+1), z S(z) the series
+    with a zero coefficient put below it.  The series and r are real, so
+    samples k and K - k are conjugates: the sum is over k <= K/2 of
+    Re(z_k S(z_k)), weight 1 at k = 0 and k = K/2 and 2 elsewhere,
+    floor((n+1)/2) + 1 samples.  The folded sum's distance to the nearest
+    integer, which carries every sample's rounding, is a pure precision
+    health metric.  A prec below OEbar(n)'s bit length + 16 is raised to
+    it, leaving a residual near 2^-40; one above 0.25 is a defect, and raises.
 
     The coefficients are scaled once, to wp = series.horner_bits(prec, r)
     fixed-point bits, and each sample is series.horner_fixed's, within
-    2^-(prec + GUARD_BITS + 3) of the series at the sample point as
-    rounded to wp bits; the products with the roots, floored to wp bits,
-    are summed exactly as integers.
+    2^-(prec + GUARD_BITS + 3) of z S(z) at the sample point as rounded
+    to wp bits; the real parts are summed exactly as integers.
     """
     if n < 0:
         raise DomainError("n must be >= 0")
@@ -412,15 +412,13 @@ def cauchy_full_integral(n, prec=256):
     y = 1 / (4 * mp.sqrt(3 * n))
     r = mp.e ** (-2 * mp.pi * y)
     wp = horner_bits(prec, r)
-    coeffs = [c << wp for c in reversed(series.coeffs)]
-    total = 0  # the folded sum, scaled by 2^(2 wp)
+    coeffs = [c << wp for c in reversed(series.coeffs)] + [0]  # z S(z)
+    total = 0  # the folded sum, scaled by 2^wp
     for k in range(samples // 2 + 1):
-        root = mp.expjpi(2 * mpf(k) / samples)
-        z = r * root
-        ar, ai = horner_fixed(coeffs, (to_fixed(z.real._mpf_, wp), to_fixed(z.imag._mpf_, wp)), wp)
-        part = ar * to_fixed(root.real._mpf_, wp) - ai * to_fixed(root.imag._mpf_, wp)
+        z = r * mp.expjpi(2 * mpf(k) / samples)
+        part, _ = horner_fixed(coeffs, (to_fixed(z.real._mpf_, wp), to_fixed(z.imag._mpf_, wp)), wp)
         total += part if 2 * k % samples == 0 else 2 * part
-    total = mpf((total, -2 * wp)) / samples / r ** n
+    total = mpf((total, -wp)) / samples / r ** (n + 1)
     nearest = int(mp.nint(total))
     residual = abs(total - nearest)
     if residual > 0.25:
@@ -555,9 +553,11 @@ def minor_arc_empirical_max(geom, grid=200, prec=96):
 @guarded
 def circle_report(n, big_m=6, prec=128, grid=100):
     """End-to-end circle-method report for one n, as a plain dict (JSON-ready);
-    the recovery and the minor-arc maximum choose their own precision."""
+    the recovery and the minor-arc maximum choose their own precision.  The
+    exact coefficient is genfun.oebar_series_product's, which shares no
+    series with the one recovery samples, so a match checks that one too."""
     geom = ArcGeometry(n=n, big_m=mpf(big_m))
-    exact = genfun.oebar_series_hypergeometric(n).coefficient(n)
+    exact = genfun.oebar_series_product(n).coefficient(n)
     recovered, residual = cauchy_full_integral(n, prec=prec)
     i1 = major_arc_integral(geom, prec=prec)
     mt_exp, mt_bess = main_term(n, prec=prec)

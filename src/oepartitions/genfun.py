@@ -25,19 +25,21 @@ Series implemented:
 The product route takes (-q;q)_inf as the eta quotient (q^2;q^2)_inf /
 (q;q)_inf.  Both factors are Euler pentagonal series with O(sqrt(N)) nonzero
 terms, so the route costs one sparse multiply and one sparse division,
-O(N^(3/2)) each, on top of f_mock_series.
+O(N^(3/2)) each, on top of f_mock_series.  It shares no series with the
+hypergeometric route, so circle checks its Cauchy recovery against it.
+
+Every builder is a pure function that keeps no series between calls.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import count
 
 from .series import (
     PowerSeries,
     _check_order,
     _div_one_minus_qk,
-    _div_one_plus_qk,
+    _div_one_plus_qk_squared,
     _div_sparse,
     _mul_one_plus_qk,
     _product,
@@ -87,13 +89,11 @@ def _oebar_update(u, m):
     _div_one_minus_qk(u, 2 * m)
 
 
-@lru_cache(maxsize=32)
 def oe_series(order):
     """Generating function of OE(n), exact to the given order."""
     return _sum_summands(order, _triangular, _oe_update)
 
 
-@lru_cache(maxsize=32)
 def sj_series(j, order):
     """S_j: the m = j (mod 4) subsum of the OE generating function."""
     if j not in (0, 1, 2, 3):
@@ -110,7 +110,6 @@ def parity_split(order):
     return PowerSeries(even), PowerSeries(odd)
 
 
-@lru_cache(maxsize=32)
 def oebar_series_hypergeometric(order):
     """Generating function of OEbar(n) as the (-1;q)_m hypergeometric sum."""
     return _sum_summands(order, _triangular, _oebar_update)
@@ -118,16 +117,14 @@ def oebar_series_hypergeometric(order):
 
 def _f_mock_update(u, n):
     # t_n = t_{n-1} * q^(2n-1) / (1 + q^n)^2
-    _div_one_plus_qk(u, n, 2)
+    _div_one_plus_qk_squared(u, n)
 
 
-@lru_cache(maxsize=32)
 def f_mock_series(order):
     """Ramanujan's third order mock theta function f(q) = sum q^(n^2)/(-q;q)_n^2."""
     return _sum_summands(order, lambda n: n * n, _f_mock_update)
 
 
-@lru_cache(maxsize=32)
 def watson_core(order):
     """2 sum_{n in Z} (-1)^n q^(n(3n+1)/2) / (1+q^n), as an exact series.
 
@@ -163,7 +160,6 @@ def _pentagonal(order, s=1):
     return PowerSeries(c)
 
 
-@lru_cache(maxsize=32)
 def oebar_series_product(order):
     """OEbar generating function via the mixed-mock factorization (-q;q)_inf f(q).
 

@@ -266,15 +266,15 @@ def evaluate_at(series, point, prec, growth_c=None):
 
 
 # ---------------------------------------------------------------------------
-# In-place coefficient kernels.  These implement multiplication/division by
-# the sparse binomials (1 +- q^k) in O(N), and division by a sparse series in
-# O(N * nnz); they are what keeps the generating function builders at
-# O(N^(3/2)) overall.  A multiplication reads only old coefficients, so it is
-# one slice operation.  A division by (1 +- q^k) is the recurrence
-# c_i -+= c_(i-k), which couples only coefficients k apart, so it runs either
-# along the k residue classes mod k or in blocks of k, whichever are fewer:
-# at most 3 sqrt(len(c)) interpreted steps, 4 sqrt(len(c)) for (1 + q^k)^2,
-# with all per-coefficient work in C.
+# In-place coefficient kernels.  These implement multiplication by the sparse
+# binomials (1 +- q^k), division by 1 - q^k and by (1 + q^k)^2 in O(N), and
+# division by a sparse series in O(N * nnz); they are what keeps the
+# generating function builders at O(N^(3/2)) overall.  A multiplication reads
+# only old coefficients, so it is one slice operation.  A division by
+# 1 -+ q^k is the recurrence c_i +-= c_(i-k), which couples only coefficients
+# k apart, so it runs either along the k residue classes mod k or in blocks
+# of k, whichever are fewer: at most 3 sqrt(len(c)) interpreted steps, with
+# all per-coefficient work in C.
 
 def _mul_one_minus_qk(c, k):
     c[k:] = map(sub, c[k:], c[: len(c) - k])
@@ -299,28 +299,26 @@ def _div_one_minus_qk(c, k):
             c[i : i + k] = map(add, c[i : i + k], c[i - k : i])
 
 
-def _div_one_plus_qk(c, k, power=1):
-    """c <- c / (1 + q^k)^power in place, switching as _div_one_minus_qk does.
+def _div_one_plus_qk_squared(c, k):
+    """c <- c / (1 + q^k)^2 in place, switching as _div_one_minus_qk does.
 
     On a residue class x_0, x_1, ... mod k the quotient by 1 + q^k is
-    y_j = x_j - y_(j-1), that is y_j = (-1)^j times the prefix sum of
-    (-1)^j x_j; by (1 + q^k)^power it is power such prefix sums between the
-    same two sign flips.  So for k^2 < len(c) the class's odd places, the
-    indices i with i mod 2k >= k, are negated before the prefix sums and
-    after them: (2 + power) k steps.
+    y_j = (-1)^j times the prefix sum of (-1)^j x_j, so by (1 + q^k)^2 it
+    is two chained prefix sums between the same two sign flips: for
+    k^2 < len(c) the indices i with i mod 2k >= k are negated before and
+    after them, 3k steps; the blocks take 2 len(c) / k.
     """
     if k < 1:
-        raise SeriesError(f"division by 1 + q^k needs k >= 1, got {k}")
+        raise SeriesError(f"division by (1 + q^k)^2 needs k >= 1, got {k}")
     if k * k < len(c):
         for r in range(k, 2 * k):
             c[r :: 2 * k] = map(neg, c[r :: 2 * k])
-        for _ in range(power):
-            for r in range(k):
-                c[r::k] = accumulate(c[r::k])
+        for r in range(k):
+            c[r::k] = accumulate(accumulate(c[r::k]))
         for r in range(k, 2 * k):
             c[r :: 2 * k] = map(neg, c[r :: 2 * k])
     else:
-        for _ in range(power):
+        for _ in range(2):
             for i in range(k, len(c), k):
                 c[i : i + k] = map(sub, c[i : i + k], c[i - k : i])
 

@@ -272,9 +272,10 @@ def wright_p(s, u, big_m, prec=256):
       precision   sum_k I_k(2u) r^k = e^(u(r+1/r)) scales Miller's ladder of
                   I_k(2u) r^k and caps the terms at 2 r^(s+1) e^(u(r+1/r)) / pi
                   in all; the bits that cap loses against |P| are estimated
-                  first, from the leading Debye term of I_|s+1|(2u), which is
-                  P_s(u) with the contour closed, and any shortfall is paid
-                  for by pay_for_loss.
+                  first, from the larger of the leading Debye term of
+                  I_|s+1|(2u), which is P_s(u) with the contour closed, and
+                  the u -> 0 limit r^(s+1) |sin((s+1) theta)| / (pi |s+1|)
+                  (theta / pi at s = -1); pay_for_loss pays any shortfall.
     Raises ArithmeticError past TERM_BUDGET terms, so wherever 2ur is above
     4096.  Logs its term count, the ladder's start, the bits lost and any
     re-sum at DEBUG.
@@ -287,9 +288,13 @@ def wright_p(s, u, big_m, prec=256):
     r = mp.hypot(1, big_m)
     if 2 * u * r > TERM_BUDGET:
         raise ArithmeticError(f"P_{s}({u}) on M = {big_m} needs over {TERM_BUDGET} terms")
-    # log |P| ~ log I_|s+1|(2u) by its leading Debye term, and log of the terms' bound
+    # log |P| ~ the larger of the two estimates above, and log of the terms' bound
     nu, t = abs(s + 1), mp.hypot(s + 1, 2 * u)
     log_p = t - nu * mp.asinh(nu / (2 * u)) - mp.log(2 * mp.pi * t) / 2
+    theta = mp.atan(big_m)
+    limit = abs(mp.sin(nu * theta)) * r ** (s + 1) / (mp.pi * nu) if nu else theta / mp.pi
+    if limit:
+        log_p = max(log_p, mp.log(limit))
     log_bound = (s + 1) * mp.log(r) + u * (r + 1 / r)
     headroom = max(int(mp.ceil((log_bound - log_p) / mp.ln2)) + 3, 0)
     (value, lost, terms, start), extra = pay_for_loss(

@@ -8,15 +8,11 @@ from oepartitions import genfun
 
 @pytest.fixture
 def summand_calls(monkeypatch):
-    """The orders of the genfun._sum_summands calls a test makes, from cold caches.
+    """The orders of the genfun._sum_summands calls a test makes.
 
-    Every cached series builder in genfun is cleared first, so a series
-    counts as summed only if the test itself sums it.  Each sj_series class
-    is a call of its own.
+    genfun keeps no series between calls, so every series a test builds
+    counts.  Each sj_series class is a call of its own.
     """
-    for builder in vars(genfun).values():
-        if hasattr(builder, "cache_clear"):
-            builder.cache_clear()
     orders = []
     inner = genfun._sum_summands
 

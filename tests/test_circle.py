@@ -404,6 +404,31 @@ class TestEvaluation:
         with pytest.raises(DomainError):
             oebar_eval(tau=mpc(0, -1), prec=96)
 
+    @pytest.mark.parametrize("re,im,refusal", [
+        ("0", "1e-400", None), ("0", "1e400", None), ("0", "1e-320", None),
+        ("1e-320", "1e-320", None), ("0.001", "1e-310", ArithmeticError),
+        ("0.5", "1e-300", ArithmeticError), ("0", "1e-300", None), ("0", "1e300", None),
+        ("1e-10", "2e-20", None),
+    ])
+    def test_points_past_the_float_range(self, re, im, refusal):
+        # no float size under- or overflows: a point gives its value, correctly
+        # rounded although -1/tau reaches 2^1330, or a sum past the term
+        # budget is refused up front; the type is checked exactly, since
+        # DomainError is a ValueError and the float faults were ValueError,
+        # OverflowError and ZeroDivisionError
+        tau = mpc(mpf(re), mpf(im))
+        if refusal:
+            with pytest.raises(Exception) as info:
+                oebar_eval(tau, 96)
+            assert type(info.value) is refusal and "terms" in str(info.value)
+            return
+        got = oebar_eval(tau, 96)
+        if mpf(im) > 1:
+            assert got == 1
+        want = oebar_eval(tau, 296)
+        with workprec(96):
+            assert (got.real, got.imag) == (+want.real, +want.imag)
+
     def test_dominant_pole_growth(self):
         # near q = 1 the value is (2 sqrt2/3) e^(pi/(24 y)) up to an error
         # bounded by C y e^(pi/(24 y)); the measured C must be stable in y
@@ -809,7 +834,15 @@ class TestReport:
             want = float(1 / (4 * sqrt(3 * n)))
         assert circle_report(n, prec=96, grid=20)["y"] == want
 
-    def test_sums_one_series_to_order_n(self, summand_calls):
-        # the Cauchy recovery samples the series the exact coefficient reads
-        circle_report(25, prec=96, grid=20)
-        assert summand_calls == [25]
+    def test_sums_each_route_once_to_order_n(self, summand_calls, monkeypatch):
+        # the Cauchy recovery samples the hypergeometric series, and the exact
+        # coefficient it is checked against comes from the product route's f
+        built = []
+        for name in ("oebar_series_hypergeometric", "f_mock_series"):
+            inner = getattr(circle.genfun, name)
+            monkeypatch.setattr(circle.genfun, name,
+                                lambda order, name=name, inner=inner: built.append(name) or inner(order))
+        report = circle_report(25, prec=96, grid=20)
+        assert summand_calls == [25, 25]
+        assert sorted(built) == ["f_mock_series", "oebar_series_hypergeometric"]
+        assert report["exact_coefficient"] == report["recovered_coefficient"]

@@ -307,6 +307,18 @@ class TestWrightContour:
         start, bits = map(int, re.search(r": ladder from (\d+), .* at (\d+) bits$", message).groups())
         assert start == specfun._wright_sum(0, mpf("9.1"), mpf(6), bits)[3]
 
+    def test_first_pass_at_tiny_u_sums_at_the_limit_estimate(self, caplog):
+        # P_0(u) -> sin(theta) r / pi = M / pi as u -> 0, while the Debye term
+        # of I_1(2u) reads about log u: the estimate takes the larger, so the
+        # one pass sums at prec + 5 bits, where the Debye term alone asked
+        # for 1335 more
+        with caplog.at_level(logging.DEBUG, logger="oepartitions.specfun"):
+            value = wright_p(0, mpf("1e-400"), mpf(6), 96)
+        (record,) = [r for r in caplog.records if r.name == "oepartitions.specfun"]
+        assert record.getMessage().endswith(", lost 3 bits, no re-sum at 101 bits")
+        with workprec(200):
+            assert abs(value - 6 / mp.pi) < mpf(2) ** -94
+
 
 @functools.lru_cache(maxsize=64)
 def _wright_reference(s, u, big_m):
