@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from mpmath import mp, mpf
 
-from .specfun import GUARD_BITS, DomainError, dilog, guarded, jacobi_theta
+from .specfun import GUARD_BITS, TERM_BUDGET, DomainError, dilog, guarded, jacobi_theta
 
 
 @guarded
@@ -115,7 +115,8 @@ def nu0_for_eps(eps, prec=256):
 def phi_class_sum(frame, eps, prec=256):
     """Direct sum of phi(nu) over nu = nu0 + j (mod 4): the oracle route.
 
-    The cutoff keeps every omitted Gaussian term below the precision target.
+    The cutoff keeps every omitted Gaussian term below the precision target;
+    it grows like eps^(-1/2), and past TERM_BUDGET terms this raises at once.
     """
     eps = mpf(eps)
     if eps <= 0:
@@ -123,6 +124,8 @@ def phi_class_sum(frame, eps, prec=256):
     bits = (prec + GUARD_BITS + 8) * mp.ln(2)
     # include all nu with (sqrt5/2) nu^2 eps <= bits * ln2 (plus slack)
     cutoff = int(mp.ceil(mp.sqrt(2 * bits / (mp.sqrt(5) * eps)) / 4)) + 2
+    if 2 * cutoff + 1 > TERM_BUDGET:
+        raise ArithmeticError(f"the class sum at eps = {eps} needs over {TERM_BUDGET} terms")
     base = mpf(frame.nu0) + frame.j
     total = mpf(0)
     for n in range(-cutoff, cutoff + 1):

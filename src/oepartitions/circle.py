@@ -9,15 +9,15 @@ pieces numerically: the full coefficient-recovery integral, the major-arc
 integral against the Bessel main term, and the proven minor-arc bound
 together with an empirical maximum.
 
-Obar(q) takes one of two routes, picked from the point alone (see
-_oebar_eval_tau).  Near q = 1, Obar = (-q;q)_inf f(q), f Watson's
-third-order mock theta function, moves to the nome Q = e^(-pi i/tau) as
-one formula (see _transformed), whose Mordell integral is summed by an
-asymptotic expansion (see _mordell).  Everywhere else Obar is summed from
+Obar(q) takes one of two routes (see _oebar_eval_tau).  Near q = 1,
+Obar = (-q;q)_inf f(q), f Watson's third-order mock theta function, moves
+to the nome Q = e^(-pi i/tau) as one formula, whose Mordell integral is
+summed by an asymptotic expansion (see _mordell); _transformed computes it
+and alone decides where it serves.  Everywhere else Obar is summed from
 the paper's own series, in fixed point (see _obar_sum).
 
 Both polynomial sums here, the Mordell expansion and the exact series at
-the samples of the Cauchy recovery, run on series.horner_fixed, the
+the samples of the Cauchy recovery, run on specfun.horner_fixed, the
 package's one Horner loop.
 """
 
@@ -35,9 +35,9 @@ from mpmath.libmp import to_fixed
 
 from . import genfun
 from .asympt import oebar_asymptotic
-from .series import horner_bits, horner_fixed
+from .series import horner_bits
 from .specfun import (GUARD_BITS, TERM_BUDGET, DomainError, QuadratureError, bessel_i, guarded,
-                      pay_for_loss)
+                      horner_fixed, pay_for_loss)
 
 # Gauss-Legendre rule with 3 * 2^(QUAD_DEGREE - 1) = 12 nodes per panel;
 # the rule object caches its nodes per precision
@@ -229,7 +229,7 @@ def _mordell_fixed(prec, terms):
 
 
 def _mordell(z, terms, prec):
-    """M(z) ~ sum_(j < terms) b_j z^j, by series.horner_fixed on floor(b_j 2^wp).
+    """M(z) ~ sum_(j < terms) b_j z^j, by specfun.horner_fixed on floor(b_j 2^wp).
 
     b_j = 2 c_j (2j-1)!! / 3^j, c_j the coefficient of u^(2j) in
     sinh u / sinh(3u/2) = 2 cosh(u/2) / (1 + 2 cosh u).  Matching powers of
@@ -297,7 +297,7 @@ def _phase(x, d):
     return x / d if extra <= 0 else mp.fdiv(x, d, prec=mp.prec + extra)
 
 
-def _transformed(tau, inv, size, terms, prec):
+def _transformed(tau, prec):
     """Obar(q) at q = e^(2 pi i tau) through Watson's transformation, the
     bits lost adding M(z) and the omega term, and the terms of M; or None.
 
@@ -306,13 +306,23 @@ def _transformed(tau, inv, size, terms, prec):
       w = 2 sqrt(i/tau) e^(-2 pi i/(3 tau)) omega(Q),
     M the Mordell integral, summed by its asymptotic expansion: Watson's
     e^(z/24) f(e^-z) = M(z) + w times (-q;q)_inf = eta(2 tau)/eta(tau)
-    moved to -1/tau, their factors e^(+-pi i tau/12) cancelled.  The
-    caller passes |z| as the float size and a nonzero term count from
-    _mordell_terms at that size, so the expansion reaches
-    2^-(prec + GUARD_BITS), and forms inv by _phase, as the phases -inv/24
-    and 2 inv/3 are here, and checks Im inv >= 1, so |Q| <= e^-pi.
-    None where M and w cancel more than GUARD_BITS / 2 bits.
+    moved to -1/tau, their factors e^(+-pi i tau/12) cancelled.
+
+    None unless three tests pass, in this order.  Before any complex
+    arithmetic, the float size |z| = 2 pi |tau|, |tau| held in
+    [2^-1000, 2^10] (below, the count can only grow, by terms under the
+    cut; above, it is 0), gives a nonzero _mordell_terms count, so the
+    expansion reaches 2^-(prec + GUARD_BITS).  inv, formed by _phase as the
+    phases -inv/24 and 2 inv/3 are, has Im inv >= 1 (the whole major arc
+    for n >= 30), so |Q| <= e^-pi.  M and w cancel at most GUARD_BITS / 2 bits.
     """
+    size = 2 * math.pi * min(max(abs(complex(tau)), _TINY), 1024.0)
+    terms = _mordell_terms(size, prec)
+    if not terms:
+        return None
+    inv = _phase(-1, tau)
+    if inv.imag < 1:
+        return None
     z = -2j * mp.pi * tau
     big_q = mp.expjpi(inv)
     m = _mordell(z, terms, prec)
@@ -334,28 +344,15 @@ def _oebar_eval_tau(tau, prec):
     """Obar(e^(2 pi i tau)) at the caller's precision, unrounded: the
     guarded entry point above it rounds once, to prec bits.
 
-    The route is chosen before any complex arithmetic.  The float size
-    |z| = 2 pi |tau|, |tau| held in [2^-1000, 2^10] (below, the count can
-    only grow, by terms under the cut; above, it is 0), gives
-    _mordell_terms' count; only where it is nonzero is -1/tau formed and
-    Im(-1/tau) >= 1 (the whole major arc for n >= 30) tested.  Where both
-    pass and _transformed reaches prec bits, that route; elsewhere
-    _obar_sum, re-summed by pay_for_loss.  Logs the route, its term count,
-    lost bits and re-sum at DEBUG.
+    _transformed where it serves, which it decides before any complex
+    arithmetic; elsewhere _obar_sum, re-summed by pay_for_loss.  Logs the
+    route, its term count, lost bits and re-sum at DEBUG.
     """
-    size = 2 * math.pi * min(max(abs(complex(tau)), _TINY), 1024.0)
-    terms = _mordell_terms(size, prec)
-    found = None
-    if terms:
-        inv = _phase(-1, tau)
-        if inv.imag >= 1:
-            found = _transformed(tau, inv, size, terms, prec)
-    if found is not None:
-        (value, lost, terms), route, extra = found, "transformed", 0
-    else:
-        (value, lost, terms), extra = pay_for_loss(lambda bits: _obar_sum(tau, bits), prec,
-                                                   "Obar(q) at tau = %s", tau)
+    found, route, extra = _transformed(tau, prec), "transformed", 0
+    if found is None:
+        found, extra = pay_for_loss(lambda b: _obar_sum(tau, b), prec, "Obar(q) at tau = %s", tau)
         route = "direct"
+    value, lost, terms = found
     if log.isEnabledFor(logging.DEBUG):
         log.debug("Obar(q) at tau = %s: %s, %d terms, lost %d bits, %s", tau, route, terms, lost,
                   f"re-summed at {prec + extra} bits" if extra else "no re-sum")
@@ -391,12 +388,13 @@ def cauchy_full_integral(n, prec=256):
     Re(z_k S(z_k)), weight 1 at k = 0 and k = K/2 and 2 elsewhere,
     floor((n+1)/2) + 1 samples.  The folded sum's distance to the nearest
     integer, which carries every sample's rounding, is a pure precision
-    health metric.  A prec below OEbar(n)'s bit length + 16 is raised to
-    it, leaving a residual near 2^-40; one above 0.25 is a defect, and raises.
+    health metric.  The series is built once, and pay_for_loss raises a prec
+    below OEbar(n)'s bit length + 16 to it, leaving a residual near 2^-40;
+    one above 0.25 is a defect, and raises.
 
-    The coefficients are scaled once, to wp = series.horner_bits(prec, r)
-    fixed-point bits, and each sample is series.horner_fixed's, within
-    2^-(prec + GUARD_BITS + 3) of z S(z) at the sample point as rounded
+    The coefficients are scaled once, to wp = series.horner_bits(bits, r)
+    fixed-point bits, and each sample is specfun.horner_fixed's, within
+    2^-(bits + GUARD_BITS + 3) of z S(z) at the sample point as rounded
     to wp bits; the real parts are summed exactly as integers.
     """
     if n < 0:
@@ -404,25 +402,27 @@ def cauchy_full_integral(n, prec=256):
     if n == 0:
         return 1, mpf(0)
     series = genfun.oebar_series_hypergeometric(n)
-    need = series.coeffs[n].bit_length() + 16
-    if prec < need:
-        return cauchy_full_integral(n, need)
+    extra = max(series.coeffs[n].bit_length() + 16 - prec, 0)
     samples = n + 1
-    # only the radius is needed here, not the arc cut
-    y = 1 / (4 * mp.sqrt(3 * n))
-    r = mp.e ** (-2 * mp.pi * y)
-    wp = horner_bits(prec, r)
-    coeffs = [c << wp for c in reversed(series.coeffs)] + [0]  # z S(z)
-    total = 0  # the folded sum, scaled by 2^wp
-    for k in range(samples // 2 + 1):
-        z = r * mp.expjpi(2 * mpf(k) / samples)
-        part, _ = horner_fixed(coeffs, (to_fixed(z.real._mpf_, wp), to_fixed(z.imag._mpf_, wp)), wp)
-        total += part if 2 * k % samples == 0 else 2 * part
-    total = mpf((total, -wp)) / samples / r ** (n + 1)
-    nearest = int(mp.nint(total))
-    residual = abs(total - nearest)
-    if residual > 0.25:
-        raise QuadratureError(f"rounding residual {residual} above 1/4 at {prec} bits")
+
+    def recover(bits):
+        y = 1 / (4 * mp.sqrt(3 * n))  # only the radius is needed here, not the arc cut
+        r = mp.e ** (-2 * mp.pi * y)
+        wp = horner_bits(bits, r)
+        coeffs = [c << wp for c in reversed(series.coeffs)] + [0]  # z S(z)
+        total = 0  # the folded sum, scaled by 2^wp
+        for k in range(samples // 2 + 1):
+            z = r * mp.expjpi(2 * mpf(k) / samples)
+            part, _ = horner_fixed(coeffs, [to_fixed(x._mpf_, wp) for x in (z.real, z.imag)], wp)
+            total += part if 2 * k % samples == 0 else 2 * part
+        total = mpf((total, -wp)) / samples / r ** (n + 1)
+        nearest = int(mp.nint(total))
+        residual = abs(total - nearest)
+        if residual > 0.25:
+            raise QuadratureError(f"rounding residual {residual} above 1/4 at {bits} bits")
+        return nearest, 0, residual
+
+    (nearest, _, residual), _ = pay_for_loss(recover, prec, "OEbar(%d)", n, extra=extra)
     return nearest, residual
 
 

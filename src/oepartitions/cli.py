@@ -79,8 +79,11 @@ def _emit(args, table, header=None):
         csv.writer(buf, lineterminator="\n").writerows([header, *table])
         text = buf.getvalue()
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise SystemExit(f"cannot write --output {args.output}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 

@@ -115,14 +115,10 @@ def oebar_series_hypergeometric(order):
     return _sum_summands(order, _triangular, _oebar_update)
 
 
-def _f_mock_update(u, n):
-    # t_n = t_{n-1} * q^(2n-1) / (1 + q^n)^2
-    _div_one_plus_qk_squared(u, n)
-
-
 def f_mock_series(order):
     """Ramanujan's third order mock theta function f(q) = sum q^(n^2)/(-q;q)_n^2."""
-    return _sum_summands(order, lambda n: n * n, _f_mock_update)
+    # t_n = t_{n-1} * q^(2n-1) / (1 + q^n)^2
+    return _sum_summands(order, lambda n: n * n, _div_one_plus_qk_squared)
 
 
 def watson_core(order):

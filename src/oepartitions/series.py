@@ -6,17 +6,15 @@ operations truncate to the smaller operand order.  This module is the
 backbone of every identity check in the package: two series agree iff
 their coefficient tuples agree.
 
-horner_fixed is the package's one Horner loop, in fixed point on Python
-integers: evaluate_at sums a series at a point with it, and circle runs
-its Cauchy recovery and the Mordell expansion on it.  evaluate_at logs the
-order, the leading zeros stripped, the fixed-point bits and the tail bound
-at DEBUG under this module's logger.
+evaluate_at sums a series at a point with specfun.horner_fixed, the
+package's one Horner loop, in fixed point on Python integers, and logs
+the order, the leading zeros stripped, the fixed-point bits and the tail
+bound at DEBUG under this module's logger.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 from itertools import accumulate, count, islice, repeat
 from operator import add, mul, neg, sub
@@ -24,7 +22,7 @@ from operator import add, mul, neg, sub
 from mpmath import mp, mpf, mpc
 from mpmath.libmp import to_fixed
 
-from .specfun import GUARD_BITS, guarded
+from .specfun import GUARD_BITS, guarded, horner_fixed
 
 log = logging.getLogger(__name__)
 
@@ -137,8 +135,8 @@ class EvalResult:
 def qpochhammer(start_exp, step, m, order):
     """(q^start_exp; q^step)_m = prod_{j=1}^m (1 - q^(start_exp+(j-1)step)), mod q^(order+1).
 
-    m may be None (or math.inf) for the infinite product, which terminates
-    once factors are congruent to 1 mod q^(order+1).
+    m may be None for the infinite product, which terminates once factors
+    are congruent to 1 mod q^(order+1).
     """
     if start_exp < 1:
         raise SeriesError("start_exp must be >= 1 (factor exponents must be positive)")
@@ -158,9 +156,9 @@ def neg_pochhammer(start_exp, m, order):
 
 
 def _exponents(start, step, m):
-    """The first m terms of start, start + step, ...; all of them for m = None or inf."""
+    """The first m terms of start, start + step, ...; all of them for m = None."""
     exps = count(start, step)
-    return exps if m is None or m == math.inf else islice(exps, max(m, 0))
+    return exps if m is None else islice(exps, max(m, 0))
 
 
 def _product(order, exponents, kernel):
@@ -176,30 +174,6 @@ def _product(order, exponents, kernel):
             break
         kernel(c, e)
     return PowerSeries(c)
-
-
-def horner_fixed(coeffs, point, wp):
-    """sum_k c_k z^k by Horner's rule in fixed point on Python ints.
-
-    coeffs are the c_k, highest first, as any iterable of ints scaled by
-    2^wp; point is z as a pair of ints (real part, imaginary part) scaled
-    by 2^wp.  Returns the sum as such a pair.  Each step is a z + c with
-    the product floored to a multiple of 2^-wp in each component.
-
-    Error: each floor costs under one unit of 2^-wp per component, under
-    2^(1/2 - wp) in modulus, and the steps after it multiply that error by
-    z, so the floor at the step for c_k reaches the sum times |z|^k.  The
-    result is within sum_k 2^(1/2 - wp) |z|^k < 2^(1 - wp) / (1 - |z|) of
-    the exact sum at z, however large the c_k are.  z itself is taken as
-    given: evaluate_at picks wp so that its point converts exactly, and
-    the callers in circle floor theirs to wp bits, which moves z by under
-    2^-wp per component.
-    """
-    zr, zi = point
-    ar = ai = 0
-    for c in coeffs:
-        ar, ai = ((ar * zr - ai * zi) >> wp) + c, (ar * zi + ai * zr) >> wp
-    return ar, ai
 
 
 def horner_bits(prec, radius):
@@ -273,7 +247,7 @@ def evaluate_at(series, point, prec, growth_c=None):
 # only old coefficients, so it is one slice operation.  A division by
 # 1 -+ q^k is the recurrence c_i +-= c_(i-k), which couples only coefficients
 # k apart, so it runs either along the k residue classes mod k or in blocks
-# of k, whichever are fewer: at most 3 sqrt(len(c)) interpreted steps, with
+# of k, whichever are fewer: at most sqrt(len(c)) interpreted steps, with
 # all per-coefficient work in C.
 
 def _mul_one_minus_qk(c, k):

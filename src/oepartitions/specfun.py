@@ -8,8 +8,9 @@ its result to prec bits, once.  The loop `pay_for_loss` pays for the bits
 a sum loses, each pass at prec + extra + GUARD_BITS bits.  A private
 helper computes at its caller's precision and never rounds; _wright_sum
 alone sets its own, for fixed-point constants.  Each value is correct to
-the precision asked for, or the routine raises.  The textbook functions
-are mpmath's, behind this package's domain checks and conventions:
+the precision asked for, or the routine raises.  horner_fixed is the
+package's one Horner loop.  The textbook functions are mpmath's, behind
+this package's domain checks and conventions:
 
   dilog(x)            Li_2(x) on [0, 1): mp.polylog(2, x)
   jacobi_theta(z,tau) theta(z;tau) = sum_{n in 1/2+Z} e^(pi i n^2 tau + 2 pi i n (z+1/2))
@@ -93,6 +94,30 @@ def pay_for_loss(evaluate, prec, what, *args, extra=0):
             return result, extra
         extra = result[1]
     raise ArithmeticError(f"{what % args} still lost {extra} bits after {LOSS_PASSES} passes")
+
+
+def horner_fixed(coeffs, point, wp):
+    """sum_k c_k z^k by Horner's rule in fixed point on Python ints.
+
+    coeffs are the c_k, highest first, as any iterable of ints scaled by
+    2^wp; point is z as a pair of ints (real part, imaginary part) scaled
+    by 2^wp.  Returns the sum as such a pair.  Each step is a z + c with
+    the product floored to a multiple of 2^-wp in each component.
+
+    Error: each floor costs under one unit of 2^-wp per component, under
+    2^(1/2 - wp) in modulus, and the steps after it multiply that error by
+    z, so the floor at the step for c_k reaches the sum times |z|^k.  The
+    result is within sum_k 2^(1/2 - wp) |z|^k < 2^(1 - wp) / (1 - |z|) of
+    the exact sum at z, however large the c_k are.  z itself is taken as
+    given: series.evaluate_at picks wp so that its point converts exactly,
+    and the callers in circle and _wright_sum floor theirs to wp bits,
+    which moves z by under 2^-wp per component.
+    """
+    zr, zi = point
+    ar = ai = 0
+    for c in coeffs:
+        ar, ai = ((ar * zr - ai * zi) >> wp) + c, (ar * zi + ai * zr) >> wp
+    return ar, ai
 
 
 class DomainError(ValueError):
@@ -235,10 +260,8 @@ def _wright_sum(s, u, big_m, prec):
         a, b = (k * a * g + b * h) >> c, a
         d.append(a)
     d.reverse()
-    norm = 0  # sum_(1<=k<=k_neg) d[k] / r^(2k), by Horner's rule
-    for k in range(k_neg, 0, -1):
-        norm = ((norm + d[k]) * h) >> c
-    norm += sum(d[:k_pos + 1])
+    # sum_(k<=K) d[k] + sum_(1<=k<=k_neg) d[k] / r^(2k), the second by Horner's rule at 1/r^2
+    norm = sum(d[:k_pos + 1]) + horner_fixed([*d[k_neg:0:-1], 0], (h, 0), c)[0]
     acc = 0
     for sign, first, last, (zr, zi, wr, wi) in ((1, 0, k_pos, phases[:4]),
                                                 (-1, 1, k_neg, phases[4:])):

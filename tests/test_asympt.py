@@ -136,6 +136,23 @@ class TestPhiAndTheta:
                 theta = sj_theta_asymptotic(frame, eps, prec)
                 assert abs(direct - theta) < tol(prec, 32) * (1 + abs(direct))
 
+    def test_class_sum_has_a_work_budget(self, monkeypatch):
+        # 2 cutoff + 1 terms, cutoff ~ eps^(-1/2): 1457 at eps = 1e-5 and
+        # prec 96, within TERM_BUDGET, and 14525 at 1e-7, refused before
+        # any phi(nu) is summed
+        prec = 96
+        eps = mpf("1e-5")
+        frame = NuFrame(nu0=nu0_for_eps(eps, prec), j=1)
+        direct = phi_class_sum(frame, eps, prec)
+        theta = sj_theta_asymptotic(frame, eps, prec)
+        assert abs(direct - theta) < tol(prec, 32) * (1 + abs(direct))
+        calls = []
+        monkeypatch.setattr(asympt, "phi_nu", lambda *args: calls.append(args))
+        eps = mpf("1e-7")
+        with pytest.raises(ArithmeticError, match="terms"):
+            phi_class_sum(NuFrame(nu0=nu0_for_eps(eps, prec), j=1), eps, prec)
+        assert calls == []
+
     def test_theta_form_rejects_complex_value(self, monkeypatch):
         # the reality check is a raise, not an assert that python -O strips
         monkeypatch.setattr(asympt, "jacobi_theta", lambda z, tau, prec: mpc(1, 1))

@@ -481,10 +481,7 @@ class TestWatsonTransformation:
         # loses up to 64 bits here, so it is compared after its re-sum
         tau = circle_point(n, x)
         with workprec(prec + GUARD_BITS):
-            size = 2 * math.pi * abs(complex(tau))
-            terms = circle._mordell_terms(size, prec)
-            assert terms > 0
-            found = circle._transformed(tau, -1 / tau, size, terms, prec)
+            found = circle._transformed(tau, prec)
             assert found is not None
             transformed = found[0]
             (direct, _, _), _ = specfun.pay_for_loss(lambda bits: circle._obar_sum(tau, bits),
@@ -618,18 +615,20 @@ class TestWatsonTransformation:
         assert len(calls) == 54
 
     def test_route_chosen_before_the_transformation(self, monkeypatch):
-        # the float term count of the Mordell expansion is read first: where
-        # it is 0, as at these points next to q = 1 for small n, neither
-        # -1/tau nor _transformed is computed
+        # _transformed reads the float term count of the Mordell expansion
+        # first: where it is 0, as at these points next to q = 1 for small
+        # n, no phase is computed, -1/tau the first of them; at the last
+        # point -1/tau and the phase -1/(24 tau), while the omega term, with
+        # its phase 2/(3 tau), is far below the truncation of M there
         calls = []
-        inner = circle._transformed
+        inner = circle._phase
 
         def counting(*args):
             calls.append(args)
             return inner(*args)
 
-        monkeypatch.setattr(circle, "_transformed", counting)
-        for n, x, want in [(25, 0, 0), (25, "3y", 0), (400, "3y", 0), (10 ** 5, 0, 1)]:
+        monkeypatch.setattr(circle, "_phase", counting)
+        for n, x, want in [(25, 0, 0), (25, "3y", 0), (400, "3y", 0), (10 ** 5, 0, 2)]:
             calls.clear()
             oebar_eval(tau=circle_point(n, x), prec=96)
             assert len(calls) == want, (n, x)
@@ -711,6 +710,14 @@ class TestCauchyRecovery:
         monkeypatch.setattr(circle, "horner_fixed", counting)
         cauchy_full_integral(n, prec=192)
         assert len(calls) == (n + 1) // 2 + 1
+
+    def test_raised_precision_sums_the_series_once(self, summand_calls):
+        # OEbar(3000) has 133 bits, so prec 128 is raised to 149 bits, by
+        # pay_for_loss on the one series built, not by a second recovery
+        got, residual = cauchy_full_integral(3000, prec=128)
+        assert summand_calls == [3000]
+        assert got == oebar_series_product(3000).coefficient(3000)
+        assert residual < mpf("1e-9")
 
     def test_exact_recovery_at_800(self):
         # 401 samples of an order-800 series, the conjugates of the other

@@ -72,6 +72,18 @@ class TestCompute:
         rows = parse_csv(dest.read_text())
         assert [int(r["value"]) for r in rows] == [1, 1, 0, 2, 0, 2]
 
+    def test_unwritable_output_is_one_line(self, capsys, tmp_path):
+        # a missing directory ends the command with a message naming the
+        # path, not with a FileNotFoundError traceback
+        dest = tmp_path / "missing" / "table.csv"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["compute", "--kind", "oe", "--n-max", "5", "--output", str(dest)])
+        message = exc.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert str(dest) in message
+        assert not dest.parent.exists()
+        assert capsys.readouterr().out == ""
+
     def test_deterministic(self, capsys):
         _, a, _ = run_cli(capsys, "compute", "--kind", "oe", "--n-max", "40")
         _, b, _ = run_cli(capsys, "compute", "--kind", "oe", "--n-max", "40")

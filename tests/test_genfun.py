@@ -5,11 +5,11 @@ from oepartitions.series import (
     PowerSeries,
     SeriesError,
     _div_one_minus_qk,
+    _div_one_plus_qk_squared,
     neg_pochhammer,
     qpochhammer,
 )
 from oepartitions.genfun import (
-    _f_mock_update,
     _oe_update,
     _oebar_update,
     _pentagonal,
@@ -224,7 +224,7 @@ def _assert_nested_sums_match_forward(order):
     for j in range(4):
         assert sj_series(j, order) == classes[j], j
     assert oebar_series_hypergeometric(order) == _forward_sum(order, _triangular, _oebar_update)[0]
-    assert f_mock_series(order) == _forward_sum(order, _square, _f_mock_update)[0]
+    assert f_mock_series(order) == _forward_sum(order, _square, _div_one_plus_qk_squared)[0]
     for rec in classical_identity_suite(order):
         lowest, step = _CLASSICAL_SUMS[rec["name"]]
         want = _forward_sum(order, lowest, lambda u, n: _div_one_minus_qk(u, step * n))[0]

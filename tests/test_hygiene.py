@@ -6,7 +6,7 @@
 - Every module-level private function or class of the package (a _name,
   not a __dunder__) is read somewhere in the package, so a helper does not
   outlive its last caller.
-- The package has one Horner loop, series.horner_fixed: no source file
+- The package has one Horner loop, specfun.horner_fixed: no source file
   under it names mpmath's polyval.
 - The package has one quadrature rule, circle.adaptive_quad: no source
   file under it names mpmath's quad, quadts or quadgl.
@@ -280,7 +280,7 @@ def test_one_horner_loop():
         for number, line in enumerate(path.read_text().splitlines(), 1)
         if "polyval" in line
     ]
-    assert not hits, f"polyval at {hits}: sum series with series.horner_fixed"
+    assert not hits, f"polyval at {hits}: sum series with specfun.horner_fixed"
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.rglob("*.py")), ids=lambda p: p.name)

@@ -192,14 +192,14 @@ class TestKernelWork:
         return c.writes
 
     @pytest.mark.parametrize("kernel", [_div_one_minus_qk])
-    def test_division_makes_at_most_three_sqrt_n_writes(self, kernel):
-        bound = 3 * (math.isqrt(self.N - 1) + 1)
+    def test_division_makes_at_most_sqrt_n_writes(self, kernel):
+        bound = math.isqrt(self.N - 1) + 1
         worst = max((self.writes(kernel, k), k) for k in range(1, self.N + 1))
         assert worst[0] <= bound, f"{worst[0]} writes at k = {worst[1]}, bound {bound}"
 
-    def test_squared_division_makes_at_most_four_sqrt_n_writes(self):
+    def test_squared_division_makes_at_most_three_sqrt_n_writes(self):
         # one pair of sign flips around two prefix sums per residue class
-        bound = 4 * (math.isqrt(self.N - 1) + 1)
+        bound = 3 * (math.isqrt(self.N - 1) + 1)
         worst = max((self.writes(_div_one_plus_qk_squared, k), k) for k in range(1, self.N + 1))
         assert worst[0] <= bound, f"{worst[0]} writes at k = {worst[1]}, bound {bound}"
 
