@@ -11,44 +11,10 @@ precision, and verifies the asymptotic laws
     OEbar(n) ~ e^(pi sqrt(n/3)) / (3^(5/4) n^(3/4))
 
 numerically at desk scale.
-"""
 
-from .series import PowerSeries, EvalResult, qpochhammer, neg_pochhammer, evaluate_at
-from .enumeration import OEPartition, OEOverpartition, enum_oe, enum_oebar
-from .genfun import (
-    oe_series,
-    sj_series,
-    parity_split,
-    f_mock_series,
-    watson_core,
-    oebar_series_hypergeometric,
-    oebar_series_product,
-    classical_identity_suite,
-)
-from .asympt import (
-    AsymptoticLaw,
-    ExpansionParams,
-    InghamInput,
-    NuFrame,
-    root_R,
-    zagier_log_expansion,
-    phi_nu,
-    sj_theta_asymptotic,
-    gf_asymptotic,
-    ingham_transfer,
-    halve_argument,
-    oe_asymptotic,
-    oebar_asymptotic,
-)
-from .circle import (
-    ArcGeometry,
-    MinorArcBound,
-    oebar_eval,
-    cauchy_full_integral,
-    major_arc_integral,
-    main_term,
-    minor_arc_bound,
-    minor_arc_empirical_max,
-)
+Importing the package loads none of its modules, so that each command of
+the CLI pays only for the layers it runs; import from the submodules
+(series, enumeration, genfun, specfun, asympt, circle).
+"""
 
 __version__ = "0.1.0"

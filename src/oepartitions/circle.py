@@ -557,12 +557,13 @@ def circle_report(n, big_m=6, prec=128, grid=100):
     exact coefficient is genfun.oebar_series_product's, which shares no
     series with the one recovery samples, so a match checks that one too."""
     geom = ArcGeometry(n=n, big_m=mpf(big_m))
+    # first, since it refuses a grid below 2 before it samples anything
+    emp = minor_arc_empirical_max(geom, grid=grid)
     exact = genfun.oebar_series_product(n).coefficient(n)
     recovered, residual = cauchy_full_integral(n, prec=prec)
     i1 = major_arc_integral(geom, prec=prec)
     mt_exp, mt_bess = main_term(n, prec=prec)
     bound = minor_arc_bound(geom, prec=prec)
-    emp = minor_arc_empirical_max(geom, grid=grid)
     return {
         "n": n,
         "M": float(big_m),

@@ -16,6 +16,11 @@ working precision is 256 bits, overridable with --prec or the
 OEPARTITIONS_PREC environment variable; below MIN_PREC = 64 bits it is refused.
 Every number printed is computed under specfun.guarded at that precision:
 this module sets no working precision of its own.
+
+A command checks its arguments, and that its --output can be written, before
+it imports the layers it runs: nothing here imports mpmath or another module
+of the package at import time, so a refused command loads neither, and
+compute loads only the series or only the enumeration layer.
 """
 
 from __future__ import annotations
@@ -29,25 +34,19 @@ import os
 import sys
 from collections import namedtuple
 
-from mpmath import mp, mpf
-
-from . import asympt, circle, enumeration, genfun, specfun
-from .series import PowerSeries, SeriesError, evaluate_at
-
 ENUM_COST_GUARD = 50
 # ratio builds one series to the largest n; --force lifts this ceiling
 RATIO_ORDER_CEILING = 20000
 # gf-eval prints floats: a tail bound above 2^-53 of the value shows in the output
-PRINTED_PRECISION = mpf(2) ** -53
+PRINTED_PRECISION = 2.0 ** -53
 # the verify tolerances are 2^-(prec - 56), which pass anything at 56 bits
 MIN_PREC = 64
 
-# what compute and ratio read for each --kind
+# the genfun, enumeration and asympt names compute and ratio read for each --kind
 Kind = namedtuple("Kind", "series enum law")
 KINDS = {
-    "oe": Kind(genfun.oe_series, enumeration.enum_oe, asympt.oe_asymptotic),
-    "oebar": Kind(genfun.oebar_series_hypergeometric, enumeration.enum_oebar,
-                  asympt.oebar_asymptotic),
+    "oe": Kind("oe_series", "enum_oe", "oe_asymptotic"),
+    "oebar": Kind("oebar_series_hypergeometric", "enum_oebar", "oebar_asymptotic"),
 }
 
 
@@ -67,6 +66,23 @@ def _parse_list(text, convert, option):
         raise SystemExit(f"{option} needs a comma-separated list of numbers, got {text!r}") from None
 
 
+def _cannot_write(path, exc):
+    return SystemExit(f"cannot write --output {path}: {exc.strerror}")
+
+
+def _check_output(path):
+    """Refuse an --output path that cannot be opened for writing, before any
+    work.  The probe appends, so it truncates nothing, and it removes a file
+    it created."""
+    created = not os.path.lexists(path)
+    try:
+        open(path, "a").close()
+    except OSError as exc:
+        raise _cannot_write(path, exc) from None
+    if created:
+        os.remove(path)
+
+
 def _emit(args, table, header=None):
     """Write rows under header as a CSV or JSON table, or a report (no header)
     as JSON, to the --output file or to stdout without one."""
@@ -83,7 +99,7 @@ def _emit(args, table, header=None):
             with open(args.output, "w") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise SystemExit(f"cannot write --output {args.output}: {exc.strerror}") from None
+            raise _cannot_write(args.output, exc) from None
     else:
         sys.stdout.write(text)
 
@@ -99,20 +115,28 @@ def cmd_compute(args):
     if args.method == "watson-product" and args.kind != "oebar":
         raise SystemExit("--method watson-product applies to --kind oebar only")
     if args.method == "enum":
-        values = [kind.enum(n) for n in range(n_max + 1)]
+        from . import enumeration
+
+        count = getattr(enumeration, kind.enum)
+        values = [count(n) for n in range(n_max + 1)]
     else:
-        build = genfun.oebar_series_product if args.method == "watson-product" else kind.series
-        values = build(n_max).coeffs
+        from . import genfun
+
+        name = "oebar_series_product" if args.method == "watson-product" else kind.series
+        values = getattr(genfun, name)(n_max).coeffs
     _emit(args, enumerate(values), ["n", "value"])
     return 0
 
 
-@specfun.guarded
 def _ratio_rows(kind, ns, prec):
-    series = kind.series(max(ns))
+    from mpmath import mpf
+
+    from . import asympt, genfun
+
+    series, law = getattr(genfun, kind.series)(max(ns)), getattr(asympt, kind.law)
     rows = []
     for n in ns:
-        exact, approx = series.coefficient(n), kind.law(n, prec)
+        exact, approx = series.coefficient(n), law(n, prec)
         rows.append((n, exact, float(approx), float(mpf(exact) / approx)))
     return rows
 
@@ -125,12 +149,13 @@ def cmd_ratio(args):
         raise SystemExit(
             f"series order {ns[-1]} above the ceiling {RATIO_ORDER_CEILING}; pass --force"
         )
-    rows = _ratio_rows(KINDS[args.kind], ns, args.prec)
+    from . import specfun
+
+    rows = specfun.guarded(_ratio_rows)(KINDS[args.kind], ns, args.prec)
     _emit(args, rows, ["n", "exact", "asymptotic", "ratio"])
     return 0
 
 
-@specfun.guarded
 def _gf_rows(eps_grid, prec):
     """O, O_e and O_o at q = e^(-eps), each with its leading asymptotic.
 
@@ -141,6 +166,10 @@ def _gf_rows(eps_grid, prec):
     2j + 1 <= (2 + 1/(J+1)) j gives |c_(2j+1)| <= e^(C sqrt(2 + 1/(J+1)) sqrt j).
     oe_series is summed once, to the grid's largest order, and truncated.
     """
+    from mpmath import mp, mpf
+
+    from . import asympt, genfun, series
+
     rows = []
     growth_c = mp.pi / mp.sqrt(5)
     orders = [max(1, int(300 / float(eps))) for eps in eps_grid]
@@ -148,14 +177,14 @@ def _gf_rows(eps_grid, prec):
     for eps, order in zip(eps_grid, orders):
         full = top.truncate(order)
         q = mp.e ** (-eps)
-        even, odd = PowerSeries(full.coeffs[::2]), PowerSeries(full.coeffs[1::2])
+        even, odd = series.PowerSeries(full.coeffs[::2]), series.PowerSeries(full.coeffs[1::2])
         parts = (("full", full, q, 1, growth_c),
                  ("even", even, q * q, 1, growth_c * mp.sqrt(2)),
                  ("odd", odd, q * q, q, growth_c * mp.sqrt(2 + mpf(1) / (odd.order + 1))))
-        for name, series, point, factor, growth in parts:
+        for name, part, point, factor, growth in parts:
             try:
-                res = evaluate_at(series, point, prec, growth_c=growth)
-            except SeriesError as exc:
+                res = series.evaluate_at(part, point, prec, growth_c=growth)
+            except series.SeriesError as exc:
                 raise SystemExit(f"gf-eval at eps {float(eps)}, order {order}: {exc}") from None
             if res.tail_bound > abs(res.value) * PRINTED_PRECISION:
                 raise SystemExit(
@@ -169,18 +198,24 @@ def _gf_rows(eps_grid, prec):
 
 
 def cmd_gf_eval(args):
+    from mpmath import mpf
+
     eps_grid = _parse_list(args.eps, mpf, "--eps")
     # float, because the order and the printed rows are taken in floats
     if not all(0 < float(eps) < math.inf for eps in eps_grid):
         raise SystemExit("--eps values must be finite and > 0")
     if min(eps_grid) < mpf("0.005") and not args.force:
         raise SystemExit("eps below 0.005 needs a very long series; pass --force")
-    rows = _gf_rows(eps_grid, args.prec)
+    from . import specfun
+
+    rows = specfun.guarded(_gf_rows)(eps_grid, args.prec)
     _emit(args, rows, ["eps", "branch", "series_value", "asymptotic", "ratio"])
     return 0
 
 
 def cmd_circle(args):
+    from . import circle
+
     report = circle.circle_report(args.n, big_m=args.M, prec=args.prec, grid=args.grid)
     if not report["clears_threshold"]:
         sys.stderr.write(
@@ -195,6 +230,8 @@ def cmd_circle(args):
 # verify
 
 def _verify_identities(order):
+    from . import genfun
+
     oe = genfun.oe_series(order)
     checks = []
     sj = [genfun.sj_series(j, order) for j in range(4)]
@@ -214,8 +251,11 @@ def _verify_identities(order):
     return checks
 
 
-@specfun.guarded
 def _verify_asymptotics(prec):
+    from mpmath import mpf
+
+    from . import asympt, genfun
+
     oe = genfun.oe_series(40).coeffs
     checks = [("OE(n) <= OE(n+2) for 1 <= n <= 38", all(oe[n] <= oe[n + 2] for n in range(1, 39)))]
     grid = [mpf("0.05"), mpf("0.02"), mpf("0.01")]
@@ -232,8 +272,11 @@ def _verify_asymptotics(prec):
     return checks
 
 
-@specfun.guarded
 def _verify_specfun(prec):
+    from mpmath import mp, mpf
+
+    from . import specfun
+
     checks = []
     q_gold = (3 - mp.sqrt(5)) / 2
     tol = mpf(2) ** (-(prec - 56))
@@ -250,6 +293,10 @@ def _verify_specfun(prec):
 
 
 def _verify_circle(prec):
+    from mpmath import mpf
+
+    from . import circle, genfun
+
     checks = []
     for n in (10, 50):
         rec, _ = circle.cauchy_full_integral(n, prec)
@@ -266,10 +313,12 @@ def _verify_circle(prec):
 def cmd_verify(args):
     if args.order < 0:
         raise SystemExit("--order must be >= 0")
+    from . import specfun
+
     # looked up when the command runs, so a replaced suite takes effect
     suites = [("identities", _verify_identities, args.order),
-              ("asymptotics", _verify_asymptotics, args.prec),
-              ("specfun", _verify_specfun, args.prec),
+              ("asymptotics", specfun.guarded(_verify_asymptotics), args.prec),
+              ("specfun", specfun.guarded(_verify_specfun), args.prec),
               ("circle", _verify_circle, args.prec)]
     checks = [check for name, run, arg in suites if args.suite in (name, "all")
               for check in run(arg)]
@@ -335,6 +384,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     if args.prec < MIN_PREC:
         raise SystemExit(f"--prec (or OEPARTITIONS_PREC) must be >= {MIN_PREC}, got {args.prec}")
+    if getattr(args, "output", None):
+        _check_output(args.output)
     return args.func(args)
 
 

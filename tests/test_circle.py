@@ -853,3 +853,8 @@ class TestReport:
         assert summand_calls == [25, 25]
         assert sorted(built) == ["f_mock_series", "oebar_series_hypergeometric"]
         assert report["exact_coefficient"] == report["recovered_coefficient"]
+
+    def test_grid_below_two_is_refused_before_any_work(self, summand_calls):
+        with pytest.raises(DomainError, match="grid"):
+            circle_report(800, prec=128, grid=1)
+        assert summand_calls == []

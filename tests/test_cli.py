@@ -2,11 +2,16 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from mpmath import exp, mpf, workprec
 
-from oepartitions import cli, genfun
+import oepartitions
+from oepartitions import cli, genfun, series
 from oepartitions.enumeration import enum_oe, enum_oebar
 from oepartitions.series import EvalResult, evaluate_at
 
@@ -84,6 +89,26 @@ class TestCompute:
         assert not dest.parent.exists()
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["compute", "--kind", "oe", "--n-max", "200000"],
+        ["ratio", "--kind", "oe", "--n", "100,1000"],
+        ["gf-eval", "--eps", "0.05"],
+    ])
+    def test_unwritable_output_is_refused_before_any_series(self, capsys, tmp_path,
+                                                            summand_calls, argv):
+        dest = tmp_path / "missing" / "table.csv"
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--output", str(dest)])
+        assert str(dest) in exc.value.code
+        assert summand_calls == []
+
+    def test_output_probe_leaves_no_file_behind(self, capsys, tmp_path):
+        # a refused command does not leave the file it was to write
+        dest = tmp_path / "table.csv"
+        with pytest.raises(SystemExit):
+            cli.main(["compute", "--kind", "oe", "--n-max", "-3", "--output", str(dest)])
+        assert not dest.exists()
+
     def test_deterministic(self, capsys):
         _, a, _ = run_cli(capsys, "compute", "--kind", "oe", "--n-max", "40")
         _, b, _ = run_cli(capsys, "compute", "--kind", "oe", "--n-max", "40")
@@ -147,7 +172,7 @@ class TestGFEval:
             orders.append(series.order)
             return evaluate_at(series, point, prec, growth_c)
 
-        monkeypatch.setattr(cli, "evaluate_at", spy)
+        monkeypatch.setattr(series, "evaluate_at", spy)
         code, out, _ = run_cli(capsys, "gf-eval", "--eps", "0.0510,0.0305")
         assert code == 0
         assert orders == [5882, 2941, 2940, 9836, 4918, 4917]
@@ -169,7 +194,7 @@ class TestGFEval:
             value = mpf(1000)
             return EvalResult(value=value, tail_bound=value * mpf(2) ** -52)
 
-        monkeypatch.setattr(cli, "evaluate_at", loose)
+        monkeypatch.setattr(series, "evaluate_at", loose)
         with pytest.raises(SystemExit) as exc:
             cli.main(["gf-eval", "--eps", "0.05"])
         message = exc.value.code
@@ -276,3 +301,52 @@ class TestPrecPlumbing:
             cli.main(["verify", "--suite", "specfun"])
         message = exc.value.code
         assert isinstance(message, str) and "OEPARTITIONS_PREC" in message and "\n" not in message
+
+
+FOOTPRINT = """
+import io, json, sys
+argv = json.loads(sys.argv[1])
+if argv is None:
+    import oepartitions
+else:
+    from oepartitions import cli
+    sys.stdout = io.StringIO()
+    try:
+        cli.main(argv)
+    except SystemExit:
+        pass
+names = [m for m in sys.modules if m.split(".")[0] in ("mpmath", "oepartitions")]
+sys.__stdout__.write(json.dumps(names))
+"""
+
+
+def loaded_modules(argv):
+    """The mpmath and oepartitions modules a fresh interpreter holds after
+    importing the package (argv None) or after running the CLI on argv."""
+    src = str(Path(oepartitions.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", FOOTPRINT, json.dumps(argv)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout))
+
+
+class TestImportFootprint:
+    def test_package_import_loads_no_submodule(self):
+        assert loaded_modules(None) == {"oepartitions"}
+
+    @pytest.mark.parametrize("argv", [
+        ["compute", "--kind", "oebar", "--n-max", "12", "--method", "enum"],
+        ["compute", "--kind", "oe", "--n-max", "-3"],
+        ["compute", "--kind", "even", "--n-max", "5"],
+        ["ratio", "--kind", "oe", "--n", ","],
+    ])
+    def test_enumeration_and_refusals_load_no_mpmath(self, argv):
+        loaded = loaded_modules(argv)
+        assert not {m for m in loaded if m.split(".")[0] == "mpmath"}
+        assert "oepartitions.cli" in loaded
+
+    def test_series_tables_load_no_circle_or_asymptotics(self):
+        loaded = loaded_modules(["compute", "--kind", "oe", "--n-max", "10"])
+        assert "oepartitions.genfun" in loaded
+        assert not loaded & {"oepartitions.circle", "oepartitions.asympt"}

@@ -1,8 +1,7 @@
 """Static checks on the source and test trees, with the standard library's ast only.
 
 - No assert statement in the package: its checks must survive python -O.
-- No unused module-level import in the package (whose __init__ re-exports
-  by design) or in the tests.
+- No unused module-level import in the package or in the tests.
 - Every module-level private function or class of the package (a _name,
   not a __dunder__) is read somewhere in the package, so a helper does not
   outlive its last caller.
