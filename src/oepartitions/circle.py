@@ -35,9 +35,8 @@ from mpmath.libmp import to_fixed
 
 from . import genfun
 from .asympt import oebar_asymptotic
-from .series import horner_bits
 from .specfun import (GUARD_BITS, TERM_BUDGET, DomainError, QuadratureError, bessel_i, guarded,
-                      horner_fixed, pay_for_loss)
+                      horner_bits, horner_fixed, pay_for_loss)
 
 # Gauss-Legendre rule with 3 * 2^(QUAD_DEGREE - 1) = 12 nodes per panel;
 # the rule object caches its nodes per precision
@@ -392,7 +391,7 @@ def cauchy_full_integral(n, prec=256):
     below OEbar(n)'s bit length + 16 to it, leaving a residual near 2^-40;
     one above 0.25 is a defect, and raises.
 
-    The coefficients are scaled once, to wp = series.horner_bits(bits, r)
+    The coefficients are scaled once, to wp = specfun.horner_bits(bits, r)
     fixed-point bits, and each sample is specfun.horner_fixed's, within
     2^-(bits + GUARD_BITS + 3) of z S(z) at the sample point as rounded
     to wp bits; the real parts are summed exactly as integers.

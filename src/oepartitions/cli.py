@@ -20,15 +20,14 @@ this module sets no working precision of its own.
 A command checks its arguments, and that its --output can be written, before
 it imports the layers it runs: nothing here imports mpmath or another module
 of the package at import time, so a refused command loads neither, and
-compute loads only the series or only the enumeration layer.
+compute loads only the series or only the enumeration layer, neither of
+which imports mpmath.  gf-eval refuses its --eps grid in floats before it
+reads it with mpmath.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import math
 import os
 import sys
@@ -85,15 +84,21 @@ def _check_output(path):
 
 def _emit(args, table, header=None):
     """Write rows under header as a CSV or JSON table, or a report (no header)
-    as JSON, to the --output file or to stdout without one."""
-    if header is None:
-        text = json.dumps(table, indent=2) + "\n"
-    elif args.format == "json":
-        text = json.dumps([dict(zip(header, r)) for r in table], indent=2) + "\n"
-    else:
+    as JSON, to the --output file or to stdout without one.  Each format
+    imports its own writer."""
+    if header is not None and args.format == "csv":
+        import csv
+        import io
+
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows([header, *table])
         text = buf.getvalue()
+    else:
+        import json
+
+        if header is not None:
+            table = [dict(zip(header, r)) for r in table]
+        text = json.dumps(table, indent=2) + "\n"
     if args.output:
         try:
             with open(args.output, "w") as fh:
@@ -197,15 +202,30 @@ def _gf_rows(eps_grid, prec):
     return rows
 
 
+def _refuse_eps(grid, force):
+    """Refuse a grid of floats, the values the order and the printed rows are
+    taken in, unless each is finite and > 0 and, without force, >= 0.005."""
+    if not all(0 < eps < math.inf for eps in grid):
+        raise SystemExit("--eps values must be finite and > 0")
+    if min(grid) < 0.005 and not force:
+        raise SystemExit("eps below 0.005 needs a very long series; pass --force")
+
+
 def cmd_gf_eval(args):
+    # Refused in floats before mpmath is imported where float reads every
+    # value as a finite number, and by mpf's reading otherwise: mpf also
+    # reads p/q, and float also reads forms such as infinity and -nan.  At
+    # mpmath's default 53 bits the two readings of a text are one value.
+    try:
+        floats = [float(s) for s in args.eps.split(",")]
+    except ValueError:
+        floats = None
+    if floats is not None and all(map(math.isfinite, floats)):
+        _refuse_eps(floats, args.force)
     from mpmath import mpf
 
     eps_grid = _parse_list(args.eps, mpf, "--eps")
-    # float, because the order and the printed rows are taken in floats
-    if not all(0 < float(eps) < math.inf for eps in eps_grid):
-        raise SystemExit("--eps values must be finite and > 0")
-    if min(eps_grid) < mpf("0.005") and not args.force:
-        raise SystemExit("eps below 0.005 needs a very long series; pass --force")
+    _refuse_eps([float(eps) for eps in eps_grid], args.force)
     from . import specfun
 
     rows = specfun.guarded(_gf_rows)(eps_grid, args.prec)

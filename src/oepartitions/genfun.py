@@ -188,10 +188,13 @@ def classical_identity_suite(order):
 
     Returns a list of dicts: {name, lhs, rhs, equal}.  The first five have
     infinite-product right-hand sides; the sixth is the odd-even generating
-    function itself, which has no product form and is compared against
-    oe_series.  Product indices run over all admissible exponents (e.g. the
-    Rogers-Ramanujan product is over parts = 1, 4 mod 5 starting at 1).
+    function itself, which has no product form.  It is compared against
+    S_0+S_1+S_2+S_3, its four sj_series class sums mod 4, which nest the
+    same summands in another order.  Product indices run over all
+    admissible exponents (e.g. the Rogers-Ramanujan product is over parts
+    = 1, 4 mod 5 starting at 1).
     """
+    sj = [sj_series(j, order) for j in range(4)]
     checks = [
         (
             "euler-partitions",
@@ -221,7 +224,7 @@ def classical_identity_suite(order):
         (
             "odd-even-sum",
             _sum_simple(order, lambda n: n * (n + 1) // 2, 2),
-            oe_series(order),
+            sj[0] + sj[1] + sj[2] + sj[3],
         ),
     ]
     return [

@@ -6,25 +6,29 @@ operations truncate to the smaller operand order.  This module is the
 backbone of every identity check in the package: two series agree iff
 their coefficient tuples agree.
 
-evaluate_at sums a series at a point with specfun.horner_fixed, the
-package's one Horner loop, in fixed point on Python integers, and logs
-the order, the leading zeros stripped, the fixed-point bits and the tail
-bound at DEBUG under this module's logger.
+The module is integer arithmetic only and imports no mpmath, so the exact
+tables load no numeric layer.  A series is summed at a point by
+specfun.evaluate_at; series.evaluate_at, EvalResult, horner_bits and
+horner_fixed read specfun's (module __getattr__), importing it on the
+first such read.
 """
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass
 from itertools import accumulate, count, islice, repeat
 from operator import add, mul, neg, sub
 
-from mpmath import mp, mpf, mpc
-from mpmath.libmp import to_fixed
+# Callers read the point evaluation as series attributes too.  It lives in
+# specfun, which loads mpmath, so specfun is imported on the first such read.
+_NUMERIC = frozenset({"evaluate_at", "EvalResult", "horner_bits", "horner_fixed"})
 
-from .specfun import GUARD_BITS, guarded, horner_fixed
 
-log = logging.getLogger(__name__)
+def __getattr__(name):
+    if name in _NUMERIC:
+        from . import specfun
+
+        return getattr(specfun, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class SeriesError(ValueError):
@@ -121,17 +125,6 @@ class PowerSeries:
         return f"PowerSeries([{head}{tail}], order={self.order})"
 
 
-@dataclass(frozen=True)
-class EvalResult:
-    """Value of a truncated series at a point plus a rigorous tail bound.
-
-    value is an mpf at a real point and an mpc otherwise.
-    """
-
-    value: mpf | mpc
-    tail_bound: mpf
-
-
 def qpochhammer(start_exp, step, m, order):
     """(q^start_exp; q^step)_m = prod_{j=1}^m (1 - q^(start_exp+(j-1)step)), mod q^(order+1).
 
@@ -174,69 +167,6 @@ def _product(order, exponents, kernel):
             break
         kernel(c, e)
     return PowerSeries(c)
-
-
-def horner_bits(prec, radius):
-    """The wp at which horner_fixed's error at |z| <= radius < 1,
-    2^(1 - wp) / (1 - radius), is below 2^-(prec + GUARD_BITS + 3):
-    prec + GUARD_BITS + ceil(log2(1/(1 - radius))) + 4, the ceiling by mp.mag.
-    """
-    return prec + GUARD_BITS + 4 + max(0, 1 - mp.mag(1 - radius))
-
-
-@guarded
-def evaluate_at(series, point, prec, growth_c=None):
-    """Exact partial sum of the series at |point| < 1, with a tail bound.
-
-    growth_c = None asserts the series is a polynomial (all omitted
-    coefficients vanish), so the tail bound is 0.  Otherwise growth_c = C
-    declares |c_k| <= e^(C sqrt(k)) for k > order, and the tail
-    |sum_{k>N} c_k point^k| is bounded using sqrt(k) <= sqrt(N) + (k-N)/(2 sqrt(N)).
-
-    The sum is horner_fixed's: with the leading zeros c_0 .. c_(m-1)
-    stripped, it sums s(z) = sum_k c_(m+k) z^k, then multiplies by z^m.
-    horner_bits(prec, |z|) bits, or more where z needs them to convert
-    exactly, put the kernel's error below 2^-(prec + GUARD_BITS + 3); as
-    |c_m| >= 1, that is no worse than the floating Horner's
-    2^-(prec + GUARD_BITS) sum_k |c_(m+k)| |z|^k.
-    Without the stripping, a sum of size |z|^m below 2^-wp would read 0.
-    The value is an mpf at a real point, an mpc otherwise.
-    """
-    z = mp.convert(point)
-    t = abs(z)
-    if t >= 1:
-        raise SeriesError("evaluation point must satisfy |q| < 1")
-    coeffs = series.coeffs
-    lead = next((k for k, c in enumerate(coeffs) if c), len(coeffs))
-    parts = (z.real, z.imag)
-    wp = max([horner_bits(prec, t)] + [-x._mpf_[2] for x in parts if x])
-    top = islice(reversed(coeffs), len(coeffs) - lead)
-    ar, ai = horner_fixed((c << wp for c in top), [to_fixed(x._mpf_, wp) for x in parts], wp)
-    acc = mpc(mpf((ar, -wp)), mpf((ai, -wp))) if isinstance(z, mpc) else mpf((ar, -wp))
-    if lead:
-        acc *= z ** lead
-    n = series.order
-    if growth_c is None:
-        tail = mpf(0)
-    else:
-        c_growth = mpf(growth_c)
-        if c_growth < 0:
-            raise SeriesError("growth constant must be >= 0")
-        if n == 0:
-            rho = mp.e ** c_growth  # sqrt(k) <= k for k >= 1
-            peak = mpf(1)
-        else:
-            rho = mp.e ** (c_growth / (2 * mp.sqrt(n)))
-            peak = mp.e ** (c_growth * mp.sqrt(n))
-        if rho * t >= 1:
-            raise SeriesError(
-                "tail bound diverges: increase the order or lower the growth constant"
-            )
-        tail = peak * (rho * t) * (t ** n) / (1 - rho * t)
-    if log.isEnabledFor(logging.DEBUG):
-        log.debug("series of order %d at |q| = %s: %d leading zeros stripped, %d bits, "
-                  "tail bound %s", n, mp.nstr(t, 8), lead, wp, mp.nstr(tail, 3))
-    return EvalResult(value=acc, tail_bound=tail)
 
 
 # ---------------------------------------------------------------------------

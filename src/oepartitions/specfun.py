@@ -3,7 +3,7 @@
 All public routines take an explicit working precision in bits; no
 ambient global precision is relied on.  Precision has two owners.  The
 decorator `guarded`, on public entry points only (here and in asympt,
-circle, series and cli), runs a call at prec + GUARD_BITS bits and rounds
+circle and cli), runs a call at prec + GUARD_BITS bits and rounds
 its result to prec bits, once.  The loop `pay_for_loss` pays for the bits
 a sum loses, each pass at prec + extra + GUARD_BITS bits.  A private
 helper computes at its caller's precision and never rounds; _wright_sum
@@ -26,6 +26,12 @@ this package's domain checks and conventions:
 The theta convention is the half-integer-characteristic one used in the
 odd-even asymptotics; theta(0;tau) = 0 identically for it.  Evaluations
 that pay for lost bits log their work at DEBUG under this module's logger.
+
+evaluate_at sums an exact series.PowerSeries at a point with horner_fixed,
+in fixed point on Python integers, at horner_bits' precision, and logs the
+order, the leading zeros stripped, the fixed-point bits and the tail bound
+at DEBUG under the oepartitions.series logger.  It lives here, not in
+series, so that the exact layer loads no mpmath.
 """
 
 from __future__ import annotations
@@ -35,15 +41,20 @@ import functools
 import inspect
 import logging
 import math
+from itertools import islice
 
 from mpmath import mp, mpf, mpc, workprec
 from mpmath.libmp import to_fixed
+
+from .series import SeriesError
 
 GUARD_BITS = 32
 LOSS_PASSES = 8
 TERM_BUDGET = 1 << 12
 
 log = logging.getLogger(__name__)
+# evaluate_at logs under the layer whose series it sums
+series_log = logging.getLogger(f"{__package__}.series")
 
 
 def _rounded(value):
@@ -109,7 +120,7 @@ def horner_fixed(coeffs, point, wp):
     z, so the floor at the step for c_k reaches the sum times |z|^k.  The
     result is within sum_k 2^(1/2 - wp) |z|^k < 2^(1 - wp) / (1 - |z|) of
     the exact sum at z, however large the c_k are.  z itself is taken as
-    given: series.evaluate_at picks wp so that its point converts exactly,
+    given: evaluate_at picks wp so that its point converts exactly,
     and the callers in circle and _wright_sum floor theirs to wp bits,
     which moves z by under 2^-wp per component.
     """
@@ -118,6 +129,81 @@ def horner_fixed(coeffs, point, wp):
     for c in coeffs:
         ar, ai = ((ar * zr - ai * zi) >> wp) + c, (ar * zi + ai * zr) >> wp
     return ar, ai
+
+
+def horner_bits(prec, radius):
+    """The wp at which horner_fixed's error at |z| <= radius < 1,
+    2^(1 - wp) / (1 - radius), is below 2^-(prec + GUARD_BITS + 3):
+    prec + GUARD_BITS + ceil(log2(1/(1 - radius))) + 4, the ceiling by mp.mag.
+    """
+    return prec + GUARD_BITS + 4 + max(0, 1 - mp.mag(1 - radius))
+
+
+@dataclasses.dataclass(frozen=True)
+class EvalResult:
+    """Value of a truncated series at a point plus a rigorous tail bound.
+
+    value is an mpf at a real point and an mpc otherwise.
+    """
+
+    value: mpf | mpc
+    tail_bound: mpf
+
+
+@guarded
+def evaluate_at(series, point, prec, growth_c=None):
+    """Exact partial sum of the series at |point| < 1, with a tail bound.
+
+    growth_c = None asserts the series is a polynomial (all omitted
+    coefficients vanish), so the tail bound is 0.  Otherwise growth_c = C
+    declares |c_k| <= e^(C sqrt(k)) for k > order, and the tail
+    |sum_{k>N} c_k point^k| is bounded using sqrt(k) <= sqrt(N) + (k-N)/(2 sqrt(N)).
+
+    The sum is horner_fixed's: with the leading zeros c_0 .. c_(m-1)
+    stripped, it sums s(z) = sum_k c_(m+k) z^k, then multiplies by z^m.
+    horner_bits(prec, |z|) bits, or more where z needs them to convert
+    exactly, put the kernel's error below 2^-(prec + GUARD_BITS + 3); as
+    |c_m| >= 1, that is no worse than the floating Horner's
+    2^-(prec + GUARD_BITS) sum_k |c_(m+k)| |z|^k.
+    Without the stripping, a sum of size |z|^m below 2^-wp would read 0.
+    The value is an mpf at a real point, an mpc otherwise.  A point off the
+    unit disc or a diverging tail bound raises series.SeriesError.
+    """
+    z = mp.convert(point)
+    t = abs(z)
+    if t >= 1:
+        raise SeriesError("evaluation point must satisfy |q| < 1")
+    coeffs = series.coeffs
+    lead = next((k for k, c in enumerate(coeffs) if c), len(coeffs))
+    parts = (z.real, z.imag)
+    wp = max([horner_bits(prec, t)] + [-x._mpf_[2] for x in parts if x])
+    top = islice(reversed(coeffs), len(coeffs) - lead)
+    ar, ai = horner_fixed((c << wp for c in top), [to_fixed(x._mpf_, wp) for x in parts], wp)
+    acc = mpc(mpf((ar, -wp)), mpf((ai, -wp))) if isinstance(z, mpc) else mpf((ar, -wp))
+    if lead:
+        acc *= z ** lead
+    n = series.order
+    if growth_c is None:
+        tail = mpf(0)
+    else:
+        c_growth = mpf(growth_c)
+        if c_growth < 0:
+            raise SeriesError("growth constant must be >= 0")
+        if n == 0:
+            rho = mp.e ** c_growth  # sqrt(k) <= k for k >= 1
+            peak = mpf(1)
+        else:
+            rho = mp.e ** (c_growth / (2 * mp.sqrt(n)))
+            peak = mp.e ** (c_growth * mp.sqrt(n))
+        if rho * t >= 1:
+            raise SeriesError(
+                "tail bound diverges: increase the order or lower the growth constant"
+            )
+        tail = peak * (rho * t) * (t ** n) / (1 - rho * t)
+    if series_log.isEnabledFor(logging.DEBUG):
+        series_log.debug("series of order %d at |q| = %s: %d leading zeros stripped, %d bits, "
+                         "tail bound %s", n, mp.nstr(t, 8), lead, wp, mp.nstr(tail, 3))
+    return EvalResult(value=acc, tail_bound=tail)
 
 
 class DomainError(ValueError):

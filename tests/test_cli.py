@@ -11,7 +11,7 @@ import pytest
 from mpmath import exp, mpf, workprec
 
 import oepartitions
-from oepartitions import cli, genfun, series
+from oepartitions import cli, genfun, series, specfun
 from oepartitions.enumeration import enum_oe, enum_oebar
 from oepartitions.series import EvalResult, evaluate_at
 
@@ -304,10 +304,10 @@ class TestPrecPlumbing:
 
 
 FOOTPRINT = """
-import io, json, sys
+import importlib, io, json, sys
 argv = json.loads(sys.argv[1])
-if argv is None:
-    import oepartitions
+if isinstance(argv, str):
+    importlib.import_module(argv)
 else:
     from oepartitions import cli
     sys.stdout = io.StringIO()
@@ -322,7 +322,8 @@ sys.__stdout__.write(json.dumps(names))
 
 def loaded_modules(argv):
     """The mpmath and oepartitions modules a fresh interpreter holds after
-    importing the package (argv None) or after running the CLI on argv."""
+    importing the module named by argv (a str) or after running the CLI on
+    argv (a list)."""
     src = str(Path(oepartitions.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, "-c", FOOTPRINT, json.dumps(argv)], env=env,
@@ -333,7 +334,7 @@ def loaded_modules(argv):
 
 class TestImportFootprint:
     def test_package_import_loads_no_submodule(self):
-        assert loaded_modules(None) == {"oepartitions"}
+        assert loaded_modules("oepartitions") == {"oepartitions"}
 
     @pytest.mark.parametrize("argv", [
         ["compute", "--kind", "oebar", "--n-max", "12", "--method", "enum"],
@@ -345,6 +346,22 @@ class TestImportFootprint:
         loaded = loaded_modules(argv)
         assert not {m for m in loaded if m.split(".")[0] == "mpmath"}
         assert "oepartitions.cli" in loaded
+
+    @pytest.mark.parametrize("argv", [
+        "oepartitions.genfun",
+        ["compute", "--kind", "oe", "--n-max", "10"],
+        ["compute", "--kind", "oebar", "--n-max", "12", "--method", "watson-product"],
+        ["gf-eval", "--eps", "0.001"],
+    ])
+    def test_exact_series_and_refused_grids_load_no_mpmath(self, argv):
+        loaded = loaded_modules(argv)
+        assert not {m for m in loaded if m.split(".")[0] == "mpmath"}
+
+    def test_series_reads_its_point_evaluation_from_specfun(self):
+        for name in ("evaluate_at", "EvalResult", "horner_bits", "horner_fixed"):
+            assert getattr(series, name) is getattr(specfun, name), name
+        with pytest.raises(AttributeError):
+            series.no_such_name
 
     def test_series_tables_load_no_circle_or_asymptotics(self):
         loaded = loaded_modules(["compute", "--kind", "oe", "--n-max", "10"])

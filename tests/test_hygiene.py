@@ -19,9 +19,7 @@
   constants.  No other module uses mpmath's workprec, workdps, extraprec
   or extradps, or assigns mp.prec or mp.dps.
 - Only public entry points are guarded, so a value is rounded once: no
-  function named _name in the package is decorated with guarded.  cli.py
-  is exempt, since its guarded _helpers are the commands' entry points
-  and nothing in the package calls them.
+  function named _name in the package is decorated with guarded.
 """
 
 import ast
@@ -176,8 +174,7 @@ def test_package_has_no_assert(path):
 
 @pytest.mark.parametrize(
     "path",
-    sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-    + sorted(TESTS.glob("*.py")),
+    sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")),
     ids=lambda p: f"{p.parent.name}/{p.name}",
 )
 def test_no_unused_module_imports(path):
@@ -243,11 +240,7 @@ def test_the_scan_sees_precision_contexts_and_assignments():
     assert _precision_settings(tree) == [1, 3, 4, 5, 7]
 
 
-@pytest.mark.parametrize(
-    "path",
-    sorted(p for p in PACKAGE.glob("*.py") if p.name != "cli.py"),
-    ids=lambda p: p.name,
-)
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_only_public_entry_points_are_guarded(path):
     helpers = _guarded_helpers(_tree(path))
     assert not helpers, (f"{path.name}: guarded private helpers {helpers}; a helper "
