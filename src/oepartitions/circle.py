@@ -16,6 +16,16 @@ summed by an asymptotic expansion (see _mordell); _transformed computes it
 and alone decides where it serves.  Everywhere else Obar is summed from
 the paper's own series, in fixed point (see _obar_sum).
 
+A circle sample stays in fixed point from the point where it is taken to
+the number its caller uses.  _obar_sum forms q from libmp's exp and
+cosine and sine of pi (_radius, _turn) and returns its sum as Python ints
+scaled by a power of 2; the transformed route computes in mpc, and _fixed
+reads its value as such ints, exactly.  The arc integrand multiplies those
+ints by its phase, the minor-arc maximum compares their squared moduli,
+and the Cauchy recovery rotates its sample points in them.  An mpf or mpc
+is built only for the number handed on: oebar_eval's value, an integrand
+value, the maximum's square root and the recovered sum.
+
 Both polynomial sums here, the Mordell expansion and the exact series at
 the samples of the Cauchy recovery, run on specfun.horner_fixed, the
 package's one Horner loop.
@@ -31,7 +41,8 @@ from functools import lru_cache
 
 from mpmath import mp, mpf, mpc
 from mpmath.calculus.quadrature import GaussLegendre
-from mpmath.libmp import to_fixed
+from mpmath.libmp import (from_rational, mpf_cos_sin_pi, mpf_exp, mpf_mul, mpf_mul_int, mpf_neg,
+                          mpf_pi, mpf_shift, to_fixed)
 
 from . import genfun
 from .asympt import oebar_asymptotic
@@ -100,6 +111,22 @@ def exponent_saving(big_m, prec=256):
     return (1 / mp.pi) * (1 - 1 / mp.sqrt(1 + m2)) - mp.pi / 12
 
 
+def _turn(half_turns, wp):
+    """e^(pi i t) at t = half_turns, a libmp value, as a pair of ints scaled
+    by 2^wp: libmp's cosine and sine of pi t, which reduce t modulo 2
+    exactly, at wp bits and floored, each within 2^(1 - wp)."""
+    c, s = mpf_cos_sin_pi(half_turns, wp)
+    return to_fixed(c, wp), to_fixed(s, wp)
+
+
+@lru_cache(maxsize=64)
+def _radius(y, wp):
+    """|q| = e^(-2 pi y) at y, a libmp value, as an int scaled by 2^wp:
+    libmp's exp at wp bits, floored, within a few units of 2^-wp.  Kept per
+    (y, wp), since the samples of an arc share y."""
+    return to_fixed(mpf_exp(mpf_neg(mpf_mul(mpf_pi(wp), mpf_shift(y, 1), wp)), wp), wp)
+
+
 def _settled_term(tau):
     """The least m from which each term of Obar(q)'s series at
     q = e^(2 pi i tau) bounds the sum after it.
@@ -118,8 +145,9 @@ def _settled_term(tau):
 
 
 def _obar_sum(tau, prec):
-    """Obar(q) at q = e^(2 pi i tau), the bits its sum lost,
-    max(0, ceil(log2(max |t_m| / |Obar|))), and the terms after the first.
+    """Obar(q) at q = e^(2 pi i tau) as (re, im, wp), the sum in ints scaled
+    by 2^wp; the bits it lost, max(0, ceil(log2(max |t_m| / |Obar|))); and
+    the terms after the first.
 
     (-1;q)_m = 2 (-q;q)_(m-1) and (q^2;q^2)_m = (q;q)_m (-q;q)_m make the
     paper's series sum_m (-1;q)_m q^(m(m+1)/2) / (q^2;q^2)_m the sum of
@@ -131,22 +159,26 @@ def _obar_sum(tau, prec):
     bound rules out a rise after a dip.
 
     Fixed point on Python ints, each complex number a pair, at
-    wp = prec + GUARD_BITS + ceil(log2 TERM_BUDGET) + 4 bits; dividing by
-    d = 1 - q^(2m) is multiplying by conj(d) and floor-dividing by |d|^2,
-    and magnitudes are compared squared.  The sum and the powers of q are
-    scaled by 2^wp: each step rounds by a few units of 2^-wp, and the
-    largest term is at least 1 (t_0), so TERM_BUDGET roundings stay below
-    2^-(prec + GUARD_BITS) of it; the caller's re-sum makes that relative
-    to Obar.  The term is scaled by 2^(wp + s), s raised whenever it falls
-    below 1, so it keeps wp significant bits where the terms fall far below
-    1 and rise again.
+    wp = prec + GUARD_BITS + ceil(log2 TERM_BUDGET) + 4 bits, from q to the
+    sum: q = e^(-2 pi y) e^(2 pi i x), tau = x + i y, is formed from libmp's
+    exp and _turn at wp bits, within a few units of 2^-wp, and no mpf or
+    mpc is built.  Dividing by d = 1 - q^(2m) is multiplying by conj(d) and
+    floor-dividing by |d|^2, and magnitudes are compared squared.  The sum
+    and the powers of q are scaled by 2^wp: each step rounds by a few units
+    of 2^-wp, and the largest term is at least 1 (t_0), so TERM_BUDGET
+    roundings stay below 2^-(prec + GUARD_BITS) of it; the caller's re-sum
+    makes that relative to Obar.  The term is scaled by 2^(wp + s), s
+    raised whenever it falls below 1, so it keeps wp significant bits where
+    the terms fall far below 1 and rise again.
     """
     settled = _settled_term(tau)
     if settled > TERM_BUDGET:
         raise ArithmeticError(f"Obar(q) at tau = {tau} needs over {TERM_BUDGET} terms")
     wp = prec + GUARD_BITS + (TERM_BUDGET - 1).bit_length() + 4
-    q = mp.expjpi(2 * tau)
-    qr, qi = to_fixed(q.real._mpf_, wp), to_fixed(q.imag._mpf_, wp)
+    x, y = tau._mpc_
+    radius = _radius(y, wp)
+    cr, ci = _turn(mpf_shift(x, 1), wp)
+    qr, qi = (radius * cr) >> wp, (radius * ci) >> wp
     one = 1 << wp
     # (sr, si) the sum and (pr, pi_) q^(m-1), scaled by 2^wp; (tr, ti) the
     # term, scaled by 2^(wp + s)
@@ -181,20 +213,29 @@ def _obar_sum(tau, prec):
     lost = max((top.bit_length() - size2.bit_length()) // 2, 0)
     while size2 << 2 * lost < top:  # to the least lost >= 0 with 4^lost |sum|^2 >= top
         lost += 1
-    return mpc(mpf((sr, -wp)), mpf((si, -wp))), lost, terms
+    return (sr, si, wp), lost, terms
 
 
 def _mordell_terms(size, prec):
     """How many terms of M(z) ~ sum b_j z^j at |z| = size leave the next one
     below 2^-(prec + GUARD_BITS); 0 where the terms turn upwards first, or
-    TERM_BUDGET of them do not reach that.
+    TERM_BUDGET of them do not reach that.  0 at once from
+    _mordell_reach(prec) up, the loop of _mordell_count below it.
+    """
+    if size >= _mordell_reach(prec, TERM_BUDGET):
+        return 0
+    return _mordell_count(size, prec, TERM_BUDGET)
+
+
+def _mordell_count(size, prec, budget):
+    """_mordell_terms' count with `budget` terms, by its float loop.
 
     A float estimate: the poles of sinh u / sinh(3u/2) at u = +-2 pi i/3
     give |b_(j+1) / b_j| = 3 (2j+1) / (4 pi^2), up to a relative O(4^-j)
     and from above.
     """
     bits, cut = math.log2(4 / 3), -(prec + GUARD_BITS)
-    for terms in range(1, TERM_BUDGET + 1):
+    for terms in range(1, budget + 1):
         ratio = 3 * (2 * terms - 1) * size / (4 * math.pi ** 2)
         if ratio >= 1:
             return 0
@@ -202,6 +243,41 @@ def _mordell_terms(size, prec):
         if bits < cut:
             return terms
     return 0
+
+
+@lru_cache(maxsize=16)
+def _mordell_reach(prec, budget):
+    """The least positive float size at which _mordell_count(size, prec,
+    budget) is 0; 2048 pi, the largest size _transformed asks for, is past it.
+
+    Every ratio, log2 and partial sum in that loop is a monotone float
+    function of size, so the count is 0 from this size up and nonzero
+    below it.  In real arithmetic the count is nonzero exactly below
+    max_t min(R_t, S_t), R_t where the t-th ratio reaches 1 and S_t where
+    the t-th partial sum reaches the cut; that estimate brackets the float
+    answer to 2^-44 relative, which the loop checks, and bisection on the
+    loop itself closes the bracket down to two adjacent floats.
+    """
+    cut, bits, estimate = -(prec + GUARD_BITS), math.log2(4 / 3), 0.0
+    for terms in range(1, budget + 1):
+        reach = 4 * math.pi ** 2 / (3 * (2 * terms - 1))  # R_t, falling with t
+        if reach <= estimate:
+            break
+        bits -= math.log2(reach)  # the partial sum at size 1
+        estimate = max(estimate, min(reach, 2 ** ((cut - bits) / terms)))
+    # the count is nonzero at lo and 0 at hi; where the estimate misses, the
+    # bracket falls back to (0, 2048 pi), and 0 itself is never asked for
+    lo, hi = estimate * (1 - 2 ** -44), estimate * (1 + 2 ** -44)
+    if not _mordell_count(lo, prec, budget):
+        lo = 0.0
+    if _mordell_count(hi, prec, budget):
+        hi = 2048 * math.pi
+    while lo < (mid := (lo + hi) / 2) < hi:
+        if _mordell_count(mid, prec, budget):
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 _MORDELL_H = [2]  # the h_j of _mordell, continued by _mordell_fixed and never rebuilt
@@ -344,7 +420,8 @@ def _oebar_eval_tau(tau, prec):
     guarded entry point above it rounds once, to prec bits.
 
     _transformed where it serves, which it decides before any complex
-    arithmetic; elsewhere _obar_sum, re-summed by pay_for_loss.  Logs the
+    arithmetic, as its mpc; elsewhere _obar_sum, re-summed by pay_for_loss,
+    as its fixed-point (re, im, wp).  _fixed reads either as ints.  Logs the
     route, its term count, lost bits and re-sum at DEBUG.
     """
     found, route, extra = _transformed(tau, prec), "transformed", 0
@@ -358,6 +435,17 @@ def _oebar_eval_tau(tau, prec):
     return value
 
 
+def _fixed(value):
+    """Obar as _oebar_eval_tau returns it, as (re, im, scale), the ints
+    Obar 2^scale: the direct route's own, or the transformed route's mpc
+    exactly, at the finer scale of its two parts."""
+    if isinstance(value, mpc):
+        re, im = value._mpc_
+        scale = max(0, -re[2], -im[2])
+        return to_fixed(re, scale), to_fixed(im, scale), scale
+    return value
+
+
 @guarded
 def oebar_eval(tau, prec=256):
     """Evaluate Obar(q) = sum_m (-1;q)_m q^(m(m+1)/2) / (q^2;q^2)_m at
@@ -366,11 +454,16 @@ def oebar_eval(tau, prec=256):
     Efficient arbitrarily close to q = 1, through the modular
     transformation there; this is the route used on the major arc.  Obar
     is 1-periodic in tau, so tau is first reduced, exactly, by an integer.
+    The direct route's fixed-point sum becomes an mpc here, and only here.
     """
     tau = mpc(tau)
     if tau.imag <= 0:
         raise DomainError("tau must lie in the upper half plane")
-    return _oebar_eval_tau(tau - mp.nint(tau.real), prec)
+    value = _oebar_eval_tau(tau - mp.nint(tau.real), prec)
+    if isinstance(value, mpc):
+        return value
+    re, im, wp = value
+    return mpc(mpf((re, -wp)), mpf((im, -wp)))
 
 
 @guarded
@@ -391,10 +484,18 @@ def cauchy_full_integral(n, prec=256):
     below OEbar(n)'s bit length + 16 to it, leaving a residual near 2^-40;
     one above 0.25 is a defect, and raises.
 
-    The coefficients are scaled once, to wp = specfun.horner_bits(bits, r)
-    fixed-point bits, and each sample is specfun.horner_fixed's, within
-    2^-(bits + GUARD_BITS + 3) of z S(z) at the sample point as rounded
-    to wp bits; the real parts are summed exactly as integers.
+    Fixed point from the first sample point to the folded sum, at
+    wp = specfun.horner_bits(bits, r) + ceil(log2 K) bits: the coefficients
+    are scaled once, z_0 is r floored to wp bits, and each later point is
+    the last times w, one fixed-point rotation; no complex exponential is
+    taken per sample.  w, _turn's at 2/K rounded to wp + 8 bits, is within
+    2^(1.6 - wp) of e^(2 pi i/K), and each rotation floors both parts, so
+    z_k is within (5k + 1) 2^-wp <= 3 K 2^-wp <= 3 2^-(wp - ceil(log2 K))
+    of r w^k: the ceil(log2 K) bits pay for the rotations, and leave each
+    point within 3 units of 2^-horner_bits(bits, r).  Each sample is
+    specfun.horner_fixed's, within 2^-(bits + GUARD_BITS + 3) of z S(z) at
+    the point it is given, and the real parts are summed exactly as
+    integers.
     """
     if n < 0:
         raise DomainError("n must be >= 0")
@@ -407,13 +508,15 @@ def cauchy_full_integral(n, prec=256):
     def recover(bits):
         y = 1 / (4 * mp.sqrt(3 * n))  # only the radius is needed here, not the arc cut
         r = mp.e ** (-2 * mp.pi * y)
-        wp = horner_bits(bits, r)
+        wp = horner_bits(bits, r) + (samples - 1).bit_length()
         coeffs = [c << wp for c in reversed(series.coeffs)] + [0]  # z S(z)
+        wr, wi = _turn(from_rational(2, samples, wp + 8), wp)
+        zr, zi = to_fixed(r._mpf_, wp), 0
         total = 0  # the folded sum, scaled by 2^wp
         for k in range(samples // 2 + 1):
-            z = r * mp.expjpi(2 * mpf(k) / samples)
-            part, _ = horner_fixed(coeffs, [to_fixed(x._mpf_, wp) for x in (z.real, z.imag)], wp)
+            part, _ = horner_fixed(coeffs, (zr, zi), wp)
             total += part if 2 * k % samples == 0 else 2 * part
+            zr, zi = (zr * wr - zi * wi) >> wp, (zr * wi + zi * wr) >> wp
         total = mpf((total, -wp)) / samples / r ** (n + 1)
         nearest = int(mp.nint(total))
         residual = abs(total - nearest)
@@ -470,18 +573,36 @@ def adaptive_quad(f, a, b, rel_target, prec):
         heapq.heappush(heap, panel(mid, hi, right))
 
 
+def _arc_integrand(n, y, prec):
+    """x -> Re(Obar(q) e^(-2 pi i n x)) e^(2 pi n y), q = e^(2 pi i (x + i y)),
+    the real part of Obar(q) q^(-n), for a guarded caller.
+
+    In fixed point from the sample to the value: Obar as _fixed's ints, the
+    phase _turn's at -2 n x, formed exactly, and wp = prec + GUARD_BITS bits,
+    the real part of their product an int, times the mantissa of
+    e^(2 pi n y).  One mpf is built, the value, rounded once.  The phase's
+    parts are within 2^(1 - wp) each, so its error is below 2^(1.5 - wp)
+    of |Obar| e^(2 pi n y).
+    """
+    wp = prec + GUARD_BITS
+    amp = (mp.e ** (2 * mp.pi * n * y))._mpf_  # positive: (0, man, exp, bc)
+
+    def integrand(x):
+        re, im, scale = _fixed(_oebar_eval_tau(mpc(x, y), prec))
+        t = x._mpf_
+        c, s = _turn(mpf_mul_int(t, -2 * n, t[3] + (2 * n).bit_length()), wp)  # -2 n x, exactly
+        return mpf(((re * c - im * s) * amp[1], amp[2] - scale - wp))
+
+    return integrand
+
+
 def _arc_integral(geom, lo, hi, rel_target, prec):
     """The Cauchy integral for OEbar(n) over lo <= |x| <= hi to rel_target
     relative, for a guarded caller.  Obar has real coefficients, so x -> -x
     conjugates the integrand Obar(q) q^(-n), q = e^(2 pi i (x + i y)): the
     integral is twice that of its real part over [lo, hi], to rel_target / 2.
     """
-    n, y = geom.n, geom.y
-    amp = mp.e ** (2 * mp.pi * n * y)
-
-    def integrand(x):
-        return (_oebar_eval_tau(mpc(x, y), prec) * mp.expjpi(-2 * n * x)).real * amp
-
+    integrand = _arc_integrand(geom.n, geom.y, prec)
     half, _ = adaptive_quad(integrand, lo, hi, rel_target / 2, prec + GUARD_BITS)
     return 2 * half
 
@@ -537,16 +658,23 @@ def minor_arc_bound(geom, prec=256):
 
 @guarded
 def minor_arc_empirical_max(geom, grid=200, prec=96):
-    """Max of |Obar| sampled on the minor arc M y < x <= 1/2 (symmetric in x)."""
+    """Max of |Obar| sampled on the minor arc M y < x <= 1/2 (symmetric in x).
+
+    The samples are compared as |Obar|^2 in _fixed's ints, exactly, each
+    pair of scales brought to the finer; one square root is taken, of the
+    largest."""
     if grid < 2:
         raise DomainError("grid must be >= 2")
     y = geom.y
     w = geom.major_halfwidth
-    best = mpf(0)
+    best, best_scale = 0, 0  # the largest |Obar|^2 so far, scaled by 2^best_scale
     for k in range(grid):
         x = w + (mpf("0.5") - w) * (k + 1) / grid
-        best = max(best, abs(_oebar_eval_tau(x + 1j * y, prec)))
-    return best
+        re, im, scale = _fixed(_oebar_eval_tau(mpc(x, y), prec))
+        size2, scale = re * re + im * im, 2 * scale
+        if size2 << best_scale > best << scale:
+            best, best_scale = size2, scale
+    return mp.sqrt(mpf((best, -best_scale)))
 
 
 @guarded

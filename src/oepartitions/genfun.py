@@ -194,7 +194,12 @@ def classical_identity_suite(order):
     admissible exponents (e.g. the Rogers-Ramanujan product is over parts
     = 1, 4 mod 5 starting at 1).
     """
-    sj = [sj_series(j, order) for j in range(4)]
+    return _identity_records(order, [sj_series(j, order) for j in range(4)])
+
+
+def _identity_records(order, sj):
+    """classical_identity_suite's records, with S_0 .. S_3 to the order given
+    as sj, so that a caller that holds them builds them once."""
     checks = [
         (
             "euler-partitions",

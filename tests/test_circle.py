@@ -171,6 +171,21 @@ def reference_watson_oebar(tau, prec):
         return euler_eval(2 * tau, prec) / euler_eval(tau, prec) * exp(-z / 24) * bracket
 
 
+def reference_mordell_terms(size, prec):
+    """_mordell_terms' float count, by its loop alone: the terms of M(z) at
+    |z| = size until one is below 2^-(prec + GUARD_BITS), 0 where a ratio
+    reaches 1 first or TERM_BUDGET terms do not get there."""
+    bits, cut = math.log2(4 / 3), -(prec + GUARD_BITS)
+    for terms in range(1, circle.TERM_BUDGET + 1):
+        ratio = 3 * (2 * terms - 1) * size / (4 * math.pi ** 2)
+        if ratio >= 1:
+            return 0
+        bits += math.log2(ratio)
+        if bits < cut:
+            return terms
+    return 0
+
+
 def circle_point(n, x):
     """tau = x + i y(n) on the circle of the Cauchy integral for OEbar(n);
     x given as a multiple of y when it is a string ending in "y"."""
@@ -484,8 +499,9 @@ class TestWatsonTransformation:
             found = circle._transformed(tau, prec)
             assert found is not None
             transformed = found[0]
-            (direct, _, _), _ = specfun.pay_for_loss(lambda bits: circle._obar_sum(tau, bits),
-                                                     prec, "Obar(q)")
+            ((re, im, wp), _, _), _ = specfun.pay_for_loss(
+                lambda bits: circle._obar_sum(tau, bits), prec, "Obar(q)")
+            direct = mpc(mpf((re, -wp)), mpf((im, -wp)))
         assert abs(transformed - direct) < mpf(2) ** -(prec - 2) * abs(direct)
 
     def test_expansion_coefficients_against_exact_series(self):
@@ -592,27 +608,44 @@ class TestWatsonTransformation:
 
     def test_complex_exponentials_per_call(self, monkeypatch):
         # the transformed route takes Q, e^(-pi i inv/24) and, where it is
-        # not negligible, the omega term's factor; Q only once the expansion
-        # serves, and the direct route takes q alone.  The Cauchy recovery
-        # at n = 105 takes K = 106 samples, each twiddle the sample's own
-        # root, and the 52 past K/2 are conjugates: floor(K/2) + 1 = 54 roots
+        # not negligible, the omega term's factor, all by mp.expjpi; Q only
+        # once the expansion serves.  The direct route takes the phase of q
+        # alone, by a fixed-point turn.  The Cauchy recovery at n = 105
+        # takes K = 106 samples, each twiddle the sample's own root; it
+        # turns once, to e^(2 pi i/K), and rotates by it from sample to
+        # sample, so its 54 roots cost one complex exponential, not 54
         calls = []
-        inner = mp.expjpi
 
-        def counting(x):
-            calls.append(x)
-            return inner(x)
+        def counting(name, inner):
+            return lambda *args: calls.append(name) or inner(*args)
 
-        monkeypatch.setattr(mp, "expjpi", counting)
-        for n, x, want in [(10 ** 5, 0, 2), (25600, "6y", 3), (400, "3y", 1),
-                           (1600, mpf("0.499"), 1)]:
+        monkeypatch.setattr(mp, "expjpi", counting("expjpi", mp.expjpi))
+        monkeypatch.setattr(circle, "_turn", counting("_turn", circle._turn))
+        for n, x, want in [(10 ** 5, 0, ["expjpi"] * 2), (25600, "6y", ["expjpi"] * 3),
+                           (400, "3y", ["_turn"]), (1600, mpf("0.499"), ["_turn"])]:
             tau = circle_point(n, x)
             calls.clear()
             oebar_eval(tau=tau, prec=96)
-            assert len(calls) == want, (n, x)
+            assert calls == want, (n, x)
         calls.clear()
         cauchy_full_integral(105, prec=192)
-        assert len(calls) == 54
+        assert calls == ["_turn"]
+
+    @pytest.mark.parametrize("prec", [64, 96, 128, 256, 512])
+    def test_mordell_count_refuses_at_its_threshold(self, prec, monkeypatch):
+        # the count is the loop's at every size: on a dense grid, and one and
+        # two float steps either side of the threshold, where it turns 0 for
+        # good; from the threshold up the loop does not run at all
+        reach = circle._mordell_reach(prec, circle.TERM_BUDGET)
+        below = math.nextafter(reach, 0)
+        assert reference_mordell_terms(reach, prec) == 0 < reference_mordell_terms(below, prec)
+        near = [reach, below, math.nextafter(below, 0), math.nextafter(reach, math.inf),
+                math.nextafter(math.nextafter(reach, math.inf), math.inf)]
+        grid = [2 * math.pi * 2.0 ** (k / 64) for k in range(-64 * 24, 64 * 11)]
+        for size in near + grid:
+            assert circle._mordell_terms(size, prec) == reference_mordell_terms(size, prec), size
+        monkeypatch.setattr(circle, "_mordell_count", None)
+        assert [circle._mordell_terms(size, prec) for size in near[:1] + near[3:]] == [0, 0, 0]
 
     def test_route_chosen_before_the_transformation(self, monkeypatch):
         # _transformed reads the float term count of the Mordell expansion
@@ -688,8 +721,9 @@ class TestQuadrature:
 
 
 class TestCauchyRecovery:
-    # odd and even K = n + 1, and the old power-of-two sample counts' edges
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 10, 50, 127, 128, 129])
+    # odd and even K = n + 1, the old power-of-two sample counts' edges, and
+    # n = 105 and 108, which rotate their sample points 53 and 54 times
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 10, 50, 105, 108, 127, 128, 129])
     def test_exact_recovery(self, n):
         want = oebar_series_hypergeometric(2 * n).coefficient(n)
         got, residual = cauchy_full_integral(n, prec=192)
@@ -789,6 +823,45 @@ class TestArcs:
             form = pi * sqrt(2) / (3 * sqrt(mpf(3 * n))) * wright_p(0, u, mpf(6), 96)
         assert abs(i1.real / form.real - 1) < mpf("0.02")
 
+    @pytest.mark.parametrize("arc,n,want", [
+        (major_arc_integral, 25, 132), (major_arc_integral, 12, 132), (minor_arc_integral, 12, 84),
+    ])
+    def test_integrand_calls_per_arc(self, arc, n, want, monkeypatch):
+        # the Gauss nodes, the panel estimator and the split rule fix how
+        # many samples an arc takes; a faster sample must not change that
+        calls = []
+        inner = circle._oebar_eval_tau
+
+        def counting(tau, prec):
+            calls.append(tau)
+            return inner(tau, prec)
+
+        monkeypatch.setattr(circle, "_oebar_eval_tau", counting)
+        arc(ArcGeometry(n), prec=96)
+        assert len(calls) == want
+
+    @pytest.mark.parametrize("prec", [96, 128])
+    def test_integrand_against_oebar_eval(self, prec):
+        # the fixed-point integrand is Re(Obar(q) e^(-2 pi i n x)) e^(2 pi n y)
+        # to 2^-(prec-2) of |Obar| e^(2 pi n y), on the major arc and the
+        # minor one, and on both routes: the transformed one serves the
+        # major arc at n = 1600, the direct one the rest
+        routes = set()
+        for n in (12, 25, 100, 1600):
+            geom = ArcGeometry(n)
+            with workprec(prec + GUARD_BITS):
+                y, w = geom.y, geom.major_halfwidth
+            for x in (0, w / 3, w * mpf("0.9"), w + (mpf("0.5") - w) / 3, mpf("0.5")):
+                with workprec(prec + GUARD_BITS):
+                    x, tau = mpf(x), mpc(x, y)
+                    got = circle._arc_integrand(n, y, prec)(x)
+                    routes.add(circle._transformed(tau, prec) is not None)
+                with workprec(prec + 64):
+                    value, amp = oebar_eval(tau, prec + 64), exp(2 * pi * n * y)
+                    want = (value * mp.expjpi(-2 * n * x)).real * amp
+                    assert abs(got - want) < mpf(2) ** -(prec - 2) * abs(value) * amp, (n, x)
+        assert routes == {True, False}
+
     def test_main_term_rejects_bad_n(self):
         with pytest.raises(DomainError):
             main_term(0)
@@ -800,6 +873,19 @@ class TestMinorArcBound:
         bound = minor_arc_bound(geom, prec=96)
         emp = minor_arc_empirical_max(geom, grid=60, prec=96)
         assert emp < bound.bound_value
+
+    @pytest.mark.parametrize("n,grid", [(103, 60), (1600, 20)])
+    def test_empirical_max_is_the_grid_max(self, n, grid):
+        # compared as |Obar|^2 in integers, with one square root: the max of
+        # abs(oebar_eval) over the same grid, to the precision asked for
+        prec, geom = 96, ArcGeometry(n)
+        got = minor_arc_empirical_max(geom, grid=grid, prec=prec)
+        with workprec(prec + GUARD_BITS):  # the points it samples, to the bit
+            y, w = geom.y, geom.major_halfwidth
+            xs = [w + (mpf("0.5") - w) * (k + 1) / grid for k in range(grid)]
+        with workprec(prec + 64):
+            want = max(abs(oebar_eval(mpc(x, y), prec + 64)) for x in xs)
+            assert abs(got - want) < mpf(2) ** -(prec - 1) * want
 
     def test_default_m_clears_threshold(self):
         geom = ArcGeometry(n=100, big_m=mpf(6))

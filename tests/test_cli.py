@@ -211,6 +211,15 @@ class TestVerify:
         assert lines and all(l.startswith("PASS") for l in lines)
         assert "FAIL" not in out
 
+    def test_identities_suite_builds_each_class_sum_once(self, capsys, monkeypatch):
+        # the class-sum rows and the classical suite's odd-even row share
+        # one S_0 .. S_3
+        built, inner = [], genfun.sj_series
+        monkeypatch.setattr(genfun, "sj_series", lambda j, n: built.append(j) or inner(j, n))
+        code, out, _ = run_cli(capsys, "verify", "--suite", "identities", "--order", "60")
+        assert code == 0 and "PASS  classical: odd-even-sum" in out
+        assert sorted(built) == [0, 1, 2, 3]
+
     def test_specfun_suite_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "specfun")
         assert code == 0
