@@ -219,23 +219,25 @@ def _obar_sum(tau, prec):
 def _mordell_terms(size, prec):
     """How many terms of M(z) ~ sum b_j z^j at |z| = size leave the next one
     below 2^-(prec + GUARD_BITS); 0 where the terms turn upwards first, or
-    TERM_BUDGET of them do not reach that.  0 at once from
-    _mordell_reach(prec) up, the loop of _mordell_count below it.
-    """
-    if size >= _mordell_reach(prec, TERM_BUDGET):
-        return 0
-    return _mordell_count(size, prec, TERM_BUDGET)
-
-
-def _mordell_count(size, prec, budget):
-    """_mordell_terms' count with `budget` terms, by its float loop.
+    TERM_BUDGET of them do not reach that.
 
     A float estimate: the poles of sinh u / sinh(3u/2) at u = +-2 pi i/3
     give |b_(j+1) / b_j| = 3 (2j+1) / (4 pi^2), up to a relative O(4^-j)
-    and from above.
+    and from above.  The loop below adds the log2 of those ratios until the
+    partial sum passes the cut.  The sums fall while the ratios stay below
+    1, so their least is at `last`, the last such ratio (at most
+    TERM_BUDGET); with (2t-1)!! = (2t)!/(2^t t!) it is
+    log2(4/3) + last log2(3 size/(8 pi^2)) + log2((2 last)!/last!), in O(1).
+    The count is 0 at once where no ratio is below 1 or that sum is more
+    than a bit above the cut, far more than the float error of the lgamma
+    form, so it is the loop's own at every size.
     """
     bits, cut = math.log2(4 / 3), -(prec + GUARD_BITS)
-    for terms in range(1, budget + 1):
+    last = min(math.ceil(2 * math.pi ** 2 / (3 * size) + 0.5) - 1, TERM_BUDGET)
+    if last < 1 or bits + last * math.log2(3 * size / (8 * math.pi ** 2)) + (
+            math.lgamma(2 * last + 1) - math.lgamma(last + 1)) / math.log(2) > cut + 1:
+        return 0
+    for terms in range(1, TERM_BUDGET + 1):
         ratio = 3 * (2 * terms - 1) * size / (4 * math.pi ** 2)
         if ratio >= 1:
             return 0
@@ -243,41 +245,6 @@ def _mordell_count(size, prec, budget):
         if bits < cut:
             return terms
     return 0
-
-
-@lru_cache(maxsize=16)
-def _mordell_reach(prec, budget):
-    """The least positive float size at which _mordell_count(size, prec,
-    budget) is 0; 2048 pi, the largest size _transformed asks for, is past it.
-
-    Every ratio, log2 and partial sum in that loop is a monotone float
-    function of size, so the count is 0 from this size up and nonzero
-    below it.  In real arithmetic the count is nonzero exactly below
-    max_t min(R_t, S_t), R_t where the t-th ratio reaches 1 and S_t where
-    the t-th partial sum reaches the cut; that estimate brackets the float
-    answer to 2^-44 relative, which the loop checks, and bisection on the
-    loop itself closes the bracket down to two adjacent floats.
-    """
-    cut, bits, estimate = -(prec + GUARD_BITS), math.log2(4 / 3), 0.0
-    for terms in range(1, budget + 1):
-        reach = 4 * math.pi ** 2 / (3 * (2 * terms - 1))  # R_t, falling with t
-        if reach <= estimate:
-            break
-        bits -= math.log2(reach)  # the partial sum at size 1
-        estimate = max(estimate, min(reach, 2 ** ((cut - bits) / terms)))
-    # the count is nonzero at lo and 0 at hi; where the estimate misses, the
-    # bracket falls back to (0, 2048 pi), and 0 itself is never asked for
-    lo, hi = estimate * (1 - 2 ** -44), estimate * (1 + 2 ** -44)
-    if not _mordell_count(lo, prec, budget):
-        lo = 0.0
-    if _mordell_count(hi, prec, budget):
-        hi = 2048 * math.pi
-    while lo < (mid := (lo + hi) / 2) < hi:
-        if _mordell_count(mid, prec, budget):
-            lo = mid
-        else:
-            hi = mid
-    return hi
 
 
 _MORDELL_H = [2]  # the h_j of _mordell, continued by _mordell_fixed and never rebuilt
@@ -384,14 +351,17 @@ def _transformed(tau, prec):
     moved to -1/tau, their factors e^(+-pi i tau/12) cancelled.
 
     None unless three tests pass, in this order.  Before any complex
-    arithmetic, the float size |z| = 2 pi |tau|, |tau| held in
-    [2^-1000, 2^10] (below, the count can only grow, by terms under the
-    cut; above, it is 0), gives a nonzero _mordell_terms count, so the
-    expansion reaches 2^-(prec + GUARD_BITS).  inv, formed by _phase as the
-    phases -inv/24 and 2 inv/3 are, has Im inv >= 1 (the whole major arc
-    for n >= 30), so |Q| <= e^-pi.  M and w cancel at most GUARD_BITS / 2 bits.
+    arithmetic, the float size |z| = 2 pi |tau|, |tau| held from 2^-1000 up
+    (below, the count can only grow, by terms under the cut), gives a
+    nonzero _mordell_terms count, so the expansion reaches
+    2^-(prec + GUARD_BITS).  The count is 0 in O(1) where the least
+    partial sum of the log2 term sizes is over a bit above the cut, at an
+    infinite size too, and its float loop's elsewhere.  inv, formed by
+    _phase as the phases -inv/24 and 2 inv/3 are, has Im inv >= 1 (the
+    whole major arc for n >= 30), so |Q| <= e^-pi.  M and w cancel at most
+    GUARD_BITS / 2 bits.
     """
-    size = 2 * math.pi * min(max(abs(complex(tau)), _TINY), 1024.0)
+    size = 2 * math.pi * max(abs(complex(tau)), _TINY)
     terms = _mordell_terms(size, prec)
     if not terms:
         return None

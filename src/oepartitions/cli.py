@@ -255,9 +255,7 @@ def _verify_identities(order):
     oe = genfun.oe_series(order)
     checks = []
     sj = [genfun.sj_series(j, order) for j in range(4)]
-    checks.append(("S0+S1+S2+S3 = O", (sj[0] + sj[1]) + (sj[2] + sj[3]) == oe))
     even, odd = genfun.parity_split(order)
-    checks.append(("O_e + O_o = O", even + odd == oe))
     checks.append(("O_e = S0+S3", even == sj[0] + sj[3]))
     checks.append(("O_o = S1+S2", odd == sj[1] + sj[2]))
     hyp = genfun.oebar_series_hypergeometric(order)

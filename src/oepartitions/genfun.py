@@ -228,7 +228,7 @@ def _identity_records(order, sj):
         ),
         (
             "odd-even-sum",
-            _sum_simple(order, lambda n: n * (n + 1) // 2, 2),
+            oe_series(order),
             sj[0] + sj[1] + sj[2] + sj[3],
         ),
     ]

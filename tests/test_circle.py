@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 from functools import lru_cache
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
@@ -631,21 +632,41 @@ class TestWatsonTransformation:
         cauchy_full_integral(105, prec=192)
         assert calls == ["_turn"]
 
-    @pytest.mark.parametrize("prec", [64, 96, 128, 256, 512])
+    @pytest.mark.parametrize("prec", [64, 96, 128, 256, 512, 1024])
     def test_mordell_count_refuses_at_its_threshold(self, prec, monkeypatch):
-        # the count is the loop's at every size: on a dense grid, and one and
-        # two float steps either side of the threshold, where it turns 0 for
-        # good; from the threshold up the loop does not run at all
-        reach = circle._mordell_reach(prec, circle.TERM_BUDGET)
-        below = math.nextafter(reach, 0)
-        assert reference_mordell_terms(reach, prec) == 0 < reference_mordell_terms(below, prec)
-        near = [reach, below, math.nextafter(below, 0), math.nextafter(reach, math.inf),
-                math.nextafter(math.nextafter(reach, math.inf), math.inf)]
+        # the count is the loop's at every size: on a dense grid, two float
+        # steps either side of the threshold where the loop's count turns 0
+        # for good (found here by bisection on the loop), below the size
+        # where TERM_BUDGET ratios are all below 1, and at the ends
+        lo, hi = 2 * math.pi * 2.0 ** -30, 2048 * math.pi
+        assert reference_mordell_terms(lo, prec) and not reference_mordell_terms(hi, prec)
+        while lo < (mid := (lo + hi) / 2) < hi:
+            lo, hi = (mid, hi) if reference_mordell_terms(mid, prec) else (lo, mid)
+        count = reference_mordell_terms(lo, prec)
+        near = [math.nextafter(lo, 0), lo, hi, math.nextafter(hi, math.inf)]
+        edge = 2 * math.pi ** 2 / (3 * circle.TERM_BUDGET)
+        small = [edge, math.nextafter(edge, 0), edge / 2, edge / 1e3, 1e-300]
         grid = [2 * math.pi * 2.0 ** (k / 64) for k in range(-64 * 24, 64 * 11)]
-        for size in near + grid:
+        for size in near + small + grid + [math.inf]:
             assert circle._mordell_terms(size, prec) == reference_mordell_terms(size, prec), size
-        monkeypatch.setattr(circle, "_mordell_count", None)
-        assert [circle._mordell_terms(size, prec) for size in near[:1] + near[3:]] == [0, 0, 0]
+        # O(1) where the count is 0: the least partial sum of the term sizes
+        # rises about `count` bits per doubling of the size, so a factor
+        # 2^(1.5/count) past the threshold it is over a bit above the cut,
+        # and no loop step runs (at most the two log2 of the check);
+        # between, the loop decides.  Just below the threshold the loop runs
+        calls = []
+
+        def log2(x):
+            calls.append(x)
+            return math.log2(x)
+
+        monkeypatch.setattr(circle, "math", SimpleNamespace(**{**vars(math), "log2": log2}))
+        clear = hi * 2 ** (1.5 / count)
+        for size in [clear] + [s for s in grid if s > clear] + [1e300, math.inf]:
+            calls.clear()
+            assert circle._mordell_terms(size, prec) == 0 and len(calls) <= 2, size
+        calls.clear()
+        assert circle._mordell_terms(lo, prec) == count and len(calls) > count
 
     def test_route_chosen_before_the_transformation(self, monkeypatch):
         # _transformed reads the float term count of the Mordell expansion
