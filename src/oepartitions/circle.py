@@ -229,13 +229,14 @@ def _mordell_terms(size, prec):
     TERM_BUDGET); with (2t-1)!! = (2t)!/(2^t t!) it is
     log2(4/3) + last log2(3 size/(8 pi^2)) + log2((2 last)!/last!), in O(1).
     The count is 0 at once where no ratio is below 1 or that sum is more
-    than a bit above the cut, far more than the float error of the lgamma
-    form, so it is the loop's own at every size.
+    than 2^-20 bits above the cut, about 10^4 times the float error of the
+    lgamma form and of the loop's own sum (near 10^-10 bits), so it is the
+    loop's own at every size.
     """
     bits, cut = math.log2(4 / 3), -(prec + GUARD_BITS)
     last = min(math.ceil(2 * math.pi ** 2 / (3 * size) + 0.5) - 1, TERM_BUDGET)
     if last < 1 or bits + last * math.log2(3 * size / (8 * math.pi ** 2)) + (
-            math.lgamma(2 * last + 1) - math.lgamma(last + 1)) / math.log(2) > cut + 1:
+            math.lgamma(2 * last + 1) - math.lgamma(last + 1)) / math.log(2) > cut + 2 ** -20:
         return 0
     for terms in range(1, TERM_BUDGET + 1):
         ratio = 3 * (2 * terms - 1) * size / (4 * math.pi ** 2)
@@ -355,8 +356,8 @@ def _transformed(tau, prec):
     (below, the count can only grow, by terms under the cut), gives a
     nonzero _mordell_terms count, so the expansion reaches
     2^-(prec + GUARD_BITS).  The count is 0 in O(1) where the least
-    partial sum of the log2 term sizes is over a bit above the cut, at an
-    infinite size too, and its float loop's elsewhere.  inv, formed by
+    partial sum of the log2 term sizes is over 2^-20 bits above the cut,
+    at an infinite size too, and its float loop's elsewhere.  inv, formed by
     _phase as the phases -inv/24 and 2 inv/3 are, has Im inv >= 1 (the
     whole major arc for n >= 30), so |Q| <= e^-pi.  M and w cancel at most
     GUARD_BITS / 2 bits.

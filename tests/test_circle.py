@@ -650,10 +650,12 @@ class TestWatsonTransformation:
         for size in near + small + grid + [math.inf]:
             assert circle._mordell_terms(size, prec) == reference_mordell_terms(size, prec), size
         # O(1) where the count is 0: the least partial sum of the term sizes
-        # rises about `count` bits per doubling of the size, so a factor
-        # 2^(1.5/count) past the threshold it is over a bit above the cut,
-        # and no loop step runs (at most the two log2 of the check);
-        # between, the loop decides.  Just below the threshold the loop runs
+        # rises at least `count` bits per doubling of the size, so a factor
+        # 2^(2^-19/count) past the threshold, a few parts in 10^8, it is
+        # over 2^-20 bits above the cut, and no loop step runs (at most the
+        # two log2 of the check).  At the threshold itself the sum is within
+        # float error of the cut, where only the loop can decide; just below
+        # it the loop runs
         calls = []
 
         def log2(x):
@@ -661,8 +663,10 @@ class TestWatsonTransformation:
             return math.log2(x)
 
         monkeypatch.setattr(circle, "math", SimpleNamespace(**{**vars(math), "log2": log2}))
-        clear = hi * 2 ** (1.5 / count)
-        for size in [clear] + [s for s in grid if s > clear] + [1e300, math.inf]:
+        clear = hi * 2 ** (2 ** -19 / count)
+        assert clear < hi * (1 + 1e-7)
+        above = [clear * 2 ** (2.0 ** -k) for k in range(40, 0, -1)]
+        for size in [clear] + above + [s for s in grid if s > clear] + [1e300, math.inf]:
             calls.clear()
             assert circle._mordell_terms(size, prec) == 0 and len(calls) <= 2, size
         calls.clear()
