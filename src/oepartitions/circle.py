@@ -17,14 +17,16 @@ and alone decides where it serves.  Everywhere else Obar is summed from
 the paper's own series, in fixed point (see _obar_sum).
 
 A circle sample stays in fixed point from the point where it is taken to
-the number its caller uses.  _obar_sum forms q from libmp's exp and
-cosine and sine of pi (_radius, _turn) and returns its sum as Python ints
-scaled by a power of 2; the transformed route computes in mpc, and _fixed
-reads its value as such ints, exactly.  The arc integrand multiplies those
-ints by its phase, the minor-arc maximum compares their squared moduli,
-and the Cauchy recovery rotates its sample points in them.  An mpf or mpc
-is built only for the number handed on: oebar_eval's value, an integrand
-value, the maximum's square root and the recovered sum.
+the number its caller uses, on either route, as one representation:
+(re, im, scale), the Python ints Obar 2^scale.  _obar_sum forms q from
+libmp's exp and cosine and sine of pi (_radius, _turn); _transformed forms
+Q and its other powers the same way, sums in ints at the bits of the
+Mordell table, and puts Obar's growth near q = 1 into the scale, which may
+be negative.  The arc integrand multiplies those ints by its phase, the
+minor-arc maximum compares their squared moduli, and the Cauchy recovery
+rotates its sample points in them.  An mpf or mpc is built only for the
+number handed on: oebar_eval's value, an integrand value, the maximum's
+square root and the recovered sum.
 
 Both polynomial sums here, the Mordell expansion and the exact series at
 the samples of the Cauchy recovery, run on specfun.horner_fixed, the
@@ -41,8 +43,9 @@ from functools import lru_cache
 
 from mpmath import mp, mpf, mpc
 from mpmath.calculus.quadrature import GaussLegendre
-from mpmath.libmp import (from_rational, mpf_cos_sin_pi, mpf_exp, mpf_mul, mpf_mul_int, mpf_neg,
-                          mpf_pi, mpf_shift, to_fixed)
+from mpmath.libmp import (fone, from_rational, ftwo, mpc_reciprocal, mpc_sqrt, mpf_cos_sin_pi,
+                          mpf_div, mpf_exp, mpf_mul, mpf_mul_int, mpf_neg, mpf_pi, mpf_shift,
+                          mpf_sqrt, to_fixed, to_float)
 
 from . import genfun
 from .asympt import oebar_asymptotic
@@ -176,9 +179,7 @@ def _obar_sum(tau, prec):
         raise ArithmeticError(f"Obar(q) at tau = {tau} needs over {TERM_BUDGET} terms")
     wp = prec + GUARD_BITS + (TERM_BUDGET - 1).bit_length() + 4
     x, y = tau._mpc_
-    radius = _radius(y, wp)
-    cr, ci = _turn(mpf_shift(x, 1), wp)
-    qr, qi = (radius * cr) >> wp, (radius * ci) >> wp
+    qr, qi = _times((_radius(y, wp), 0), _turn(mpf_shift(x, 1), wp), wp)
     one = 1 << wp
     # (sr, si) the sum and (pr, pi_) q^(m-1), scaled by 2^wp; (tr, ti) the
     # term, scaled by 2^(wp + s)
@@ -271,8 +272,14 @@ def _mordell_fixed(prec, terms):
     return wp, table[:terms]
 
 
+def _times(a, b, wp):
+    """a b for complex a and b as int pairs scaled by 2^wp, each part floored."""
+    return (a[0] * b[0] - a[1] * b[1]) >> wp, (a[0] * b[1] + a[1] * b[0]) >> wp
+
+
 def _mordell(z, terms, prec):
-    """M(z) ~ sum_(j < terms) b_j z^j, by specfun.horner_fixed on floor(b_j 2^wp).
+    """M(z) ~ sum_(j < terms) b_j z^j, by specfun.horner_fixed on floor(b_j 2^wp),
+    wp = prec + GUARD_BITS + 4; z and the sum are int pairs scaled by 2^wp.
 
     b_j = 2 c_j (2j-1)!! / 3^j, c_j the coefficient of u^(2j) in
     sinh u / sinh(3u/2) = 2 cosh(u/2) / (1 + 2 cosh u).  Matching powers of
@@ -288,68 +295,66 @@ def _mordell(z, terms, prec):
     total stays below 2^-(prec + GUARD_BITS).
     """
     wp, coeffs = _mordell_fixed(prec, terms)
-    point = to_fixed(z.real._mpf_, wp), to_fixed(z.imag._mpf_, wp)
-    ar, ai = horner_fixed(reversed(coeffs), point, wp)
-    return mpc(mpf((ar, -wp)), mpf((ai, -wp)))
+    return horner_fixed(reversed(coeffs), z, wp)
 
 
-def _omega(big_q):
-    """Watson's omega(Q) = sum_(n>=0) Q^(2n(n+1)) / (Q;Q^2)_(n+1)^2, for |Q| <= e^-pi.
+def _omega(big_q, wp):
+    """Watson's omega(Q) = sum_(n>=0) Q^(2n(n+1)) / (Q;Q^2)_(n+1)^2, for
+    |Q| <= e^-pi, with Q and the sum as int pairs scaled by 2^wp.
 
     Each term is the last times Q^(4n) / (1 - Q^(2n+1))^2, at most 1/2 in
     size, so the sum after a term is below it; the loop stops at a term
-    below 2^-prec of the sum, after one or two on the major arc.
+    below 2^(4 - wp) of the sum, 2^-(prec + GUARD_BITS) at _mordell's wp,
+    after one or two on the major arc.  Dividing by d = (1 - Q^(2n+1))^2 is
+    multiplying by conj(d) and floor-dividing by |d|^2.
     """
-    eps = mpf(2) ** -mp.prec
-    q2 = big_q * big_q
-    q4 = q2 * q2
-    odd, step = big_q, mpc(1)  # Q^(2n-1) and Q^(4n)
-    term = total = 1 / (1 - big_q) ** 2
+    one = 1 << wp
+    q2 = _times(big_q, big_q, wp)
+    q4 = _times(q2, q2, wp)
+    odd, step, term, total = big_q, (one, 0), (one, 0), (0, 0)  # Q^(2n+1), Q^(4n), term, sum
     for _ in range(TERM_BUDGET):
-        odd *= q2
-        step *= q4
-        term *= step / (1 - odd) ** 2
-        total += term
-        if abs(term) < eps * abs(total):
+        dr, di = _times((one - odd[0], -odd[1]), (one - odd[0], -odd[1]), wp)
+        tr, ti = _times(term, step, wp)
+        size2 = dr * dr + di * di
+        term = ((tr * dr + ti * di) << wp) // size2, ((ti * dr - tr * di) << wp) // size2
+        total = total[0] + term[0], total[1] + term[1]
+        if (term[0] ** 2 + term[1] ** 2) << 2 * (wp - 4) < total[0] ** 2 + total[1] ** 2:
             return total
+        odd, step = _times(odd, q2, wp), _times(step, q4, wp)
     raise ArithmeticError(f"omega(Q) at Q = {big_q} needs over {TERM_BUDGET} terms")
 
 
-def _neg_pochhammer(big_q):
-    """(-Q;Q)_inf, for |Q| <= e^-pi.
+def _odd_pochhammer(big_q, wp):
+    """(Q;Q^2)_inf, which is 1/(-Q;Q)_inf by Euler's identity, for
+    |Q| <= e^-pi, with Q and the product as int pairs scaled by 2^wp.
 
-    The product stops at a factor 1 + Q^k with |Q^k| below 2^-prec; the
-    rest changes the value by at most |Q^k| / (1 - |Q|).  With |Q| <= e^-pi
-    that is at most about prec/4.5 factors, and one near q = 1.
+    The product stops at a factor 1 - Q^k with |Q^k| below 2^(4 - wp),
+    2^-(prec + GUARD_BITS) at _mordell's wp; the rest changes the value by
+    at most about |Q^k| / (1 - |Q|^2).  With |Q| <= e^-pi that is at most
+    about wp/9 factors, and none where Q itself is below it, as near q = 1.
     """
-    eps = mpf(2) ** -mp.prec
-    product, power = mpc(1), big_q
+    q2 = _times(big_q, big_q, wp)
+    product, power = (1 << wp, 0), big_q
     for _ in range(TERM_BUDGET):
-        if abs(power) < eps:
+        if power[0] ** 2 + power[1] ** 2 < 1 << 8:  # |Q^k| below 16 units of 2^-wp
             return product
-        product *= 1 + power
-        power *= big_q
-    raise ArithmeticError(f"(-Q;Q)_inf at Q = {big_q} needs over {TERM_BUDGET} factors")
-
-
-def _phase(x, d):
-    """x / d to within 2^(GUARD_BITS/2 - mp.prec), for e^(pi i x/d), which
-    reads x/d modulo 2 and its imaginary part in full: a quotient of 2^k
-    at mp.prec bits would cost k bits of the value."""
-    extra = mp.mag(x) - mp.mag(d) - GUARD_BITS // 2
-    return x / d if extra <= 0 else mp.fdiv(x, d, prec=mp.prec + extra)
+        product = _times(product, ((1 << wp) - power[0], -power[1]), wp)
+        power = _times(power, q2, wp)
+    raise ArithmeticError(f"(Q;Q^2)_inf at Q = {big_q} needs over {TERM_BUDGET} factors")
 
 
 def _transformed(tau, prec):
-    """Obar(q) at q = e^(2 pi i tau) through Watson's transformation, the
-    bits lost adding M(z) and the omega term, and the terms of M; or None.
+    """Obar(q) at q = e^(2 pi i tau) through Watson's transformation, as
+    (re, im, scale), the ints Obar 2^scale; the bits lost adding M(z) and
+    the omega term; and the terms of M.  Or None.
 
     With z = -2 pi i tau, inv = -1/tau and Q = e^(pi i inv) = e^(-2 pi^2/z),
-      Obar(e^-z) = e^(-pi i inv/24) (M(z) + w) / (sqrt2 (-Q;Q)_inf),
-      w = 2 sqrt(i/tau) e^(-2 pi i/(3 tau)) omega(Q),
+      Obar(e^-z) = e^(-pi i inv/24) (M(z) + w) (Q;Q^2)_inf / sqrt2,
+      w = 2 sqrt(i/tau) e^(2 pi i inv/3) omega(Q),
     M the Mordell integral, summed by its asymptotic expansion: Watson's
     e^(z/24) f(e^-z) = M(z) + w times (-q;q)_inf = eta(2 tau)/eta(tau)
-    moved to -1/tau, their factors e^(+-pi i tau/12) cancelled.
+    moved to -1/tau, their factors e^(+-pi i tau/12) cancelled, and
+    1/(-Q;Q)_inf = (Q;Q^2)_inf.
 
     None unless three tests pass, in this order.  Before any complex
     arithmetic, the float size |z| = 2 pi |tau|, |tau| held from 2^-1000 up
@@ -357,33 +362,59 @@ def _transformed(tau, prec):
     nonzero _mordell_terms count, so the expansion reaches
     2^-(prec + GUARD_BITS).  The count is 0 in O(1) where the least
     partial sum of the log2 term sizes is over 2^-20 bits above the cut,
-    at an infinite size too, and its float loop's elsewhere.  inv, formed by
-    _phase as the phases -inv/24 and 2 inv/3 are, has Im inv >= 1 (the
-    whole major arc for n >= 30), so |Q| <= e^-pi.  M and w cancel at most
-    GUARD_BITS / 2 bits.
+    at an infinite size too, and its float loop's elsewhere.  inv has
+    Im inv >= 1 (the whole major arc for n >= 30), so |Q| <= e^-pi.  M and
+    w cancel at most GUARD_BITS / 2 bits, read from the squared moduli.
+
+    Fixed point on Python ints at _mordell's wp = prec + GUARD_BITS + 4,
+    from tau's libmp parts; no mpf or mpc is built.  inv is formed to
+    within 2^-(wp + 8), at wp + 8 bits plus those of its integer part, so
+    that each phase below reads it to that modulo 2: a quotient of 2^k at
+    wp bits would cost k bits of the value.  Each power e^(pi i r inv) of Q
+    (r = 1, 2/3 and -1/24) is libmp's exp of -pi r Im inv for the modulus
+    and _turn at r Re inv for the phase, as _obar_sum forms q, and
+    sqrt(i/tau) = sqrt(Im inv - i Re inv) is libmp's.  The one modulus
+    above 1, e^(pi Im inv/24) / sqrt2, carries Obar's growth and goes into
+    the scale, which is negative where Obar is above about 2^wp.
     """
     size = 2 * math.pi * max(abs(complex(tau)), _TINY)
     terms = _mordell_terms(size, prec)
     if not terms:
         return None
-    inv = _phase(-1, tau)
-    if inv.imag < 1:
+    x, y = tau._mpc_
+    wp = prec + GUARD_BITS + 4  # _mordell's
+    bits = wp + 8 + max(0, 1 - y[2] - y[3])  # |inv| <= 1/Im tau < 2^(bits - wp - 8)
+    re, im = (mpf_neg(part) for part in mpc_reciprocal((x, y), bits))  # inv = -1/tau
+    if to_float(im) < 1:
         return None
-    z = -2j * mp.pi * tau
-    big_q = mp.expjpi(inv)
-    m = _mordell(z, terms, prec)
-    total, lost = m, 0
+    minus_pi = mpf_neg(mpf_pi(bits))
+
+    def power(r):  # e^(pi i r inv): its modulus, an mpf, and its phase, _turn's ints
+        return mpf_exp(mpf_mul(mpf_mul(minus_pi, r), im, bits), wp), _turn(mpf_mul(r, re, bits), wp)
+
+    modulus, phase = power(fone)
+    big_q = _times((to_fixed(modulus, wp), 0), phase, wp)
+    # z = -2 pi i tau = -2 pi (-y + i x), each part floored
+    z = [to_fixed(mpf_mul(minus_pi, part, bits), wp + 1) for part in (mpf_neg(y), x)]
+    m, w = _mordell(z, terms, prec), (0, 0)
     # |omega(Q)| < 1.1 for |Q| <= e^-pi and |M(z)| > 1 where the expansion serves, so w is
-    # below the truncation of M where 2.2 sqrt(2 pi/|z|) |Q|^(2/3) is; mp.mag bounds
-    # log2 |Q| from above, as an integer however small Q is
-    if 2 * mp.mag(big_q) >= -3 * (prec + GUARD_BITS + math.log2(2.2 * math.sqrt(2 * math.pi / size))):
-        w = 2 * mp.sqrt(1j / tau) * mp.expjpi(_phase(inv, 1.5)) * _omega(big_q)
-        total = m + w
-        lost = max(mp.mag(m), mp.mag(w)) - mp.mag(total) if total else mp.inf
-        if lost > GUARD_BITS // 2:
-            return None
-    value = mp.expjpi(_phase(inv, -24)) * total / (mp.sqrt(2) * _neg_pochhammer(big_q))
-    return value, max(lost, 0), terms
+    # below the truncation of M where 2.2 sqrt(2 pi/|z|) |Q|^(2/3) is; in floats, in which
+    # a vast Im inv is infinite
+    if 2 * math.pi * to_float(im) / 3 <= (prec + GUARD_BITS) * math.log(2) + math.log(
+            2.2 * math.sqrt(2 * math.pi / size)):
+        modulus, phase = power(from_rational(2, 3, bits))
+        root = [to_fixed(mpf_mul(part, modulus, bits), wp + 1)
+                for part in mpc_sqrt((im, mpf_neg(re)), bits)]  # 2 sqrt(i/tau) |e^(2 pi i inv/3)|
+        w = _times(_times(root, phase, wp), _omega(big_q, wp), wp)
+    total = m[0] + w[0], m[1] + w[1]
+    m2, w2, t2 = (a * a + b * b for a, b in (m, w, total))
+    lost = max((max(m2, w2).bit_length() - t2.bit_length() + 1) // 2, 0)
+    if lost > GUARD_BITS // 2:
+        return None
+    modulus, phase = power(from_rational(-1, 24, bits))
+    vr, vi = _times(_times(total, _odd_pochhammer(big_q, wp), wp), phase, wp)
+    _, man, exp, bc = mpf_div(modulus, mpf_sqrt(ftwo, wp), wp)  # e^(pi Im inv/24) / sqrt2
+    return ((vr * man) >> bc, (vi * man) >> bc, wp - exp - bc), lost, terms
 
 
 def _oebar_eval_tau(tau, prec):
@@ -391,9 +422,10 @@ def _oebar_eval_tau(tau, prec):
     guarded entry point above it rounds once, to prec bits.
 
     _transformed where it serves, which it decides before any complex
-    arithmetic, as its mpc; elsewhere _obar_sum, re-summed by pay_for_loss,
-    as its fixed-point (re, im, wp).  _fixed reads either as ints.  Logs the
-    route, its term count, lost bits and re-sum at DEBUG.
+    arithmetic; elsewhere _obar_sum, re-summed by pay_for_loss.  Either
+    gives (re, im, scale), the ints Obar 2^scale, where the scale may be
+    negative.  Logs the route, its term count, lost bits and re-sum at
+    DEBUG.
     """
     found, route, extra = _transformed(tau, prec), "transformed", 0
     if found is None:
@@ -406,17 +438,6 @@ def _oebar_eval_tau(tau, prec):
     return value
 
 
-def _fixed(value):
-    """Obar as _oebar_eval_tau returns it, as (re, im, scale), the ints
-    Obar 2^scale: the direct route's own, or the transformed route's mpc
-    exactly, at the finer scale of its two parts."""
-    if isinstance(value, mpc):
-        re, im = value._mpc_
-        scale = max(0, -re[2], -im[2])
-        return to_fixed(re, scale), to_fixed(im, scale), scale
-    return value
-
-
 @guarded
 def oebar_eval(tau, prec=256):
     """Evaluate Obar(q) = sum_m (-1;q)_m q^(m(m+1)/2) / (q^2;q^2)_m at
@@ -425,16 +446,13 @@ def oebar_eval(tau, prec=256):
     Efficient arbitrarily close to q = 1, through the modular
     transformation there; this is the route used on the major arc.  Obar
     is 1-periodic in tau, so tau is first reduced, exactly, by an integer.
-    The direct route's fixed-point sum becomes an mpc here, and only here.
+    Either route's fixed-point value becomes an mpc here, and only here.
     """
     tau = mpc(tau)
     if tau.imag <= 0:
         raise DomainError("tau must lie in the upper half plane")
-    value = _oebar_eval_tau(tau - mp.nint(tau.real), prec)
-    if isinstance(value, mpc):
-        return value
-    re, im, wp = value
-    return mpc(mpf((re, -wp)), mpf((im, -wp)))
+    re, im, scale = _oebar_eval_tau(tau - mp.nint(tau.real), prec)
+    return mpc(mpf((re, -scale)), mpf((im, -scale)))
 
 
 @guarded
@@ -548,18 +566,18 @@ def _arc_integrand(n, y, prec):
     """x -> Re(Obar(q) e^(-2 pi i n x)) e^(2 pi n y), q = e^(2 pi i (x + i y)),
     the real part of Obar(q) q^(-n), for a guarded caller.
 
-    In fixed point from the sample to the value: Obar as _fixed's ints, the
-    phase _turn's at -2 n x, formed exactly, and wp = prec + GUARD_BITS bits,
-    the real part of their product an int, times the mantissa of
-    e^(2 pi n y).  One mpf is built, the value, rounded once.  The phase's
-    parts are within 2^(1 - wp) each, so its error is below 2^(1.5 - wp)
-    of |Obar| e^(2 pi n y).
+    In fixed point from the sample to the value: Obar as _oebar_eval_tau's
+    ints, at a scale of either sign, the phase _turn's at -2 n x, formed
+    exactly, and wp = prec + GUARD_BITS bits, the real part of their product
+    an int, times the mantissa of e^(2 pi n y).  One mpf is built, the
+    value, rounded once.  The phase's parts are within 2^(1 - wp) each, so
+    its error is below 2^(1.5 - wp) of |Obar| e^(2 pi n y).
     """
     wp = prec + GUARD_BITS
     amp = (mp.e ** (2 * mp.pi * n * y))._mpf_  # positive: (0, man, exp, bc)
 
     def integrand(x):
-        re, im, scale = _fixed(_oebar_eval_tau(mpc(x, y), prec))
+        re, im, scale = _oebar_eval_tau(mpc(x, y), prec)
         t = x._mpf_
         c, s = _turn(mpf_mul_int(t, -2 * n, t[3] + (2 * n).bit_length()), wp)  # -2 n x, exactly
         return mpf(((re * c - im * s) * amp[1], amp[2] - scale - wp))
@@ -631,19 +649,18 @@ def minor_arc_bound(geom, prec=256):
 def minor_arc_empirical_max(geom, grid=200, prec=96):
     """Max of |Obar| sampled on the minor arc M y < x <= 1/2 (symmetric in x).
 
-    The samples are compared as |Obar|^2 in _fixed's ints, exactly, each
-    pair of scales brought to the finer; one square root is taken, of the
-    largest."""
+    The samples are compared as |Obar|^2 in _oebar_eval_tau's ints,
+    exactly, each pair of scales, of either sign, brought to the finer; one
+    square root is taken, of the largest."""
     if grid < 2:
         raise DomainError("grid must be >= 2")
-    y = geom.y
-    w = geom.major_halfwidth
+    y, w = geom.y, geom.major_halfwidth
     best, best_scale = 0, 0  # the largest |Obar|^2 so far, scaled by 2^best_scale
     for k in range(grid):
         x = w + (mpf("0.5") - w) * (k + 1) / grid
-        re, im, scale = _fixed(_oebar_eval_tau(mpc(x, y), prec))
+        re, im, scale = _oebar_eval_tau(mpc(x, y), prec)
         size2, scale = re * re + im * im, 2 * scale
-        if size2 << best_scale > best << scale:
+        if size2 << max(best_scale - scale, 0) > best << max(scale - best_scale, 0):
             best, best_scale = size2, scale
     return mp.sqrt(mpf((best, -best_scale)))
 

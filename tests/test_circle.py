@@ -493,15 +493,17 @@ class TestWatsonTransformation:
         (256, 25600, 0), (256, 25600, "3y"), (256, 4 * 10 ** 5, mpf("0.0032")),
     ])
     def test_routes_agree_where_both_converge(self, prec, n, x):
-        # Watson's transformation against Obar's own series; the series
-        # loses up to 64 bits here, so it is compared after its re-sum
+        # Watson's transformation against Obar's own series, each as its
+        # ints and their scale; the series loses up to 64 bits here, so it
+        # is compared after its re-sum
         tau = circle_point(n, x)
+        found = circle._transformed(tau, prec)
+        assert found is not None
+        ((re, im, wp), _, _), _ = specfun.pay_for_loss(
+            lambda bits: circle._obar_sum(tau, bits), prec, "Obar(q)")
         with workprec(prec + GUARD_BITS):
-            found = circle._transformed(tau, prec)
-            assert found is not None
-            transformed = found[0]
-            ((re, im, wp), _, _), _ = specfun.pay_for_loss(
-                lambda bits: circle._obar_sum(tau, bits), prec, "Obar(q)")
+            (tr, ti, scale), _, _ = found
+            transformed = mpc(mpf((tr, -scale)), mpf((ti, -scale)))
             direct = mpc(mpf((re, -wp)), mpf((im, -wp)))
         assert abs(transformed - direct) < mpf(2) ** -(prec - 2) * abs(direct)
 
@@ -529,12 +531,17 @@ class TestWatsonTransformation:
     @pytest.mark.parametrize("dual", [("0.3", "1.2"), ("-0.1", "1"), ("0", "30"),
                                       ("0.3", "0.8"), ("0.45", "0.6")])
     def test_closed_eta_factor_against_euler_eval(self, dual, prec):
-        # (-q;q)_inf = e^(pi i (1/(24 tau) - tau/12)) / (sqrt2 (-Q;Q)_inf),
-        # tau = -1/w on both sides of Im(-1/tau) = Im w = 1
+        # (-q;q)_inf = e^(pi i (1/(24 tau) - tau/12)) (Q;Q^2)_inf / sqrt2,
+        # Q = e^(-pi i/tau), with (Q;Q^2)_inf = 1/(-Q;Q)_inf the int product
+        # at the Mordell table's bits; tau = -1/w on both sides of
+        # Im(-1/tau) = Im w = 1
+        wp = prec + GUARD_BITS + 4
         with workprec(prec + GUARD_BITS):
             tau = -1 / mpc(*dual)
-            got = (mp.expjpi(1 / (24 * tau) - tau / 12)
-                   / (sqrt(2) * circle._neg_pochhammer(mp.expjpi(-1 / tau))))
+            big_q = mp.expjpi(-1 / tau)
+            re, im = circle._odd_pochhammer(
+                (to_fixed(big_q.real._mpf_, wp), to_fixed(big_q.imag._mpf_, wp)), wp)
+            got = mp.expjpi(1 / (24 * tau) - tau / 12) * mpc(mpf((re, -wp)), mpf((im, -wp))) / sqrt(2)
             want = euler_eval(2 * tau, prec + GUARD_BITS) / euler_eval(tau, prec + GUARD_BITS)
             assert abs(got - want) < mpf(2) ** -(prec - 2) * abs(want)
 
@@ -561,21 +568,18 @@ class TestWatsonTransformation:
     ])
     def test_mordell_sum_bit_identical_to_its_own_loop(self, prec, n, x):
         # _mordell's Horner loop written out, starting from the top b_j rather
-        # than from 0, at the working precision of _transformed:
-        # series.horner_fixed must give the same bits
+        # than from 0, on the ints of z at the bits of _transformed:
+        # _mordell, and series.horner_fixed under it, must give the same ints
         with workprec(prec + GUARD_BITS):
             z = -2j * pi * circle_point(n, x)
             terms = circle._mordell_terms(float(abs(z)), prec)
             assert terms > 0
             wp, coeffs = circle._mordell_fixed(prec, terms)
             zr, zi = to_fixed(z.real._mpf_, wp), to_fixed(z.imag._mpf_, wp)
-            ar, ai = coeffs[-1], 0
-            for b in reversed(coeffs[:-1]):
-                ar, ai = ((ar * zr - ai * zi) >> wp) + b, (ar * zi + ai * zr) >> wp
-            want = mpc(mpf((ar, -wp)), mpf((ai, -wp)))
-            got = circle._mordell(z, terms, prec)
-        assert (got.real._mpf_, got.imag._mpf_) == (want.real._mpf_, want.imag._mpf_)
-        # and below the bits the mpc keeps
+        ar, ai = coeffs[-1], 0
+        for b in reversed(coeffs[:-1]):
+            ar, ai = ((ar * zr - ai * zi) >> wp) + b, (ar * zi + ai * zr) >> wp
+        assert circle._mordell((zr, zi), terms, prec) == (ar, ai)
         assert horner_fixed(reversed(coeffs), (zr, zi), wp) == (ar, ai)
 
     @pytest.mark.parametrize("prec,size", [(96, 90), (256, 201), (512, 379)])
@@ -608,13 +612,14 @@ class TestWatsonTransformation:
         assert len(messages) == 1 and f": {route}, " in messages[0]
 
     def test_complex_exponentials_per_call(self, monkeypatch):
-        # the transformed route takes Q, e^(-pi i inv/24) and, where it is
-        # not negligible, the omega term's factor, all by mp.expjpi; Q only
-        # once the expansion serves.  The direct route takes the phase of q
-        # alone, by a fixed-point turn.  The Cauchy recovery at n = 105
-        # takes K = 106 samples, each twiddle the sample's own root; it
-        # turns once, to e^(2 pi i/K), and rotates by it from sample to
-        # sample, so its 54 roots cost one complex exponential, not 54
+        # no sample calls mp.expjpi.  The transformed route takes the
+        # phases of Q, of e^(-pi i inv/24) and, where it is not negligible,
+        # of the omega term's factor, each by a fixed-point turn; Q only once
+        # the expansion serves.  The direct route takes the phase of q
+        # alone.  The Cauchy recovery at n = 105 takes K = 106 samples, each
+        # twiddle the sample's own root; it turns once, to e^(2 pi i/K), and
+        # rotates by it from sample to sample, so its 54 roots cost one
+        # complex exponential, not 54
         calls = []
 
         def counting(name, inner):
@@ -622,7 +627,7 @@ class TestWatsonTransformation:
 
         monkeypatch.setattr(mp, "expjpi", counting("expjpi", mp.expjpi))
         monkeypatch.setattr(circle, "_turn", counting("_turn", circle._turn))
-        for n, x, want in [(10 ** 5, 0, ["expjpi"] * 2), (25600, "6y", ["expjpi"] * 3),
+        for n, x, want in [(10 ** 5, 0, ["_turn"] * 2), (25600, "6y", ["_turn"] * 3),
                            (400, "3y", ["_turn"]), (1600, mpf("0.499"), ["_turn"])]:
             tau = circle_point(n, x)
             calls.clear()
@@ -675,21 +680,22 @@ class TestWatsonTransformation:
     def test_route_chosen_before_the_transformation(self, monkeypatch):
         # _transformed reads the float term count of the Mordell expansion
         # first: where it is 0, as at these points next to q = 1 for small
-        # n, no phase is computed, -1/tau the first of them; at the last
-        # point -1/tau and the phase -1/(24 tau), while the omega term, with
-        # its phase 2/(3 tau), is far below the truncation of M there
+        # n, -1/tau, which every phase reads, is not formed; at the last
+        # point it is formed once, while the omega term is far below the
+        # truncation of M there and is not summed
         calls = []
-        inner = circle._phase
 
-        def counting(*args):
-            calls.append(args)
-            return inner(*args)
+        def counting(name):
+            inner = getattr(circle, name)
+            return lambda *args: calls.append(name) or inner(*args)
 
-        monkeypatch.setattr(circle, "_phase", counting)
-        for n, x, want in [(25, 0, 0), (25, "3y", 0), (400, "3y", 0), (10 ** 5, 0, 2)]:
+        for name in ("mpc_reciprocal", "_omega"):
+            monkeypatch.setattr(circle, name, counting(name))
+        for n, x, want in [(25, 0, []), (25, "3y", []), (400, "3y", []),
+                           (10 ** 5, 0, ["mpc_reciprocal"])]:
             calls.clear()
             oebar_eval(tau=circle_point(n, x), prec=96)
-            assert len(calls) == want, (n, x)
+            assert calls == want, (n, x)
 
     def test_cancelling_parts_fall_back_to_the_direct_sum(self, monkeypatch, caplog):
         # here the omega term is about as large as M(z); an omega that makes
@@ -707,11 +713,15 @@ class TestWatsonTransformation:
         want = oebar_eval(tau=tau, prec=prec)
         assert ": transformed, " in route()
 
-        def cancelling_omega(big_q):
-            z = -2j * pi * tau
-            m = circle._mordell(z, circle._mordell_terms(float(abs(z)), prec), prec)
-            factor = 2 * sqrt(1j / tau) * mp.expjpi(-2 / (3 * tau))
-            return -m * (1 - mpf(2) ** -20) / factor
+        def cancelling_omega(big_q, wp):
+            # as ints scaled by 2^wp, like the omega it stands in for
+            with workprec(wp + 16):
+                z = -2j * pi * tau
+                point = to_fixed(z.real._mpf_, wp), to_fixed(z.imag._mpf_, wp)
+                mr, mi = circle._mordell(point, circle._mordell_terms(float(abs(z)), prec), prec)
+                factor = 2 * sqrt(1j / tau) * mp.expjpi(-2 / (3 * tau))
+                omega = -mpc(mpf((mr, -wp)), mpf((mi, -wp))) * (1 - mpf(2) ** -20) / factor
+                return to_fixed(omega.real._mpf_, wp), to_fixed(omega.imag._mpf_, wp)
 
         monkeypatch.setattr(circle, "_omega", cancelling_omega)
         got = oebar_eval(tau=tau, prec=prec)
@@ -870,9 +880,11 @@ class TestArcs:
         # the fixed-point integrand is Re(Obar(q) e^(-2 pi i n x)) e^(2 pi n y)
         # to 2^-(prec-2) of |Obar| e^(2 pi n y), on the major arc and the
         # minor one, and on both routes: the transformed one serves the
-        # major arc at n = 1600, the direct one the rest
+        # major arc at n = 1600 and 10^5, the direct one the rest.  At
+        # n = 10^5, x = 0, Obar is about 2^414, above 2^wp, so its scale is
+        # negative
         routes = set()
-        for n in (12, 25, 100, 1600):
+        for n in (12, 25, 100, 1600, 10 ** 5):
             geom = ArcGeometry(n)
             with workprec(prec + GUARD_BITS):
                 y, w = geom.y, geom.major_halfwidth
@@ -899,10 +911,12 @@ class TestMinorArcBound:
         emp = minor_arc_empirical_max(geom, grid=60, prec=96)
         assert emp < bound.bound_value
 
-    @pytest.mark.parametrize("n,grid", [(103, 60), (1600, 20)])
+    @pytest.mark.parametrize("n,grid", [(103, 60), (1600, 20), (10 ** 5, 100)])
     def test_empirical_max_is_the_grid_max(self, n, grid):
         # compared as |Obar|^2 in integers, with one square root: the max of
-        # abs(oebar_eval) over the same grid, to the precision asked for
+        # abs(oebar_eval) over the same grid, to the precision asked for.  At
+        # n = 10^5 the first sample takes the transformed route and the rest
+        # the direct one, so the two routes' scales are compared
         prec, geom = 96, ArcGeometry(n)
         got = minor_arc_empirical_max(geom, grid=grid, prec=prec)
         with workprec(prec + GUARD_BITS):  # the points it samples, to the bit

@@ -20,6 +20,9 @@
   or extradps, or assigns mp.prec or mp.dps.
 - Only public entry points are guarded, so a value is rounded once: no
   function named _name in the package is decorated with guarded.
+- A circle sample is fixed point from its point to its value, at the bits
+  its caller passes: no private function in circle.py, nor one nested in
+  it, reads mp.prec or mp.dps or names mpmath's expjpi.
 """
 
 import ast
@@ -153,6 +156,18 @@ def _precision_settings(tree):
     return sorted(lines)
 
 
+def _ambient_reads(tree):
+    """(function, line) where a top-level function named _name, or one
+    nested in it, reads mp.prec or mp.dps or names expjpi."""
+    return sorted(
+        (func.name, node.lineno)
+        for func in tree.body
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) and func.name.startswith("_")
+        for node in ast.walk(func)
+        if _is_mp_precision(node) or getattr(node, "attr", getattr(node, "id", None)) == "expjpi"
+    )
+
+
 def _guarded_helpers(tree):
     """Functions named _name, at any depth, decorated with guarded (as a
     name or as an attribute such as specfun.guarded), by line."""
@@ -263,6 +278,31 @@ def test_the_scan_sees_guarded_helpers_and_not_public_ones():
         "def _cached(prec): pass\n"
     )
     assert _guarded_helpers(tree) == {"_a": 2, "_b": 4, "_method": 10}
+
+
+def test_circle_helpers_read_no_ambient_precision():
+    hits = _ambient_reads(_tree(PACKAGE / "circle.py"))
+    assert not hits, (f"circle.py: private functions read mp.prec or call expjpi at {hits}; "
+                      "compute in fixed point at the bits the caller passes")
+
+
+def test_the_scan_sees_ambient_reads_in_private_functions_only():
+    tree = ast.parse(
+        "def _a(x):\n"
+        "    return mp.prec + x\n"
+        "def _b(x):\n"
+        "    def inner():\n"
+        "        return mp.expjpi(x)\n"
+        "    return inner\n"
+        "def public(x):\n"
+        "    return mp.expjpi(x) * mp.prec\n"
+        "def _c(prec):\n"
+        "    digits = mpmath.mp.dps\n"
+        "    return expjpi(digits, prec)\n"
+        "def _d(prec):\n"
+        "    return _turn(prec)\n"
+    )
+    assert _ambient_reads(tree) == [("_a", 2), ("_b", 5), ("_c", 10), ("_c", 11)]
 
 
 def test_one_horner_loop():
