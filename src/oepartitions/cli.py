@@ -6,9 +6,9 @@ Subcommands:
   verify    run the identity / asymptotic / special-function check suites;
             exit code 0 iff everything passes
   ratio     exact-vs-asymptotic convergence tables for the leading laws
-  gf-eval   generating-function values at q = e^(-eps), summed to order
-            max(1, 300/eps), against the leading asymptotic constant; a row whose
-            tail bound is above the printed precision is refused
+  gf-eval   generating-function values at q = e^(-eps), summed to the order
+            _gf_order gives, against the leading asymptotic constant; a row
+            whose tail bound is above the printed precision is refused
   circle    end-to-end circle-method report for one n
 
 Tables are emitted as CSV (default) or JSON; reports as JSON.  The default
@@ -23,6 +23,11 @@ of the package at import time, so a refused command loads neither, and
 compute loads only the series or only the enumeration layer, neither of
 which imports mpmath.  gf-eval refuses its --eps grid in floats before it
 reads it with mpmath.
+
+CEILINGS is the one table of work guards: the largest size each request may
+build without --force, the n enumerated or the order of the series summed.
+_refuse_above refuses a request above its row in one line, at the point where
+the command has read its size and before it imports a numeric layer.
 """
 
 from __future__ import annotations
@@ -33,9 +38,9 @@ import os
 import sys
 from collections import namedtuple
 
-ENUM_COST_GUARD = 50
-# ratio builds one series to the largest n; --force lifts this ceiling
-RATIO_ORDER_CEILING = 20000
+# the largest n (enumeration) or series order each request builds without
+# --force; "compute" is its series methods, series and watson-product
+CEILINGS = {"compute --method enum": 50, "compute": 100000, "ratio": 20000, "gf-eval": 60000}
 # gf-eval prints floats: a tail bound above 2^-53 of the value shows in the output
 PRINTED_PRECISION = 2.0 ** -53
 # the verify tolerances are 2^-(prec - 56), which pass anything at 56 bits
@@ -63,6 +68,13 @@ def _parse_list(text, convert, option):
         return [convert(s) for s in text.split(",")]
     except ValueError:
         raise SystemExit(f"{option} needs a comma-separated list of numbers, got {text!r}") from None
+
+
+def _refuse_above(request, size, force):
+    """Refuse a request whose size is above its row of CEILINGS, unless forced."""
+    ceiling = CEILINGS[request]
+    if size > ceiling and not force:
+        raise SystemExit(f"{request}: size {size} above the ceiling {ceiling}; pass --force")
 
 
 def _cannot_write(path, exc):
@@ -113,10 +125,7 @@ def cmd_compute(args):
     n_max, kind = args.n_max, KINDS[args.kind]
     if n_max < 0:
         raise SystemExit("--n-max must be >= 0")
-    if args.method == "enum" and n_max > ENUM_COST_GUARD and not args.force:
-        raise SystemExit(
-            f"enumeration beyond n={ENUM_COST_GUARD} is exponential; pass --force to insist"
-        )
+    _refuse_above("compute --method enum" if args.method == "enum" else "compute", n_max, args.force)
     if args.method == "watson-product" and args.kind != "oebar":
         raise SystemExit("--method watson-product applies to --kind oebar only")
     if args.method == "enum":
@@ -150,10 +159,7 @@ def cmd_ratio(args):
     ns = sorted(_parse_list(args.n, int, "--n"))
     if ns[0] < 1:
         raise SystemExit("--n values must be >= 1")
-    if ns[-1] > RATIO_ORDER_CEILING and not args.force:
-        raise SystemExit(
-            f"series order {ns[-1]} above the ceiling {RATIO_ORDER_CEILING}; pass --force"
-        )
+    _refuse_above("ratio", ns[-1], args.force)
     from . import specfun
 
     rows = specfun.guarded(_ratio_rows)(KINDS[args.kind], ns, args.prec)
@@ -177,7 +183,7 @@ def _gf_rows(eps_grid, prec):
 
     rows = []
     growth_c = mp.pi / mp.sqrt(5)
-    orders = [max(1, int(300 / float(eps))) for eps in eps_grid]
+    orders = [_gf_order(float(eps)) for eps in eps_grid]
     top = genfun.oe_series(max(orders))
     for eps, order in zip(eps_grid, orders):
         full = top.truncate(order)
@@ -202,13 +208,21 @@ def _gf_rows(eps_grid, prec):
     return rows
 
 
+def _gf_order(eps):
+    """The order gf-eval sums O(q) to at q = e^(-eps), for a float eps > 0.
+    Below about 1.7e-306 the quotient overflows, and the order is inf, above
+    any ceiling."""
+    order = 300 / eps
+    return max(1, int(order)) if order < math.inf else order
+
+
 def _refuse_eps(grid, force):
     """Refuse a grid of floats, the values the order and the printed rows are
-    taken in, unless each is finite and > 0 and, without force, >= 0.005."""
+    taken in, unless each is finite and > 0 and, without force, its largest
+    series order is within the ceiling."""
     if not all(0 < eps < math.inf for eps in grid):
         raise SystemExit("--eps values must be finite and > 0")
-    if min(grid) < 0.005 and not force:
-        raise SystemExit("eps below 0.005 needs a very long series; pass --force")
+    _refuse_above("gf-eval", _gf_order(min(grid)), force)
 
 
 def cmd_gf_eval(args):
@@ -352,7 +366,7 @@ def _table_options(parser, func):
     """The options every table command takes, after its own."""
     parser.add_argument("--format", choices=["csv", "json"], default="csv")
     parser.add_argument("--output")
-    parser.add_argument("--force", action="store_true")
+    parser.add_argument("--force", action="store_true", help="lift this command's size ceiling")
     parser.set_defaults(func=func)
 
 

@@ -292,6 +292,54 @@ class TestUsageErrors:
         assert isinstance(message, str) and message and "\n" not in message
 
 
+# (row of cli.CEILINGS, a request, the size that request builds)
+CEILING_REQUESTS = [
+    ("compute --method enum", ["compute", "--kind", "oebar", "--n-max", "8", "--method", "enum"], 8),
+    ("compute", ["compute", "--kind", "oe", "--n-max", "30"], 30),
+    ("compute", ["compute", "--kind", "oebar", "--n-max", "30", "--method", "watson-product"], 30),
+    ("ratio", ["ratio", "--kind", "oebar", "--n", "10,100"], 100),
+    ("gf-eval", ["gf-eval", "--eps", "0.5,5"], 600),
+]
+
+
+@pytest.mark.parametrize("row,argv,size", CEILING_REQUESTS)
+class TestCeilings:
+    # each row is lowered to the request's own size, so these runs stay cheap
+
+    def test_refused_just_above_its_ceiling(self, capsys, monkeypatch, summand_calls,
+                                             row, argv, size):
+        monkeypatch.setitem(cli.CEILINGS, row, size - 1)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        message = exc.value.code
+        assert isinstance(message, str) and "\n" not in message
+        for part in (row, f"size {size}", f"ceiling {size - 1}", "--force"):
+            assert part in message
+        assert summand_calls == [] and capsys.readouterr().out == ""
+
+    def test_accepted_at_its_ceiling(self, capsys, monkeypatch, row, argv, size):
+        monkeypatch.setitem(cli.CEILINGS, row, size)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out
+
+    def test_force_lifts_its_ceiling(self, capsys, monkeypatch, row, argv, size):
+        _, want, _ = run_cli(capsys, *argv)
+        monkeypatch.setitem(cli.CEILINGS, row, size - 1)
+        code, out, _ = run_cli(capsys, *argv, "--force")
+        assert code == 0 and out == want
+
+
+def test_each_ceiling_row_has_a_request():
+    assert {row for row, _, _ in CEILING_REQUESTS} == set(cli.CEILINGS)
+
+
+def test_gf_eval_order_past_float_range_is_refused(capsys):
+    # 300/eps overflows a float here: the order is inf, not an OverflowError
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["gf-eval", "--eps", "1e-310"])
+    assert "size inf" in exc.value.code
+
+
 class TestPrecPlumbing:
     def test_env_var_default(self, monkeypatch):
         monkeypatch.setenv("OEPARTITIONS_PREC", "123")
@@ -350,11 +398,14 @@ class TestImportFootprint:
         ["compute", "--kind", "oe", "--n-max", "-3"],
         ["compute", "--kind", "even", "--n-max", "5"],
         ["ratio", "--kind", "oe", "--n", ","],
+        ["compute", "--kind", "oebar", "--n-max", "400000"],
+        ["ratio", "--kind", "oe", "--n", "100000"],
     ])
     def test_enumeration_and_refusals_load_no_mpmath(self, argv):
         loaded = loaded_modules(argv)
         assert not {m for m in loaded if m.split(".")[0] == "mpmath"}
         assert "oepartitions.cli" in loaded
+        assert "oepartitions.genfun" not in loaded
 
     @pytest.mark.parametrize("argv", [
         "oepartitions.genfun",
