@@ -12,9 +12,9 @@ together with an empirical maximum.
 Obar(q) takes one of two routes (see _oebar_eval_tau).  Near q = 1,
 Obar = (-q;q)_inf f(q), f Watson's third-order mock theta function, moves
 to the nome Q = e^(-pi i/tau) as one formula, whose Mordell integral is
-summed by an asymptotic expansion (see _mordell); _transformed computes it
-and alone decides where it serves.  Everywhere else Obar is summed from
-the paper's own series, in fixed point (see _obar_sum).
+summed by an asymptotic expansion (see _mordell_fixed); _transformed
+computes it and alone decides where it serves.  Everywhere else Obar is
+summed from the paper's own series, in fixed point (see _obar_sum).
 
 A circle sample stays in fixed point from the point where it is taken to
 the number its caller uses, on either route, as one representation:
@@ -57,7 +57,7 @@ from .specfun import (GUARD_BITS, TERM_BUDGET, DomainError, QuadratureError, bes
 _GAUSS = GaussLegendre(mp)
 QUAD_DEGREE = 3
 QUAD_CALL_BUDGET = 1 << 14
-_TINY = 2.0 ** -1000  # the least size kept in floats: a clamp in place of an underflow
+_TINY = 2.0 ** -1000  # the least |tau| the Mordell count reads: a clamp, not an underflow
 
 log = logging.getLogger(__name__)
 
@@ -130,23 +130,6 @@ def _radius(y, wp):
     return to_fixed(mpf_exp(mpf_neg(mpf_mul(mpf_pi(wp), mpf_shift(y, 1), wp)), wp), wp)
 
 
-def _settled_term(tau):
-    """The least m from which each term of Obar(q)'s series at
-    q = e^(2 pi i tau) bounds the sum after it.
-
-    With r = |q|, |1 - q^(2m)| >= 1 - r^(2m) gives |t_m / t_(m-1)| <= rho(m)
-    = r^m (1 + r^(m-1)) / (1 - r^(2m)), which falls with m.  With u = r^m,
-    rho(m) <= 1/2 once u <= 1/(1 + sqrt(2 + 2/r)); from there on each ratio
-    is at most 1/2, so the sum after a term is below it.  In float
-    logarithms, so that |q| may underflow, with Im tau held in [2^-1000, 1]:
-    the answer is 1 from 1 up and past 10^299 below 2^-1000.
-    """
-    log_r = -2 * math.pi * min(max(float(tau.imag), _TINY), 1.0)
-    half_log = (math.log(2) - log_r + math.log1p(math.exp(log_r))) / 2  # log sqrt(2 + 2/r)
-    log_u = -half_log - math.log1p(math.exp(-half_log))
-    return math.ceil(log_u / log_r)
-
-
 def _obar_sum(tau, prec):
     """Obar(q) at q = e^(2 pi i tau) as (re, im, wp), the sum in ints scaled
     by 2^wp; the bits it lost, max(0, ceil(log2(max |t_m| / |Obar|))); and
@@ -156,10 +139,18 @@ def _obar_sum(tau, prec):
     paper's series sum_m (-1;q)_m q^(m(m+1)/2) / (q^2;q^2)_m the sum of
     t_0 = 1 and t_m = 2 q^(m(m+1)/2) / ((q;q)_m (1 + q^m)): each term is the
     last times q^m (1 + q^(m-1)) / (1 - q^(2m)), so no powers are taken.
-    Stops at a term below 2^-(prec + GUARD_BITS) of the largest, once
-    _settled_term says that term bounds the rest, and raises past
-    TERM_BUDGET terms, at once where _settled_term is past it; the ratio
-    bound rules out a rise after a dip.
+
+    With r = |q|, |1 - q^(2m)| >= 1 - r^(2m) bounds each ratio
+    |t_m / t_(m-1)| by rho(m) = r^m (1 + r^(m-1)) / (1 - r^(2m)), which
+    falls with m.  From the first m with rho(m) <= 1/2, that is
+    2 r^m (1 + r^(m-1)) <= 1 - r^(2m), each later ratio is at most 1/2, so
+    the sum after a term is below it.  The loop tests this on its own ints
+    until it holds, with r^m the running product of the radius that q is
+    formed from, floored (low by at most m units of 2^-wp, which moves the
+    bound on the rest by as little).  From there it stops at a term below
+    2^-(prec + GUARD_BITS) of the largest, so the ratio bound rules out a
+    rise after a dip; TERM_BUDGET is the loop's one work budget, and past
+    it, it raises.
 
     Fixed point on Python ints, each complex number a pair, at
     wp = prec + GUARD_BITS + ceil(log2 TERM_BUDGET) + 4 bits, from q to the
@@ -174,21 +165,23 @@ def _obar_sum(tau, prec):
     raised whenever it falls below 1, so it keeps wp significant bits where
     the terms fall far below 1 and rise again.
     """
-    settled = _settled_term(tau)
-    if settled > TERM_BUDGET:
-        raise ArithmeticError(f"Obar(q) at tau = {tau} needs over {TERM_BUDGET} terms")
     wp = prec + GUARD_BITS + (TERM_BUDGET - 1).bit_length() + 4
     x, y = tau._mpc_
-    qr, qi = _times((_radius(y, wp), 0), _turn(mpf_shift(x, 1), wp), wp)
+    radius = _radius(y, wp)
+    qr, qi = _times((radius, 0), _turn(mpf_shift(x, 1), wp), wp)
     one = 1 << wp
     # (sr, si) the sum and (pr, pi_) q^(m-1), scaled by 2^wp; (tr, ti) the
-    # term, scaled by 2^(wp + s)
-    sr = tr = pr = one
+    # term, scaled by 2^(wp + s); power r^(m-1), scaled by 2^wp, until settled
+    sr = tr = pr = power = one
     si = ti = pi_ = s = 0
+    settled = False
     floor2 = top = one * one  # 2^(2 wp), and the largest |term|^2 at the term's scale
     cut = 2 * (prec + GUARD_BITS)
     for terms in range(1, TERM_BUDGET + 1):
         nr, ni = (pr * qr - pi_ * qi) >> wp, (pr * qi + pi_ * qr) >> wp  # q^m
+        if not settled:  # rho(m) <= 1/2: r^m (2 + 2 r^(m-1) + r^m) <= 1
+            back, power = power, (power * radius) >> wp
+            settled = power * (2 * (one + back) + power) <= floor2
         ar = nr + ((nr * pr - ni * pi_) >> wp)  # q^m (1 + q^(m-1))
         ai = ni + ((nr * pi_ + ni * pr) >> wp)
         dr, di = one - ((nr * nr - ni * ni) >> wp), -((2 * nr * ni) >> wp)  # 1 - q^(2m)
@@ -201,7 +194,7 @@ def _obar_sum(tau, prec):
         size2 = tr * tr + ti * ti
         if size2 > top:
             top = size2
-        elif size2 < top >> cut and terms >= settled:
+        elif size2 < top >> cut and settled:
             break
         if size2 < floor2:  # keep wp significant bits in the term
             k = wp + 1 - (size2.bit_length() >> 1)
@@ -249,37 +242,18 @@ def _mordell_terms(size, prec):
     return 0
 
 
-_MORDELL_H = [2]  # the h_j of _mordell, continued by _mordell_fixed and never rebuilt
+_MORDELL_H = [2]  # the h_j of _mordell_fixed, continued by it and never rebuilt
 
 
 @lru_cache(maxsize=16)
-def _mordell_table(prec):
-    """The floor(b_j 2^wp) built so far at prec, grown in place by _mordell_fixed."""
+def _mordell_table(wp):
+    """The floor(b_j 2^wp) built so far at wp bits, grown in place by _mordell_fixed."""
     return []
 
 
-def _mordell_fixed(prec, terms):
-    """wp = prec + GUARD_BITS + 4 and floor(b_j 2^wp) for j < terms, built only as far as asked."""
-    wp, table, h = prec + GUARD_BITS + 4, _mordell_table(prec), _MORDELL_H
-    for j in range(len(h), terms):
-        rest, weight = 0, 1  # weight = C(2j, 2k) 12^k, updated by its ratio in k
-        for k in range(1, j + 1):
-            weight = weight * 6 * (2 * j - 2 * k + 2) * (2 * j - 2 * k + 1) // (k * (2 * k - 1))
-            rest += weight * h[j - k]
-        h.append(2 * 3 ** j - 2 * rest // 3)
-    for j in range(len(table), terms):
-        table.append((h[j] << wp + 1) // (3 ** (j + 1) * math.factorial(j) * 24 ** j))
-    return wp, table[:terms]
-
-
-def _times(a, b, wp):
-    """a b for complex a and b as int pairs scaled by 2^wp, each part floored."""
-    return (a[0] * b[0] - a[1] * b[1]) >> wp, (a[0] * b[1] + a[1] * b[0]) >> wp
-
-
-def _mordell(z, terms, prec):
-    """M(z) ~ sum_(j < terms) b_j z^j, by specfun.horner_fixed on floor(b_j 2^wp),
-    wp = prec + GUARD_BITS + 4; z and the sum are int pairs scaled by 2^wp.
+def _mordell_fixed(wp, terms):
+    """floor(b_j 2^wp) for j < terms, the b_j of M(z) ~ sum b_j z^j, built
+    only as far as asked.
 
     b_j = 2 c_j (2j-1)!! / 3^j, c_j the coefficient of u^(2j) in
     sinh u / sinh(3u/2) = 2 cosh(u/2) / (1 + 2 cosh u).  Matching powers of
@@ -289,13 +263,22 @@ def _mordell(z, terms, prec):
     and b_j = 2 h_j / (3^(j+1) j! 24^j): b_0 = 4/3, b_1 = -5/54.  Each entry
     is (2 h_j 2^wp) // (3^(j+1) j! 24^j), a floor division of exact
     integers, so it is the floor of the rational b_j 2^wp itself.
-
-    Each step and each b_j round by a unit of 2^-wp, which reaches the
-    value times z^j; |z| < 1/2 wherever _mordell_terms allows a sum, so the
-    total stays below 2^-(prec + GUARD_BITS).
     """
-    wp, coeffs = _mordell_fixed(prec, terms)
-    return horner_fixed(reversed(coeffs), z, wp)
+    table, h = _mordell_table(wp), _MORDELL_H
+    for j in range(len(h), terms):
+        rest, weight = 0, 1  # weight = C(2j, 2k) 12^k, updated by its ratio in k
+        for k in range(1, j + 1):
+            weight = weight * 6 * (2 * j - 2 * k + 2) * (2 * j - 2 * k + 1) // (k * (2 * k - 1))
+            rest += weight * h[j - k]
+        h.append(2 * 3 ** j - 2 * rest // 3)
+    for j in range(len(table), terms):
+        table.append((h[j] << wp + 1) // (3 ** (j + 1) * math.factorial(j) * 24 ** j))
+    return table[:terms]
+
+
+def _times(a, b, wp):
+    """a b for complex a and b as int pairs scaled by 2^wp, each part floored."""
+    return (a[0] * b[0] - a[1] * b[1]) >> wp, (a[0] * b[1] + a[1] * b[0]) >> wp
 
 
 def _omega(big_q, wp):
@@ -304,8 +287,8 @@ def _omega(big_q, wp):
 
     Each term is the last times Q^(4n) / (1 - Q^(2n+1))^2, at most 1/2 in
     size, so the sum after a term is below it; the loop stops at a term
-    below 2^(4 - wp) of the sum, 2^-(prec + GUARD_BITS) at _mordell's wp,
-    after one or two on the major arc.  Dividing by d = (1 - Q^(2n+1))^2 is
+    below 2^(4 - wp) of the sum, 2^-(prec + GUARD_BITS) at _transformed's
+    wp, after one or two on the major arc.  Dividing by d = (1 - Q^(2n+1))^2 is
     multiplying by conj(d) and floor-dividing by |d|^2.
     """
     one = 1 << wp
@@ -329,8 +312,8 @@ def _odd_pochhammer(big_q, wp):
     |Q| <= e^-pi, with Q and the product as int pairs scaled by 2^wp.
 
     The product stops at a factor 1 - Q^k with |Q^k| below 2^(4 - wp),
-    2^-(prec + GUARD_BITS) at _mordell's wp; the rest changes the value by
-    at most about |Q^k| / (1 - |Q|^2).  With |Q| <= e^-pi that is at most
+    2^-(prec + GUARD_BITS) at _transformed's wp; the rest changes the value
+    by at most about |Q^k| / (1 - |Q|^2).  With |Q| <= e^-pi that is at most
     about wp/9 factors, and none where Q itself is below it, as near q = 1.
     """
     q2 = _times(big_q, big_q, wp)
@@ -366,13 +349,17 @@ def _transformed(tau, prec):
     Im inv >= 1 (the whole major arc for n >= 30), so |Q| <= e^-pi.  M and
     w cancel at most GUARD_BITS / 2 bits, read from the squared moduli.
 
-    Fixed point on Python ints at _mordell's wp = prec + GUARD_BITS + 4,
-    from tau's libmp parts; no mpf or mpc is built.  inv is formed to
-    within 2^-(wp + 8), at wp + 8 bits plus those of its integer part, so
-    that each phase below reads it to that modulo 2: a quotient of 2^k at
-    wp bits would cost k bits of the value.  Each power e^(pi i r inv) of Q
-    (r = 1, 2/3 and -1/24) is libmp's exp of -pi r Im inv for the modulus
-    and _turn at r Re inv for the phase, as _obar_sum forms q, and
+    Fixed point on Python ints at wp = prec + GUARD_BITS + 4, from tau's
+    libmp parts; no mpf or mpc is built.  M is specfun.horner_fixed on
+    _mordell_fixed's table at wp: each step and each b_j round by a unit of
+    2^-wp, which reaches the value times z^j, and |z| < 1/2 wherever
+    _mordell_terms allows a sum, so the total stays below
+    2^-(prec + GUARD_BITS).  inv is formed to within 2^-(wp + 8), at
+    wp + 8 bits plus those of its integer part, so that each phase below
+    reads it to that modulo 2: a quotient of 2^k at wp bits would cost k
+    bits of the value.  Each power e^(pi i r inv) of Q (r = 1, 2/3 and
+    -1/24) is libmp's exp of -pi r Im inv for the modulus and _turn at
+    r Re inv for the phase, as _obar_sum forms q, and
     sqrt(i/tau) = sqrt(Im inv - i Re inv) is libmp's.  The one modulus
     above 1, e^(pi Im inv/24) / sqrt2, carries Obar's growth and goes into
     the scale, which is negative where Obar is above about 2^wp.
@@ -382,7 +369,7 @@ def _transformed(tau, prec):
     if not terms:
         return None
     x, y = tau._mpc_
-    wp = prec + GUARD_BITS + 4  # _mordell's
+    wp = prec + GUARD_BITS + 4
     bits = wp + 8 + max(0, 1 - y[2] - y[3])  # |inv| <= 1/Im tau < 2^(bits - wp - 8)
     re, im = (mpf_neg(part) for part in mpc_reciprocal((x, y), bits))  # inv = -1/tau
     if to_float(im) < 1:
@@ -396,7 +383,7 @@ def _transformed(tau, prec):
     big_q = _times((to_fixed(modulus, wp), 0), phase, wp)
     # z = -2 pi i tau = -2 pi (-y + i x), each part floored
     z = [to_fixed(mpf_mul(minus_pi, part, bits), wp + 1) for part in (mpf_neg(y), x)]
-    m, w = _mordell(z, terms, prec), (0, 0)
+    m, w = horner_fixed(reversed(_mordell_fixed(wp, terms)), z, wp), (0, 0)
     # |omega(Q)| < 1.1 for |Q| <= e^-pi and |M(z)| > 1 where the expansion serves, so w is
     # below the truncation of M where 2.2 sqrt(2 pi/|z|) |Q|^(2/3) is; in floats, in which
     # a vast Im inv is infinite

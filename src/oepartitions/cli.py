@@ -39,8 +39,9 @@ import sys
 from collections import namedtuple
 
 # the largest n (enumeration) or series order each request builds without
-# --force; "compute" is its series methods, series and watson-product
-CEILINGS = {"compute --method enum": 50, "compute": 100000, "ratio": 20000, "gf-eval": 60000}
+# --force; "compute" is its default method, series
+CEILINGS = {"compute --method enum": 50, "compute": 100000,
+            "compute --method watson-product": 70000, "ratio": 20000, "gf-eval": 60000}
 # gf-eval prints floats: a tail bound above 2^-53 of the value shows in the output
 PRINTED_PRECISION = 2.0 ** -53
 # the verify tolerances are 2^-(prec - 56), which pass anything at 56 bits
@@ -71,8 +72,12 @@ def _parse_list(text, convert, option):
 
 
 def _refuse_above(request, size, force):
-    """Refuse a request whose size is above its row of CEILINGS, unless forced."""
+    """Refuse a request whose size is above its row of CEILINGS, unless
+    forced, and one that is not an int up to sys.maxsize even so: no series
+    or list reaches that size, and the build would run without end."""
     ceiling = CEILINGS[request]
+    if not (isinstance(size, int) and size <= sys.maxsize):
+        raise SystemExit(f"{request}: size {size} above sys.maxsize, which --force does not lift")
     if size > ceiling and not force:
         raise SystemExit(f"{request}: size {size} above the ceiling {ceiling}; pass --force")
 
@@ -125,7 +130,8 @@ def cmd_compute(args):
     n_max, kind = args.n_max, KINDS[args.kind]
     if n_max < 0:
         raise SystemExit("--n-max must be >= 0")
-    _refuse_above("compute --method enum" if args.method == "enum" else "compute", n_max, args.force)
+    _refuse_above("compute" if args.method == "series" else f"compute --method {args.method}",
+                  n_max, args.force)
     if args.method == "watson-product" and args.kind != "oebar":
         raise SystemExit("--method watson-product applies to --kind oebar only")
     if args.method == "enum":

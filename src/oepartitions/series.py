@@ -15,6 +15,7 @@ first such read.
 
 from __future__ import annotations
 
+import sys
 from itertools import accumulate, count, islice, repeat
 from operator import add, mul, neg, sub
 
@@ -36,8 +37,11 @@ class SeriesError(ValueError):
 
 
 def _check_order(order):
-    if order < 0:
-        raise SeriesError(f"series order must be >= 0, got {order}")
+    """Refuse an order that is not an int in [0, sys.maxsize]: no list of
+    coefficients is longer, and the builders' searches for their top index
+    would run without end at an order such as inf or 10^300."""
+    if not (isinstance(order, int) and 0 <= order <= sys.maxsize):
+        raise SeriesError(f"series order must be an int in [0, sys.maxsize], got {order!r}")
 
 
 class PowerSeries:

@@ -1,3 +1,4 @@
+import itertools
 import logging
 import math
 import random
@@ -340,23 +341,47 @@ class TestEvaluation:
     @settings(max_examples=40, deadline=None)
     @given(x=st.floats(0, 0.5), n=st.integers(10, 10 ** 5))
     def test_ratio_bound_holds_and_settles(self, x, n):
-        # the premise of the stop rule: rho(m) bounds every term ratio, and
-        # is at most 1/2 from _settled_term on, so the sum after a term from
-        # there is below it.  At x = 0 the bound is attained, so the ratios
-        # may pass it by their rounding, 2^-100 relative at 128 bits
+        # the premise of the stop rule: rho(m) bounds every term ratio and
+        # falls with m, so from the first m with rho(m) <= 1/2 the sum after
+        # a term is below it, and the direct sum stops no sooner.  At x = 0
+        # the bound is attained, so the ratios may pass it by their
+        # rounding, 2^-100 relative at 128 bits
         tau = circle_point(n, x)
         assume(tau.imag / abs(tau) ** 2 < 1)  # Im(-1/tau) < 1: the direct route
-        settled = circle._settled_term(tau)
         with workprec(128):
             r = mp.e ** (-2 * pi * tau.imag)
+            settled = next(m for m in itertools.count(1) if ratio_bound(r, m) <= mpf("0.5"))
             q = mp.expjpi(2 * tau)
             prev = mpc(1)
             for m in range(1, settled + 65):
                 qm = prev * q
                 ratio = qm * (1 + prev) / (1 - qm * qm)
                 assert abs(ratio) <= ratio_bound(r, m) * (1 + mpf(2) ** -100)
+                assert ratio_bound(r, m + 1) < ratio_bound(r, m)
                 prev = qm
-            assert ratio_bound(r, settled) <= mpf("0.5")
+        _, _, terms = circle._obar_sum(tau, 96)
+        assert terms >= settled
+
+    @pytest.mark.parametrize("prec", [96, 160])
+    @pytest.mark.parametrize("x", [mpf(1) / 4, mpf(1) / 3, mpf("0.499")],
+                             ids=["1/4", "1/3", "0.499"])
+    def test_ratio_bound_sets_the_stop(self, x, prec):
+        # at n = 10^5 rho(m) first reaches 1/2 at m = 384, after the terms
+        # have fallen below the cut (at m = 270, 286 and 242 at prec 96, 323,
+        # 337 and 293 at prec 160): the ratio bound, not the cut, ends these sums
+        tau = circle_point(10 ** 5, x)
+        with workprec(128):
+            r = mp.e ** (-2 * pi * tau.imag)
+            assert ratio_bound(r, 383) > mpf("0.5") >= ratio_bound(r, 384)
+        _, _, terms = circle._obar_sum(tau, prec)
+        assert terms == 384
+
+    def test_past_the_term_budget_raises(self):
+        # rho(m) first reaches 1/2 past m = TERM_BUDGET here: the loop's own
+        # budget ends the sum, with no value
+        tau = circle_point(2 * 10 ** 7, mpf(1) / 4)
+        with pytest.raises(ArithmeticError, match=f"needs over {circle.TERM_BUDGET} terms"):
+            circle._obar_sum(tau, 96)
 
     @settings(max_examples=40, deadline=None)
     @given(x=st.floats(0, 0.5), n=st.integers(100, 25600))
@@ -513,7 +538,7 @@ class TestWatsonTransformation:
         # b_(j+1) z.  f is summed from its exact series, whose coefficients
         # stay below e^(pi sqrt(k/3)); the omega term is below e^-131 here
         series = f_mock_series(3000)
-        circle._mordell_fixed(96, 16)  # continues the h_j of the package to 16
+        circle._mordell_fixed(96 + GUARD_BITS + 4, 16)  # continues the h_j of the package to 16
         b = [Fraction(2 * h, 3 ** (j + 1) * math.factorial(j) * 24 ** j)
              for j, h in enumerate(circle._MORDELL_H[:16])]
         assert b[:2] == [Fraction(4, 3), Fraction(-5, 54)]
@@ -566,28 +591,39 @@ class TestWatsonTransformation:
         (256, 4 * 10 ** 5, "0.0032"), (256, 10 ** 6, "0.0035"), (256, 25600, 0),
         (256, 25600, "3y"), (256, 10 ** 5, 0),
     ])
-    def test_mordell_sum_bit_identical_to_its_own_loop(self, prec, n, x):
-        # _mordell's Horner loop written out, starting from the top b_j rather
-        # than from 0, on the ints of z at the bits of _transformed:
-        # _mordell, and series.horner_fixed under it, must give the same ints
+    def test_mordell_sum_bit_identical_to_its_own_loop(self, prec, n, x, monkeypatch):
+        # the Mordell sum as _transformed forms it, series.horner_fixed on the
+        # table at its bits, against that Horner loop written out, starting
+        # from the top b_j rather than from 0, on the same ints of z: the
+        # two must give the same ints
+        sums = []
+
+        def recording(coeffs, point, wp):
+            coeffs = list(coeffs)
+            sums.append((coeffs, point, wp, horner_fixed(coeffs, point, wp)))
+            return sums[-1][-1]
+
+        monkeypatch.setattr(circle, "horner_fixed", recording)
+        tau = circle_point(n, x)
         with workprec(prec + GUARD_BITS):
-            z = -2j * pi * circle_point(n, x)
-            terms = circle._mordell_terms(float(abs(z)), prec)
-            assert terms > 0
-            wp, coeffs = circle._mordell_fixed(prec, terms)
-            zr, zi = to_fixed(z.real._mpf_, wp), to_fixed(z.imag._mpf_, wp)
+            terms = circle._mordell_terms(float(abs(-2j * pi * tau)), prec)
+        assert terms > 0
+        circle._transformed(tau, prec)
+        ((read, (zr, zi), wp, got),) = sums
+        coeffs = circle._mordell_fixed(wp, terms)
+        assert wp == prec + GUARD_BITS + 4 and read == coeffs[::-1]
         ar, ai = coeffs[-1], 0
         for b in reversed(coeffs[:-1]):
             ar, ai = ((ar * zr - ai * zi) >> wp) + b, (ar * zi + ai * zr) >> wp
-        assert circle._mordell((zr, zi), terms, prec) == (ar, ai)
-        assert horner_fixed(reversed(coeffs), (zr, zi), wp) == (ar, ai)
+        assert got == (ar, ai)
 
     @pytest.mark.parametrize("prec,size", [(96, 90), (256, 201), (512, 379)])
     def test_table_entries_are_floors_of_the_exact_coefficients(self, prec, size):
         # the sizes are those of each precision's worst point, which the
         # table once covered whole
-        wp, got = circle._mordell_fixed(prec, size)
-        assert wp == prec + GUARD_BITS + 4 and len(got) == size
+        wp = prec + GUARD_BITS + 4  # _transformed's
+        got = circle._mordell_fixed(wp, size)
+        assert len(got) == size
         exact = reference_mordell_coefficients(379)[:size]
         assert got == [(b.numerator << wp) // b.denominator for b in exact]
 
@@ -598,9 +634,12 @@ class TestWatsonTransformation:
         with workprec(512 + GUARD_BITS):
             terms = circle._mordell_terms(float(abs(-2j * pi * tau)), 512)
         oebar_eval(tau=tau, prec=512)
-        assert len(circle._mordell_table(512)) == terms == len(circle._MORDELL_H)
+        # each table is keyed by _transformed's wp = prec + GUARD_BITS + 4
+        built = len(circle._mordell_table(512 + GUARD_BITS + 4))
+        assert built == terms == len(circle._MORDELL_H)
         oebar_eval(tau=tau, prec=256)  # fewer terms: no new h_j
-        assert 0 < len(circle._mordell_table(256)) < terms == len(circle._MORDELL_H)
+        built = len(circle._mordell_table(256 + GUARD_BITS + 4))
+        assert 0 < built < terms == len(circle._MORDELL_H)
 
     @pytest.mark.parametrize("n,x,route", [
         (10 ** 5, 0, "transformed"), (1600, "6y", "direct"), (10 ** 5, mpf("0.499"), "direct"),
@@ -718,7 +757,8 @@ class TestWatsonTransformation:
             with workprec(wp + 16):
                 z = -2j * pi * tau
                 point = to_fixed(z.real._mpf_, wp), to_fixed(z.imag._mpf_, wp)
-                mr, mi = circle._mordell(point, circle._mordell_terms(float(abs(z)), prec), prec)
+                terms = circle._mordell_terms(float(abs(z)), prec)
+                mr, mi = horner_fixed(reversed(circle._mordell_fixed(wp, terms)), point, wp)
                 factor = 2 * sqrt(1j / tau) * mp.expjpi(-2 / (3 * tau))
                 omega = -mpc(mpf((mr, -wp)), mpf((mi, -wp))) * (1 - mpf(2) ** -20) / factor
                 return to_fixed(omega.real._mpf_, wp), to_fixed(omega.imag._mpf_, wp)

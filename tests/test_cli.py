@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -296,9 +297,11 @@ class TestUsageErrors:
 CEILING_REQUESTS = [
     ("compute --method enum", ["compute", "--kind", "oebar", "--n-max", "8", "--method", "enum"], 8),
     ("compute", ["compute", "--kind", "oe", "--n-max", "30"], 30),
-    ("compute", ["compute", "--kind", "oebar", "--n-max", "30", "--method", "watson-product"], 30),
+    ("compute", ["compute", "--kind", "oebar", "--n-max", "30"], 30),
     ("ratio", ["ratio", "--kind", "oebar", "--n", "10,100"], 100),
     ("gf-eval", ["gf-eval", "--eps", "0.5,5"], 600),
+    ("compute --method watson-product",
+     ["compute", "--kind", "oebar", "--n-max", "30", "--method", "watson-product"], 30),
 ]
 
 
@@ -338,6 +341,24 @@ def test_gf_eval_order_past_float_range_is_refused(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["gf-eval", "--eps", "1e-310"])
     assert "size inf" in exc.value.code
+
+
+@pytest.mark.parametrize("argv,size", [
+    (["gf-eval", "--eps", "1e-310", "--force"], "inf"),
+    (["gf-eval", "--eps", "1e-300", "--force"], str(int(300 / 1e-300))),
+    (["compute", "--kind", "oe", "--n-max", str(10 ** 19), "--force"], str(10 ** 19)),
+])
+def test_force_does_not_lift_sys_maxsize(argv, size):
+    # orders inf, 3e302 and 10^19: no series reaches them, so --force must
+    # not start the build, which would search for its top index without end
+    src = str(Path(oepartitions.__file__).resolve().parents[1])
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "oepartitions.cli", *argv],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=20)
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and f"size {size} above sys.maxsize" in proc.stderr
 
 
 class TestPrecPlumbing:
@@ -399,6 +420,8 @@ class TestImportFootprint:
         ["compute", "--kind", "even", "--n-max", "5"],
         ["ratio", "--kind", "oe", "--n", ","],
         ["compute", "--kind", "oebar", "--n-max", "400000"],
+        ["compute", "--kind", "oebar", "--n-max", "100000", "--method", "watson-product"],
+        ["compute", "--kind", "oe", "--n-max", str(10 ** 19), "--force"],
         ["ratio", "--kind", "oe", "--n", "100000"],
     ])
     def test_enumeration_and_refusals_load_no_mpmath(self, argv):

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -159,6 +161,13 @@ def _neg_pochhammer_to(order):
 def test_negative_order_is_refused(builder):
     with pytest.raises(SeriesError):
         builder(-1)
+
+
+@pytest.mark.parametrize("order", [float("inf"), 10 ** 300, sys.maxsize + 1, 10.0])
+def test_order_not_an_int_up_to_maxsize_is_refused(order):
+    # at once: oe_series searches for its top summand before it allocates
+    with pytest.raises(SeriesError):
+        oe_series(order)
 
 
 class TestGrowth:
