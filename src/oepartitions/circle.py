@@ -24,9 +24,10 @@ Q and its other powers the same way, sums in ints at the bits of the
 Mordell table, and puts Obar's growth near q = 1 into the scale, which may
 be negative.  The arc integrand multiplies those ints by its phase, the
 minor-arc maximum compares their squared moduli, and the Cauchy recovery
-rotates its sample points in them.  An mpf or mpc is built only for the
-number handed on: oebar_eval's value, an integrand value, the maximum's
-square root and the recovered sum.
+rotates its sample points in them and divides exactly.  An mpf or mpc is
+built only for the number handed on: oebar_eval's value, an integrand
+value, the maximum's square root and the recovery's residual (the
+recovered coefficient is an int).
 
 Both polynomial sums here, the Mordell expansion and the exact series at
 the samples of the Cauchy recovery, run on specfun.horner_fixed, the
@@ -43,9 +44,9 @@ from functools import lru_cache
 
 from mpmath import mp, mpf, mpc
 from mpmath.calculus.quadrature import GaussLegendre
-from mpmath.libmp import (fone, from_rational, ftwo, mpc_reciprocal, mpc_sqrt, mpf_cos_sin_pi,
-                          mpf_div, mpf_exp, mpf_mul, mpf_mul_int, mpf_neg, mpf_pi, mpf_shift,
-                          mpf_sqrt, to_fixed, to_float)
+from mpmath.libmp import (fone, from_float, from_rational, ftwo, mpc_reciprocal, mpc_sqrt,
+                          mpf_cos_sin_pi, mpf_div, mpf_exp, mpf_mul, mpf_mul_int, mpf_neg, mpf_pi,
+                          mpf_shift, mpf_sqrt, to_fixed, to_float)
 
 from . import genfun
 from .asympt import oebar_asymptotic
@@ -126,7 +127,8 @@ def _turn(half_turns, wp):
 def _radius(y, wp):
     """|q| = e^(-2 pi y) at y, a libmp value, as an int scaled by 2^wp:
     libmp's exp at wp bits, floored, within a few units of 2^-wp.  Kept per
-    (y, wp), since the samples of an arc share y."""
+    (y, wp), since the samples of an arc share y; the Cauchy recovery takes
+    its sample radius and its divisor from the one int."""
     return to_fixed(mpf_exp(mpf_neg(mpf_mul(mpf_pi(wp), mpf_shift(y, 1), wp)), wp), wp)
 
 
@@ -150,7 +152,11 @@ def _obar_sum(tau, prec):
     bound on the rest by as little).  From there it stops at a term below
     2^-(prec + GUARD_BITS) of the largest, so the ratio bound rules out a
     rise after a dip; TERM_BUDGET is the loop's one work budget, and past
-    it, it raises.
+    it, it raises.  Where 1 - r < 1/TERM_BUDGET it raises before forming
+    q, in O(1): there r^m >= (1 - 1/TERM_BUDGET)^TERM_BUDGET less m units
+    of 2^-wp, above 0.367, for every m in the budget, so
+    r^m (2 + 2 r^(m-1) + r^m) > 1 throughout and the loop could only run
+    out.
 
     Fixed point on Python ints, each complex number a pair, at
     wp = prec + GUARD_BITS + ceil(log2 TERM_BUDGET) + 4 bits, from q to the
@@ -167,9 +173,10 @@ def _obar_sum(tau, prec):
     """
     wp = prec + GUARD_BITS + (TERM_BUDGET - 1).bit_length() + 4
     x, y = tau._mpc_
-    radius = _radius(y, wp)
+    radius, one = _radius(y, wp), 1 << wp
+    if (one - radius) * TERM_BUDGET < one:  # r^m > 0.367 for m <= TERM_BUDGET: never settles
+        raise ArithmeticError(f"Obar(q) at tau = {tau} needs over {TERM_BUDGET} terms")
     qr, qi = _times((radius, 0), _turn(mpf_shift(x, 1), wp), wp)
-    one = 1 << wp
     # (sr, si) the sum and (pr, pi_) q^(m-1), scaled by 2^wp; (tr, ti) the
     # term, scaled by 2^(wp + s); power r^(m-1), scaled by 2^wp, until settled
     sr = tr = pr = power = one
@@ -314,7 +321,8 @@ def _odd_pochhammer(big_q, wp):
     The product stops at a factor 1 - Q^k with |Q^k| below 2^(4 - wp),
     2^-(prec + GUARD_BITS) at _transformed's wp; the rest changes the value
     by at most about |Q^k| / (1 - |Q|^2).  With |Q| <= e^-pi that is at most
-    about wp/9 factors, and none where Q itself is below it, as near q = 1.
+    about wp/9 factors.  _transformed calls it only where it sums the omega
+    term: elsewhere Q floors to 0 at its wp, and the product is 1.
     """
     q2 = _times(big_q, big_q, wp)
     product, power = (1 << wp, 0), big_q
@@ -357,12 +365,13 @@ def _transformed(tau, prec):
     2^-(prec + GUARD_BITS).  inv is formed to within 2^-(wp + 8), at
     wp + 8 bits plus those of its integer part, so that each phase below
     reads it to that modulo 2: a quotient of 2^k at wp bits would cost k
-    bits of the value.  Each power e^(pi i r inv) of Q (r = 1, 2/3 and
-    -1/24) is libmp's exp of -pi r Im inv for the modulus and _turn at
-    r Re inv for the phase, as _obar_sum forms q, and
-    sqrt(i/tau) = sqrt(Im inv - i Re inv) is libmp's.  The one modulus
-    above 1, e^(pi Im inv/24) / sqrt2, carries Obar's growth and goes into
-    the scale, which is negative where Obar is above about 2^wp.
+    bits of the value.  Each power e^(pi i r inv) of Q (r = -1/24, and
+    r = 1 and 2/3 only where the omega term is summed) is libmp's exp of
+    -pi r Im inv for the modulus and _turn at r Re inv for the phase, as
+    _obar_sum forms q, and sqrt(i/tau) = sqrt(Im inv - i Re inv) is
+    libmp's.  The one modulus above 1, e^(pi Im inv/24) / sqrt2, carries
+    Obar's growth and goes into the scale, which is negative where Obar is
+    above about 2^wp.
     """
     size = 2 * math.pi * max(abs(complex(tau)), _TINY)
     terms = _mordell_terms(size, prec)
@@ -379,27 +388,29 @@ def _transformed(tau, prec):
     def power(r):  # e^(pi i r inv): its modulus, an mpf, and its phase, _turn's ints
         return mpf_exp(mpf_mul(mpf_mul(minus_pi, r), im, bits), wp), _turn(mpf_mul(r, re, bits), wp)
 
-    modulus, phase = power(fone)
-    big_q = _times((to_fixed(modulus, wp), 0), phase, wp)
     # z = -2 pi i tau = -2 pi (-y + i x), each part floored
     z = [to_fixed(mpf_mul(minus_pi, part, bits), wp + 1) for part in (mpf_neg(y), x)]
-    m, w = horner_fixed(reversed(_mordell_fixed(wp, terms)), z, wp), (0, 0)
+    m, w, product = horner_fixed(reversed(_mordell_fixed(wp, terms)), z, wp), (0, 0), (1 << wp, 0)
     # |omega(Q)| < 1.1 for |Q| <= e^-pi and |M(z)| > 1 where the expansion serves, so w is
     # below the truncation of M where 2.2 sqrt(2 pi/|z|) |Q|^(2/3) is; in floats, in which
-    # a vast Im inv is infinite
+    # a vast Im inv is infinite.  Past that, |Q| < 2^(-1.5 (prec + GUARD_BITS)) floors to 0
+    # at wp bits, so Q is not formed and (Q;Q^2)_inf is 1
     if 2 * math.pi * to_float(im) / 3 <= (prec + GUARD_BITS) * math.log(2) + math.log(
             2.2 * math.sqrt(2 * math.pi / size)):
+        modulus, phase = power(fone)
+        big_q = _times((to_fixed(modulus, wp), 0), phase, wp)
         modulus, phase = power(from_rational(2, 3, bits))
         root = [to_fixed(mpf_mul(part, modulus, bits), wp + 1)
                 for part in mpc_sqrt((im, mpf_neg(re)), bits)]  # 2 sqrt(i/tau) |e^(2 pi i inv/3)|
         w = _times(_times(root, phase, wp), _omega(big_q, wp), wp)
+        product = _odd_pochhammer(big_q, wp)
     total = m[0] + w[0], m[1] + w[1]
     m2, w2, t2 = (a * a + b * b for a, b in (m, w, total))
     lost = max((max(m2, w2).bit_length() - t2.bit_length() + 1) // 2, 0)
     if lost > GUARD_BITS // 2:
         return None
     modulus, phase = power(from_rational(-1, 24, bits))
-    vr, vi = _times(_times(total, _odd_pochhammer(big_q, wp), wp), phase, wp)
+    vr, vi = _times(_times(total, product, wp), phase, wp)
     _, man, exp, bc = mpf_div(modulus, mpf_sqrt(ftwo, wp), wp)  # e^(pi Im inv/24) / sqrt2
     return ((vr * man) >> bc, (vi * man) >> bc, wp - exp - bc), lost, terms
 
@@ -454,53 +465,52 @@ def cauchy_full_integral(n, prec=256):
     with a zero coefficient put below it.  The series and r are real, so
     samples k and K - k are conjugates: the sum is over k <= K/2 of
     Re(z_k S(z_k)), weight 1 at k = 0 and k = K/2 and 2 elsewhere,
-    floor((n+1)/2) + 1 samples.  The folded sum's distance to the nearest
-    integer, which carries every sample's rounding, is a pure precision
-    health metric.  The series is built once, and pay_for_loss raises a prec
-    below OEbar(n)'s bit length + 16 to it, leaving a residual near 2^-40;
-    one above 0.25 is a defect, and raises.
+    floor((n+1)/2) + 1 samples.  The series is built once and summed at
+    bits = max(prec, bit length of OEbar(n) + 16), so no caller picks bits
+    for it.
 
-    Fixed point from the first sample point to the folded sum, at
-    wp = specfun.horner_bits(bits, r) + ceil(log2 K) bits: the coefficients
-    are scaled once, z_0 is r floored to wp bits, and each later point is
-    the last times w, one fixed-point rotation; no complex exponential is
-    taken per sample.  w, _turn's at 2/K rounded to wp + 8 bits, is within
-    2^(1.6 - wp) of e^(2 pi i/K), and each rotation floors both parts, so
-    z_k is within (5k + 1) 2^-wp <= 3 K 2^-wp <= 3 2^-(wp - ceil(log2 K))
-    of r w^k: the ceil(log2 K) bits pay for the rotations, and leave each
-    point within 3 units of 2^-horner_bits(bits, r).  Each sample is
-    specfun.horner_fixed's, within 2^-(bits + GUARD_BITS + 3) of z S(z) at
-    the point it is given, and the real parts are summed exactly as
-    integers.
+    Integers from the first sample point to the recovered coefficient, at
+    wp = specfun.horner_bits(bits, r) + ceil(log2 K) bits, with r a float:
+    the coefficients are scaled once, and z_0 is _radius's int, r floored
+    to wp bits, the same one the direct sum forms |q| from.  Each later
+    point is the last times w, one fixed-point rotation; no complex
+    exponential is taken per sample.  w, _turn's at 2/K rounded to wp + 8
+    bits, is within 2^(1.6 - wp) of e^(2 pi i/K), and each rotation floors
+    both parts, so z_k is within (5k + 1) 2^-wp <= 3 K 2^-wp <= 3
+    2^-(wp - ceil(log2 K)) of z_0 w^k: the ceil(log2 K) bits pay for the
+    rotations, and leave each point within 3 units of
+    2^-horner_bits(bits, r).  Each sample is specfun.horner_fixed's, within
+    2^-(bits + GUARD_BITS + 3) of z S(z) at the point it is given, and the
+    real parts are summed exactly as integers.  The samples and the
+    division by r^(n+1) share the one radius int, so y needs only float
+    accuracy: OEbar(n) is the nearest integer to the exact rational
+    total 2^(wp n) / (K radius^(n+1)), and the residual, its exact distance
+    from it, carries every sample's rounding and is the one mpf built.  A
+    residual above 1/4 is a defect, and raises.
     """
     if n < 0:
         raise DomainError("n must be >= 0")
     if n == 0:
         return 1, mpf(0)
     series = genfun.oebar_series_hypergeometric(n)
-    extra = max(series.coeffs[n].bit_length() + 16 - prec, 0)
+    bits = max(prec, series.coeffs[n].bit_length() + 16)
     samples = n + 1
-
-    def recover(bits):
-        y = 1 / (4 * mp.sqrt(3 * n))  # only the radius is needed here, not the arc cut
-        r = mp.e ** (-2 * mp.pi * y)
-        wp = horner_bits(bits, r) + (samples - 1).bit_length()
-        coeffs = [c << wp for c in reversed(series.coeffs)] + [0]  # z S(z)
-        wr, wi = _turn(from_rational(2, samples, wp + 8), wp)
-        zr, zi = to_fixed(r._mpf_, wp), 0
-        total = 0  # the folded sum, scaled by 2^wp
-        for k in range(samples // 2 + 1):
-            part, _ = horner_fixed(coeffs, (zr, zi), wp)
-            total += part if 2 * k % samples == 0 else 2 * part
-            zr, zi = (zr * wr - zi * wi) >> wp, (zr * wi + zi * wr) >> wp
-        total = mpf((total, -wp)) / samples / r ** (n + 1)
-        nearest = int(mp.nint(total))
-        residual = abs(total - nearest)
-        if residual > 0.25:
-            raise QuadratureError(f"rounding residual {residual} above 1/4 at {bits} bits")
-        return nearest, 0, residual
-
-    (nearest, _, residual), _ = pay_for_loss(recover, prec, "OEbar(%d)", n, extra=extra)
+    y = 1 / (4 * math.sqrt(3 * n))  # only the radius is needed here, not the arc cut
+    wp = horner_bits(bits, math.exp(-2 * math.pi * y)) + n.bit_length()
+    radius = _radius(from_float(y), wp)  # r 2^wp, floored
+    coeffs = [c << wp for c in reversed(series.coeffs)] + [0]  # z S(z)
+    wr, wi = _turn(from_rational(2, samples, wp + 8), wp)
+    zr, zi, total = radius, 0, 0  # the point, and the folded sum, scaled by 2^wp
+    for k in range(samples // 2 + 1):
+        part, _ = horner_fixed(coeffs, (zr, zi), wp)
+        total += part if 2 * k % samples == 0 else 2 * part
+        zr, zi = (zr * wr - zi * wi) >> wp, (zr * wi + zi * wr) >> wp
+    # OEbar(n) = total 2^-wp / (K r^(n+1)), with r^(n+1) = radius^(n+1) 2^(-wp (n+1))
+    num, den = total << wp * n, samples * radius ** (n + 1)
+    nearest = (2 * num + den) // (2 * den)
+    residual = mpf(abs(num - nearest * den)) / den
+    if residual > 0.25:
+        raise QuadratureError(f"rounding residual {residual} above 1/4 at {bits} bits")
     return nearest, residual
 
 

@@ -74,10 +74,15 @@ def _parse_list(text, convert, option):
 def _refuse_above(request, size, force):
     """Refuse a request whose size is above its row of CEILINGS, unless
     forced, and one that is not an int up to sys.maxsize even so: no series
-    or list reaches that size, and the build would run without end."""
+    or list reaches that size, and the build would run without end.  That
+    size is named in float form to 3 digits, 3e+302 and not its 303 digits,
+    or inf."""
     ceiling = CEILINGS[request]
     if not (isinstance(size, int) and size <= sys.maxsize):
-        raise SystemExit(f"{request}: size {size} above sys.maxsize, which --force does not lift")
+        from decimal import Context, Decimal  # exact for an int past the float range
+
+        shown = f"{Decimal(size).normalize(Context(prec=3)):e}" if size < math.inf else size
+        raise SystemExit(f"{request}: size {shown} above sys.maxsize, which --force does not lift")
     if size > ceiling and not force:
         raise SystemExit(f"{request}: size {size} above the ceiling {ceiling}; pass --force")
 

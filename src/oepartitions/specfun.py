@@ -132,9 +132,10 @@ def horner_fixed(coeffs, point, wp):
 
 
 def horner_bits(prec, radius):
-    """The wp at which horner_fixed's error at |z| <= radius < 1,
-    2^(1 - wp) / (1 - radius), is below 2^-(prec + GUARD_BITS + 3):
-    prec + GUARD_BITS + ceil(log2(1/(1 - radius))) + 4, the ceiling by mp.mag.
+    """The wp at which horner_fixed's error at |z| <= radius < 1, an mpf or
+    a float, 2^(1 - wp) / (1 - radius), is below 2^-(prec + GUARD_BITS + 3):
+    prec + GUARD_BITS + ceil(log2(1/(1 - radius))) + 4, the ceiling by mp.mag,
+    which reads a float exactly.
     """
     return prec + GUARD_BITS + 4 + max(0, 1 - mp.mag(1 - radius))
 

@@ -383,6 +383,29 @@ class TestEvaluation:
         with pytest.raises(ArithmeticError, match=f"needs over {circle.TERM_BUDGET} terms"):
             circle._obar_sum(tau, 96)
 
+    @pytest.mark.parametrize("n,x", [(2 * 10 ** 7, "0.25"), (2 * 10 ** 7, "0.499"), (None, "0.5")])
+    @pytest.mark.parametrize("prec", [96, 256])
+    def test_refused_before_q_is_formed(self, n, x, prec, monkeypatch):
+        # 1 - |q| < 1/TERM_BUDGET, so r^m > 0.367 for every m in the budget
+        # and rho(m) never reaches 1/2: the loop could only run out, and is
+        # not run.  No _turn call, so q is not formed (tau = 0.5 + 10^-300 i
+        # when n is None)
+        tau = circle_point(n, mpf(x)) if n else mpc(mpf(x), mpf("1e-300"))
+        calls = []
+        inner = circle._turn
+        monkeypatch.setattr(circle, "_turn", lambda *args: calls.append(args) or inner(*args))
+        with pytest.raises(ArithmeticError, match=f"needs over {circle.TERM_BUDGET} terms"):
+            circle._obar_sum(tau, prec)
+        assert calls == []
+
+    def test_summed_just_inside_the_refusal(self):
+        # at n = 10^7, (1 - |q|) TERM_BUDGET is about 1.17: the sum runs and
+        # settles within the budget, and the value is the mpc loop's
+        tau = circle_point(10 ** 7, mpf(1) / 4)
+        _, _, terms = circle._obar_sum(tau, 96)
+        assert terms < circle.TERM_BUDGET
+        assert_matches_mpc_loop(tau, 96)
+
     @settings(max_examples=40, deadline=None)
     @given(x=st.floats(0, 0.5), n=st.integers(100, 25600))
     def test_fixed_point_kernel_at_random_circle_points(self, x, n):
@@ -652,9 +675,10 @@ class TestWatsonTransformation:
 
     def test_complex_exponentials_per_call(self, monkeypatch):
         # no sample calls mp.expjpi.  The transformed route takes the
-        # phases of Q, of e^(-pi i inv/24) and, where it is not negligible,
-        # of the omega term's factor, each by a fixed-point turn; Q only once
-        # the expansion serves.  The direct route takes the phase of q
+        # phase of e^(-pi i inv/24) and, where the omega term is not
+        # negligible, those of Q and of that term's factor, each by a
+        # fixed-point turn; at (10^5, 0) Q floors to 0, and is not formed.
+        # The direct route takes the phase of q
         # alone.  The Cauchy recovery at n = 105 takes K = 106 samples, each
         # twiddle the sample's own root; it turns once, to e^(2 pi i/K), and
         # rotates by it from sample to sample, so its 54 roots cost one
@@ -666,7 +690,7 @@ class TestWatsonTransformation:
 
         monkeypatch.setattr(mp, "expjpi", counting("expjpi", mp.expjpi))
         monkeypatch.setattr(circle, "_turn", counting("_turn", circle._turn))
-        for n, x, want in [(10 ** 5, 0, ["_turn"] * 2), (25600, "6y", ["_turn"] * 3),
+        for n, x, want in [(10 ** 5, 0, ["_turn"]), (25600, "6y", ["_turn"] * 3),
                            (400, "3y", ["_turn"]), (1600, mpf("0.499"), ["_turn"])]:
             tau = circle_point(n, x)
             calls.clear()
@@ -719,19 +743,21 @@ class TestWatsonTransformation:
     def test_route_chosen_before_the_transformation(self, monkeypatch):
         # _transformed reads the float term count of the Mordell expansion
         # first: where it is 0, as at these points next to q = 1 for small
-        # n, -1/tau, which every phase reads, is not formed; at the last
-        # point it is formed once, while the omega term is far below the
-        # truncation of M there and is not summed
+        # n, -1/tau, which every phase reads, is not formed; at (10^5, 0) it
+        # is formed once, while the omega term is far below the truncation
+        # of M there and is not summed, and Q, which floors to 0, enters no
+        # product; at (25600, 6y) the omega term and (Q;Q^2)_inf are summed
         calls = []
 
         def counting(name):
             inner = getattr(circle, name)
             return lambda *args: calls.append(name) or inner(*args)
 
-        for name in ("mpc_reciprocal", "_omega"):
+        for name in ("mpc_reciprocal", "_omega", "_odd_pochhammer"):
             monkeypatch.setattr(circle, name, counting(name))
         for n, x, want in [(25, 0, []), (25, "3y", []), (400, "3y", []),
-                           (10 ** 5, 0, ["mpc_reciprocal"])]:
+                           (10 ** 5, 0, ["mpc_reciprocal"]),
+                           (25600, "6y", ["mpc_reciprocal", "_omega", "_odd_pochhammer"])]:
             calls.clear()
             oebar_eval(tau=circle_point(n, x), prec=96)
             assert calls == want, (n, x)
@@ -821,8 +847,8 @@ class TestCauchyRecovery:
         assert len(calls) == (n + 1) // 2 + 1
 
     def test_raised_precision_sums_the_series_once(self, summand_calls):
-        # OEbar(3000) has 133 bits, so prec 128 is raised to 149 bits, by
-        # pay_for_loss on the one series built, not by a second recovery
+        # OEbar(3000) has 133 bits, so prec 128 is raised to 149 bits, on
+        # the one series built, not by a second recovery
         got, residual = cauchy_full_integral(3000, prec=128)
         assert summand_calls == [3000]
         assert got == oebar_series_product(3000).coefficient(3000)
@@ -842,6 +868,27 @@ class TestCauchyRecovery:
         got, residual = cauchy_full_integral(600, prec=16)
         assert got == oebar_series_hypergeometric(600).coefficient(600)
         assert residual < mpf(2) ** -30
+        # the exact distance of the recovered quotient, which carries the
+        # samples' rounding, not an mpf division that rounds it to 0
+        assert residual > 0
+
+    def test_recovery_reads_no_ambient_precision(self):
+        # integers from the first sample point to the quotient: run unguarded
+        # at 8 working bits, it recovers the same coefficient, and only the
+        # residual, built last, is rounded to those bits
+        want = cauchy_full_integral(600, prec=16)
+        with workprec(8):
+            got, residual = cauchy_full_integral.__wrapped__(600, prec=16)
+        assert got == want[0] and 0 < residual < mpf(2) ** -30
+
+    @pytest.mark.parametrize("n", [105, 600])
+    def test_one_radius_for_samples_and_division(self, n, monkeypatch):
+        # the sample points and the division by r^(n+1) read one radius int
+        calls = []
+        inner = circle._radius
+        monkeypatch.setattr(circle, "_radius", lambda *args: calls.append(args) or inner(*args))
+        cauchy_full_integral(n, prec=64)
+        assert len(calls) == 1
 
     def test_zero_case(self):
         got, residual = cauchy_full_integral(0)

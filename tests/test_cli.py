@@ -345,12 +345,16 @@ def test_gf_eval_order_past_float_range_is_refused(capsys):
 
 @pytest.mark.parametrize("argv,size", [
     (["gf-eval", "--eps", "1e-310", "--force"], "inf"),
-    (["gf-eval", "--eps", "1e-300", "--force"], str(int(300 / 1e-300))),
-    (["compute", "--kind", "oe", "--n-max", str(10 ** 19), "--force"], str(10 ** 19)),
+    (["gf-eval", "--eps", "1e-300", "--force"], "3e+302"),
+    (["compute", "--kind", "oe", "--n-max", str(10 ** 19), "--force"], "1e+19"),
+    (["compute", "--kind", "oe", "--n-max", str(sys.maxsize + 1), "--force"], "9.22e+18"),
+    (["compute", "--kind", "oe", "--n-max", str(10 ** 400), "--force"], "1e+400"),
 ])
 def test_force_does_not_lift_sys_maxsize(argv, size):
-    # orders inf, 3e302 and 10^19: no series reaches them, so --force must
-    # not start the build, which would search for its top index without end
+    # orders inf, 3e302, 10^19, sys.maxsize + 1 and 10^400: no series
+    # reaches them, so --force must not start the build, which would search
+    # for its top index without end.  The size is named in float form to 3
+    # digits, not by its digits, also past the float range
     src = str(Path(oepartitions.__file__).resolve().parents[1])
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "oepartitions.cli", *argv],
