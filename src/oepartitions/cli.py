@@ -25,7 +25,8 @@ which imports mpmath.  gf-eval refuses its --eps grid in floats before it
 reads it with mpmath.
 
 CEILINGS is the one table of work guards: the largest size each request may
-build without --force, the n enumerated or the order of the series summed.
+build without --force, the n enumerated or reported on by the circle method,
+or the order of the series summed.
 _refuse_above refuses a request above its row in one line, at the point where
 the command has read its size and before it imports a numeric layer.
 """
@@ -38,10 +39,11 @@ import os
 import sys
 from collections import namedtuple
 
-# the largest n (enumeration) or series order each request builds without
-# --force; "compute" is its default method, series
+# the largest n (enumeration, circle report) or series order each request
+# builds without --force; "compute" is its default method, series
 CEILINGS = {"compute --method enum": 50, "compute": 100000,
-            "compute --method watson-product": 70000, "ratio": 20000, "gf-eval": 60000}
+            "compute --method watson-product": 70000, "ratio": 20000, "gf-eval": 60000,
+            "verify": 10000, "circle": 6400}
 # gf-eval prints floats: a tail bound above 2^-53 of the value shows in the output
 PRINTED_PRECISION = 2.0 ** -53
 # the verify tolerances are 2^-(prec - 56), which pass anything at 56 bits
@@ -259,6 +261,7 @@ def cmd_gf_eval(args):
 
 
 def cmd_circle(args):
+    _refuse_above("circle", args.n, args.force)
     from . import circle
 
     report = circle.circle_report(args.n, big_m=args.M, prec=args.prec, grid=args.grid)
@@ -356,6 +359,7 @@ def _verify_circle(prec):
 def cmd_verify(args):
     if args.order < 0:
         raise SystemExit("--order must be >= 0")
+    _refuse_above("verify", args.order, args.force)
     from . import specfun
 
     # looked up when the command runs, so a replaced suite takes effect
@@ -377,7 +381,6 @@ def _table_options(parser, func):
     """The options every table command takes, after its own."""
     parser.add_argument("--format", choices=["csv", "json"], default="csv")
     parser.add_argument("--output")
-    parser.add_argument("--force", action="store_true", help="lift this command's size ceiling")
     parser.set_defaults(func=func)
 
 
@@ -420,6 +423,8 @@ def build_parser():
     ci.add_argument("--output")
     ci.set_defaults(func=cmd_circle)
 
+    for command in (c, r, g, v, ci):  # each has a row of CEILINGS
+        command.add_argument("--force", action="store_true", help="lift the command's size ceiling")
     return p
 
 

@@ -807,6 +807,46 @@ class TestQuadrature:
             assert abs(got - want) < mpf(2) ** -100 * abs(want)
             assert err <= mpf(2) ** -100 * abs(got)
 
+    @pytest.mark.parametrize("prec", [64, 160])
+    def test_weights_integrate_even_powers_exactly(self, prec):
+        # the rule at level L integrates 1, x^2, ..., x^(2^L) on [-1, 1] to
+        # within the rounding of its nodes and weights at prec, at every
+        # level a panel uses; odd powers vanish by its symmetry
+        for level in range(circle.QUAD_FIRST_LEVEL - 1, circle.QUAD_LEVEL_CAP + 1):
+            nodes, weights = circle._clenshaw_curtis(level, prec)
+            assert len(nodes) == len(weights) == (1 << level) + 1
+            with workprec(prec + 64):
+                squares, powers = [x * x for x in nodes], [mpf(1)] * len(nodes)
+                for k in range((1 << level - 1) + 1):
+                    got = mp.fdot(weights, powers)
+                    assert abs(got - mpf(2) / (2 * k + 1)) < mpf(2) ** (1 - prec), (level, k)
+                    powers = [p * x2 for p, x2 in zip(powers, squares)]
+
+    def test_split_at_the_level_cap_samples_no_point_twice(self):
+        # cos(2000 x) needs more than the 2^9 + 1 nodes of one capped panel
+        # on [0, 1], and is not localized, so it is split at the cap
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return cos(2000 * x)
+
+        with workprec(64):
+            got, err = adaptive_quad(f, mpf(0), mpf(1), mpf(10) ** -10, 64)
+            want = sin(2000) / 2000
+            assert abs(got - want) <= err <= mpf(10) ** -10 * abs(got)
+        assert len(seen) > (1 << circle.QUAD_LEVEL_CAP) + 1
+        assert len(set(seen)) == len(seen)
+
+    def test_debug_record_per_call(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="oepartitions.circle")
+        with workprec(64):
+            adaptive_quad(exp, mpf(0), mpf(1), mpf(2) ** -50, 64)
+        messages = [r.getMessage() for r in caplog.records if r.name == "oepartitions.circle"]
+        assert len(messages) == 1
+        assert messages[0].startswith("quad: 33 calls, 1 panels, highest level 5, estimate ")
+        assert messages[0].endswith(", target 1.52614e-15")  # 2^-50 (e - 1)
+
     def test_budget_exhausted_raises(self, monkeypatch):
         monkeypatch.setattr(circle, "QUAD_CALL_BUDGET", 40)
         with workprec(64):
@@ -945,12 +985,9 @@ class TestArcs:
             form = pi * sqrt(2) / (3 * sqrt(mpf(3 * n))) * wright_p(0, u, mpf(6), 96)
         assert abs(i1.real / form.real - 1) < mpf("0.02")
 
-    @pytest.mark.parametrize("arc,n,want", [
-        (major_arc_integral, 25, 132), (major_arc_integral, 12, 132), (minor_arc_integral, 12, 84),
-    ])
-    def test_integrand_calls_per_arc(self, arc, n, want, monkeypatch):
-        # the Gauss nodes, the panel estimator and the split rule fix how
-        # many samples an arc takes; a faster sample must not change that
+    @staticmethod
+    def sampled(arc, n, monkeypatch):
+        """The tau at which arc at n, prec 96, samples Obar, in order."""
         calls = []
         inner = circle._oebar_eval_tau
 
@@ -960,7 +997,60 @@ class TestArcs:
 
         monkeypatch.setattr(circle, "_oebar_eval_tau", counting)
         arc(ArcGeometry(n), prec=96)
-        assert len(calls) == want
+        return calls
+
+    @pytest.mark.parametrize("arc,n,want", [
+        (major_arc_integral, 25, 65), (major_arc_integral, 12, 65), (minor_arc_integral, 12, 65),
+        (major_arc_integral, 6400, 155),
+    ])
+    def test_integrand_calls_per_arc(self, arc, n, want, monkeypatch):
+        # the Clenshaw-Curtis levels, the panel estimator and the refinement
+        # rule fix how many samples an arc takes; a faster sample must not
+        # change that.  The first three stop at level 6; at n = 6400 the
+        # integrand is localized near x = 0 and the panel splits, where one
+        # raised to level 8 would take 257
+        assert len(self.sampled(arc, n, monkeypatch)) == want
+
+    @pytest.mark.parametrize("arc,n", [(major_arc_integral, 1600), (minor_arc_integral, 14)])
+    def test_no_abscissa_sampled_twice(self, arc, n, monkeypatch):
+        # a raised level samples only its new odd-indexed nodes, and a split
+        # reuses the panel's ends and midpoint: the major arc at n = 1600
+        # splits, the minor arc at n = 14 is raised from level 4 to 6
+        calls = self.sampled(arc, n, monkeypatch)
+        assert len(set(calls)) == len(calls)
+
+    @pytest.mark.parametrize("arc,n", [
+        (major_arc_integral, 12), (major_arc_integral, 25), (major_arc_integral, 100),
+        (minor_arc_integral, 12), (minor_arc_integral, 25),
+    ])
+    def test_arc_meets_its_target_against_an_independent_reference(self, arc, n, monkeypatch):
+        # the reference is mpmath's Gauss-Legendre quadrature at prec + 64 of
+        # oebar_eval's values times mpmath's phase, which share neither the
+        # rule nor the fixed-point integrand with the arc: the arc is within
+        # its rel_target of it, and within the error estimate it returned
+        prec = 96
+        estimates = []
+        inner = circle.adaptive_quad
+
+        def recording(*args):
+            value, err = inner(*args)
+            estimates.append(err)
+            return value, err
+
+        monkeypatch.setattr(circle, "adaptive_quad", recording)
+        geom = ArcGeometry(n)
+        got = arc(geom, prec=prec)
+        with workprec(prec + 64):
+            y, w = geom.y, geom.major_halfwidth
+            lo, hi, target = ((0, w, mpf(10) ** -8) if arc is major_arc_integral
+                              else (w, mpf("0.5"), mpf(10) ** -6))
+            amp = exp(2 * pi * n * y)
+            ref = 2 * mp.quadgl(lambda x: (oebar_eval(mpc(x, y), prec + 64)
+                                           * mp.expjpi(-2 * n * x)).real * amp,
+                                mp.linspace(lo, hi, 5))
+            # the arc integrates half the interval's real part and doubles it
+            assert abs(got - ref) <= target * abs(ref)
+            assert abs(got - ref) <= 2 * estimates[0]
 
     @pytest.mark.parametrize("prec", [96, 128])
     def test_integrand_against_oebar_eval(self, prec):

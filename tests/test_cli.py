@@ -302,6 +302,8 @@ CEILING_REQUESTS = [
     ("gf-eval", ["gf-eval", "--eps", "0.5,5"], 600),
     ("compute --method watson-product",
      ["compute", "--kind", "oebar", "--n-max", "30", "--method", "watson-product"], 30),
+    ("verify", ["verify", "--suite", "identities", "--order", "30"], 30),
+    ("circle", ["--prec", "64", "circle", "--n", "12", "--grid", "10"], 12),
 ]
 
 
@@ -427,6 +429,8 @@ class TestImportFootprint:
         ["compute", "--kind", "oebar", "--n-max", "100000", "--method", "watson-product"],
         ["compute", "--kind", "oe", "--n-max", str(10 ** 19), "--force"],
         ["ratio", "--kind", "oe", "--n", "100000"],
+        ["circle", "--n", "100000"],
+        ["verify", "--order", "100000"],
     ])
     def test_enumeration_and_refusals_load_no_mpmath(self, argv):
         loaded = loaded_modules(argv)

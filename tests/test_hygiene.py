@@ -8,7 +8,8 @@
 - The package has one Horner loop, specfun.horner_fixed: no source file
   under it names mpmath's polyval.
 - The package has one quadrature rule, circle.adaptive_quad: no source
-  file under it names mpmath's quad, quadts or quadgl.
+  file under it names mpmath's quad, quadts or quadgl, or imports from
+  mpmath.calculus.quadrature, where its Gauss-Legendre rule lives.
 - mpmath's besseli serves specfun.bessel_i alone: nothing else in the
   package names it, so Wright's Bessel ladder is seeded from its own
   generating function and not from Bessel values.
@@ -36,6 +37,7 @@ TESTS = ROOT / "tests"
 PRECISION_CONTEXTS = {"workprec", "workdps", "extraprec", "extradps"}
 PRECISION_OWNERS = {"specfun.py"}
 MPMATH_QUADRATURES = {"quad", "quadts", "quadgl"}
+QUADRATURE_MODULE = "mpmath.calculus.quadrature"
 
 
 def _tree(path):
@@ -124,8 +126,16 @@ def _mpmath_names(tree, names, inside=()):
 
 def _quadrature_names(tree):
     """Lines that name one of mpmath's quadratures, as a name, an attribute
-    or an imported name."""
-    return _mpmath_names(tree, MPMATH_QUADRATURES)
+    or an imported name, or that import from mpmath.calculus.quadrature,
+    the module behind them and behind its rule classes."""
+    imports = {
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.ImportFrom) and (node.module or "").startswith(QUADRATURE_MODULE))
+        or (isinstance(node, ast.Import)
+            and any(alias.name.startswith(QUADRATURE_MODULE) for alias in node.names))
+    }
+    return sorted(imports.union(_mpmath_names(tree, MPMATH_QUADRATURES)))
 
 
 def _is_mp_precision(node):
@@ -331,8 +341,9 @@ def test_the_scan_sees_mpmath_quadratures_and_not_the_package_rule():
         "adaptive_quad(f, 0, 1)\n"
         "from mpmath.calculus.quadrature import GaussLegendre\n"
         "raise QuadratureError('x')\n"
+        "import mpmath.calculus.quadrature as rules\n"
     )
-    assert _quadrature_names(tree) == [1, 2, 3, 4]
+    assert _quadrature_names(tree) == [1, 2, 3, 4, 6, 8]
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.rglob("*.py")), ids=lambda p: p.name)
