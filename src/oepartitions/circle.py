@@ -14,7 +14,9 @@ Obar = (-q;q)_inf f(q), f Watson's third-order mock theta function, moves
 to the nome Q = e^(-pi i/tau) as one formula, whose Mordell integral is
 summed by an asymptotic expansion (see _mordell_fixed); _transformed
 computes it and alone decides where it serves.  Everywhere else Obar is
-summed from the paper's own series, in fixed point (see _obar_sum).
+summed from the paper's own series, in fixed point (see _obar_sum).  The
+same loop sums Andrews' O(q), split into its even and odd powers of q, for
+gf-eval (oe_parts_eval).
 
 A circle sample stays in fixed point from the point where it is taken to
 the number its caller uses, on either route, as one representation:
@@ -130,24 +132,32 @@ def _radius(y, wp):
     return to_fixed(mpf_exp(mpf_neg(mpf_mul(mpf_pi(wp), mpf_shift(y, 1), wp)), wp), wp)
 
 
-def _obar_sum(tau, prec):
+def _obar_sum(tau, prec, bar=True):
     """Obar(q) at q = e^(2 pi i tau) as (re, im, wp), the sum in ints scaled
     by 2^wp; the bits it lost, max(0, ceil(log2(max |t_m| / |Obar|))); and
-    the terms after the first.
+    the terms after the first.  With bar false, Andrews' O(q) instead, as
+    its parts ((re, im), (re, im), wp), O_e and O_o, and the bits the
+    smaller of them lost.
 
     (-1;q)_m = 2 (-q;q)_(m-1) and (q^2;q^2)_m = (q;q)_m (-q;q)_m make the
     paper's series sum_m (-1;q)_m q^(m(m+1)/2) / (q^2;q^2)_m the sum of
     t_0 = 1 and t_m = 2 q^(m(m+1)/2) / ((q;q)_m (1 + q^m)): each term is the
     last times q^m (1 + q^(m-1)) / (1 - q^(2m)), so no powers are taken.
+    O(q) = sum_m q^(m(m+1)/2) / (q^2;q^2)_m has the same terms without the
+    factor 1 + q^(m-1).  The term t_m of O is q^(m(m+1)/2) times a series in
+    q^2, so the terms with m(m+1)/2 even, m = 0 or 3 mod 4, sum to O_e and
+    the rest to O_o.  For O the loop keeps O_o's sum beside the whole one,
+    and O_e is their difference, exactly, as ints.
 
     With r = |q|, |1 - q^(2m)| >= 1 - r^(2m) bounds each ratio
     |t_m / t_(m-1)| by rho(m) = r^m (1 + r^(m-1)) / (1 - r^(2m)), which
-    falls with m.  From the first m with rho(m) <= 1/2, that is
-    2 r^m (1 + r^(m-1)) <= 1 - r^(2m), each later ratio is at most 1/2, so
-    the sum after a term is below it.  The loop tests this on its own ints
-    until it holds, with r^m the running product of the radius that q is
-    formed from, floored (low by at most m units of 2^-wp, which moves the
-    bound on the rest by as little).  From there it stops at a term below
+    falls with m, and it bounds O's ratios r^m / (1 - r^(2m)) too.  From
+    the first m with rho(m) <= 1/2, that is 2 r^m (1 + r^(m-1)) <= 1 - r^(2m),
+    each later ratio is at most 1/2, so the sum after a term, and each part
+    of it, is below it.  The loop tests this on its own ints until it holds,
+    with r^m the running product of the radius that q is formed from,
+    floored (low by at most m units of 2^-wp, which moves the bound on the
+    rest by as little).  From there it stops at a term below
     2^-(prec + GUARD_BITS) of the largest, so the ratio bound rules out a
     rise after a dip; TERM_BUDGET is the loop's one work budget, and past
     it, it raises.  Where 1 - r < 1/TERM_BUDGET it raises before forming
@@ -165,20 +175,22 @@ def _obar_sum(tau, prec):
     and the powers of q are scaled by 2^wp: each step rounds by a few units
     of 2^-wp, and the largest term is at least 1 (t_0), so TERM_BUDGET
     roundings stay below 2^-(prec + GUARD_BITS) of it; the caller's re-sum
-    makes that relative to Obar.  The term is scaled by 2^(wp + s), s
-    raised whenever it falls below 1, so it keeps wp significant bits where
-    the terms fall far below 1 and rise again.
+    makes that relative to Obar, or to the smaller part of O.  The term is
+    scaled by 2^(wp + s), s raised whenever it falls below 1, so it keeps wp
+    significant bits where the terms fall far below 1 and rise again.
     """
+    what = "Obar(q)" if bar else "O(q)"
     wp = prec + GUARD_BITS + (TERM_BUDGET - 1).bit_length() + 4
     x, y = tau._mpc_
     radius, one = _radius(y, wp), 1 << wp
     if (one - radius) * TERM_BUDGET < one:  # r^m > 0.367 for m <= TERM_BUDGET: never settles
-        raise ArithmeticError(f"Obar(q) at tau = {tau} needs over {TERM_BUDGET} terms")
+        raise ArithmeticError(f"{what} at tau = {tau} needs over {TERM_BUDGET} terms")
     qr, qi = _times((radius, 0), _turn(mpf_shift(x, 1), wp), wp)
-    # (sr, si) the sum and (pr, pi_) q^(m-1), scaled by 2^wp; (tr, ti) the
-    # term, scaled by 2^(wp + s); power r^(m-1), scaled by 2^wp, until settled
+    # (sr, si) the sum, (or_, oi) O_o's and (pr, pi_) q^(m-1), scaled by
+    # 2^wp; (tr, ti) the term, scaled by 2^(wp + s); power r^(m-1), scaled
+    # by 2^wp, until settled
     sr = tr = pr = power = one
-    si = ti = pi_ = s = 0
+    si = or_ = oi = ti = pi_ = s = 0
     settled = False
     floor2 = top = one * one  # 2^(2 wp), and the largest |term|^2 at the term's scale
     cut = 2 * (prec + GUARD_BITS)
@@ -187,14 +199,17 @@ def _obar_sum(tau, prec):
         if not settled:  # rho(m) <= 1/2: r^m (2 + 2 r^(m-1) + r^m) <= 1
             back, power = power, (power * radius) >> wp
             settled = power * (2 * (one + back) + power) <= floor2
-        ar = nr + ((nr * pr - ni * pi_) >> wp)  # q^m (1 + q^(m-1))
-        ai = ni + ((nr * pi_ + ni * pr) >> wp)
+        ar = nr + (bar and (nr * pr - ni * pi_) >> wp)  # q^m (1 + q^(m-1)), or q^m for O
+        ai = ni + (bar and (nr * pi_ + ni * pr) >> wp)
         dr, di = one - ((nr * nr - ni * ni) >> wp), -((2 * nr * ni) >> wp)  # 1 - q^(2m)
         m2 = dr * dr + di * di  # |d|^2, scaled by 2^(2 wp)
         wr, wi = (tr * ar - ti * ai) >> wp, (tr * ai + ti * ar) >> wp
         tr, ti = ((wr * dr + wi * di) << wp) // m2, ((wi * dr - wr * di) << wp) // m2
         sr += tr >> s
         si += ti >> s
+        if not bar and (terms + 1) & 2:  # m = 1 or 2 mod 4: a term of O_o
+            or_ += tr >> s
+            oi += ti >> s
         pr, pi_ = nr, ni
         size2 = tr * tr + ti * ti
         if size2 > top:
@@ -205,14 +220,16 @@ def _obar_sum(tau, prec):
             k = wp + 1 - (size2.bit_length() >> 1)
             tr, ti, s, top = tr << k, ti << k, s + k, top << 2 * k
     else:
-        raise ArithmeticError(f"Obar(q) at tau = {tau} needs over {TERM_BUDGET} terms")
-    if not (sr or si):
-        raise ArithmeticError(f"Obar(q) at tau = {tau} sums to 0 at {wp} fixed-point bits")
-    size2 = (sr * sr + si * si) << 2 * s  # |sum|^2 at the term's scale
+        raise ArithmeticError(f"{what} at tau = {tau} needs over {TERM_BUDGET} terms")
+    parts = [(sr, si)] if bar else [(sr - or_, si - oi), (or_, oi)]
+    # the least |sum|^2 of the parts, at the term's scale
+    size2 = min(re * re + im * im for re, im in parts) << 2 * s
+    if not size2:
+        raise ArithmeticError(f"{what} at tau = {tau} sums to 0 at {wp} fixed-point bits")
     lost = max((top.bit_length() - size2.bit_length()) // 2, 0)
     while size2 << 2 * lost < top:  # to the least lost >= 0 with 4^lost |sum|^2 >= top
         lost += 1
-    return (sr, si, wp), lost, terms
+    return ((sr, si, wp) if bar else (*parts, wp)), lost, terms
 
 
 def _mordell_terms(size, prec):
@@ -434,6 +451,15 @@ def _oebar_eval_tau(tau, prec):
     return value
 
 
+def _reduced(tau):
+    """tau as an mpc less the integer nearest its real part, exactly, the
+    series being 1-periodic in tau; DomainError off the upper half plane."""
+    tau = mpc(tau)
+    if tau.imag <= 0:
+        raise DomainError("tau must lie in the upper half plane")
+    return tau - mp.nint(tau.real)
+
+
 @guarded
 def oebar_eval(tau, prec=256):
     """Evaluate Obar(q) = sum_m (-1;q)_m q^(m(m+1)/2) / (q^2;q^2)_m at
@@ -444,11 +470,32 @@ def oebar_eval(tau, prec=256):
     is 1-periodic in tau, so tau is first reduced, exactly, by an integer.
     Either route's fixed-point value becomes an mpc here, and only here.
     """
-    tau = mpc(tau)
-    if tau.imag <= 0:
-        raise DomainError("tau must lie in the upper half plane")
-    re, im, scale = _oebar_eval_tau(tau - mp.nint(tau.real), prec)
+    re, im, scale = _oebar_eval_tau(_reduced(tau), prec)
     return mpc(mpf((re, -scale)), mpf((im, -scale)))
+
+
+@guarded
+def oe_parts_eval(tau, prec=256):
+    """(O_e(q), O_o(q)) at q = e^(2 pi i tau), Im tau > 0: the parts of
+    Andrews' O(q) = sum_m q^(m(m+1)/2) / (q^2;q^2)_m in even and odd powers
+    of q, each to prec bits, as two mpc.
+
+    Both are _obar_sum's, from one pass of its loop, re-summed by
+    pay_for_loss.  O_o is about q against t_0 = 1, so the first pass already
+    takes ceil(log2(1/|q|)) = ceil(2 pi Im tau / ln 2) bits more (at
+    q = e^-500, O_o would floor to 0 without them), but at most TERM_BUDGET:
+    past that a q that floors to 0 ends the sum with ArithmeticError, and
+    any other costs at most LOSS_PASSES re-sums, so no Im tau, however
+    large, asks for unbounded bits.  Logs its term count, lost bits and
+    re-sum at DEBUG.
+    """
+    tau = _reduced(tau)
+    first = math.ceil(min(2 * math.pi * float(tau.imag) / math.log(2), TERM_BUDGET))
+    ((*parts, wp), lost, terms), extra = pay_for_loss(
+        lambda b: _obar_sum(tau, b, bar=False), prec, "O(q) at tau = %s", tau, extra=first)
+    log.debug("O(q) at tau = %s: %d terms, lost %d bits, %s", tau, terms, lost,
+              f"re-summed at {prec + extra} bits" if extra > first else "no re-sum")
+    return tuple(mpc(mpf((re, -wp)), mpf((im, -wp))) for re, im in parts)
 
 
 @guarded

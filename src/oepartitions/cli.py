@@ -6,9 +6,9 @@ Subcommands:
   verify    run the identity / asymptotic / special-function check suites;
             exit code 0 iff everything passes
   ratio     exact-vs-asymptotic convergence tables for the leading laws
-  gf-eval   generating-function values at q = e^(-eps), summed to the order
-            _gf_order gives, against the leading asymptotic constant; a row
-            whose tail bound is above the printed precision is refused
+  gf-eval   O(q) and its even and odd parts at q = e^(-eps), summed at the
+            point from Andrews' series (circle.oe_parts_eval), against the
+            leading asymptotic constant
   circle    end-to-end circle-method report for one n
 
 Tables are emitted as CSV (default) or JSON; reports as JSON.  The default
@@ -40,12 +40,12 @@ import sys
 from collections import namedtuple
 
 # the largest n (enumeration, circle report) or series order each request
-# builds without --force; "compute" is its default method, series
+# builds without --force; "compute" is its default method, series.  gf-eval
+# builds no series: its row bounds 300/eps, the order a coefficient series
+# would need, as a work guard
 CEILINGS = {"compute --method enum": 50, "compute": 100000,
             "compute --method watson-product": 70000, "ratio": 20000, "gf-eval": 60000,
             "verify": 10000, "circle": 6400}
-# gf-eval prints floats: a tail bound above 2^-53 of the value shows in the output
-PRINTED_PRECISION = 2.0 ** -53
 # the verify tolerances are 2^-(prec - 56), which pass anything at 56 bits
 MIN_PREC = 64
 
@@ -183,58 +183,45 @@ def cmd_ratio(args):
 def _gf_rows(eps_grid, prec):
     """O, O_e and O_o at q = e^(-eps), each with its leading asymptotic.
 
-    The parity parts are series in q^2, summed at q^2 with half the terms:
-    O_e(q) = E(q^2) with E = sum_j c_(2j) w^j, and O_o(q) = q D(q^2) with
-    D = sum_j c_(2j+1) w^j, the c_k read off oe_series.  Where |c_k| <=
-    e^(C sqrt k), |c_(2j)| <= e^(C sqrt2 sqrt j), and past D's order J,
-    2j + 1 <= (2 + 1/(J+1)) j gives |c_(2j+1)| <= e^(C sqrt(2 + 1/(J+1)) sqrt j).
-    oe_series is summed once, to the grid's largest order, and truncated.
+    O_e and O_o are circle.oe_parts_eval's at tau = i eps / (2 pi), from one
+    pass of the fixed-point loop that sums Obar, and O is their sum.  A
+    point past that loop's term budget ends the command in one line.
     """
-    from mpmath import mp, mpf
+    from mpmath import mp, mpc
 
-    from . import asympt, genfun, series
+    from . import asympt, circle
 
     rows = []
-    growth_c = mp.pi / mp.sqrt(5)
-    orders = [_gf_order(float(eps)) for eps in eps_grid]
-    top = genfun.oe_series(max(orders))
-    for eps, order in zip(eps_grid, orders):
-        full = top.truncate(order)
-        q = mp.e ** (-eps)
-        even, odd = series.PowerSeries(full.coeffs[::2]), series.PowerSeries(full.coeffs[1::2])
-        parts = (("full", full, q, 1, growth_c),
-                 ("even", even, q * q, 1, growth_c * mp.sqrt(2)),
-                 ("odd", odd, q * q, q, growth_c * mp.sqrt(2 + mpf(1) / (odd.order + 1))))
-        for name, part, point, factor, growth in parts:
-            try:
-                res = series.evaluate_at(part, point, prec, growth_c=growth)
-            except series.SeriesError as exc:
-                raise SystemExit(f"gf-eval at eps {float(eps)}, order {order}: {exc}") from None
-            if res.tail_bound > abs(res.value) * PRINTED_PRECISION:
-                raise SystemExit(
-                    f"gf-eval at eps {float(eps)}, order {order}: the {name} series' tail "
-                    f"bound {mp.nstr(res.tail_bound, 3)} is above 2^-53 of its value "
-                    f"{mp.nstr(res.value, 3)}"
-                )
-            value, lead = factor * res.value.real, asympt.gf_asymptotic(eps, name, prec)
+    for eps in eps_grid:
+        try:
+            even, odd = circle.oe_parts_eval(mpc(0, eps / (2 * mp.pi)), prec)
+        except ArithmeticError as exc:
+            raise SystemExit(f"gf-eval at eps {float(eps)}: {exc}") from None
+        for name, value in (("full", even + odd), ("even", even), ("odd", odd)):
+            value, lead = value.real, asympt.gf_asymptotic(eps, name, prec)
             rows.append((float(eps), name, float(value), float(lead), float(value / lead)))
     return rows
 
 
 def _gf_order(eps):
-    """The order gf-eval sums O(q) to at q = e^(-eps), for a float eps > 0.
-    Below about 1.7e-306 the quotient overflows, and the order is inf, above
-    any ceiling."""
+    """The size gf-eval's ceiling reads at q = e^(-eps), for a float eps > 0:
+    300/eps, the order a coefficient series of O(q) would need there.  Below
+    about 1.7e-306 the quotient overflows, and the order is inf, above any
+    ceiling."""
     order = 300 / eps
     return max(1, int(order)) if order < math.inf else order
 
 
 def _refuse_eps(grid, force):
     """Refuse a grid of floats, the values the order and the printed rows are
-    taken in, unless each is finite and > 0 and, without force, its largest
-    series order is within the ceiling."""
+    taken in, unless each is finite and > 0, has e^-eps above 0 as a float
+    (eps up to about 745.13; past it the odd row would print 0.0, and the
+    sum would pay 1.44 eps bits), and, without force, its largest order is
+    within the ceiling."""
     if not all(0 < eps < math.inf for eps in grid):
         raise SystemExit("--eps values must be finite and > 0")
+    if any(math.exp(-eps) == 0.0 for eps in grid):
+        raise SystemExit("--eps values must be at most about 745.13, past which e^-eps is 0.0")
     _refuse_above("gf-eval", _gf_order(min(grid)), force)
 
 

@@ -8,9 +8,10 @@ their coefficient tuples agree.
 
 The module is integer arithmetic only and imports no mpmath, so the exact
 tables load no numeric layer.  A series is summed at a point by
-specfun.evaluate_at; series.evaluate_at, EvalResult, horner_bits and
-horner_fixed read specfun's (module __getattr__), importing it on the
-first such read.
+specfun.evaluate_at, the reference the tests and the benchmark hold point
+values to (no command calls it); series.evaluate_at, EvalResult,
+horner_bits and horner_fixed read specfun's (module __getattr__),
+importing it on the first such read.
 """
 
 from __future__ import annotations
@@ -71,11 +72,6 @@ class PowerSeries:
         if not 0 <= n <= self.order:
             raise SeriesError(f"coefficient {n} not determined at order {self.order}")
         return self.coeffs[n]
-
-    def truncate(self, order):
-        if order >= self.order:
-            return self
-        return PowerSeries(self.coeffs[: order + 1])
 
     def __eq__(self, other):
         return isinstance(other, PowerSeries) and self.coeffs == other.coeffs

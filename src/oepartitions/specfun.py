@@ -31,7 +31,9 @@ evaluate_at sums an exact series.PowerSeries at a point with horner_fixed,
 in fixed point on Python integers, at horner_bits' precision, and logs the
 order, the leading zeros stripped, the fixed-point bits and the tail bound
 at DEBUG under the oepartitions.series logger.  It lives here, not in
-series, so that the exact layer loads no mpmath.
+series, so that the exact layer loads no mpmath.  No command calls it: the
+tests and the benchmark hold point values to it, among them gf-eval's O(q),
+which circle sums at the point from Andrews' series.
 """
 
 from __future__ import annotations

@@ -13,7 +13,8 @@ from mpmath.libmp import to_fixed
 
 from oepartitions import circle, specfun
 from oepartitions.specfun import GUARD_BITS, DomainError, QuadratureError, euler_eval, wright_p
-from oepartitions.genfun import f_mock_series, oebar_series_hypergeometric, oebar_series_product
+from oepartitions.genfun import (f_mock_series, oebar_series_hypergeometric, oebar_series_product,
+                                 parity_split)
 from oepartitions.series import evaluate_at, horner_fixed
 from oepartitions.circle import (
     ArcGeometry,
@@ -507,6 +508,75 @@ class TestEvaluation:
         for c in cs:
             assert mpf("0.3") < c < mpf("0.5")
         assert max(cs) / min(cs) < mpf("1.1")
+
+
+@lru_cache(maxsize=1)
+def andrews_parts_series(order):
+    """O_e and O_o as exact series to order, from genfun's parity split."""
+    return parity_split(order)
+
+
+class TestAndrewsO:
+    # oe_parts_eval sums O(q) = sum_m q^(m(m+1)/2) / (q^2;q^2)_m on _obar_sum's loop
+
+    def test_parts_against_the_coefficient_series(self):
+        # 50 seeded points with |q| <= e^(-2 pi 0.03), where the series to
+        # order 2000 reaches 2^-(prec + 64) below the parts: each part is
+        # evaluate_at's sum of its exact series, with its declared tail bound
+        rng = random.Random(20)
+        even, odd = andrews_parts_series(2000)
+        for _ in range(50):
+            prec = rng.choice((64, 96, 160))
+            tau = mpc(rng.uniform(-0.5, 0.5), math.exp(rng.uniform(math.log(0.03), math.log(3))))
+            got = circle.oe_parts_eval(tau, prec)
+            with workprec(prec + 64 + GUARD_BITS):
+                q = mp.expjpi(2 * tau)
+                for part, value in zip((even, odd), got):
+                    want = evaluate_at(part, q, prec + 64, growth_c=pi / sqrt(5))
+                    assert want.tail_bound < mpf(2) ** -(prec + 8) * abs(want.value), tau
+                    assert abs(value - want.value) < mpf(2) ** -(prec - 2) * abs(want.value), tau
+
+    @pytest.mark.parametrize("x,note", [(0, "no re-sum"), (mpf(1) / 4, "re-summed at 156 bits")],
+                             ids=["0", "1/4"])
+    def test_debug_log_reports_the_sum(self, x, note, caplog):
+        # at q = i |q| the even part cancels about 60 bits and is summed again
+        caplog.set_level(logging.DEBUG, logger="oepartitions.circle")
+        circle.oe_parts_eval(circle_point(10 ** 5, x), 96)
+        messages = [r.getMessage() for r in caplog.records if r.name == "oepartitions.circle"]
+        assert len(messages) == 1
+        assert messages[0].startswith("O(q) at tau = ") and "384 terms, lost " in messages[0]
+        assert messages[0].endswith(note)
+
+    def test_small_q_pays_its_bits_up_front(self, caplog):
+        # O_o is about q = e^-500 against t_0 = 1: the first pass takes
+        # ceil(500 / ln 2) = 722 bits more, so it neither floors q to 0 nor
+        # sums twice
+        caplog.set_level(logging.DEBUG, logger="oepartitions.circle")
+        with workprec(256):
+            tau = mpc(0, 500 / (2 * pi))
+            want = exp(-mpf(500))  # O_o = q + q^3 + ..., O_e = 1 + q^6 + ...
+        even, odd = circle.oe_parts_eval(tau, 96)
+        assert even == 1 and odd.imag == 0
+        assert abs(odd.real - want) <= mpf(2) ** -96 * want
+        messages = [r.getMessage() for r in caplog.records if r.name == "oepartitions.circle"]
+        assert len(messages) == 1 and messages[0].endswith("lost 722 bits, no re-sum")
+
+    def test_past_the_term_budget_raises_at_once(self, time_limit):
+        # 1 - |q| < 1/TERM_BUDGET: refused before q is formed
+        with time_limit(2), pytest.raises(ArithmeticError, match=r"^O\(q\) at tau = .* needs over"):
+            circle.oe_parts_eval(mpc(0, mpf("1e-5") / (2 * pi)), 96)
+
+    @pytest.mark.parametrize("im", ["700", "1e6", "1e400"])
+    def test_far_inside_the_disc_the_bits_are_bounded(self, im, time_limit):
+        # |q| below 2^-(TERM_BUDGET + prec + 48): the first pass takes
+        # TERM_BUDGET more bits, not log2(1/|q|) (9.1e6 at Im tau = 10^6),
+        # q floors to 0 there, and the sum raises at once
+        with time_limit(2), pytest.raises(ArithmeticError, match="sums to 0 at 4240 fixed-point bits"):
+            circle.oe_parts_eval(mpc(0, mpf(im)), 96)
+
+    def test_lower_half_plane_is_refused(self):
+        with pytest.raises(DomainError):
+            circle.oe_parts_eval(mpc("0.1", "-0.1"), 96)
 
 
 class TestWatsonTransformation:

@@ -14,7 +14,7 @@ from mpmath import exp, mpf, workprec
 import oepartitions
 from oepartitions import cli, genfun, series, specfun
 from oepartitions.enumeration import enum_oe, enum_oebar
-from oepartitions.series import EvalResult, evaluate_at
+from oepartitions.series import evaluate_at
 
 
 def run_cli(capsys, *argv):
@@ -152,31 +152,34 @@ class TestGFEval:
         want = math.exp(-500)
         assert abs(float(odd["series_value"]) - want) < 1e-12 * want
 
-    def test_sums_the_series_once(self, capsys, summand_calls):
-        # the parity parts are read off oe_series, not summed again
+    def test_largest_eps_prints_the_least_float(self, capsys):
+        # e^-745 is the least subnormal float, and the odd row is that
+        code, out, _ = run_cli(capsys, "gf-eval", "--eps", "745")
+        assert code == 0
+        (odd,) = [r for r in parse_csv(out) if r["branch"] == "odd"]
+        assert float(odd["series_value"]) == math.exp(-745) > 0
+
+    def test_sums_the_series_once(self, capsys, summand_calls, monkeypatch):
+        # O is summed at its point, both parts in one loop: no coefficient
+        # series is built and none is summed
+        calls = []
+        monkeypatch.setattr(specfun, "evaluate_at", lambda *args, **kw: calls.append(args))
         code, _, _ = run_cli(capsys, "gf-eval", "--eps", "0.05")
         assert code == 0
-        assert summand_calls == [6000]
+        assert summand_calls == [] and calls == []
 
-    def test_sums_the_series_once_for_the_whole_grid(self, capsys, summand_calls):
-        # the larger eps reads the smaller eps's series, truncated
+    def test_sums_the_series_once_for_the_whole_grid(self, capsys, summand_calls, monkeypatch):
+        calls = []
+        monkeypatch.setattr(specfun, "evaluate_at", lambda *args, **kw: calls.append(args))
         code, _, _ = run_cli(capsys, "gf-eval", "--eps", "0.05,0.03")
         assert code == 0
-        assert summand_calls == [10000]
+        assert summand_calls == [] and calls == []
 
-    def test_parity_parts_are_summed_in_q_squared(self, capsys, monkeypatch):
-        # each part is a half-length series at q^2, and its row is the full-length
-        # part, every other coefficient 0, summed at q
-        orders = []
-
-        def spy(series, point, prec, growth_c=None):
-            orders.append(series.order)
-            return evaluate_at(series, point, prec, growth_c)
-
-        monkeypatch.setattr(series, "evaluate_at", spy)
+    def test_parity_parts_are_summed_in_q_squared(self, capsys):
+        # each row is its part of oe_series, every other coefficient 0,
+        # summed at q by the series oracle
         code, out, _ = run_cli(capsys, "gf-eval", "--eps", "0.0510,0.0305")
         assert code == 0
-        assert orders == [5882, 2941, 2940, 9836, 4918, 4917]
         for got in parse_csv(out):
             order = int(300 / float(got["eps"]))
             even, odd = genfun.parity_split(order)
@@ -189,18 +192,23 @@ class TestGFEval:
         with pytest.raises(SystemExit):
             cli.main(["gf-eval", "--eps", "0.001"])
 
-    def test_tail_bound_above_printed_precision_is_refused(self, capsys, monkeypatch):
-        # a row whose tail bound shows in the printed float ends the command
-        def loose(series, point, prec, growth_c=None):
-            value = mpf(1000)
-            return EvalResult(value=value, tail_bound=value * mpf(2) ** -52)
+    def test_forced_eps_is_summed_at_its_point(self, capsys):
+        # order 10^6 by the ceiling's reckoning, but 3663 terms at the point;
+        # O(q) is about e^1645 here, past the float range the rows print in
+        code, out, _ = run_cli(capsys, "gf-eval", "--eps", "3e-4", "--force")
+        assert code == 0
+        rows = parse_csv(out)
+        assert [r["branch"] for r in rows] == ["full", "even", "odd"]
+        assert all(abs(float(r["ratio"]) - 1) < 1e-4 for r in rows)
 
-        monkeypatch.setattr(series, "evaluate_at", loose)
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["gf-eval", "--eps", "0.05"])
+    def test_forced_eps_past_the_term_budget_is_one_line(self, capsys, time_limit):
+        # 1 - e^-eps < 1/TERM_BUDGET: the loop refuses before it forms q
+        with time_limit(5), pytest.raises(SystemExit) as exc:
+            cli.main(["gf-eval", "--eps", "1e-5", "--force"])
         message = exc.value.code
         assert isinstance(message, str) and "\n" not in message
-        assert "tail bound" in message
+        assert message.startswith("gf-eval at eps 1e-05: O(q) at tau = ")
+        assert message.endswith(f"needs over {specfun.TERM_BUDGET} terms")
         assert capsys.readouterr().out == ""
 
 
@@ -278,6 +286,9 @@ class TestUsageErrors:
         ["gf-eval", "--eps", "nan"],
         ["gf-eval", "--eps", "1e400"],
         ["gf-eval", "--eps", "inf"],
+        ["gf-eval", "--eps", "1e20"],
+        ["gf-eval", "--eps", "800"],
+        ["gf-eval", "--eps", "0.05,745.2", "--force"],
         ["verify", "--order", "-1"],
         ["gf-eval", "--eps", "0.001"],
         ["compute", "--kind", "oe", "--n-max", "5", "--method", "watson-product"],
@@ -443,6 +454,7 @@ class TestImportFootprint:
         ["compute", "--kind", "oe", "--n-max", "10"],
         ["compute", "--kind", "oebar", "--n-max", "12", "--method", "watson-product"],
         ["gf-eval", "--eps", "0.001"],
+        ["gf-eval", "--eps", "1e20", "--force"],
     ])
     def test_exact_series_and_refused_grids_load_no_mpmath(self, argv):
         loaded = loaded_modules(argv)

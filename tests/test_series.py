@@ -270,7 +270,7 @@ class TestEvaluateAt:
         # coefficients of 1/(q;q)_inf obey p(k) <= e^(pi sqrt(2k/3))
         growth = float(mp.pi * mp.sqrt(mpf(2) / 3))
         full = qpochhammer(1, 1, None, 400).invert()
-        part = full.truncate(120)
+        part = PowerSeries(full.coeffs[:121])
         q = mpf("0.5")
         lo = evaluate_at(part, q, 192, growth_c=growth)
         hi = evaluate_at(full, q, 192, growth_c=growth)
