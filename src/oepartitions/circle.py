@@ -31,6 +31,14 @@ built only for the number handed on: oebar_eval's value, an integrand
 value, the maximum's square root and the recovery's residual (the
 recovered coefficient is an int).
 
+A sample is taken at the bits its answer needs, not at the caller's
+prec.  An arc samples Obar at ceil(log2(1/rel_target)) + GUARD_BITS / 2
+bits and runs again, with the bits it lacked, where its samples' rounding
+bound passes a quarter of its target (_arc_integral).  The minor-arc
+maximum screens its grid at GUARD_BITS bits and takes again at prec only
+the samples that may be the largest (minor_arc_empirical_max).  The Cauchy
+recovery sums at the bits of the coefficient it recovers.
+
 Both polynomial sums here, the Mordell expansion and the exact series at
 the samples of the Cauchy recovery, run on specfun.horner_fixed, the
 package's one Horner loop.
@@ -184,7 +192,7 @@ def _obar_sum(tau, prec, bar=True):
     x, y = tau._mpc_
     radius, one = _radius(y, wp), 1 << wp
     if (one - radius) * TERM_BUDGET < one:  # r^m > 0.367 for m <= TERM_BUDGET: never settles
-        raise ArithmeticError(f"{what} at tau = {tau} needs over {TERM_BUDGET} terms")
+        raise ArithmeticError(f"{what} at tau = {mp.nstr(tau, 8)} needs over {TERM_BUDGET} terms")
     qr, qi = _times((radius, 0), _turn(mpf_shift(x, 1), wp), wp)
     # (sr, si) the sum, (or_, oi) O_o's and (pr, pi_) q^(m-1), scaled by
     # 2^wp; (tr, ti) the term, scaled by 2^(wp + s); power r^(m-1), scaled
@@ -220,12 +228,12 @@ def _obar_sum(tau, prec, bar=True):
             k = wp + 1 - (size2.bit_length() >> 1)
             tr, ti, s, top = tr << k, ti << k, s + k, top << 2 * k
     else:
-        raise ArithmeticError(f"{what} at tau = {tau} needs over {TERM_BUDGET} terms")
+        raise ArithmeticError(f"{what} at tau = {mp.nstr(tau, 8)} needs over {TERM_BUDGET} terms")
     parts = [(sr, si)] if bar else [(sr - or_, si - oi), (or_, oi)]
     # the least |sum|^2 of the parts, at the term's scale
     size2 = min(re * re + im * im for re, im in parts) << 2 * s
     if not size2:
-        raise ArithmeticError(f"{what} at tau = {tau} sums to 0 at {wp} fixed-point bits")
+        raise ArithmeticError(f"{what} at tau = {mp.nstr(tau, 8)} sums to 0 at {wp} fixed-point bits")
     lost = max((top.bit_length() - size2.bit_length()) // 2, 0)
     while size2 << 2 * lost < top:  # to the least lost >= 0 with 4^lost |sum|^2 >= top
         lost += 1
@@ -652,7 +660,7 @@ def adaptive_quad(f, a, b, rel_target, prec):
             heapq.heappush(heap, panel(lo, mid, QUAD_FIRST_LEVEL, [fx[half], *gap, fx[-1]]))
 
 
-def _arc_integrand(n, y, prec):
+def _arc_integrand(n, y, prec, sizes):
     """x -> Re(Obar(q) e^(-2 pi i n x)) e^(2 pi n y), q = e^(2 pi i (x + i y)),
     the real part of Obar(q) q^(-n), for a guarded caller.
 
@@ -661,13 +669,17 @@ def _arc_integrand(n, y, prec):
     exactly, and wp = prec + GUARD_BITS bits, the real part of their product
     an int, times the mantissa of e^(2 pi n y).  One mpf is built, the
     value, rounded once.  The phase's parts are within 2^(1 - wp) each, so
-    its error is below 2^(1.5 - wp) of |Obar| e^(2 pi n y).
+    its error is below 2^(1.5 - wp) of |Obar| e^(2 pi n y).  Each sample
+    appends to the list sizes an int s with |Obar| e^(2 pi n y) < 2^s, read
+    from the bit lengths of its ints.
     """
     wp = prec + GUARD_BITS
     amp = (mp.e ** (2 * mp.pi * n * y))._mpf_  # positive: (0, man, exp, bc)
 
     def integrand(x):
         re, im, scale = _oebar_eval_tau(mpc(x, y), prec)
+        # |Obar| < 2^(bit length + 1/2 - scale), and e^(2 pi n y) < 2^(exp + bc)
+        sizes.append(max(abs(re), abs(im)).bit_length() + 1 - scale + amp[2] + amp[3])
         t = x._mpf_
         c, s = _turn(mpf_mul_int(t, -2 * n, t[3] + (2 * n).bit_length()), wp)  # -2 n x, exactly
         return mpf(((re * c - im * s) * amp[1], amp[2] - scale - wp))
@@ -680,9 +692,43 @@ def _arc_integral(geom, lo, hi, rel_target, prec):
     relative, for a guarded caller.  Obar has real coefficients, so x -> -x
     conjugates the integrand Obar(q) q^(-n), q = e^(2 pi i (x + i y)): the
     integral is twice that of its real part over [lo, hi], to rel_target / 2.
+
+    Obar is sampled at the bits the target needs, not at prec:
+    bits = min(prec, need + GUARD_BITS / 2), need = ceil(log2(1/rel_target)),
+    43 on the major arc and 36 on the minor one.  Each sample is within
+    2^-(bits - 2) of |Obar| e^(2 pi n y) (_arc_integrand's tested
+    contract), and the Clenshaw-Curtis weights are positive and sum to
+    hi - lo, so the samples' rounding moves the integral by at most
+    2^-(bits - 2) (hi - lo) max_j |Obar_j| e^(2 pi n y), which the samples'
+    bit lengths bound: the arc's error is the quadrature's estimate plus
+    that bound.  Where the bound is above a quarter of the target the
+    quadrature met, specfun.pay_for_loss runs the arc again with the bits
+    it lacked, as the bits it lost: heavy cancellation on the minor arc,
+    from about n = 50.  No pass samples at more than prec bits, and one at
+    prec stands whatever its bound.  Nodes and weights stay at
+    prec + GUARD_BITS bits, and the sums run at pay_for_loss's working
+    precision, prec + GUARD_BITS or above.  Logs the sample bits, the
+    rounding bound, the quadrature's estimate and whether the arc re-ran
+    at DEBUG.
     """
-    integrand = _arc_integrand(geom.n, geom.y, prec)
-    half, _ = adaptive_quad(integrand, lo, hi, rel_target / 2, prec + GUARD_BITS)
+    need = math.ceil(-math.log2(rel_target))
+
+    def attempt(wp):  # pay_for_loss's prec + extra, at working precision wp + GUARD_BITS
+        bits, sizes = min(prec, need + wp - prec + GUARD_BITS // 2), []
+        half, err = adaptive_quad(_arc_integrand(geom.n, geom.y, bits, sizes), lo, hi,
+                                  rel_target / 2, prec + GUARD_BITS)
+        target = rel_target / 2 * max(abs(half), 1)  # above 2^(mag(target) - 2)
+        bound = mp.mag(hi - lo) + max(sizes) + 2 - bits  # the rounding is below 2^bound
+        # pay_for_loss accepts lost <= bits - need, that is 2^bound <= 2^(mag(target) - 4)
+        lost = bound + bits - need + 4 - mp.mag(target) if bits < prec else 0
+        return half, lost, bits, bound, err
+
+    (half, _, bits, bound, err), extra = pay_for_loss(
+        attempt, prec, "the arc %s <= |x| <= %s at n = %d", lo, hi, geom.n)
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("arc %s <= |x| <= %s at n = %d: samples at %d bits, estimate %s plus rounding "
+                  "below 2^%d, %s", mp.nstr(lo, 8), mp.nstr(hi, 8), geom.n, bits, mp.nstr(err, 3),
+                  bound, "re-ran" if extra else "no re-run")
     return 2 * half
 
 
@@ -740,19 +786,33 @@ def minor_arc_empirical_max(geom, grid=200, prec=96):
     """Max of |Obar| sampled on the minor arc M y < x <= 1/2 (symmetric in x).
 
     The samples are compared as |Obar|^2 in _oebar_eval_tau's ints,
-    exactly, each pair of scales, of either sign, brought to the finer; one
-    square root is taken, of the largest."""
+    exactly, each brought to the finest of their scales, of either sign;
+    one square root is taken, of the largest.  Only the largest needs prec:
+    the grid is screened at s = min(prec, GUARD_BITS) bits, and only the
+    samples within 2^-(s - 5) of the screened top are taken again at prec.
+    Each sample is within 2^-(bits - 2) of |Obar| (the tested contract of
+    _arc_integrand), so the sample largest at prec screens within
+    ((1 - 2^(2 - s)) / (1 + 2^(2 - s)))^4 > 1 - 2^-(s - 5) of that top
+    in |Obar|^2: it is kept, and the result is the mpf of the whole grid
+    at prec.  On grids of 20 to 200 at n = 14 to 10^5 it keeps one.
+    """
     if grid < 2:
         raise DomainError("grid must be >= 2")
     y, w = geom.y, geom.major_halfwidth
-    best, best_scale = 0, 0  # the largest |Obar|^2 so far, scaled by 2^best_scale
-    for k in range(grid):
-        x = w + (mpf("0.5") - w) * (k + 1) / grid
-        re, im, scale = _oebar_eval_tau(mpc(x, y), prec)
-        size2, scale = re * re + im * im, 2 * scale
-        if size2 << max(best_scale - scale, 0) > best << max(scale - best_scale, 0):
-            best, best_scale = size2, scale
-    return mp.sqrt(mpf((best, -best_scale)))
+    taus = [mpc(w + (mpf("0.5") - w) * (k + 1) / grid, y) for k in range(grid)]
+
+    def squares(taus, bits):  # each |Obar|^2 as an int at the finest scale, and that scale
+        found = [(re * re + im * im, 2 * scale) for re, im, scale in
+                 (_oebar_eval_tau(tau, bits) for tau in taus)]
+        finest = max(scale for _, scale in found)
+        return [size2 << finest - scale for size2, scale in found], finest
+
+    screen = min(prec, GUARD_BITS)
+    sizes, _ = squares(taus, screen)
+    top = max(sizes)
+    sizes, finest = squares([tau for tau, size2 in zip(taus, sizes)
+                             if (top - size2) << screen - 5 <= top], prec)
+    return mp.sqrt(mpf((max(sizes), -finest)))
 
 
 @guarded

@@ -185,11 +185,18 @@ def _gf_rows(eps_grid, prec):
 
     O_e and O_o are circle.oe_parts_eval's at tau = i eps / (2 pi), from one
     pass of the fixed-point loop that sums Obar, and O is their sum.  A
-    point past that loop's term budget ends the command in one line.
+    point past that loop's term budget ends the command in one line.  A
+    value past the float range, O(q) below about eps = 6.9e-4, is printed
+    from its mpf, to 17 digits in exponent form, so that neither format
+    holds inf.
     """
     from mpmath import mp, mpc
 
     from . import asympt, circle
+
+    def shown(value):
+        as_float = float(value)
+        return as_float if math.isfinite(as_float) else mp.nstr(value, 17)
 
     rows = []
     for eps in eps_grid:
@@ -199,7 +206,7 @@ def _gf_rows(eps_grid, prec):
             raise SystemExit(f"gf-eval at eps {float(eps)}: {exc}") from None
         for name, value in (("full", even + odd), ("even", even), ("odd", odd)):
             value, lead = value.real, asympt.gf_asymptotic(eps, name, prec)
-            rows.append((float(eps), name, float(value), float(lead), float(value / lead)))
+            rows.append((float(eps), name, shown(value), shown(lead), float(value / lead)))
     return rows
 
 

@@ -1089,6 +1089,20 @@ class TestArcs:
         calls = self.sampled(arc, n, monkeypatch)
         assert len(set(calls)) == len(calls)
 
+    @staticmethod
+    def reference(arc, geom, prec):
+        """The arc's value by mpmath's Gauss-Legendre quadrature of oebar_eval's
+        values times mpmath's phase, and its rel_target, at the working
+        precision of the caller."""
+        n, y, w = geom.n, geom.y, geom.major_halfwidth
+        lo, hi, target = ((0, w, mpf(10) ** -8) if arc is major_arc_integral
+                          else (w, mpf("0.5"), mpf(10) ** -6))
+        amp = exp(2 * pi * n * y)
+        # the arc integrates half the interval's real part and doubles it
+        return 2 * mp.quadgl(lambda x: (oebar_eval(mpc(x, y), prec)
+                                        * mp.expjpi(-2 * n * x)).real * amp,
+                             mp.linspace(lo, hi, 5)), target
+
     @pytest.mark.parametrize("arc,n", [
         (major_arc_integral, 12), (major_arc_integral, 25), (major_arc_integral, 100),
         (minor_arc_integral, 12), (minor_arc_integral, 25),
@@ -1111,18 +1125,56 @@ class TestArcs:
         geom = ArcGeometry(n)
         got = arc(geom, prec=prec)
         with workprec(prec + 64):
-            y, w = geom.y, geom.major_halfwidth
-            lo, hi, target = ((0, w, mpf(10) ** -8) if arc is major_arc_integral
-                              else (w, mpf("0.5"), mpf(10) ** -6))
-            amp = exp(2 * pi * n * y)
-            ref = 2 * mp.quadgl(lambda x: (oebar_eval(mpc(x, y), prec + 64)
-                                           * mp.expjpi(-2 * n * x)).real * amp,
-                                mp.linspace(lo, hi, 5))
-            # the arc integrates half the interval's real part and doubles it
+            ref, target = self.reference(arc, geom, prec + 64)
             assert abs(got - ref) <= target * abs(ref)
             assert abs(got - ref) <= 2 * estimates[0]
 
-    @pytest.mark.parametrize("prec", [96, 128])
+    @pytest.mark.parametrize("arc,n,first,second", [
+        (major_arc_integral, 25, 35, 56), (minor_arc_integral, 12, 28, 49),
+    ])
+    def test_arc_reruns_where_its_samples_are_too_coarse(self, arc, n, first, second, monkeypatch):
+        # 8 bits below the bits a target of 1e-8 (1e-6) asks for, the rounding
+        # bound of the samples passes a quarter of the target: the arc runs
+        # again with the bits it lost, and meets its target
+        inner, bits = circle.pay_for_loss, []
+        monkeypatch.setattr(circle, "pay_for_loss",
+                            lambda *args: inner(*args, extra=-8))
+        sample = circle._oebar_eval_tau
+        monkeypatch.setattr(circle, "_oebar_eval_tau",
+                            lambda tau, prec: bits.append(prec) or sample(tau, prec))
+        geom = ArcGeometry(n)
+        got = arc(geom, prec=96)
+        assert sorted(set(bits)) == [first, second] and bits.count(first) == bits.count(second)
+        assert bits.index(second) == bits.count(first)  # the whole first pass, then the second
+        with workprec(96 + 64):
+            ref, target = self.reference(arc, geom, 96 + 64)
+            assert abs(got - ref) <= target * abs(ref)
+
+    @pytest.mark.parametrize("arc,n,bits", [
+        (major_arc_integral, 12, 43), (minor_arc_integral, 12, 36), (major_arc_integral, 12, 40),
+    ])
+    def test_samples_at_the_bits_the_target_needs(self, arc, n, bits, monkeypatch):
+        # ceil(log2(1/rel_target)) + GUARD_BITS / 2 bits, and never more than prec
+        prec = min(bits, 96)
+        seen = set()
+        sample = circle._oebar_eval_tau
+        monkeypatch.setattr(circle, "_oebar_eval_tau",
+                            lambda tau, b: seen.add(b) or sample(tau, b))
+        arc(ArcGeometry(n), prec=prec)
+        assert seen == {bits}
+
+    @pytest.mark.parametrize("arc,n,note", [
+        (major_arc_integral, 12, "samples at 43 bits"), (minor_arc_integral, 100, "re-ran"),
+    ])
+    def test_debug_record_per_arc(self, arc, n, note, caplog):
+        # one record per arc: its sample bits, the rounding bound and whether it
+        # re-ran; the minor arc at n = 100 cancels about 2^10, past the first pass
+        with caplog.at_level(logging.DEBUG, logger="oepartitions"):
+            arc(ArcGeometry(n), prec=96)
+        records = [r.getMessage() for r in caplog.records if r.getMessage().startswith("arc ")]
+        assert len(records) == 1 and note in records[0] and "rounding below 2^-" in records[0]
+
+    @pytest.mark.parametrize("prec", [36, 43, 96, 128])
     def test_integrand_against_oebar_eval(self, prec):
         # the fixed-point integrand is Re(Obar(q) e^(-2 pi i n x)) e^(2 pi n y)
         # to 2^-(prec-2) of |Obar| e^(2 pi n y), on the major arc and the
@@ -1138,7 +1190,7 @@ class TestArcs:
             for x in (0, w / 3, w * mpf("0.9"), w + (mpf("0.5") - w) / 3, mpf("0.5")):
                 with workprec(prec + GUARD_BITS):
                     x, tau = mpf(x), mpc(x, y)
-                    got = circle._arc_integrand(n, y, prec)(x)
+                    got = circle._arc_integrand(n, y, prec, [])(x)
                     routes.add(circle._transformed(tau, prec) is not None)
                 with workprec(prec + 64):
                     value, amp = oebar_eval(tau, prec + 64), exp(2 * pi * n * y)
@@ -1157,6 +1209,17 @@ class TestMinorArcBound:
         bound = minor_arc_bound(geom, prec=96)
         emp = minor_arc_empirical_max(geom, grid=60, prec=96)
         assert emp < bound.bound_value
+
+    def test_empirical_max_screens_then_confirms_at_prec(self, monkeypatch):
+        # every sample at GUARD_BITS bits, and only those within the screen's
+        # error of the largest again at prec
+        calls = []
+        sample = circle._oebar_eval_tau
+        monkeypatch.setattr(circle, "_oebar_eval_tau",
+                            lambda tau, prec: calls.append(prec) or sample(tau, prec))
+        minor_arc_empirical_max(ArcGeometry(100), grid=60, prec=96)
+        assert calls.count(GUARD_BITS) == 60 and 1 <= calls.count(96) <= 2
+        assert len(calls) == calls.count(GUARD_BITS) + calls.count(96)
 
     @pytest.mark.parametrize("n,grid", [(103, 60), (1600, 20), (10 ** 5, 100)])
     def test_empirical_max_is_the_grid_max(self, n, grid):

@@ -201,6 +201,40 @@ class TestGFEval:
         assert [r["branch"] for r in rows] == ["full", "even", "odd"]
         assert all(abs(float(r["ratio"]) - 1) < 1e-4 for r in rows)
 
+    @staticmethod
+    def past_the_float_range(text):
+        """The 3e-4 rows of a gf-eval table, each printed value read back."""
+        for row in text:
+            if float(row["eps"]) == 3e-4:
+                yield row, mpf(row["series_value"]), mpf(row["asymptotic"])
+
+    def test_values_past_the_float_range_print_in_csv(self, capsys):
+        # O(e^-eps) is about 2.3e714 at eps = 3e-4: printed from the mpf to 17
+        # digits, not as inf, while a row that fits a float is the one it
+        # prints on its own
+        code, out, _ = run_cli(capsys, "gf-eval", "--eps", "3e-4,0.05", "--force")
+        assert code == 0 and "inf" not in out
+        _, alone, _ = run_cli(capsys, "gf-eval", "--eps", "0.05")
+        assert out.splitlines()[-3:] == alone.splitlines()[-3:]
+        rows = list(self.past_the_float_range(parse_csv(out)))
+        assert len(rows) == 3
+        for row, value, lead in rows:
+            assert mpf("1e714") < value < mpf("1e715") and len(row["series_value"]) <= 24
+            assert abs(value / lead / float(row["ratio"]) - 1) < 1e-15
+
+    def test_values_past_the_float_range_print_in_json(self, capsys):
+        code, out, _ = run_cli(capsys, "gf-eval", "--eps", "3e-4", "--force", "--format", "json")
+        assert code == 0
+
+        def refuse(constant):
+            raise AssertionError(f"{constant} is not JSON")
+
+        rows = list(self.past_the_float_range(json.loads(out, parse_constant=refuse)))
+        assert len(rows) == 3
+        for row, value, lead in rows:
+            assert isinstance(row["series_value"], str) and value > mpf("1e714")
+            assert abs(value / lead / row["ratio"] - 1) < 1e-15
+
     def test_forced_eps_past_the_term_budget_is_one_line(self, capsys, time_limit):
         # 1 - e^-eps < 1/TERM_BUDGET: the loop refuses before it forms q
         with time_limit(5), pytest.raises(SystemExit) as exc:
@@ -210,6 +244,8 @@ class TestGFEval:
         assert message.startswith("gf-eval at eps 1e-05: O(q) at tau = ")
         assert message.endswith(f"needs over {specfun.TERM_BUDGET} terms")
         assert capsys.readouterr().out == ""
+        # tau to 8 digits, not the about 90 of its working precision
+        assert len(message) < 100
 
 
 class TestVerify:
