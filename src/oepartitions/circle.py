@@ -41,7 +41,9 @@ recovery sums at the bits of the coefficient it recovers.
 
 Both polynomial sums here, the Mordell expansion and the exact series at
 the samples of the Cauchy recovery, run on specfun.horner_fixed, the
-package's one Horner loop.
+package's one Horner loop: their coefficients are real, so off the real
+axis it sums them by Goertzel's recurrence, two real products per
+coefficient.
 """
 
 from __future__ import annotations
@@ -382,13 +384,14 @@ def _transformed(tau, prec):
 
     Fixed point on Python ints at wp = prec + GUARD_BITS + 4, from tau's
     libmp parts; no mpf or mpc is built.  M is specfun.horner_fixed on
-    _mordell_fixed's table at wp: each step and each b_j round by a unit of
+    _mordell_fixed's table at wp.  Each b_j is floored, by under a unit of
     2^-wp, which reaches the value times z^j, and |z| < 1/2 wherever
-    _mordell_terms allows a sum, so the total stays below
-    2^-(prec + GUARD_BITS).  inv is formed to within 2^-(wp + 8), at
-    wp + 8 bits plus those of its integer part, so that each phase below
-    reads it to that modulo 2: a quotient of 2^k at wp bits would cost k
-    bits of the value.  Each power e^(pi i r inv) of Q (r = -1/24, and
+    _mordell_terms allows a sum: under 2 units for the table, and under
+    1/(1 - |z|) + sqrt 2 < 3.5 for the recurrence, so the total, under
+    2^(3 - wp), stays below 2^-(prec + GUARD_BITS).  inv is formed to
+    within 2^-(wp + 8), at wp + 8 bits plus those of its integer part, so
+    that each phase below reads it to that modulo 2: a quotient of 2^k at
+    wp bits would cost k bits of the value.  Each power e^(pi i r inv) of Q (r = -1/24, and
     r = 1 and 2/3 only where the omega term is summed) is libmp's exp of
     -pi r Im inv for the modulus and _turn at r Re inv for the phase, as
     _obar_sum forms q, and sqrt(i/tau) = sqrt(Im inv - i Re inv) is
@@ -533,13 +536,15 @@ def cauchy_full_integral(n, prec=256):
     2^-(wp - ceil(log2 K)) of z_0 w^k: the ceil(log2 K) bits pay for the
     rotations, and leave each point within 3 units of
     2^-horner_bits(bits, r).  Each sample is specfun.horner_fixed's, within
-    2^-(bits + GUARD_BITS + 3) of z S(z) at the point it is given, and the
-    real parts are summed exactly as integers.  The samples and the
-    division by r^(n+1) share the one radius int, so y needs only float
-    accuracy: OEbar(n) is the nearest integer to the exact rational
-    total 2^(wp n) / (K radius^(n+1)), and the residual, its exact distance
-    from it, carries every sample's rounding and is the one mpf built.  A
-    residual above 1/4 is a defect, and raises.
+    2^-(bits + GUARD_BITS + 3) of z S(z) at the point it is given; the fold
+    reads only its real part, b_0 - b_1 Re z_k of Goertzel's recurrence
+    off the real axis, and the real parts are summed exactly as integers.
+    The samples and the division by r^(n+1) share the one radius int, so y
+    needs only float accuracy: OEbar(n) is the nearest integer to the
+    exact rational total 2^(wp n) / (K radius^(n+1)), and the residual, its
+    exact distance from it, carries every sample's rounding and is the one
+    mpf built.  A residual above 1/4 is a defect, and raises.  Logs n, the
+    samples taken, wp and the residual at DEBUG, once per recovery.
     """
     if n < 0:
         raise DomainError("n must be >= 0")
@@ -562,6 +567,9 @@ def cauchy_full_integral(n, prec=256):
     num, den = total << wp * n, samples * radius ** (n + 1)
     nearest = (2 * num + den) // (2 * den)
     residual = mpf(abs(num - nearest * den)) / den
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("recovery at n = %d: %d samples at %d bits, residual %s", n, samples // 2 + 1,
+                  wp, mp.nstr(residual, 3))
     if residual > 0.25:
         raise QuadratureError(f"rounding residual {residual} above 1/4 at {bits} bits")
     return nearest, residual

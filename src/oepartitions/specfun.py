@@ -9,8 +9,9 @@ a sum loses, each pass at prec + extra + GUARD_BITS bits.  A private
 helper computes at its caller's precision and never rounds; _wright_sum
 alone sets its own, for fixed-point constants.  Each value is correct to
 the precision asked for, or the routine raises.  horner_fixed is the
-package's one Horner loop.  The textbook functions are mpmath's, behind
-this package's domain checks and conventions:
+package's one Horner loop: real coefficients, by Goertzel's recurrence at a
+complex point and Horner's rule at a real one.  The textbook functions are
+mpmath's, behind this package's domain checks and conventions:
 
   dilog(x)            Li_2(x) on [0, 1): mp.polylog(2, x)
   jacobi_theta(z,tau) theta(z;tau) = sum_{n in 1/2+Z} e^(pi i n^2 tau + 2 pi i n (z+1/2))
@@ -110,36 +111,55 @@ def pay_for_loss(evaluate, prec, what, *args, extra=0):
 
 
 def horner_fixed(coeffs, point, wp):
-    """sum_k c_k z^k by Horner's rule in fixed point on Python ints.
+    """sum_k c_k z^k as a remainder, in fixed point on Python ints.
 
     coeffs are the c_k, highest first, as any iterable of ints scaled by
     2^wp; point is z as a pair of ints (real part, imaginary part) scaled
-    by 2^wp.  Returns the sum as such a pair.  Each step is a z + c with
-    the product floored to a multiple of 2^-wp in each component.
+    by 2^wp.  Returns the sum as such a pair.
 
-    Error: each floor costs under one unit of 2^-wp per component, under
-    2^(1/2 - wp) in modulus, and the steps after it multiply that error by
-    z, so the floor at the step for c_k reaches the sum times |z|^k.  The
-    result is within sum_k 2^(1/2 - wp) |z|^k < 2^(1 - wp) / (1 - |z|) of
-    the exact sum at z, however large the c_k are.  z itself is taken as
-    given: evaluate_at picks wp so that its point converts exactly,
-    and the callers in circle and _wright_sum floor theirs to wp bits,
-    which moves z by under 2^-wp per component.
+    The c_k are real, so the sum is the remainder of the polynomial modulo
+    the real polynomial with root z, read at z.  At a real z that is X - z,
+    and the remainder is Horner's rule, b_k = c_k + floor(z b_(k+1)): one
+    product per coefficient.  Otherwise it is X^2 - sX + t, whose roots are
+    z and its conjugate z', and the remainder is Goertzel's recurrence
+    (Goertzel 1958; Knuth, TAOCP vol. 2, 4.6.4).  s = 2 Re z and t = |z|^2
+    are taken exactly from the point's ints, t at scale 2^(2 wp); then
+      b_k = c_k + floor((s b_(k+1) - floor(t b_(k+2) / 2^wp)) / 2^wp)
+    and the sum is b_0 - b_1 z', each component floored: two real products
+    per coefficient where a complex Horner step takes four.
+
+    Error: a step's floors move b_k by under one unit of 2^-wp, as moving
+    c_k by as much would, and each recurrence is exact in its z, s and t,
+    so the floor at step k reaches the sum times z^k.  (In Goertzel's it
+    reaches b_0 times (z^(k+1) - z'^(k+1)) / (z - z'), up to (k + 1) |z|^k,
+    but b_0 - b_1 z' cancels that growth exactly.)  The last product floors
+    each component once more.  The result is within
+    (1 / (1 - |z|) + sqrt 2) 2^-wp < 2^(3/2 - wp) / (1 - |z|) of the exact
+    sum at z, however large the c_k are.  A t floored to wp bits would not
+    be: its error multiplies the b_k, whose size follows the coefficients'.
+    z itself is taken as given: evaluate_at picks wp so that its point
+    converts exactly, and the callers in circle and _wright_sum floor
+    theirs to wp bits, which moves z by under 2^-wp per component.
     """
     zr, zi = point
-    ar = ai = 0
+    b1 = b2 = 0
+    if not zi:
+        for c in coeffs:
+            b1 = c + (b1 * zr >> wp)
+        return b1, 0
+    s, t = 2 * zr, zr * zr + zi * zi
     for c in coeffs:
-        ar, ai = ((ar * zr - ai * zi) >> wp) + c, (ar * zi + ai * zr) >> wp
-    return ar, ai
+        b1, b2 = c + ((s * b1 - (t * b2 >> wp)) >> wp), b1
+    return b1 - (b2 * zr >> wp), b2 * zi >> wp
 
 
 def horner_bits(prec, radius):
     """The wp at which horner_fixed's error at |z| <= radius < 1, an mpf or
-    a float, 2^(1 - wp) / (1 - radius), is below 2^-(prec + GUARD_BITS + 3):
-    prec + GUARD_BITS + ceil(log2(1/(1 - radius))) + 4, the ceiling by mp.mag,
+    a float, 2^(3/2 - wp) / (1 - radius), is below 2^-(prec + GUARD_BITS + 3):
+    prec + GUARD_BITS + ceil(log2(1/(1 - radius))) + 5, the ceiling by mp.mag,
     which reads a float exactly.
     """
-    return prec + GUARD_BITS + 4 + max(0, 1 - mp.mag(1 - radius))
+    return prec + GUARD_BITS + 5 + max(0, 1 - mp.mag(1 - radius))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -319,8 +339,11 @@ def _wright_sum(s, u, big_m, prec):
     I_(v+1)(2u) / I_v(2u) <= u/(v+1) and K_v(2u) / K_(v+1)(2u) <= u/v
     (K at least 1); N puts that below 2^-wp.  Every coefficient is
     positive, so no step cancels and a rounding grows no faster than the
-    values do.  The phases are running products, of modulus at most 1, a
-    few units of 2^-wp off per step.  So TERM_BUDGET terms stay below
+    values do.  The d_k grow from d_N = 2^wp units down to K, and the
+    second sum is horner_fixed's at the real point 1/r^2, whose floors each
+    reach it times a power of 1/r^2, so the divisor is within k_neg units
+    of at least 2^wp.  The phases are running products, of modulus at most
+    1, a few units of 2^-wp off per step.  So TERM_BUDGET terms stay below
     2^-(prec + GUARD_BITS) of 2; pay_for_loss makes that relative to P.
     """
     wp = prec + GUARD_BITS + (TERM_BUDGET - 1).bit_length() + 4

@@ -686,9 +686,10 @@ class TestWatsonTransformation:
     ])
     def test_mordell_sum_bit_identical_to_its_own_loop(self, prec, n, x, monkeypatch):
         # the Mordell sum as _transformed forms it, series.horner_fixed on the
-        # table at its bits, against that Horner loop written out, starting
-        # from the top b_j rather than from 0, on the same ints of z: the
-        # two must give the same ints
+        # table at its bits, against Goertzel's recurrence written out (at
+        # x = 0, where z is real, Horner's rule), starting from the top b_j
+        # rather than from 0, on the same ints of z: the two must give the
+        # same ints
         sums = []
 
         def recording(coeffs, point, wp):
@@ -705,10 +706,17 @@ class TestWatsonTransformation:
         ((read, (zr, zi), wp, got),) = sums
         coeffs = circle._mordell_fixed(wp, terms)
         assert wp == prec + GUARD_BITS + 4 and read == coeffs[::-1]
-        ar, ai = coeffs[-1], 0
-        for b in reversed(coeffs[:-1]):
-            ar, ai = ((ar * zr - ai * zi) >> wp) + b, (ar * zi + ai * zr) >> wp
-        assert got == (ar, ai)
+        b1, b2 = coeffs[-1], 0
+        if zi:
+            s, t = 2 * zr, zr * zr + zi * zi  # z + z' and z z', t at scale 2^(2 wp)
+            for b in reversed(coeffs[:-1]):
+                b1, b2 = b + ((s * b1 - (t * b2 >> wp)) >> wp), b1
+            want = b1 - (b2 * zr >> wp), b2 * zi >> wp
+        else:
+            for b in reversed(coeffs[:-1]):
+                b1 = b + (b1 * zr >> wp)
+            want = b1, 0
+        assert (zi == 0) == (x == 0) and got == want
 
     @pytest.mark.parametrize("prec,size", [(96, 90), (256, 201), (512, 379)])
     def test_table_entries_are_floors_of_the_exact_coefficients(self, prec, size):
@@ -1003,6 +1011,17 @@ class TestCauchyRecovery:
     def test_zero_case(self):
         got, residual = cauchy_full_integral(0)
         assert got == 1 and residual == 0
+
+    def test_debug_record_per_recovery(self, caplog):
+        # one record: n, the floor((n+1)/2) + 1 samples, wp = horner_bits at
+        # the radius plus the rotations' ceil(log2 K) bits, and the residual
+        n = 105
+        caplog.set_level(logging.DEBUG, logger="oepartitions.circle")
+        _, residual = cauchy_full_integral(n, prec=192)
+        wp = specfun.horner_bits(192, math.exp(-2 * math.pi / (4 * math.sqrt(3 * n)))) + 7
+        messages = [r.getMessage() for r in caplog.records if r.name == "oepartitions.circle"]
+        assert messages == [f"recovery at n = 105: 54 samples at {wp} bits, "
+                            f"residual {mp.nstr(residual, 3)}"]
 
 
 class TestArcs:

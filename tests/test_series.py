@@ -1,10 +1,11 @@
 import logging
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
-from mpmath import mp, mpf, mpc, workprec
+from mpmath import mp, mpf, mpc, sqrt, workprec
 
 from oepartitions.specfun import GUARD_BITS
 from oepartitions.series import (
@@ -13,6 +14,7 @@ from oepartitions.series import (
     qpochhammer,
     neg_pochhammer,
     evaluate_at,
+    horner_bits,
     horner_fixed,
     _div_one_minus_qk,
     _div_one_plus_qk_squared,
@@ -280,9 +282,9 @@ class TestEvaluateAt:
         caplog.set_level(logging.DEBUG, logger="oepartitions.series")
         res = evaluate_at(S(0, 0, 3, 1), mpf("0.5"), 64, growth_c=1.0)
         messages = [r.getMessage() for r in caplog.records if r.name == "oepartitions.series"]
-        # wp = 64 + GUARD_BITS + 4, and 1 more for 1/(1 - |q|) = 2
+        # wp = 64 + GUARD_BITS + 5, and 1 more for 1/(1 - |q|) = 2
         assert messages == [
-            f"series of order 3 at |q| = 0.5: 2 leading zeros stripped, 101 bits, "
+            f"series of order 3 at |q| = 0.5: 2 leading zeros stripped, 102 bits, "
             f"tail bound {mp.nstr(res.tail_bound, 3)}"
         ]
 
@@ -306,6 +308,25 @@ def random_point(rng, log2_size, is_complex, prec):
 SIZES = [-700, -90, -3, -1, None]
 
 
+def exact_sum(coeffs, point, wp):
+    """sum_k c_k z^k at z = point / 2^wp, the c_k ints highest first, as two
+    exact Fractions: Horner's rule on ints, the sum scaled by 2^(wp m) after
+    m steps, so nothing is rounded."""
+    zr, zi = point
+    ar = ai = 0
+    for m, c in enumerate(coeffs, 1):
+        ar, ai = ar * zr - ai * zi + (c << wp * m), ar * zi + ai * zr
+    scale = 1 << wp * len(coeffs)
+    return Fraction(ar, scale), Fraction(ai, scale)
+
+
+def as_fraction(radius):
+    """A float or an mpf, exactly."""
+    if isinstance(radius, float):
+        return Fraction(radius)
+    return Fraction(int(radius.man)) * Fraction(2) ** int(radius.exp)
+
+
 class TestHornerFixed:
     """series.horner_fixed, alone and under evaluate_at, against mp.polyval at
     enough bits to be exact here."""
@@ -326,7 +347,7 @@ class TestHornerFixed:
             want = mp.polyval(coeffs[::-1], exact)
             ar, ai = horner_fixed((c << wp for c in reversed(coeffs)), (zr, zi), wp)
             error = abs(mpc(ar, ai) / 2 ** wp - want)
-            assert error <= mpf(2) ** (1 - wp) / (1 - abs(exact))
+            assert error <= (1 / (1 - abs(exact)) + sqrt(2)) * mpf(2) ** -wp
 
     @pytest.mark.parametrize("prec", [64, 192, 256])
     @pytest.mark.parametrize("log2_size", SIZES)
@@ -349,3 +370,42 @@ class TestHornerFixed:
 
     def test_zero_series_sums_to_zero(self):
         assert evaluate_at(S(0, 0, 0), mpf("0.5"), 64).value == 0
+
+    @pytest.mark.parametrize("gap", [1, 6, 12])
+    @pytest.mark.parametrize("angle", ["0", "pi", "2^-30", "pi - 2^-30", "one unit"])
+    def test_recurrence_worst_cases_within_the_documented_bound(self, gap, angle):
+        # |z| = 1 - 2^-gap on the real axis, where the sum is Horner's rule,
+        # and next to it, where Goertzel's b_k grow most: 2^-30 off it and
+        # one unit of 2^-wp above it; 2000-bit coefficients all of one sign,
+        # alternating, and random.  A floor at step k reaches the sum times
+        # z^k, so the error stays below (1/(1 - |z|) + sqrt 2) 2^-wp even with
+        # 300 terms at gap 6, where the b_k carry floors grown (k + 1)-fold
+        rng = random.Random(gap * 10 + len(angle))
+        wp = 200
+        with workprec(wp + 64):
+            theta = {"0": mpf(0), "pi": mp.pi, "2^-30": mpf(2) ** -30,
+                     "pi - 2^-30": mp.pi - mpf(2) ** -30, "one unit": mpf(0)}[angle]
+            size = 1 - mpf(2) ** -gap
+            zr = int(mp.floor(size * mp.cos(theta) * 2 ** wp))
+            zi = {"0": 0, "pi": 0, "one unit": 1}.get(
+                angle, int(mp.floor(size * mp.sin(theta) * 2 ** wp)))
+        modulus = math.hypot(zr, zi) / 2 ** wp
+        for sign in (lambda k: 1, lambda k: (-1) ** k, lambda k: rng.choice([-1, 1])):
+            coeffs = [sign(k) * rng.getrandbits(2000) for k in range(300)]
+            ar, ai = horner_fixed((c << wp for c in coeffs), (zr, zi), wp)
+            want_r, want_i = exact_sum(coeffs, (zr, zi), wp)
+            error = math.hypot(ar - want_r * 2 ** wp, ai - want_i * 2 ** wp)  # units of 2^-wp
+            assert error <= 1 / (1 - modulus) + math.sqrt(2)
+
+    @pytest.mark.parametrize("prec", [16, 64, 192, 1000])
+    @pytest.mark.parametrize("radius", [
+        0.0, 0.25, 0.5, 0.75, 0.9, 1 - 2.0 ** -12, 1 - 2.0 ** -40,
+        math.exp(-2 * math.pi / (4 * math.sqrt(3 * 6400))),  # the recovery's r at n = 6400
+        mpf(0), mpf("0.5"), mpf("0.999"), 1 - mpf(2) ** -12, 1 - mpf(2) ** -45 - mpf(2) ** -52,
+    ])
+    def test_bits_keep_the_bound_below_the_target(self, prec, radius):
+        # 2^(3/2 - wp) / (1 - r) < 2^-(prec + GUARD_BITS + 3), squared so
+        # that both sides are exact rationals
+        wp = horner_bits(prec, radius)
+        gap = 1 - as_fraction(radius)
+        assert 8 * Fraction(4) ** (prec + GUARD_BITS + 3) < Fraction(4) ** wp * gap * gap
