@@ -2,13 +2,15 @@
 
 Everything here is an exact truncated PowerSeries.  The hypergeometric
 sums are nested, Horner-style, from the innermost summand out: the m-th
-summand is the (m-1)-st times a power of q and a sparse binomial ratio, so
-the sum is 1 + q^a r_1 (1 + q^b r_2 (1 + ...)).  Each level costs one update
+summand is a power of q times a chain r_1 ... r_m of sparse binomial
+ratios times a head h_m, so the sum is h_0 + q^a r_1 (h_1 + q^b r_2 (h_2 +
+...)).  The head is 1 in every sum but Obar's, whose 2/(1 - q^(2m)) is one
+strided write over every 2m-th coefficient.  Each level costs one kernel
 pass over the coefficients below q^(N+1) that its leading power leaves, so
-building a series to order N costs O(N^(3/2)) integer operations instead of
-O(N^2) per term.  The passes are series' binomial kernels, which do that
-work in C, at most 3 sqrt(N) interpreted steps per binomial.  That is what
-makes the desk-scale asymptotic checks (orders 10^4 and up) cheap.
+building a series to order N costs O(N^(3/2)) integer operations instead
+of O(N^2) per term.  The passes are series' binomial kernels, which do
+that work in C, at most 3 sqrt(N) interpreted steps per binomial.  That is
+what makes the desk-scale asymptotic checks (orders 10^4 and up) cheap.
 
 Series implemented:
   oe_series             O(q)  = sum_m q^(m(m+1)/2) / (q^2;q^2)_m
@@ -33,7 +35,8 @@ Every builder is a pure function that keeps no series between calls.
 
 from __future__ import annotations
 
-from itertools import count
+from itertools import count, repeat
+from operator import add, sub
 
 from .series import (
     PowerSeries,
@@ -46,15 +49,20 @@ from .series import (
 )
 
 
-def _sum_summands(order, lowest, update, first=0, step=1):
-    """Sum t_m = q^lowest(m) r_1 ... r_m over m = first, first + step, ... to the given order.
+def _add_one(u, m):
+    u[0] += 1
 
-    update(u, m) multiplies u by r_m in place, truncated to len(u), and
+
+def _sum_summands(order, lowest, update, first=0, step=1, head=_add_one):
+    """Sum t_m = q^lowest(m) r_1 ... r_m h_m over m = first, first + step, ... to the given order.
+
+    update(u, m) multiplies u by r_m and head(u, m) adds h_m to u, both in
+    place and truncated to len(u); the head defaults to h_m = 1, and
     lowest(0) must be 0.  The sum is nested from the innermost summand out:
-    with R_top = 1 and R_(m-step) = 1 + q^(lowest(m)-lowest(m-step))
+    with R_top = h_top and R_(m-step) = h_(m-step) + q^(lowest(m)-lowest(m-step))
     r_(m-step+1) ... r_m R_m, kept below q^(order+1-lowest(m-step)), the sum
     is q^lowest(first) r_1 ... r_first R_first.  So each summand costs one
-    update pass and no accumulation pass.
+    update pass, its head and no accumulation pass.
     """
     _check_order(order)
     if lowest(first) > order:
@@ -62,14 +70,15 @@ def _sum_summands(order, lowest, update, first=0, step=1):
     m = first
     while lowest(m + step) <= order:
         m += step
-    u = [1] + [0] * (order - lowest(m))
+    u = [0] * (order + 1 - lowest(m))
+    head(u, m)
     while m > 0:
         k = m - step if m > first else 0
         for i in range(m, k, -1):
             update(u, i)
         u[:0] = [0] * (lowest(m) - lowest(k))
         if m > first:
-            u[0] += 1
+            head(u, k)
         m = k
     return PowerSeries(u)
 
@@ -84,9 +93,18 @@ def _oe_update(u, m):
 
 
 def _oebar_update(u, m):
-    # extra factor (1 + q^(m-1)) from (-1;q)_m / (-1;q)_{m-1}; at m = 1 it is 2
-    _mul_one_plus_qk(u, m - 1)
-    _div_one_minus_qk(u, 2 * m)
+    # t_m = 2 q^(m(m+1)/2) / ((q;q)_(m-1) (1 - q^(2m))): the chain gains
+    # 1/(1 - q^(m-1)) from m = 2 on, and its head carries 2/(1 - q^(2m))
+    if m > 1:
+        _div_one_minus_qk(u, m - 1)
+
+
+def _oebar_head(u, m):
+    # h_m = 2/(1 - q^(2m)) = 2 sum_i q^(2mi) for m >= 1; h_0 = 1
+    if m:
+        u[:: 2 * m] = map(add, u[:: 2 * m], repeat(2))
+    else:
+        u[0] += 1
 
 
 def oe_series(order):
@@ -111,8 +129,14 @@ def parity_split(order):
 
 
 def oebar_series_hypergeometric(order):
-    """Generating function of OEbar(n) as the (-1;q)_m hypergeometric sum."""
-    return _sum_summands(order, _triangular, _oebar_update)
+    """Generating function of OEbar(n) as the (-1;q)_m hypergeometric sum.
+
+    (-1;q)_m = 2 (-q;q)_(m-1) and (q^2;q^2)_m = (q;q)_m (-q;q)_m, so for
+    m >= 1 the m-th summand is 2 q^(m(m+1)/2) / ((q;q)_(m-1) (1 - q^(2m))).
+    The nested chain divides by 1 - q^(m-1), one kernel pass per summand,
+    and each level adds the sparse head 2/(1 - q^(2m)) as one strided write.
+    """
+    return _sum_summands(order, _triangular, _oebar_update, head=_oebar_head)
 
 
 def f_mock_series(order):
@@ -136,8 +160,8 @@ def watson_core(order):
     while n * (3 * n + 1) // 2 <= order:
         base = n * (3 * n + 1) // 2
         sign = 4 if n % 2 == 0 else -4
-        for j, e in enumerate(range(base, order + 1, n)):
-            total[e] += sign if j % 2 == 0 else -sign
+        total[base :: 2 * n] = map(add, total[base :: 2 * n], repeat(sign))
+        total[base + n :: 2 * n] = map(sub, total[base + n :: 2 * n], repeat(sign))
         n += 1
     return PowerSeries(total)
 

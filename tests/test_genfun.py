@@ -1,4 +1,5 @@
 import sys
+from itertools import count
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,12 +9,13 @@ from oepartitions.series import (
     SeriesError,
     _div_one_minus_qk,
     _div_one_plus_qk_squared,
+    _mul_one_plus_qk,
     neg_pochhammer,
     qpochhammer,
 )
+from oepartitions import genfun
 from oepartitions.genfun import (
     _oe_update,
-    _oebar_update,
     _pentagonal,
     _triangular,
     oe_series,
@@ -84,6 +86,18 @@ class TestMockTheta:
     def test_watson_core_constant(self):
         assert watson_core(0).coefficient(0) == 1
 
+    @pytest.mark.parametrize("order", [*range(80), 1012, 3000])
+    def test_watson_core_matches_its_termwise_expansion(self, order):
+        # 1 + 4 sum_{n>=1} (-1)^n q^(n(3n+1)/2) sum_j (-1)^j q^(jn), term by term
+        total = [1] + [0] * order
+        for n in count(1):
+            base = n * (3 * n + 1) // 2
+            if base > order:
+                break
+            for j, e in enumerate(range(base, order + 1, n)):
+                total[e] += 4 * (-1) ** (n + j)
+        assert watson_core(order) == PowerSeries(total)
+
     def test_alternating_tail_signs(self):
         # coefficients of f alternate in sign from n = 1 on
         coeffs = f_mock_series(40).coeffs
@@ -108,6 +122,21 @@ class TestOEBarSeries:
 
     def test_no_overpartition_of_two(self):
         assert oebar_series_hypergeometric(2).coefficient(2) == 0
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3, 6, 200, 3043])
+    def test_one_division_pass_per_summand(self, order, monkeypatch):
+        # summands m = 0 .. M with T(M) <= order: the chain divides by
+        # 1 - q^(m-1) for m = M, ..., 2, innermost first, and the heads
+        # carry 2/(1 - q^(2m)), so no pass multiplies by 1 + q^k
+        kernels = {"_div_one_minus_qk": [], "_mul_one_plus_qk": []}
+        for name, ks in kernels.items():
+            inner = getattr(genfun, name)
+            monkeypatch.setattr(genfun, name,
+                                lambda u, k, ks=ks, inner=inner: ks.append(k) or inner(u, k))
+        top = max(m for m in range(order + 2) if _triangular(m) <= order)
+        oebar_series_hypergeometric(order)
+        assert kernels["_mul_one_plus_qk"] == []
+        assert kernels["_div_one_minus_qk"] == list(range(top - 1, 0, -1))
 
 
 class TestClassicalSuite:
@@ -216,6 +245,13 @@ def _square(n):
     return n * n
 
 
+def _andrews_ratio(u, m):
+    # Andrews' termwise ratio of the (-1;q)_m sum: (-1;q)_m / (-1;q)_(m-1)
+    # = 1 + q^(m-1), which is 2 at m = 1, over (q^2;q^2)_m / (q^2;q^2)_(m-1)
+    _mul_one_plus_qk(u, m - 1)
+    _div_one_minus_qk(u, 2 * m)
+
+
 # (numerator exponent, denominator step) of each classical sum's summands
 _CLASSICAL_SUMS = {
     "euler-partitions": (lambda n: n, 1),
@@ -232,7 +268,7 @@ def _assert_nested_sums_match_forward(order):
     classes = _forward_sum(order, _triangular, _oe_update, classes=4)
     for j in range(4):
         assert sj_series(j, order) == classes[j], j
-    assert oebar_series_hypergeometric(order) == _forward_sum(order, _triangular, _oebar_update)[0]
+    assert oebar_series_hypergeometric(order) == _forward_sum(order, _triangular, _andrews_ratio)[0]
     assert f_mock_series(order) == _forward_sum(order, _square, _div_one_plus_qk_squared)[0]
     for rec in classical_identity_suite(order):
         lowest, step = _CLASSICAL_SUMS[rec["name"]]
