@@ -2,11 +2,12 @@
 
 Contents:
   root_R                 unique root in (0,1) of R + R^A = 1
-  zagier_log_expansion   four printed terms of the log-summand expansion
+  zagier_log_expansion   four printed terms of the log-summand expansion at (A, B, R, eps, nu)
   phi_nu                 phi(nu) = sqrt(eps/pi) e^(pi^2/(20 eps) - (sqrt5/2)(nu^2-nu+1/6) eps)
   sj_theta_asymptotic    theta-function form of the class sums S_j
   gf_asymptotic          leading term of O, O_e, O_o at q = e^(-eps)
-  ingham_transfer        (lambda, alpha, A) -> coefficient law c n^-p e^(k sqrt n)
+  ingham_transfer        (lambda, alpha, A) of f(e^-eps) ~ lambda eps^alpha e^(A/eps)
+                         -> coefficient law c n^-p e^(k sqrt n)
   halve_argument         the n -> n/2 substitution on a coefficient law
   oe_asymptotic          OE(n) ~ e^(pi sqrt(n/5)) / (2 sqrt5 n^(3/4))
   oebar_asymptotic       OEbar(n) ~ e^(pi sqrt(n/3)) / (3^(5/4) n^(3/4))
@@ -37,20 +38,10 @@ def root_R(a_exponent, prec=256):
     return mp.findroot(lambda r: r + r ** a - 1, (mpf(0), mpf(1)), solver="anderson")
 
 
-@dataclass(frozen=True)
-class ExpansionParams:
-    """Inputs of the log-summand expansion: exponent data (A, B), root R, eps, nu."""
-
-    a: mpf
-    b: mpf
-    r: mpf
-    eps: mpf
-    nu: mpf
-
-
 @guarded
-def zagier_log_expansion(params, prec=256):
-    """The four printed terms of Log(q^(A n^2/2 + B n) / (q;q)_n) at q = e^(-eps).
+def zagier_log_expansion(a, b, r, eps, nu, prec=256):
+    """The four printed terms of Log(q^(A n^2/2 + B n) / (q;q)_n) at q = e^(-eps),
+    for the exponent data a = A, b = B and the root r = R of R + R^A = 1.
 
     Valid when q^n = R q^(-nu); returns
       (pi^2/6 - Li2(R) - Log(R) Log(1-R)/2) / eps
@@ -58,11 +49,11 @@ def zagier_log_expansion(params, prec=256):
       - ((A+R-AR)/(2(1-R)) nu^2 - (B + R/(2(1-R))) nu + (1+R)/(24(1-R))) eps.
     The omitted remainder is O(eps^2).
     """
-    a = mpf(params.a)
-    b = mpf(params.b)
-    r = mpf(params.r)
-    eps = mpf(params.eps)
-    nu = mpf(params.nu)
+    a = mpf(a)
+    b = mpf(b)
+    r = mpf(r)
+    eps = mpf(eps)
+    nu = mpf(nu)
     if eps <= 0 or not 0 < r < 1:
         raise DomainError("need eps > 0 and R in (0,1)")
     li2 = dilog(r, prec + GUARD_BITS)
@@ -176,15 +167,6 @@ def gf_asymptotic(eps, which="full", prec=256):
 
 
 @dataclass(frozen=True)
-class InghamInput:
-    """Hypothesis constants of the Tauberian transfer: f(e^-eps) ~ lambda eps^alpha e^(A/eps)."""
-
-    lam: object
-    alpha_exp: object
-    a_gap: object
-
-
-@dataclass(frozen=True)
 class AsymptoticLaw:
     """Coefficient law a(n) ~ c n^(-p) e^(k sqrt n)."""
 
@@ -193,14 +175,14 @@ class AsymptoticLaw:
     k: object
 
 
-def ingham_transfer(hypothesis, *, pi=mp.pi):
-    """Map Tauberian hypothesis constants to the coefficient law.
+def ingham_transfer(lam, alpha, a_gap, *, pi=mp.pi):
+    """Map the Tauberian hypothesis f(e^-eps) ~ lam eps^alpha e^(a_gap/eps)
+    to the coefficient law of f,
 
-    a(n) ~ (lambda / (2 sqrt pi)) A^(alpha/2 + 1/4) n^-(alpha/2 + 3/4) e^(2 sqrt(A n)).
+    a(n) ~ (lam / (2 sqrt pi)) a_gap^(alpha/2 + 1/4) n^-(alpha/2 + 3/4) e^(2 sqrt(a_gap n)).
     Generic over the scalar type of the inputs; `pi` must be of that type
     too: mp.pi for mpmath inputs, sympy.pi for exact sympy algebra.
     """
-    lam, alpha, a_gap = hypothesis.lam, hypothesis.alpha_exp, hypothesis.a_gap
     one = a_gap ** 0
     half = one / 2
     c = lam * a_gap ** (alpha * half + half / 2) / (2 * pi ** half)

@@ -37,7 +37,8 @@ bits and runs again, with the bits it lacked, where its samples' rounding
 bound passes a quarter of its target (_arc_integral).  The minor-arc
 maximum screens its grid at GUARD_BITS bits and takes again at prec only
 the samples that may be the largest (minor_arc_empirical_max).  The Cauchy
-recovery sums at the bits of the coefficient it recovers.
+recovery sums at max(prec, bit length of OEbar(n) + 16) bits
+(cauchy_full_integral): the coefficient's own bits where they are more.
 
 Both polynomial sums here, the Mordell expansion and the exact series at
 the samples of the Cauchy recovery, run on specfun.horner_fixed, the
@@ -107,19 +108,12 @@ class MinorArcBound:
 
 
 @guarded
-def m_threshold(prec=256):
-    """The critical M = sqrt((12/(12-pi^2))^2 - 1) = 5.543... above which the
-    minor-arc bound is genuinely smaller than the major-arc main term."""
-    return mp.sqrt((12 / (12 - mp.pi ** 2)) ** 2 - 1)
-
-
-@guarded
 def exponent_saving(big_m, prec=256):
     """delta(M) = (1/pi)(1 - 1/sqrt(1+M^2)) - pi/12.
 
     The minor-arc bound is (1/(y sqrt2)) e^((pi/24 - delta)/y); delta > 0
-    exactly when M is above the 5.543... threshold, and delta -> 1/pi - pi/12
-    as M -> infinity.
+    exactly when M is above the threshold sqrt((12/(12-pi^2))^2 - 1) =
+    5.543..., and delta -> 1/pi - pi/12 as M -> infinity.
     """
     m2 = mpf(big_m) ** 2
     return (1 / mp.pi) * (1 - 1 / mp.sqrt(1 + m2)) - mp.pi / 12

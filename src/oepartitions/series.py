@@ -9,9 +9,9 @@ their coefficient tuples agree.
 The module is integer arithmetic only and imports no mpmath, so the exact
 tables load no numeric layer.  A series is summed at a point by
 specfun.evaluate_at, the reference the tests and the benchmark hold point
-values to (no command calls it); series.evaluate_at, EvalResult,
-horner_bits and horner_fixed read specfun's (module __getattr__),
-importing it on the first such read.
+values to (no command calls it).  series.evaluate_at is that function,
+read through the module __getattr__, which imports specfun on the first
+read.
 """
 
 from __future__ import annotations
@@ -20,16 +20,14 @@ import sys
 from itertools import accumulate, count, islice, repeat
 from operator import add, mul, neg, sub
 
-# Callers read the point evaluation as series attributes too.  It lives in
-# specfun, which loads mpmath, so specfun is imported on the first such read.
-_NUMERIC = frozenset({"evaluate_at", "EvalResult", "horner_bits", "horner_fixed"})
-
 
 def __getattr__(name):
-    if name in _NUMERIC:
+    # the benchmark reads the point evaluation as series.evaluate_at; it lives
+    # in specfun, which loads mpmath, so specfun is imported on that read
+    if name == "evaluate_at":
         from . import specfun
 
-        return getattr(specfun, name)
+        return specfun.evaluate_at
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -108,16 +106,6 @@ class PowerSeries:
         return PowerSeries(out)
 
     __rmul__ = __mul__
-
-    def invert(self):
-        """Multiplicative inverse mod q^(order+1); constant term must be +-1."""
-        u = self.coeffs[0]
-        if u not in (1, -1):
-            raise SeriesError("series is not invertible: constant term must be +1 or -1")
-        # 1/a = u / (u a), and u a has constant term u^2 = 1
-        c = [u] + [0] * self.order
-        _div_sparse(c, [u * x for x in self.coeffs])
-        return PowerSeries(c)
 
     def __repr__(self):
         head = ", ".join(str(c) for c in self.coeffs[:8])

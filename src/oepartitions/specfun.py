@@ -22,7 +22,6 @@ mpmath's, behind this package's domain checks and conventions:
                       term by term from e^(u(v+1/v)) = sum_k I_k(2u) v^k, the I_k
                       by Miller's recurrence normalised by that identity, in fixed
                       point with proven bounds; no quadrature and no besseli
-  euler_eval(tau)     (q;q)_inf at q = e^(2 pi i tau): modular reduction, then mp.qp
 
 The theta convention is the half-integer-characteristic one used in the
 odd-even asymptotics; theta(0;tau) = 0 identically for it.  Evaluations
@@ -32,9 +31,11 @@ evaluate_at sums an exact series.PowerSeries at a point with horner_fixed,
 in fixed point on Python integers, at horner_bits' precision, and logs the
 order, the leading zeros stripped, the fixed-point bits and the tail bound
 at DEBUG under the oepartitions.series logger.  It lives here, not in
-series, so that the exact layer loads no mpmath.  No command calls it: the
-tests and the benchmark hold point values to it, among them gf-eval's O(q),
-which circle sums at the point from Andrews' series.
+series, so that the exact layer loads no mpmath; series.evaluate_at is
+this function, imported on its first read.  No command calls it: the tests
+and the benchmark hold point values to it, among them gf-eval's O(q),
+which circle sums at the point from Andrews' series.  The tests' other
+references, such as (q;q)_inf by modular reduction, live in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -440,38 +441,3 @@ def wright_p(s, u, big_m, prec=256):
                   s, mp.nstr(u, 10), mp.nstr(big_m, 10), start, terms, lost,
                   "re-summed" if extra != headroom else "no re-sum", prec + extra)
     return value
-
-
-@guarded
-def euler_eval(tau, prec=256):
-    """(q;q)_inf at q = e^(2 pi i tau), after full modular reduction of tau.
-
-    With eta(tau) = e^(pi i tau/12) (q;q)_inf, the two steps
-      tau -> tau - k, k = round(Re tau):  eta(tau) = e^(pi i k/12) eta(tau - k)
-      tau -> -1/tau:                      eta(tau) = eta(-1/tau) / sqrt(-i tau)
-    are repeated until |tau| >= 1 with |Re tau| <= 1/2, collecting the
-    multipliers on the way.  The reduced point has Im tau >= sqrt(3)/2, so
-    |q'| < 0.005 there, and mpmath's qp sums (q';q')_inf from a few terms of
-    Euler's pentagonal series for every tau, however close q is to the unit
-    circle.  Every step is an exact identity.
-    """
-    tau = mpc(tau)
-    if tau.imag <= 0:
-        raise DomainError("tau must lie in the upper half plane")
-    start = tau
-    turns = 0  # sum of the translations k
-    scale = mpc(1)  # product of the 1/sqrt(-i tau) multipliers
-    # after a translation |tau|^2 <= 1/4 + Im(tau)^2, so every inversion
-    # below Im tau = 1/2 at least doubles Im tau; from there two more
-    # inversions at most end the reduction, well inside this budget
-    for _ in range(8 + max(0, int(-mp.log(tau.imag, 2)))):
-        k = int(mp.nint(tau.real))
-        tau -= k
-        turns += k
-        if abs(tau) >= 1:
-            break
-        scale /= mp.sqrt(-1j * tau)
-        tau = -1 / tau
-    else:
-        raise ArithmeticError(f"modular reduction of tau = {start} did not end")
-    return mp.expjpi((turns % 24 + tau - start) / 12) * scale * mp.qp(mp.expjpi(2 * tau))

@@ -5,7 +5,6 @@ from oepartitions import asympt
 from oepartitions.specfun import DomainError, dilog
 from oepartitions.asympt import (
     root_R,
-    ExpansionParams,
     zagier_log_expansion,
     phi_nu,
     NuFrame,
@@ -13,7 +12,6 @@ from oepartitions.asympt import (
     phi_class_sum,
     sj_theta_asymptotic,
     gf_asymptotic,
-    InghamInput,
     AsymptoticLaw,
     ingham_transfer,
     halve_argument,
@@ -21,7 +19,7 @@ from oepartitions.asympt import (
     oebar_asymptotic,
 )
 from oepartitions.genfun import oe_series, oebar_series_product, sj_series
-from oepartitions.series import evaluate_at
+from oepartitions.specfun import evaluate_at
 
 
 def tol(prec, slack=8):
@@ -72,7 +70,7 @@ class TestLogExpansion:
             ratio = log(r) / (-eps)
             m = int(floor(ratio)) - 4
             nu = ratio - m
-        return ExpansionParams(a=mpf("0.5"), b=mpf("0.25"), r=r, eps=eps, nu=nu), m
+        return dict(a=mpf("0.5"), b=mpf("0.25"), r=r, eps=eps, nu=nu), m
 
     def test_leading_bracket_specializes(self):
         # at A = 1/2, R = (3-sqrt5)/2 the eps^-1 bracket collapses to pi^2/10
@@ -91,11 +89,11 @@ class TestLogExpansion:
         for eps_str in ("0.02", "0.01", "0.005"):
             params, m = self._frame(mpf(eps_str), prec)
             with workprec(prec + 32):
-                q = exp(-params.eps)
-                exact = (mpf(m) ** 2 / 4 + mpf(m) / 4) * (-params.eps)
+                q = exp(-params["eps"])
+                exact = (mpf(m) ** 2 / 4 + mpf(m) / 4) * (-params["eps"])
                 for k in range(1, m + 1):
                     exact -= log(1 - q**k)
-                approx = zagier_log_expansion(params, prec)
+                approx = zagier_log_expansion(**params, prec=prec)
                 errors.append(abs(approx - exact))
         # remainder is O(eps^2): halving eps should cut the error roughly 4x
         # (nu drifts a little across the grid, so the band is generous)
@@ -104,9 +102,8 @@ class TestLogExpansion:
             assert mpf("2.8") < hi / lo < mpf("5.2")
 
     def test_rejects_bad_inputs(self):
-        bad = ExpansionParams(a=mpf(1), b=mpf(0), r=mpf("1.5"), eps=mpf("0.1"), nu=mpf(0))
         with pytest.raises(DomainError):
-            zagier_log_expansion(bad, 128)
+            zagier_log_expansion(mpf(1), mpf(0), mpf("1.5"), mpf("0.1"), mpf(0), 128)
 
 
 class TestPhiAndTheta:
@@ -223,22 +220,15 @@ class TestInghamTransfer:
         # (1/(2 sqrt5)) n^(-3/4) e^(pi sqrt(n/5))
         prec = 192
         with workprec(prec):
-            hyp = InghamInput(
-                lam=1 / sqrt(2 * sqrt(5)), alpha_exp=mpf(0), a_gap=pi**2 / 10
-            )
-            law = halve_argument(ingham_transfer(hyp))
+            law = halve_argument(ingham_transfer(1 / sqrt(2 * sqrt(5)), mpf(0), pi**2 / 10))
             assert abs(law.c - 1 / (2 * sqrt(5))) < tol(prec, 24)
             assert abs(law.p - mpf("0.75")) < tol(prec, 24)
             assert abs(law.k - pi / sqrt(5)) < tol(prec, 24)
 
     def test_symbolic_oe_constants_exact(self):
         sympy = pytest.importorskip("sympy")
-        hyp = InghamInput(
-            lam=1 / sympy.sqrt(2 * sympy.sqrt(5)),
-            alpha_exp=sympy.Integer(0),
-            a_gap=sympy.pi**2 / 10,
-        )
-        law = halve_argument(ingham_transfer(hyp, pi=sympy.pi))
+        law = halve_argument(ingham_transfer(
+            1 / sympy.sqrt(2 * sympy.sqrt(5)), sympy.Integer(0), sympy.pi**2 / 10, pi=sympy.pi))
         assert sympy.simplify(law.c - 1 / (2 * sympy.sqrt(5))) == 0
         assert sympy.simplify(law.p - sympy.Rational(3, 4)) == 0
         assert sympy.simplify(law.k - sympy.pi / sympy.sqrt(5)) == 0
@@ -247,12 +237,8 @@ class TestInghamTransfer:
         # Obar(e^-eps) ~ (2 sqrt2 / 3) e^(pi^2/(12 eps)) transfers directly
         # to 3^(-5/4) n^(-3/4) e^(pi sqrt(n/3))
         sympy = pytest.importorskip("sympy")
-        hyp = InghamInput(
-            lam=2 * sympy.sqrt(2) / 3,
-            alpha_exp=sympy.Integer(0),
-            a_gap=sympy.pi**2 / 12,
-        )
-        law = ingham_transfer(hyp, pi=sympy.pi)
+        law = ingham_transfer(2 * sympy.sqrt(2) / 3, sympy.Integer(0), sympy.pi**2 / 12,
+                              pi=sympy.pi)
         assert sympy.simplify(law.c - 3 ** sympy.Rational(-5, 4)) == 0
         assert sympy.simplify(law.p - sympy.Rational(3, 4)) == 0
         assert sympy.simplify(law.k - sympy.pi / sympy.sqrt(3)) == 0

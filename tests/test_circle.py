@@ -12,14 +12,13 @@ from mpmath import mp, mpf, mpc, workprec, sqrt, pi, exp, cos, sin, log, ceil, l
 from mpmath.libmp import to_fixed
 
 from oepartitions import circle, specfun
-from oepartitions.specfun import GUARD_BITS, DomainError, QuadratureError, euler_eval, wright_p
+from oepartitions.specfun import (GUARD_BITS, DomainError, QuadratureError, evaluate_at,
+                                  horner_fixed, wright_p)
 from oepartitions.genfun import (f_mock_series, oebar_series_hypergeometric, oebar_series_product,
                                  parity_split)
-from oepartitions.series import evaluate_at, horner_fixed
 from oepartitions.circle import (
     ArcGeometry,
     adaptive_quad,
-    m_threshold,
     exponent_saving,
     oebar_eval,
     cauchy_full_integral,
@@ -30,6 +29,8 @@ from oepartitions.circle import (
     minor_arc_empirical_max,
     circle_report,
 )
+
+from oracles import euler_eval, m_threshold
 
 
 def bilateral_reference(tau, prec):
@@ -664,16 +665,18 @@ class TestWatsonTransformation:
             assert abs(got - want) < mpf(2) ** -(prec - 2) * abs(want)
 
     def test_major_arc_needs_no_euler_eval(self, monkeypatch):
-        # nor does the minor arc: Obar is summed from its own series there
-        assert not hasattr(circle, "euler_eval")
+        # nor does the minor arc: Obar is summed from its own series there.
+        # The package holds no euler_eval, and takes no eta product by
+        # mpmath's qp, which the tests' euler_eval reduces to
+        assert not hasattr(circle, "euler_eval") and not hasattr(specfun, "euler_eval")
         calls = []
-        inner = specfun.euler_eval
+        inner = mp.qp
 
-        def counting(tau, prec=256):
-            calls.append(tau)
-            return inner(tau, prec)
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return inner(*args, **kwargs)
 
-        monkeypatch.setattr(specfun, "euler_eval", counting)
+        monkeypatch.setattr(mp, "qp", counting)
         major_arc_integral(ArcGeometry(1600), prec=96)
         oebar_eval(tau=circle_point(1600, mpf("0.499")), prec=96)
         assert calls == []
@@ -685,7 +688,7 @@ class TestWatsonTransformation:
         (256, 25600, "3y"), (256, 10 ** 5, 0),
     ])
     def test_mordell_sum_bit_identical_to_its_own_loop(self, prec, n, x, monkeypatch):
-        # the Mordell sum as _transformed forms it, series.horner_fixed on the
+        # the Mordell sum as _transformed forms it, specfun.horner_fixed on the
         # table at its bits, against Goertzel's recurrence written out (at
         # x = 0, where z is real, Horner's rule), starting from the top b_j
         # rather than from 0, on the same ints of z: the two must give the

@@ -5,6 +5,11 @@
 - Every module-level private function or class of the package (a _name,
   not a __dunder__) is read somewhere in the package, so a helper does not
   outlive its last caller.
+- So is every module-level public function or class, as a name, an
+  attribute, an imported name or a string equal to it (cli.KINDS names its
+  builders so), but for the entry points ENTRY_POINTS lists, each with its
+  reader outside the package.  Code that serves only the tests' oracles
+  lives in the tests (tests/oracles.py).
 - The package has one Horner loop, specfun.horner_fixed: no source file
   under it names mpmath's polyval.
 - The package has one quadrature rule, circle.adaptive_quad: no source
@@ -38,6 +43,19 @@ PRECISION_CONTEXTS = {"workprec", "workdps", "extraprec", "extradps"}
 PRECISION_OWNERS = {"specfun.py"}
 MPMATH_QUADRATURES = {"quad", "quadts", "quadgl"}
 QUADRATURE_MODULE = "mpmath.calculus.quadrature"
+# public package code that no package code reads, and what reads it instead
+ENTRY_POINTS = {
+    "oebar_eval": "the benchmark",
+    "minor_arc_integral": "the benchmark",
+    "phi_class_sum": "the benchmark",
+    "classical_identity_suite": "the benchmark",
+    "qpochhammer": "the tests' dense reference",
+    "neg_pochhammer": "the tests' dense reference",
+    "root_R": "the paper's Tauberian derivation",
+    "zagier_log_expansion": "the paper's Tauberian derivation",
+    "ingham_transfer": "the paper's Tauberian derivation",
+    "halve_argument": "the paper's Tauberian derivation",
+}
 
 
 def _tree(path):
@@ -77,6 +95,27 @@ def _names_read(tree):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
+    return names
+
+
+def _public_definitions(tree):
+    """Top-level functions and classes not named _name, by line."""
+    return {
+        node.name: node.lineno
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+    }
+
+
+def _names_referred_to(tree):
+    """_names_read, with the names a from-import binds and every string constant."""
+    names = _names_read(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
     return names
 
 
@@ -240,6 +279,43 @@ def test_the_scan_sees_an_unread_and_a_read_helper():
     }
     unread = set(_private_definitions(tree)) - _names_read(tree)
     assert unread == {"_unused", "_Gone"}
+
+
+def test_every_public_definition_has_a_reader():
+    trees = {path.name: _tree(path) for path in sorted(PACKAGE.glob("*.py"))}
+    read = set().union(*map(_names_referred_to, trees.values()))
+    defined = {
+        name: f"{module}:{line}"
+        for module, tree in trees.items()
+        for name, line in _public_definitions(tree).items()
+    }
+    unread = sorted(f"{where} {name}" for name, where in defined.items()
+                    if name not in read and name not in ENTRY_POINTS)
+    assert not unread, (f"public code nothing in the package reads: {unread}; delete it, "
+                        "move a test oracle to tests/oracles.py, or list a real entry point")
+    stale = sorted(name for name in ENTRY_POINTS if name not in defined or name in read)
+    assert not stale, f"ENTRY_POINTS names code that is gone or that the package reads: {stale}"
+
+
+def test_the_scan_sees_names_attributes_imports_and_strings():
+    tree = ast.parse(
+        "from .series import imported\n"
+        "def called(): pass\n"
+        "def as_attribute(): pass\n"
+        "def in_a_string(): pass\n"
+        "def unread(): pass\n"
+        "class Unread: pass\n"
+        "def _private(): pass\n"
+        "KINDS = {'x': Kind('in_a_string')}\n"
+        "def main():\n"
+        "    return called(), module.as_attribute\n"
+    )
+    assert _public_definitions(tree) == {
+        "called": 2, "as_attribute": 3, "in_a_string": 4, "unread": 5, "Unread": 6, "main": 9,
+    }
+    read = _names_referred_to(tree)
+    assert "imported" in read
+    assert set(_public_definitions(tree)) - read == {"unread", "Unread", "main"}
 
 
 @pytest.mark.parametrize(
