@@ -43,7 +43,7 @@ from collections import namedtuple
 # builds without --force; "compute" is its default method, series.  gf-eval
 # builds no series: its row bounds 300/eps, the order a coefficient series
 # would need, as a work guard
-CEILINGS = {"compute --method enum": 50, "compute": 100000,
+CEILINGS = {"compute --method enum": 60, "compute": 100000,
             "compute --method watson-product": 70000, "ratio": 20000, "gf-eval": 60000,
             "verify": 10000, "circle": 6400}
 # the verify tolerances are 2^-(prec - 56), which pass anything at 56 bits

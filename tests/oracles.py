@@ -4,6 +4,8 @@
   invert(series)     the inverse of an exact series whose constant term is +-1
   m_threshold()      the M = sqrt((12/(12-pi^2))^2 - 1) = 5.543... at which
                      circle.exponent_saving changes sign
+  chains(n, 1, flags)  enumeration's chains of n by the unpruned recursion,
+                     which tries every part up to the remainder
 
 euler_eval and m_threshold are wrapped in specfun.guarded, as the package's
 public entry points are; invert divides with series' own sparse kernel.
@@ -66,3 +68,18 @@ def m_threshold(prec=256):
     """The critical M = sqrt((12/(12-pi^2))^2 - 1) = 5.543... above which the
     minor-arc bound is genuinely smaller than the major-arc main term."""
     return mp.sqrt((12 / (12 - mp.pi ** 2)) ** 2 - 1)
+
+
+def chains(remaining, start, flags):
+    """Yield (parts, flags), both in nonincreasing-part order, of the chains
+    summing to remaining whose smallest part is start + 2k for some k >= 0.
+
+    The empty chain sums to 0.  Each part carries one of the given flags,
+    and a part p with flag f puts the next part at p + 1 + f or above.
+    """
+    if remaining == 0:
+        yield (), ()
+    for p in range(start, remaining + 1, 2):
+        for flag in flags:
+            for parts, marks in chains(remaining - p, p + 1 + flag, flags):
+                yield parts + (p,), marks + (flag,)

@@ -67,7 +67,8 @@ class TestCompute:
 
     def test_enum_cost_guard(self, capsys):
         with pytest.raises(SystemExit):
-            cli.main(["compute", "--kind", "oe", "--n-max", "51", "--method", "enum"])
+            cli.main(["compute", "--kind", "oe", "--n-max",
+                      str(cli.CEILINGS["compute --method enum"] + 1), "--method", "enum"])
 
     def test_output_file(self, capsys, tmp_path):
         dest = tmp_path / "table.csv"
@@ -446,15 +447,16 @@ else:
         cli.main(argv)
     except SystemExit:
         pass
-names = [m for m in sys.modules if m.split(".")[0] in ("mpmath", "oepartitions")]
+names = [m for m in sys.modules
+         if m.split(".")[0] in ("mpmath", "oepartitions", "dataclasses", "inspect")]
 sys.__stdout__.write(json.dumps(names))
 """
 
 
 def loaded_modules(argv):
-    """The mpmath and oepartitions modules a fresh interpreter holds after
-    importing the module named by argv (a str) or after running the CLI on
-    argv (a list)."""
+    """The mpmath, oepartitions, dataclasses and inspect modules a fresh
+    interpreter holds after importing the module named by argv (a str) or
+    after running the CLI on argv (a list)."""
     src = str(Path(oepartitions.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, "-c", FOOTPRINT, json.dumps(argv)], env=env,
@@ -484,6 +486,11 @@ class TestImportFootprint:
         assert not {m for m in loaded if m.split(".")[0] == "mpmath"}
         assert "oepartitions.cli" in loaded
         assert "oepartitions.genfun" not in loaded
+
+    def test_enumeration_loads_no_dataclasses(self):
+        # its objects are namedtuples: dataclasses and the inspect it imports cost ~9 ms
+        loaded = loaded_modules(["compute", "--kind", "oebar", "--n-max", "20", "--method", "enum"])
+        assert not loaded & {"dataclasses", "inspect"}
 
     @pytest.mark.parametrize("argv", [
         "oepartitions.genfun",

@@ -8,13 +8,16 @@ from hypothesis import given, settings, strategies as st
 
 import oepartitions
 
+from oepartitions import enumeration
 from oepartitions.enumeration import (
     OEPartition,
     OEOverpartition,
+    _chains,
     enum_oe,
     enum_oebar,
 )
 from oepartitions.genfun import oe_series, oebar_series_hypergeometric
+from oracles import chains
 
 
 FIRST_OE = [1, 1, 0, 2, 0, 2, 1, 3, 1, 3]
@@ -31,14 +34,14 @@ class TestOECounts:
         assert {p.parts for p in items} == {(9,), (8, 1), (6, 3)}
 
     def test_counts_agree_with_series(self):
-        series = oe_series(40)
-        for n in range(41):
+        series = oe_series(60)
+        for n in range(61):
             assert enum_oe(n) == series.coefficient(n)
 
     def test_listing_length_matches_count(self):
-        for n in range(15):
+        for n in range(31):
             count, items = enum_oe(n, listing=True)
-            assert len(items) == count
+            assert len(items) == count == enum_oe(n)
 
     def test_listings_are_valid(self):
         for n in range(1, 20):
@@ -77,14 +80,14 @@ class TestOEBarCounts:
         }
 
     def test_counts_agree_with_series(self):
-        series = oebar_series_hypergeometric(30)
-        for n in range(31):
+        series = oebar_series_hypergeometric(50)
+        for n in range(51):
             assert enum_oebar(n) == series.coefficient(n)
 
     def test_listing_length_matches_count(self):
-        for n in range(12):
+        for n in range(31):
             count, items = enum_oebar(n, listing=True)
-            assert len(items) == count
+            assert len(items) == count == enum_oebar(n)
 
     def test_listings_are_valid(self):
         for n in range(1, 16):
@@ -139,6 +142,20 @@ class TestStructuralProperties:
             assert keys == sorted(keys, reverse=True)
             keys = [(p.parts, p.overline_flags) for p in oebar]
             assert keys == sorted(keys, reverse=True)
+
+    @pytest.mark.parametrize("flags", [(False,), (False, True)])
+    def test_pruned_recursion_yields_the_unpruned_chains(self, flags):
+        for n in range(31):
+            assert sorted(_chains(n, 1, flags)) == sorted(chains(n, 1, flags))
+
+    def test_count_builds_and_sorts_nothing(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a count built or sorted its objects")
+
+        for name in ("OEPartition", "OEOverpartition", "sorted"):
+            monkeypatch.setattr(enumeration, name, refuse, raising=False)
+        assert [enum_oe(n) for n in range(10)] == FIRST_OE
+        assert [enum_oebar(n) for n in range(10)] == FIRST_OEBAR
 
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError):
