@@ -21,7 +21,7 @@ the caller's scalar type.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from mpmath import mp, mpf
 
@@ -81,12 +81,10 @@ def phi_nu(eps, nu, prec=256):
     )
 
 
-@dataclass(frozen=True)
-class NuFrame:
+class NuFrame(namedtuple("NuFrame", "nu0 j")):
     """Residue data for a class sum: nu0 in [0,1), class j, alpha = 2 + nu0 + j."""
 
-    nu0: mpf
-    j: int
+    __slots__ = ()
 
     @property
     def alpha(self):
@@ -166,13 +164,10 @@ def gf_asymptotic(eps, which="full", prec=256):
     return c * growth
 
 
-@dataclass(frozen=True)
-class AsymptoticLaw:
+class AsymptoticLaw(namedtuple("AsymptoticLaw", "c p k")):
     """Coefficient law a(n) ~ c n^(-p) e^(k sqrt n)."""
 
-    c: object
-    p: object
-    k: object
+    __slots__ = ()
 
 
 def ingham_transfer(lam, alpha, a_gap, *, pi=mp.pi):

@@ -52,7 +52,7 @@ from __future__ import annotations
 import heapq
 import logging
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from mpmath import mp, mpf, mpc
@@ -74,20 +74,20 @@ _TINY = 2.0 ** -1000  # the least |tau| the Mordell count reads: a clamp, not an
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class ArcGeometry:
+class ArcGeometry(namedtuple("ArcGeometry", "n big_m")):
     """Contour data: circle radius e^(-2 pi y) with y = 1/(4 sqrt(3n)), cut at |x| = M y."""
 
-    n: int
-    big_m: mpf = mpf(6)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __new__(cls, n, big_m=mpf(6)):
+        self = super().__new__(cls, n, big_m)
+        if n < 1:
             raise DomainError("n must be >= 1")
-        if not (mp.isfinite(self.big_m) and self.big_m > 0):
-            raise DomainError(f"M must be finite and > 0, got {self.big_m}")
-        if float(self.big_m) * float(self.y) >= 0.5:
+        if not (mp.isfinite(big_m) and big_m > 0):
+            raise DomainError(f"M must be finite and > 0, got {big_m}")
+        if float(big_m) * float(self.y) >= 0.5:
             raise DomainError("major arc would cover the whole circle: need M y < 1/2")
+        return self
 
     @property
     def y(self):
@@ -98,13 +98,10 @@ class ArcGeometry:
         return mpf(self.big_m) * self.y
 
 
-@dataclass(frozen=True)
-class MinorArcBound:
+class MinorArcBound(namedtuple("MinorArcBound", "bound_value exponent_saving clears_threshold")):
     """Proven sup bound for |Obar| on the minor arc, and the exponent saving."""
 
-    bound_value: mpf
-    exponent_saving: mpf
-    clears_threshold: bool
+    __slots__ = ()
 
 
 @guarded

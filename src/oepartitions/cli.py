@@ -11,18 +11,17 @@ Subcommands:
             leading asymptotic constant
   circle    end-to-end circle-method report for one n
 
-Tables are emitted as CSV (default) or JSON; reports as JSON.  The default
-working precision is 256 bits, overridable with --prec or the
-OEPARTITIONS_PREC environment variable; below MIN_PREC = 64 bits it is refused.
-Every number printed is computed under specfun.guarded at that precision:
-this module sets no working precision of its own.
+Tables are emitted as CSV (default) or JSON; reports as JSON.  The working
+precision is --prec bits, 256 by default; below MIN_PREC = 64 bits it is
+refused.  Every number printed is computed under specfun.guarded at that
+precision: this module sets no working precision of its own.
 
 A command checks its arguments, and that its --output can be written, before
 it imports the layers it runs: nothing here imports mpmath or another module
 of the package at import time, so a refused command loads neither, and
 compute loads only the series or only the enumeration layer, neither of
-which imports mpmath.  gf-eval refuses its --eps grid in floats before it
-reads it with mpmath.
+which imports mpmath.  gf-eval reads its --eps grid once, as floats, and
+refuses it before it imports mpmath; it then sums at those floats as mpf.
 
 CEILINGS is the one table of work guards: the largest size each request may
 build without --force, the n enumerated or reported on by the circle method,
@@ -55,14 +54,6 @@ KINDS = {
     "oe": Kind("oe_series", "enum_oe", "oe_asymptotic"),
     "oebar": Kind("oebar_series_hypergeometric", "enum_oebar", "oebar_asymptotic"),
 }
-
-
-def _default_prec():
-    text = os.environ.get("OEPARTITIONS_PREC", "256")
-    try:
-        return int(text)
-    except ValueError:
-        raise SystemExit(f"OEPARTITIONS_PREC must be an integer, got {text!r}") from None
 
 
 def _parse_list(text, convert, option):
@@ -233,23 +224,13 @@ def _refuse_eps(grid, force):
 
 
 def cmd_gf_eval(args):
-    # Refused in floats before mpmath is imported where float reads every
-    # value as a finite number, and by mpf's reading otherwise: mpf also
-    # reads p/q, and float also reads forms such as infinity and -nan.  At
-    # mpmath's default 53 bits the two readings of a text are one value.
-    try:
-        floats = [float(s) for s in args.eps.split(",")]
-    except ValueError:
-        floats = None
-    if floats is not None and all(map(math.isfinite, floats)):
-        _refuse_eps(floats, args.force)
+    floats = _parse_list(args.eps, float, "--eps")
+    _refuse_eps(floats, args.force)
     from mpmath import mpf
 
-    eps_grid = _parse_list(args.eps, mpf, "--eps")
-    _refuse_eps([float(eps) for eps in eps_grid], args.force)
     from . import specfun
 
-    rows = specfun.guarded(_gf_rows)(eps_grid, args.prec)
+    rows = specfun.guarded(_gf_rows)([mpf(eps) for eps in floats], args.prec)
     _emit(args, rows, ["eps", "branch", "series_value", "asymptotic", "ratio"])
     return 0
 
@@ -384,8 +365,7 @@ def build_parser():
         description="Odd-even partition asymptotics: exact counts, identities, "
         "Tauberian and circle-method verification.",
     )
-    p.add_argument("--prec", type=int, default=_default_prec(),
-                   help="working precision in bits (default 256 or $OEPARTITIONS_PREC)")
+    p.add_argument("--prec", type=int, default=256, help="working precision in bits")
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("compute", help="tables of OE(n) or OEbar(n)")
@@ -425,7 +405,7 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     if args.prec < MIN_PREC:
-        raise SystemExit(f"--prec (or OEPARTITIONS_PREC) must be >= {MIN_PREC}, got {args.prec}")
+        raise SystemExit(f"--prec must be >= {MIN_PREC}, got {args.prec}")
     if getattr(args, "output", None):
         _check_output(args.output)
     return args.func(args)

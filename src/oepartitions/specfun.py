@@ -8,10 +8,14 @@ its result to prec bits, once.  The loop `pay_for_loss` pays for the bits
 a sum loses, each pass at prec + extra + GUARD_BITS bits.  A private
 helper computes at its caller's precision and never rounds; _wright_sum
 alone sets its own, for fixed-point constants.  Each value is correct to
-the precision asked for, or the routine raises.  horner_fixed is the
-package's one Horner loop: real coefficients, by Goertzel's recurrence at a
-complex point and Horner's rule at a real one.  The textbook functions are
-mpmath's, behind this package's domain checks and conventions:
+the precision asked for, or the routine raises.  A result with several
+numbers is a tuple, and every record of the package is a namedtuple
+(EvalResult here, circle's and asympt's), so guarded rounds them all by one
+rule and this module imports neither dataclasses nor inspect.  horner_fixed
+is the package's one Horner loop: real coefficients, by Goertzel's
+recurrence at a complex point and Horner's rule at a real one.  The
+textbook functions are mpmath's, behind this package's domain checks and
+conventions:
 
   dilog(x)            Li_2(x) on [0, 1): mp.polylog(2, x)
   jacobi_theta(z,tau) theta(z;tau) = sum_{n in 1/2+Z} e^(pi i n^2 tau + 2 pi i n (z+1/2))
@@ -40,11 +44,10 @@ references, such as (q;q)_inf by modular reduction, live in tests/oracles.py.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
-import inspect
 import logging
 import math
+from collections import namedtuple
 from itertools import islice
 
 from mpmath import mp, mpf, mpc, workprec
@@ -70,13 +73,15 @@ def guarded(func):
     for public entry points only, so that a value is rounded once.
 
     An mpf or mpc result is rounded, and so is each mpf or mpc member of a
-    tuple or dataclass result; any other value passes through unchanged.
-    The position of `prec` is looked up once, here, so callers may pass it
-    positionally or by keyword.
+    tuple result, a namedtuple record among them, which keeps its type; any
+    other value passes through unchanged.  The position and default of
+    `prec` are read once, here, from func's code and defaults, so callers
+    may pass it positionally or by keyword.
     """
-    params = list(inspect.signature(func).parameters.values())
-    index = [p.name for p in params].index("prec")
-    default = params[index].default
+    code, defaults = func.__code__, func.__defaults__ or ()
+    index = code.co_varnames.index("prec")
+    first_default = code.co_argcount - len(defaults)
+    default = defaults[index - first_default] if index >= first_default else None
 
     @functools.wraps(func)
     def wrapper(*args, **kwargs):
@@ -85,11 +90,7 @@ def guarded(func):
             value = func(*args, **kwargs)
         with workprec(prec):
             if isinstance(value, tuple):
-                return tuple(map(_rounded, value))
-            if dataclasses.is_dataclass(value):
-                return dataclasses.replace(value, **{
-                    f.name: _rounded(getattr(value, f.name)) for f in dataclasses.fields(value)
-                })
+                return tuple.__new__(type(value), map(_rounded, value))
             return _rounded(value)
 
     return wrapper
@@ -163,15 +164,13 @@ def horner_bits(prec, radius):
     return prec + GUARD_BITS + 5 + max(0, 1 - mp.mag(1 - radius))
 
 
-@dataclasses.dataclass(frozen=True)
-class EvalResult:
+class EvalResult(namedtuple("EvalResult", "value tail_bound")):
     """Value of a truncated series at a point plus a rigorous tail bound.
 
     value is an mpf at a real point and an mpc otherwise.
     """
 
-    value: mpf | mpc
-    tail_bound: mpf
+    __slots__ = ()
 
 
 @guarded

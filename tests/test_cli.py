@@ -317,6 +317,7 @@ class TestUsageErrors:
         ["ratio", "--kind", "oe", "--n", ","],
         ["ratio", "--kind", "oebar", "--n", "10,0"],
         ["gf-eval", "--eps", "0.05,x"],
+        ["gf-eval", "--eps", "1/20"],
         ["compute", "--kind", "oe", "--n-max", "-3"],
         ["gf-eval", "--eps", "0", "--force"],
         ["gf-eval", "--eps", "-0.1", "--force"],
@@ -417,22 +418,10 @@ def test_force_does_not_lift_sys_maxsize(argv, size):
 
 class TestPrecPlumbing:
     def test_env_var_default(self, monkeypatch):
-        monkeypatch.setenv("OEPARTITIONS_PREC", "123")
-        args = cli.build_parser().parse_args(["verify"])
-        assert args.prec == 123
-
-    def test_flag_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("OEPARTITIONS_PREC", "123")
-        args = cli.build_parser().parse_args(["--prec", "99", "verify"])
-        assert args.prec == 99
-
-    @pytest.mark.parametrize("value", ["abc", "96.5", "", "32"])
-    def test_bad_env_value_exits_with_one_line(self, monkeypatch, value):
-        monkeypatch.setenv("OEPARTITIONS_PREC", value)
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["verify", "--suite", "specfun"])
-        message = exc.value.code
-        assert isinstance(message, str) and "OEPARTITIONS_PREC" in message and "\n" not in message
+        # --prec is the one way to set the precision; no environment variable reaches it
+        for value in ("123", "abc"):
+            monkeypatch.setenv("OEPARTITIONS_PREC", value)
+            assert cli.build_parser().parse_args(["verify"]).prec == 256
 
 
 FOOTPRINT = """
@@ -493,11 +482,23 @@ class TestImportFootprint:
         assert not loaded & {"dataclasses", "inspect"}
 
     @pytest.mark.parametrize("argv", [
+        ["ratio", "--kind", "oebar", "--n", "100"],
+        ["gf-eval", "--eps", "0.05"],
+        ["verify", "--suite", "all"],
+        ["circle", "--n", "15"],
+    ])
+    def test_numeric_commands_load_no_dataclasses_or_inspect(self, argv):
+        # their records are namedtuples, and guarded reads prec from the code object
+        loaded = loaded_modules(argv)
+        assert "mpmath" in loaded and not loaded & {"dataclasses", "inspect"}
+
+    @pytest.mark.parametrize("argv", [
         "oepartitions.genfun",
         ["compute", "--kind", "oe", "--n-max", "10"],
         ["compute", "--kind", "oebar", "--n-max", "12", "--method", "watson-product"],
         ["gf-eval", "--eps", "0.001"],
         ["gf-eval", "--eps", "1e20", "--force"],
+        ["gf-eval", "--eps", "1/20,0.001"],
     ])
     def test_exact_series_and_refused_grids_load_no_mpmath(self, argv):
         loaded = loaded_modules(argv)

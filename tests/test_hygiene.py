@@ -7,9 +7,10 @@
   outlive its last caller.
 - So is every module-level public function or class, as a name, an
   attribute, an imported name or a string equal to it (cli.KINDS names its
-  builders so), but for the entry points ENTRY_POINTS lists, each with its
-  reader outside the package.  Code that serves only the tests' oracles
-  lives in the tests (tests/oracles.py).
+  builders so), other than the typename a record passes to namedtuple, but
+  for the entry points ENTRY_POINTS lists, each with its reader outside the
+  package.  Code that serves only the tests' oracles lives in the tests
+  (tests/oracles.py).
 - The package has one Horner loop, specfun.horner_fixed: no source file
   under it names mpmath's polyval.
 - The package has one quadrature rule, circle.adaptive_quad: no source
@@ -18,6 +19,9 @@
 - mpmath's besseli serves specfun.bessel_i alone: nothing else in the
   package names it, so Wright's Bessel ladder is seeded from its own
   generating function and not from Bessel values.
+- Every record in the package is a namedtuple, and guarded reads prec from
+  its function's code: no module under it imports dataclasses or inspect,
+  which a fresh interpreter pays about 8 ms to load.
 - Every functools cache in the package is bounded: no lru_cache with
   maxsize=None and no functools.cache, which is the same thing.
 - Working precision is set in one module, specfun: by guarded, by
@@ -43,6 +47,7 @@ PRECISION_CONTEXTS = {"workprec", "workdps", "extraprec", "extradps"}
 PRECISION_OWNERS = {"specfun.py"}
 MPMATH_QUADRATURES = {"quad", "quadts", "quadgl"}
 QUADRATURE_MODULE = "mpmath.calculus.quadrature"
+UNWANTED_MODULES = {"dataclasses", "inspect"}
 # public package code that no package code reads, and what reads it instead
 ENTRY_POINTS = {
     "oebar_eval": "the benchmark",
@@ -109,14 +114,35 @@ def _public_definitions(tree):
 
 
 def _names_referred_to(tree):
-    """_names_read, with the names a from-import binds and every string constant."""
+    """_names_read, with the names a from-import binds and every string
+    constant but the typename given to namedtuple, which names the record
+    it defines and reads nothing."""
     names = _names_read(tree)
+    typenames = {
+        id(node.args[0])
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and node.args
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "namedtuple"
+    }
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             names.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in typenames):
             names.add(node.value)
     return names
+
+
+def _imported_modules(tree):
+    """The top-level package of every absolute import, at any depth, by line."""
+    modules = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                modules[alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules[node.module.split(".")[0]] = node.lineno
+    return modules
 
 
 def _unbounded_caches(tree):
@@ -309,13 +335,17 @@ def test_the_scan_sees_names_attributes_imports_and_strings():
         "KINDS = {'x': Kind('in_a_string')}\n"
         "def main():\n"
         "    return called(), module.as_attribute\n"
+        "class Record(namedtuple('Record', 'a')): pass\n"
+        "class Read(collections.namedtuple('Read', 'a')): pass\n"
+        "Read(1)\n"
     )
     assert _public_definitions(tree) == {
         "called": 2, "as_attribute": 3, "in_a_string": 4, "unread": 5, "Unread": 6, "main": 9,
+        "Record": 11, "Read": 12,
     }
     read = _names_referred_to(tree)
     assert "imported" in read
-    assert set(_public_definitions(tree)) - read == {"unread", "Unread", "main"}
+    assert set(_public_definitions(tree)) - read == {"unread", "Unread", "main", "Record"}
 
 
 @pytest.mark.parametrize(
@@ -442,6 +472,26 @@ def test_the_scan_sees_besseli_outside_bessel_i_only():
     )
     assert _mpmath_names(tree, {"besseli"}, {"bessel_i"}) == [1, 5, 6]
     assert _mpmath_names(tree, {"besseli"}) == [1, 3, 5, 6]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_dataclasses_or_inspect(path):
+    modules = _imported_modules(_tree(path))
+    lines = sorted(line for name, line in modules.items() if name in UNWANTED_MODULES)
+    assert not lines, (f"{path.name}: imports dataclasses or inspect at lines {lines}; "
+                       "make a record a namedtuple subclass")
+
+
+def test_the_scan_sees_imports_at_any_depth():
+    tree = ast.parse(
+        "import inspect\n"
+        "from dataclasses import dataclass\n"
+        "from . import specfun\n"
+        "from .inspect import x\n"
+        "def f():\n"
+        "    import collections, os.path\n"
+    )
+    assert _imported_modules(tree) == {"inspect": 1, "dataclasses": 2, "collections": 6, "os": 6}
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)

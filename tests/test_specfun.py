@@ -1,7 +1,7 @@
 import functools
 import logging
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 import pytest
 from mpmath import mp, mpf, mpc, workprec, exp, log, sqrt, pi, quad, besseli, polylog
@@ -393,11 +393,7 @@ class TestEtaProducts:
                 euler_eval(tau, 128)
 
 
-@dataclass(frozen=True)
-class _Record:
-    value: mpf
-    point: mpc
-    flag: bool
+_Record = namedtuple("_Record", "value point flag")
 
 
 @guarded
@@ -435,14 +431,27 @@ class TestGuarded:
         assert _bits(value) <= prec and _bits(point) <= prec
         assert flag is True
 
-    def test_dataclass_members_are_rounded_and_a_bool_is_untouched(self):
+    def test_record_members_are_rounded_and_a_bool_is_untouched(self):
         prec = 40
         rec = _probe_record(mpf(1), prec=prec)
-        assert isinstance(rec, _Record)
+        assert type(rec) is _Record
         assert _bits(rec.value) <= prec and _bits(rec.point) <= prec
         assert rec.flag is True
         with workprec(prec + GUARD_BITS):
             assert _bits(mpf(1) / 3) > prec  # so the rounding above did happen
+
+    # prec with no default (as in evaluate_at), before another defaulted
+    # parameter (as in circle_report) and after one (as in minor_arc_empirical_max)
+    @pytest.mark.parametrize("func,before,default", [
+        (guarded(lambda x, prec: mp.prec), (0,), None),
+        (guarded(lambda x, prec=40, extra=1: mp.prec), (0,), 40),
+        (guarded(lambda x, extra=1, prec=40: mp.prec), (0, 1), 40),
+    ], ids=["no-default", "before-a-default", "after-a-default"])
+    def test_prec_is_found_by_position_keyword_and_default(self, func, before, default):
+        assert func(*before, 60) == 60 + GUARD_BITS
+        assert func(0, prec=60) == 60 + GUARD_BITS
+        if default is not None:
+            assert func(0) == default + GUARD_BITS
 
     def test_precision_restored_after_return_and_after_raise(self):
         before = mp.prec
