@@ -19,8 +19,6 @@ The package itself does not import sympy: ingham_transfer takes the pi of
 the caller's scalar type.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 from mpmath import mp, mpf

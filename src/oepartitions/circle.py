@@ -47,8 +47,6 @@ axis it sums them by Goertzel's recurrence, two real products per
 coefficient.
 """
 
-from __future__ import annotations
-
 import heapq
 import logging
 import math

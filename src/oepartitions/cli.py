@@ -13,8 +13,9 @@ Subcommands:
 
 Tables are emitted as CSV (default) or JSON; reports as JSON.  The working
 precision is --prec bits, 256 by default; below MIN_PREC = 64 bits it is
-refused.  Every number printed is computed under specfun.guarded at that
-precision: this module sets no working precision of its own.
+refused, and above CEILINGS["--prec"] = 1024 bits without --force.  Every
+number printed is computed under specfun.guarded at that precision: this
+module sets no working precision of its own.
 
 A command checks its arguments, and that its --output can be written, before
 it imports the layers it runs: nothing here imports mpmath or another module
@@ -25,12 +26,11 @@ refuses it before it imports mpmath; it then sums at those floats as mpf.
 
 CEILINGS is the one table of work guards: the largest size each request may
 build without --force, the n enumerated or reported on by the circle method,
-or the order of the series summed.
+or the order of the series summed, and the largest --prec of every command
+and --grid of circle.
 _refuse_above refuses a request above its row in one line, at the point where
 the command has read its size and before it imports a numeric layer.
 """
-
-from __future__ import annotations
 
 import argparse
 import math
@@ -41,10 +41,11 @@ from collections import namedtuple
 # the largest n (enumeration, circle report) or series order each request
 # builds without --force; "compute" is its default method, series.  gf-eval
 # builds no series: its row bounds 300/eps, the order a coefficient series
-# would need, as a work guard
+# would need, as a work guard.  "--prec" bounds every command's precision
+# in bits, and "circle --grid" the minor-arc grid
 CEILINGS = {"compute --method enum": 60, "compute": 100000,
             "compute --method watson-product": 70000, "ratio": 20000, "gf-eval": 60000,
-            "verify": 10000, "circle": 6400}
+            "verify": 10000, "circle": 6400, "circle --grid": 10000, "--prec": 1024}
 # the verify tolerances are 2^-(prec - 56), which pass anything at 56 bits
 MIN_PREC = 64
 
@@ -237,6 +238,7 @@ def cmd_gf_eval(args):
 
 def cmd_circle(args):
     _refuse_above("circle", args.n, args.force)
+    _refuse_above("circle --grid", args.grid, args.force)
     from . import circle
 
     report = circle.circle_report(args.n, big_m=args.M, prec=args.prec, grid=args.grid)
@@ -265,7 +267,7 @@ def _verify_identities(order):
     checks.append(("OEbar hypergeometric = (-q)_inf f(q)", hyp == genfun.oebar_series_product(order)))
     watson = genfun.f_mock_series(order) * genfun.euler_phi_series(order)
     checks.append(("Watson: f (q)_inf = core sum", watson == genfun.watson_core(order)))
-    for rec in genfun._identity_records(order, sj):  # the suite's rows on these S_j
+    for rec in genfun.classical_identity_suite(order, sj):
         checks.append((f"classical: {rec['name']}", rec["equal"]))
     checks.append(("OE coefficients nonnegative", all(c >= 0 for c in oe.coeffs)))
     checks.append(("OEbar coefficients nonnegative", all(c >= 0 for c in hyp.coeffs)))
@@ -398,7 +400,7 @@ def build_parser():
     ci.set_defaults(func=cmd_circle)
 
     for command in (c, r, g, v, ci):  # each has a row of CEILINGS
-        command.add_argument("--force", action="store_true", help="lift the command's size ceiling")
+        command.add_argument("--force", action="store_true", help="lift the command's ceilings and --prec's")
     return p
 
 
@@ -406,6 +408,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     if args.prec < MIN_PREC:
         raise SystemExit(f"--prec must be >= {MIN_PREC}, got {args.prec}")
+    _refuse_above("--prec", args.prec, args.force)
     if getattr(args, "output", None):
         _check_output(args.output)
     return args.func(args)

@@ -33,8 +33,6 @@ hypergeometric route, so circle checks its Cauchy recovery against it.
 Every builder is a pure function that keeps no series between calls.
 """
 
-from __future__ import annotations
-
 from itertools import count, repeat
 from operator import add, sub
 
@@ -207,23 +205,19 @@ def _sum_simple(order, numerator_exp, denom_step):
     )
 
 
-def classical_identity_suite(order):
+def classical_identity_suite(order, sj=None):
     """Check the six Andrews-style hypergeometric sums against their closed forms.
 
     Returns a list of dicts: {name, lhs, rhs, equal}.  The first five have
     infinite-product right-hand sides; the sixth is the odd-even generating
     function itself, which has no product form.  It is compared against
     S_0+S_1+S_2+S_3, its four sj_series class sums mod 4, which nest the
-    same summands in another order.  Product indices run over all
-    admissible exponents (e.g. the Rogers-Ramanujan product is over parts
-    = 1, 4 mod 5 starting at 1).
+    same summands in another order; a caller that holds them to this order
+    passes them as sj, and they are not built again.  Product indices run
+    over all admissible exponents (e.g. the Rogers-Ramanujan product is
+    over parts = 1, 4 mod 5 starting at 1).
     """
-    return _identity_records(order, [sj_series(j, order) for j in range(4)])
-
-
-def _identity_records(order, sj):
-    """classical_identity_suite's records, with S_0 .. S_3 to the order given
-    as sj, so that a caller that holds them builds them once."""
+    sj = sj or [sj_series(j, order) for j in range(4)]
     checks = [
         (
             "euler-partitions",

@@ -1,9 +1,10 @@
 """Exact truncated formal power series in q over arbitrary-precision integers.
 
 A PowerSeries of order N stores coefficients c_0..c_N and represents the
-series exactly modulo q^(N+1).  All ring operations are exact; binary
-operations truncate to the smaller operand order.  This module is the
-backbone of every identity check in the package: two series agree iff
+series exactly modulo q^(N+1).  It has the operations the builders and
+the checks use, all exact: + and * between two series, which truncate to
+the smaller operand order, ==, zero, one and coefficient.  This module is
+the backbone of every identity check in the package: two series agree iff
 their coefficient tuples agree.
 
 The module is integer arithmetic only and imports no mpmath, so the exact
@@ -13,8 +14,6 @@ values to (no command calls it).  series.evaluate_at is that function,
 read through the module __getattr__, which imports specfun on the first
 read.
 """
-
-from __future__ import annotations
 
 import sys
 from itertools import accumulate, count, islice, repeat
@@ -44,7 +43,10 @@ def _check_order(order):
 
 
 class PowerSeries:
-    """Truncated power series sum_{k=0}^{order} coeffs[k] q^k (exact mod q^(order+1))."""
+    """Truncated power series sum_{k=0}^{order} coeffs[k] q^k (exact mod q^(order+1)).
+
+    Two series add and multiply (to the smaller order) and compare; an int
+    does not multiply a series, and a series is not hashable."""
 
     __slots__ = ("coeffs",)
 
@@ -74,21 +76,10 @@ class PowerSeries:
     def __eq__(self, other):
         return isinstance(other, PowerSeries) and self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash(self.coeffs)
-
     def __add__(self, other):
         return PowerSeries(map(add, self.coeffs, other.coeffs))
 
-    def __sub__(self, other):
-        return PowerSeries(map(sub, self.coeffs, other.coeffs))
-
-    def __neg__(self):
-        return PowerSeries(map(neg, self.coeffs))
-
     def __mul__(self, other):
-        if isinstance(other, int):
-            return PowerSeries([other * c for c in self.coeffs])
         # Cauchy product with the sparser operand in the outer loop:
         # O(nnz * N), which is O(N^1.5) against a pentagonal series.
         n = min(self.order, other.order)
@@ -104,8 +95,6 @@ class PowerSeries:
             elif ai:
                 out[i:] = map(add, out[i:], map(mul, repeat(ai), b))
         return PowerSeries(out)
-
-    __rmul__ = __mul__
 
     def __repr__(self):
         head = ", ".join(str(c) for c in self.coeffs[:8])

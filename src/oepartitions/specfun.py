@@ -42,8 +42,6 @@ which circle sums at the point from Andrews' series.  The tests' other
 references, such as (q;q)_inf by modular reduction, live in tests/oracles.py.
 """
 
-from __future__ import annotations
-
 import functools
 import logging
 import math

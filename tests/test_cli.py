@@ -353,6 +353,8 @@ CEILING_REQUESTS = [
      ["compute", "--kind", "oebar", "--n-max", "30", "--method", "watson-product"], 30),
     ("verify", ["verify", "--suite", "identities", "--order", "30"], 30),
     ("circle", ["--prec", "64", "circle", "--n", "12", "--grid", "10"], 12),
+    ("circle --grid", ["--prec", "64", "circle", "--n", "12", "--grid", "10"], 10),
+    ("--prec", ["--prec", "64", "ratio", "--kind", "oe", "--n", "10"], 64),
 ]
 
 
@@ -385,6 +387,29 @@ class TestCeilings:
 
 def test_each_ceiling_row_has_a_request():
     assert {row for row, _, _ in CEILING_REQUESTS} == set(cli.CEILINGS)
+
+
+# one above the rows of cli.CEILINGS that bound the precision and the grid,
+# written out: without the rows, these requests would run
+PREC_ABOVE = ["--prec", "1025", "ratio", "--kind", "oe", "--n", "100"]
+GRID_ABOVE = ["--prec", "96", "circle", "--n", "15", "--grid", "10001"]
+
+
+@pytest.mark.parametrize("row,argv,size", [("--prec", PREC_ABOVE, 1025),
+                                           ("circle --grid", GRID_ABOVE, 10001)])
+def test_one_above_the_precision_and_grid_rows_is_refused(capsys, row, argv, size):
+    assert cli.CEILINGS[row] == size - 1
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == f"{row}: size {size} above the ceiling {size - 1}; pass --force"
+    assert capsys.readouterr().out == ""
+
+
+def test_force_lifts_the_precision_row(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(PREC_ABOVE)
+    code, out, _ = run_cli(capsys, *PREC_ABOVE, "--force")
+    assert code == 0 and out.startswith("n,exact,asymptotic,ratio\n100,8736,")
 
 
 def test_gf_eval_order_past_float_range_is_refused(capsys):
@@ -469,6 +494,8 @@ class TestImportFootprint:
         ["ratio", "--kind", "oe", "--n", "100000"],
         ["circle", "--n", "100000"],
         ["verify", "--order", "100000"],
+        PREC_ABOVE,
+        GRID_ABOVE,
     ])
     def test_enumeration_and_refusals_load_no_mpmath(self, argv):
         loaded = loaded_modules(argv)

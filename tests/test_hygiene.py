@@ -22,6 +22,8 @@
 - Every record in the package is a namedtuple, and guarded reads prec from
   its function's code: no module under it imports dataclasses or inspect,
   which a fresh interpreter pays about 8 ms to load.
+- No module of the package imports from __future__: it holds no
+  annotation for such an import to defer.
 - Every functools cache in the package is bounded: no lru_cache with
   maxsize=None and no functools.cache, which is the same thing.
 - Working precision is set in one module, specfun: by guarded, by
@@ -53,7 +55,6 @@ ENTRY_POINTS = {
     "oebar_eval": "the benchmark",
     "minor_arc_integral": "the benchmark",
     "phi_class_sum": "the benchmark",
-    "classical_identity_suite": "the benchmark",
     "qpochhammer": "the tests' dense reference",
     "neg_pochhammer": "the tests' dense reference",
     "root_R": "the paper's Tauberian derivation",
@@ -480,6 +481,13 @@ def test_no_dataclasses_or_inspect(path):
     lines = sorted(line for name, line in modules.items() if name in UNWANTED_MODULES)
     assert not lines, (f"{path.name}: imports dataclasses or inspect at lines {lines}; "
                        "make a record a namedtuple subclass")
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_future_imports(path):
+    line = _imported_modules(_tree(path)).get("__future__")
+    assert line is None, (f"{path.name}: imports from __future__ at line {line}; "
+                          "the package holds no annotation for it to defer")
 
 
 def test_the_scan_sees_imports_at_any_depth():
