@@ -60,8 +60,8 @@ from mpmath.libmp import (fone, from_float, from_man_exp, from_rational, ftwo, m
 
 from . import genfun
 from .asympt import oebar_asymptotic
-from .specfun import (GUARD_BITS, TERM_BUDGET, DomainError, QuadratureError, bessel_i, guarded,
-                      horner_bits, horner_fixed, pay_for_loss)
+from .specfun import (GUARD_BITS, TERM_BUDGET, DomainError, QuadratureError, bessel_i, first_below,
+                      guarded, horner_bits, horner_fixed, pay_for_loss)
 
 # a quadrature panel starts at 2^4 + 1 Clenshaw-Curtis nodes and is split
 # rather than raised past 2^9 + 1
@@ -238,29 +238,19 @@ def _mordell_terms(size, prec):
 
     A float estimate: the poles of sinh u / sinh(3u/2) at u = +-2 pi i/3
     give |b_(j+1) / b_j| = 3 (2j+1) / (4 pi^2), up to a relative O(4^-j)
-    and from above.  The loop below adds the log2 of those ratios until the
-    partial sum passes the cut.  The sums fall while the ratios stay below
-    1, so their least is at `last`, the last such ratio (at most
-    TERM_BUDGET); with (2t-1)!! = (2t)!/(2^t t!) it is
-    log2(4/3) + last log2(3 size/(8 pi^2)) + log2((2 last)!/last!), in O(1).
-    The count is 0 at once where no ratio is below 1 or that sum is more
-    than 2^-20 bits above the cut, about 10^4 times the float error of the
-    lgamma form and of the loop's own sum (near 10^-10 bits), so it is the
-    loop's own at every size.
+    and from above.  With (2t-1)!! = (2t)!/(2^t t!) the log2 of |b_t z^t|
+    is then
+      log2(4/3) + t log2(3 size/(8 pi^2)) + log2((2t)!/t!),
+    which falls while the ratios stay below 1, up to `last` (at most
+    TERM_BUDGET).  first_below finds the least t <= last where that closed
+    form is at or below the cut: two lgamma calls where the count is 0, and
+    about 2 log2(last) elsewhere.
     """
-    bits, cut = math.log2(4 / 3), -(prec + GUARD_BITS)
     last = min(math.ceil(2 * math.pi ** 2 / (3 * size) + 0.5) - 1, TERM_BUDGET)
-    if last < 1 or bits + last * math.log2(3 * size / (8 * math.pi ** 2)) + (
-            math.lgamma(2 * last + 1) - math.lgamma(last + 1)) / math.log(2) > cut + 2 ** -20:
-        return 0
-    for terms in range(1, TERM_BUDGET + 1):
-        ratio = 3 * (2 * terms - 1) * size / (4 * math.pi ** 2)
-        if ratio >= 1:
-            return 0
-        bits += math.log2(ratio)
-        if bits < cut:
-            return terms
-    return 0
+    step = math.log2(3 * size / (8 * math.pi ** 2))
+    terms = first_below(lambda t: math.log2(4 / 3) + t * step + (
+        math.lgamma(2 * t + 1) - math.lgamma(t + 1)) / math.log(2), 1, last, -(prec + GUARD_BITS))
+    return terms or 0
 
 
 _MORDELL_H = [2]  # the h_j of _mordell_fixed, continued by it and never rebuilt
@@ -365,9 +355,8 @@ def _transformed(tau, prec):
     arithmetic, the float size |z| = 2 pi |tau|, |tau| held from 2^-1000 up
     (below, the count can only grow, by terms under the cut), gives a
     nonzero _mordell_terms count, so the expansion reaches
-    2^-(prec + GUARD_BITS).  The count is 0 in O(1) where the least
-    partial sum of the log2 term sizes is over 2^-20 bits above the cut,
-    at an infinite size too, and its float loop's elsewhere.  inv has
+    2^-(prec + GUARD_BITS); the count is a bisection on a closed form, in
+    O(1) where it is 0, at an infinite size too.  inv has
     Im inv >= 1 (the whole major arc for n >= 30), so |Q| <= e^-pi.  M and
     w cancel at most GUARD_BITS / 2 bits, read from the squared moduli.
 

@@ -147,6 +147,18 @@ def cmd_compute(args):
     return 0
 
 
+def _shown(value):
+    """An mpf as its float where that is 0 or a normal float, and otherwise,
+    past the float range or below its normal range (2.2e-308, under which a
+    float keeps fewer digits), as its 17-digit mpmath string, so that no
+    table holds inf or a subnormal."""
+    from mpmath import mp
+
+    as_float = float(value)
+    normal = math.isfinite(as_float) and (abs(as_float) >= sys.float_info.min or not value)
+    return as_float if normal else mp.nstr(value, 17)
+
+
 def _ratio_rows(kind, ns, prec):
     from mpmath import mpf
 
@@ -156,7 +168,7 @@ def _ratio_rows(kind, ns, prec):
     rows = []
     for n in ns:
         exact, approx = series.coefficient(n), law(n, prec)
-        rows.append((n, exact, float(approx), float(mpf(exact) / approx)))
+        rows.append((n, exact, _shown(approx), _shown(mpf(exact) / approx)))
     return rows
 
 
@@ -178,17 +190,13 @@ def _gf_rows(eps_grid, prec):
     O_e and O_o are circle.oe_parts_eval's at tau = i eps / (2 pi), from one
     pass of the fixed-point loop that sums Obar, and O is their sum.  A
     point past that loop's term budget ends the command in one line.  A
-    value past the float range, O(q) below about eps = 6.9e-4, is printed
-    from its mpf, to 17 digits in exponent form, so that neither format
-    holds inf.
+    value outside the normal float range is printed by _shown from its mpf,
+    to 17 digits in exponent form: above it, O(q) below about eps = 6.9e-4,
+    and below it, O_o and its ratio past about eps = 708.4.
     """
     from mpmath import mp, mpc
 
     from . import asympt, circle
-
-    def shown(value):
-        as_float = float(value)
-        return as_float if math.isfinite(as_float) else mp.nstr(value, 17)
 
     rows = []
     for eps in eps_grid:
@@ -198,7 +206,7 @@ def _gf_rows(eps_grid, prec):
             raise SystemExit(f"gf-eval at eps {float(eps)}: {exc}") from None
         for name, value in (("full", even + odd), ("even", even), ("odd", odd)):
             value, lead = value.real, asympt.gf_asymptotic(eps, name, prec)
-            rows.append((float(eps), name, shown(value), shown(lead), float(value / lead)))
+            rows.append((float(eps), name, _shown(value), _shown(lead), _shown(value / lead)))
     return rows
 
 

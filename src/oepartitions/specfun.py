@@ -13,7 +13,10 @@ numbers is a tuple, and every record of the package is a namedtuple
 (EvalResult here, circle's and asympt's), so guarded rounds them all by one
 rule and this module imports neither dataclasses nor inspect.  horner_fixed
 is the package's one Horner loop: real coefficients, by Goertzel's
-recurrence at a complex point and Horner's rule at a real one.  The
+recurrence at a complex point and Horner's rule at a real one.  first_below
+is the package's one bisection, which decides how many terms of a series reach
+a cut from a closed form of their bound: the Mordell expansion's in circle and
+the Bessel series' of wright_p here.  The
 textbook functions are mpmath's, behind this package's domain checks and
 conventions:
 
@@ -301,16 +304,30 @@ def bessel_i(order, x, prec=256):
     return mp.besseli(order, x)
 
 
+def first_below(bound, lo, hi, cut):
+    """The least index k in [lo, hi] with bound(k) <= cut, for a bound that
+    falls on [lo, hi]; None where the range is empty or bound(hi) > cut.
+
+    By bisection: one call of bound where the answer is None, and about
+    log2(hi - lo) + 1 calls otherwise.
+    """
+    if lo > hi or bound(hi) > cut:
+        return None
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if bound(mid) <= cut else (mid + 1, hi)
+    return lo
+
+
 def _tail_index(log_x, shift, bits):
     """The least K >= 2x - 1 with 4 x^(K+1) e^-shift / (K+1)! <= 2^-bits, in
-    float logarithms from log_x = log x, or the first K above TERM_BUDGET."""
-    k = max(0, math.ceil(2 * math.exp(log_x)) - 1)
-    cut = -bits * math.log(2)
-    bound = math.log(4) + (k + 1) * log_x - math.lgamma(k + 2) - shift
-    while bound > cut and k <= TERM_BUDGET:
-        k += 1
-        bound += log_x - math.log(k + 1)
-    return k
+    float logarithms from log_x = log x, or TERM_BUDGET + 1 where no K up to
+    TERM_BUDGET is.  Past 2x - 1 the log of that bound falls by
+    log((K+2)/x) per step, so first_below finds K from its closed form in
+    about log2 TERM_BUDGET lgamma calls."""
+    k = first_below(lambda k: math.log(4) + (k + 1) * log_x - math.lgamma(k + 2) - shift,
+                    max(0, math.ceil(2 * math.exp(log_x)) - 1), TERM_BUDGET, -bits * math.log(2))
+    return TERM_BUDGET + 1 if k is None else k
 
 
 def _wright_sum(s, u, big_m, prec):

@@ -6,15 +6,19 @@
                      circle.exponent_saving changes sign
   chains(n, 1, flags)  enumeration's chains of n by the unpruned recursion,
                      which tries every part up to the remainder
+  tail_index(log x, shift, bits)  specfun._tail_index's count by a float
+                     loop over K, one step per term
 
 euler_eval and m_threshold are wrapped in specfun.guarded, as the package's
 public entry points are; invert divides with series' own sparse kernel.
 """
 
+import math
+
 from mpmath import mp, mpc
 
 from oepartitions.series import PowerSeries, SeriesError, _div_sparse
-from oepartitions.specfun import DomainError, guarded
+from oepartitions.specfun import TERM_BUDGET, DomainError, guarded
 
 
 @guarded
@@ -83,3 +87,15 @@ def chains(remaining, start, flags):
         for flag in flags:
             for parts, marks in chains(remaining - p, p + 1 + flag, flags):
                 yield parts + (p,), marks + (flag,)
+
+
+def tail_index(log_x, shift, bits):
+    """The least K >= 2x - 1 with 4 x^(K+1) e^-shift / (K+1)! <= 2^-bits, in
+    float logarithms from log_x = log x, or the first K above TERM_BUDGET."""
+    k = max(0, math.ceil(2 * math.exp(log_x)) - 1)
+    cut = -bits * math.log(2)
+    bound = math.log(4) + (k + 1) * log_x - math.lgamma(k + 2) - shift
+    while bound > cut and k <= TERM_BUDGET:
+        k += 1
+        bound += log_x - math.log(k + 1)
+    return k

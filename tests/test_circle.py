@@ -783,43 +783,49 @@ class TestWatsonTransformation:
 
     @pytest.mark.parametrize("prec", [64, 96, 128, 256, 512, 1024])
     def test_mordell_count_refuses_at_its_threshold(self, prec, monkeypatch):
-        # the count is the loop's at every size: on a dense grid, two float
-        # steps either side of the threshold where the loop's count turns 0
-        # for good (found here by bisection on the loop), below the size
-        # where TERM_BUDGET ratios are all below 1, and at the ends
-        lo, hi = 2 * math.pi * 2.0 ** -30, 2048 * math.pi
-        assert reference_mordell_terms(lo, prec) and not reference_mordell_terms(hi, prec)
-        while lo < (mid := (lo + hi) / 2) < hi:
-            lo, hi = (mid, hi) if reference_mordell_terms(mid, prec) else (lo, mid)
-        count = reference_mordell_terms(lo, prec)
-        near = [math.nextafter(lo, 0), lo, hi, math.nextafter(hi, math.inf)]
+        # the count, a bisection on the closed form of the log2 term sizes,
+        # is the old float loop's (reference_mordell_terms) on a dense grid,
+        # below the size where TERM_BUDGET ratios are all below 1, and at the
+        # ends.  Where the count turns 0 for good (each route's threshold
+        # found by bisection on it), the two differ by float error: the
+        # thresholds are within 1e-13 of each other, and next to them the
+        # counts are equal or one of them is 0, where the direct route
+        # serves.  Which of the two turns 0 first is rounding: the closed
+        # form turns 0 1.3e-15 (relative) after the loop at prec 96 and 256,
+        # and before it at the other four
+        def threshold(count):
+            lo, hi = 2 * math.pi * 2.0 ** -30, 2048 * math.pi
+            assert count(lo, prec) and not count(hi, prec)
+            while lo < (mid := (lo + hi) / 2) < hi:
+                lo, hi = (mid, hi) if count(mid, prec) else (lo, mid)
+            return lo, hi
+
+        loop, closed = threshold(reference_mordell_terms), threshold(circle._mordell_terms)
+        assert abs(closed[1] / loop[1] - 1) < 1e-13
+        near = [point for size in loop + closed
+                for point in (math.nextafter(size, 0), size, math.nextafter(size, math.inf))]
+        for size in near:
+            counts = circle._mordell_terms(size, prec), reference_mordell_terms(size, prec)
+            assert counts[0] == counts[1] or 0 in counts, size
         edge = 2 * math.pi ** 2 / (3 * circle.TERM_BUDGET)
         small = [edge, math.nextafter(edge, 0), edge / 2, edge / 1e3, 1e-300]
         grid = [2 * math.pi * 2.0 ** (k / 64) for k in range(-64 * 24, 64 * 11)]
-        for size in near + small + grid + [math.inf]:
+        for size in small + grid + [math.inf]:
             assert circle._mordell_terms(size, prec) == reference_mordell_terms(size, prec), size
-        # O(1) where the count is 0: the least partial sum of the term sizes
-        # rises at least `count` bits per doubling of the size, so a factor
-        # 2^(2^-19/count) past the threshold, a few parts in 10^8, it is
-        # over 2^-20 bits above the cut, and no loop step runs (at most the
-        # two log2 of the check).  At the threshold itself the sum is within
-        # float error of the cut, where only the loop can decide; just below
-        # it the loop runs
+        # O(1) where the count is 0 (one closed form, two lgamma calls, or
+        # none where no ratio is below 1), and O(log last) elsewhere
         calls = []
 
-        def log2(x):
+        def lgamma(x):
             calls.append(x)
-            return math.log2(x)
+            return math.lgamma(x)
 
-        monkeypatch.setattr(circle, "math", SimpleNamespace(**{**vars(math), "log2": log2}))
-        clear = hi * 2 ** (2 ** -19 / count)
-        assert clear < hi * (1 + 1e-7)
-        above = [clear * 2 ** (2.0 ** -k) for k in range(40, 0, -1)]
-        for size in [clear] + above + [s for s in grid if s > clear] + [1e300, math.inf]:
+        monkeypatch.setattr(circle, "math", SimpleNamespace(**{**vars(math), "lgamma": lgamma}))
+        for size in near + small + grid + [1e300, math.inf]:
             calls.clear()
-            assert circle._mordell_terms(size, prec) == 0 and len(calls) <= 2, size
-        calls.clear()
-        assert circle._mordell_terms(lo, prec) == count and len(calls) > count
+            terms = circle._mordell_terms(size, prec)
+            last = min(math.ceil(2 * math.pi ** 2 / (3 * size) + 0.5) - 1, circle.TERM_BUDGET)
+            assert len(calls) <= (2 * math.ceil(math.log2(last)) + 4 if terms else 4), size
 
     def test_route_chosen_before_the_transformation(self, monkeypatch):
         # _transformed reads the float term count of the Mordell expansion

@@ -131,6 +131,36 @@ class TestRatio:
         with pytest.raises(SystemExit):
             cli.main(["ratio", "--kind", "oe", "--n", "100000"])
 
+    def test_an_asymptotic_past_the_float_range_is_strict_json(self, capsys, monkeypatch):
+        # as ratio --kind oebar --n 160000 --force prints, without its 4 s
+        # series: an asymptotic of 1e400 prints from its mpf, not as
+        # Infinity, and the ratio reads back from its string
+        from oepartitions import asympt
+
+        monkeypatch.setattr(asympt, "oebar_asymptotic", lambda n, prec: mpf("1e400"))
+        code, out, _ = run_cli(capsys, "ratio", "--kind", "oebar", "--n", "100", "--format", "json")
+        assert code == 0
+
+        def refuse(constant):
+            raise AssertionError(f"{constant} is not JSON")
+
+        (row,) = json.loads(out, parse_constant=refuse)
+        assert mpf(row["asymptotic"]) == mpf("1e400")
+        assert abs(mpf(row["ratio"]) * mpf("1e400") / row["exact"] - 1) < 1e-15
+
+
+@pytest.mark.parametrize("text", ["1e400", "-1e400", "2.8e-324", "1e-320", "1e-300", "0.5", "0"])
+def test_shown_keeps_a_float_only_where_it_is_normal(text):
+    # a subnormal keeps fewer than 17 digits (2.8e-324 rounds to 4.9e-324)
+    # and 1e400 overflows: both print from the mpf, which reads back exactly
+    # to 17 digits; a normal float, and 0, print as the float
+    value = mpf(text)
+    shown = cli._shown(value)
+    if text in ("1e-300", "0.5", "0"):
+        assert shown == float(text) and isinstance(shown, float)
+    else:
+        assert isinstance(shown, str) and abs(mpf(shown) / value - 1) < 1e-16
+
 
 class TestGFEval:
     def test_ratios_near_one(self, capsys):
@@ -235,6 +265,22 @@ class TestGFEval:
         for row, value, lead in rows:
             assert isinstance(row["series_value"], str) and value > mpf("1e714")
             assert abs(value / lead / row["ratio"] - 1) < 1e-15
+
+    def test_the_odd_row_below_the_normal_range_prints_from_the_mpf(self, capsys):
+        # past eps = 708.4 O_o is a subnormal float, with fewer digits (at
+        # 745 both it and its ratio would print 5e-324): the row is the mpf's
+        code, out, _ = run_cli(capsys, "gf-eval", "--eps", "745", "--format", "json")
+        assert code == 0
+        (odd,) = [row for row in json.loads(out) if row["branch"] == "odd"]
+        from mpmath import mp, mpc
+
+        from oepartitions import circle
+
+        with workprec(320):
+            tau = mpc(0, mpf(745) / (2 * mp.pi))
+        want = circle.oe_parts_eval(tau, 256)[1].real
+        assert abs(mpf(odd["series_value"]) / want - 1) < 1e-15
+        assert abs(mpf(odd["series_value"]) - mpf("2.8223507e-324")) < mpf("1e-331")
 
     def test_forced_eps_past_the_term_budget_is_one_line(self, capsys, time_limit):
         # 1 - e^-eps < 1/TERM_BUDGET: the loop refuses before it forms q

@@ -1,5 +1,7 @@
 import functools
 import logging
+import math
+import random
 import re
 from collections import namedtuple
 
@@ -10,6 +12,7 @@ from oepartitions import specfun
 from oepartitions.circle import oebar_eval
 from oepartitions.specfun import (
     GUARD_BITS,
+    TERM_BUDGET,
     DomainError,
     dilog,
     guarded,
@@ -18,7 +21,7 @@ from oepartitions.specfun import (
     wright_p,
 )
 
-from oracles import euler_eval
+from oracles import euler_eval, tail_index
 
 
 def tol(prec, slack=8):
@@ -220,7 +223,61 @@ def test_integral_mpf_order_is_accepted():
     assert wright_p(mpf(1), mpf(8), mpf(3), 128) == wright_p(1, mpf(8), mpf(3), 128)
 
 
+def _scan_below(bound, lo, hi, cut):
+    """first_below by a linear scan over [lo, hi]."""
+    return next((k for k in range(lo, hi + 1) if bound(k) <= cut), None)
+
+
+class TestFirstBelow:
+    def test_matches_a_linear_scan_on_falling_sequences(self):
+        rng = random.Random(45)
+        for _ in range(500):
+            lo = rng.randrange(-5, 20)
+            size = rng.randrange(1, 60)
+            values = sorted((rng.randrange(-50, 50) for _ in range(size)), reverse=True)
+            bound = lambda k: values[k - lo]
+            for cut in {values[0] + 1, values[-1] - 1, *values, rng.randrange(-60, 60)}:
+                for hi in (lo, lo + size - 1, lo + rng.randrange(size)):
+                    want = _scan_below(bound, lo, hi, cut)
+                    assert specfun.first_below(bound, lo, hi, cut) == want
+
+    def test_ends_and_edges(self):
+        bound = lambda k: 10 - k  # falls by 1 per index
+        assert specfun.first_below(bound, 3, 2, 100) is None  # an empty range
+        assert specfun.first_below(bound, 0, 9, 0) is None  # bound(9) = 1, above the cut
+        assert specfun.first_below(bound, 0, 9, 10) == 0  # the first index is at the cut
+        assert specfun.first_below(bound, 0, 9, 1) == 9  # only the last one is
+        assert specfun.first_below(bound, 4, 4, 6) == 4  # a single index, at the cut
+        assert specfun.first_below(bound, 4, 4, 5.5) is None  # and above it
+
+    def test_calls_the_bound_about_log2_times(self):
+        calls = []
+        bound = lambda k: calls.append(k) or -k
+        assert specfun.first_below(bound, 0, 4095, -1000) == 1000 and len(calls) <= 13
+        calls.clear()
+        assert specfun.first_below(bound, 0, 4095, -5000) is None and calls == [4095]
+
+
 class TestWrightContour:
+    def test_tail_index_is_the_loops(self):
+        # _tail_index against its old float loop, the one step per term it
+        # replaces, for both sums of _wright_sum; u M up to 1.6e7 takes
+        # counts past TERM_BUDGET, where both read above it, and _wright_sum
+        # raises
+        past = 0
+        for k in range(61):
+            u = 1e-3 * 1.6e6 ** (k / 60)
+            for big_m in (0.5, 3, 6, 1e4):
+                r = math.hypot(1, big_m)
+                shift = u * (r - 1) ** 2 / r
+                for bits in (160, 288, 544):
+                    for log_x in (math.log(u * r), math.log(u / r)):
+                        want = tail_index(log_x, shift, bits)
+                        got = specfun._tail_index(log_x, shift, bits)
+                        assert got == want or min(got, want) > TERM_BUDGET, (u, big_m, bits)
+                        past += want > TERM_BUDGET
+        assert past > 50
+
     @pytest.mark.parametrize("u,ceiling", [(5, "5e-3"), (10, "5e-5"), (20, "3e-9")])
     def test_p0_approaches_bessel(self, u, ceiling):
         # closing the contour turns P_0(u) into the Bessel integral for
