@@ -5,12 +5,23 @@ Contents:
   zagier_log_expansion   four printed terms of the log-summand expansion at (A, B, R, eps, nu)
   phi_nu                 phi(nu) = sqrt(eps/pi) e^(pi^2/(20 eps) - (sqrt5/2)(nu^2-nu+1/6) eps)
   sj_theta_asymptotic    theta-function form of the class sums S_j
+  Growth                 (lam, V) of a generating function: F(e^-eps) ~ lam e^(V/eps)
+  o_growth, obar_growth  the Growth of O and of Obar
   gf_asymptotic          leading term of O, O_e, O_o at q = e^(-eps)
   ingham_transfer        (lambda, alpha, A) of f(e^-eps) ~ lambda eps^alpha e^(A/eps)
                          -> coefficient law c n^-p e^(k sqrt n)
   halve_argument         the n -> n/2 substitution on a coefficient law
-  oe_asymptotic          OE(n) ~ e^(pi sqrt(n/5)) / (2 sqrt5 n^(3/4))
-  oebar_asymptotic       OEbar(n) ~ e^(pi sqrt(n/3)) / (3^(5/4) n^(3/4))
+  oe_asymptotic          leading term of OE(n)
+  oebar_asymptotic       leading term of OEbar(n)
+  oebar_bessel_form      OEbar(n)'s leading term in Bessel form
+
+Each law is read from its generating function's Growth, whose (lam, V) are
+written once, in o_growth and obar_growth: gf_asymptotic is lam e^(V/eps),
+and the coefficient laws are Ingham's transfer of (lam, 0, V), as in the
+paper.  O's even part O_e has half of O's lam; in q^2 its coefficients
+OE(2m) increase, so the transfer runs on O_e(q^(1/2)), whose V is twice
+O's, and halve_argument takes the law back to n.  Obar's coefficients
+increase, and its law is the transfer of its Growth.
 
 ingham_transfer and halve_argument are generic over the scalar type: they
 use only +, *, / and ** with rational exponents, so they can be driven with
@@ -23,7 +34,8 @@ from collections import namedtuple
 
 from mpmath import mp, mpf
 
-from .specfun import GUARD_BITS, TERM_BUDGET, DomainError, dilog, guarded, jacobi_theta
+from .specfun import (GUARD_BITS, TERM_BUDGET, DomainError, bessel_i, dilog, guarded,
+                      jacobi_theta)
 
 
 @guarded
@@ -142,24 +154,36 @@ def sj_theta_asymptotic(frame, eps, prec=256):
     return val.real
 
 
+class Growth(namedtuple("Growth", "lam v")):
+    """A generating function near q = 1: F(e^(-eps)) ~ lam e^(v/eps) as eps -> 0+."""
+
+    __slots__ = ()
+
+
+def o_growth():
+    """O's Growth at the working precision.  V = pi^2/20 is the dilogarithm
+    bracket at R = root_R(1/2) (verify --suite specfun checks it), and lam the
+    Gaussian sum over the four classes; O_e and O_o have half of lam each."""
+    return Growth(lam=mp.sqrt(2 / mp.sqrt(5)), v=mp.pi ** 2 / 20)
+
+
+def obar_growth():
+    """Obar's Growth at the working precision: Obar = (-q;q)_inf f(q), with
+    (-q;q)_inf ~ e^(pi^2/(12 eps)) / sqrt2 and f(1) = sum 4^-n = 4/3."""
+    return Growth(lam=2 * mp.sqrt(2) / 3, v=mp.pi ** 2 / 12)
+
+
 @guarded
 def gf_asymptotic(eps, which="full", prec=256):
-    """Leading term of the generating function at q = e^(-eps).
-
-    which="full":  sqrt(2/sqrt5) e^(pi^2/(20 eps))   (the full series O)
-    which="even"/"odd":  (1/sqrt(2 sqrt5)) e^(pi^2/(20 eps))  (O_e and O_o)
-    """
+    """Leading term lam e^(V/eps) of O (which="full") or of its even or odd
+    part ("even"/"odd", half of O's lam each) at q = e^(-eps)."""
     eps = mpf(eps)
     if eps <= 0:
         raise DomainError("eps must be > 0")
-    growth = mp.e ** (mp.pi ** 2 / (20 * eps))
-    if which == "full":
-        c = mp.sqrt(2 / mp.sqrt(5))
-    elif which in ("even", "odd"):
-        c = 1 / mp.sqrt(2 * mp.sqrt(5))
-    else:
+    if which not in ("full", "even", "odd"):
         raise ValueError("which must be 'full', 'even' or 'odd'")
-    return c * growth
+    lam, v = o_growth()
+    return (lam if which == "full" else lam / 2) * mp.exp(v / eps)
 
 
 class AsymptoticLaw(namedtuple("AsymptoticLaw", "c p k")):
@@ -191,19 +215,34 @@ def halve_argument(law):
     return AsymptoticLaw(c=law.c * two ** law.p, p=law.p, k=law.k / two ** (one / 2))
 
 
-@guarded
-def oe_asymptotic(n, prec=256):
-    """Leading asymptotic value e^(pi sqrt(n/5)) / (2 sqrt5 n^(3/4)) of OE(n)."""
+def _law_at(law, n):
+    """A coefficient law's value c n^(-p) e^(k sqrt n) at n >= 1."""
     if n < 1:
         raise DomainError("n must be >= 1")
-    n = mpf(n)
-    return mp.e ** (mp.pi * mp.sqrt(n / 5)) / (2 * mp.sqrt(5) * n ** mpf("0.75"))
+    return law.c * mp.exp(law.k * mp.sqrt(n)) / mpf(n) ** law.p
+
+
+@guarded
+def oe_asymptotic(n, prec=256):
+    """Leading asymptotic value of OE(n): the transfer of O_e's Growth in q^2,
+    (lam/2, 0, 2V), taken back to n."""
+    lam, v = o_growth()
+    return _law_at(halve_argument(ingham_transfer(lam / 2, 0, 2 * v)), n)
 
 
 @guarded
 def oebar_asymptotic(n, prec=256):
-    """Leading asymptotic value e^(pi sqrt(n/3)) / (3^(5/4) n^(3/4)) of OEbar(n)."""
+    """Leading asymptotic value of OEbar(n): the transfer of Obar's Growth."""
+    lam, v = obar_growth()
+    return _law_at(ingham_transfer(lam, 0, v), n)
+
+
+@guarded
+def oebar_bessel_form(n, prec=256):
+    """OEbar(n)'s leading term in Bessel form, lam sqrt(V/n) I_1(2 sqrt(V n))
+    from Obar's Growth: the major arc's integral to leading order, and
+    oebar_asymptotic's value times 1 + O(n^(-1/2))."""
     if n < 1:
         raise DomainError("n must be >= 1")
-    n = mpf(n)
-    return mp.e ** (mp.pi * mp.sqrt(n / 3)) / (mpf(3) ** mpf("1.25") * n ** mpf("0.75"))
+    lam, v = obar_growth()
+    return lam * mp.sqrt(v / n) * bessel_i(1, 2 * mp.sqrt(v * n), prec + GUARD_BITS)

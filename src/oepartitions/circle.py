@@ -6,8 +6,9 @@ contour splits into a major arc |x| <= M y, where the generating function
 is governed by its dominant pole at q = 1, and the complementary minor
 arc, where it is exponentially smaller.  This module evaluates all the
 pieces numerically: the full coefficient-recovery integral, the major-arc
-integral against the Bessel main term, and the proven minor-arc bound
-together with an empirical maximum.
+integral, and the proven minor-arc bound together with an empirical
+maximum.  circle_report sets the major arc against asympt's leading term of
+OEbar(n), in its exponential and its Bessel form.
 
 Obar(q) takes one of two routes (see _oebar_eval_tau).  Near q = 1,
 Obar = (-q;q)_inf f(q), f Watson's third-order mock theta function, moves
@@ -58,10 +59,9 @@ from mpmath.libmp import (fone, from_float, from_man_exp, from_rational, ftwo, m
                           mpc_sqrt, mpf_cos_sin_pi, mpf_div, mpf_exp, mpf_mul, mpf_mul_int, mpf_neg,
                           mpf_pi, mpf_shift, mpf_sqrt, to_fixed, to_float)
 
-from . import genfun
-from .asympt import oebar_asymptotic
-from .specfun import (GUARD_BITS, TERM_BUDGET, DomainError, QuadratureError, bessel_i, first_below,
-                      guarded, horner_bits, horner_fixed, pay_for_loss)
+from . import asympt, genfun
+from .specfun import (GUARD_BITS, TERM_BUDGET, DomainError, QuadratureError, first_below, guarded,
+                      horner_bits, horner_fixed, pay_for_loss)
 
 # a quadrature panel starts at 2^4 + 1 Clenshaw-Curtis nodes and is split
 # rather than raised past 2^9 + 1
@@ -736,22 +736,6 @@ def minor_arc_integral(geom, prec=96):
 
 
 @guarded
-def main_term(n, prec=256):
-    """Main term of I_1: returns (exponential form, Bessel form).
-
-    exponential: e^(pi sqrt(n/3)) / (3^(5/4) n^(3/4))
-    Bessel:      (pi sqrt2 / (3 sqrt(3n))) I_(-1)(pi sqrt n / sqrt 3)
-    """
-    expo = oebar_asymptotic(n, prec)  # raises for n < 1
-    nn = mpf(n)
-    bess = (
-        mp.pi * mp.sqrt(2) / (3 * mp.sqrt(3 * nn))
-        * bessel_i(-1, mp.pi * mp.sqrt(nn) / mp.sqrt(3), prec + GUARD_BITS)
-    )
-    return expo, bess
-
-
-@guarded
 def minor_arc_bound(geom, prec=256):
     """Proven sup bound on the minor arc and the exponent saving relative to
     the major-arc growth e^(pi/(24 y)).
@@ -813,16 +797,16 @@ def circle_report(n, big_m=6, prec=128, grid=100):
     exact = genfun.oebar_series_product(n).coefficient(n)
     recovered, residual = cauchy_full_integral(n, prec=prec)
     i1 = major_arc_integral(geom, prec=prec)
-    mt_exp, mt_bess = main_term(n, prec=prec)
+    main = asympt.oebar_asymptotic(n, prec)
     bound = minor_arc_bound(geom, prec=prec)
     return {
         "n": n,
         "M": float(big_m),
         "y": float(geom.y),
         "I1": float(i1.real),
-        "main_term": float(mt_exp),
-        "main_term_bessel": float(mt_bess),
-        "ratio": float(i1.real / mt_exp),
+        "main_term": float(main),
+        "main_term_bessel": float(asympt.oebar_bessel_form(n, prec)),
+        "ratio": float(i1.real / main),
         "minor_bound": float(bound.bound_value),
         "exponent_saving": float(bound.exponent_saving),
         "clears_threshold": bound.clears_threshold,

@@ -16,7 +16,7 @@ read.
 """
 
 import sys
-from itertools import accumulate, count, islice, repeat
+from itertools import accumulate, repeat
 from operator import add, mul, neg, sub
 
 
@@ -102,35 +102,6 @@ class PowerSeries:
         return f"PowerSeries([{head}{tail}], order={self.order})"
 
 
-def qpochhammer(start_exp, step, m, order):
-    """(q^start_exp; q^step)_m = prod_{j=1}^m (1 - q^(start_exp+(j-1)step)), mod q^(order+1).
-
-    m may be None for the infinite product, which terminates once factors
-    are congruent to 1 mod q^(order+1).
-    """
-    if start_exp < 1:
-        raise SeriesError("start_exp must be >= 1 (factor exponents must be positive)")
-    if step < 1:
-        raise SeriesError("step must be >= 1")
-    return _product(order, _exponents(start_exp, step, m), _mul_one_minus_qk)
-
-
-def neg_pochhammer(start_exp, m, order):
-    """(-q^start_exp; q)_m = prod_{j=1}^m (1 + q^(start_exp+j-1)), mod q^(order+1).
-
-    start_exp = 0 gives (-1; q)_m, whose leading factor is (1 + 1) = 2.
-    """
-    if start_exp < 0:
-        raise SeriesError("start_exp must be >= 0")
-    return _product(order, _exponents(start_exp, 1, m), _mul_one_plus_qk)
-
-
-def _exponents(start, step, m):
-    """The first m terms of start, start + step, ...; all of them for m = None."""
-    exps = count(start, step)
-    return exps if m is None else islice(exps, max(m, 0))
-
-
 def _product(order, exponents, kernel):
     """Apply kernel(c, e) to the series 1 for each e of an increasing sequence.
 
@@ -148,7 +119,7 @@ def _product(order, exponents, kernel):
 
 # ---------------------------------------------------------------------------
 # In-place coefficient kernels.  These implement multiplication by the sparse
-# binomials (1 +- q^k), division by 1 - q^k and by (1 + q^k)^2 in O(N), and
+# binomial 1 + q^k, division by 1 - q^k and by (1 + q^k)^2 in O(N), and
 # division by a sparse series in O(N * nnz); they are what keeps the
 # generating function builders at O(N^(3/2)) overall.  A multiplication reads
 # only old coefficients, so it is one slice operation.  A division by
@@ -156,10 +127,6 @@ def _product(order, exponents, kernel):
 # k apart, so it runs either along the k residue classes mod k or in blocks
 # of k, whichever are fewer: at most sqrt(len(c)) interpreted steps, with
 # all per-coefficient work in C.
-
-def _mul_one_minus_qk(c, k):
-    c[k:] = map(sub, c[k:], c[: len(c) - k])
-
 
 def _mul_one_plus_qk(c, k):
     # k = 0 doubles every coefficient: (1 + q^0) = 2

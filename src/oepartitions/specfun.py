@@ -295,7 +295,8 @@ def bessel_i(order, x, prec=256):
     """Modified Bessel I_order(x) for integer order and x >= 0, by mpmath's besseli.
 
     Negative orders are reduced by I_(-l) = I_l: mpmath is several times
-    slower at order -1 than at +1, and main_term asks for I_(-1).
+    slower at order -1 than at +1.  Only verify's P0(10) ~ I_-1(20) row
+    asks for I_(-1) now.
     """
     order = abs(_integer(order, "order"))
     x = mpf(x)

@@ -2,23 +2,36 @@
 
   euler_eval(tau)    (q;q)_inf at q = e^(2 pi i tau): modular reduction, then mp.qp
   invert(series)     the inverse of an exact series whose constant term is +-1
+  qpochhammer(s, step, m, order), neg_pochhammer(s, m, order)
+                     the dense products (q^s; q^step)_m and (-q^s; q)_m, one
+                     binomial at a time
   m_threshold()      the M = sqrt((12/(12-pi^2))^2 - 1) = 5.543... at which
                      circle.exponent_saving changes sign
+  oe_law(n), oebar_law(n), oebar_bessel(n)
+                     the paper's leading terms in closed form:
+                     e^(pi sqrt(n/5)) / (2 sqrt5 n^(3/4)) for OE(n), and
+                     e^(pi sqrt(n/3)) / (3^(5/4) n^(3/4)) and
+                     (pi sqrt2 / (3 sqrt(3n))) I_1(pi sqrt(n/3)) for OEbar(n)
+  o_lead(eps)        O's leading term sqrt(2/sqrt5) e^(pi^2/(20 eps)) at q = e^(-eps)
   chains(n, 1, flags)  enumeration's chains of n by the unpruned recursion,
                      which tries every part up to the remainder
   tail_index(log x, shift, bits)  specfun._tail_index's count by a float
                      loop over K, one step per term
 
-euler_eval and m_threshold are wrapped in specfun.guarded, as the package's
-public entry points are; invert divides with series' own sparse kernel.
+euler_eval, m_threshold and the closed forms are wrapped in
+specfun.guarded, as the package's public entry points are; invert divides
+with series' own sparse kernel, and the dense products run on its
+_product and _mul_one_plus_qk.
 """
 
 import math
+from itertools import count, islice
+from operator import sub
 
-from mpmath import mp, mpc
+from mpmath import mp, mpc, mpf
 
-from oepartitions.series import PowerSeries, SeriesError, _div_sparse
-from oepartitions.specfun import TERM_BUDGET, DomainError, guarded
+from oepartitions.series import PowerSeries, SeriesError, _div_sparse, _mul_one_plus_qk, _product
+from oepartitions.specfun import GUARD_BITS, TERM_BUDGET, DomainError, bessel_i, guarded
 
 
 @guarded
@@ -67,11 +80,74 @@ def invert(series):
     return PowerSeries(c)
 
 
+def qpochhammer(start_exp, step, m, order):
+    """(q^start_exp; q^step)_m = prod_{j=1}^m (1 - q^(start_exp+(j-1)step)), mod q^(order+1).
+
+    m may be None for the infinite product, which terminates once factors
+    are congruent to 1 mod q^(order+1).
+    """
+    if start_exp < 1:
+        raise SeriesError("start_exp must be >= 1 (factor exponents must be positive)")
+    if step < 1:
+        raise SeriesError("step must be >= 1")
+    return _product(order, _exponents(start_exp, step, m), _mul_one_minus_qk)
+
+
+def neg_pochhammer(start_exp, m, order):
+    """(-q^start_exp; q)_m = prod_{j=1}^m (1 + q^(start_exp+j-1)), mod q^(order+1).
+
+    start_exp = 0 gives (-1; q)_m, whose leading factor is (1 + 1) = 2.
+    """
+    if start_exp < 0:
+        raise SeriesError("start_exp must be >= 0")
+    return _product(order, _exponents(start_exp, 1, m), _mul_one_plus_qk)
+
+
+def _exponents(start, step, m):
+    """The first m terms of start, start + step, ...; all of them for m = None."""
+    exps = count(start, step)
+    return exps if m is None else islice(exps, max(m, 0))
+
+
+def _mul_one_minus_qk(c, k):
+    c[k:] = map(sub, c[k:], c[: len(c) - k])
+
+
 @guarded
 def m_threshold(prec=256):
     """The critical M = sqrt((12/(12-pi^2))^2 - 1) = 5.543... above which the
     minor-arc bound is genuinely smaller than the major-arc main term."""
     return mp.sqrt((12 / (12 - mp.pi ** 2)) ** 2 - 1)
+
+
+@guarded
+def oe_law(n, prec=256):
+    """e^(pi sqrt(n/5)) / (2 sqrt5 n^(3/4)), the paper's leading term of OE(n)."""
+    n = mpf(n)
+    return mp.e ** (mp.pi * mp.sqrt(n / 5)) / (2 * mp.sqrt(5) * n ** mpf("0.75"))
+
+
+@guarded
+def oebar_law(n, prec=256):
+    """e^(pi sqrt(n/3)) / (3^(5/4) n^(3/4)), the paper's leading term of OEbar(n)."""
+    n = mpf(n)
+    return mp.e ** (mp.pi * mp.sqrt(n / 3)) / (mpf(3) ** mpf("1.25") * n ** mpf("0.75"))
+
+
+@guarded
+def oebar_bessel(n, prec=256):
+    """(pi sqrt2 / (3 sqrt(3n))) I_1(pi sqrt n / sqrt3), OEbar(n)'s leading
+    term in Bessel form."""
+    n = mpf(n)
+    return (mp.pi * mp.sqrt(2) / (3 * mp.sqrt(3 * n))
+            * bessel_i(1, mp.pi * mp.sqrt(n) / mp.sqrt(3), prec + GUARD_BITS))
+
+
+@guarded
+def o_lead(eps, prec=256):
+    """sqrt(2/sqrt5) e^(pi^2/(20 eps)), O's leading term at q = e^(-eps)."""
+    eps = mpf(eps)
+    return mp.sqrt(2 / mp.sqrt(5)) * mp.e ** (mp.pi ** 2 / (20 * eps))
 
 
 def chains(remaining, start, flags):

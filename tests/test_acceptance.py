@@ -196,7 +196,7 @@ def test_criterion_08_circle_method():
         for n in (100, 400, 1600):
             geom = circle.ArcGeometry(n=n, big_m=mpf(6))
             i1 = circle.major_arc_integral(geom, prec=96)
-            expo, _ = circle.main_term(n, prec=96)
+            expo = asympt.oebar_asymptotic(n, prec=96)
             devs.append(abs(i1.real / expo - 1))
         assert devs[0] > devs[1] > devs[2]
         geom = circle.ArcGeometry(n=100, big_m=mpf(6))

@@ -1,3 +1,6 @@
+import math
+import random
+
 import pytest
 from mpmath import mp, mpc, mpf, workprec, log, sqrt, pi, exp, floor
 
@@ -17,9 +20,12 @@ from oepartitions.asympt import (
     halve_argument,
     oe_asymptotic,
     oebar_asymptotic,
+    oebar_bessel_form,
 )
 from oepartitions.genfun import oe_series, oebar_series_product, sj_series
 from oepartitions.specfun import evaluate_at
+
+from oracles import o_lead, oe_law, oebar_bessel, oebar_law
 
 
 def tol(prec, slack=8):
@@ -274,3 +280,22 @@ class TestLeadingAsymptotics:
             oe_asymptotic(0)
         with pytest.raises(DomainError):
             oebar_asymptotic(-2)
+
+    @pytest.mark.parametrize("prec", [64, 256, 1024])
+    def test_laws_from_growth_match_the_closed_forms(self, prec):
+        # every law reads its Growth's (lam, V) through ingham_transfer, or
+        # gf_asymptotic's lam e^(V/eps): each lands within one unit of
+        # 2^-prec of the paper's closed form, on a seeded grid of n and eps
+        rng = random.Random(prec)
+        for _ in range(20):
+            n = int(10 ** rng.uniform(0, 6))
+            eps = mpf(10 ** rng.uniform(-3, math.log10(5)))
+            pairs = [(oe_asymptotic(n, prec), oe_law(n, prec)),
+                     (oebar_asymptotic(n, prec), oebar_law(n, prec)),
+                     (oebar_bessel_form(n, prec), oebar_bessel(n, prec)),
+                     (gf_asymptotic(eps, "full", prec), o_lead(eps, prec))]
+            pairs += [(mp.ldexp(gf_asymptotic(eps, part, prec), 1), o_lead(eps, prec))
+                      for part in ("even", "odd")]
+            with workprec(prec + 16):
+                for got, want in pairs:
+                    assert abs(got - want) <= mpf(2) ** -prec * want, (n, eps, prec)

@@ -12,6 +12,7 @@ from mpmath import mp, mpf, mpc, workprec, sqrt, pi, exp, cos, sin, log, ceil, l
 from mpmath.libmp import to_fixed
 
 from oepartitions import circle, specfun
+from oepartitions.asympt import oebar_asymptotic, oebar_bessel_form
 from oepartitions.specfun import (GUARD_BITS, DomainError, QuadratureError, evaluate_at,
                                   horner_fixed, wright_p)
 from oepartitions.genfun import (f_mock_series, oebar_series_hypergeometric, oebar_series_product,
@@ -24,7 +25,6 @@ from oepartitions.circle import (
     cauchy_full_integral,
     major_arc_integral,
     minor_arc_integral,
-    main_term,
     minor_arc_bound,
     minor_arc_empirical_max,
     circle_report,
@@ -1050,7 +1050,7 @@ class TestArcs:
         for n in (100, 400):
             geom = ArcGeometry(n=n)
             i1 = major_arc_integral(geom, prec=96)
-            expo, _ = main_term(n, prec=96)
+            expo = oebar_asymptotic(n, prec=96)
             devs.append(abs(i1.real / expo - 1))
         assert devs[1] < devs[0]
         assert devs[1] < mpf("0.02")
@@ -1061,14 +1061,14 @@ class TestArcs:
         n = 6400
         with time_limit(20):
             i1 = major_arc_integral(ArcGeometry(n=n), prec=96)
-        expo, _ = main_term(n, prec=96)
+        expo = oebar_asymptotic(n, prec=96)
         assert abs(i1.real / expo - 1) < mpf("0.02")
 
     def test_main_term_forms_converge(self):
         # Bessel and exponential forms agree to O(1/sqrt(n))
         devs = []
         for n in (100, 400, 1600):
-            expo, bess = main_term(n, prec=96)
+            expo, bess = oebar_asymptotic(n, prec=96), oebar_bessel_form(n, prec=96)
             devs.append(abs(bess / expo - 1))
         assert devs[0] > devs[1] > devs[2]
         assert devs[2] < mpf("0.01")
@@ -1228,7 +1228,9 @@ class TestArcs:
 
     def test_main_term_rejects_bad_n(self):
         with pytest.raises(DomainError):
-            main_term(0)
+            oebar_asymptotic(0)
+        with pytest.raises(DomainError):
+            oebar_bessel_form(0)
 
 
 class TestMinorArcBound:

@@ -183,13 +183,6 @@ class TestGFEval:
         want = math.exp(-500)
         assert abs(float(odd["series_value"]) - want) < 1e-12 * want
 
-    def test_largest_eps_prints_the_least_float(self, capsys):
-        # e^-745 is the least subnormal float, and the odd row is that
-        code, out, _ = run_cli(capsys, "gf-eval", "--eps", "745")
-        assert code == 0
-        (odd,) = [r for r in parse_csv(out) if r["branch"] == "odd"]
-        assert float(odd["series_value"]) == math.exp(-745) > 0
-
     def test_sums_the_series_once(self, capsys, summand_calls, monkeypatch):
         # O is summed at its point, both parts in one loop: no coefficient
         # series is built and none is summed
@@ -266,12 +259,15 @@ class TestGFEval:
             assert isinstance(row["series_value"], str) and value > mpf("1e714")
             assert abs(value / lead / row["ratio"] - 1) < 1e-15
 
-    def test_the_odd_row_below_the_normal_range_prints_from_the_mpf(self, capsys):
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_the_odd_row_below_the_normal_range_prints_from_the_mpf(self, capsys, fmt):
         # past eps = 708.4 O_o is a subnormal float, with fewer digits (at
-        # 745 both it and its ratio would print 5e-324): the row is the mpf's
-        code, out, _ = run_cli(capsys, "gf-eval", "--eps", "745", "--format", "json")
+        # 745, near the largest eps accepted, both it and its ratio would print
+        # 5e-324): the row is the mpf's, read back as an mpf in either format
+        code, out, _ = run_cli(capsys, "gf-eval", "--eps", "745", "--format", fmt)
         assert code == 0
-        (odd,) = [row for row in json.loads(out) if row["branch"] == "odd"]
+        rows = parse_csv(out) if fmt == "csv" else json.loads(out)
+        (odd,) = [row for row in rows if row["branch"] == "odd"]
         from mpmath import mp, mpc
 
         from oepartitions import circle

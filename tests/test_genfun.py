@@ -10,8 +10,6 @@ from oepartitions.series import (
     _div_one_minus_qk,
     _div_one_plus_qk_squared,
     _mul_one_plus_qk,
-    neg_pochhammer,
-    qpochhammer,
 )
 from oepartitions import genfun
 from oepartitions.genfun import (
@@ -28,6 +26,8 @@ from oepartitions.genfun import (
     euler_phi_series,
     classical_identity_suite,
 )
+
+from oracles import neg_pochhammer, qpochhammer
 
 
 class TestOESeries:

