@@ -125,11 +125,14 @@ def phi_class_sum(frame, eps, prec=256):
     cutoff = int(mp.ceil(mp.sqrt(2 * bits / (mp.sqrt(5) * eps)) / 4)) + 2
     if 2 * cutoff + 1 > TERM_BUDGET:
         raise ArithmeticError(f"the class sum at eps = {eps} needs over {TERM_BUDGET} terms")
+    # phi(nu) = phi(0) e^(-(sqrt5/2)(nu^2 - nu) eps): the prefactor is taken once
+    rate = mp.sqrt(5) / 2 * eps
     base = mpf(frame.nu0) + frame.j
     total = mpf(0)
     for n in range(-cutoff, cutoff + 1):
-        total += phi_nu(eps, base + 4 * n, prec + GUARD_BITS)
-    return total
+        nu = base + 4 * n
+        total += mp.exp(-rate * (nu * nu - nu))
+    return phi_nu(eps, 0, prec + GUARD_BITS) * total
 
 
 @guarded

@@ -789,8 +789,9 @@ def minor_arc_empirical_max(geom, grid=200, prec=96):
 def circle_report(n, big_m=6, prec=128, grid=100):
     """End-to-end circle-method report for one n, as a plain dict (JSON-ready);
     the recovery and the minor-arc maximum choose their own precision.  The
-    exact coefficient is genfun.oebar_series_product's, which shares no
-    series with the one recovery samples, so a match checks that one too."""
+    exact coefficient is genfun.oebar_series_product's, watson_core divided
+    by theta(-q), which shares no series with the hypergeometric one the
+    recovery samples, so a match checks that one too."""
     geom = ArcGeometry(n=n, big_m=mpf(big_m))
     # first, since it refuses a grid below 2 before it samples anything
     emp = minor_arc_empirical_max(geom, grid=grid)

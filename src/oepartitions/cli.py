@@ -39,12 +39,11 @@ import sys
 from collections import namedtuple
 
 # the largest n (enumeration, circle report) or series order each request
-# builds without --force; "compute" is its default method, series.  gf-eval
-# builds no series: its row bounds 300/eps, the order a coefficient series
-# would need, as a work guard.  "--prec" bounds every command's precision
-# in bits, and "circle --grid" the minor-arc grid
-CEILINGS = {"compute --method enum": 60, "compute": 100000,
-            "compute --method watson-product": 70000, "ratio": 20000, "gf-eval": 60000,
+# builds without --force; "compute" is its two series methods, series and
+# watson-product.  gf-eval builds no series: its row bounds 300/eps, the
+# order a coefficient series would need, as a work guard.  "--prec" bounds
+# every command's precision in bits, and "circle --grid" the minor-arc grid
+CEILINGS = {"compute --method enum": 60, "compute": 100000, "ratio": 20000, "gf-eval": 60000,
             "verify": 10000, "circle": 6400, "circle --grid": 10000, "--prec": 1024}
 # the verify tolerances are 2^-(prec - 56), which pass anything at 56 bits
 MIN_PREC = 64
@@ -129,8 +128,7 @@ def cmd_compute(args):
     n_max, kind = args.n_max, KINDS[args.kind]
     if n_max < 0:
         raise SystemExit("--n-max must be >= 0")
-    _refuse_above("compute" if args.method == "series" else f"compute --method {args.method}",
-                  n_max, args.force)
+    _refuse_above("compute --method enum" if args.method == "enum" else "compute", n_max, args.force)
     if args.method == "watson-product" and args.kind != "oebar":
         raise SystemExit("--method watson-product applies to --kind oebar only")
     if args.method == "enum":

@@ -22,13 +22,15 @@ Series implemented:
   watson_core           2 sum_{n in Z} (-1)^n q^(n(3n+1)/2) / (1+q^n)
   oebar_series_*        Obar(q) = sum_m (-1;q)_m q^(m(m+1)/2) / (q^2;q^2)_m
                                 = (-q;q)_inf * f(q)
-                                = (q^2;q^2)_inf * f(q) / (q;q)_inf
+                                = watson_core / theta(-q)
+  euler_phi_series      (q;q)_inf = sum_{n in Z} (-1)^n q^(n(3n-1)/2)
 
-The product route takes (-q;q)_inf as the eta quotient (q^2;q^2)_inf /
-(q;q)_inf.  Both factors are Euler pentagonal series with O(sqrt(N)) nonzero
-terms, so the route costs one sparse multiply and one sparse division,
-O(N^(3/2)) each, on top of f_mock_series.  It shares no series with the
-hypergeometric route, so circle checks its Cauchy recovery against it.
+The product route takes (-q;q)_inf f(q) through Watson's identity
+f(q) (q;q)_inf = watson_core and Gauss's theta(-q) = sum_{n in Z} (-1)^n
+q^(n^2) = (q;q)_inf / (-q;q)_inf.  The core is a few strided writes per n,
+and theta(-q) has floor(sqrt(N)) + 1 nonzero terms, so the route is one
+sparse division, O(N^(3/2)).  It shares no series with the hypergeometric
+route, so circle checks its Cauchy recovery against it.
 
 Every builder is a pure function that keeps no series between calls.
 """
@@ -164,35 +166,36 @@ def watson_core(order):
     return PowerSeries(total)
 
 
-def _pentagonal(order, s=1):
-    """(q^s;q^s)_inf by Euler's pentagonal theorem: (-1)^k at s k(3k -+ 1)/2."""
+def _bilateral(order, exponent):
+    """sum_{n in Z} (-1)^n q^exponent(n) to the given order, for an exponent
+    with exponent(0) = 0 and 0 < exponent(n) <= exponent(-n), increasing in n >= 1."""
     _check_order(order)
-    c = [0] * (order + 1)
-    c[0] = 1
-    k = 1
-    while s * k * (3 * k - 1) // 2 <= order:
-        for e in (s * k * (3 * k - 1) // 2, s * k * (3 * k + 1) // 2):
+    c = [1] + [0] * order
+    n = 1
+    while exponent(n) <= order:
+        for e in (exponent(n), exponent(-n)):
             if e <= order:
-                c[e] = -1 if k % 2 else 1
-        k += 1
+                c[e] += 1 if n % 2 == 0 else -1
+        n += 1
     return PowerSeries(c)
 
 
 def oebar_series_product(order):
     """OEbar generating function via the mixed-mock factorization (-q;q)_inf f(q).
 
-    (-q;q)_inf is taken as the eta quotient (q^2;q^2)_inf / (q;q)_inf, so
-    this is one sparse multiply and one sparse division by pentagonal
-    series: O(N^(3/2)) on top of f_mock_series.
+    Watson's identity f(q) (q;q)_inf = watson_core and Gauss's
+    theta(-q) = sum_{n in Z} (-1)^n q^(n^2) = (q;q)_inf / (-q;q)_inf make
+    this watson_core / theta(-q): one sparse division by the floor(sqrt(N)) + 1
+    nonzero terms of theta(-q), O(N^(3/2)), on a core of strided writes.
     """
-    c = list((_pentagonal(order, 2) * f_mock_series(order)).coeffs)
-    _div_sparse(c, _pentagonal(order).coeffs)
+    c = list(watson_core(order).coeffs)
+    _div_sparse(c, _bilateral(order, lambda n: n * n).coeffs)
     return PowerSeries(c)
 
 
 def euler_phi_series(order):
     """(q;q)_inf truncated: the pentagonal-number series."""
-    return _pentagonal(order)
+    return _bilateral(order, lambda n: n * (3 * n - 1) // 2)
 
 
 # ---------------------------------------------------------------------------

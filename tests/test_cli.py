@@ -391,8 +391,7 @@ CEILING_REQUESTS = [
     ("compute", ["compute", "--kind", "oebar", "--n-max", "30"], 30),
     ("ratio", ["ratio", "--kind", "oebar", "--n", "10,100"], 100),
     ("gf-eval", ["gf-eval", "--eps", "0.5,5"], 600),
-    ("compute --method watson-product",
-     ["compute", "--kind", "oebar", "--n-max", "30", "--method", "watson-product"], 30),
+    ("compute", ["compute", "--kind", "oebar", "--n-max", "30", "--method", "watson-product"], 30),
     ("verify", ["verify", "--suite", "identities", "--order", "30"], 30),
     ("circle", ["--prec", "64", "circle", "--n", "12", "--grid", "10"], 12),
     ("circle --grid", ["--prec", "64", "circle", "--n", "12", "--grid", "10"], 10),
@@ -531,7 +530,7 @@ class TestImportFootprint:
         ["compute", "--kind", "even", "--n-max", "5"],
         ["ratio", "--kind", "oe", "--n", ","],
         ["compute", "--kind", "oebar", "--n-max", "400000"],
-        ["compute", "--kind", "oebar", "--n-max", "100000", "--method", "watson-product"],
+        ["compute", "--kind", "oebar", "--n-max", "100001", "--method", "watson-product"],
         ["compute", "--kind", "oe", "--n-max", str(10 ** 19), "--force"],
         ["ratio", "--kind", "oe", "--n", "100000"],
         ["circle", "--n", "100000"],

@@ -13,8 +13,8 @@ from oepartitions.series import (
 )
 from oepartitions import genfun
 from oepartitions.genfun import (
+    _bilateral,
     _oe_update,
-    _pentagonal,
     _triangular,
     oe_series,
     sj_series,
@@ -27,7 +27,7 @@ from oepartitions.genfun import (
     classical_identity_suite,
 )
 
-from oracles import neg_pochhammer, qpochhammer
+from oracles import invert, neg_pochhammer, qpochhammer
 
 
 class TestOESeries:
@@ -118,7 +118,17 @@ class TestOEBarSeries:
         assert oebar_series_product(N) == neg_pochhammer(1, None, N) * f_mock_series(N)
 
     def test_eta_quotient_route_at_depth(self):
-        assert oebar_series_product(3000) == oebar_series_hypergeometric(3000)
+        # watson_core / theta(-q), where theta(-q) = eta(tau)^2 / eta(2 tau) is an eta quotient
+        assert oebar_series_product(3043) == oebar_series_hypergeometric(3043)
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_routes_agree_at_the_lowest_orders(self, order):
+        assert oebar_series_product(order) == oebar_series_hypergeometric(order)
+
+    def test_product_route_builds_neither_f_nor_the_hypergeometric_sum(self, monkeypatch):
+        for name in ("f_mock_series", "oebar_series_hypergeometric"):
+            monkeypatch.setattr(genfun, name, lambda order, name=name: pytest.fail(f"{name} built"))
+        assert oebar_series_product(40).coeffs[:10] == (1, 2, 0, 4, 2, 4, 4, 8, 8, 10)
 
     def test_no_overpartition_of_two(self):
         assert oebar_series_hypergeometric(2).coefficient(2) == 0
@@ -158,11 +168,21 @@ class TestClassicalSuite:
             assert s.coefficient(n) == expect.get(n, 0)
 
 
+PENTAGONAL_ORDERS = [0, 1, 2, 7, 26, 301, 2000]
+
+
 class TestPentagonal:
     @pytest.mark.parametrize("s", [1, 2])
-    @pytest.mark.parametrize("order", [0, 1, 2, 7, 26, 301, 2000])
+    @pytest.mark.parametrize("order", PENTAGONAL_ORDERS)
     def test_matches_the_product(self, s, order):
-        assert _pentagonal(order, s) == qpochhammer(s, s, None, order)
+        # Euler: (q^s;q^s)_inf = sum_{n in Z} (-1)^n q^(s n(3n-1)/2)
+        assert _bilateral(order, lambda n: s * n * (3 * n - 1) // 2) == qpochhammer(s, s, None, order)
+
+    @pytest.mark.parametrize("order", PENTAGONAL_ORDERS)
+    def test_theta_is_gauss_product(self, order):
+        # Gauss: theta(-q) = sum_{n in Z} (-1)^n q^(n^2) = (q;q)_inf / (-q;q)_inf
+        quotient = qpochhammer(1, 1, None, order) * invert(neg_pochhammer(1, None, order))
+        assert _bilateral(order, lambda n: n * n) == quotient
 
 
 # named functions, not lambdas, so that each case gets its own test id
