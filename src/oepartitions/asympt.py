@@ -3,7 +3,7 @@
 Contents:
   root_R                 unique root in (0,1) of R + R^A = 1
   zagier_log_expansion   four printed terms of the log-summand expansion at (A, B, R, eps, nu)
-  phi_nu                 phi(nu) = sqrt(eps/pi) e^(pi^2/(20 eps) - (sqrt5/2)(nu^2-nu+1/6) eps)
+  phi_nu                 phi(nu) = sqrt(eps/pi) e^(V/eps - (sqrt5/2)(nu^2-nu+1/6) eps), O's V
   sj_theta_asymptotic    theta-function form of the class sums S_j
   Growth                 (lam, V) of a generating function: F(e^-eps) ~ lam e^(V/eps)
   o_growth, obar_growth  the Growth of O and of Obar
@@ -80,13 +80,17 @@ def zagier_log_expansion(a, b, r, eps, nu, prec=256):
 
 @guarded
 def phi_nu(eps, nu, prec=256):
-    """phi(nu): the exponentiated saddle approximation of a single OE summand."""
+    """phi(nu): the exponentiated saddle approximation of a single OE summand,
+    e^zagier_log_expansion(1/2, 1/4, Q, 2 eps, nu) at O's saddle Q = root_R(1/2),
+    with its eps^-1 bracket read as O's V from o_growth.  The lemma itself is
+    not called: Li2(Q) alone costs about ten times this value, and verify
+    --suite specfun checks the two against each other."""
     eps = mpf(eps)
     nu = mpf(nu)
     if eps <= 0:
         raise DomainError("eps must be > 0")
     return mp.sqrt(eps / mp.pi) * mp.e ** (
-        mp.pi ** 2 / (20 * eps)
+        o_growth().v / eps
         - mp.sqrt(5) / 2 * (nu * nu - nu + mpf(1) / 6) * eps
     )
 
@@ -165,8 +169,9 @@ class Growth(namedtuple("Growth", "lam v")):
 
 def o_growth():
     """O's Growth at the working precision.  V = pi^2/20 is the dilogarithm
-    bracket at R = root_R(1/2) (verify --suite specfun checks it), and lam the
-    Gaussian sum over the four classes; O_e and O_o have half of lam each."""
+    bracket at R = root_R(1/2); phi_nu reads it, and verify --suite specfun
+    checks phi_nu against zagier_log_expansion there.  lam is the Gaussian
+    sum over the four classes; O_e and O_o have half of lam each."""
     return Growth(lam=mp.sqrt(2 / mp.sqrt(5)), v=mp.pi ** 2 / 20)
 
 

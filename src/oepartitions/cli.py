@@ -270,11 +270,15 @@ def _verify_identities(order):
     checks.append(("O_e = S0+S3", even == sj[0] + sj[3]))
     checks.append(("O_o = S1+S2", odd == sj[1] + sj[2]))
     hyp = genfun.oebar_series_hypergeometric(order)
-    checks.append(("OEbar hypergeometric = (-q)_inf f(q)", hyp == genfun.oebar_series_product(order)))
-    watson = genfun.f_mock_series(order) * genfun.euler_phi_series(order)
-    checks.append(("Watson: f (q)_inf = core sum", watson == genfun.watson_core(order)))
-    for rec in genfun.classical_identity_suite(order, sj):
-        checks.append((f"classical: {rec['name']}", rec["equal"]))
+    checks.append(("OEbar hypergeometric = Watson core / theta(-q)",
+                   hyp == genfun.oebar_series_product(order)))
+    f = genfun.f_mock_series(order)
+    checks.append(("Watson: f (q)_inf = core sum",
+                   f * genfun.euler_phi_series(order) == genfun.watson_core(order)))
+    classical = genfun.classical_identity_suite(order, sj)
+    checks += [(f"classical: {rec['name']}", rec["equal"]) for rec in classical]
+    (distinct,) = [rec["rhs"] for rec in classical if rec["name"] == "gauss-distinct-parts"]
+    checks.append(("OEbar hypergeometric = (-q)_inf f(q)", hyp == distinct * f))
     checks.append(("OE coefficients nonnegative", all(c >= 0 for c in oe.coeffs)))
     checks.append(("OEbar coefficients nonnegative", all(c >= 0 for c in hyp.coeffs)))
     return checks
@@ -302,6 +306,9 @@ def _verify_asymptotics(prec):
 
 
 def _verify_specfun(prec):
+    """Q = root_R(1/2) and Li2(Q) against their closed forms, phi_nu against
+    Zagier's lemma at Q (which checks O's V, phi's prefactor sqrt(eps/pi),
+    its curvature sqrt5/2 and its eps/6 term), and Wright's P_0 against I_-1."""
     from mpmath import mp, mpf
 
     from . import asympt, specfun
@@ -310,11 +317,12 @@ def _verify_specfun(prec):
     q_gold = asympt.root_R(0.5, prec)  # the Q of R + R^(1/2) = 1, (3 - sqrt5)/2
     tol = mpf(2) ** (-(prec - 56))
     checks.append(("Q^(1/2) + Q = 1", abs(mp.sqrt(q_gold) + q_gold - 1) < tol))
-    li = specfun.dilog(q_gold, prec)
     target = mp.pi ** 2 / 15 - mp.log((1 + mp.sqrt(5)) / 2) ** 2
-    checks.append(("Li2(Q) special value", abs(li - target) < tol))
-    bracket = (mp.pi ** 2 / 6 - li - (mp.log(q_gold) / 2) ** 2) / 2
-    checks.append(("bracket = pi^2/20", abs(bracket - asympt.o_growth().v) < tol))
+    checks.append(("Li2(Q) special value", abs(specfun.dilog(q_gold, prec) - target) < tol))
+    # O's m-th summand is q^(m(m+1)/2)/(q^2;q^2)_m: A = 1/2, B = 1/4 in q^2 = e^(-2 eps)
+    eps, nu = mpf("0.01"), mpf("1.3")
+    lemma = mp.exp(asympt.zagier_log_expansion(0.5, 0.25, q_gold, 2 * eps, nu, prec))
+    checks.append(("phi = e^(Zagier at Q)", abs(asympt.phi_nu(eps, nu, prec) / lemma - 1) < tol))
     p0 = specfun.wright_p(0, 10, 6, prec)
     i1 = specfun.bessel_i(-1, 20, prec)
     checks.append(("P0(10) ~ I_-1(20)", abs(p0 - i1) / i1 < mpf("0.001")))

@@ -121,6 +121,20 @@ class TestPhiAndTheta:
             b = phi_nu(eps, mpf("0.5") - mpf(d), prec)
             assert abs(a - b) < tol(prec, 16) * (1 + abs(a))
 
+    @pytest.mark.parametrize("prec", [64, 256, 1024])
+    def test_phi_is_zagier_expansion_at_the_saddle(self, prec):
+        # O's summand q^(m(m+1)/2)/(q^2;q^2)_m is the lemma's A = 1/2, B = 1/4
+        # in q^2 = e^(-2 eps), at R = Q; the reference is taken with guard bits
+        rng, wp = random.Random(prec), prec + 32
+        q_gold = root_R(mpf("0.5"), wp)
+        for _ in range(6):
+            with workprec(wp):
+                eps, nu = mpf(10 ** rng.uniform(-3, math.log10(2))), mpf(rng.uniform(-5, 5))
+                want = exp(zagier_log_expansion(mpf("0.5"), mpf("0.25"), q_gold, 2 * eps, nu, wp))
+            got = phi_nu(eps, nu, prec)
+            with workprec(wp):
+                assert abs(got / want - 1) < mpf(2) ** -prec
+
     def test_phi_maximal_at_half(self):
         prec = 128
         eps = mpf("0.03")

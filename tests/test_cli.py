@@ -313,8 +313,25 @@ class TestVerify:
         assert code == 0
         assert "FAIL" not in out
 
+    def test_specfun_suite_sees_v_off_by_2_to_the_minus_40(self, capsys, monkeypatch):
+        # the phi row reads O's V through phi_nu, and at eps = 0.01 a
+        # relative error d in V moves phi by about 49 d, far above 2^-200
+        from oepartitions import asympt
+
+        inner = asympt.o_growth
+
+        def off():
+            lam, v = inner()
+            return asympt.Growth(lam, v * (1 + mpf(2) ** -40))
+
+        monkeypatch.setattr(asympt, "o_growth", off)
+        code, out, _ = run_cli(capsys, "verify", "--suite", "specfun")
+        assert code == 1
+        assert "FAIL  phi = e^(Zagier at Q)" in out and "3/4 checks passed" in out
+
     @pytest.mark.parametrize("suite,summary", [
         ("asymptotics", "5/5 checks passed"), ("circle", "4/4 checks passed"),
+        ("specfun", "4/4 checks passed"),
     ])
     def test_suite_passes(self, capsys, suite, summary):
         code, out, _ = run_cli(capsys, "verify", "--suite", suite)

@@ -9,8 +9,8 @@
   attribute, an imported name or a string equal to it (cli.KINDS names its
   builders so), other than the typename a record passes to namedtuple, but
   for the entry points ENTRY_POINTS lists, each with its reader outside the
-  package.  Code that serves only the tests' oracles lives in the tests
-  (tests/oracles.py).
+  package: the three the benchmark calls and no package code reads.  Code that
+  serves only the tests' oracles lives in the tests (tests/oracles.py).
 - The package has one Horner loop, specfun.horner_fixed: no source file
   under it names mpmath's polyval.
 - The package has one quadrature rule, circle.adaptive_quad: no source
@@ -55,7 +55,6 @@ ENTRY_POINTS = {
     "oebar_eval": "the benchmark",
     "minor_arc_integral": "the benchmark",
     "phi_class_sum": "the benchmark",
-    "zagier_log_expansion": "the paper's Tauberian derivation",
 }
 
 
