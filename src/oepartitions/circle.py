@@ -41,6 +41,13 @@ the samples that may be the largest (minor_arc_empirical_max).  The Cauchy
 recovery sums at max(prec, bit length of OEbar(n) + 16) bits
 (cauchy_full_integral): the coefficient's own bits where they are more.
 
+Each arc is one Clenshaw-Curtis panel (adaptive_quad), raised a level at a
+time until its error estimate meets the arc's target: on the major arc
+2^6 + 1 samples at n = 12 to 26, 2^7 + 1 at n = 100 to 6400 and 2^8 + 1 at
+n = 25600.  On the minor arc the phase e^(-2 pi i n x) turns n/2 times:
+2^10 + 1 samples at n = 400 and 2^13 + 1, the top level, at n = 3200, and
+at n = 6400 the quadrature raises QuadratureError.
+
 Both polynomial sums here, the Mordell expansion and the exact series at
 the samples of the Cauchy recovery, run on specfun.horner_fixed, the
 package's one Horner loop: their coefficients are real, so off the real
@@ -48,7 +55,6 @@ axis it sums them by Goertzel's recurrence, two real products per
 coefficient.
 """
 
-import heapq
 import logging
 import math
 from collections import namedtuple
@@ -63,9 +69,9 @@ from . import asympt, genfun
 from .specfun import (GUARD_BITS, TERM_BUDGET, DomainError, QuadratureError, first_below, guarded,
                       horner_bits, horner_fixed, pay_for_loss)
 
-# a quadrature panel starts at 2^4 + 1 Clenshaw-Curtis nodes and is split
-# rather than raised past 2^9 + 1
-QUAD_FIRST_LEVEL, QUAD_LEVEL_CAP = 4, 9
+# a quadrature panel first estimates its error at 2^4 + 1 Clenshaw-Curtis
+# nodes, and is raised no further than 2^L + 1 <= QUAD_CALL_BUDGET, L = 13
+QUAD_FIRST_LEVEL = 4
 QUAD_CALL_BUDGET = 1 << 14
 _TINY = 2.0 ** -1000  # the least |tau| the Mordell count reads: a clamp, not an underflow
 
@@ -568,7 +574,8 @@ def _clenshaw_curtis(level, prec):
     a few; each mpf is rounded once, to nearest.  The rule is symmetric, so
     half of each list is built and mirrored.  The build is O(N^2) int
     products: at prec 128 on a 2-core x86 VM, levels 3 to 6 took about 1 ms
-    together and level 9, the most a panel reaches, 20-25 ms.
+    together, level 9 20-36 ms, and levels 10 to 13, the most a panel
+    reaches, 0.11, 0.43, 0.92 and 3.3 s.
     """
     period, half, wp = 2 << level, 1 << level - 1, prec + level + 8  # period 2N
     x = [to_fixed(mpf_cos_sin_pi(from_man_exp(j, -level), wp)[0], wp) for j in range(half + 1)]
@@ -582,68 +589,48 @@ def _clenshaw_curtis(level, prec):
 
 
 def adaptive_quad(f, a, b, rel_target, prec):
-    """Globally adaptive composite Clenshaw-Curtis quadrature of f over [a, b].
+    """Clenshaw-Curtis quadrature of f over [a, b] on one panel, raised a
+    level at a time until its error estimate meets the target.
 
-    A panel at level L holds f at its 2^L + 1 Chebyshev points, the nodes
-    x_j = cos(pi j/2^L) mapped onto it, the two ends included: f is sampled
-    at a and b, and every package integrand is analytic on the closed arc.
+    Level L holds f at the 2^L + 1 Chebyshev points, the nodes
+    x_j = cos(pi j/2^L) mapped onto [a, b], the two ends included: f is
+    sampled at a and b, and every package integrand is analytic on the
+    closed arc, where the rule converges geometrically in L (Trefethen, Is
+    Gauss quadrature better than Clenshaw-Curtis?, SIAM Review 50, 2008).
     The rules are nested: the even-indexed samples are level L - 1's, so
-    |Q_L - Q_(L-1)|, the error of the coarser rule, estimates the panel's
-    error at no extra call, and the panel's value is the finer Q_L.  The
-    panel with the largest estimate is refined until the summed estimate is
-    at most rel_target * max(|value|, 1), where value sums the panels.
-    Refining raises a panel's level, which samples only the 2^L new
-    odd-indexed points; it splits the panel in two, each half at level
-    QUAD_FIRST_LEVEL reusing the panel's ends and midpoint, at
-    QUAD_LEVEL_CAP or where f is localized: where the samples on one half,
-    times the panel's width, are below the target, so raising would spend
-    half its new samples where f cannot matter.  No point is sampled twice.
+    raising the level samples only the 2^(L-1) new odd-indexed points, no
+    point is sampled twice, and |Q_L - Q_(L-1)|, the error of the coarser
+    rule, estimates the error at no extra call.  The first estimate is at
+    QUAD_FIRST_LEVEL, after its 2^4 + 1 samples; the first level L whose
+    estimate is at most rel_target * max(|Q_L|, 1) returns (Q_L, estimate).
 
     Nodes and weights are built at `prec` bits, once per level (see
-    _clenshaw_curtis), and a target below 2^-prec is refused.  Returns
-    (value, error estimate); raises QuadratureError rather than spend more
-    than QUAD_CALL_BUDGET calls of f, so it never returns an unconverged
-    value.  Logs its calls, panels, highest level, estimate and target at
-    DEBUG.
+    _clenshaw_curtis), and a target below 2^-prec is refused.  The top
+    level is the largest with 2^L + 1 <= QUAD_CALL_BUDGET calls of f, 13;
+    where it has not met the target it raises QuadratureError before
+    sampling the next, so it never returns an unconverged value.  Logs its
+    calls, level, estimate and target at DEBUG.
     """
     if rel_target < mpf(2) ** -prec:
         raise DomainError(f"rel_target {mp.nstr(rel_target, 3)} is below {prec}-bit precision")
-    calls = 0
-
-    def panel(lo, hi, level, fx):
-        """The heap entry of f on [lo, hi] at level; fx holds None where f is unsampled."""
-        nonlocal calls
-        todo = [j for j, v in enumerate(fx) if v is None]
-        calls += len(todo)
-        if calls > QUAD_CALL_BUDGET:
+    mid, half, level = (a + b) / 2, (b - a) / 2, QUAD_FIRST_LEVEL - 1
+    nodes, weights = _clenshaw_curtis(level, prec)
+    fx = [f(mid + half * x) for x in nodes]  # from b (x_0 = 1) to a
+    value = half * mp.fdot(weights, fx)
+    while True:
+        level += 1
+        if (1 << level) + 1 > QUAD_CALL_BUDGET:
             raise QuadratureError(f"quadrature budget of {QUAD_CALL_BUDGET} calls exhausted before "
                                   f"the error estimate reached {mp.nstr(rel_target, 3)} relative")
-        (nodes, weights), (_, coarse) = (_clenshaw_curtis(lev, prec) for lev in (level, level - 1))
-        mid, half = (lo + hi) / 2, (hi - lo) / 2
-        for j in todo:
-            fx[j] = f(mid + half * nodes[j])
-        fine = half * mp.fdot(weights, fx)
-        return -abs(fine - half * mp.fdot(coarse, fx[::2])), lo, hi, level, fx, fine
-
-    gap = [None] * ((1 << QUAD_FIRST_LEVEL) - 1)  # the inner samples of a new panel
-    heap = [panel(a, b, QUAD_FIRST_LEVEL, [None, *gap, None])]
-    while True:
-        value, err = mp.fsum(p[-1] for p in heap), -mp.fsum(p[0] for p in heap)
-        target = rel_target * max(abs(value), 1)
+        nodes, weights = _clenshaw_curtis(level, prec)
+        fx = [v for old, x in zip(fx, nodes[1::2]) for v in (old, f(mid + half * x))] + fx[-1:]
+        value, coarse = half * mp.fdot(weights, fx), value
+        err, target = abs(value - coarse), rel_target * max(abs(value), 1)
         if err <= target:
             if log.isEnabledFor(logging.DEBUG):
-                log.debug("quad: %d calls, %d panels, highest level %d, estimate %s, target %s",
-                          calls, len(heap), max(p[3] for p in heap), mp.nstr(err), mp.nstr(target))
+                log.debug("quad: %d calls, level %d, estimate %s, target %s", len(fx), level,
+                          mp.nstr(err), mp.nstr(target))
             return value, err
-        _, lo, hi, level, fx, _ = heapq.heappop(heap)
-        # fx runs from hi (x_0 = 1) to lo, and fx[half] is at mid
-        half, mid = len(fx) // 2, (lo + hi) / 2
-        if level < QUAD_LEVEL_CAP and target <= (hi - lo) * min(
-                max(map(abs, fx[:half + 1])), max(map(abs, fx[half:]))):
-            heapq.heappush(heap, panel(lo, hi, level + 1, [v for s in fx for v in (s, None)][:-1]))
-        else:
-            heapq.heappush(heap, panel(mid, hi, QUAD_FIRST_LEVEL, [fx[0], *gap, fx[half]]))
-            heapq.heappush(heap, panel(lo, mid, QUAD_FIRST_LEVEL, [fx[half], *gap, fx[-1]]))
 
 
 def _arc_integrand(n, y, prec, sizes):

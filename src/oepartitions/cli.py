@@ -45,7 +45,8 @@ from collections import namedtuple
 # every command's precision in bits, and "circle --grid" the minor-arc grid
 CEILINGS = {"compute --method enum": 60, "compute": 100000, "ratio": 20000, "gf-eval": 60000,
             "verify": 10000, "circle": 6400, "circle --grid": 10000, "--prec": 1024}
-# the verify tolerances are 2^-(prec - 56), which pass anything at 56 bits
+# the least --prec; the verify suites are measured to pass from it up, the
+# specfun rows within 40 of their 256 units of 2^-prec at 64 to 1024 bits
 MIN_PREC = 64
 
 # the genfun, enumeration and asympt names compute and ratio read for each --kind
@@ -278,7 +279,9 @@ def _verify_identities(order):
     classical = genfun.classical_identity_suite(order, sj)
     checks += [(f"classical: {rec['name']}", rec["equal"]) for rec in classical]
     (distinct,) = [rec["rhs"] for rec in classical if rec["name"] == "gauss-distinct-parts"]
-    checks.append(("OEbar hypergeometric = (-q)_inf f(q)", hyp == distinct * f))
+    theta = genfun._bilateral(order, lambda n: n * n)  # theta(-q), as the product route builds it
+    checks.append(("Gauss: theta(-q) (-q)_inf = (q)_inf",
+                   theta * distinct == genfun.euler_phi_series(order)))
     checks.append(("OE coefficients nonnegative", all(c >= 0 for c in oe.coeffs)))
     checks.append(("OEbar coefficients nonnegative", all(c >= 0 for c in hyp.coeffs)))
     return checks
@@ -315,7 +318,7 @@ def _verify_specfun(prec):
 
     checks = []
     q_gold = asympt.root_R(0.5, prec)  # the Q of R + R^(1/2) = 1, (3 - sqrt5)/2
-    tol = mpf(2) ** (-(prec - 56))
+    tol = mpf(2) ** (8 - prec)  # 256 units of 2^-prec
     checks.append(("Q^(1/2) + Q = 1", abs(mp.sqrt(q_gold) + q_gold - 1) < tol))
     target = mp.pi ** 2 / 15 - mp.log((1 + mp.sqrt(5)) / 2) ** 2
     checks.append(("Li2(Q) special value", abs(specfun.dilog(q_gold, prec) - target) < tol))

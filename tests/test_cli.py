@@ -313,19 +313,32 @@ class TestVerify:
         assert code == 0
         assert "FAIL" not in out
 
-    def test_specfun_suite_sees_v_off_by_2_to_the_minus_40(self, capsys, monkeypatch):
-        # the phi row reads O's V through phi_nu, and at eps = 0.01 a
-        # relative error d in V moves phi by about 49 d, far above 2^-200
+    @staticmethod
+    def specfun_with_v_off(capsys, monkeypatch, rel, *argv):
+        """verify --suite specfun, after argv, with O's V off by rel relative."""
         from oepartitions import asympt
 
         inner = asympt.o_growth
 
         def off():
             lam, v = inner()
-            return asympt.Growth(lam, v * (1 + mpf(2) ** -40))
+            return asympt.Growth(lam, v * (1 + rel))
 
         monkeypatch.setattr(asympt, "o_growth", off)
-        code, out, _ = run_cli(capsys, "verify", "--suite", "specfun")
+        return run_cli(capsys, *argv, "verify", "--suite", "specfun")
+
+    def test_specfun_suite_sees_v_off_by_2_to_the_minus_40(self, capsys, monkeypatch):
+        # the phi row reads O's V through phi_nu, and at eps = 0.01 a
+        # relative error d in V moves phi by about 49 d, far above the
+        # tolerance, 2^-248 at the default 256 bits
+        code, out, _ = self.specfun_with_v_off(capsys, monkeypatch, mpf(2) ** -40)
+        assert code == 1
+        assert "FAIL  phi = e^(Zagier at Q)" in out and "3/4 checks passed" in out
+
+    def test_specfun_suite_sees_v_off_by_2_to_the_minus_20_at_64_bits(self, capsys, monkeypatch):
+        # the tolerance is 256 units of 2^-prec at every prec, 2^-56 at 64
+        # bits, so V off by 2^-20 (phi by about 2^-14) fails there too
+        code, out, _ = self.specfun_with_v_off(capsys, monkeypatch, mpf(2) ** -20, "--prec", "64")
         assert code == 1
         assert "FAIL  phi = e^(Zagier at Q)" in out and "3/4 checks passed" in out
 
