@@ -157,19 +157,19 @@ def _obar_sum(tau, prec, bar=True):
     With r = |q|, |1 - q^(2m)| >= 1 - r^(2m) bounds each ratio
     |t_m / t_(m-1)| by rho(m) = r^m (1 + r^(m-1)) / (1 - r^(2m)), which
     falls with m, and it bounds O's ratios r^m / (1 - r^(2m)) too.  From
-    the first m with rho(m) <= 1/2, that is 2 r^m (1 + r^(m-1)) <= 1 - r^(2m),
-    each later ratio is at most 1/2, so the sum after a term, and each part
-    of it, is below it.  The loop tests this on its own ints until it holds,
-    with r^m the running product of the radius that q is formed from,
-    floored (low by at most m units of 2^-wp, which moves the bound on the
-    rest by as little).  From there it stops at a term below
+    the first m with rho(m) <= 1/2, each later ratio is at most 1/2, so the
+    sum after a term, and each part of it, is below it.  With p = r^(m-1),
+    rho(m) <= 1/2 is r p (2 + 2p + r p) <= 1, that is p <= 1/l with
+    l = r + sqrt(2 r (r + 1)), 3 at r = 1: the first such m, the settle
+    index, is 1 + ceil(log max(1, l) / (2 pi Im tau)), read once, in
+    floats, before the loop, the quotient lifted by 2^-40 so that rounding
+    can only make it later.  From there the loop stops at a term below
     2^-(prec + GUARD_BITS) of the largest, so the ratio bound rules out a
-    rise after a dip; TERM_BUDGET is the loop's one work budget, and past
-    it, it raises.  Where 1 - r < 1/TERM_BUDGET it raises before forming
-    q, in O(1): there r^m >= (1 - 1/TERM_BUDGET)^TERM_BUDGET less m units
-    of 2^-wp, above 0.367, for every m in the budget, so
-    r^m (2 + 2 r^(m-1) + r^m) > 1 throughout and the loop could only run
-    out.
+    rise after a dip.  TERM_BUDGET is the loop's one work budget, and past
+    it, it raises.  Where log l > 2 pi Im tau (TERM_BUDGET - 1), the settle
+    index lies past the budget and the loop could only run out: it raises
+    there before forming q, in O(1).  A float Im tau of 0 raises there, and
+    one of infinity settles at m = 1.
 
     Fixed point on Python ints, each complex number a pair, at
     wp = prec + GUARD_BITS + ceil(log2 TERM_BUDGET) + 4 bits, from q to the
@@ -185,25 +185,24 @@ def _obar_sum(tau, prec, bar=True):
     significant bits where the terms fall far below 1 and rise again.
     """
     what = "Obar(q)" if bar else "O(q)"
-    wp = prec + GUARD_BITS + (TERM_BUDGET - 1).bit_length() + 4
     x, y = tau._mpc_
-    radius, one = _radius(y, wp), 1 << wp
-    if (one - radius) * TERM_BUDGET < one:  # r^m > 0.367 for m <= TERM_BUDGET: never settles
+    decay = 2 * math.pi * to_float(y)  # -log r, 0 or infinity outside the float range
+    r = math.exp(-decay)
+    reach = math.log(max(1, r + math.sqrt(2 * r * (r + 1))))  # log l
+    if reach > decay * (TERM_BUDGET - 1):  # the settle index is past the budget
         raise ArithmeticError(f"{what} at tau = {mp.nstr(tau, 8)} needs over {TERM_BUDGET} terms")
+    settle = 1 + math.ceil(reach * (1 + 2 ** -40) / decay)
+    wp = prec + GUARD_BITS + (TERM_BUDGET - 1).bit_length() + 4
+    radius, one = _radius(y, wp), 1 << wp
     qr, qi = _times((radius, 0), _turn(mpf_shift(x, 1), wp), wp)
     # (sr, si) the sum, (or_, oi) O_o's and (pr, pi_) q^(m-1), scaled by
-    # 2^wp; (tr, ti) the term, scaled by 2^(wp + s); power r^(m-1), scaled
-    # by 2^wp, until settled
-    sr = tr = pr = power = one
+    # 2^wp; (tr, ti) the term, scaled by 2^(wp + s)
+    sr = tr = pr = one
     si = or_ = oi = ti = pi_ = s = 0
-    settled = False
     floor2 = top = one * one  # 2^(2 wp), and the largest |term|^2 at the term's scale
     cut = 2 * (prec + GUARD_BITS)
     for terms in range(1, TERM_BUDGET + 1):
         nr, ni = (pr * qr - pi_ * qi) >> wp, (pr * qi + pi_ * qr) >> wp  # q^m
-        if not settled:  # rho(m) <= 1/2: r^m (2 + 2 r^(m-1) + r^m) <= 1
-            back, power = power, (power * radius) >> wp
-            settled = power * (2 * (one + back) + power) <= floor2
         ar = nr + (bar and (nr * pr - ni * pi_) >> wp)  # q^m (1 + q^(m-1)), or q^m for O
         ai = ni + (bar and (nr * pi_ + ni * pr) >> wp)
         dr, di = one - ((nr * nr - ni * ni) >> wp), -((2 * nr * ni) >> wp)  # 1 - q^(2m)
@@ -219,7 +218,7 @@ def _obar_sum(tau, prec, bar=True):
         size2 = tr * tr + ti * ti
         if size2 > top:
             top = size2
-        elif size2 < top >> cut and settled:
+        elif size2 < top >> cut and terms >= settle:
             break
         if size2 < floor2:  # keep wp significant bits in the term
             k = wp + 1 - (size2.bit_length() >> 1)
@@ -231,9 +230,8 @@ def _obar_sum(tau, prec, bar=True):
     size2 = min(re * re + im * im for re, im in parts) << 2 * s
     if not size2:
         raise ArithmeticError(f"{what} at tau = {mp.nstr(tau, 8)} sums to 0 at {wp} fixed-point bits")
-    lost = max((top.bit_length() - size2.bit_length()) // 2, 0)
-    while size2 << 2 * lost < top:  # to the least lost >= 0 with 4^lost |sum|^2 >= top
-        lost += 1
+    # the least lost >= 0 with 4^lost |sum|^2 >= top
+    lost = (-(-top // size2) - 1).bit_length() + 1 >> 1
     return ((sr, si, wp) if bar else (*parts, wp)), lost, terms
 
 
@@ -718,7 +716,13 @@ def major_arc_integral(geom, prec=128):
 @guarded
 def minor_arc_integral(geom, prec=96):
     """I_2: the minor-arc remainder, the same integral over M y <= |x| <= 1/2,
-    to 1e-6 relative."""
+    to 1e-6 relative.
+
+    Its phase e^(-2 pi i n x) turns n/2 times, so its one panel needs about
+    2.5n samples: at M = 6 and prec 96 it returns up to n = 3200, at the top
+    level, 2^13 + 1 samples, and at n = 6400 it raises QuadratureError,
+    after about 8 s in a fresh process on a 2-core x86 VM.
+    """
     return _arc_integral(geom, geom.major_halfwidth, mpf("0.5"), mpf(10) ** -6, prec)
 
 

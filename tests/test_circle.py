@@ -364,19 +364,22 @@ class TestEvaluation:
         _, _, terms = circle._obar_sum(tau, 96)
         assert terms >= settled
 
-    @pytest.mark.parametrize("prec", [96, 160])
-    @pytest.mark.parametrize("x", [mpf(1) / 4, mpf(1) / 3, mpf("0.499")],
-                             ids=["1/4", "1/3", "0.499"])
-    def test_ratio_bound_sets_the_stop(self, x, prec):
-        # at n = 10^5 rho(m) first reaches 1/2 at m = 384, after the terms
-        # have fallen below the cut (at m = 270, 286 and 242 at prec 96, 323,
-        # 337 and 293 at prec 160): the ratio bound, not the cut, ends these sums
-        tau = circle_point(10 ** 5, x)
+    @pytest.mark.parametrize("x,prec,n,settle", [
+        pytest.param(x, prec, n, settle, id=f"{name}-{prec}" + (f"-n={n}" if n > 10 ** 5 else ""))
+        for n, settle in [(10 ** 5, 384), (10 ** 6, 1212), (10 ** 7, 3831)]
+        for name, x in [("1/4", mpf(1) / 4), ("1/3", mpf(1) / 3), ("0.499", mpf("0.499"))]
+        for prec in [96, 160]])
+    def test_ratio_bound_sets_the_stop(self, x, prec, n, settle):
+        # rho(m) first reaches 1/2 at m = settle, after the terms have fallen
+        # below the cut (at n = 10^5, m = 270, 286 and 242 at prec 96, 323,
+        # 337 and 293 at prec 160): the ratio bound, not the cut, ends these
+        # sums, at the exact settle index that the sum reads off Im tau
+        tau = circle_point(n, x)
         with workprec(128):
             r = mp.e ** (-2 * pi * tau.imag)
-            assert ratio_bound(r, 383) > mpf("0.5") >= ratio_bound(r, 384)
+            assert ratio_bound(r, settle - 1) > mpf("0.5") >= ratio_bound(r, settle)
         _, _, terms = circle._obar_sum(tau, prec)
-        assert terms == 384
+        assert terms == settle
 
     def test_past_the_term_budget_raises(self):
         # rho(m) first reaches 1/2 past m = TERM_BUDGET here: the loop's own
@@ -385,13 +388,15 @@ class TestEvaluation:
         with pytest.raises(ArithmeticError, match=f"needs over {circle.TERM_BUDGET} terms"):
             circle._obar_sum(tau, 96)
 
-    @pytest.mark.parametrize("n,x", [(2 * 10 ** 7, "0.25"), (2 * 10 ** 7, "0.499"), (None, "0.5")])
+    @pytest.mark.parametrize("n,x", [(2 * 10 ** 7, "0.25"), (2 * 10 ** 7, "0.499"), (None, "0.5"),
+                                     (12 * 10 ** 6, "0.25"), (12 * 10 ** 6, "1/3"),
+                                     (12 * 10 ** 6, "0.499")])
     @pytest.mark.parametrize("prec", [96, 256])
     def test_refused_before_q_is_formed(self, n, x, prec, monkeypatch):
-        # 1 - |q| < 1/TERM_BUDGET, so r^m > 0.367 for every m in the budget
-        # and rho(m) never reaches 1/2: the loop could only run out, and is
-        # not run.  No _turn call, so q is not formed (tau = 0.5 + 10^-300 i
-        # when n is None)
+        # rho(m) first reaches 1/2 past TERM_BUDGET: the loop could only run
+        # out, and is not run.  No _turn call, so q is not formed (tau =
+        # 0.5 + 10^-300 i when n is None).  At n = 1.2 10^7, 1 - |q| is above
+        # 1/TERM_BUDGET (1.07 times it), but the settle index is 4197
         tau = circle_point(n, mpf(x)) if n else mpc(mpf(x), mpf("1e-300"))
         calls = []
         inner = circle._turn
@@ -401,8 +406,8 @@ class TestEvaluation:
         assert calls == []
 
     def test_summed_just_inside_the_refusal(self):
-        # at n = 10^7, (1 - |q|) TERM_BUDGET is about 1.17: the sum runs and
-        # settles within the budget, and the value is the mpc loop's
+        # at n = 10^7 the settle index is 3831: the sum runs and settles
+        # within the budget, and the value is the mpc loop's
         tau = circle_point(10 ** 7, mpf(1) / 4)
         _, _, terms = circle._obar_sum(tau, 96)
         assert terms < circle.TERM_BUDGET
@@ -566,6 +571,16 @@ class TestAndrewsO:
         # 1 - |q| < 1/TERM_BUDGET: refused before q is formed
         with time_limit(2), pytest.raises(ArithmeticError, match=r"^O\(q\) at tau = .* needs over"):
             circle.oe_parts_eval(mpc(0, mpf("1e-5") / (2 * pi)), 96)
+
+    def test_the_gf_eval_band_is_refused_before_q_is_formed(self, monkeypatch):
+        # eps = 2.6e-4: 1 - |q| is above 1/TERM_BUDGET, but rho(m) first
+        # reaches 1/2 past the budget, so no _turn call forms q
+        calls = []
+        inner = circle._turn
+        monkeypatch.setattr(circle, "_turn", lambda *args: calls.append(args) or inner(*args))
+        with pytest.raises(ArithmeticError, match=r"^O\(q\) at tau = .* needs over 4096 terms"):
+            circle.oe_parts_eval(mpc(0, mpf("2.6e-4") / (2 * pi)), 96)
+        assert calls == []
 
     @pytest.mark.parametrize("im", ["700", "1e6", "1e400"])
     def test_far_inside_the_disc_the_bits_are_bounded(self, im, time_limit):
