@@ -33,13 +33,18 @@ value, the maximum's square root and the recovery's residual (the
 recovered coefficient is an int).
 
 A sample is taken at the bits its answer needs, not at the caller's
-prec.  An arc samples Obar at ceil(log2(1/rel_target)) + GUARD_BITS / 2
-bits and runs again, with the bits it lacked, where its samples' rounding
-bound passes a quarter of its target (_arc_integral).  The minor-arc
-maximum screens its grid at GUARD_BITS bits and takes again at prec only
-the samples that may be the largest (minor_arc_empirical_max).  The Cauchy
-recovery sums at max(prec, bit length of OEbar(n) + 16) bits
-(cauchy_full_integral): the coefficient's own bits where they are more.
+prec, with one guard: _oebar_eval_tau sums with GUARD_BITS more than it
+is asked for and reports, with each value, the accuracy that delivers,
+at least bits + GUARD_BITS / 2 - 3 and read from its own cut, roundings
+and lost bits.  An arc asks for ceil(log2(1/rel_target)) - 8 bits, 19 on
+the major arc and 12 on the minor one, bounds the samples' rounding from
+their reported accuracy, and runs again, with the bits it lacked, where
+that bound passes a quarter of its target (_arc_integral).  The minor-arc
+maximum screens its grid at 8 bits and takes again at prec only the
+samples that may be the largest by their reported accuracy
+(minor_arc_empirical_max).  The Cauchy recovery sums at
+max(prec, bit length of OEbar(n) + 16) bits (cauchy_full_integral): the
+coefficient's own bits where they are more.
 
 Each arc is one Clenshaw-Curtis panel (adaptive_quad), raised a level at a
 time until its error estimate meets the arc's target: on the major arc
@@ -424,14 +429,29 @@ def _transformed(tau, prec):
 
 
 def _oebar_eval_tau(tau, prec):
-    """Obar(e^(2 pi i tau)) at the caller's precision, unrounded: the
-    guarded entry point above it rounds once, to prec bits.
+    """Obar(e^(2 pi i tau)) at the caller's precision, unrounded, and the
+    accuracy it delivers: ((re, im, scale), acc), the ints Obar 2^scale,
+    where the scale may be negative, within 2^-acc |Obar|.  The guarded
+    entry point above it rounds once, to prec bits; the circle's own
+    samples read acc instead.
 
     _transformed where it serves, which it decides before any complex
     arithmetic; elsewhere _obar_sum, re-summed by pay_for_loss.  Either
-    gives (re, im, scale), the ints Obar 2^scale, where the scale may be
-    negative.  Logs the route, its term count, lost bits and re-sum at
-    DEBUG.
+    route's numbers give acc = p + GUARD_BITS - lost - 3, p the bits it
+    summed at (prec, plus the direct route's re-sum) and lost the bits it
+    measured lost.  On the direct route the loop stops at a term below
+    2^-(p + GUARD_BITS) of the largest, with the rest of the sum below that
+    term, and its TERM_BUDGET roundings stay below as much again: under
+    2^(1 + lost - p - GUARD_BITS) of the sum.  On the transformed route
+    the Mordell cut leaves the next term below 2^-(p + GUARD_BITS), the
+    sums round by under 2^(3 - wp) = 2^-(p + GUARD_BITS + 1), and
+    |M(z)| > 1, so with the M/omega cancellation the error is again under
+    2^(1 + lost - p - GUARD_BITS) of the sum; that cut rests on
+    _mordell_terms' float estimate of the terms, not on a proven bound.
+    acc keeps one bit more for the step from the sum to Obar.  Both
+    routes accept lost <= GUARD_BITS / 2 past the re-sum, so acc is at
+    least prec + GUARD_BITS / 2 - 3.  Logs the route, its term count, lost
+    bits and re-sum at DEBUG.
     """
     found, route, extra = _transformed(tau, prec), "transformed", 0
     if found is None:
@@ -441,7 +461,7 @@ def _oebar_eval_tau(tau, prec):
     if log.isEnabledFor(logging.DEBUG):
         log.debug("Obar(q) at tau = %s: %s, %d terms, lost %d bits, %s", tau, route, terms, lost,
                   f"re-summed at {prec + extra} bits" if extra else "no re-sum")
-    return value
+    return value, prec + extra + GUARD_BITS - lost - 3
 
 
 def _reduced(tau):
@@ -463,7 +483,7 @@ def oebar_eval(tau, prec=256):
     is 1-periodic in tau, so tau is first reduced, exactly, by an integer.
     Either route's fixed-point value becomes an mpc here, and only here.
     """
-    re, im, scale = _oebar_eval_tau(_reduced(tau), prec)
+    (re, im, scale), _ = _oebar_eval_tau(_reduced(tau), prec)
     return mpc(mpf((re, -scale)), mpf((im, -scale)))
 
 
@@ -631,7 +651,7 @@ def adaptive_quad(f, a, b, rel_target, prec):
             return value, err
 
 
-def _arc_integrand(n, y, prec, sizes):
+def _arc_integrand(n, y, prec, errors):
     """x -> Re(Obar(q) e^(-2 pi i n x)) e^(2 pi n y), q = e^(2 pi i (x + i y)),
     the real part of Obar(q) q^(-n), for a guarded caller.
 
@@ -639,18 +659,26 @@ def _arc_integrand(n, y, prec, sizes):
     ints, at a scale of either sign, the phase _turn's at -2 n x, formed
     exactly, and wp = prec + GUARD_BITS bits, the real part of their product
     an int, times the mantissa of e^(2 pi n y).  One mpf is built, the
-    value, rounded once.  The phase's parts are within 2^(1 - wp) each, so
-    its error is below 2^(1.5 - wp) of |Obar| e^(2 pi n y).  Each sample
-    appends to the list sizes an int s with |Obar| e^(2 pi n y) < 2^s, read
-    from the bit lengths of its ints.
+    value, rounded once at the caller's working precision, wp or above.
+    The sample is within 2^-acc of |Obar|, acc the accuracy _oebar_eval_tau
+    reports, at least prec + GUARD_BITS / 2 - 3; the phase's parts are
+    within 2^(1 - wp) each, an error below 2^(1.5 - wp) of
+    |Obar| e^(2 pi n y); e^(2 pi n y) is libmp's at wp + bit length of n
+    bits, within 2^-wp, since its exponent is below 2^(bit length of n / 2);
+    and the value rounds by under 2^-wp.  Each sample appends to the list
+    errors the pair (e, acc), e an int with the value's error below 2^e:
+    with |Obar| e^(2 pi n y) < 2^s, s read from the bit lengths of its
+    ints, e = s + 1 - min(acc, wp - 3) covers the four together.
     """
     wp = prec + GUARD_BITS
-    amp = (mp.e ** (2 * mp.pi * n * y))._mpf_  # positive: (0, man, exp, bc)
+    bits = wp + n.bit_length()  # e^(2 pi n y), positive: (0, man, exp, bc)
+    amp = mpf_exp(mpf_mul(mpf_mul_int(mpf_pi(bits), 2 * n, bits), y._mpf_, bits), bits)
 
     def integrand(x):
-        re, im, scale = _oebar_eval_tau(mpc(x, y), prec)
+        (re, im, scale), acc = _oebar_eval_tau(mpc(x, y), prec)
         # |Obar| < 2^(bit length + 1/2 - scale), and e^(2 pi n y) < 2^(exp + bc)
-        sizes.append(max(abs(re), abs(im)).bit_length() + 1 - scale + amp[2] + amp[3])
+        size = max(abs(re), abs(im)).bit_length() + 1 - scale + amp[2] + amp[3]
+        errors.append((size + 1 - min(acc, wp - 3), acc))
         t = x._mpf_
         c, s = _turn(mpf_mul_int(t, -2 * n, t[3] + (2 * n).bit_length()), wp)  # -2 n x, exactly
         return mpf(((re * c - im * s) * amp[1], amp[2] - scale - wp))
@@ -664,42 +692,50 @@ def _arc_integral(geom, lo, hi, rel_target, prec):
     conjugates the integrand Obar(q) q^(-n), q = e^(2 pi i (x + i y)): the
     integral is twice that of its real part over [lo, hi], to rel_target / 2.
 
-    Obar is sampled at the bits the target needs, not at prec:
-    bits = min(prec, need + GUARD_BITS / 2), need = ceil(log2(1/rel_target)),
-    43 on the major arc and 36 on the minor one.  Each sample is within
-    2^-(bits - 2) of |Obar| e^(2 pi n y) (_arc_integrand's tested
-    contract), and the Clenshaw-Curtis weights are positive and sum to
+    Obar is sampled below the bits the target needs, not at prec: the
+    first pass at bits = min(prec, need - 8), need = ceil(log2(1/rel_target)),
+    19 on the major arc and 12 on the minor one, since each sample carries
+    the sampler's own GUARD_BITS and reports the accuracy they buy,
+    2^-acc of |Obar| with acc at least bits + GUARD_BITS / 2 - 3 (see
+    _oebar_eval_tau).  _arc_integrand turns that into a bound 2^e_j on each
+    sample's error, and the Clenshaw-Curtis weights are positive and sum to
     hi - lo, so the samples' rounding moves the integral by at most
-    2^-(bits - 2) (hi - lo) max_j |Obar_j| e^(2 pi n y), which the samples'
-    bit lengths bound: the arc's error is the quadrature's estimate plus
-    that bound.  Where the bound is above a quarter of the target the
-    quadrature met, specfun.pay_for_loss runs the arc again with the bits
-    it lacked, as the bits it lost: heavy cancellation on the minor arc,
-    from about n = 50.  No pass samples at more than prec bits, and one at
-    prec stands whatever its bound.  Nodes and weights stay at
-    prec + GUARD_BITS bits, and the sums run at pay_for_loss's working
-    precision, prec + GUARD_BITS or above.  Logs the sample bits, the
-    rounding bound, the quadrature's estimate and whether the arc re-ran
-    at DEBUG.
+    (hi - lo) max_j 2^e_j: the arc's error is the quadrature's estimate
+    plus that bound.  At need - 16 bits the bound still met the target, but
+    the major arc at n = 100 came back 8.9 times its estimate off an
+    independent reference; at need - 8, 0.04 times.  Where the bound is
+    above a quarter of the target the quadrature met, specfun.pay_for_loss
+    runs the arc again with the bits it lacked, as the bits it lost, plus
+    GUARD_BITS / 2: on the minor arc, which cancels, from about n = 200 (at
+    n = 12 to 175 the first pass stands).  No pass samples at more than
+    prec bits, and one at prec stands whatever its bound.  Nodes and
+    weights stay at prec + GUARD_BITS bits, and the sums run at
+    pay_for_loss's working precision, prec + GUARD_BITS or above.  Logs
+    the first pass's bits, the worst accuracy a sample reported, the
+    rounding bound, the quadrature's estimate and whether the arc re-ran at
+    DEBUG.
     """
-    need = math.ceil(-math.log2(rel_target))
+    need, passes = math.ceil(-math.log2(rel_target)), []  # passes: each pass's sample bits
 
     def attempt(wp):  # pay_for_loss's prec + extra, at working precision wp + GUARD_BITS
-        bits, sizes = min(prec, need + wp - prec + GUARD_BITS // 2), []
-        half, err = adaptive_quad(_arc_integrand(geom.n, geom.y, bits, sizes), lo, hi,
+        bits, errors = min(prec, need - 8 + wp - prec), []
+        passes.append(bits)
+        half, err = adaptive_quad(_arc_integrand(geom.n, geom.y, bits, errors), lo, hi,
                                   rel_target / 2, prec + GUARD_BITS)
         target = rel_target / 2 * max(abs(half), 1)  # above 2^(mag(target) - 2)
-        bound = mp.mag(hi - lo) + max(sizes) + 2 - bits  # the rounding is below 2^bound
-        # pay_for_loss accepts lost <= bits - need, that is 2^bound <= 2^(mag(target) - 4)
-        lost = bound + bits - need + 4 - mp.mag(target) if bits < prec else 0
-        return half, lost, bits, bound, err
+        bound = mp.mag(hi - lo) + max(e for e, _ in errors)  # the rounding is below 2^bound
+        # pay_for_loss accepts lost <= wp - prec + GUARD_BITS / 2, that is
+        # 2^bound <= 2^(mag(target) - 4)
+        lost = bound + 4 - mp.mag(target) + wp - prec + GUARD_BITS // 2 if bits < prec else 0
+        return half, lost, bound, err, min(acc for _, acc in errors)
 
-    (half, _, bits, bound, err), extra = pay_for_loss(
+    (half, _, bound, err, worst), _ = pay_for_loss(
         attempt, prec, "the arc %s <= |x| <= %s at n = %d", lo, hi, geom.n)
     if log.isEnabledFor(logging.DEBUG):
-        log.debug("arc %s <= |x| <= %s at n = %d: samples at %d bits, estimate %s plus rounding "
-                  "below 2^%d, %s", mp.nstr(lo, 8), mp.nstr(hi, 8), geom.n, bits, mp.nstr(err, 3),
-                  bound, "re-ran" if extra else "no re-run")
+        log.debug("arc %s <= |x| <= %s at n = %d: first pass at %d bits, samples within 2^-%d, "
+                  "estimate %s plus rounding below 2^%d, %s", mp.nstr(lo, 8), mp.nstr(hi, 8),
+                  geom.n, passes[0], worst, mp.nstr(err, 3), bound,
+                  f"re-ran at {passes[-1]} bits" if len(passes) > 1 else "no re-run")
     return 2 * half
 
 
@@ -721,7 +757,9 @@ def minor_arc_integral(geom, prec=96):
     Its phase e^(-2 pi i n x) turns n/2 times, so its one panel needs about
     2.5n samples: at M = 6 and prec 96 it returns up to n = 3200, at the top
     level, 2^13 + 1 samples, and at n = 6400 it raises QuadratureError,
-    after about 8 s in a fresh process on a 2-core x86 VM.
+    after 8.5 to 9.4 s in a fresh process on a 2-core x86 VM (8.2 to 9.7 s
+    when its samples took 36 bits, not 12): most of it builds the
+    Clenshaw-Curtis weights of levels 10 to 13 (see _clenshaw_curtis).
     """
     return _arc_integral(geom, geom.major_halfwidth, mpf("0.5"), mpf(10) ** -6, prec)
 
@@ -749,30 +787,39 @@ def minor_arc_empirical_max(geom, grid=200, prec=96):
     The samples are compared as |Obar|^2 in _oebar_eval_tau's ints,
     exactly, each brought to the finest of their scales, of either sign;
     one square root is taken, of the largest.  Only the largest needs prec:
-    the grid is screened at s = min(prec, GUARD_BITS) bits, and only the
-    samples within 2^-(s - 5) of the screened top are taken again at prec.
-    Each sample is within 2^-(bits - 2) of |Obar| (the tested contract of
-    _arc_integrand), so the sample largest at prec screens within
-    ((1 - 2^(2 - s)) / (1 + 2^(2 - s)))^4 > 1 - 2^-(s - 5) of that top
-    in |Obar|^2: it is kept, and the result is the mpf of the whole grid
-    at prec.  On grids of 20 to 200 at n = 14 to 10^5 it keeps one.
+    the grid is screened at min(prec, 8) bits, and only the samples that
+    may be the largest are taken again at prec.  A screened sample v_k is
+    within 2^-a_k of |Obar_k|, a_k the accuracy _oebar_eval_tau reports,
+    at least 8 + GUARD_BITS / 2 - 3; so, with t the screened top and
+    a = min(a_k, a_t), |Obar_k| >= |Obar_t| needs
+    |v_t|^2 - |v_k|^2 <= (2^(1 - a_t) + 2^-2a_t + 2^(1 - a_k)) |v_t|^2,
+    below 2^(3 - a) |v_t|^2, and every sample within that of the top is
+    kept.  The sample largest at prec is among them, and the result is the
+    mpf of the whole grid at prec.  On grids of 20 to 200 at n = 14 to
+    10^5 it keeps one.  Logs the screen's bits, the samples it kept and the
+    bits it confirmed them at at DEBUG.
     """
     if grid < 2:
         raise DomainError("grid must be >= 2")
     y, w = geom.y, geom.major_halfwidth
     taus = [mpc(w + (mpf("0.5") - w) * (k + 1) / grid, y) for k in range(grid)]
 
-    def squares(taus, bits):  # each |Obar|^2 as an int at the finest scale, and that scale
-        found = [(re * re + im * im, 2 * scale) for re, im, scale in
-                 (_oebar_eval_tau(tau, bits) for tau in taus)]
-        finest = max(scale for _, scale in found)
-        return [size2 << finest - scale for size2, scale in found], finest
+    def squares(taus, bits):  # each |Obar|^2 as an int at the finest scale, that scale, each acc
+        found = [_oebar_eval_tau(tau, bits) for tau in taus]
+        finest = max(2 * scale for (_, _, scale), _ in found)
+        return ([(re * re + im * im) << finest - 2 * scale for (re, im, scale), _ in found],
+                [acc for _, acc in found], finest)
 
-    screen = min(prec, GUARD_BITS)
-    sizes, _ = squares(taus, screen)
+    screen = min(prec, 8)
+    sizes, accs, _ = squares(taus, screen)
     top = max(sizes)
-    sizes, finest = squares([tau for tau, size2 in zip(taus, sizes)
-                             if (top - size2) << screen - 5 <= top], prec)
+    top_acc = accs[sizes.index(top)]
+    kept = [tau for tau, size2, acc in zip(taus, sizes, accs)
+            if (top - size2) << min(acc, top_acc) - 3 <= top]
+    sizes, _, finest = squares(kept, prec)
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("minor-arc maximum at n = %d: %d samples screened at %d bits, %d kept, "
+                  "confirmed at %d bits", geom.n, grid, screen, len(kept), prec)
     return mp.sqrt(mpf((max(sizes), -finest)))
 
 

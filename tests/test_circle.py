@@ -1175,10 +1175,10 @@ class TestArcs:
             assert abs(got - ref) <= 2 * estimates[0]
 
     @pytest.mark.parametrize("arc,n,first,second", [
-        (major_arc_integral, 25, 35, 56), (minor_arc_integral, 12, 28, 49),
+        (major_arc_integral, 25, 11, 32), (minor_arc_integral, 12, 4, 28),
     ])
     def test_arc_reruns_where_its_samples_are_too_coarse(self, arc, n, first, second, monkeypatch):
-        # 8 bits below the bits a target of 1e-8 (1e-6) asks for, the rounding
+        # 16 bits below the bits a target of 1e-8 (1e-6) asks for, the rounding
         # bound of the samples passes a quarter of the target: the arc runs
         # again with the bits it lost, and meets its target
         inner, bits = circle.pay_for_loss, []
@@ -1195,12 +1195,14 @@ class TestArcs:
             ref, target = self.reference(arc, geom, 96 + 64)
             assert abs(got - ref) <= target * abs(ref)
 
-    @pytest.mark.parametrize("arc,n,bits", [
+    @pytest.mark.parametrize("arc,n,prec", [
         (major_arc_integral, 12, 43), (minor_arc_integral, 12, 36), (major_arc_integral, 12, 40),
+        (major_arc_integral, 12, 16),
     ])
-    def test_samples_at_the_bits_the_target_needs(self, arc, n, bits, monkeypatch):
-        # ceil(log2(1/rel_target)) + GUARD_BITS / 2 bits, and never more than prec
-        prec = min(bits, 96)
+    def test_samples_at_the_bits_the_target_needs(self, arc, n, prec, monkeypatch):
+        # ceil(log2(1/rel_target)) - 8 bits, 19 for 1e-8 and 12 for 1e-6,
+        # whatever prec, and never more than prec
+        bits = min(prec, 19 if arc is major_arc_integral else 12)
         seen = set()
         sample = circle._oebar_eval_tau
         monkeypatch.setattr(circle, "_oebar_eval_tau",
@@ -1209,39 +1211,77 @@ class TestArcs:
         assert seen == {bits}
 
     @pytest.mark.parametrize("arc,n,note", [
-        (major_arc_integral, 12, "samples at 43 bits"), (minor_arc_integral, 100, "re-ran"),
+        (major_arc_integral, 12, "first pass at 19 bits"), (minor_arc_integral, 100, "re-ran"),
     ])
-    def test_debug_record_per_arc(self, arc, n, note, caplog):
-        # one record per arc: its sample bits, the rounding bound and whether it
-        # re-ran; the minor arc at n = 100 cancels about 2^10, past the first pass
+    def test_debug_record_per_arc(self, arc, n, note, caplog, monkeypatch):
+        # one record per arc: its first pass's bits, the worst accuracy a sample
+        # reported, the rounding bound and whether it re-ran.  The minor arc at
+        # n = 100 cancels about 2^10, which its first pass at 12 bits covers;
+        # taken 8 bits lower, at 4, it runs again
+        if note == "re-ran":
+            inner = circle.pay_for_loss
+            monkeypatch.setattr(circle, "pay_for_loss", lambda *args: inner(*args, extra=-8))
         with caplog.at_level(logging.DEBUG, logger="oepartitions"):
             arc(ArcGeometry(n), prec=96)
         records = [r.getMessage() for r in caplog.records if r.getMessage().startswith("arc ")]
         assert len(records) == 1 and note in records[0] and "rounding below 2^-" in records[0]
+        assert "samples within 2^-" in records[0]
+        if note == "re-ran":
+            assert "first pass at 4 bits" in records[0] and "re-ran at " in records[0]
+        else:
+            assert "no re-run" in records[0]
 
-    @pytest.mark.parametrize("prec", [36, 43, 96, 128])
+    @pytest.mark.parametrize("prec", [12, 19, 36, 43, 96, 128])
     def test_integrand_against_oebar_eval(self, prec):
         # the fixed-point integrand is Re(Obar(q) e^(-2 pi i n x)) e^(2 pi n y)
-        # to 2^-(prec-2) of |Obar| e^(2 pi n y), on the major arc and the
+        # to the accuracy its sample reports, 2^-acc of |Obar| e^(2 pi n y),
+        # or its own 2^-(prec + GUARD_BITS - 3) where that is less, and
+        # within the error bound 2^e it records; on the major arc and the
         # minor one, and on both routes: the transformed one serves the
         # major arc at n = 1600 and 10^5, the direct one the rest.  At
         # n = 10^5, x = 0, Obar is about 2^414, above 2^wp, so its scale is
-        # negative
+        # negative.  Either route reports at least prec + GUARD_BITS / 2 - 3
         routes = set()
         for n in (12, 25, 100, 1600, 10 ** 5):
             geom = ArcGeometry(n)
             with workprec(prec + GUARD_BITS):
                 y, w = geom.y, geom.major_halfwidth
             for x in (0, w / 3, w * mpf("0.9"), w + (mpf("0.5") - w) / 3, mpf("0.5")):
+                errors = []
                 with workprec(prec + GUARD_BITS):
                     x, tau = mpf(x), mpc(x, y)
-                    got = circle._arc_integrand(n, y, prec, [])(x)
+                    got = circle._arc_integrand(n, y, prec, errors)(x)
                     routes.add(circle._transformed(tau, prec) is not None)
+                [(e, acc)] = errors
+                assert acc >= prec + GUARD_BITS // 2 - 3
                 with workprec(prec + 64):
                     value, amp = oebar_eval(tau, prec + 64), exp(2 * pi * n * y)
                     want = (value * mp.expjpi(-2 * n * x)).real * amp
-                    assert abs(got - want) < mpf(2) ** -(prec - 2) * abs(value) * amp, (n, x)
+                    tol = mpf(2) ** -(min(acc, prec + GUARD_BITS - 3) - 1) * abs(value) * amp
+                    assert abs(got - want) < min(tol, mpf(2) ** e), (n, x)
         assert routes == {True, False}
+
+    @pytest.mark.parametrize("arc,n", [
+        (major_arc_integral, 12), (major_arc_integral, 25), (major_arc_integral, 1600),
+        (major_arc_integral, 10 ** 5), (minor_arc_integral, 12), (minor_arc_integral, 25),
+    ])
+    def test_every_arc_sample_within_its_reported_accuracy(self, arc, n, monkeypatch):
+        # each sample an arc takes, at the bits its first pass asks for, is
+        # within 2^-acc of |Obar| against oebar_eval at 64 bits more, acc the
+        # accuracy the sampler reported with it: the direct route at n = 12
+        # and 25, the transformed one on the major arc at n = 1600 and 10^5
+        taken = []
+        sample = circle._oebar_eval_tau
+        monkeypatch.setattr(circle, "_oebar_eval_tau",
+                            lambda tau, b: taken.append((tau, b, sample(tau, b))) or taken[-1][2])
+        arc(ArcGeometry(n), prec=96)
+        monkeypatch.setattr(circle, "_oebar_eval_tau", sample)
+        assert taken
+        for tau, bits, ((re, im, scale), acc) in taken:
+            with workprec(bits + 64):
+                want = oebar_eval(tau, bits + 64)
+                got = mpc(mpf((re, -scale)), mpf((im, -scale)))
+                assert abs(got - want) < mpf(2) ** -acc * abs(want), (tau, bits, acc)
 
     def test_main_term_rejects_bad_n(self):
         with pytest.raises(DomainError):
@@ -1257,16 +1297,46 @@ class TestMinorArcBound:
         emp = minor_arc_empirical_max(geom, grid=60, prec=96)
         assert emp < bound.bound_value
 
-    def test_empirical_max_screens_then_confirms_at_prec(self, monkeypatch):
-        # every sample at GUARD_BITS bits, and only those within the screen's
-        # error of the largest again at prec
+    def test_empirical_max_screens_then_confirms_at_prec(self, monkeypatch, caplog):
+        # every sample at 8 bits, and only those within their reported
+        # accuracy of the largest again at prec
         calls = []
         sample = circle._oebar_eval_tau
         monkeypatch.setattr(circle, "_oebar_eval_tau",
                             lambda tau, prec: calls.append(prec) or sample(tau, prec))
-        minor_arc_empirical_max(ArcGeometry(100), grid=60, prec=96)
-        assert calls.count(GUARD_BITS) == 60 and 1 <= calls.count(96) <= 2
-        assert len(calls) == calls.count(GUARD_BITS) + calls.count(96)
+        with caplog.at_level(logging.DEBUG, logger="oepartitions"):
+            minor_arc_empirical_max(ArcGeometry(100), grid=60, prec=96)
+        assert calls.count(8) == 60 and 1 <= calls.count(96) <= 2
+        assert len(calls) == calls.count(8) + calls.count(96)
+        records = [r.getMessage() for r in caplog.records if r.getMessage().startswith("minor-arc")]
+        assert records == [f"minor-arc maximum at n = 100: 60 samples screened at 8 bits, "
+                           f"{calls.count(96)} kept, confirmed at 96 bits"]
+
+    @pytest.mark.parametrize("n,grid", [(100, 60), (1600, 100)])
+    def test_empirical_max_keeps_every_sample_that_may_be_largest(self, n, grid, monkeypatch):
+        # the screen keeps every sample whose reported accuracy lets it be the
+        # largest: here the grid's least sample screens as the largest's
+        # screened value raised by 2^-(a + 1), a the two samples' worse
+        # accuracy, so the largest may still be the largest, and it is kept
+        # and returned
+        prec, geom = 96, ArcGeometry(n)
+        want = minor_arc_empirical_max(geom, grid=grid, prec=prec)
+        with workprec(prec + GUARD_BITS):
+            y, w = geom.y, geom.major_halfwidth
+            taus = [mpc(w + (mpf("0.5") - w) * (k + 1) / grid, y) for k in range(grid)]
+        top = max(taus, key=lambda tau: abs(oebar_eval(tau, prec)))
+        rival = min(taus, key=lambda tau: abs(oebar_eval(tau, prec)))
+        sample = circle._oebar_eval_tau
+
+        def skewed(tau, bits):
+            if bits == prec or tau != rival:
+                return sample(tau, bits)
+            ((re, im, scale), acc), (_, own) = sample(top, bits), sample(tau, bits)
+            shift = min(acc, own) + 1
+            return (re + (re >> shift), im + (im >> shift), scale), own
+
+        monkeypatch.setattr(circle, "_oebar_eval_tau", skewed)
+        assert minor_arc_empirical_max(geom, grid=grid, prec=prec) == want
 
     @pytest.mark.parametrize("n,grid", [(103, 60), (1600, 20), (10 ** 5, 100)])
     def test_empirical_max_is_the_grid_max(self, n, grid):
