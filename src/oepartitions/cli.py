@@ -44,7 +44,7 @@ from collections import namedtuple
 # order a coefficient series would need, as a work guard.  "--prec" bounds
 # every command's precision in bits, and "circle --grid" the minor-arc grid
 CEILINGS = {"compute --method enum": 60, "compute": 100000, "ratio": 20000, "gf-eval": 60000,
-            "verify": 10000, "circle": 6400, "circle --grid": 10000, "--prec": 1024}
+            "verify": 20000, "circle": 6400, "circle --grid": 10000, "--prec": 1024}
 # the least --prec; the verify suites are measured to pass from it up, the
 # specfun rows within 40 of their 256 units of 2^-prec at 64 to 1024 bits
 MIN_PREC = 64
@@ -278,6 +278,8 @@ def _verify_identities(order):
                    f * genfun.euler_phi_series(order) == genfun.watson_core(order)))
     classical = genfun.classical_identity_suite(order, sj)
     checks += [(f"classical: {rec['name']}", rec["equal"]) for rec in classical]
+    # the suite builds (-q;q)_inf as phi_2/phi_1, so this row reads
+    # theta(-q) phi_2/phi_1 = phi_1: Gauss's theorem in sparse form
     (distinct,) = [rec["rhs"] for rec in classical if rec["name"] == "gauss-distinct-parts"]
     theta = genfun._bilateral(order, lambda n: n * n)  # theta(-q), as the product route builds it
     checks.append(("Gauss: theta(-q) (-q)_inf = (q)_inf",

@@ -32,10 +32,23 @@ and theta(-q) has floor(sqrt(N)) + 1 nonzero terms, so the route is one
 sparse division, O(N^(3/2)).  It shares no series with the hypergeometric
 route, so circle checks its Cauchy recovery against it.
 
+classical_identity_suite checks five classical sum = product identities
+and builds no product one binomial at a time, which would cost O(N^2).
+With phi_s = (q^s;q^s)_inf, a pentagonal series by Euler's theorem, each
+product is a quotient of sparse theta series:
+  euler-partitions      1/(q;q)_inf       = 1/phi_1
+  gauss-distinct-parts  (-q;q)_inf        = phi_2/phi_1       (Euler)
+  rogers-ramanujan      1/(q,q^4;q^5)_inf = R/phi_1, R = (q^2,q^3,q^5;q^5)_inf
+                        = sum_{n in Z} (-1)^n q^(n(5n-1)/2)   (Jacobi's triple product)
+  odd-parts             1/(q;q^2)_inf     = phi_2/phi_1
+  distinct-odd-parts    (-q;q^2)_inf      = phi_2^2/(phi_1 phi_4)
+so the five cost one sparse product and five sparse divisions by O(sqrt(N))
+nonzero terms, O(N^(3/2)) in all.
+
 Every builder is a pure function that keeps no series between calls.
 """
 
-from itertools import count, repeat
+from itertools import repeat
 from operator import add, sub
 
 from .series import (
@@ -44,8 +57,6 @@ from .series import (
     _div_one_minus_qk,
     _div_one_plus_qk_squared,
     _div_sparse,
-    _mul_one_plus_qk,
-    _product,
 )
 
 
@@ -193,9 +204,14 @@ def oebar_series_product(order):
     return PowerSeries(c)
 
 
+def _phi(order, s):
+    """(q^s;q^s)_inf = sum_{n in Z} (-1)^n q^(s n(3n-1)/2), Euler's pentagonal theorem."""
+    return _bilateral(order, lambda n: s * n * (3 * n - 1) // 2)
+
+
 def euler_phi_series(order):
     """(q;q)_inf truncated: the pentagonal-number series."""
-    return _bilateral(order, lambda n: n * (3 * n - 1) // 2)
+    return _phi(order, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -208,44 +224,64 @@ def _sum_simple(order, numerator_exp, denom_step):
     )
 
 
+def _quotient(numerator, *divisors):
+    """numerator / divisor_1 / divisor_2 / ..., one sparse division pass per divisor."""
+    c = list(numerator.coeffs)
+    for d in divisors:
+        _div_sparse(c, d.coeffs)
+    return PowerSeries(c)
+
+
 def classical_identity_suite(order, sj=None):
     """Check the six Andrews-style hypergeometric sums against their closed forms.
 
     Returns a list of dicts: {name, lhs, rhs, equal}.  The first five have
-    infinite-product right-hand sides; the sixth is the odd-even generating
-    function itself, which has no product form.  It is compared against
-    S_0+S_1+S_2+S_3, its four sj_series class sums mod 4, which nest the
-    same summands in another order; a caller that holds them to this order
-    passes them as sj, and they are not built again.  Product indices run
-    over all admissible exponents (e.g. the Rogers-Ramanujan product is
-    over parts = 1, 4 mod 5 starting at 1).
+    infinite-product right-hand sides, each built as a quotient of sparse
+    theta series.  With phi_s = (q^s;q^s)_inf, which Euler's pentagonal
+    theorem writes as sum_{n in Z} (-1)^n q^(s n(3n-1)/2):
+      euler-partitions      1/(q;q)_inf                = 1/phi_1
+      gauss-distinct-parts  (-q;q)_inf                 = phi_2/phi_1
+      rogers-ramanujan      1/(q,q^4;q^5)_inf          = R/phi_1, where Jacobi's triple
+                            product writes R = (q^2,q^3,q^5;q^5)_inf as
+                            sum_{n in Z} (-1)^n q^(n(5n-1)/2)
+      odd-parts             1/(q;q^2)_inf              = phi_2/phi_1, the gauss row's series
+      distinct-odd-parts    (-q;q^2)_inf               = phi_2^2/(phi_1 phi_4)
+    Each is one sparse product at most and one or two sparse division
+    passes by O(sqrt(N)) nonzero terms, so the five cost O(N^(3/2)).  The
+    sixth is the odd-even generating function itself, which has no product
+    form.  It is compared against S_0+S_1+S_2+S_3, its four sj_series class
+    sums mod 4, which nest the same summands in another order; a caller
+    that holds them to this order passes them as sj, and they are not built
+    again.
     """
     sj = sj or [sj_series(j, order) for j in range(4)]
+    phi1, phi2, phi4 = (_phi(order, s) for s in (1, 2, 4))
+    distinct = _quotient(phi2, phi1)
     checks = [
         (
             "euler-partitions",
             _sum_simple(order, lambda n: n, 1),
-            _product(order, count(1, 1), _div_one_minus_qk),
+            _quotient(PowerSeries.one(order), phi1),
         ),
         (
             "gauss-distinct-parts",
             _sum_simple(order, lambda n: n * (n + 1) // 2, 1),
-            _product(order, count(1, 1), _mul_one_plus_qk),
+            distinct,
         ),
         (
             "rogers-ramanujan",
             _sum_simple(order, lambda n: n * n, 1),
-            _product(order, (5 * k + r for k in count() for r in (1, 4)), _div_one_minus_qk),
+            _quotient(_bilateral(order, lambda n: n * (5 * n - 1) // 2), phi1),
         ),
         (
             "odd-parts",
             _sum_simple(order, lambda n: n, 2),
-            _product(order, count(1, 2), _div_one_minus_qk),
+            distinct,
         ),
         (
             "distinct-odd-parts",
             _sum_simple(order, lambda n: n * n, 2),
-            _product(order, count(1, 2), _mul_one_plus_qk),
+            _quotient(phi2 * phi2, phi1, phi4),
         ),
         (
             "odd-even-sum",

@@ -102,36 +102,14 @@ class PowerSeries:
         return f"PowerSeries([{head}{tail}], order={self.order})"
 
 
-def _product(order, exponents, kernel):
-    """Apply kernel(c, e) to the series 1 for each e of an increasing sequence.
-
-    The sequence is read only up to order: a binomial in q^e with e > order
-    is 1 mod q^(order+1), and so is every one after it.
-    """
-    _check_order(order)
-    c = [1] + [0] * order
-    for e in exponents:
-        if e > order:
-            break
-        kernel(c, e)
-    return PowerSeries(c)
-
-
 # ---------------------------------------------------------------------------
-# In-place coefficient kernels.  These implement multiplication by the sparse
-# binomial 1 + q^k, division by 1 - q^k and by (1 + q^k)^2 in O(N), and
-# division by a sparse series in O(N * nnz); they are what keeps the
-# generating function builders at O(N^(3/2)) overall.  A multiplication reads
-# only old coefficients, so it is one slice operation.  A division by
-# 1 -+ q^k is the recurrence c_i +-= c_(i-k), which couples only coefficients
-# k apart, so it runs either along the k residue classes mod k or in blocks
-# of k, whichever are fewer: at most sqrt(len(c)) interpreted steps, with
-# all per-coefficient work in C.
-
-def _mul_one_plus_qk(c, k):
-    # k = 0 doubles every coefficient: (1 + q^0) = 2
-    c[k:] = map(add, c[k:], c[: len(c) - k])
-
+# In-place coefficient kernels.  These implement division by 1 - q^k and by
+# (1 + q^k)^2 in O(N), and division by a sparse series in O(N * nnz); they
+# are what keeps the generating function builders at O(N^(3/2)) overall.
+# A division by 1 -+ q^k is the recurrence c_i +-= c_(i-k), which couples
+# only coefficients k apart, so it runs either along the k residue classes
+# mod k or in blocks of k, whichever are fewer: at most sqrt(len(c))
+# interpreted steps, with all per-coefficient work in C.
 
 def _div_one_minus_qk(c, k):
     """c <- c / (1 - q^k) in place: for k^2 < len(c), each residue class mod k

@@ -2,9 +2,9 @@
 
   euler_eval(tau)    (q;q)_inf at q = e^(2 pi i tau): modular reduction, then mp.qp
   invert(series)     the inverse of an exact series whose constant term is +-1
-  qpochhammer(s, step, m, order), neg_pochhammer(s, m, order)
-                     the dense products (q^s; q^step)_m and (-q^s; q)_m, one
-                     binomial at a time
+  qpochhammer(s, step, m, order), neg_pochhammer(s, m, order, step=1)
+                     the dense products (q^s; q^step)_m and (-q^s; q^step)_m,
+                     one binomial at a time
   m_threshold()      the M = sqrt((12/(12-pi^2))^2 - 1) = 5.543... at which
                      circle.exponent_saving changes sign
   oe_law(n), oebar_law(n), oebar_bessel(n)
@@ -20,17 +20,18 @@
 
 euler_eval, m_threshold and the closed forms are wrapped in
 specfun.guarded, as the package's public entry points are; invert divides
-with series' own sparse kernel, and the dense products run on its
-_product and _mul_one_plus_qk.
+with series' own sparse kernel, and the dense products run on this module's
+_product and its two binomial multiplications.  The package has neither: it
+builds each infinite product it checks as a quotient of sparse theta series.
 """
 
 import math
 from itertools import count, islice
-from operator import sub
+from operator import add, sub
 
 from mpmath import mp, mpc, mpf
 
-from oepartitions.series import PowerSeries, SeriesError, _div_sparse, _mul_one_plus_qk, _product
+from oepartitions.series import PowerSeries, SeriesError, _check_order, _div_sparse
 from oepartitions.specfun import GUARD_BITS, TERM_BUDGET, DomainError, bessel_i, guarded
 
 
@@ -93,14 +94,16 @@ def qpochhammer(start_exp, step, m, order):
     return _product(order, _exponents(start_exp, step, m), _mul_one_minus_qk)
 
 
-def neg_pochhammer(start_exp, m, order):
-    """(-q^start_exp; q)_m = prod_{j=1}^m (1 + q^(start_exp+j-1)), mod q^(order+1).
+def neg_pochhammer(start_exp, m, order, step=1):
+    """(-q^start_exp; q^step)_m = prod_{j=1}^m (1 + q^(start_exp+(j-1)step)), mod q^(order+1).
 
-    start_exp = 0 gives (-1; q)_m, whose leading factor is (1 + 1) = 2.
+    start_exp = 0 gives (-1; q^step)_m, whose leading factor is (1 + 1) = 2.
     """
     if start_exp < 0:
         raise SeriesError("start_exp must be >= 0")
-    return _product(order, _exponents(start_exp, 1, m), _mul_one_plus_qk)
+    if step < 1:
+        raise SeriesError("step must be >= 1")
+    return _product(order, _exponents(start_exp, step, m), _mul_one_plus_qk)
 
 
 def _exponents(start, step, m):
@@ -109,8 +112,30 @@ def _exponents(start, step, m):
     return exps if m is None else islice(exps, max(m, 0))
 
 
+def _product(order, exponents, kernel):
+    """Apply kernel(c, e) to the series 1 for each e of an increasing sequence.
+
+    The sequence is read only up to order: a binomial in q^e with e > order
+    is 1 mod q^(order+1), and so is every one after it.
+    """
+    _check_order(order)
+    c = [1] + [0] * order
+    for e in exponents:
+        if e > order:
+            break
+        kernel(c, e)
+    return PowerSeries(c)
+
+
+# c <- c * (1 -+ q^k) in place: a multiplication reads only old
+# coefficients, so it is one slice operation
 def _mul_one_minus_qk(c, k):
     c[k:] = map(sub, c[k:], c[: len(c) - k])
+
+
+def _mul_one_plus_qk(c, k):
+    # k = 0 doubles every coefficient: (1 + q^0) = 2
+    c[k:] = map(add, c[k:], c[: len(c) - k])
 
 
 @guarded

@@ -9,7 +9,6 @@ from oepartitions.series import (
     SeriesError,
     _div_one_minus_qk,
     _div_one_plus_qk_squared,
-    _mul_one_plus_qk,
 )
 from oepartitions import genfun
 from oepartitions.genfun import (
@@ -27,7 +26,7 @@ from oepartitions.genfun import (
     classical_identity_suite,
 )
 
-from oracles import invert, neg_pochhammer, qpochhammer
+from oracles import _mul_one_plus_qk, invert, neg_pochhammer, qpochhammer
 
 
 class TestOESeries:
@@ -137,16 +136,15 @@ class TestOEBarSeries:
     def test_one_division_pass_per_summand(self, order, monkeypatch):
         # summands m = 0 .. M with T(M) <= order: the chain divides by
         # 1 - q^(m-1) for m = M, ..., 2, innermost first, and the heads
-        # carry 2/(1 - q^(2m)), so no pass multiplies by 1 + q^k
-        kernels = {"_div_one_minus_qk": [], "_mul_one_plus_qk": []}
-        for name, ks in kernels.items():
-            inner = getattr(genfun, name)
-            monkeypatch.setattr(genfun, name,
-                                lambda u, k, ks=ks, inner=inner: ks.append(k) or inner(u, k))
+        # carry 2/(1 - q^(2m)); genfun has no kernel that multiplies by
+        # 1 + q^k, so no such pass can run
+        assert not hasattr(genfun, "_mul_one_plus_qk")
+        ks = []
+        inner = genfun._div_one_minus_qk
+        monkeypatch.setattr(genfun, "_div_one_minus_qk", lambda u, k: ks.append(k) or inner(u, k))
         top = max(m for m in range(order + 2) if _triangular(m) <= order)
         oebar_series_hypergeometric(order)
-        assert kernels["_mul_one_plus_qk"] == []
-        assert kernels["_div_one_minus_qk"] == list(range(top - 1, 0, -1))
+        assert ks == list(range(top - 1, 0, -1))
 
 
 class TestClassicalSuite:
@@ -166,6 +164,43 @@ class TestClassicalSuite:
         expect = {0: 1, 1: -1, 2: -1, 5: 1, 7: 1, 12: -1, 15: -1, 22: 1, 26: 1}
         for n in range(27):
             assert s.coefficient(n) == expect.get(n, 0)
+
+    # the small orders cross the truncations of phi_2 and phi_4, whose first
+    # nonconstant terms sit at q^2 and q^4
+    @pytest.mark.parametrize("order", [0, 1, 2, 3, 4, 5, 7, 26, 301, 2000])
+    def test_closed_forms_are_the_dense_products(self, order):
+        rhs = {rec["name"]: rec["rhs"] for rec in classical_identity_suite(order)}
+        dense = {
+            "euler-partitions": invert(qpochhammer(1, 1, None, order)),
+            "gauss-distinct-parts": neg_pochhammer(1, None, order),
+            "rogers-ramanujan": invert(qpochhammer(1, 5, None, order) * qpochhammer(4, 5, None, order)),
+            "odd-parts": invert(qpochhammer(1, 2, None, order)),
+            "distinct-odd-parts": neg_pochhammer(1, None, order, step=2),
+        }
+        for name, want in dense.items():
+            assert rhs[name] == want, name
+
+    @pytest.mark.parametrize("order", [0, 1, 4, 26, 301])
+    def test_five_sparse_divisions_and_one_product(self, order, monkeypatch):
+        # the closed forms divide by phi_1 four times and by phi_4 once and
+        # multiply phi_2 by itself; every division by 1 - q^k is a summand
+        # of one of the six sums (the odd-even row's is oe_series), so no
+        # right-hand side is built one binomial at a time
+        sj = [sj_series(j, order) for j in range(4)]
+        divisors, ks, products = [], [], []
+        div_sparse, div_binomial, mul = genfun._div_sparse, genfun._div_one_minus_qk, PowerSeries.__mul__
+        monkeypatch.setattr(genfun, "_div_sparse", lambda c, d: divisors.append(tuple(d)) or div_sparse(c, d))
+        monkeypatch.setattr(genfun, "_div_one_minus_qk", lambda u, k: ks.append(k) or div_binomial(u, k))
+        monkeypatch.setattr(PowerSeries, "__mul__", lambda a, b: products.append(b.order) or mul(a, b))
+        classical_identity_suite(order, sj)
+        phi = {s: _bilateral(order, lambda n: s * n * (3 * n - 1) // 2).coeffs for s in (1, 4)}
+        assert divisors == [phi[1]] * 4 + [phi[4]]
+        assert products == [order]
+        want = []
+        for lowest, step in _CLASSICAL_SUMS.values():
+            top = max(n for n in range(order + 2) if lowest(n) <= order)
+            want += [step * n for n in range(top, 0, -1)]
+        assert sorted(ks) == sorted(want)
 
 
 PENTAGONAL_ORDERS = [0, 1, 2, 7, 26, 301, 2000]

@@ -14,10 +14,9 @@ from oepartitions.series import (
     _div_one_minus_qk,
     _div_one_plus_qk_squared,
     _div_sparse,
-    _mul_one_plus_qk,
 )
 
-from oracles import _mul_one_minus_qk, invert, neg_pochhammer, qpochhammer
+from oracles import _mul_one_minus_qk, _mul_one_plus_qk, invert, neg_pochhammer, qpochhammer
 
 
 def S(*coeffs):
