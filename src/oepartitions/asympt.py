@@ -8,7 +8,7 @@ Contents:
   Growth                 (lam, V) of a generating function: F(e^-eps) ~ lam e^(V/eps)
   o_growth, obar_growth  the Growth of O and of Obar
   gf_asymptotic          leading term of O, O_e, O_o at q = e^(-eps)
-  ingham_transfer        (lambda, alpha, A) of f(e^-eps) ~ lambda eps^alpha e^(A/eps)
+  ingham_transfer        (lambda, A) of f(e^-eps) ~ lambda e^(A/eps)
                          -> coefficient law c n^-p e^(k sqrt n)
   halve_argument         the n -> n/2 substitution on a coefficient law
   oe_asymptotic          leading term of OE(n)
@@ -17,7 +17,7 @@ Contents:
 
 Each law is read from its generating function's Growth, whose (lam, V) are
 written once, in o_growth and obar_growth: gf_asymptotic is lam e^(V/eps),
-and the coefficient laws are Ingham's transfer of (lam, 0, V), as in the
+and the coefficient laws are Ingham's transfer of (lam, V), as in the
 paper.  O's even part O_e has half of O's lam; in q^2 its coefficients
 OE(2m) increase, so the transfer runs on O_e(q^(1/2)), whose V is twice
 O's, and halve_argument takes the law back to n.  Obar's coefficients
@@ -200,20 +200,18 @@ class AsymptoticLaw(namedtuple("AsymptoticLaw", "c p k")):
     __slots__ = ()
 
 
-def ingham_transfer(lam, alpha, a_gap, *, pi=mp.pi):
-    """Map the Tauberian hypothesis f(e^-eps) ~ lam eps^alpha e^(a_gap/eps)
-    to the coefficient law of f,
+def ingham_transfer(lam, a_gap, *, pi=mp.pi):
+    """Map the Tauberian hypothesis f(e^-eps) ~ lam e^(a_gap/eps) to the
+    coefficient law of f,
 
-    a(n) ~ (lam / (2 sqrt pi)) a_gap^(alpha/2 + 1/4) n^-(alpha/2 + 3/4) e^(2 sqrt(a_gap n)).
-    Generic over the scalar type of the inputs; `pi` must be of that type
-    too: mp.pi for mpmath inputs, sympy.pi for exact sympy algebra.
+    a(n) ~ (lam / (2 sqrt pi)) a_gap^(1/4) n^(-3/4) e^(2 sqrt(a_gap n)):
+    Ingham's theorem with no power of eps, which no generating function here
+    carries.  Generic over the scalar type of the inputs; `pi` must be of
+    that type too: mp.pi for mpmath inputs, sympy.pi for exact sympy algebra.
     """
-    one = a_gap ** 0
-    half = one / 2
-    c = lam * a_gap ** (alpha * half + half / 2) / (2 * pi ** half)
-    p = alpha * half + 3 * half / 2
-    k = 2 * a_gap ** half
-    return AsymptoticLaw(c=c, p=p, k=k)
+    half = a_gap ** 0 / 2
+    return AsymptoticLaw(c=lam * a_gap ** (half / 2) / (2 * pi ** half), p=3 * half / 2,
+                         k=2 * a_gap ** half)
 
 
 def halve_argument(law):
@@ -233,16 +231,16 @@ def _law_at(law, n):
 @guarded
 def oe_asymptotic(n, prec=256):
     """Leading asymptotic value of OE(n): the transfer of O_e's Growth in q^2,
-    (lam/2, 0, 2V), taken back to n."""
+    (lam/2, 2V), taken back to n."""
     lam, v = o_growth()
-    return _law_at(halve_argument(ingham_transfer(lam / 2, 0, 2 * v)), n)
+    return _law_at(halve_argument(ingham_transfer(lam / 2, 2 * v)), n)
 
 
 @guarded
 def oebar_asymptotic(n, prec=256):
     """Leading asymptotic value of OEbar(n): the transfer of Obar's Growth."""
     lam, v = obar_growth()
-    return _law_at(ingham_transfer(lam, 0, v), n)
+    return _law_at(ingham_transfer(lam, v), n)
 
 
 @guarded

@@ -78,6 +78,9 @@ from .specfun import (GUARD_BITS, TERM_BUDGET, DomainError, QuadratureError, fir
 # nodes, and is raised no further than 2^L + 1 <= QUAD_CALL_BUDGET, L = 13
 QUAD_FIRST_LEVEL = 4
 QUAD_CALL_BUDGET = 1 << 14
+# an arc's second pass takes this many bits more than its rounding bound
+# lacked, a margin against a third pass (see _arc_integral)
+ARC_SLACK_BITS = 2
 _TINY = 2.0 ** -1000  # the least |tau| the Mordell count reads: a clamp, not an underflow
 
 log = logging.getLogger(__name__)
@@ -703,39 +706,41 @@ def _arc_integral(geom, lo, hi, rel_target, prec):
     (hi - lo) max_j 2^e_j: the arc's error is the quadrature's estimate
     plus that bound.  At need - 16 bits the bound still met the target, but
     the major arc at n = 100 came back 8.9 times its estimate off an
-    independent reference; at need - 8, 0.04 times.  Where the bound is
-    above a quarter of the target the quadrature met, specfun.pay_for_loss
-    runs the arc again with the bits it lacked, as the bits it lost, plus
-    GUARD_BITS / 2: on the minor arc, which cancels, from about n = 200 (at
-    n = 12 to 175 the first pass stands).  No pass samples at more than
-    prec bits, and one at prec stands whatever its bound.  Nodes and
-    weights stay at prec + GUARD_BITS bits, and the sums run at
-    pay_for_loss's working precision, prec + GUARD_BITS or above.  Logs
-    the first pass's bits, the worst accuracy a sample reported, the
+    independent reference; at need - 8, 0.04 times.
+
+    A pass stands where its bound is at most 2^(mag(target) - 4), so at
+    most a quarter of the target the quadrature met, or where it sampled
+    at prec.  Otherwise the bound missed by `short` bits, and the
+    arc runs again at bits + short + ARC_SLACK_BITS, at most prec: on the
+    minor arc, which cancels, from about n = 200 (at n = 12 to 175 the
+    first pass stands), once.  The bits raise each sample's accuracy by as
+    much, but the next pass reads its bound afresh, and a sample that
+    measures a bit more lost, a quadrature that stops a level later or a
+    target whose magnitude moves with the value would cost a third pass:
+    at n = 200 to 3200 the bound fell by exactly the bits added, so with no
+    slack the second pass met it with nothing to spare, and ARC_SLACK_BITS
+    leaves it that margin.  Nodes, weights and sums stay at
+    prec + GUARD_BITS bits, the guarded caller's working precision.
+    Logs the first pass's bits, the worst accuracy a sample reported, the
     rounding bound, the quadrature's estimate and whether the arc re-ran at
     DEBUG.
     """
-    need, passes = math.ceil(-math.log2(rel_target)), []  # passes: each pass's sample bits
-
-    def attempt(wp):  # pay_for_loss's prec + extra, at working precision wp + GUARD_BITS
-        bits, errors = min(prec, need - 8 + wp - prec), []
-        passes.append(bits)
+    bits = first = min(prec, math.ceil(-math.log2(rel_target)) - 8)
+    while True:
+        errors = []
         half, err = adaptive_quad(_arc_integrand(geom.n, geom.y, bits, errors), lo, hi,
                                   rel_target / 2, prec + GUARD_BITS)
-        target = rel_target / 2 * max(abs(half), 1)  # above 2^(mag(target) - 2)
         bound = mp.mag(hi - lo) + max(e for e, _ in errors)  # the rounding is below 2^bound
-        # pay_for_loss accepts lost <= wp - prec + GUARD_BITS / 2, that is
-        # 2^bound <= 2^(mag(target) - 4)
-        lost = bound + 4 - mp.mag(target) + wp - prec + GUARD_BITS // 2 if bits < prec else 0
-        return half, lost, bound, err, min(acc for _, acc in errors)
-
-    (half, _, bound, err, worst), _ = pay_for_loss(
-        attempt, prec, "the arc %s <= |x| <= %s at n = %d", lo, hi, geom.n)
+        # the target is above 2^(mag(target) - 2), so a pass stands at short <= 0
+        short = bound + 4 - mp.mag(rel_target / 2 * max(abs(half), 1))
+        if short <= 0 or bits == prec:
+            break
+        bits = min(prec, bits + short + ARC_SLACK_BITS)
     if log.isEnabledFor(logging.DEBUG):
         log.debug("arc %s <= |x| <= %s at n = %d: first pass at %d bits, samples within 2^-%d, "
                   "estimate %s plus rounding below 2^%d, %s", mp.nstr(lo, 8), mp.nstr(hi, 8),
-                  geom.n, passes[0], worst, mp.nstr(err, 3), bound,
-                  f"re-ran at {passes[-1]} bits" if len(passes) > 1 else "no re-run")
+                  geom.n, first, min(acc for _, acc in errors), mp.nstr(err, 3), bound,
+                  f"re-ran at {bits} bits" if bits > first else "no re-run")
     return 2 * half
 
 

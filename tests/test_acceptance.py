@@ -237,7 +237,7 @@ def test_criterion_10_tauberian_transfer():
     with criterion("10 Tauberian transfer constants exact; hypotheses hold"):
         sympy = pytest.importorskip("sympy")
         law = asympt.halve_argument(asympt.ingham_transfer(
-            1 / sympy.sqrt(2 * sympy.sqrt(5)), sympy.Integer(0), sympy.pi**2 / 10, pi=sympy.pi))
+            1 / sympy.sqrt(2 * sympy.sqrt(5)), sympy.pi**2 / 10, pi=sympy.pi))
         assert sympy.simplify(law.c - 1 / (2 * sympy.sqrt(5))) == 0
         assert sympy.simplify(law.p - sympy.Rational(3, 4)) == 0
         assert sympy.simplify(law.k - sympy.pi / sympy.sqrt(5)) == 0

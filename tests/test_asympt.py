@@ -200,6 +200,18 @@ class TestPhiAndTheta:
         assert devs[1] < mpf("0.02")
 
 
+@pytest.mark.parametrize("eps", ["0", "-0.1"])
+@pytest.mark.parametrize("call", [
+    lambda eps: phi_nu(eps, mpf("0.5"), 96),
+    lambda eps: phi_class_sum(NuFrame(mpf("0.25"), 1), eps, 96),
+    lambda eps: sj_theta_asymptotic(NuFrame(mpf("0.25"), 1), eps, 96),
+    lambda eps: gf_asymptotic(eps, "even", 96),
+], ids=["phi_nu", "phi_class_sum", "sj_theta_asymptotic", "gf_asymptotic"])
+def test_nonpositive_eps_is_refused(call, eps):
+    with pytest.raises(DomainError, match="eps must be > 0"):
+        call(mpf(eps))
+
+
 class TestGFAsymptotic:
     def test_full_vs_series_evaluation(self):
         prec = 96
@@ -235,12 +247,12 @@ class TestGFAsymptotic:
 class TestInghamTransfer:
     def test_numeric_oe_constants(self):
         # the even subseries in the n/2 variable obeys the hypothesis with
-        # lambda = 1/sqrt(2 sqrt5), alpha = 0, A = pi^2/10; transferring and
+        # lambda = 1/sqrt(2 sqrt5) and A = pi^2/10; transferring and
         # then substituting n -> n/2 must land on the coefficient law
         # (1/(2 sqrt5)) n^(-3/4) e^(pi sqrt(n/5))
         prec = 192
         with workprec(prec):
-            law = halve_argument(ingham_transfer(1 / sqrt(2 * sqrt(5)), mpf(0), pi**2 / 10))
+            law = halve_argument(ingham_transfer(1 / sqrt(2 * sqrt(5)), pi**2 / 10))
             assert abs(law.c - 1 / (2 * sqrt(5))) < tol(prec, 24)
             assert abs(law.p - mpf("0.75")) < tol(prec, 24)
             assert abs(law.k - pi / sqrt(5)) < tol(prec, 24)
@@ -248,7 +260,7 @@ class TestInghamTransfer:
     def test_symbolic_oe_constants_exact(self):
         sympy = pytest.importorskip("sympy")
         law = halve_argument(ingham_transfer(
-            1 / sympy.sqrt(2 * sympy.sqrt(5)), sympy.Integer(0), sympy.pi**2 / 10, pi=sympy.pi))
+            1 / sympy.sqrt(2 * sympy.sqrt(5)), sympy.pi**2 / 10, pi=sympy.pi))
         assert sympy.simplify(law.c - 1 / (2 * sympy.sqrt(5))) == 0
         assert sympy.simplify(law.p - sympy.Rational(3, 4)) == 0
         assert sympy.simplify(law.k - sympy.pi / sympy.sqrt(5)) == 0
@@ -257,8 +269,7 @@ class TestInghamTransfer:
         # Obar(e^-eps) ~ (2 sqrt2 / 3) e^(pi^2/(12 eps)) transfers directly
         # to 3^(-5/4) n^(-3/4) e^(pi sqrt(n/3))
         sympy = pytest.importorskip("sympy")
-        law = ingham_transfer(2 * sympy.sqrt(2) / 3, sympy.Integer(0), sympy.pi**2 / 12,
-                              pi=sympy.pi)
+        law = ingham_transfer(2 * sympy.sqrt(2) / 3, sympy.pi**2 / 12, pi=sympy.pi)
         assert sympy.simplify(law.c - 3 ** sympy.Rational(-5, 4)) == 0
         assert sympy.simplify(law.p - sympy.Rational(3, 4)) == 0
         assert sympy.simplify(law.k - sympy.pi / sympy.sqrt(3)) == 0

@@ -976,6 +976,10 @@ class TestCauchyRecovery:
         assert got == want
         assert residual < mpf("1e-20")
 
+    def test_negative_n_is_refused(self):
+        with pytest.raises(DomainError, match="n must be >= 0"):
+            cauchy_full_integral(-1)
+
     @pytest.mark.parametrize("n", [105, 128])
     def test_samples_half_the_circle(self, n, monkeypatch):
         # K = n + 1 samples, of which those past K/2 are the conjugates of
@@ -1174,16 +1178,37 @@ class TestArcs:
             assert abs(got - ref) <= target * abs(ref)
             assert abs(got - ref) <= 2 * estimates[0]
 
-    @pytest.mark.parametrize("arc,n,first,second", [
-        (major_arc_integral, 25, 11, 32), (minor_arc_integral, 12, 4, 28),
+    @staticmethod
+    def coarse(monkeypatch):
+        """Make every arc pass sample 8 bits below the bits it asks for, and
+        each sample report an error 2^8 times its own, as a sampler with 8
+        guard bits fewer would: a first pass too coarse for its target."""
+        inner = circle._arc_integrand
+
+        def integrand(n, y, bits, errors):
+            sample = inner(n, y, bits - 8, errors)
+
+            def coarse(x):
+                value = sample(x)
+                e, acc = errors[-1]
+                errors[-1] = e + 8, acc - 8
+                return value
+
+            return coarse
+
+        monkeypatch.setattr(circle, "_arc_integrand", integrand)
+
+    @pytest.mark.parametrize("arc,n,first,short", [
+        (major_arc_integral, 25, 11, 7), (minor_arc_integral, 12, 4, 8),
     ])
-    def test_arc_reruns_where_its_samples_are_too_coarse(self, arc, n, first, second, monkeypatch):
-        # 16 bits below the bits a target of 1e-8 (1e-6) asks for, the rounding
-        # bound of the samples passes a quarter of the target: the arc runs
-        # again with the bits it lost, and meets its target
-        inner, bits = circle.pay_for_loss, []
-        monkeypatch.setattr(circle, "pay_for_loss",
-                            lambda *args: inner(*args, extra=-8))
+    def test_arc_reruns_where_its_samples_are_too_coarse(self, arc, n, first, short, monkeypatch):
+        # 16 bits below the bits a target of 1e-8 (1e-6) asks for, 8 of them
+        # in the sampler's guard, the rounding bound of the samples passes a
+        # quarter of the target by `short` bits: the arc runs again once, at
+        # the first pass's bits plus those it lacked plus ARC_SLACK_BITS, and
+        # meets its target
+        bits, second = [], first + short + circle.ARC_SLACK_BITS
+        self.coarse(monkeypatch)
         sample = circle._oebar_eval_tau
         monkeypatch.setattr(circle, "_oebar_eval_tau",
                             lambda tau, prec: bits.append(prec) or sample(tau, prec))
@@ -1194,6 +1219,22 @@ class TestArcs:
         with workprec(96 + 64):
             ref, target = self.reference(arc, geom, 96 + 64)
             assert abs(got - ref) <= target * abs(ref)
+
+    def test_minor_arc_reruns_once_by_the_bits_it_lacked(self, caplog, monkeypatch):
+        # unforced: at n = 200 the minor arc's first pass at 12 bits misses its
+        # bound by a bit, and the arc runs again once, at 12 + 1 + ARC_SLACK_BITS
+        # bits; the two arcs still add up to OEbar(200)
+        passes, inner = [], circle._arc_integrand
+        monkeypatch.setattr(circle, "_arc_integrand", lambda n, y, bits, errors: (
+            passes.append(bits) or inner(n, y, bits, errors)))
+        geom = ArcGeometry(200)
+        with caplog.at_level(logging.DEBUG, logger="oepartitions"):
+            i2 = minor_arc_integral(geom, prec=96)
+        [record] = [r.getMessage() for r in caplog.records if r.getMessage().startswith("arc ")]
+        assert len(passes) == 2 and passes[0] == 12 and passes[1] <= 17
+        assert "first pass at 12 bits" in record and f"re-ran at {passes[1]} bits" in record
+        want = oebar_series_product(200).coefficient(200)
+        assert abs(major_arc_integral(geom, prec=96) + i2 - want) < mpf("1e-6") * want
 
     @pytest.mark.parametrize("arc,n,prec", [
         (major_arc_integral, 12, 43), (minor_arc_integral, 12, 36), (major_arc_integral, 12, 40),
@@ -1217,17 +1258,18 @@ class TestArcs:
         # one record per arc: its first pass's bits, the worst accuracy a sample
         # reported, the rounding bound and whether it re-ran.  The minor arc at
         # n = 100 cancels about 2^10, which its first pass at 12 bits covers;
-        # taken 8 bits lower, at 4, it runs again
+        # sampled 16 bits coarser (see coarse) it runs again, by the 15 bits
+        # it lacked plus ARC_SLACK_BITS
         if note == "re-ran":
-            inner = circle.pay_for_loss
-            monkeypatch.setattr(circle, "pay_for_loss", lambda *args: inner(*args, extra=-8))
+            self.coarse(monkeypatch)
         with caplog.at_level(logging.DEBUG, logger="oepartitions"):
             arc(ArcGeometry(n), prec=96)
         records = [r.getMessage() for r in caplog.records if r.getMessage().startswith("arc ")]
         assert len(records) == 1 and note in records[0] and "rounding below 2^-" in records[0]
         assert "samples within 2^-" in records[0]
         if note == "re-ran":
-            assert "first pass at 4 bits" in records[0] and "re-ran at " in records[0]
+            assert "first pass at 12 bits" in records[0]
+            assert f"re-ran at {12 + 15 + circle.ARC_SLACK_BITS} bits" in records[0]
         else:
             assert "no re-run" in records[0]
 

@@ -405,6 +405,10 @@ class TestUsageErrors:
         ["--prec", "-40", "ratio", "--kind", "oe", "--n", "10"],
         ["--prec", "0", "verify", "--suite", "specfun"],
         ["--prec", "63", "verify", "--suite", "specfun"],
+        # the probe opens it, and the write itself fails: No space left on device
+        pytest.param(["compute", "--kind", "oe", "--n-max", "5", "--output", "/dev/full"],
+                     marks=pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                              reason="no /dev/full")),
     ])
     def test_bad_input_exits_with_one_line(self, argv):
         # SystemExit with a message: exit status 1 and that line on stderr

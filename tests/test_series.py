@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
-from mpmath import mp, mpf, mpc, sqrt, workprec
+from mpmath import mp, mpf, mpc, exp, sqrt, workprec
 
 from oepartitions.specfun import GUARD_BITS, evaluate_at, horner_bits, horner_fixed
 from oepartitions.series import (
@@ -84,6 +84,20 @@ class TestArithmetic:
     @given(unit_series)
     def test_invert_round_trip(self, a):
         assert a * invert(a) == PowerSeries.one(a.order)
+
+    def test_needs_the_constant_term(self):
+        with pytest.raises(SeriesError, match="constant term"):
+            PowerSeries([])
+
+    def test_coefficient_past_the_order_is_refused(self):
+        assert S(4, 5).coefficient(1) == 5
+        for n in (2, -1):
+            with pytest.raises(SeriesError, match="not determined at order 1"):
+                S(4, 5).coefficient(n)
+
+    def test_repr_shows_eight_coefficients_and_the_order(self):
+        assert repr(S(1, -2, 3)) == "PowerSeries([1, -2, 3], order=2)"
+        assert repr(PowerSeries(range(9))) == "PowerSeries([0, 1, 2, 3, 4, 5, 6, 7, ...], order=8)"
 
 
 def schoolbook(a, b):
@@ -250,6 +264,24 @@ class TestEvaluateAt:
     def test_point_outside_disc_rejected(self):
         with pytest.raises(SeriesError):
             evaluate_at(S(1, 1), mpf(1), 128)
+
+    @pytest.mark.parametrize("series,growth_c,match", [
+        (S(1, 1), -1, "growth constant"),
+        (S(1, 1), 2, "diverges"),  # e^(2 / (2 sqrt 1)) / 2 = 1.36 >= 1
+        (S(3), 1, "diverges"),  # at order 0, e^1 / 2 >= 1
+    ])
+    def test_growth_that_bounds_no_tail_is_refused(self, series, growth_c, match):
+        with pytest.raises(SeriesError, match=match):
+            evaluate_at(series, mpf("0.5"), 64, growth_c=growth_c)
+
+    def test_tail_bound_at_order_zero(self):
+        # with sqrt(k) <= k the tail of |c_k| <= e^(C sqrt k) at q is below
+        # sum_(k>=1) (e^C q)^k = e^C q / (1 - e^C q), 1.235... at C = 0.1, q = 1/2
+        res = evaluate_at(S(3), mpf("0.5"), 64, growth_c=0.1)
+        assert res.value == 3
+        with workprec(64 + GUARD_BITS):
+            want = exp(mpf(0.1)) / 2 / (1 - exp(mpf(0.1)) / 2)  # the float C itself
+        assert abs(res.tail_bound - want) < mpf(2) ** -60 * want
 
     def test_matches_horner_bitwise(self):
         s = S(3, -1, 4, 1, -5)

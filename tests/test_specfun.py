@@ -218,6 +218,19 @@ def test_non_integer_order_is_refused(call):
         call()
 
 
+@pytest.mark.parametrize("call", [
+    lambda: jacobi_theta(mpf("0.2"), mpc(0, 0), 96),
+    lambda: jacobi_theta(mpf("0.2"), mpc(1, -1), 96),
+    lambda: bessel_i(0, mpf(-3), 96),
+    lambda: wright_p(0, mpf(0), mpf(6), 96),
+    lambda: wright_p(0, mpf(1), mpf(-6), 96),
+], ids=["jacobi_theta-real-tau", "jacobi_theta-lower-tau", "bessel_i-negative-x",
+        "wright_p-zero-u", "wright_p-negative-m"])
+def test_outside_the_domain_is_refused(call):
+    with pytest.raises(DomainError):
+        call()
+
+
 def test_integral_mpf_order_is_accepted():
     assert bessel_i(mpf(2), mpf(3), 128) == bessel_i(2, mpf(3), 128)
     assert wright_p(mpf(1), mpf(8), mpf(3), 128) == wright_p(1, mpf(8), mpf(3), 128)
