@@ -27,8 +27,8 @@ Q and its other powers the same way, sums in ints at the bits of the
 Mordell table, and puts Obar's growth near q = 1 into the scale, which may
 be negative.  The arc integrand multiplies those ints by its phase, the
 minor-arc maximum compares their squared moduli, and the Cauchy recovery
-rotates its sample points in them and divides exactly.  An mpf or mpc is
-built only for the number handed on: oebar_eval's value, an integrand
+rotates its roots, transforms and divides exactly in them.  An mpf or mpc
+is built only for the number handed on: oebar_eval's value, an integrand
 value, the maximum's square root and the recovery's residual (the
 recovered coefficient is an int).
 
@@ -42,9 +42,11 @@ their reported accuracy, and runs again, with the bits it lacked, where
 that bound passes a quarter of its target (_arc_integral).  The minor-arc
 maximum screens its grid at 8 bits and takes again at prec only the
 samples that may be the largest by their reported accuracy
-(minor_arc_empirical_max).  The Cauchy recovery sums at
-max(prec, bit length of OEbar(n) + 16) bits (cauchy_full_integral): the
-coefficient's own bits where they are more.
+(minor_arc_empirical_max).  The Cauchy recovery answers to
+bits = max(prec, bit length of OEbar(n) + 16), the coefficient's own bits
+where they are more, and transforms at the bits its rounding bound asks
+for that: bits + GUARD_BITS + 2 log2 K + 4 and the log2 of how far its
+samples outgrow the coefficient's share of them (cauchy_full_integral).
 
 Each arc is one Clenshaw-Curtis panel (adaptive_quad), raised a level at a
 time until its error estimate meets the arc's target: on the major arc
@@ -53,11 +55,13 @@ n = 25600.  On the minor arc the phase e^(-2 pi i n x) turns n/2 times:
 2^10 + 1 samples at n = 400 and 2^13 + 1, the top level, at n = 3200, and
 at n = 6400 the quadrature raises QuadratureError.
 
-Both polynomial sums here, the Mordell expansion and the exact series at
-the samples of the Cauchy recovery, run on specfun.horner_fixed, the
-package's one Horner loop: their coefficients are real, so off the real
-axis it sums them by Goertzel's recurrence, two real products per
-coefficient.
+The Mordell expansion runs on specfun.horner_fixed, the package's one
+Horner loop: its coefficients are real, so off the real axis it sums them
+by Goertzel's recurrence, two real products per coefficient.  The exact
+series at the K samples of the Cauchy recovery is one radix-2 transform
+(_dft), (K/2) log2 K butterflies where a Horner sum per sample would take
+n steps each, and the same transform sums the Clenshaw-Curtis weights'
+cosines.
 """
 
 import logging
@@ -72,7 +76,7 @@ from mpmath.libmp import (fone, from_float, from_man_exp, from_rational, ftwo, m
 
 from . import asympt, genfun
 from .specfun import (GUARD_BITS, TERM_BUDGET, DomainError, QuadratureError, first_below, guarded,
-                      horner_bits, horner_fixed, pay_for_loss)
+                      horner_fixed, pay_for_loss)
 
 # a quadrature panel first estimates its error at 2^4 + 1 Clenshaw-Curtis
 # nodes, and is raised no further than 2^L + 1 <= QUAD_CALL_BUDGET, L = 13
@@ -514,67 +518,115 @@ def oe_parts_eval(tau, prec=256):
     return tuple(mpc(mpf((re, -wp)), mpf((im, -wp))) for re, im in parts)
 
 
+def _dft(re, im, roots, wp):
+    """The length-K transform X_k = sum_j x_j w^(jk), w = e^(2 pi i/K), of
+    x_j = re[j] + i im[j], Python ints, in place: K = len(re) a power of
+    two, radix 2 by decimation in time (Cooley and Tukey, Math. Comp. 19,
+    1965), (K/2) log2 K butterflies.  roots[m] is w^m scaled by 2^wp, a
+    pair of ints, for m < K/2.  A butterfly multiplies one input by its
+    root and floors both parts, an error below sqrt2; with every root
+    within d 2^wp of its exact value and sum_j |x_j| = A, each exact
+    partial transform is at most A, and each of the log2 K stages at most
+    doubles the error it is given, times 1 + d, and adds d A + sqrt2 to it:
+    each bin is within K (1 + d)^(log2 K) (d A + sqrt2) of X_k.
+    """
+    size = len(re)
+    j = 0
+    for i in range(1, size):  # to bit-reversed order
+        bit = size >> 1
+        while j & bit:
+            j ^= bit
+            bit >>= 1
+        j |= bit
+        if i < j:
+            re[i], re[j], im[i], im[j] = re[j], re[i], im[j], im[i]
+    half = 1
+    while half < size:
+        step = size // (2 * half)
+        for m in range(half):
+            wr, wi = roots[m * step]
+            for a in range(m, size, 2 * half):
+                b = a + half
+                xr, xi, ar, ai = re[b], im[b], re[a], im[a]
+                tr, ti = (xr * wr - xi * wi) >> wp, (xr * wi + xi * wr) >> wp
+                re[a], im[a], re[b], im[b] = ar + tr, ai + ti, ar - tr, ai - ti
+        half *= 2
+
+
 @guarded
 def cauchy_full_integral(n, prec=256):
     """Recover OEbar(n) from the Cauchy integral by DFT on the circle.
 
-    Samples genfun's hypergeometric series, truncated at order n, at the
-    K = n + 1 points z_k = r w^k, w = e^(2 pi i/K), r = e^(-2 pi y).  With
-    K > n only q^n aliases onto q^n, so sum_k S(z_k) w^(-nk) = K OEbar(n) r^n
-    exactly, and n = -1 (mod K) makes each twiddle the sample's own root
-    w^k = z_k / r: the sum is sum_k z_k S(z_k) / r^(n+1), z S(z) the series
-    with a zero coefficient put below it.  The series and r are real, so
-    samples k and K - k are conjugates: the sum is over k <= K/2 of
-    Re(z_k S(z_k)), weight 1 at k = 0 and k = K/2 and 2 elsewhere,
-    floor((n+1)/2) + 1 samples.  The series is built once and summed at
-    bits = max(prec, bit length of OEbar(n) + 16), so no caller picks bits
-    for it.
+    Samples genfun's hypergeometric series S, truncated at order n, at the
+    K = 2^(bit length of n) points z_k = r w^k, w = e^(2 pi i/K),
+    r = e^(-2 pi y): K is the least power of two above n, so only q^n
+    aliases onto q^n, and sum_k S(z_k) w^(-nk) = K OEbar(n) r^n exactly.
+    The K samples are one transform (_dft) of a_j = c_j R_j, R_j the
+    powers of r in fixed point, each floored from the last; these products
+    are exact, so bin n of the exact fold is K c_n R_n whatever those
+    floors are.  The fold sum_k X_k w^(-nk) is summed exactly, as
+    integers, from the transform's root table, and OEbar(n) is the nearest
+    integer to the exact rational total 2^-wp / (K R_n).  The series is
+    built once and summed at bits = max(prec, b + 16), b the bit length of
+    OEbar(n), so no caller picks bits for it.
 
-    Integers from the first sample point to the recovered coefficient, at
-    wp = specfun.horner_bits(bits, r) + ceil(log2 K) bits, with r a float:
-    the coefficients are scaled once, and z_0 is _radius's int, r floored
-    to wp bits, the same one the direct sum forms |q| from.  Each later
-    point is the last times w, one fixed-point rotation; no complex
-    exponential is taken per sample.  w, _turn's at 2/K rounded to wp + 8
-    bits, is within 2^(1.6 - wp) of e^(2 pi i/K), and each rotation floors
-    both parts, so z_k is within (5k + 1) 2^-wp <= 3 K 2^-wp <= 3
-    2^-(wp - ceil(log2 K)) of z_0 w^k: the ceil(log2 K) bits pay for the
-    rotations, and leave each point within 3 units of
-    2^-horner_bits(bits, r).  Each sample is specfun.horner_fixed's, within
-    2^-(bits + GUARD_BITS + 3) of z S(z) at the point it is given; the fold
-    reads only its real part, b_0 - b_1 Re z_k of Goertzel's recurrence
-    off the real axis, and the real parts are summed exactly as integers.
-    The samples and the division by r^(n+1) share the one radius int, so y
-    needs only float accuracy: OEbar(n) is the nearest integer to the
-    exact rational total 2^(wp n) / (K radius^(n+1)), and the residual, its
-    exact distance from it, carries every sample's rounding and is the one
-    mpf built.  A residual above 1/4 is a defect, and raises.  Logs n, the
-    samples taken, wp and the residual at DEBUG, once per recovery.
+    Integers from the first power of r to the recovered coefficient: R_0
+    is 2^wp and R_1 _radius's int for r, the same one the direct sum forms
+    |q| from, so y needs only float accuracy.  The K/2 roots are one _turn
+    at 2/K, within 2^(1.5 - wp) of w, rotated by it a fixed-point product
+    at a time, each rotation flooring both parts: root m is within 2^(2.1 - wp) m (1 + 2^(1.5 - wp))^m, and every
+    root within d = K 2^(1.1 - wp).  With A = sum_j a_j >= a_0 = 2^wp, d A
+    is above sqrt2, so each bin is within 2.01 K d A (see _dft); the fold
+    reads the bins through roots within d, so the quotient is within
+    (2.01 K + 1) d A / R_n <= 2^(2 log2 K + 3 - wp) A / R_n of OEbar(n).
+    A / R_n = sum_j c_j R_j / R_n is at most 2^(b + lift), with
+    lift = log2 sum_j 2^(bit length of c_j - b) r^(j - n), summed in floats
+    before the transform: c_j is below 2^(its bit length), and R_j / R_n
+    and the float sum are within a factor 1 + 2^-20 of r^(j - n) and of
+    the exact one, which one spare bit covers.  So
+    wp = bits + GUARD_BITS + 2 log2 K + 4 + ceil(lift) puts the quotient
+    within 2^(b - bits - GUARD_BITS) <= 2^-48 of OEbar(n).  The residual,
+    the quotient's exact distance from the nearest integer, carries every
+    rounding and is the one mpf built.  A residual above 1/4 is a defect,
+    and raises.  Logs n, K, wp and the residual at DEBUG, once per
+    recovery.
     """
     if n < 0:
         raise DomainError("n must be >= 0")
     if n == 0:
         return 1, mpf(0)
-    series = genfun.oebar_series_hypergeometric(n)
-    bits = max(prec, series.coeffs[n].bit_length() + 16)
-    samples = n + 1
+    coeffs = genfun.oebar_series_hypergeometric(n).coeffs
+    top, size = coeffs[n].bit_length(), 1 << n.bit_length()
+    bits = max(prec, top + 16)
     y = 1 / (4 * math.sqrt(3 * n))  # only the radius is needed here, not the arc cut
-    wp = horner_bits(bits, math.exp(-2 * math.pi * y)) + n.bit_length()
-    radius = _radius(from_float(y), wp)  # r 2^wp, floored
-    coeffs = [c << wp for c in reversed(series.coeffs)] + [0]  # z S(z)
-    wr, wi = _turn(from_rational(2, samples, wp + 8), wp)
-    zr, zi, total = radius, 0, 0  # the point, and the folded sum, scaled by 2^wp
-    for k in range(samples // 2 + 1):
-        part, _ = horner_fixed(coeffs, (zr, zi), wp)
-        total += part if 2 * k % samples == 0 else 2 * part
+    slope = 2 * math.pi * y / math.log(2)  # log2(1/r)
+    lift = math.log2(math.fsum(2.0 ** (c.bit_length() - top + (n - j) * slope)
+                               for j, c in enumerate(coeffs) if c))
+    wp = bits + GUARD_BITS + 2 * n.bit_length() + 4 + math.ceil(lift)
+    radius, powers = _radius(from_float(y), wp), [1 << wp]
+    for _ in range(n):
+        powers.append(powers[-1] * radius >> wp)
+    re = [c * power for c, power in zip(coeffs, powers)]  # a_j = c_j R_j, exactly
+    re += [0] * (size - n - 1)
+    wr, wi = _turn(from_man_exp(1, 1 - n.bit_length()), wp)  # 2/K, exactly
+    roots, zr, zi = [], 1 << wp, 0
+    for _ in range(size >> 1):
+        roots.append((zr, zi))
         zr, zi = (zr * wr - zi * wi) >> wp, (zr * wi + zi * wr) >> wp
-    # OEbar(n) = total 2^-wp / (K r^(n+1)), with r^(n+1) = radius^(n+1) 2^(-wp (n+1))
-    num, den = total << wp * n, samples * radius ** (n + 1)
-    nearest = (2 * num + den) // (2 * den)
-    residual = mpf(abs(num - nearest * den)) / den
+    im = [0] * size
+    _dft(re, im, roots, wp)
+    total, half = 0, size >> 1
+    for k in range(size):  # Re(X_k w^(-nk)), w^(m + K/2) = -w^m
+        m = n * k % size
+        ur, ui = roots[m % half]
+        part = re[k] * ur + im[k] * ui
+        total += part if m < half else -part
+    den = size * powers[n] << wp
+    nearest = (2 * total + den) // (2 * den)
+    residual = mpf(abs(total - nearest * den)) / den
     if log.isEnabledFor(logging.DEBUG):
-        log.debug("recovery at n = %d: %d samples at %d bits, residual %s", n, samples // 2 + 1,
-                  wp, mp.nstr(residual, 3))
+        log.debug("recovery at n = %d: %d samples at %d bits, residual %s", n, size, wp,
+                  mp.nstr(residual, 3))
     if residual > 0.25:
         raise QuadratureError(f"rounding residual {residual} above 1/4 at {bits} bits")
     return nearest, residual
@@ -587,24 +639,30 @@ def _clenshaw_curtis(level, prec):
 
     w_j = (c_j / N) (1 - sum_(k=1..N/2) b_k cos(2 pi j k/N) / (4 k^2 - 1)),
     c_j = 1 at j = 0 and N and 2 elsewhere, b_k = 1 at k = N/2 and 2
-    elsewhere (Trefethen, Spectral Methods in MATLAB, clencurt); each
-    cosine is cos(pi m/N) at m = 2 j k mod 2N, a node or its negative.  In
-    fixed point on Python ints at wp = prec + level + 8 bits: the cosines
-    are libmp's, floored, and so is each b_k/(4k^2 - 1), so the sum is
-    within N units of 2^-wp and the weight, a 1/N or 2/N part of it, within
-    a few; each mpf is rounded once, to nearest.  The rule is symmetric, so
-    half of each list is built and mirrored.  The build is O(N^2) int
-    products: at prec 128 on a 2-core x86 VM, levels 3 to 6 took about 1 ms
-    together, level 9 20-36 ms, and levels 10 to 13, the most a panel
-    reaches, 0.11, 0.43, 0.92 and 3.3 s.
+    elsewhere (Trefethen, Spectral Methods in MATLAB, clencurt).  The sum
+    is the real part of bin j of the length-N transform (_dft) of
+    (0, t_1, ..., t_(N/2), 0, ...), t_k = b_k / (4 k^2 - 1).  In fixed
+    point on Python ints at wp = prec + level + 8 bits: the nodes are
+    libmp's cosines, floored, each within 2^(1 - wp), and so are the
+    transform's roots, e^(2 pi i m/N) = x_(2m) + i x_|N/2 - 2m|; each t_k
+    is floored, and sum_k t_k <= sum_k 2/(4k^2 - 1) = 1, so each bin is
+    within 4.3 N units of 2^-wp (see _dft) and each weight, a 1/N or 2/N
+    part of it, floored, within 10.  Bins 0 and N/2 read only the root 1, so the end
+    weights 1/(N^2 - 1), which cancel, are exact to the t_k's floors.
+    Each mpf is rounded once, to nearest.  The rule is symmetric, so half
+    of each list is built and mirrored.  At prec 128 on a 2-core x86 VM,
+    levels 3 to 6 took about 2 ms together, level 9 7-11 ms, and levels 10
+    to 13, the most a panel reaches, 11-15, 24-29, 51 and 107 ms.
     """
-    period, half, wp = 2 << level, 1 << level - 1, prec + level + 8  # period 2N
+    size, half, wp = 1 << level, 1 << level - 1, prec + level + 8
     x = [to_fixed(mpf_cos_sin_pi(from_man_exp(j, -level), wp)[0], wp) for j in range(half + 1)]
     nodes = x + [-c for c in reversed(x[:-1])]
-    terms = [(2 << wp) // (4 * k * k - 1) >> (k == half) for k in range(1, half + 1)]
-    cycle = nodes + nodes[-2:0:-1]  # cos(pi m/N) for 0 <= m < 2N
-    weights = [((1 << 2 * wp) - sum(t * cycle[2 * j * k % period] for k, t in enumerate(terms, 1)))
-               >> wp + level - (j > 0) for j in range(half + 1)]
+    roots = [(nodes[2 * m], nodes[abs(half - 2 * m)]) for m in range(half)]
+    re = [0] + [(2 << wp) // (4 * k * k - 1) >> (k == half) for k in range(1, half + 1)]
+    re += [0] * (size - half - 1)
+    im = [0] * size
+    _dft(re, im, roots, wp)
+    weights = [((1 << wp) - re[j]) >> level - (j > 0) for j in range(half + 1)]
     weights += reversed(weights[:-1])
     return [[mp.make_mpf(from_man_exp(v, -wp, prec, "n")) for v in vs] for vs in (nodes, weights)]
 
@@ -762,9 +820,10 @@ def minor_arc_integral(geom, prec=96):
     Its phase e^(-2 pi i n x) turns n/2 times, so its one panel needs about
     2.5n samples: at M = 6 and prec 96 it returns up to n = 3200, at the top
     level, 2^13 + 1 samples, and at n = 6400 it raises QuadratureError,
-    after 8.5 to 9.4 s in a fresh process on a 2-core x86 VM (8.2 to 9.7 s
-    when its samples took 36 bits, not 12): most of it builds the
-    Clenshaw-Curtis weights of levels 10 to 13 (see _clenshaw_curtis).
+    after 3.8 to 4.2 s in a fresh process on a 2-core x86 VM, nearly all of
+    it in the samples: the Clenshaw-Curtis weights of levels 10 to 13 take
+    about 0.2 s together (see _clenshaw_curtis).  At n = 1600 it returns
+    in 1.9 to 2.1 s.
     """
     return _arc_integral(geom, geom.major_halfwidth, mpf("0.5"), mpf(10) ** -6, prec)
 

@@ -44,7 +44,7 @@ from collections import namedtuple
 # order a coefficient series would need, as a work guard.  "--prec" bounds
 # every command's precision in bits, and "circle --grid" the minor-arc grid
 CEILINGS = {"compute --method enum": 60, "compute": 100000, "ratio": 20000, "gf-eval": 60000,
-            "verify": 20000, "circle": 6400, "circle --grid": 10000, "--prec": 1024}
+            "verify": 20000, "circle": 25600, "circle --grid": 10000, "--prec": 1024}
 # the least --prec; the verify suites are measured to pass from it up, the
 # specfun rows within 40 of their 256 units of 2^-prec at 64 to 1024 bits
 MIN_PREC = 64

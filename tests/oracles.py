@@ -17,6 +17,8 @@
                      which tries every part up to the remainder
   tail_index(log x, shift, bits)  specfun._tail_index's count by a float
                      loop over K, one step per term
+  clenshaw_curtis(level, prec)  circle._clenshaw_curtis's nodes and weights,
+                     each weight's cosine sum taken term by term, O(N^2)
 
 euler_eval, m_threshold and the closed forms are wrapped in
 specfun.guarded, as the package's public entry points are; invert divides
@@ -30,6 +32,7 @@ from itertools import count, islice
 from operator import add, sub
 
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import from_man_exp, mpf_cos_sin_pi, to_fixed
 
 from oepartitions.series import PowerSeries, SeriesError, _check_order, _div_sparse
 from oepartitions.specfun import GUARD_BITS, TERM_BUDGET, DomainError, bessel_i, guarded
@@ -200,3 +203,29 @@ def tail_index(log_x, shift, bits):
         k += 1
         bound += log_x - math.log(k + 1)
     return k
+
+
+def clenshaw_curtis(level, prec):
+    """The nodes x_j = cos(pi j/N), N = 2^level, j = 0 .. N, and the
+    Clenshaw-Curtis weights of f(x_j) on [-1, 1], as mpf lists at prec bits.
+
+    w_j = (c_j / N) (1 - sum_(k=1..N/2) b_k cos(2 pi j k/N) / (4 k^2 - 1)),
+    c_j = 1 at j = 0 and N and 2 elsewhere, b_k = 1 at k = N/2 and 2
+    elsewhere (Trefethen, Spectral Methods in MATLAB, clencurt), each sum
+    taken term by term: each cosine is cos(pi m/N) at m = 2 j k mod 2N, a
+    node or its negative.  In fixed point on Python ints at
+    wp = prec + level + 8 bits: the cosines are libmp's, floored, and so is
+    each b_k/(4k^2 - 1), so the sum is within N units of 2^-wp and the
+    weight, a 1/N or 2/N part of it, within a few; each mpf is rounded
+    once, to nearest.  The rule is symmetric, so half of each list is
+    built and mirrored.
+    """
+    period, half, wp = 2 << level, 1 << level - 1, prec + level + 8  # period 2N
+    x = [to_fixed(mpf_cos_sin_pi(from_man_exp(j, -level), wp)[0], wp) for j in range(half + 1)]
+    nodes = x + [-c for c in reversed(x[:-1])]
+    terms = [(2 << wp) // (4 * k * k - 1) >> (k == half) for k in range(1, half + 1)]
+    cycle = nodes + nodes[-2:0:-1]  # cos(pi m/N) for 0 <= m < 2N
+    weights = [((1 << 2 * wp) - sum(t * cycle[2 * j * k % period] for k, t in enumerate(terms, 1)))
+               >> wp + level - (j > 0) for j in range(half + 1)]
+    weights += reversed(weights[:-1])
+    return [[mp.make_mpf(from_man_exp(v, -wp, prec, "n")) for v in vs] for vs in (nodes, weights)]

@@ -30,7 +30,7 @@ from oepartitions.circle import (
     circle_report,
 )
 
-from oracles import euler_eval, m_threshold
+from oracles import clenshaw_curtis, euler_eval, m_threshold
 
 
 def bilateral_reference(tau, prec):
@@ -775,10 +775,9 @@ class TestWatsonTransformation:
         # negligible, those of Q and of that term's factor, each by a
         # fixed-point turn; at (10^5, 0) Q floors to 0, and is not formed.
         # The direct route takes the phase of q
-        # alone.  The Cauchy recovery at n = 105 takes K = 106 samples, each
-        # twiddle the sample's own root; it turns once, to e^(2 pi i/K), and
-        # rotates by it from sample to sample, so its 54 roots cost one
-        # complex exponential, not 54
+        # alone.  The Cauchy recovery at n = 105 takes K = 128 samples by one
+        # transform; it turns once, to e^(2 pi i/K), and rotates by it from
+        # root to root, so its 64 roots cost one complex exponential, not 64
         calls = []
 
         def counting(name, inner):
@@ -924,6 +923,18 @@ class TestQuadrature:
                     assert abs(got - mpf(2) / (2 * k + 1)) < mpf(2) ** (1 - prec), (level, k)
                     powers = [p * x2 for p, x2 in zip(powers, squares)]
 
+    @pytest.mark.parametrize("prec", [64, 96, 128, 160, 288])
+    def test_rule_against_the_term_by_term_builder(self, prec):
+        # the weights' cosine sums by one transform, against the same sums
+        # taken term by term: each node equal, each weight equal or one unit
+        # in its last place from it, at levels 3 to 10
+        for level in range(3, 11):
+            nodes, weights = circle._clenshaw_curtis(level, prec)
+            want_nodes, want_weights = clenshaw_curtis(level, prec)
+            assert nodes == want_nodes
+            for j, (got, want) in enumerate(zip(weights, want_weights)):
+                assert abs(got - want) <= mpf(2) ** (mp.mag(want) - prec), (level, j)
+
     def test_oscillatory_integral_raises_one_panel(self):
         # cos(2000 x) on [0, 1] needs more than 2^9 + 1 nodes: the one panel
         # is raised to level 11, 2^11 + 1 calls, each abscissa sampled once,
@@ -967,8 +978,8 @@ class TestQuadrature:
 
 
 class TestCauchyRecovery:
-    # odd and even K = n + 1, the old power-of-two sample counts' edges, and
-    # n = 105 and 108, which rotate their sample points 53 and 54 times
+    # n = 127, 128 and 129 on either side of a doubling of K = 1 << n.bit_length(),
+    # and n = 128, where the fold's twiddles w^(-nk) = (-1)^k are exact
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 10, 50, 105, 108, 127, 128, 129])
     def test_exact_recovery(self, n):
         want = oebar_series_hypergeometric(2 * n).coefficient(n)
@@ -982,18 +993,23 @@ class TestCauchyRecovery:
 
     @pytest.mark.parametrize("n", [105, 128])
     def test_samples_half_the_circle(self, n, monkeypatch):
-        # K = n + 1 samples, of which those past K/2 are the conjugates of
-        # those before it: floor((n+1)/2) + 1 Horner sums
-        calls = []
-        inner = circle.horner_fixed
+        # K = 1 << n.bit_length() samples, the least power of two above n,
+        # all of them bins of one transform that reads a table of the K/2
+        # roots on half the circle; no Horner sum
+        calls, horner = [], []
+        inner = circle._dft
 
-        def counting(*args):
-            calls.append(args)
-            return inner(*args)
+        def counting(re, im, roots, wp):
+            calls.append((len(re), len(im), len(roots)))
+            return inner(re, im, roots, wp)
 
-        monkeypatch.setattr(circle, "horner_fixed", counting)
-        cauchy_full_integral(n, prec=192)
-        assert len(calls) == (n + 1) // 2 + 1
+        monkeypatch.setattr(circle, "_dft", counting)
+        monkeypatch.setattr(circle, "horner_fixed", lambda *args: horner.append(args))
+        got, _ = cauchy_full_integral(n, prec=192)
+        size = 1 << n.bit_length()
+        assert calls == [(size, size, size // 2)]
+        assert horner == []
+        assert got == oebar_series_product(n).coefficient(n)
 
     def test_raised_precision_sums_the_series_once(self, summand_calls):
         # OEbar(3000) has 133 bits, so prec 128 is raised to 149 bits, on
@@ -1004,16 +1020,17 @@ class TestCauchyRecovery:
         assert residual < mpf("1e-9")
 
     def test_exact_recovery_at_800(self):
-        # 401 samples of an order-800 series, the conjugates of the other
-        # 400 of its 801 folded in; the product route is a different
-        # identity from the hypergeometric series the recovery sums
+        # K = 1024 samples of an order-800 series, 5120 butterflies; the
+        # product route is a different identity from the hypergeometric
+        # series the recovery sums
         got, residual = cauchy_full_integral(800, prec=192)
         assert got == oebar_series_product(800).coefficient(800)
         assert residual < mpf("1e-40")
 
     def test_precision_sized_from_the_coefficient(self):
         # OEbar(600) has 56 bits, more than 16 + GUARD_BITS working bits hold:
-        # summed at those bits the residual is 66, so the recovery must size itself
+        # transformed for bits = 16 the residual is 1.2e-5, so the recovery
+        # must size itself
         got, residual = cauchy_full_integral(600, prec=16)
         assert got == oebar_series_hypergeometric(600).coefficient(600)
         assert residual < mpf(2) ** -30
@@ -1044,15 +1061,55 @@ class TestCauchyRecovery:
         assert got == 1 and residual == 0
 
     def test_debug_record_per_recovery(self, caplog):
-        # one record: n, the floor((n+1)/2) + 1 samples, wp = horner_bits at
-        # the radius plus the rotations' ceil(log2 K) bits, and the residual
+        # one record: n, the K = 128 samples, and the docstring's
+        # wp = bits + GUARD_BITS + 2 log2 K + 4 + ceil(lift), with lift read
+        # here from the coefficients' bit lengths at 64 bits, not in floats
         n = 105
         caplog.set_level(logging.DEBUG, logger="oepartitions.circle")
         _, residual = cauchy_full_integral(n, prec=192)
-        wp = specfun.horner_bits(192, math.exp(-2 * math.pi / (4 * math.sqrt(3 * n)))) + 7
+        coeffs = oebar_series_hypergeometric(n).coeffs
+        top = coeffs[n].bit_length()
+        with workprec(64):
+            r = exp(-2 * pi / (4 * sqrt(3 * n)))
+            lift = log(sum(mpf(2) ** (c.bit_length() - top) * r ** (j - n)
+                           for j, c in enumerate(coeffs) if c), 2)
+        wp = 192 + GUARD_BITS + 2 * 7 + 4 + int(ceil(lift))
         messages = [r.getMessage() for r in caplog.records if r.name == "oepartitions.circle"]
-        assert messages == [f"recovery at n = 105: 54 samples at {wp} bits, "
+        assert messages == [f"recovery at n = 105: 128 samples at {wp} bits, "
                             f"residual {mp.nstr(residual, 3)}"]
+
+    @pytest.mark.parametrize("n", [1600, 6400])
+    def test_exact_recovery_at_large_n(self, n):
+        # the transform at K = 2048 and 8192 against the product route
+        got, residual = cauchy_full_integral(n, prec=128)
+        assert got == oebar_series_product(n).coefficient(n)
+        assert residual < mpf(2) ** -48
+
+    @pytest.mark.parametrize("size", [1 << k for k in range(9)])
+    def test_transform_against_the_direct_sum(self, size):
+        # random Gaussian ints of up to 100 bits through _dft, against
+        # sum_j x_j w^(jk) summed directly in ints with w^m at 200 bits, each
+        # bin within the docstring's K (1 + d)^(log2 K) (d A + sqrt2), d the
+        # roots' largest distance from w^m
+        rng, wp, fine = random.Random(size), 64, 200
+        xs = [(rng.randrange(-2 ** 100, 2 ** 100), rng.randrange(-2 ** 100, 2 ** 100))
+              for _ in range(size)]
+        with workprec(fine):
+            w = [mp.expjpi(mpf(2 * m) / size) for m in range(size)]
+            roots = [(to_fixed(z.real._mpf_, wp), to_fixed(z.imag._mpf_, wp))
+                     for z in w[:size // 2]]
+            d = max([abs(mpc(*root) / 2 ** wp - z) for root, z in zip(roots, w)], default=0)
+            bound = (size * (1 + d) ** (size.bit_length() - 1)
+                     * (d * mp.fsum(abs(mpc(*x)) for x in xs) + sqrt(2))) * 2 ** fine
+            exact = [(to_fixed(z.real._mpf_, fine), to_fixed(z.imag._mpf_, fine)) for z in w]
+        re, im = [x for x, _ in xs], [x for _, x in xs]
+        circle._dft(re, im, roots, wp)
+        for k in range(size):
+            terms = [(xr, xi, *exact[j * k % size]) for j, (xr, xi) in enumerate(xs)]
+            want_re = sum(xr * c - xi * s for xr, xi, c, s in terms)
+            want_im = sum(xr * s + xi * c for xr, xi, c, s in terms)
+            gap = mp.hypot((re[k] << fine) - want_re, (im[k] << fine) - want_im)
+            assert gap <= bound, (size, k)
 
 
 class TestArcs:
