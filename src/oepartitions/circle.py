@@ -24,8 +24,9 @@ the number its caller uses, on either route, as one representation:
 (re, im, scale), the Python ints Obar 2^scale.  _obar_sum forms q from
 libmp's exp and cosine and sine of pi (_radius, _turn); _transformed forms
 Q and its other powers the same way, sums in ints at the bits of the
-Mordell table, and puts Obar's growth near q = 1 into the scale, which may
-be negative.  The arc integrand multiplies those ints by its phase, the
+Mordell table, omega(Q) and (Q;Q^2)_inf in one pass over Q's odd powers
+(_omega_product), and puts Obar's growth near q = 1 into the scale, which
+may be negative.  The arc integrand multiplies those ints by its phase, the
 minor-arc maximum compares their squared moduli, and the Cauchy recovery
 rotates its roots, transforms and divides exactly in them.  An mpf or mpc
 is built only for the number handed on: oebar_eval's value, an integrand
@@ -57,11 +58,11 @@ at n = 6400 the quadrature raises QuadratureError.
 
 The Mordell expansion runs on specfun.horner_fixed, the package's one
 Horner loop: its coefficients are real, so off the real axis it sums them
-by Goertzel's recurrence, two real products per coefficient.  The exact
-series at the K samples of the Cauchy recovery is one radix-2 transform
-(_dft), (K/2) log2 K butterflies where a Horner sum per sample would take
-n steps each, and the same transform sums the Clenshaw-Curtis weights'
-cosines.
+by Goertzel's recurrence, two real products per coefficient.  The Cauchy
+recovery samples the exact series, a polynomial, at the K-th roots of
+unity, with no contour radius: one radix-2 transform (_dft), (K/2) log2 K
+butterflies where a Horner sum per sample would take n steps each, and
+the same transform sums the Clenshaw-Curtis weights' cosines.
 """
 
 import logging
@@ -70,9 +71,9 @@ from collections import namedtuple
 from functools import lru_cache
 
 from mpmath import mp, mpf, mpc
-from mpmath.libmp import (fone, from_float, from_man_exp, from_rational, ftwo, mpc_reciprocal,
-                          mpc_sqrt, mpf_cos_sin_pi, mpf_div, mpf_exp, mpf_mul, mpf_mul_int, mpf_neg,
-                          mpf_pi, mpf_shift, mpf_sqrt, to_fixed, to_float)
+from mpmath.libmp import (fone, from_man_exp, from_rational, ftwo, mpc_reciprocal, mpc_sqrt,
+                          mpf_cos_sin_pi, mpf_div, mpf_exp, mpf_mul, mpf_mul_int, mpf_neg, mpf_pi,
+                          mpf_shift, mpf_sqrt, to_fixed, to_float)
 
 from . import asympt, genfun
 from .specfun import (GUARD_BITS, TERM_BUDGET, DomainError, QuadratureError, first_below, guarded,
@@ -143,9 +144,9 @@ def _turn(half_turns, wp):
 @lru_cache(maxsize=64)
 def _radius(y, wp):
     """|q| = e^(-2 pi y) at y, a libmp value, as an int scaled by 2^wp:
-    libmp's exp at wp bits, floored, within a few units of 2^-wp.  Kept per
-    (y, wp), since the samples of an arc share y; the Cauchy recovery takes
-    its sample radius and its divisor from the one int."""
+    libmp's exp at wp bits, floored, within a few units of 2^-wp.  Its one
+    caller is _obar_sum; kept per (y, wp), since the samples of an arc
+    share y."""
     return to_fixed(mpf_exp(mpf_neg(mpf_mul(mpf_pi(wp), mpf_shift(y, 1), wp)), wp), wp)
 
 
@@ -308,50 +309,43 @@ def _times(a, b, wp):
     return (a[0] * b[0] - a[1] * b[1]) >> wp, (a[0] * b[1] + a[1] * b[0]) >> wp
 
 
-def _omega(big_q, wp):
-    """Watson's omega(Q) = sum_(n>=0) Q^(2n(n+1)) / (Q;Q^2)_(n+1)^2, for
-    |Q| <= e^-pi, with Q and the sum as int pairs scaled by 2^wp.
+def _omega_product(big_q, wp):
+    """Watson's omega(Q) = sum_(n>=0) Q^(2n(n+1)) / (Q;Q^2)_(n+1)^2 and
+    (Q;Q^2)_inf, which is 1/(-Q;Q)_inf by Euler's identity, for
+    |Q| <= e^-pi, with Q, the sum and the product as int pairs scaled by 2^wp.
 
-    Each term is the last times Q^(4n) / (1 - Q^(2n+1))^2, at most 1/2 in
-    size, so the sum after a term is below it; the loop stops at a term
-    below 2^(4 - wp) of the sum, 2^-(prec + GUARD_BITS) at _transformed's
-    wp, after one or two on the major arc.  Dividing by d = (1 - Q^(2n+1))^2 is
-    multiplying by conj(d) and floor-dividing by |d|^2.
+    One pass over the odd powers Q^(2n+1): step n adds omega's term n, the
+    last times Q^(4n) / (1 - Q^(2n+1))^2, and then multiplies the product by
+    1 - Q^(2n+1), unless |Q^(2n+1)| is below 16 units of 2^-wp, where the
+    pass stops.  Dividing by d = (1 - Q^(2n+1))^2 is multiplying by
+    conj(d) and floor-dividing by |d|^2.  The pass always holds omega's
+    term 0, 1/(1 - Q)^2, also where Q is below 16 units from the start.
+
+    The factors left out change the product by under
+    |Q^(2n+1)| / (1 - |Q|^2), 17 units of 2^-wp, and the omega terms left
+    out, each below 1.1 |Q|^(2(n+1)(n+2)) and at most 1/2 of the last, by
+    under a hundredth of a unit.  Each step's floors, and the powers'
+    floors they carry, cost each value under 5 units, and with
+    |Q| <= e^-pi the pass stops within wp/9 + 2 steps: omega and the
+    product are each within 5 (wp/9 + 2) + 17 units of 2^-wp.
     """
     one = 1 << wp
     q2 = _times(big_q, big_q, wp)
     q4 = _times(q2, q2, wp)
-    odd, step, term, total = big_q, (one, 0), (one, 0), (0, 0)  # Q^(2n+1), Q^(4n), term, sum
+    # Q^(2n+1), Q^(4n), omega's term n, its sum and the product
+    odd, step, term, total, product = big_q, (one, 0), (one, 0), (0, 0), (one, 0)
     for _ in range(TERM_BUDGET):
-        dr, di = _times((one - odd[0], -odd[1]), (one - odd[0], -odd[1]), wp)
+        factor = one - odd[0], -odd[1]
+        dr, di = _times(factor, factor, wp)
         tr, ti = _times(term, step, wp)
         size2 = dr * dr + di * di
         term = ((tr * dr + ti * di) << wp) // size2, ((ti * dr - tr * di) << wp) // size2
         total = total[0] + term[0], total[1] + term[1]
-        if (term[0] ** 2 + term[1] ** 2) << 2 * (wp - 4) < total[0] ** 2 + total[1] ** 2:
-            return total
+        if odd[0] ** 2 + odd[1] ** 2 < 1 << 8:  # |Q^(2n+1)| below 16 units of 2^-wp
+            return total, product
+        product = _times(product, factor, wp)
         odd, step = _times(odd, q2, wp), _times(step, q4, wp)
     raise ArithmeticError(f"omega(Q) at Q = {big_q} needs over {TERM_BUDGET} terms")
-
-
-def _odd_pochhammer(big_q, wp):
-    """(Q;Q^2)_inf, which is 1/(-Q;Q)_inf by Euler's identity, for
-    |Q| <= e^-pi, with Q and the product as int pairs scaled by 2^wp.
-
-    The product stops at a factor 1 - Q^k with |Q^k| below 2^(4 - wp),
-    2^-(prec + GUARD_BITS) at _transformed's wp; the rest changes the value
-    by at most about |Q^k| / (1 - |Q|^2).  With |Q| <= e^-pi that is at most
-    about wp/9 factors.  _transformed calls it only where it sums the omega
-    term: elsewhere Q floors to 0 at its wp, and the product is 1.
-    """
-    q2 = _times(big_q, big_q, wp)
-    product, power = (1 << wp, 0), big_q
-    for _ in range(TERM_BUDGET):
-        if power[0] ** 2 + power[1] ** 2 < 1 << 8:  # |Q^k| below 16 units of 2^-wp
-            return product
-        product = _times(product, ((1 << wp) - power[0], -power[1]), wp)
-        power = _times(power, q2, wp)
-    raise ArithmeticError(f"(Q;Q^2)_inf at Q = {big_q} needs over {TERM_BUDGET} factors")
 
 
 def _transformed(tau, prec):
@@ -389,7 +383,10 @@ def _transformed(tau, prec):
     r = 1 and 2/3 only where the omega term is summed) is libmp's exp of
     -pi r Im inv for the modulus and _turn at r Re inv for the phase, as
     _obar_sum forms q, and sqrt(i/tau) = sqrt(Im inv - i Re inv) is
-    libmp's.  The one modulus above 1, e^(pi Im inv/24) / sqrt2, carries
+    libmp's.  omega(Q) and (Q;Q^2)_inf are one pass over the odd powers of
+    Q (_omega_product), each within 5 (wp/9 + 2) + 17 units of 2^-wp (the
+    most measured over 1000 random Q at wp 48 to 548: 24 and 14 units).
+    The one modulus above 1, e^(pi Im inv/24) / sqrt2, carries
     Obar's growth and goes into the scale, which is negative where Obar is
     above about 2^wp.
     """
@@ -422,8 +419,8 @@ def _transformed(tau, prec):
         modulus, phase = power(from_rational(2, 3, bits))
         root = [to_fixed(mpf_mul(part, modulus, bits), wp + 1)
                 for part in mpc_sqrt((im, mpf_neg(re)), bits)]  # 2 sqrt(i/tau) |e^(2 pi i inv/3)|
-        w = _times(_times(root, phase, wp), _omega(big_q, wp), wp)
-        product = _odd_pochhammer(big_q, wp)
+        omega, product = _omega_product(big_q, wp)
+        w = _times(_times(root, phase, wp), omega, wp)
     total = m[0] + w[0], m[1] + w[1]
     m2, w2, t2 = (a * a + b * b for a, b in (m, w, total))
     lost = max((max(m2, w2).bit_length() - t2.bit_length() + 1) // 2, 0)
@@ -558,38 +555,35 @@ def cauchy_full_integral(n, prec=256):
     """Recover OEbar(n) from the Cauchy integral by DFT on the circle.
 
     Samples genfun's hypergeometric series S, truncated at order n, at the
-    K = 2^(bit length of n) points z_k = r w^k, w = e^(2 pi i/K),
-    r = e^(-2 pi y): K is the least power of two above n, so only q^n
-    aliases onto q^n, and sum_k S(z_k) w^(-nk) = K OEbar(n) r^n exactly.
-    The K samples are one transform (_dft) of a_j = c_j R_j, R_j the
-    powers of r in fixed point, each floored from the last; these products
-    are exact, so bin n of the exact fold is K c_n R_n whatever those
-    floors are.  The fold sum_k X_k w^(-nk) is summed exactly, as
-    integers, from the transform's root table, and OEbar(n) is the nearest
-    integer to the exact rational total 2^-wp / (K R_n).  The series is
-    built once and summed at bits = max(prec, b + 16), b the bit length of
-    OEbar(n), so no caller picks bits for it.
+    K = 2^(bit length of n) roots of unity w^k, w = e^(2 pi i/K): K is the
+    least power of two above n, so only q^n aliases onto q^n, and
+    sum_k S(w^k) w^(-nk) = K OEbar(n) exactly.  S is a polynomial, so the
+    fold needs no contour radius: the K samples are one transform (_dft)
+    of a_j = c_j 2^wp, exact integers, so bin n of the exact fold is
+    K c_n 2^wp.  The fold sum_k X_k w^(-nk) is summed exactly, as integers,
+    from the transform's root table, and OEbar(n) is the nearest integer to
+    the exact rational total / (K 2^(2 wp)).  The series is built once and
+    summed at bits = max(prec, b + 16), b the bit length of OEbar(n), so no
+    caller picks bits for it.
 
-    Integers from the first power of r to the recovered coefficient: R_0
-    is 2^wp and R_1 _radius's int for r, the same one the direct sum forms
-    |q| from, so y needs only float accuracy.  The K/2 roots are one _turn
-    at 2/K, within 2^(1.5 - wp) of w, rotated by it a fixed-point product
-    at a time, each rotation flooring both parts: root m is within 2^(2.1 - wp) m (1 + 2^(1.5 - wp))^m, and every
-    root within d = K 2^(1.1 - wp).  With A = sum_j a_j >= a_0 = 2^wp, d A
-    is above sqrt2, so each bin is within 2.01 K d A (see _dft); the fold
-    reads the bins through roots within d, so the quotient is within
-    (2.01 K + 1) d A / R_n <= 2^(2 log2 K + 3 - wp) A / R_n of OEbar(n).
-    A / R_n = sum_j c_j R_j / R_n is at most 2^(b + lift), with
-    lift = log2 sum_j 2^(bit length of c_j - b) r^(j - n), summed in floats
-    before the transform: c_j is below 2^(its bit length), and R_j / R_n
-    and the float sum are within a factor 1 + 2^-20 of r^(j - n) and of
-    the exact one, which one spare bit covers.  So
-    wp = bits + GUARD_BITS + 2 log2 K + 4 + ceil(lift) puts the quotient
-    within 2^(b - bits - GUARD_BITS) <= 2^-48 of OEbar(n).  The residual,
-    the quotient's exact distance from the nearest integer, carries every
-    rounding and is the one mpf built.  A residual above 1/4 is a defect,
-    and raises.  Logs n, K, wp and the residual at DEBUG, once per
-    recovery.
+    Integers from the first input to the recovered coefficient.  The K/2
+    roots are one _turn at 2/K, within 2^(1.5 - wp) of w, rotated by it a
+    fixed-point product at a time, each rotation flooring both parts: root
+    m is within 2^(2.1 - wp) m (1 + 2^(1.5 - wp))^m, and every root within
+    d = K 2^(1.1 - wp).  With A = sum_j a_j >= a_0 = 2^wp, d A is above
+    sqrt2, so each bin is within 2.01 K d A (see _dft); the fold reads the
+    bins through roots within d, so the quotient is within
+    (2.01 K + 1) d A / 2^wp <= 2^(2 log2 K + 3 - wp) A / 2^wp of OEbar(n).
+    A / 2^wp = sum_j c_j is at most 2^(b + lift), with
+    lift = log2 sum_j 2^(bit length of c_j - b), summed in floats before
+    the transform: c_j is below 2^(its bit length), and the float sum is
+    within a factor 1 + 2^-50 of the exact one, which one spare bit
+    covers.  So wp = bits + GUARD_BITS + 2 log2 K + 4 + ceil(lift) puts the
+    quotient within 2^(b - bits - GUARD_BITS) <= 2^-48 of OEbar(n).  The
+    residual, the quotient's exact distance from the nearest integer,
+    carries every rounding and is the one mpf built.  A residual above 1/4
+    is a defect, and raises.  Logs n, K, wp and the residual at DEBUG, once
+    per recovery.
     """
     if n < 0:
         raise DomainError("n must be >= 0")
@@ -598,16 +592,9 @@ def cauchy_full_integral(n, prec=256):
     coeffs = genfun.oebar_series_hypergeometric(n).coeffs
     top, size = coeffs[n].bit_length(), 1 << n.bit_length()
     bits = max(prec, top + 16)
-    y = 1 / (4 * math.sqrt(3 * n))  # only the radius is needed here, not the arc cut
-    slope = 2 * math.pi * y / math.log(2)  # log2(1/r)
-    lift = math.log2(math.fsum(2.0 ** (c.bit_length() - top + (n - j) * slope)
-                               for j, c in enumerate(coeffs) if c))
+    lift = math.log2(math.fsum(2.0 ** (c.bit_length() - top) for c in coeffs if c))
     wp = bits + GUARD_BITS + 2 * n.bit_length() + 4 + math.ceil(lift)
-    radius, powers = _radius(from_float(y), wp), [1 << wp]
-    for _ in range(n):
-        powers.append(powers[-1] * radius >> wp)
-    re = [c * power for c, power in zip(coeffs, powers)]  # a_j = c_j R_j, exactly
-    re += [0] * (size - n - 1)
+    re = [c << wp for c in coeffs] + [0] * (size - n - 1)  # a_j = c_j 2^wp
     wr, wi = _turn(from_man_exp(1, 1 - n.bit_length()), wp)  # 2/K, exactly
     roots, zr, zi = [], 1 << wp, 0
     for _ in range(size >> 1):
@@ -621,7 +608,7 @@ def cauchy_full_integral(n, prec=256):
         ur, ui = roots[m % half]
         part = re[k] * ur + im[k] * ui
         total += part if m < half else -part
-    den = size * powers[n] << wp
+    den = size << 2 * wp
     nearest = (2 * total + den) // (2 * den)
     residual = mpf(abs(total - nearest * den)) / den
     if log.isEnabledFor(logging.DEBUG):

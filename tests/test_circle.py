@@ -673,11 +673,37 @@ class TestWatsonTransformation:
         with workprec(prec + GUARD_BITS):
             tau = -1 / mpc(*dual)
             big_q = mp.expjpi(-1 / tau)
-            re, im = circle._odd_pochhammer(
+            _, (re, im) = circle._omega_product(
                 (to_fixed(big_q.real._mpf_, wp), to_fixed(big_q.imag._mpf_, wp)), wp)
             got = mp.expjpi(1 / (24 * tau) - tau / 12) * mpc(mpf((re, -wp)), mpf((im, -wp))) / sqrt(2)
             want = euler_eval(2 * tau, prec + GUARD_BITS) / euler_eval(tau, prec + GUARD_BITS)
             assert abs(got - want) < mpf(2) ** -(prec - 2) * abs(want)
+
+    @pytest.mark.parametrize("wp", range(48, 549, 50))
+    def test_omega_and_product_in_one_pass_against_references(self, wp):
+        # _omega_product against reference_omega and (Q;Q^2)_inf multiplied
+        # out at wp + 64 bits, both from the pass's own Q, each within the
+        # docstring's 5 (wp/9 + 2) + 17 units of 2^-wp, for |Q| from e^-pi
+        # down to 4 units of 2^-wp.  Below 16 units the pass stops after its
+        # first step: omega still holds its term 1/(1 - Q)^2, about 1, and
+        # the product is 1
+        rng, top = random.Random(wp), -math.pi / math.log(2)
+        with workprec(wp + 64):
+            bound = (5 * (mpf(wp) / 9 + 2) + 17) * mpf(2) ** -wp
+            for k in range(12):
+                size = mpf(2) ** (top + (2 - wp - top) * k / 11)  # log2 |Q| down to 2 - wp
+                q = size * mp.expjpi(mpf(rng.uniform(-1, 1)))
+                big_q = to_fixed(q.real._mpf_, wp), to_fixed(q.imag._mpf_, wp)
+                q = mpc(mpf((big_q[0], -wp)), mpf((big_q[1], -wp)))
+                (omega_re, omega_im), (re, im) = circle._omega_product(big_q, wp)
+                want, power = mpc(1), q
+                while abs(power) >= mpf(2) ** -(wp + 64):
+                    want, power = want * (1 - power), power * q ** 2
+                assert abs(mpc(mpf((re, -wp)), mpf((im, -wp))) - want) < bound, (wp, k)
+                omega = mpc(mpf((omega_re, -wp)), mpf((omega_im, -wp)))
+                assert abs(omega - reference_omega(q, wp + 64)) < bound, (wp, k)
+                if abs(q) < 16 * mpf(2) ** -wp:
+                    assert (re, im) == (1 << wp, 0)
 
     def test_major_arc_needs_no_euler_eval(self, monkeypatch):
         # nor does the minor arc: Obar is summed from its own series there.
@@ -847,18 +873,19 @@ class TestWatsonTransformation:
         # n, -1/tau, which every phase reads, is not formed; at (10^5, 0) it
         # is formed once, while the omega term is far below the truncation
         # of M there and is not summed, and Q, which floors to 0, enters no
-        # product; at (25600, 6y) the omega term and (Q;Q^2)_inf are summed
+        # product; at (25600, 6y) the omega term and (Q;Q^2)_inf are summed,
+        # in one pass
         calls = []
 
         def counting(name):
             inner = getattr(circle, name)
             return lambda *args: calls.append(name) or inner(*args)
 
-        for name in ("mpc_reciprocal", "_omega", "_odd_pochhammer"):
+        for name in ("mpc_reciprocal", "_omega_product"):
             monkeypatch.setattr(circle, name, counting(name))
         for n, x, want in [(25, 0, []), (25, "3y", []), (400, "3y", []),
                            (10 ** 5, 0, ["mpc_reciprocal"]),
-                           (25600, "6y", ["mpc_reciprocal", "_omega", "_odd_pochhammer"])]:
+                           (25600, "6y", ["mpc_reciprocal", "_omega_product"])]:
             calls.clear()
             oebar_eval(tau=circle_point(n, x), prec=96)
             assert calls == want, (n, x)
@@ -879,8 +906,12 @@ class TestWatsonTransformation:
         want = oebar_eval(tau=tau, prec=prec)
         assert ": transformed, " in route()
 
+        inner = circle._omega_product
+
         def cancelling_omega(big_q, wp):
-            # as ints scaled by 2^wp, like the omega it stands in for
+            # as ints scaled by 2^wp, like the omega it stands in for, beside
+            # the pass's own (Q;Q^2)_inf
+            _, product = inner(big_q, wp)
             with workprec(wp + 16):
                 z = -2j * pi * tau
                 point = to_fixed(z.real._mpf_, wp), to_fixed(z.imag._mpf_, wp)
@@ -888,9 +919,9 @@ class TestWatsonTransformation:
                 mr, mi = horner_fixed(reversed(circle._mordell_fixed(wp, terms)), point, wp)
                 factor = 2 * sqrt(1j / tau) * mp.expjpi(-2 / (3 * tau))
                 omega = -mpc(mpf((mr, -wp)), mpf((mi, -wp))) * (1 - mpf(2) ** -20) / factor
-                return to_fixed(omega.real._mpf_, wp), to_fixed(omega.imag._mpf_, wp)
+                return (to_fixed(omega.real._mpf_, wp), to_fixed(omega.imag._mpf_, wp)), product
 
-        monkeypatch.setattr(circle, "_omega", cancelling_omega)
+        monkeypatch.setattr(circle, "_omega_product", cancelling_omega)
         got = oebar_eval(tau=tau, prec=prec)
         assert ": direct, " in route()
         assert abs(got - want) < mpf(2) ** -(prec - 2) * abs(want)
@@ -1048,13 +1079,27 @@ class TestCauchyRecovery:
         assert got == want[0] and 0 < residual < mpf(2) ** -30
 
     @pytest.mark.parametrize("n", [105, 600])
-    def test_one_radius_for_samples_and_division(self, n, monkeypatch):
-        # the sample points and the division by r^(n+1) read one radius int
-        calls = []
+    def test_recovery_transforms_the_scaled_coefficients_at_no_radius(self, n, monkeypatch):
+        # the series is a polynomial, so the recovery samples it on the unit
+        # circle: no _radius call, and _dft is handed exactly c_j 2^wp, padded
+        # with zeros to K, and a zero imaginary part
+        radii, inputs = [], []
         inner = circle._radius
-        monkeypatch.setattr(circle, "_radius", lambda *args: calls.append(args) or inner(*args))
-        cauchy_full_integral(n, prec=64)
-        assert len(calls) == 1
+        monkeypatch.setattr(circle, "_radius", lambda *args: radii.append(args) or inner(*args))
+        transform = circle._dft
+
+        def recording(re, im, roots, wp):
+            inputs.append((list(re), list(im), wp))
+            return transform(re, im, roots, wp)
+
+        monkeypatch.setattr(circle, "_dft", recording)
+        got, _ = cauchy_full_integral(n, prec=64)
+        assert radii == []
+        ((re, im, wp),) = inputs
+        coeffs, size = oebar_series_hypergeometric(n).coeffs, 1 << n.bit_length()
+        assert re == [c << wp for c in coeffs] + [0] * (size - n - 1)
+        assert im == [0] * size
+        assert got == coeffs[n]
 
     def test_zero_case(self):
         got, residual = cauchy_full_integral(0)
@@ -1062,17 +1107,16 @@ class TestCauchyRecovery:
 
     def test_debug_record_per_recovery(self, caplog):
         # one record: n, the K = 128 samples, and the docstring's
-        # wp = bits + GUARD_BITS + 2 log2 K + 4 + ceil(lift), with lift read
-        # here from the coefficients' bit lengths at 64 bits, not in floats
+        # wp = bits + GUARD_BITS + 2 log2 K + 4 + ceil(lift), with
+        # lift = log2 sum_j 2^(bit length of c_j - b) read here at 64 bits,
+        # not in floats
         n = 105
         caplog.set_level(logging.DEBUG, logger="oepartitions.circle")
         _, residual = cauchy_full_integral(n, prec=192)
         coeffs = oebar_series_hypergeometric(n).coeffs
         top = coeffs[n].bit_length()
         with workprec(64):
-            r = exp(-2 * pi / (4 * sqrt(3 * n)))
-            lift = log(sum(mpf(2) ** (c.bit_length() - top) * r ** (j - n)
-                           for j, c in enumerate(coeffs) if c), 2)
+            lift = log(sum(mpf(2) ** (c.bit_length() - top) for c in coeffs if c), 2)
         wp = 192 + GUARD_BITS + 2 * 7 + 4 + int(ceil(lift))
         messages = [r.getMessage() for r in caplog.records if r.name == "oepartitions.circle"]
         assert messages == [f"recovery at n = 105: 128 samples at {wp} bits, "

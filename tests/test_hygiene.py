@@ -35,9 +35,16 @@
 - A circle sample is fixed point from its point to its value, at the bits
   its caller passes: no private function in circle.py, nor one nested in
   it, reads mp.prec or mp.dps or names mpmath's expjpi.
+
+code_lines counts a module's code lines, those not blank, comment or
+docstring, by ast and tokenize: the size of src/oepartitions that ROADMAP
+quotes.  Run as a script, this file prints each module's count and the
+total.
 """
 
 import ast
+import io
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -45,6 +52,9 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "oepartitions"
 TESTS = ROOT / "tests"
+# tokens that hold no code: a line with none other is blank or a comment
+NON_CODE_TOKENS = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+                   tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
 PRECISION_CONTEXTS = {"workprec", "workdps", "extraprec", "extradps"}
 PRECISION_OWNERS = {"specfun.py"}
 MPMATH_QUADRATURES = {"quad", "quadts", "quadgl"}
@@ -60,6 +70,23 @@ ENTRY_POINTS = {
 
 def _tree(path):
     return ast.parse(path.read_text(), filename=str(path))
+
+
+def code_lines(path):
+    """The lines of the module at path that hold a code token, less those
+    of its docstrings: a string spanning lines counts on each of them."""
+    text = Path(path).read_text()
+    lines = set()
+    for token in tokenize.generate_tokens(io.StringIO(text).readline):
+        if token.type not in NON_CODE_TOKENS:
+            lines.update(range(token.start[0], token.end[0] + 1))
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                lines.difference_update(range(first.lineno, first.end_lineno + 1))
+    return len(lines)
 
 
 def _unused_imports(tree):
@@ -518,3 +545,33 @@ def test_the_scan_sees_unbounded_and_bounded_caches():
         "def e(): pass\n"
     )
     assert _unbounded_caches(tree) == [2, 3, 5, 7]
+
+
+def test_code_lines_skips_blanks_comments_and_docstrings(tmp_path):
+    path = tmp_path / "snippet.py"
+    path.write_text(
+        '"""Module\n\ndocstring."""\n'
+        "\n"
+        "# a comment\n"
+        "import os  # code, with a comment\n"
+        "\n"
+        "class A:\n"
+        '    """One line."""\n'
+        "    def f(self):\n"
+        '        """Two\n        lines."""\n'
+        "        return (1,\n"
+        "                2)\n"
+        "\n"
+        "TEXT = \"\"\"a string\n"
+        "that is not a docstring\"\"\"\n"
+        '"""A bare string after code."""\n'
+    )
+    # import, class, def, both lines of the return, both of TEXT, the bare string
+    assert code_lines(path) == 8
+
+
+if __name__ == "__main__":
+    counts = {path.name: code_lines(path) for path in sorted(PACKAGE.glob("*.py"))}
+    for name, count in counts.items():
+        print(f"{name:16} {count:5}")
+    print(f"{'src/oepartitions':16} {sum(counts.values()):5}")
