@@ -1079,10 +1079,11 @@ class TestCauchyRecovery:
         assert got == want[0] and 0 < residual < mpf(2) ** -30
 
     @pytest.mark.parametrize("n", [105, 600])
-    def test_recovery_transforms_the_scaled_coefficients_at_no_radius(self, n, monkeypatch):
-        # the series is a polynomial, so the recovery samples it on the unit
-        # circle: no _radius call, and _dft is handed exactly c_j 2^wp, padded
-        # with zeros to K, and a zero imaginary part
+    def test_one_radius_for_samples_and_division(self, n, monkeypatch):
+        # the series is a polynomial, so the samples and the division share
+        # one radius, the unit circle's: no _radius call, _dft is handed
+        # exactly c_j 2^wp, padded with zeros to K, and a zero imaginary
+        # part, and the quotient is c_n itself, with no r^n to divide out
         radii, inputs = [], []
         inner = circle._radius
         monkeypatch.setattr(circle, "_radius", lambda *args: radii.append(args) or inner(*args))
